@@ -34,7 +34,7 @@ from .penalty import (
     STAGE_PIXEL_THRESHOLDS,
     apply_reference_mask,
     penalty_histogram,
-    per_pixel_penalty,
+    stage_penalties,
 )
 from .reproject import fbr
 from .views import load_pairing, rank_sources, save_pairing
@@ -59,6 +59,21 @@ def _default_threads() -> int:
         return max(1, int(os.environ.get("MVSGEO_THREADS", "1")))
     except ValueError:
         return 1
+
+
+def _count_type(minimum: int):
+    """argparse type for an integer count of at least `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _require(path: Path) -> Path:
@@ -191,12 +206,8 @@ def _cmd_gc_penalty(args) -> int:
             raise ValueError(f"view {ref_id} has no source views in pair.txt")
         sources = [(depths[s], cams[s]) for s in src_ids]
         d_ref = depths[ref_id]
-        results = []
-        for thresholds in stages:
-            penalty = per_pixel_penalty(d_ref, cams[ref_id], sources, thresholds, args.range)
-            penalty = apply_reference_mask(penalty, d_ref.valid)
-            results.append(penalty)
-        return src_ids, results
+        penalties = stage_penalties(d_ref, cams[ref_id], sources, stages, args.range)
+        return src_ids, [apply_reference_mask(penalty, d_ref.valid) for penalty in penalties]
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
@@ -293,7 +304,7 @@ def _cmd_fuse(args) -> int:
 def _cmd_eval_pc(args) -> int:
     pred = formats.read_ply(_require(Path(args.pred)).read_bytes())
     gt = formats.read_ply(_require(Path(args.gt)).read_bytes())
-    m = evaluate_point_clouds(pred, gt, args.max_dist)
+    m = evaluate_point_clouds(pred, gt, args.max_dist, workers=args.threads)
     _emit_json(
         {
             "accuracy": m.accuracy,
@@ -369,7 +380,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_threads(p):
-        p.add_argument("--threads", type=int, default=_default_threads(),
+        p.add_argument("--threads", type=_count_type(1), default=_default_threads(),
                        help="worker threads (default: MVSGEO_THREADS or 1)")
 
     p = sub.add_parser("synth", help="emit a synthetic scene directory")
@@ -388,7 +399,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--ref", type=int, nargs="*", default=None, help="reference views (default: all)")
-    p.add_argument("--num-sources", type=int, default=0, help="use the top M sources (default: all listed)")
+    p.add_argument("--num-sources", type=_count_type(0), default=0,
+                   help="use the top M sources (default, or 0: all listed)")
     p.add_argument("--d-pixel", type=float, nargs="+", default=list(STAGE_PIXEL_THRESHOLDS))
     p.add_argument("--d-depth", type=float, nargs="+", default=list(STAGE_DEPTH_THRESHOLDS))
     p.add_argument("--range", choices=("one-two", "one-three"), default="one-two")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .camera import Camera, pixel_grid
-from .reproject import DepthMap, fbr, forward_project
+from .reproject import DepthMap, back_reproject, forward_project
 
 __all__ = ["FusionParams", "PointCloud", "DEFAULT_DYNAMIC_TABLE", "dynamic_thresholds", "fuse"]
 
@@ -120,7 +120,7 @@ def _pair_arrays(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Cam
     h, w = d_ref.shape
     xs, ys = pixel_grid(h, w)
     coords, _ = forward_project(d_ref, ref_cam, src_cam)
-    d_reproj, p_reproj = fbr(d_ref, ref_cam, d_src, src_cam)
+    d_reproj, p_reproj = back_reproject(coords, d_src, src_cam, ref_cam)
     ok = d_reproj.valid
     disp = np.where(ok, np.hypot(p_reproj.x - xs, p_reproj.y - ys), np.inf)
     denom = np.where(d_ref.valid, d_ref.values, 1.0)

@@ -53,43 +53,44 @@ def _points(cloud) -> np.ndarray:
     return pts
 
 
-def nearest_neighbor_distances(queries, refs, method: str = "kdtree") -> np.ndarray:
+def nearest_neighbor_distances(queries, refs, method: str = "kdtree", workers: int = 1) -> np.ndarray:
     """Distance from every query point to its nearest reference point.
 
-    The k-d tree path is exact; the brute-force path is the quadratic
-    scan kept as its independent cross-check.
+    The k-d tree path is exact and splits its queries over `workers`
+    threads; the brute-force path is the quadratic scan kept as its
+    independent cross-check and runs on one thread.
     """
     queries = _points(queries)
     refs = _points(refs)
     if method == "kdtree":
-        dists, _ = cKDTree(refs).query(queries, k=1)
+        dists, _ = cKDTree(refs).query(queries, k=1, workers=workers)
         return np.asarray(dists, dtype=np.float64)
     if method == "bruteforce":
         return _kernels.nn_bruteforce(np.ascontiguousarray(queries), np.ascontiguousarray(refs))
     raise ValueError(f"unknown method {method!r}")
 
 
-def accuracy(pred, gt, max_dist: float, method: str = "kdtree") -> float:
+def accuracy(pred, gt, max_dist: float, method: str = "kdtree", workers: int = 1) -> float:
     """Mean nearest-neighbor distance predicted -> ground truth, cut at max_dist."""
-    dists = nearest_neighbor_distances(pred, gt, method)
+    dists = nearest_neighbor_distances(pred, gt, method, workers)
     measured = dists <= max_dist
     if not measured.any():
         raise ValueError("no measurable points")
     return float(dists[measured].mean())
 
 
-def completeness(pred, gt, max_dist: float, method: str = "kdtree") -> float:
+def completeness(pred, gt, max_dist: float, method: str = "kdtree", workers: int = 1) -> float:
     """Mean nearest-neighbor distance ground truth -> predicted, cut at max_dist."""
-    return accuracy(gt, pred, max_dist, method)
+    return accuracy(gt, pred, max_dist, method, workers)
 
 
 def overall(acc: float, comp: float) -> float:
     return (acc + comp) / 2.0
 
 
-def evaluate_point_clouds(pred, gt, max_dist: float) -> PointCloudMetrics:
-    acc = accuracy(pred, gt, max_dist)
-    comp = completeness(pred, gt, max_dist)
+def evaluate_point_clouds(pred, gt, max_dist: float, workers: int = 1) -> PointCloudMetrics:
+    acc = accuracy(pred, gt, max_dist, workers=workers)
+    comp = completeness(pred, gt, max_dist, workers=workers)
     return PointCloudMetrics(acc, comp, overall(acc, comp), max_dist)
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "STAGE_DEPTH_THRESHOLDS",
     "inconsistency_mask",
     "per_pixel_penalty",
+    "stage_penalties",
     "apply_reference_mask",
     "penalty_histogram",
 ]
@@ -95,24 +96,48 @@ def per_pixel_penalty(
     range_mode: str = "one-two",
 ) -> PenaltyMap:
     """Accumulate inconsistency votes over all source views into the penalty map."""
+    return stage_penalties(d_ref, ref, sources, [thresholds], range_mode)[0]
+
+
+def stage_penalties(
+    d_ref: DepthMap,
+    ref: Camera,
+    sources: list[tuple[DepthMap, Camera]],
+    stages: list[GcThresholds],
+    range_mode: str = "one-two",
+) -> list[PenaltyMap]:
+    """Penalty maps of one reference view for several threshold stages.
+
+    The stages differ only in the thresholds applied to the same
+    reprojection, so each source is reprojected once (one fbr call) and
+    every stage's thresholds are applied to that result.  Returns one
+    PenaltyMap per stage, in the order of `stages`; each equals
+    per_pixel_penalty with that stage's thresholds.
+    """
     if not sources:
         raise ValueError("at least one source view is required")
+    if not stages:
+        raise ValueError("at least one threshold stage is required")
     if range_mode not in _RANGE_MODES:
         raise ValueError(f"range_mode must be one of {_RANGE_MODES}")
-    mask_sum = np.zeros(d_ref.shape, dtype=np.int64)
+    mask_sums = [np.zeros(d_ref.shape, dtype=np.int64) for _ in stages]
     for d_src, src_cam in sources:
         if d_src.shape != d_ref.shape:
             raise ValueError(
                 f"source depth shape {d_src.shape} does not match reference {d_ref.shape}"
             )
         d_reproj, p_reproj = fbr(d_ref, ref, d_src, src_cam)
-        mask_sum += inconsistency_mask(d_ref, d_reproj, p_reproj, thresholds)
+        for mask_sum, thresholds in zip(mask_sums, stages):
+            mask_sum += inconsistency_mask(d_ref, d_reproj, p_reproj, thresholds)
     m = len(sources)
-    if range_mode == "one-two":
-        values = 1.0 + mask_sum / m
-    else:
-        values = 1.0 + 2.0 * mask_sum / m
-    return PenaltyMap(values, range_mode, m)
+    penalties = []
+    for mask_sum in mask_sums:
+        if range_mode == "one-two":
+            values = 1.0 + mask_sum / m
+        else:
+            values = 1.0 + 2.0 * mask_sum / m
+        penalties.append(PenaltyMap(values, range_mode, m))
+    return penalties
 
 
 def apply_reference_mask(penalty: PenaltyMap, ref_mask: np.ndarray) -> PenaltyMap:

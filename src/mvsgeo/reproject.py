@@ -14,7 +14,7 @@ import numpy as np
 from . import _kernels
 from .camera import Camera, W_EPS, pixel_grid, warp_transform
 
-__all__ = ["DepthMap", "CoordinateGrid", "forward_project", "remap", "fbr"]
+__all__ = ["DepthMap", "CoordinateGrid", "forward_project", "remap", "back_reproject", "fbr"]
 
 
 @dataclass
@@ -147,18 +147,35 @@ def remap(src_map: DepthMap, coords: CoordinateGrid) -> DepthMap:
     return DepthMap(out, ok.astype(bool))
 
 
+def back_reproject(
+    coords: CoordinateGrid, d_src: DepthMap, src: Camera, ref: Camera
+) -> tuple[DepthMap, CoordinateGrid]:
+    """Back half of the forward-backward reprojection.
+
+    Samples the source depth map at `coords` (the landing coordinates
+    forward_project returned for ref -> src), back-projects the sampled
+    depths through the source camera and reprojects them into the
+    reference view.  Returns the reprojected depth map (values in the
+    reference camera frame) and the reprojected pixel coordinates.
+    Invalid coordinates, failed samples and points behind the reference
+    camera come back invalid.
+    """
+    d_remap = remap(d_src, coords)
+    back = warp_transform(src, ref)
+    x2, y2, d2, ok = _apply_warp(back, coords.x, coords.y, d_remap.values, d_remap.valid)
+    return DepthMap(d2, ok), CoordinateGrid(x2, y2, ok)
+
+
 def fbr(d_ref: DepthMap, ref: Camera, d_src_gt: DepthMap, src: Camera) -> tuple[DepthMap, CoordinateGrid]:
     """Forward-backward reprojection of a reference depth map via one source view.
 
     Three steps: forward-warp the reference depths into the source view,
     sample the source depth map at the landing coordinates, then
     back-project the sampled depths through the source camera and
-    reproject into the reference view.  Returns the reprojected depth map
-    (values in the reference camera frame) and the reprojected pixel
-    coordinates.  Invalidity propagates through every step.
+    reproject into the reference view (the last two are back_reproject).
+    Returns the reprojected depth map (values in the reference camera
+    frame) and the reprojected pixel coordinates.  Invalidity propagates
+    through every step.
     """
     coords, _ = forward_project(d_ref, ref, src)
-    d_remap = remap(d_src_gt, coords)
-    back = warp_transform(src, ref)
-    x2, y2, d2, ok = _apply_warp(back, coords.x, coords.y, d_remap.values, d_remap.valid)
-    return DepthMap(d2, ok), CoordinateGrid(x2, y2, ok)
+    return back_reproject(coords, d_src_gt, src, ref)

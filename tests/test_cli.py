@@ -95,6 +95,31 @@ def test_gc_penalty_multi_stage_and_threads(plane_scene, tmp_path, capsys):
         assert a == b
 
 
+def test_gc_penalty_reprojects_each_pair_once(plane_scene, tmp_path, capsys, monkeypatch):
+    # Three stages share one forward-backward reprojection per
+    # (reference, source) pair; only the threshold votes repeat per stage.
+    import mvsgeo.penalty
+
+    counts = {"fbr": 0, "inconsistency_mask": 0}
+    for name in counts:
+        original = getattr(mvsgeo.penalty, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mvsgeo.penalty, name, counting)
+    code, out, _ = run_cli(capsys, "gc-penalty", "--scene", str(plane_scene), "--out", str(tmp_path / "p"),
+                           "--d-pixel", "1.0", "0.5", "0.25", "--d-depth", "0.01", "0.005", "0.0025",
+                           "--threads", "1")
+    assert code == 0
+    doc = read_json(out)
+    refs = len(doc["views"])
+    pairs = sum(len(view["sources"]) for view in doc["views"].values())
+    assert refs == 4 and pairs == refs * 3
+    assert counts == {"fbr": pairs, "inconsistency_mask": 3 * pairs}
+
+
 def test_gc_penalty_stage_count_mismatch(plane_scene, tmp_path, capsys):
     code, _, err = run_cli(capsys, "gc-penalty", "--scene", str(plane_scene),
                            "--out", str(tmp_path / "x"), "--d-pixel", "1.0", "0.5",
@@ -152,6 +177,21 @@ def test_fuse_and_eval_pipeline(plane_scene, tmp_path, capsys):
     assert doc["accuracy"] < 1e-5
     assert doc["completeness"] < 1e-5
     assert doc["overall"] == pytest.approx((doc["accuracy"] + doc["completeness"]) / 2)
+
+
+def test_eval_pc_threads_identical_json(plane_scene, tmp_path, capsys):
+    cloud_path = tmp_path / "cloud.ply"
+    assert run_cli(capsys, "fuse", "--scene", str(plane_scene), "--out", str(cloud_path),
+                   "--num-consistent", "2")[0] == 0
+    docs = []
+    for t in ("1", "2"):
+        json_path = tmp_path / f"eval_{t}.json"
+        code, out, _ = run_cli(capsys, "eval-pc", "--pred", str(cloud_path),
+                               "--gt", str(plane_scene / "gt_cloud.ply"), "--max-dist", "1.0",
+                               "--threads", t, "--out", str(json_path))
+        assert code == 0
+        docs.append(json_path.read_bytes())
+    assert docs[0] == docs[1]
 
 
 def test_fuse_threads_bit_identical(plane_scene, tmp_path, capsys):
@@ -267,6 +307,18 @@ def test_unknown_flag_exits_1(capsys):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "usage" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gc-penalty", "--scene", "s", "--out", "o", "--threads", "0"],
+    ["eval-pc", "--pred", "a.ply", "--gt", "b.ply", "--max-dist", "1", "--threads", "-1"],
+    ["gc-penalty", "--scene", "s", "--out", "o", "--num-sources", "-1"],
+])
+def test_bad_counts_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "must be >=" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_1(capsys):

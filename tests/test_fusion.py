@@ -162,6 +162,27 @@ def test_threads_bit_identical():
         assert np.array_equal(base.confidence, other.confidence)
 
 
+def test_one_forward_warp_per_pair(monkeypatch):
+    # The pair check reuses its forward warp for the back half instead of
+    # warping again through fbr.
+    import mvsgeo.fusion
+    import mvsgeo.reproject
+
+    calls = []
+    original = mvsgeo.reproject.forward_project
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mvsgeo.reproject, "forward_project", counting)
+    monkeypatch.setattr(mvsgeo.fusion, "forward_project", counting)
+    spec, views = scene_views("plane", w=40, h=32, n=4, conf=1.0)
+    pairs = [[1, 2], [0], [0, 1, 3], [2]]
+    fuse(views, FusionParams(consistency_threshold=1), pairs=pairs)
+    assert len(calls) == sum(len(srcs) for srcs in pairs)
+
+
 def test_colors_sampled_from_images(rng):
     from mvsgeo.camera import Pixel, back_project
 

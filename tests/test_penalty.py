@@ -12,6 +12,7 @@ from mvsgeo.penalty import (
     inconsistency_mask,
     penalty_histogram,
     per_pixel_penalty,
+    stage_penalties,
 )
 from mvsgeo.reproject import CoordinateGrid, DepthMap
 
@@ -134,6 +135,30 @@ def test_penalty_matches_naive_loop_oracle():
         lib = per_pixel_penalty(d0, spec.cameras[0], sources, thr, mode)
         oracle = naive_penalty(d0, spec.cameras[0], sources, thr.d_pixel, thr.d_depth, mode)
         assert np.array_equal(lib.values, oracle)
+
+
+def test_stage_penalties_match_naive_loop_oracle_per_stage():
+    # One reprojection per source shared by the paper's three default
+    # stages: every stage still equals its own nested-loop oracle bit for bit.
+    spec = synth.make_scene("two-planes-offset", 40, 32, 4, seed=23)
+    d0, _ = synth.render_depth(spec, 0)
+    sources = [(synth.render_depth(spec, s)[0], spec.cameras[s]) for s in range(1, 4)]
+    stages = [GcThresholds(dp, dd) for dp, dd in zip(STAGE_PIXEL_THRESHOLDS, STAGE_DEPTH_THRESHOLDS)]
+    for mode in ("one-two", "one-three"):
+        pens = stage_penalties(d0, spec.cameras[0], sources, stages, mode)
+        assert len(pens) == len(stages)
+        for pen, thr in zip(pens, stages):
+            assert pen.range_mode == mode and pen.m == len(sources)
+            oracle = naive_penalty(d0, spec.cameras[0], sources, thr.d_pixel, thr.d_depth, mode)
+            assert np.array_equal(pen.values, oracle)
+
+
+def test_stage_penalties_requires_a_stage():
+    d = constant_depth(4, 5, 600.0)
+    spec = synth.make_scene("plane", 5, 4, 2, seed=0)
+    sources = [(constant_depth(4, 5, 600.0), spec.cameras[1])]
+    with pytest.raises(ValueError, match="stage"):
+        stage_penalties(d, spec.cameras[0], sources, [])
 
 
 def test_penalty_requires_sources_and_matching_shapes():
