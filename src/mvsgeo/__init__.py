@@ -7,7 +7,6 @@ into point clouds, point-cloud and depth metrics, analytic synthetic
 scenes, and readers/writers for the ecosystem file formats.
 """
 
-from ._accel import USING_NUMBA
 from .camera import Camera, Pixel, back_project, pixel_grid, project, warp_transform
 from .fusion import DEFAULT_DYNAMIC_TABLE, FusionParams, PointCloud, dynamic_thresholds, fuse
 from .hypotheses import (

@@ -2,8 +2,9 @@
 
 Subcommands: synth, gc-penalty, loss, fuse, eval-pc, eval-depth, warp.
 Exit codes: 0 ok, 1 usage error, 2 missing input file, 3 computation
-error.  Every command takes --threads (default from MVSGEO_THREADS) and
-produces byte-identical outputs for any thread count.
+error.  Every command accepts --threads (default from MVSGEO_THREADS);
+gc-penalty, fuse and eval-pc use it and produce byte-identical outputs
+for any thread count, the other commands ignore it.
 
 Scene directory convention (emitted by synth, consumed by the rest):
 
@@ -25,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats, synth
+from .camera import pixel_grid
 from .fusion import FusionParams, PointCloud, fuse
 from .loss import StageWeights, cross_entropy_error, stage_loss, total_loss
 from .metrics import depth_metrics, evaluate_point_clouds
@@ -354,7 +356,7 @@ def _cmd_warp(args) -> int:
     ):
         (out / name).write_bytes(formats.write_pfm(formats.PfmImage(grid.astype(np.float32))))
     h, w = d_ref.shape
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    xs, ys = pixel_grid(h, w)
     ok = d_reproj.valid & d_ref.valid
     doc = {"ref": args.ref, "src": args.src, "valid_pixels": int(ok.sum()), "out": str(out)}
     if ok.any():
@@ -379,9 +381,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mvsgeo", description="Multi-view stereo geometric consistency toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_threads(p):
-        p.add_argument("--threads", type=_count_type(1), default=_default_threads(),
-                       help="worker threads (default: MVSGEO_THREADS or 1)")
+    def add_threads(p, used=True):
+        text = ("worker threads (default: MVSGEO_THREADS or 1)" if used
+                else "accepted for a uniform command line; has no effect on this command")
+        p.add_argument("--threads", type=_count_type(1), default=_default_threads(), help=text)
 
     p = sub.add_parser("synth", help="emit a synthetic scene directory")
     p.add_argument("--out", required=True)
@@ -392,7 +395,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-std", type=float, default=0.0,
                    help="additive Gaussian depth noise for degradation tests")
-    add_threads(p)
+    add_threads(p, used=False)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("gc-penalty", help="per-pixel geometric consistency penalty maps")
@@ -415,7 +418,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--out", default=None)
-    add_threads(p)
+    add_threads(p, used=False)
     p.set_defaults(func=_cmd_loss)
 
     p = sub.add_parser("fuse", help="fuse scene depth maps into a point cloud")
@@ -444,7 +447,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--gt", required=True)
     p.add_argument("--mask", default=None)
     p.add_argument("--out", default=None)
-    add_threads(p)
+    add_threads(p, used=False)
     p.set_defaults(func=_cmd_eval_depth)
 
     p = sub.add_parser("warp", help="forward-backward reprojection of one view pair")
@@ -452,7 +455,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ref", type=int, required=True)
     p.add_argument("--src", type=int, required=True)
     p.add_argument("--out", required=True)
-    add_threads(p)
+    add_threads(p, used=False)
     p.set_defaults(func=_cmd_warp)
 
     return parser

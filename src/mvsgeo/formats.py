@@ -146,13 +146,14 @@ def write_pfm(img: PfmImage) -> bytes:
 
 
 def depth_from_pfm(img: PfmImage) -> "DepthMap":
-    """Single-channel PFM to DepthMap; zero or negative pixels are invalid."""
+    """Single-channel PFM to DepthMap; zero, negative and non-finite pixels are invalid."""
     from .reproject import DepthMap
 
     if img.channels != 1:
         raise ValueError("depth maps are single-channel PFMs")
     values = img.data.astype(np.float64)
-    return DepthMap(np.where(values > 0, values, 0.0), values > 0)
+    valid = np.isfinite(values) & (values > 0)
+    return DepthMap(np.where(valid, values, 0.0), valid)
 
 
 def depth_to_pfm(depth) -> PfmImage:

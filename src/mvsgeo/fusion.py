@@ -8,7 +8,8 @@ consistent sources.  Source pixels hit by an emitted point are marked
 consumed so each surface point is emitted once.  Emission order is the
 row-major reference-view scan, so output is deterministic and identical
 for any thread count (threads only parallelize the per-pair reprojection
-arrays; the consume pass is sequential).
+arrays; the consume pass is one sequential, vectorized numpy pass per
+reference view).
 
 Two checking modes: "fusibile" applies one displacement/relative-depth
 threshold pair and a fixed required view count; "dynamic" derives the
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .camera import Camera, pixel_grid
 from .reproject import DepthMap, back_reproject, forward_project
 
@@ -134,6 +134,61 @@ def _pair_arrays(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Cam
     return disp, rdd, d_reproj.values, sx, sy
 
 
+# One reference view's fuse/consume decision.  disp and rdd hold the
+# reprojection displacement (px) and relative depth difference per source
+# view, np.inf where the check is impossible (invalid reprojection).
+# Mode 0 (fusibile): a single threshold row, pixel fuses when the number
+# of passing sources reaches min_consistent.  Mode 1 (dynamic): pixel
+# fuses when some k >= min_consistent has count(table row k) >= k; the
+# largest qualifying k selects the consistent set.  table rows beyond the
+# end clamp to the last entry.
+#
+# Fused depth = mean (avg_mode 0) or median (avg_mode 1) over the
+# reference depth plus the passing sources' reprojected depths.  Consumed
+# marking writes into the global (V, H, W) array through src_idx/ref_idx.
+
+
+def _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
+                  consumed, ref_idx, src_idx, prob_threshold,
+                  min_consistent, mode, table, avg_mode):
+    """Fused depth and boolean fused mask of one reference view; updates consumed."""
+    n_src, h, w = disp.shape
+    n_table = table.shape[0]
+    eligible = (consumed[ref_idx] == 0) & ref_valid & (conf > prob_threshold)
+    if mode == 0:
+        passing = (disp < table[0, 0]) & (rdd < table[0, 1])
+        ok = passing.sum(axis=0) >= min_consistent
+    else:
+        kmax = max(n_table, min_consistent)
+        passing = np.zeros((n_src, h, w), dtype=bool)
+        ok = np.zeros((h, w), dtype=bool)
+        chosen_written = np.zeros((h, w), dtype=bool)
+        for k in range(kmax, min_consistent - 1, -1):
+            row = min(k, n_table) - 1
+            pass_k = (disp < table[row, 0]) & (rdd < table[row, 1])
+            ok_k = pass_k.sum(axis=0) >= k
+            take = ok_k & ~chosen_written
+            passing[:, take] = pass_k[:, take]
+            chosen_written |= take
+            ok |= ok_k
+    fuse = eligible & ok
+    passing = passing & fuse[None, :, :]
+    n = passing.sum(axis=0)
+    if avg_mode == 0:
+        acc = np.sum(np.where(passing, dres, 0.0), axis=0)
+        fused = np.where(fuse, (ref_depth + acc) / np.maximum(n + 1, 1), 0.0)
+    else:
+        stack = np.concatenate([np.where(passing, dres, np.nan), ref_depth[None, :, :]], axis=0)
+        with np.errstate(all="ignore"):
+            med = np.nanmedian(stack, axis=0)
+        fused = np.where(fuse, med, 0.0)
+    consumed[ref_idx][fuse] = 1
+    for s in range(n_src):
+        hit = passing[s] & (sx[s] >= 0)
+        consumed[src_idx[s], sy[s][hit], sx[s][hit]] = 1
+    return fused, fuse
+
+
 def _back_project_grid(depth_values, mask, cam: Camera):
     """World points for the masked pixels of a depth grid, row-major order."""
     h, w = depth_values.shape
@@ -198,9 +253,9 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
     for r in range(n_views):
         depth_r, conf_r, cam_r, image_r = unpacked[r]
         disp, rdd, dres, sx, sy = pair_data[r]
-        fused_depth, fused_mask = _kernels.fuse_reference_pass(
+        fused_depth, mask = _consume_pass(
             depth_r.values,
-            depth_r.valid.astype(np.uint8),
+            depth_r.valid,
             conf_r,
             disp,
             rdd,
@@ -216,7 +271,6 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
             table,
             avg_flag,
         )
-        mask = fused_mask.astype(bool)
         if not mask.any():
             continue
         all_points.append(_back_project_grid(fused_depth, mask, cam_r))

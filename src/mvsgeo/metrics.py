@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import _kernels
 from .reproject import DepthMap
 
 __all__ = [
@@ -53,35 +52,31 @@ def _points(cloud) -> np.ndarray:
     return pts
 
 
-def nearest_neighbor_distances(queries, refs, method: str = "kdtree", workers: int = 1) -> np.ndarray:
+def nearest_neighbor_distances(queries, refs, workers: int = 1) -> np.ndarray:
     """Distance from every query point to its nearest reference point.
 
-    The k-d tree path is exact and splits its queries over `workers`
-    threads; the brute-force path is the quadratic scan kept as its
-    independent cross-check and runs on one thread.
+    Exact k-d tree search (scipy cKDTree) over the reference points; the
+    queries are split over `workers` threads, which does not change the
+    result.
     """
     queries = _points(queries)
     refs = _points(refs)
-    if method == "kdtree":
-        dists, _ = cKDTree(refs).query(queries, k=1, workers=workers)
-        return np.asarray(dists, dtype=np.float64)
-    if method == "bruteforce":
-        return _kernels.nn_bruteforce(np.ascontiguousarray(queries), np.ascontiguousarray(refs))
-    raise ValueError(f"unknown method {method!r}")
+    dists, _ = cKDTree(refs).query(queries, k=1, workers=workers)
+    return np.asarray(dists, dtype=np.float64)
 
 
-def accuracy(pred, gt, max_dist: float, method: str = "kdtree", workers: int = 1) -> float:
+def accuracy(pred, gt, max_dist: float, workers: int = 1) -> float:
     """Mean nearest-neighbor distance predicted -> ground truth, cut at max_dist."""
-    dists = nearest_neighbor_distances(pred, gt, method, workers)
+    dists = nearest_neighbor_distances(pred, gt, workers)
     measured = dists <= max_dist
     if not measured.any():
         raise ValueError("no measurable points")
     return float(dists[measured].mean())
 
 
-def completeness(pred, gt, max_dist: float, method: str = "kdtree", workers: int = 1) -> float:
+def completeness(pred, gt, max_dist: float, workers: int = 1) -> float:
     """Mean nearest-neighbor distance ground truth -> predicted, cut at max_dist."""
-    return accuracy(gt, pred, max_dist, method, workers)
+    return accuracy(gt, pred, max_dist, workers)
 
 
 def overall(acc: float, comp: float) -> float:

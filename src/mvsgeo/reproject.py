@@ -4,17 +4,21 @@ The chain implemented here: warp each valid reference pixel into a source
 view, sample the source depth map at the landing coordinates, then carry
 that sampled depth back through the source camera and reproject it into
 the reference view.  Comparing the result against the original reference
-depth is the basis of every consistency check in this package.
+depth is the basis of every consistency check in this package.  Every
+step is a vectorized numpy pass over the whole grid.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .camera import Camera, W_EPS, pixel_grid, warp_transform
 
 __all__ = ["DepthMap", "CoordinateGrid", "forward_project", "remap", "back_reproject", "fbr"]
+
+# Bounds guard of remap: warping a view onto itself lands border pixels at
+# W-1 plus float dust, which must not invalidate them.
+_EDGE_EPS = 1e-9
 
 
 @dataclass
@@ -43,9 +47,9 @@ class DepthMap:
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "DepthMap":
-        """Build a map whose validity is simply depth > 0."""
+        """Build a map whose validity is finite depth > 0."""
         values = np.asarray(values, dtype=np.float64)
-        return cls(values, values > 0)
+        return cls(values, np.isfinite(values) & (values > 0))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -135,16 +139,33 @@ def remap(src_map: DepthMap, coords: CoordinateGrid) -> DepthMap:
     A sample is invalid when its coordinates are invalid, fall outside
     [0, W-1] x [0, H-1], or any of the four bilinear neighbors is invalid
     in the source map.  Out-of-bounds samples are dropped, not clamped:
-    clamping would fabricate depths at image borders.
+    clamping would fabricate depths at image borders.  The cell index is
+    clamped to W-2/H-2 so the exact border coordinate W-1 (H-1) falls in
+    the last cell with fractional weight 1.
     """
-    out, ok = _kernels.bilinear_remap(
-        src_map.values,
-        src_map.valid.astype(np.uint8),
-        coords.x,
-        coords.y,
-        coords.valid.astype(np.uint8),
+    values, valid = src_map.values, src_map.valid
+    xs, ys = coords.x, coords.y
+    hs, ws = values.shape
+    in_bounds = (
+        coords.valid
+        & (xs >= -_EDGE_EPS)
+        & (xs <= ws - 1 + _EDGE_EPS)
+        & (ys >= -_EDGE_EPS)
+        & (ys <= hs - 1 + _EDGE_EPS)
     )
-    return DepthMap(out, ok.astype(bool))
+    xc = np.clip(np.where(in_bounds, xs, 0.0), 0.0, ws - 1)
+    yc = np.clip(np.where(in_bounds, ys, 0.0), 0.0, hs - 1)
+    x0 = np.clip(np.floor(xc).astype(np.int64), 0, max(ws - 2, 0))
+    y0 = np.clip(np.floor(yc).astype(np.int64), 0, max(hs - 2, 0))
+    x1 = np.minimum(x0 + 1, ws - 1)
+    y1 = np.minimum(y0 + 1, hs - 1)
+    ok = in_bounds & valid[y0, x0] & valid[y0, x1] & valid[y1, x0] & valid[y1, x1]
+    fx = xc - x0
+    fy = yc - y0
+    top = values[y0, x0] * (1.0 - fx) + values[y0, x1] * fx
+    bot = values[y1, x0] * (1.0 - fx) + values[y1, x1] * fx
+    out = np.where(ok, top * (1.0 - fy) + bot * fy, 0.0)
+    return DepthMap(out, ok)
 
 
 def back_reproject(

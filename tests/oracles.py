@@ -65,7 +65,7 @@ def _scalar_warp_chain(x, y, depth, K_from, E_from, K_to, E_to):
 
 
 def _scalar_bilinear(values, valid, x, y):
-    """Same sampling contract as the remap kernel, scalar arithmetic."""
+    """Same sampling contract as reproject.remap, scalar arithmetic."""
     hs, ws = values.shape
     eps = 1e-9  # documented boundary guard of the remap contract
     if not (-eps <= x <= ws - 1 + eps and -eps <= y <= hs - 1 + eps):
@@ -124,6 +124,95 @@ def naive_penalty(d_ref, ref_cam, sources, d_pixel, d_depth, range_mode="one-two
     if range_mode == "one-two":
         return 1.0 + mask_sum / m
     return 1.0 + 2.0 * mask_sum / m
+
+
+# ---------------------------------------------------------------------------
+# scalar fusion consume pass
+# ---------------------------------------------------------------------------
+
+
+def scalar_consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
+                        consumed, ref_idx, src_idx, prob_threshold,
+                        min_consistent, mode, table, avg_mode):
+    """Per-pixel loop version of fusion._consume_pass (fusibile-style scan).
+
+    Same arguments and the same consumed-array side effect; returns the
+    fused depth and a uint8 fused mask.
+    """
+    n_src, h, w = disp.shape
+    n_table = table.shape[0]
+    fused_depth = np.zeros((h, w), dtype=np.float64)
+    fused_mask = np.zeros((h, w), dtype=np.uint8)
+    passing = np.zeros(n_src, dtype=np.uint8)
+    buf = np.zeros(n_src + 1, dtype=np.float64)
+    for i in range(h):
+        for j in range(w):
+            if consumed[ref_idx, i, j] or not ref_valid[i, j]:
+                continue
+            if not conf[i, j] > prob_threshold:
+                continue
+            ok = False
+            if mode == 0:
+                td = table[0, 0]
+                tr = table[0, 1]
+                count = 0
+                for s in range(n_src):
+                    if disp[s, i, j] < td and rdd[s, i, j] < tr:
+                        passing[s] = 1
+                        count += 1
+                    else:
+                        passing[s] = 0
+                ok = count >= min_consistent
+            else:
+                kmax = max(n_table, min_consistent)
+                chosen = -1
+                for k in range(min_consistent, kmax + 1):
+                    row = min(k, n_table) - 1
+                    td = table[row, 0]
+                    tr = table[row, 1]
+                    count = 0
+                    for s in range(n_src):
+                        if disp[s, i, j] < td and rdd[s, i, j] < tr:
+                            count += 1
+                    if count >= k:
+                        chosen = k
+                if chosen > 0:
+                    ok = True
+                    row = min(chosen, n_table) - 1
+                    td = table[row, 0]
+                    tr = table[row, 1]
+                    for s in range(n_src):
+                        if disp[s, i, j] < td and rdd[s, i, j] < tr:
+                            passing[s] = 1
+                        else:
+                            passing[s] = 0
+            if not ok:
+                continue
+            n = 0
+            for s in range(n_src):
+                if passing[s]:
+                    buf[n] = dres[s, i, j]
+                    n += 1
+            if avg_mode == 0:
+                acc = 0.0
+                for m in range(n):
+                    acc += buf[m]
+                fused = (ref_depth[i, j] + acc) / (n + 1)
+            else:
+                buf[n] = ref_depth[i, j]
+                n += 1
+                sub = np.sort(buf[:n])
+                if n % 2 == 1:
+                    fused = sub[n // 2]
+                else:
+                    fused = (sub[n // 2 - 1] + sub[n // 2]) / 2.0
+            fused_depth[i, j] = fused
+            fused_mask[i, j] = 1
+            consumed[ref_idx, i, j] = 1
+            for s in range(n_src):
+                if passing[s] and sx[s, i, j] >= 0:
+                    consumed[src_idx[s], sy[s, i, j], sx[s, i, j]] = 1
+    return fused_depth, fused_mask
 
 
 # ---------------------------------------------------------------------------

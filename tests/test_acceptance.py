@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
-lines.  Criteria with runtime limits warm the JIT kernels first so the
-clock measures the algorithms, not compilation.
+lines.  Runtime limits include first-call cost.
 """
 
 import json
@@ -40,17 +39,7 @@ def report(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}) failed: {detail}"
 
 
-def warm_kernels():
-    spec = synth.make_scene("plane", 16, 12, 2, seed=0)
-    d0, _ = synth.render_depth(spec, 0)
-    d1, _ = synth.render_depth(spec, 1)
-    fbr(d0, spec.cameras[0], d1, spec.cameras[1])
-    views = [(d0, d0.valid.astype(float), spec.cameras[0]), (d1, d1.valid.astype(float), spec.cameras[1])]
-    fuse(views, FusionParams(consistency_threshold=1))
-
-
 def test_criterion_01_fbr_fixed_point():
-    warm_kernels()
     scenes = ["plane", "tilted-plane", "sphere", "two-planes", "two-planes-offset"]
     start = time.monotonic()
     worst_pde = worst_rdd = 0.0
@@ -197,7 +186,6 @@ def test_criterion_06_hypothesis_interval_arithmetic():
 
 
 def test_criterion_07_fusion_soundness_and_monotonicity():
-    warm_kernels()
     spec = synth.make_scene("plane", 80, 64, 5, seed=7)
     views = []
     for v in range(5):
@@ -307,7 +295,6 @@ def test_criterion_09_format_round_trips():
 
 
 def test_criterion_10_end_to_end_pipeline(tmp_path, capsys):
-    warm_kernels()
     scene = tmp_path / "scene"
     pen_dir = tmp_path / "penalty"
     cloud = tmp_path / "cloud.ply"

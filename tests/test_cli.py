@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,48 @@ def test_warp_cli(plane_scene, tmp_path, capsys):
     assert doc["max_rdd"] < 1e-6
     for stem in ("reproj_depth", "reproj_x", "reproj_y", "reproj_valid"):
         assert (out_dir / f"{stem}_00000000_00000001.pfm").exists()
+
+
+def _finite_json(text):
+    def reject(constant):
+        raise AssertionError(f"non-finite JSON value {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_input_depths_are_invalid(plane_scene, tmp_path, capsys):
+    # +inf, -inf and NaN pixels in one view's depth PFM are invalid depths:
+    # no command may warn on them or carry them into an output file.
+    bad = [(5, 5, np.inf), (10, 20, -np.inf), (20, 30, np.nan)]
+    path = plane_scene / "depths" / "00000001.pfm"
+    data = formats.read_pfm(path.read_bytes()).data.copy()
+    for i, j, value in bad:
+        data[i, j] = value
+    path.write_bytes(formats.write_pfm(formats.PfmImage(data)))
+    depth = formats.depth_from_pfm(formats.read_pfm(path.read_bytes()))
+    assert not any(depth.valid[i, j] for i, j, _ in bad)
+    assert np.isfinite(depth.values).all()
+
+    pen_dir, cloud, warp_dir = tmp_path / "pen", tmp_path / "cloud.ply", tmp_path / "warp"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        runs = [
+            ("gc-penalty", "--scene", str(plane_scene), "--out", str(pen_dir)),
+            ("fuse", "--scene", str(plane_scene), "--out", str(cloud), "--num-consistent", "2"),
+            ("warp", "--scene", str(plane_scene), "--ref", "1", "--src", "0", "--out", str(warp_dir)),
+        ]
+        for argv in runs:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            _finite_json(out)
+
+    _finite_json((pen_dir / "summary.json").read_text())
+    for pfm in sorted(pen_dir.glob("*.pfm")) + sorted(warp_dir.glob("*.pfm")):
+        assert np.isfinite(formats.read_pfm(pfm.read_bytes()).data).all(), pfm.name
+    assert np.isfinite(formats.read_ply(cloud.read_bytes()).points).all()
+    for pfm in (pen_dir / "penalty_00000001_stage0.pfm", warp_dir / "reproj_valid_00000001_00000000.pfm"):
+        grid = formats.read_pfm(pfm.read_bytes()).data
+        assert all(grid[i, j] == 0 for i, j, _ in bad), pfm.name
 
 
 def test_loss_cli_hand_values(tmp_path, capsys):

@@ -1,43 +1,44 @@
-"""Cross-checks between the numba kernels and their pure-numpy twins.
+"""The vectorized per-pixel kernels against their scalar oracles.
 
-Both versions must agree bitwise so the MVSGEO_NO_NUMBA fallback changes
-nothing but speed.
+reproject.remap and fusion._consume_pass must agree bitwise with the
+per-pixel loops in oracles.py.
 """
 
 import numpy as np
 import pytest
 
-from mvsgeo._kernels import (
-    _bilinear_remap_numba,
-    _bilinear_remap_numpy,
-    _fuse_pass_numba,
-    _fuse_pass_numpy,
-    _nn_bruteforce_numba,
-    _nn_bruteforce_numpy,
-)
+from mvsgeo.fusion import _consume_pass
+from mvsgeo.reproject import CoordinateGrid, DepthMap, remap
+
+from oracles import _scalar_bilinear, scalar_consume_pass
 
 
-def test_remap_twins_bitwise_equal(rng):
+def test_remap_matches_scalar_oracle_bitwise(rng):
     for _ in range(10):
         hs, ws = int(rng.integers(1, 30)), int(rng.integers(1, 30))
         h, w = int(rng.integers(1, 25)), int(rng.integers(1, 25))
         values = rng.uniform(1, 1000, (hs, ws))
-        valid = (rng.random((hs, ws)) > 0.15).astype(np.uint8)
+        valid = rng.random((hs, ws)) > 0.15
         xs = rng.uniform(-2, ws + 1, (h, w))
         ys = rng.uniform(-2, hs + 1, (h, w))
-        cv = (rng.random((h, w)) > 0.1).astype(np.uint8)
-        o1, v1 = _bilinear_remap_numba(values, valid, xs, ys, cv)
-        o2, v2 = _bilinear_remap_numpy(values, valid, xs, ys, cv)
-        assert np.array_equal(o1, o2)
-        assert np.array_equal(v1, v2)
+        cv = rng.random((h, w)) > 0.1
+        got = remap(DepthMap(values, valid), CoordinateGrid(xs, ys, cv))
+        values = np.where(valid, values, 0.0)
+        for i in range(h):
+            for j in range(w):
+                want = _scalar_bilinear(values, valid, xs[i, j], ys[i, j]) if cv[i, j] else None
+                if want is None:
+                    assert not got.valid[i, j] and got.values[i, j] == 0.0
+                else:
+                    assert got.valid[i, j] and got.values[i, j] == want
 
 
 @pytest.mark.parametrize("mode", [0, 1])
 @pytest.mark.parametrize("avg", [0, 1])
-def test_fuse_pass_twins_bitwise_equal(rng, mode, avg):
+def test_consume_pass_matches_scalar_oracle_bitwise(rng, mode, avg):
     n_src, h, w = 4, 12, 15
     ref_depth = rng.uniform(400, 900, (h, w))
-    ref_valid = (rng.random((h, w)) > 0.1).astype(np.uint8)
+    ref_valid = rng.random((h, w)) > 0.1
     conf = rng.random((h, w))
     disp = np.where(rng.random((n_src, h, w)) > 0.2, rng.uniform(0, 2, (n_src, h, w)), np.inf)
     rdd = np.where(np.isfinite(disp), rng.uniform(0, 0.02, (n_src, h, w)), np.inf)
@@ -45,24 +46,23 @@ def test_fuse_pass_twins_bitwise_equal(rng, mode, avg):
     sx = rng.integers(-1, w, (n_src, h, w))
     sy = np.where(sx >= 0, rng.integers(0, h, (n_src, h, w)), -1)
     table = np.array([[1.0, 0.01], [1.25, 0.0125], [1.5, 0.015]])
-    args = dict(prob=0.4, k=2)
     consumed1 = np.zeros((n_src + 1, h, w), dtype=np.uint8)
     consumed2 = consumed1.copy()
     src_idx = np.arange(1, n_src + 1, dtype=np.int64)
-    f1, m1 = _fuse_pass_numba(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
-                              consumed1, 0, src_idx, args["prob"], args["k"], mode, table, avg)
-    f2, m2 = _fuse_pass_numpy(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
-                              consumed2, 0, src_idx, args["prob"], args["k"], mode, table, avg)
+    f1, m1 = scalar_consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
+                                 consumed1, 0, src_idx, 0.4, 2, mode, table, avg)
+    f2, m2 = _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
+                           consumed2, 0, src_idx, 0.4, 2, mode, table, avg)
     assert np.array_equal(m1, m2)
     assert np.array_equal(f1, f2)
     assert np.array_equal(consumed1, consumed2)
     assert m1.sum() > 0  # the configuration exercises real fusions
 
 
-def test_fuse_pass_respects_consumed_and_confidence(rng):
+def test_consume_pass_respects_consumed_and_confidence():
     n_src, h, w = 2, 4, 4
     ref_depth = np.full((h, w), 500.0)
-    ref_valid = np.ones((h, w), dtype=np.uint8)
+    ref_valid = np.ones((h, w), dtype=bool)
     conf = np.full((h, w), 0.9)
     conf[0, 0] = 0.1
     disp = np.zeros((n_src, h, w))
@@ -73,18 +73,12 @@ def test_fuse_pass_respects_consumed_and_confidence(rng):
     consumed = np.zeros((3, h, w), dtype=np.uint8)
     consumed[0, 1, 1] = 1  # pre-consumed reference pixel
     table = np.array([[1.0, 0.01]])
-    fused, mask = _fuse_pass_numba(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
-                                   consumed, 0, np.array([1, 2], dtype=np.int64),
-                                   0.5, 1, 0, table, 0)
+    fused, mask = _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
+                                consumed, 0, np.array([1, 2], dtype=np.int64),
+                                0.5, 1, 0, table, 0)
     assert mask[0, 0] == 0      # confidence gate
     assert mask[1, 1] == 0      # consumed pixel skipped
     assert mask[2, 2] == 1
     assert fused[2, 2] == pytest.approx(500.0)
     # every passing source marked consumed at its landing pixel (0, 0)
     assert consumed[1, 0, 0] == 1 and consumed[2, 0, 0] == 1
-
-
-def test_nn_twins_bitwise_equal(rng):
-    q = rng.normal(scale=5.0, size=(400, 3))
-    r = rng.normal(scale=5.0, size=(333, 3))
-    assert np.array_equal(_nn_bruteforce_numba(q, r), _nn_bruteforce_numpy(q, r))

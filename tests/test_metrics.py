@@ -64,19 +64,16 @@ def test_overall_arithmetic():
 def test_nn_matches_quadratic_oracle(rng):
     pred = rng.uniform(-50, 50, size=(2000, 3))
     gt = rng.uniform(-50, 50, size=(1700, 3))
-    fast = nearest_neighbor_distances(pred, gt, method="kdtree")
+    fast = nearest_neighbor_distances(pred, gt)
     slow = quadratic_nn(pred, gt)
     assert np.abs(fast - slow).max() < 1e-9
-    brute = nearest_neighbor_distances(pred, gt, method="bruteforce")
-    assert np.array_equal(brute, slow) or np.abs(brute - slow).max() < 1e-12
 
 
-def test_spatial_index_equals_bruteforce(rng):
+def test_spatial_index_equals_quadratic_scan(rng):
     pts = rng.normal(scale=10.0, size=(800, 3))
     q = rng.normal(scale=10.0, size=(500, 3))
-    kd = nearest_neighbor_distances(q, pts, method="kdtree")
-    bf = nearest_neighbor_distances(q, pts, method="bruteforce")
-    assert np.array_equal(kd, bf)
+    kd = nearest_neighbor_distances(q, pts)
+    assert np.array_equal(kd, quadratic_nn(q, pts))
 
 
 def test_rigid_motion_invariance(rng):
