@@ -34,6 +34,7 @@ DEFAULT_DYNAMIC_TABLE = tuple((0.25 * k, 0.0025 * k) for k in range(1, 9))
 
 _MODES = ("fusibile", "dynamic")
 _AVERAGES = ("mean", "median")
+_PAIR_DTYPES = (np.float64, np.float64, np.float64, np.int64, np.int64)  # disp, rdd, dres, sx, sy
 
 
 @dataclass(frozen=True)
@@ -136,12 +137,11 @@ def _pair_arrays(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Cam
 
 # One reference view's fuse/consume decision.  disp and rdd hold the
 # reprojection displacement (px) and relative depth difference per source
-# view, np.inf where the check is impossible (invalid reprojection).
-# Mode 0 (fusibile): a single threshold row, pixel fuses when the number
-# of passing sources reaches min_consistent.  Mode 1 (dynamic): pixel
-# fuses when some k >= min_consistent has count(table row k) >= k; the
-# largest qualifying k selects the consistent set.  table rows beyond the
-# end clamp to the last entry.
+# view, np.inf where the check is impossible (invalid reprojection).  A
+# pixel fuses when some k >= min_consistent has count(table row k) >= k;
+# the largest qualifying k selects the consistent set.  table rows beyond
+# the end clamp to the last entry, so a one-row table (fusibile) is a
+# single threshold pair with a fixed required count.
 #
 # Fused depth = mean (avg_mode 0) or median (avg_mode 1) over the
 # reference depth plus the passing sources' reprojected depths.  Consumed
@@ -150,26 +150,22 @@ def _pair_arrays(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Cam
 
 def _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
                   consumed, ref_idx, src_idx, prob_threshold,
-                  min_consistent, mode, table, avg_mode):
+                  min_consistent, table, avg_mode):
     """Fused depth and boolean fused mask of one reference view; updates consumed."""
-    n_src, h, w = disp.shape
+    n_src = disp.shape[0]
     n_table = table.shape[0]
     eligible = (consumed[ref_idx] == 0) & ref_valid & (conf > prob_threshold)
-    if mode == 0:
-        passing = (disp < table[0, 0]) & (rdd < table[0, 1])
-        ok = passing.sum(axis=0) >= min_consistent
-    else:
-        kmax = max(n_table, min_consistent)
-        passing = np.zeros((n_src, h, w), dtype=bool)
-        ok = np.zeros((h, w), dtype=bool)
-        chosen_written = np.zeros((h, w), dtype=bool)
-        for k in range(kmax, min_consistent - 1, -1):
-            row = min(k, n_table) - 1
-            pass_k = (disp < table[row, 0]) & (rdd < table[row, 1])
-            ok_k = pass_k.sum(axis=0) >= k
-            take = ok_k & ~chosen_written
+    kmax = max(n_table, min_consistent)
+    for k in range(kmax, min_consistent - 1, -1):
+        row = min(k, n_table) - 1
+        pass_k = (disp < table[row, 0]) & (rdd < table[row, 1])
+        ok_k = pass_k.sum(axis=0) >= k
+        if k == kmax:
+            passing = pass_k & ok_k
+            ok = ok_k
+        else:
+            take = ok_k & ~ok
             passing[:, take] = pass_k[:, take]
-            chosen_written |= take
             ok |= ok_k
     fuse = eligible & ok
     passing = passing & fuse[None, :, :]
@@ -225,12 +221,18 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
         if r in srcs:
             raise ValueError("a view cannot be its own source")
 
+    h, w = shape
+
     def build(r):
         depth_r, _, cam_r, _ = unpacked[r]
-        rows = [_pair_arrays(depth_r, cam_r, unpacked[s][0], unpacked[s][2]) for s in pairs[r]]
-        if not rows:
+        if not pairs[r]:
             raise ValueError(f"view {r} has no source views")
-        return tuple(np.stack([row[k] for row in rows]) for k in range(5))
+        n_src = len(pairs[r])
+        stacks = tuple(np.empty((n_src, h, w), dtype=dtype) for dtype in _PAIR_DTYPES)
+        for i, s in enumerate(pairs[r]):
+            for stack, row in zip(stacks, _pair_arrays(depth_r, cam_r, unpacked[s][0], unpacked[s][2])):
+                stack[i] = row
+        return stacks
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -239,13 +241,10 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
         pair_data = [build(r) for r in range(n_views)]
 
     if params.mode == "fusibile":
-        mode_flag = 0
         table = np.array([[params.disparity_threshold, params.depth_threshold]])
     else:
-        mode_flag = 1
         table = np.array(params.dynamic_table, dtype=np.float64)
 
-    h, w = shape
     consumed = np.zeros((n_views, h, w), dtype=np.uint8)
     all_points, all_colors, all_conf = [], [], []
     any_image = any(img is not None for *_, img in unpacked)
@@ -267,7 +266,6 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
             np.asarray(pairs[r], dtype=np.int64),
             float(params.prob_threshold),
             int(params.consistency_threshold),
-            mode_flag,
             table,
             avg_flag,
         )

@@ -62,6 +62,21 @@ class PenaltyMap:
             raise ValueError(f"range_mode must be one of {_RANGE_MODES}")
 
 
+def _pair_errors(d_ref: DepthMap, d_reproj: DepthMap, p_reproj: CoordinateGrid):
+    """Reprojection displacement (px), relative depth difference and failed-reprojection mask."""
+    h, w = d_ref.shape
+    xs, ys = pixel_grid(h, w)
+    pde = np.sqrt((p_reproj.x - xs) ** 2 + (p_reproj.y - ys) ** 2)
+    denom = np.where(d_ref.valid, d_ref.values, 1.0)
+    rdd = np.abs(d_reproj.values - d_ref.values) / denom
+    return pde, rdd, ~(d_reproj.valid & p_reproj.valid)
+
+
+def _votes(tested, pde, rdd, failed, thresholds: GcThresholds) -> np.ndarray:
+    """One stage's vote: tested pixels whose reprojection failed or exceeds a threshold."""
+    return tested & (failed | (pde > thresholds.d_pixel) | (rdd > thresholds.d_depth))
+
+
 def inconsistency_mask(
     d_ref: DepthMap,
     d_reproj: DepthMap,
@@ -78,14 +93,7 @@ def inconsistency_mask(
     tested = d_ref.valid
     if np.any(d_ref.values[tested] == 0):
         raise ValueError("zero reference depth")
-    h, w = d_ref.shape
-    xs, ys = pixel_grid(h, w)
-    pde = np.sqrt((p_reproj.x - xs) ** 2 + (p_reproj.y - ys) ** 2)
-    denom = np.where(tested, d_ref.values, 1.0)
-    rdd = np.abs(d_reproj.values - d_ref.values) / denom
-    ok = d_reproj.valid & p_reproj.valid
-    flagged = ~ok | (pde > thresholds.d_pixel) | (rdd > thresholds.d_depth)
-    return tested & flagged
+    return _votes(tested, *_pair_errors(d_ref, d_reproj, p_reproj), thresholds)
 
 
 def per_pixel_penalty(
@@ -109,8 +117,9 @@ def stage_penalties(
     """Penalty maps of one reference view for several threshold stages.
 
     The stages differ only in the thresholds applied to the same
-    reprojection, so each source is reprojected once (one fbr call) and
-    every stage's thresholds are applied to that result.  Returns one
+    reprojection, so each source is reprojected once (one fbr call), its
+    displacement and relative depth difference are computed once, and
+    every stage's thresholds are applied to them.  Returns one
     PenaltyMap per stage, in the order of `stages`; each equals
     per_pixel_penalty with that stage's thresholds.
     """
@@ -126,9 +135,9 @@ def stage_penalties(
             raise ValueError(
                 f"source depth shape {d_src.shape} does not match reference {d_ref.shape}"
             )
-        d_reproj, p_reproj = fbr(d_ref, ref, d_src, src_cam)
+        errors = _pair_errors(d_ref, *fbr(d_ref, ref, d_src, src_cam))
         for mask_sum, thresholds in zip(mask_sums, stages):
-            mask_sum += inconsistency_mask(d_ref, d_reproj, p_reproj, thresholds)
+            mask_sum += _votes(d_ref.valid, *errors, thresholds)
     m = len(sources)
     penalties = []
     for mask_sum in mask_sums:

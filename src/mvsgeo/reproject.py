@@ -4,8 +4,13 @@ The chain implemented here: warp each valid reference pixel into a source
 view, sample the source depth map at the landing coordinates, then carry
 that sampled depth back through the source camera and reproject it into
 the reference view.  Comparing the result against the original reference
-depth is the basis of every consistency check in this package.  Every
-step is a vectorized numpy pass over the whole grid.
+depth is the basis of every consistency check in this package.
+
+Each step is a vectorized numpy pass over one band of rows at a time,
+written into full-frame outputs, so its float64 temporaries (256 KB per
+band of _BAND_PIXELS) stay in a 2 MB L2 cache instead of streaming whole
+frames through memory.  An output pixel depends only on its own input
+pixel and the whole source map, so the band size never changes a bit.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +20,9 @@ import numpy as np
 from .camera import Camera, W_EPS, pixel_grid, warp_transform
 
 __all__ = ["DepthMap", "CoordinateGrid", "forward_project", "remap", "back_reproject", "fbr"]
+
+# Pixels per row band; the band is max(1, _BAND_PIXELS // W) rows.
+_BAND_PIXELS = 32768
 
 # Bounds guard of remap: warping a view onto itself lands border pixels at
 # W-1 plus float dust, which must not invalidate them.
@@ -40,8 +48,10 @@ class DepthMap:
             raise ValueError(
                 f"dimension mismatch between depth map {values.shape} and mask {valid.shape}"
             )
-        if not np.all(values[valid] > 0):
-            raise ValueError("valid depth values must be > 0")
+        checked = values[valid]
+        # Two passes, not one combined mask: no extra temporaries at load time.
+        if not (np.all(checked > 0) and np.all(checked < np.inf)):
+            raise ValueError("valid depth values must be finite and > 0")
         self.values = np.where(valid, values, 0.0)
         self.valid = valid
 
@@ -118,6 +128,65 @@ def _apply_warp(transform: np.ndarray, xs, ys, depth, valid):
     return x2, y2, d2, ok
 
 
+def _wrap(cls, **fields):
+    """A result DepthMap/CoordinateGrid whose arrays already hold its invariants: no copy, no check."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+_WARP = (np.float64, np.float64, np.float64, bool)  # x, y, depth, validity
+
+
+def _banded(shape, dtypes, band):
+    """Full-frame arrays of `dtypes` filled band by band from the outputs of band(rows)."""
+    h, w = shape
+    outs = tuple(np.empty(shape, dtype=dtype) for dtype in dtypes)
+    step = max(1, _BAND_PIXELS // max(w, 1))
+    for start in range(0, h, step):
+        rows = slice(start, min(start + step, h))
+        for out, part in zip(outs, band(rows)):
+            out[rows] = part
+    return outs
+
+
+def _forward(transform, d_ref: DepthMap, rows: slice):
+    """Forward warp of reference rows `rows` (the pixel grid broadcast per band)."""
+    depth = d_ref.values[rows]
+    xs = np.arange(depth.shape[1], dtype=np.float64)
+    ys = np.arange(rows.start, rows.stop, dtype=np.float64)[:, None]
+    return _apply_warp(transform, xs, ys, depth, d_ref.valid[rows])
+
+
+def _sample(src_map: DepthMap, xs, ys, coords_valid):
+    """Bilinear samples of src_map at (xs, ys) and their validity (see remap)."""
+    values, valid = src_map.values.ravel(), src_map.valid.ravel()
+    hs, ws = src_map.shape
+    in_bounds = (
+        coords_valid
+        & (xs >= -_EDGE_EPS)
+        & (xs <= ws - 1 + _EDGE_EPS)
+        & (ys >= -_EDGE_EPS)
+        & (ys <= hs - 1 + _EDGE_EPS)
+    )
+    xc = np.clip(np.where(in_bounds, xs, 0.0), 0.0, ws - 1)
+    yc = np.clip(np.where(in_bounds, ys, 0.0), 0.0, hs - 1)
+    x0 = np.clip(np.floor(xc).astype(np.int64), 0, max(ws - 2, 0))
+    y0 = np.clip(np.floor(yc).astype(np.int64), 0, max(hs - 2, 0))
+    # Flat indices of the four corners; a 1-pixel-wide (tall) map has a
+    # single column (row), so its right (lower) corner is the left (upper).
+    i00 = y0 * ws + x0
+    i01 = i00 + (1 if ws > 1 else 0)
+    i10 = i00 + (ws if hs > 1 else 0)
+    i11 = i10 + (i01 - i00)
+    ok = in_bounds & valid[i00] & valid[i01] & valid[i10] & valid[i11]
+    fx = xc - x0
+    fy = yc - y0
+    top = values[i00] * (1.0 - fx) + values[i01] * fx
+    bot = values[i10] * (1.0 - fx) + values[i11] * fx
+    return np.where(ok, top * (1.0 - fy) + bot * fy, 0.0), ok
+
+
 def forward_project(d_ref: DepthMap, ref: Camera, src: Camera) -> tuple[CoordinateGrid, DepthMap]:
     """Warp a reference depth map into a source view.
 
@@ -126,11 +195,9 @@ def forward_project(d_ref: DepthMap, ref: Camera, src: Camera) -> tuple[Coordina
     are invalid in the input or land behind the source camera come back
     invalid.
     """
-    h, w = d_ref.shape
-    xs, ys = pixel_grid(h, w)
     transform = warp_transform(ref, src)
-    x2, y2, d2, ok = _apply_warp(transform, xs, ys, d_ref.values, d_ref.valid)
-    return CoordinateGrid(x2, y2, ok), DepthMap(d2, ok)
+    x2, y2, d2, ok = _banded(d_ref.shape, _WARP, lambda rows: _forward(transform, d_ref, rows))
+    return _wrap(CoordinateGrid, x=x2, y=y2, valid=ok), _wrap(DepthMap, values=d2, valid=ok)
 
 
 def remap(src_map: DepthMap, coords: CoordinateGrid) -> DepthMap:
@@ -143,29 +210,9 @@ def remap(src_map: DepthMap, coords: CoordinateGrid) -> DepthMap:
     clamped to W-2/H-2 so the exact border coordinate W-1 (H-1) falls in
     the last cell with fractional weight 1.
     """
-    values, valid = src_map.values, src_map.valid
-    xs, ys = coords.x, coords.y
-    hs, ws = values.shape
-    in_bounds = (
-        coords.valid
-        & (xs >= -_EDGE_EPS)
-        & (xs <= ws - 1 + _EDGE_EPS)
-        & (ys >= -_EDGE_EPS)
-        & (ys <= hs - 1 + _EDGE_EPS)
-    )
-    xc = np.clip(np.where(in_bounds, xs, 0.0), 0.0, ws - 1)
-    yc = np.clip(np.where(in_bounds, ys, 0.0), 0.0, hs - 1)
-    x0 = np.clip(np.floor(xc).astype(np.int64), 0, max(ws - 2, 0))
-    y0 = np.clip(np.floor(yc).astype(np.int64), 0, max(hs - 2, 0))
-    x1 = np.minimum(x0 + 1, ws - 1)
-    y1 = np.minimum(y0 + 1, hs - 1)
-    ok = in_bounds & valid[y0, x0] & valid[y0, x1] & valid[y1, x0] & valid[y1, x1]
-    fx = xc - x0
-    fy = yc - y0
-    top = values[y0, x0] * (1.0 - fx) + values[y0, x1] * fx
-    bot = values[y1, x0] * (1.0 - fx) + values[y1, x1] * fx
-    out = np.where(ok, top * (1.0 - fy) + bot * fy, 0.0)
-    return DepthMap(out, ok)
+    out, ok = _banded(coords.shape, (np.float64, bool),
+                      lambda rows: _sample(src_map, coords.x[rows], coords.y[rows], coords.valid[rows]))
+    return _wrap(DepthMap, values=out, valid=ok)
 
 
 def back_reproject(
@@ -181,10 +228,14 @@ def back_reproject(
     Invalid coordinates, failed samples and points behind the reference
     camera come back invalid.
     """
-    d_remap = remap(d_src, coords)
     back = warp_transform(src, ref)
-    x2, y2, d2, ok = _apply_warp(back, coords.x, coords.y, d_remap.values, d_remap.valid)
-    return DepthMap(d2, ok), CoordinateGrid(x2, y2, ok)
+
+    def band(rows):
+        xs, ys = coords.x[rows], coords.y[rows]
+        return _apply_warp(back, xs, ys, *_sample(d_src, xs, ys, coords.valid[rows]))
+
+    x2, y2, d2, ok = _banded(coords.shape, _WARP, band)
+    return _wrap(DepthMap, values=d2, valid=ok), _wrap(CoordinateGrid, x=x2, y=y2, valid=ok)
 
 
 def fbr(d_ref: DepthMap, ref: Camera, d_src_gt: DepthMap, src: Camera) -> tuple[DepthMap, CoordinateGrid]:
@@ -193,10 +244,16 @@ def fbr(d_ref: DepthMap, ref: Camera, d_src_gt: DepthMap, src: Camera) -> tuple[
     Three steps: forward-warp the reference depths into the source view,
     sample the source depth map at the landing coordinates, then
     back-project the sampled depths through the source camera and
-    reproject into the reference view (the last two are back_reproject).
-    Returns the reprojected depth map (values in the reference camera
-    frame) and the reprojected pixel coordinates.  Invalidity propagates
-    through every step.
+    reproject into the reference view (forward_project, then
+    back_reproject, run band by band).  Returns the reprojected depth map
+    (values in the reference camera frame) and the reprojected pixel
+    coordinates.  Invalidity propagates through every step.
     """
-    coords, _ = forward_project(d_ref, ref, src)
-    return back_reproject(coords, d_src_gt, src, ref)
+    forward, back = warp_transform(ref, src), warp_transform(src, ref)
+
+    def band(rows):
+        xs, ys, _, ok = _forward(forward, d_ref, rows)
+        return _apply_warp(back, xs, ys, *_sample(d_src_gt, xs, ys, ok))
+
+    x2, y2, d2, ok = _banded(d_ref.shape, _WARP, band)
+    return _wrap(DepthMap, values=d2, valid=ok), _wrap(CoordinateGrid, x=x2, y=y2, valid=ok)

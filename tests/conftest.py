@@ -22,3 +22,13 @@ def random_camera(rng, f_range=(300.0, 900.0)) -> Camera:
     E[:3, :3] = q.T
     E[:3, 3] = rng.normal(scale=50.0, size=3)
     return Camera(K=K, E=E, depth_min=rng.uniform(100, 400), depth_interval=rng.uniform(0.5, 5.0))
+
+
+# Scenes (kind, width, height, views, seed) for the band-invariance tests:
+# an odd-sized one and one wider than a band of the default size.
+BAND_SCENES = [("two-planes-offset", 37, 23, 4, 2), ("tilted-plane", 32771, 5, 3, 1)]
+
+
+def band_sizes(h, w):
+    """Band sizes in pixels around the row width, down to one pixel and up to past the frame."""
+    return (1, w - 1, w, w + 1, 3 * w - 2, h * w + 5)

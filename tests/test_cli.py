@@ -97,8 +97,10 @@ def test_gc_penalty_multi_stage_and_threads(plane_scene, tmp_path, capsys):
 
 
 def test_gc_penalty_reprojects_each_pair_once(plane_scene, tmp_path, capsys, monkeypatch):
-    # Three stages share one forward-backward reprojection per
-    # (reference, source) pair; only the threshold votes repeat per stage.
+    # Three stages share one forward-backward reprojection and one
+    # displacement/depth-difference pass per (reference, source) pair; only
+    # the threshold comparisons repeat per stage, and the public one-stage
+    # inconsistency_mask is not called at all.
     import mvsgeo.penalty
 
     counts = {"fbr": 0, "inconsistency_mask": 0}
@@ -118,7 +120,7 @@ def test_gc_penalty_reprojects_each_pair_once(plane_scene, tmp_path, capsys, mon
     refs = len(doc["views"])
     pairs = sum(len(view["sources"]) for view in doc["views"].values())
     assert refs == 4 and pairs == refs * 3
-    assert counts == {"fbr": pairs, "inconsistency_mask": 3 * pairs}
+    assert counts == {"fbr": pairs, "inconsistency_mask": 0}
 
 
 def test_gc_penalty_stage_count_mismatch(plane_scene, tmp_path, capsys):

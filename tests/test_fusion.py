@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvsgeo import synth
+from mvsgeo import reproject, synth
 from mvsgeo.fusion import (
     DEFAULT_DYNAMIC_TABLE,
     FusionParams,
@@ -10,6 +10,8 @@ from mvsgeo.fusion import (
     fuse,
 )
 from mvsgeo.reproject import DepthMap
+
+from conftest import BAND_SCENES, band_sizes
 
 
 def scene_views(kind="plane", w=80, h=64, n=5, seed=1, conf=None):
@@ -160,6 +162,21 @@ def test_threads_bit_identical():
         other = fuse(views, params, threads=t)
         assert np.array_equal(base.points, other.points)
         assert np.array_equal(base.confidence, other.confidence)
+
+
+@pytest.mark.parametrize("kind, w, h, n, seed", BAND_SCENES)
+def test_fused_cloud_is_band_invariant(monkeypatch, kind, w, h, n, seed):
+    # The pair arrays come from the banded reprojection; no band size
+    # (one pixel, around one row, past the whole frame) moves a bit.
+    spec, views = scene_views(kind, w=w, h=h, n=n, seed=seed, conf=1.0)
+    params = FusionParams(prob_threshold=0.5, consistency_threshold=1)
+    base = fuse(views, params)
+    assert len(base) > 0
+    for band in band_sizes(h, w):
+        monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
+        got = fuse(views, params)
+        assert got.points.tobytes() == base.points.tobytes(), band
+        assert got.confidence.tobytes() == base.confidence.tobytes(), band
 
 
 def test_one_forward_warp_per_pair(monkeypatch):

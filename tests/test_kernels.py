@@ -13,6 +13,20 @@ from mvsgeo.reproject import CoordinateGrid, DepthMap, remap
 from oracles import _scalar_bilinear, scalar_consume_pass
 
 
+def _assert_remap_matches_oracle(values, valid, xs, ys, cv):
+    got = remap(DepthMap(values, valid), CoordinateGrid(xs, ys, cv))
+    values = np.where(valid, values, 0.0)
+    h, w = xs.shape
+    for i in range(h):
+        for j in range(w):
+            want = _scalar_bilinear(values, valid, xs[i, j], ys[i, j]) if cv[i, j] else None
+            if want is None:
+                assert not got.valid[i, j] and got.values[i, j] == 0.0
+            else:
+                assert got.valid[i, j] and got.values[i, j] == want
+    return got
+
+
 def test_remap_matches_scalar_oracle_bitwise(rng):
     for _ in range(10):
         hs, ws = int(rng.integers(1, 30)), int(rng.integers(1, 30))
@@ -22,15 +36,16 @@ def test_remap_matches_scalar_oracle_bitwise(rng):
         xs = rng.uniform(-2, ws + 1, (h, w))
         ys = rng.uniform(-2, hs + 1, (h, w))
         cv = rng.random((h, w)) > 0.1
-        got = remap(DepthMap(values, valid), CoordinateGrid(xs, ys, cv))
-        values = np.where(valid, values, 0.0)
-        for i in range(h):
-            for j in range(w):
-                want = _scalar_bilinear(values, valid, xs[i, j], ys[i, j]) if cv[i, j] else None
-                if want is None:
-                    assert not got.valid[i, j] and got.values[i, j] == 0.0
-                else:
-                    assert got.valid[i, j] and got.values[i, j] == want
+        _assert_remap_matches_oracle(values, valid, xs, ys, cv)
+    # Queries exactly on the last column W-1 and the last row H-1, also on
+    # 1-pixel-wide and 1-pixel-tall maps: all of them sample a valid map.
+    for hs, ws in ((1, 1), (1, 6), (5, 1), (4, 7)):
+        values = rng.uniform(1, 1000, (hs, ws))
+        valid = np.ones((hs, ws), dtype=bool)
+        xs, ys = np.meshgrid([0.0, (ws - 1) / 2, ws - 1.0], [0.0, (hs - 1) / 2, hs - 1.0])
+        got = _assert_remap_matches_oracle(values, valid, xs, ys, np.ones(xs.shape, dtype=bool))
+        assert got.valid.all()
+        assert got.values[-1, -1] == values[-1, -1]
 
 
 @pytest.mark.parametrize("mode", [0, 1])
@@ -51,8 +66,9 @@ def test_consume_pass_matches_scalar_oracle_bitwise(rng, mode, avg):
     src_idx = np.arange(1, n_src + 1, dtype=np.int64)
     f1, m1 = scalar_consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
                                  consumed1, 0, src_idx, 0.4, 2, mode, table, avg)
+    # The production pass has no mode: fusibile is its one-row table.
     f2, m2 = _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
-                           consumed2, 0, src_idx, 0.4, 2, mode, table, avg)
+                           consumed2, 0, src_idx, 0.4, 2, table[:1] if mode == 0 else table, avg)
     assert np.array_equal(m1, m2)
     assert np.array_equal(f1, f2)
     assert np.array_equal(consumed1, consumed2)
@@ -75,7 +91,7 @@ def test_consume_pass_respects_consumed_and_confidence():
     table = np.array([[1.0, 0.01]])
     fused, mask = _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
                                 consumed, 0, np.array([1, 2], dtype=np.int64),
-                                0.5, 1, 0, table, 0)
+                                0.5, 1, table, 0)
     assert mask[0, 0] == 0      # confidence gate
     assert mask[1, 1] == 0      # consumed pixel skipped
     assert mask[2, 2] == 1

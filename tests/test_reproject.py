@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from mvsgeo import synth
+from mvsgeo import reproject, synth
 from mvsgeo.camera import Camera, Pixel, back_project, pixel_grid, project
-from mvsgeo.reproject import CoordinateGrid, DepthMap, fbr, forward_project, remap
+from mvsgeo.penalty import STAGE_DEPTH_THRESHOLDS, STAGE_PIXEL_THRESHOLDS, GcThresholds, stage_penalties
+from mvsgeo.reproject import CoordinateGrid, DepthMap, back_reproject, fbr, forward_project, remap
 
-from conftest import random_camera
+from conftest import BAND_SCENES, band_sizes, random_camera
+from oracles import naive_penalty
 
 
 def identity_camera(f=500.0, cx=39.5, cy=31.5):
@@ -22,6 +24,16 @@ def test_depthmap_invariants():
     assert dm.valid.tolist() == [[False, True], [True, False]]
     # invalid pixels are stored as 0
     assert dm.values[0, 0] == 0.0
+
+
+def test_depthmap_rejects_non_finite_valid_depths():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="valid depth values must be finite and > 0"):
+            DepthMap(np.array([[bad, 1e300]]), np.array([[True, True]]))
+    # Large finite depths are valid; a non-finite value under a false mask is dropped.
+    dm = DepthMap(np.array([[np.inf, 1e300]]), np.array([[False, True]]))
+    assert dm.valid.tolist() == [[False, True]]
+    assert dm.values.tolist() == [[0.0, 1e300]]
 
 
 def test_forward_project_identity_view():
@@ -219,3 +231,55 @@ def test_fbr_occlusion_classification_matches_ray_cast():
         flagged = ~d_re.valid | (pde > 0.5) | (rdd > 0.005)
         agree = flagged[occluded].mean()
         assert agree >= 0.99
+
+
+def _reprojection_outputs(d0, ref, d1, src):
+    """Every array of forward_project, remap, back_reproject and fbr on one pair."""
+    coords, warped = forward_project(d0, ref, src)
+    sampled = remap(d1, coords)
+    d_back, p_back = back_reproject(coords, d1, src, ref)
+    d_fbr, p_fbr = fbr(d0, ref, d1, src)
+    return [coords.x, coords.y, coords.valid, warped.values, warped.valid, sampled.values, sampled.valid,
+            d_back.values, d_back.valid, p_back.x, p_back.y, p_back.valid,
+            d_fbr.values, d_fbr.valid, p_fbr.x, p_fbr.y, p_fbr.valid]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind, w, h, n, seed", BAND_SCENES)
+def test_reprojection_is_band_invariant(monkeypatch, kind, w, h, n, seed):
+    spec = synth.make_scene(kind, w, h, n, seed=seed)
+    d0, _ = synth.render_depth(spec, 0)
+    d1, _ = synth.render_depth(spec, 1)
+    ref, src = spec.cameras[:2]
+    base = _reprojection_outputs(d0, ref, d1, src)
+    d_fbr_valid = base[13]
+    assert 0.2 < d_fbr_valid.mean() < 1.0  # valid and invalid pixels both occur
+    # fbr is forward_project followed by back_reproject, bit for bit.
+    assert all(_same_bits(a, b) for a, b in zip(base[7:12], base[12:]))
+    for band in band_sizes(h, w):
+        monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
+        got = _reprojection_outputs(d0, ref, d1, src)
+        assert all(_same_bits(a, b) for a, b in zip(base, got)), band
+
+
+@pytest.mark.parametrize("kind, w, h, n, seed", BAND_SCENES)
+def test_stage_penalties_are_band_invariant(monkeypatch, kind, w, h, n, seed):
+    spec = synth.make_scene(kind, w, h, n, seed=seed)
+    d0, _ = synth.render_depth(spec, 0)
+    sources = [(synth.render_depth(spec, s)[0], spec.cameras[s]) for s in range(1, n)]
+    stages = [GcThresholds(dp, dd) for dp, dd in zip(STAGE_PIXEL_THRESHOLDS, STAGE_DEPTH_THRESHOLDS)]
+    modes = ("one-two", "one-three")
+    base = {mode: stage_penalties(d0, spec.cameras[0], sources, stages, mode) for mode in modes}
+    if w * h < 1000:  # the nested-loop oracle is too slow for the wide scene
+        for mode in modes:
+            for pen, thr in zip(base[mode], stages):
+                oracle = naive_penalty(d0, spec.cameras[0], sources, thr.d_pixel, thr.d_depth, mode)
+                assert np.array_equal(pen.values, oracle)
+    for band in band_sizes(h, w):
+        monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
+        for mode in modes:
+            got = stage_penalties(d0, spec.cameras[0], sources, stages, mode)
+            assert all(_same_bits(a.values, b.values) for a, b in zip(base[mode], got)), (band, mode)
