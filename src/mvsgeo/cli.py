@@ -85,10 +85,13 @@ def _require(path: Path) -> Path:
 
 
 def _emit_json(doc: dict, out: str | None = None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Print doc and write it to out (parents created); a non-finite value raises ValueError."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     sys.stdout.write(text)
     if out:
-        Path(out).write_text(text)
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
 
 
 # ---------------------------------------------------------------------------

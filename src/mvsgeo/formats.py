@@ -16,7 +16,12 @@ Formats:
   optional uchar red/green/blue.
 * Probability volume: "PROBVOL" magic line, "D H W" line, a
   "shared"/"perpixel" hypothesis layout line, then raw little-endian
-  float32 hypotheses followed by the D*H*W probabilities.
+  float32 hypotheses followed by the D*H*W probabilities.  The reader
+  returns read-only float32 views of the caller's bytes (no copy);
+  ProbabilityVolume(...) built by hand converts to float64.  Losses are
+  identical either way.
+
+PFM and PLY payloads are viewed in place, not sliced out of the buffer.
 """
 
 import re
@@ -122,17 +127,17 @@ def read_pfm(data: bytes) -> PfmImage:
         raise ParseError("zero PFM scale", offset=scale_pos)
     count = width * height * channels
     expected = count * 4
-    payload = data[pos:]
-    if len(payload) < expected:
+    size = len(data) - pos
+    if size < expected:
         raise ParseError(
-            f"truncated PFM payload: expected {expected} bytes, got {len(payload)}", offset=pos
+            f"truncated PFM payload: expected {expected} bytes, got {size}", offset=pos
         )
-    if len(payload) > expected:
+    if size > expected:
         raise ParseError(
-            f"trailing bytes after PFM payload: expected {expected}, got {len(payload)}", offset=pos + expected
+            f"trailing bytes after PFM payload: expected {expected}, got {size}", offset=pos + expected
         )
     dtype = "<f4" if scale < 0 else ">f4"
-    flat = np.frombuffer(payload, dtype=dtype, count=count)
+    flat = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
     shape = (height, width, 3) if channels == 3 else (height, width)
     img = flat.reshape(shape)
     return PfmImage(np.flipud(img).astype(np.float32), scale)
@@ -248,7 +253,7 @@ def read_ply(data: bytes) -> PointCloud:
     if end < 0:
         raise ParseError("missing PLY end_header", offset=len(data))
     header = data[: end + len(b"end_header\n")]
-    body = data[end + len(b"end_header\n"):]
+    body = memoryview(data)[len(header):]
     lines = header.decode("latin-1").splitlines()
     if not lines or lines[0].strip() != "ply":
         raise ParseError("bad PLY magic", line=1)
@@ -312,7 +317,7 @@ def read_ply(data: bytes) -> PointCloud:
         points = arr["xyz"].astype(np.float64)
         colors = arr["rgb"].copy() if has_rgb else None
     else:
-        rows = body.decode("latin-1").splitlines()
+        rows = str(body, "latin-1").splitlines()
         if len(rows) != count:
             raise ParseError(
                 f"PLY vertex count mismatch: header says {count}, body has {len(rows)} rows",
@@ -387,19 +392,18 @@ def read_probability_volume(data: bytes) -> ProbabilityVolume:
         raise ParseError(f"unknown hypothesis layout {layout!r}", offset=layout_pos)
     n_hyp = d if layout == "shared" else d * h * w
     expected = (n_hyp + d * h * w) * 4
-    payload = data[pos:]
-    if len(payload) != expected:
+    if len(data) - pos != expected:
         raise ParseError(
-            f"probability volume payload size mismatch: expected {expected} bytes, got {len(payload)}",
+            f"probability volume payload size mismatch: expected {expected} bytes, got {len(data) - pos}",
             offset=pos,
         )
-    flat = np.frombuffer(payload, dtype="<f4")
-    hyp = flat[:n_hyp].astype(np.float64)
-    probs = flat[n_hyp:].astype(np.float64).reshape(d, h, w)
+    flat = np.frombuffer(data, dtype="<f4", offset=pos)
+    hyp = flat[:n_hyp]
+    probs = flat[n_hyp:].reshape(d, h, w)
     if layout == "perpixel":
         hyp = hyp.reshape(d, h, w)
     try:
-        return ProbabilityVolume(probs=probs, hypotheses=hyp)
+        return ProbabilityVolume._of_views(probs, hyp)
     except ValueError as exc:
         raise ParseError(f"invalid probability volume: {exc}", offset=pos) from None
 

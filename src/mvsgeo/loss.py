@@ -4,6 +4,10 @@ The per-pixel depth error is the negative log probability of the
 hypothesis bin nearest to the ground-truth depth (one-hot target, ties
 toward the lower bin).  Stage loss is the mean over supervised pixels of
 penalty times error; the total is the weighted sum of the three stages.
+
+A volume read from a file holds read-only float32 views of the file
+bytes; ProbabilityVolume(...) converts to float64.  The error is computed
+in float64 either way, so both give the same bits.
 """
 
 from dataclasses import dataclass
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .penalty import PenaltyMap
-from .reproject import DepthMap
+from .reproject import DepthMap, _banded
 
 __all__ = [
     "ProbabilityVolume",
@@ -35,31 +39,51 @@ class ProbabilityVolume:
 
     probs has shape (D, H, W); hypotheses is either a shared (D,) vector
     or a per-pixel (D, H, W) grid, strictly increasing along axis 0.
+    Probabilities must be finite and non-negative, hypotheses finite.
+    The constructor converts both to float64; a volume read from a file
+    (formats.read_probability_volume) holds read-only float32 views of
+    the file bytes instead.  Losses are bit-identical either way.
     """
 
     probs: np.ndarray
     hypotheses: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        hyp = np.asarray(self.hypotheses, dtype=np.float64)
-        if probs.ndim != 3:
-            raise ValueError(f"probs must be (D, H, W), got shape {probs.shape}")
-        if hyp.ndim == 1:
-            if hyp.shape[0] != probs.shape[0]:
-                raise ValueError("hypothesis count does not match probs")
-        elif hyp.shape != probs.shape:
-            raise ValueError("per-pixel hypotheses must match probs shape")
-        if np.any(probs < 0):
-            raise ValueError("probabilities must be non-negative")
-        if np.any(np.diff(hyp, axis=0) <= 0):
-            raise ValueError("hypotheses must be strictly increasing")
-        self.probs = probs
-        self.hypotheses = hyp
+        self.probs = np.asarray(self.probs, dtype=np.float64)
+        self.hypotheses = np.asarray(self.hypotheses, dtype=np.float64)
+        _check_volume(self.probs, self.hypotheses)
+
+    @classmethod
+    def _of_views(cls, probs: np.ndarray, hypotheses: np.ndarray) -> "ProbabilityVolume":
+        """The public constructor's checks without its float64 copies (for file views)."""
+        _check_volume(probs, hypotheses)
+        obj = cls.__new__(cls)
+        obj.probs, obj.hypotheses = probs, hypotheses
+        return obj
 
     @property
     def num_hypotheses(self) -> int:
         return self.probs.shape[0]
+
+
+def _check_volume(probs: np.ndarray, hyp: np.ndarray) -> None:
+    """Validate shapes and values with two reductions and frame-sized temporaries only."""
+    if probs.ndim != 3:
+        raise ValueError(f"probs must be (D, H, W), got shape {probs.shape}")
+    if 0 in probs.shape:
+        raise ValueError(f"probability volume is empty, shape {probs.shape}")
+    if hyp.ndim == 1:
+        if hyp.shape[0] != probs.shape[0]:
+            raise ValueError("hypothesis count does not match probs")
+    elif hyp.shape != probs.shape:
+        raise ValueError("per-pixel hypotheses must match probs shape")
+    # min propagates NaN, so one comparison rejects NaN and negatives.
+    if not (probs.min() >= 0 and probs.max() < np.inf):
+        raise ValueError("probabilities must be finite and non-negative")
+    # A NaN fails a comparison; with strict increase, finite ends bound the rest.
+    increasing = all((hyp[k] > hyp[k - 1]).all() for k in range(1, len(hyp)))
+    if not (increasing and np.isfinite(hyp[0]).all() and np.isfinite(hyp[-1]).all()):
+        raise ValueError("hypotheses must be finite and strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -79,24 +103,46 @@ def cross_entropy_error(vol: ProbabilityVolume, gt: DepthMap) -> tuple[np.ndarra
     A pixel is supervised when the ground truth is valid and lies inside
     the hypothesis range; elsewhere the error is 0 and masked out.
     Raises if the distribution at any supervised pixel is not normalized.
+    Runs in row bands of reproject's band size, one pass over each band's
+    hypotheses, so no volume-sized temporary is made; float32 and float64
+    volumes of the same values give the same bits.
     """
     probs = vol.probs
-    hyp = vol.hypotheses
     if probs.shape[1:] != gt.shape:
         raise ValueError("probability volume does not match ground truth shape")
-    if hyp.ndim == 1:
-        hyp = hyp[:, None, None]
-    lo = hyp[0] * np.ones(gt.shape)
-    hi = hyp[-1] * np.ones(gt.shape)
-    supervised = gt.valid & (gt.values >= lo) & (gt.values <= hi)
-    sums = probs.sum(axis=0)
-    if np.any(np.abs(sums[supervised] - 1.0) > _NORM_TOL):
-        worst = float(np.abs(sums[supervised] - 1.0).max())
-        raise ValueError(f"probability volume not normalized (max |sum - 1| = {worst:.3e})")
-    bins = np.argmin(np.abs(hyp - gt.values[None, :, :]), axis=0)
-    picked = np.take_along_axis(probs, bins[None, :, :], axis=0)[0]
+    err, supervised, sums = _banded(gt.shape, (np.float64, bool, np.float64),
+                                    lambda rows: _band_error(probs, vol.hypotheses, gt, rows))
+    off = np.abs(sums[supervised] - 1.0)
+    if np.any(off > _NORM_TOL):
+        raise ValueError(f"probability volume not normalized (max |sum - 1| = {float(off.max()):.3e})")
+    return err, supervised
+
+
+def _band_error(probs, hyp, gt: DepthMap, rows: slice):
+    """Error, supervised mask and probability sums of rows `rows`.
+
+    The running minimum of |h_k - g| replaces only on a strictly smaller
+    distance, which is argmin's first-minimum rule (ties go to the lower
+    bin); the sums add the bins in order, as a float64 sum over axis 0 does.
+    """
+    g = gt.values[rows]
+    h = hyp if hyp.ndim == 1 else hyp[:, rows]
+    best = np.abs(h[0] - g)
+    picked = probs[0, rows].astype(np.float64)
+    sums = picked.copy()
+    dist = np.empty_like(best)
+    better = np.empty(best.shape, dtype=bool)
+    for k in range(1, probs.shape[0]):
+        np.abs(np.subtract(h[k], g, out=dist), out=dist)
+        np.less(dist, best, out=better)
+        np.minimum(best, dist, out=best)
+        p = probs[k, rows]
+        np.copyto(picked, p, where=better)
+        sums += p
+    supervised = gt.valid[rows] & (g >= h[0]) & (g <= h[-1])
+    # picked is float64 here: a float32 array maximum'd with a Python float would stay float32.
     err = -np.log(np.maximum(picked, PROB_FLOOR))
-    return np.where(supervised, err, 0.0), supervised
+    return np.where(supervised, err, 0.0), supervised, sums
 
 
 def stage_loss(penalty, error: np.ndarray, valid: np.ndarray) -> float:

@@ -238,7 +238,7 @@ def naive_cross_entropy(probs, hypotheses, gt_values, gt_valid, floor=1e-12):
                 diff = abs(g - hyp[k])
                 if diff < best_diff:
                     best, best_diff = k, diff
-            err[i, j] = -np.log(max(probs[best, i, j], floor))
+            err[i, j] = -np.log(max(float(probs[best, i, j]), floor))
             supervised[i, j] = True
     return err, supervised
 

@@ -346,6 +346,75 @@ def test_loss_cli_three_stages_total(tmp_path, capsys):
     assert doc["total_loss"] == pytest.approx(4 * per_stage, rel=1e-6)
 
 
+@pytest.mark.parametrize("field, index, value", [
+    ("probs", (1, 0, 1), np.nan),
+    ("hypotheses", (3,), np.inf),
+    ("hypotheses", (1,), np.nan),
+])
+def test_loss_cli_rejects_non_finite_volumes(tmp_path, capsys, field, index, value):
+    d, h, w = 4, 2, 2
+    arrays = {"probs": np.full((d, h, w), 0.25, dtype=np.float32),
+              "hypotheses": np.array([100.0, 200.0, 300.0, 400.0], dtype=np.float32)}
+    arrays[field][index] = value
+    header = f"PROBVOL\n{d} {h} {w}\nshared\n".encode()
+    vol_path = tmp_path / "vol.bin"
+    vol_path.write_bytes(header + arrays["hypotheses"].tobytes() + arrays["probs"].tobytes())
+    gt_path = tmp_path / "gt.pfm"
+    gt_path.write_bytes(formats.write_pfm(formats.PfmImage(np.full((h, w), 250.0, dtype=np.float32))))
+    pen_path = tmp_path / "pen.pfm"
+    pen_path.write_bytes(formats.write_pfm(formats.PfmImage(np.ones((h, w), dtype=np.float32))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "loss", "--probvol", str(vol_path), "--gt", str(gt_path),
+                                 "--penalty", str(pen_path))
+    assert code == 3
+    assert out == ""
+    assert "must be finite" in err and f"byte offset {len(header)}" in err
+
+
+def _plane_loss_argv(plane_scene, tmp_path):
+    """`loss` arguments for view 0 of plane_scene: a uniform 2-bin volume and a unit penalty."""
+    vol = tmp_path / "vol.bin"
+    vol.write_bytes(formats.write_probability_volume(
+        ProbabilityVolume(np.full((2, 40, 48), 0.5), np.array([1.0, 1e6]))))
+    ones = tmp_path / "ones.pfm"
+    ones.write_bytes(formats.write_pfm(formats.PfmImage(np.ones((40, 48), dtype=np.float32))))
+    return ["--probvol", str(vol), "--gt", str(plane_scene / "depths" / "00000000.pfm"),
+            "--penalty", str(ones)]
+
+
+def test_json_out_creates_parent_directories(plane_scene, tmp_path, capsys):
+    d0 = str(plane_scene / "depths" / "00000000.pfm")
+    cloud = tmp_path / "cloud.ply"
+    assert run_cli(capsys, "fuse", "--scene", str(plane_scene), "--out", str(cloud),
+                   "--num-consistent", "2")[0] == 0
+    commands = {
+        "loss": _plane_loss_argv(plane_scene, tmp_path),
+        "eval-pc": ["--pred", str(cloud), "--gt", str(plane_scene / "gt_cloud.ply"), "--max-dist", "1.0"],
+        "eval-depth": ["--pred", d0, "--gt", d0],
+    }
+    for name, argv in commands.items():
+        json_path = tmp_path / "new" / name / "out.json"
+        code, out, err = run_cli(capsys, name, *argv, "--out", str(json_path))
+        assert code == 0, err
+        assert json_path.read_text() == out
+        read_json(out)
+
+
+@pytest.mark.parametrize("command", ["eval-pc", "loss"])
+def test_non_finite_json_value_exits_3(plane_scene, tmp_path, capsys, command):
+    if command == "eval-pc":
+        gt_cloud = str(plane_scene / "gt_cloud.ply")
+        argv = ["eval-pc", "--pred", gt_cloud, "--gt", gt_cloud, "--max-dist", "inf"]
+    else:
+        argv = ["loss", *_plane_loss_argv(plane_scene, tmp_path), "--alpha", "inf"]
+    json_path = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, *argv, "--out", str(json_path))
+    assert code == 3
+    assert out == "" and not json_path.exists()
+    assert "JSON" in err
+
+
 def test_unknown_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--out", "/tmp/x", "--bogus-flag"])

@@ -261,6 +261,19 @@ def test_probability_volume_round_trip(rng, perpixel):
         assert write_probability_volume(out) == data
 
 
+@pytest.mark.parametrize("perpixel", [False, True])
+def test_probability_volume_reads_read_only_float32_views(rng, perpixel):
+    data = write_probability_volume(random_volume(rng, perpixel))
+    vol = read_probability_volume(data)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    for arr in (vol.probs, vol.hypotheses):
+        assert arr.dtype == np.float32
+        assert not arr.flags.writeable
+        assert np.shares_memory(arr, raw)
+    # the public constructor still converts to float64
+    assert ProbabilityVolume(vol.probs, vol.hypotheses).probs.dtype == np.float64
+
+
 PROBVOL_MALFORMED = [
     b"",                                          # empty
     b"NOTPROB\n2 1 1\nshared\n" + b"\x00" * 16,    # bad magic
@@ -273,6 +286,9 @@ PROBVOL_MALFORMED = [
     b"PROBVOL\n2 1 1\nshared\n" + b"\x00" * 20,    # oversized payload
     b"PROBVOL\n2 1 1\nshared",                     # header never terminated
     b"PROBVOL\n2 1 1\nshared\n" + np.array([2.0, 1.0, 0.5, 0.5], dtype="<f4").tobytes(),  # hypotheses not increasing
+    b"PROBVOL\n2 1 1\nshared\n" + np.array([1.0, 2.0, np.nan, 0.5], dtype="<f4").tobytes(),  # NaN probability
+    b"PROBVOL\n2 1 1\nshared\n" + np.array([1.0, np.inf, 0.5, 0.5], dtype="<f4").tobytes(),  # +inf hypothesis
+    b"PROBVOL\n2 1 1\nshared\n" + np.array([np.nan, 1.0, 0.5, 0.5], dtype="<f4").tobytes(),  # NaN hypothesis
 ]
 
 

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mvsgeo import reproject
+from mvsgeo.formats import read_probability_volume, write_probability_volume
 from mvsgeo.loss import (
     PROB_FLOOR,
     ProbabilityVolume,
@@ -12,6 +16,7 @@ from mvsgeo.loss import (
 from mvsgeo.penalty import PenaltyMap
 from mvsgeo.reproject import DepthMap
 
+from conftest import band_sizes
 from oracles import naive_cross_entropy
 
 
@@ -31,6 +36,25 @@ def test_volume_validation():
         ProbabilityVolume(probs=np.full((2, 2, 2), -0.1), hypotheses=np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="match"):
         ProbabilityVolume(probs=np.ones((3, 2, 2)) / 3, hypotheses=np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("field, index, value", [
+    ("probs", (1, 0, 1), np.nan),
+    ("probs", (2, 1, 0), np.inf),
+    ("hypotheses", (3,), np.inf),
+    ("hypotheses", (0,), -np.inf),
+    ("hypotheses", (2,), np.nan),
+])
+def test_volume_rejects_non_finite_values(field, index, value):
+    arrays = {"probs": np.full((4, 2, 2), 0.25), "hypotheses": np.array([1.0, 2.0, 3.0, 4.0])}
+    arrays[field][index] = value
+    with pytest.raises(ValueError, match="finite"):
+        ProbabilityVolume(**arrays)
+
+
+def test_volume_rejects_empty_shapes():
+    with pytest.raises(ValueError, match="empty"):
+        ProbabilityVolume(probs=np.zeros((2, 0, 3)), hypotheses=np.array([1.0, 2.0]))
 
 
 def test_cross_entropy_concentrated_is_zero():
@@ -120,6 +144,68 @@ def test_cross_entropy_matches_naive_oracle(rng):
     o_err, o_sup = naive_cross_entropy(probs, hyp, gt.values, gt.valid)
     assert np.array_equal(supervised, o_sup)
     assert np.abs(err - o_err).max() < 1e-10
+
+
+def _tied_volume(rng, layout, d=6, h=9, w=7):
+    """Float32-exact volume with ground truth on bins, on exact midpoints, off range and invalid."""
+    raw = rng.random((d, h, w)).astype(np.float32)
+    raw[rng.random((d, h, w)) < 0.2] = 0.0
+    raw[0] += np.float32(1e-3)
+    probs = (raw / raw.sum(axis=0, keepdims=True)).astype(np.float32).astype(np.float64)
+    shape = d if layout == "shared" else (d, h, w)
+    hyp = (np.cumsum(rng.integers(1, 5, size=shape), axis=0) * 0.5 + 400.0).astype(np.float64)
+    grid = hyp[:, None, None] if layout == "shared" else hyp
+    k = rng.integers(0, d - 1, size=(h, w))
+    lo = np.take_along_axis(np.broadcast_to(grid, (d, h, w)), k[None], 0)[0]
+    hi = np.take_along_axis(np.broadcast_to(grid, (d, h, w)), k[None] + 1, 0)[0]
+    pick = rng.integers(0, 4, size=(h, w))
+    values = np.choose(pick, [lo, hi, 0.5 * (lo + hi), lo + 0.25 * (hi - lo)])
+    values[0, 0] = grid[0].min() - 1.0
+    values[-1, -1] = grid[-1].max() + 1.0
+    valid = rng.random((h, w)) > 0.1
+    return ProbabilityVolume(probs, hyp), DepthMap(np.where(valid, values, 0.0), valid)
+
+
+@pytest.mark.parametrize("layout", ["shared", "perpixel"])
+def test_cross_entropy_bitwise_equals_oracle_for_any_band_and_dtype(rng, monkeypatch, layout):
+    for _ in range(5):
+        vol, gt = _tied_volume(rng, layout)
+        o_err, o_sup = naive_cross_entropy(vol.probs, vol.hypotheses, gt.values, gt.valid)
+        assert o_sup.sum() > 0 and not o_sup.all()
+        from_file = read_probability_volume(write_probability_volume(vol))
+        assert from_file.probs.dtype == np.float32
+        o32_err, _ = naive_cross_entropy(from_file.probs, from_file.hypotheses, gt.values, gt.valid)
+        assert o32_err.tobytes() == o_err.tobytes()
+        for band in band_sizes(*gt.shape):
+            monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
+            for v in (vol, from_file):
+                err, supervised = cross_entropy_error(v, gt)
+                assert err.dtype == np.float64
+                assert err.tobytes() == o_err.tobytes(), (band, v.probs.dtype)
+                assert np.array_equal(supervised, o_sup)
+
+
+@pytest.mark.parametrize("layout", ["shared", "perpixel"])
+def test_volume_read_and_error_allocate_less_than_a_volume(rng, layout):
+    d, h, w = 16, 120, 100
+    raw = rng.random((d, h, w)).astype(np.float32) + np.float32(0.01)
+    probs = raw / raw.sum(axis=0, keepdims=True)
+    shape = d if layout == "shared" else (d, h, w)
+    hyp = np.cumsum(rng.uniform(1.0, 2.0, size=shape), axis=0) + 100.0
+    data = write_probability_volume(ProbabilityVolume(probs, hyp))
+    gt = DepthMap.from_values(rng.uniform(101.0, 115.0, (h, w)))
+    tracemalloc.start()
+    try:
+        vol = read_probability_volume(data)
+        read_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        cross_entropy_error(vol, gt)
+        error_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert read_peak < len(data) / 4
+    assert error_peak < d * h * w * np.dtype(np.float64).itemsize
 
 
 def test_stage_loss_identity_weight():
