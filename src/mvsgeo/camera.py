@@ -131,9 +131,13 @@ def warp_transform(ref: Camera, src: Camera) -> np.ndarray:
     """Composite 4x4 mapping reference (x*d, y*d, d, 1) to source (x'*d', y'*d', d', 1).
 
     One matrix multiplication equals project(back_project(.)) applied
-    pixel-wise; forward warping uses it on whole depth maps at once.
+    pixel-wise; forward warping uses it on whole depth maps at once.  Both
+    projections end in the row (0, 0, 0, 1), so the composite does too; it
+    is set exactly, which lets the warp skip the homogeneous divide.
     """
-    return src.projection() @ _inv(ref.projection())
+    transform = src.projection() @ _inv(ref.projection())
+    transform[3] = (0.0, 0.0, 0.0, 1.0)
+    return transform
 
 
 def pixel_grid(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:

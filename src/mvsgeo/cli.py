@@ -17,6 +17,7 @@ Scene directory convention (emitted by synth, consumed by the rest):
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -380,14 +381,17 @@ def _cmd_warp(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="mvsgeo", description="Multi-view stereo geometric consistency toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_threads(p, used=True):
         text = ("worker threads (default: MVSGEO_THREADS or 1)" if used
                 else "accepted for a uniform command line; has no effect on this command")
-        p.add_argument("--threads", type=_count_type(1), default=_default_threads(), help=text)
+        # The default is read from MVSGEO_THREADS at each call (see main).
+        p.add_argument("--threads", type=_count_type(1), default=None, help=text)
 
     p = sub.add_parser("synth", help="emit a synthetic scene directory")
     p.add_argument("--out", required=True)
@@ -407,8 +411,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--ref", type=int, nargs="*", default=None, help="reference views (default: all)")
     p.add_argument("--num-sources", type=_count_type(0), default=0,
                    help="use the top M sources (default, or 0: all listed)")
-    p.add_argument("--d-pixel", type=float, nargs="+", default=list(STAGE_PIXEL_THRESHOLDS))
-    p.add_argument("--d-depth", type=float, nargs="+", default=list(STAGE_DEPTH_THRESHOLDS))
+    p.add_argument("--d-pixel", type=float, nargs="+", default=STAGE_PIXEL_THRESHOLDS)
+    p.add_argument("--d-depth", type=float, nargs="+", default=STAGE_DEPTH_THRESHOLDS)
     p.add_argument("--range", choices=("one-two", "one-three"), default="one-two")
     add_threads(p)
     p.set_defaults(func=_cmd_gc_penalty)
@@ -465,8 +469,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    if args.threads is None:
+        args.threads = _default_threads()
     try:
         return args.func(args)
     except MissingInputError as exc:

@@ -7,9 +7,15 @@ is the back-projection of the depth averaged over the reference and the
 consistent sources.  Source pixels hit by an emitted point are marked
 consumed so each surface point is emitted once.  Emission order is the
 row-major reference-view scan, so output is deterministic and identical
-for any thread count (threads only parallelize the per-pair reprojection
-arrays; the consume pass is one sequential, vectorized numpy pass per
-reference view).
+for any thread count: the consume pass is one sequential, vectorized
+numpy pass per reference view, in reference order.  A reference view's
+per-pair check arrays are built just before its pass and dropped after
+it; threads compute them at most `threads` reference views ahead, so at
+most threads + 1 views' arrays are alive.  Each pair is checked in the
+row bands of `reproject`, straight into the reference's (n_src, H, W)
+stacks: displacement, relative depth difference and reprojected depth
+(float64), and the landing pixel as one int32 flat index (-1 off the
+source image).
 
 Two checking modes: "fusibile" applies one displacement/relative-depth
 threshold pair and a fixed required view count; "dynamic" derives the
@@ -20,13 +26,14 @@ table is configuration, not canon; the default grows 0.25 px and 0.0025
 relative depth per required view.
 """
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Camera, pixel_grid
-from .reproject import DepthMap, back_reproject, forward_project
+from .camera import Camera, pixel_grid, warp_transform
+from .reproject import DepthMap, _fbr_band, _fill_bands
 
 __all__ = ["FusionParams", "PointCloud", "DEFAULT_DYNAMIC_TABLE", "dynamic_thresholds", "fuse"]
 
@@ -34,7 +41,7 @@ DEFAULT_DYNAMIC_TABLE = tuple((0.25 * k, 0.0025 * k) for k in range(1, 9))
 
 _MODES = ("fusibile", "dynamic")
 _AVERAGES = ("mean", "median")
-_PAIR_DTYPES = (np.float64, np.float64, np.float64, np.int64, np.int64)  # disp, rdd, dres, sx, sy
+_PAIR_DTYPES = (np.float64, np.float64, np.float64, np.int32)  # disp, rdd, dres, landing index
 
 
 @dataclass(frozen=True)
@@ -116,23 +123,43 @@ def _unpack_view(view):
     return depth, conf, cam, image
 
 
-def _pair_arrays(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Camera):
-    """Reprojection check arrays for one (reference, source) pair."""
-    h, w = d_ref.shape
-    xs, ys = pixel_grid(h, w)
-    coords, _ = forward_project(d_ref, ref_cam, src_cam)
-    d_reproj, p_reproj = back_reproject(coords, d_src, src_cam, ref_cam)
-    ok = d_reproj.valid
-    disp = np.where(ok, np.hypot(p_reproj.x - xs, p_reproj.y - ys), np.inf)
-    denom = np.where(d_ref.valid, d_ref.values, 1.0)
-    rdd = np.where(ok, np.abs(d_reproj.values - d_ref.values) / denom, np.inf)
-    sx = np.where(coords.valid, np.rint(coords.x), -1.0).astype(np.int64)
-    sy = np.where(coords.valid, np.rint(coords.y), -1.0).astype(np.int64)
+def _pair_band(forward, back, d_ref: DepthMap, d_src: DepthMap, rows: slice):
+    """Pair-check rows of one (reference, source) pair.
+
+    Forward warp, source sample and back warp of the reference rows
+    `rows`, then the reprojection displacement (px) and relative depth
+    difference (np.inf where the reprojection failed), the reprojected
+    depth and the flat index of the rounded landing pixel in the source
+    image (-1 when it is off the image).
+    """
+    (x, y, landed), (x_back, y_back, d_back, ok) = _fbr_band(forward, back, d_ref, d_src, rows)
+    xs = np.arange(d_ref.width, dtype=np.float64)
+    ys = np.arange(rows.start, rows.stop, dtype=np.float64)[:, None]
+    disp = np.where(ok, np.hypot(x_back - xs, y_back - ys), np.inf)
+    depth = d_ref.values[rows]
+    denom = np.where(d_ref.valid[rows], depth, 1.0)
+    rdd = np.where(ok, np.abs(d_back - depth) / denom, np.inf)
+    # Bounds test in float: a landing pixel far outside the image may lie
+    # beyond any integer range, so only on-image indices are cast.
     hs, ws = d_src.shape
-    in_src = (sx >= 0) & (sx <= ws - 1) & (sy >= 0) & (sy <= hs - 1)
-    sx = np.where(in_src, sx, -1)
-    sy = np.where(in_src, sy, -1)
-    return disp, rdd, d_reproj.values, sx, sy
+    cx, cy = np.rint(x), np.rint(y)
+    on_image = landed & (cx >= 0) & (cx <= ws - 1) & (cy >= 0) & (cy <= hs - 1)
+    flat = np.where(on_image, cy * ws + cx, -1.0).astype(np.int32)
+    return disp, rdd, d_back, flat
+
+
+def _pair_stacks(d_ref: DepthMap, ref_cam: Camera, sources):
+    """(n_src, H, W) disp, rdd, reprojected-depth and landing-index stacks of one reference view.
+
+    sources: (DepthMap, Camera) per source view.  Each pair is computed
+    band by band straight into its row of the stacks.
+    """
+    stacks = tuple(np.empty((len(sources),) + d_ref.shape, dtype=dtype) for dtype in _PAIR_DTYPES)
+    for i, (d_src, src_cam) in enumerate(sources):
+        forward, back = warp_transform(ref_cam, src_cam), warp_transform(src_cam, ref_cam)
+        _fill_bands(tuple(stack[i] for stack in stacks),
+                    lambda rows: _pair_band(forward, back, d_ref, d_src, rows))
+    return stacks
 
 
 # One reference view's fuse/consume decision.  disp and rdd hold the
@@ -145,10 +172,11 @@ def _pair_arrays(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Cam
 #
 # Fused depth = mean (avg_mode 0) or median (avg_mode 1) over the
 # reference depth plus the passing sources' reprojected depths.  Consumed
-# marking writes into the global (V, H, W) array through src_idx/ref_idx.
+# marking writes into the global (V, H, W) array through src_idx/ref_idx,
+# at the flat landing index `flat` (-1: off the source image).
 
 
-def _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
+def _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, flat,
                   consumed, ref_idx, src_idx, prob_threshold,
                   min_consistent, table, avg_mode):
     """Fused depth and boolean fused mask of one reference view; updates consumed."""
@@ -180,8 +208,8 @@ def _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
         fused = np.where(fuse, med, 0.0)
     consumed[ref_idx][fuse] = 1
     for s in range(n_src):
-        hit = passing[s] & (sx[s] >= 0)
-        consumed[src_idx[s], sy[s][hit], sx[s][hit]] = 1
+        hit = passing[s] & (flat[s] >= 0)
+        consumed[src_idx[s]].reshape(-1)[flat[s][hit]] = 1
     return fused, fuse
 
 
@@ -220,47 +248,31 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
     for r, srcs in enumerate(pairs):
         if r in srcs:
             raise ValueError("a view cannot be its own source")
-
-    h, w = shape
-
-    def build(r):
-        depth_r, _, cam_r, _ = unpacked[r]
-        if not pairs[r]:
+        if not srcs:
             raise ValueError(f"view {r} has no source views")
-        n_src = len(pairs[r])
-        stacks = tuple(np.empty((n_src, h, w), dtype=dtype) for dtype in _PAIR_DTYPES)
-        for i, s in enumerate(pairs[r]):
-            for stack, row in zip(stacks, _pair_arrays(depth_r, cam_r, unpacked[s][0], unpacked[s][2])):
-                stack[i] = row
-        return stacks
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pair_data = list(pool.map(build, range(n_views)))
-    else:
-        pair_data = [build(r) for r in range(n_views)]
 
     if params.mode == "fusibile":
         table = np.array([[params.disparity_threshold, params.depth_threshold]])
     else:
         table = np.array(params.dynamic_table, dtype=np.float64)
 
+    h, w = shape
     consumed = np.zeros((n_views, h, w), dtype=np.uint8)
     all_points, all_colors, all_conf = [], [], []
     any_image = any(img is not None for *_, img in unpacked)
     avg_flag = 0 if params.average == "mean" else 1
-    for r in range(n_views):
+
+    def build(r):
+        depth_r, _, cam_r, _ = unpacked[r]
+        return _pair_stacks(depth_r, cam_r, [(unpacked[s][0], unpacked[s][2]) for s in pairs[r]])
+
+    def emit(r, stacks):
         depth_r, conf_r, cam_r, image_r = unpacked[r]
-        disp, rdd, dres, sx, sy = pair_data[r]
         fused_depth, mask = _consume_pass(
             depth_r.values,
             depth_r.valid,
             conf_r,
-            disp,
-            rdd,
-            dres,
-            sx,
-            sy,
+            *stacks,
             consumed,
             r,
             np.asarray(pairs[r], dtype=np.int64),
@@ -270,7 +282,7 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
             avg_flag,
         )
         if not mask.any():
-            continue
+            return
         all_points.append(_back_project_grid(fused_depth, mask, cam_r))
         all_conf.append(conf_r[mask])
         if any_image:
@@ -278,6 +290,20 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
                 all_colors.append(np.asarray(image_r, dtype=np.uint8)[mask])
             else:
                 all_colors.append(np.zeros((int(mask.sum()), 3), dtype=np.uint8))
+
+    # Consume passes run in reference order; reference r's stacks are built
+    # just before its pass, by the pool at most `threads` references ahead.
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            ahead = deque(pool.submit(build, r) for r in range(min(threads, n_views)))
+            for r in range(n_views):
+                stacks = ahead.popleft().result()
+                if r + threads < n_views:
+                    ahead.append(pool.submit(build, r + threads))
+                emit(r, stacks)
+    else:
+        for r in range(n_views):
+            emit(r, build(r))
 
     if not all_points:
         return PointCloud(points=np.zeros((0, 3)))

@@ -6,6 +6,11 @@ restricted to distances at or below the max threshold (points beyond it
 are excluded from the mean, not clamped).  Overall is their average.
 Depth metrics are the mean absolute error plus the fractions of pixels
 whose error exceeds 1 and 3 scene units.
+
+No distance beyond the threshold enters either mean, so the k-d tree
+search stops just past it (see _search_bound) and stays exact: every
+distance at or below the threshold has the same bits as an unbounded
+search's.
 """
 
 from dataclasses import dataclass
@@ -52,22 +57,39 @@ def _points(cloud) -> np.ndarray:
     return pts
 
 
-def nearest_neighbor_distances(queries, refs, workers: int = 1) -> np.ndarray:
+def _search_bound(max_dist: float) -> float:
+    """Upper bound of a search that must find every distance at or below max_dist.
+
+    The k-d tree keeps a squared distance only when it is strictly below
+    the square of its bound, and a point exactly at max_dist counts.  For
+    the next double b above max_dist, sqrt(fl(b * b)) rounds back to b
+    while b * b is a normal double, so every squared distance whose root
+    rounds to max_dist or less is below fl(b * b).  Below b = 2**-511 the
+    square leaves the normal range; there 2**-511 itself bounds every
+    such distance.
+    """
+    return max(np.nextafter(max_dist, np.inf), 2.0 ** -511)
+
+
+def nearest_neighbor_distances(queries, refs, workers: int = 1, upper_bound: float = np.inf) -> np.ndarray:
     """Distance from every query point to its nearest reference point.
 
-    Exact k-d tree search (scipy cKDTree) over the reference points; the
-    queries are split over `workers` threads, which does not change the
-    result.
+    Exact k-d tree search (scipy cKDTree, built without median splits:
+    faster, same distances) over the reference points; the queries are
+    split over `workers` threads, which does not change the result.
+    Distances above `upper_bound` come back inf, and so may one equal to
+    it; the search prunes every branch farther than the bound.
     """
     queries = _points(queries)
     refs = _points(refs)
-    dists, _ = cKDTree(refs).query(queries, k=1, workers=workers)
+    tree = cKDTree(refs, balanced_tree=False)
+    dists, _ = tree.query(queries, k=1, workers=workers, distance_upper_bound=upper_bound)
     return np.asarray(dists, dtype=np.float64)
 
 
 def accuracy(pred, gt, max_dist: float, workers: int = 1) -> float:
     """Mean nearest-neighbor distance predicted -> ground truth, cut at max_dist."""
-    dists = nearest_neighbor_distances(pred, gt, workers)
+    dists = nearest_neighbor_distances(pred, gt, workers, upper_bound=_search_bound(max_dist))
     measured = dists <= max_dist
     if not measured.any():
         raise ValueError("no measurable points")

@@ -110,22 +110,17 @@ class CoordinateGrid:
 def _apply_warp(transform: np.ndarray, xs, ys, depth, valid):
     """Apply a pixel-depth warp to (x, y, d) grids.
 
+    `transform` comes from warp_transform, whose last row is exactly
+    (0, 0, 0, 1): the homogeneous coordinate is 1 and needs no divide.
     Returns the warped (x', y', d') and a validity mask; pixels landing
     behind the camera (d' below W_EPS) are invalidated.
     """
     u = transform[0, 0] * xs * depth + transform[0, 1] * ys * depth + transform[0, 2] * depth + transform[0, 3]
     v = transform[1, 0] * xs * depth + transform[1, 1] * ys * depth + transform[1, 2] * depth + transform[1, 3]
     d = transform[2, 0] * xs * depth + transform[2, 1] * ys * depth + transform[2, 2] * depth + transform[2, 3]
-    q = transform[3, 0] * xs * depth + transform[3, 1] * ys * depth + transform[3, 2] * depth + transform[3, 3]
-    ok = valid & (np.abs(q) > W_EPS)
-    qs = np.where(ok, q, 1.0)
-    d = d / qs
-    ok = ok & (d > W_EPS)
+    ok = valid & (d > W_EPS)
     ds = np.where(ok, d, 1.0)
-    x2 = np.where(ok, u / qs / ds, 0.0)
-    y2 = np.where(ok, v / qs / ds, 0.0)
-    d2 = np.where(ok, d, 0.0)
-    return x2, y2, d2, ok
+    return np.where(ok, u / ds, 0.0), np.where(ok, v / ds, 0.0), np.where(ok, d, 0.0), ok
 
 
 def _wrap(cls, **fields):
@@ -138,16 +133,20 @@ def _wrap(cls, **fields):
 _WARP = (np.float64, np.float64, np.float64, bool)  # x, y, depth, validity
 
 
-def _banded(shape, dtypes, band):
-    """Full-frame arrays of `dtypes` filled band by band from the outputs of band(rows)."""
-    h, w = shape
-    outs = tuple(np.empty(shape, dtype=dtype) for dtype in dtypes)
+def _fill_bands(outs, band):
+    """Fill the same-shaped full-frame arrays `outs` band by band from the outputs of band(rows)."""
+    h, w = outs[0].shape
     step = max(1, _BAND_PIXELS // max(w, 1))
     for start in range(0, h, step):
         rows = slice(start, min(start + step, h))
         for out, part in zip(outs, band(rows)):
             out[rows] = part
     return outs
+
+
+def _banded(shape, dtypes, band):
+    """Full-frame arrays of `dtypes` filled band by band from the outputs of band(rows)."""
+    return _fill_bands(tuple(np.empty(shape, dtype=dtype) for dtype in dtypes), band)
 
 
 def _forward(transform, d_ref: DepthMap, rows: slice):
@@ -185,6 +184,16 @@ def _sample(src_map: DepthMap, xs, ys, coords_valid):
     top = values[i00] * (1.0 - fx) + values[i01] * fx
     bot = values[i10] * (1.0 - fx) + values[i11] * fx
     return np.where(ok, top * (1.0 - fy) + bot * fy, 0.0), ok
+
+
+def _fbr_band(forward, back, d_ref: DepthMap, d_src: DepthMap, rows: slice):
+    """Forward-backward reprojection of reference rows `rows`.
+
+    Returns the forward landing (x, y, valid) in the source view and the
+    back warp (x, y, depth, valid) in the reference view.
+    """
+    x, y, _, landed = _forward(forward, d_ref, rows)
+    return (x, y, landed), _apply_warp(back, x, y, *_sample(d_src, x, y, landed))
 
 
 def forward_project(d_ref: DepthMap, ref: Camera, src: Camera) -> tuple[CoordinateGrid, DepthMap]:
@@ -251,9 +260,5 @@ def fbr(d_ref: DepthMap, ref: Camera, d_src_gt: DepthMap, src: Camera) -> tuple[
     """
     forward, back = warp_transform(ref, src), warp_transform(src, ref)
 
-    def band(rows):
-        xs, ys, _, ok = _forward(forward, d_ref, rows)
-        return _apply_warp(back, xs, ys, *_sample(d_src_gt, xs, ys, ok))
-
-    x2, y2, d2, ok = _banded(d_ref.shape, _WARP, band)
+    x2, y2, d2, ok = _banded(d_ref.shape, _WARP, lambda rows: _fbr_band(forward, back, d_ref, d_src_gt, rows)[1])
     return _wrap(DepthMap, values=d2, valid=ok), _wrap(CoordinateGrid, x=x2, y=y2, valid=ok)

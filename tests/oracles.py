@@ -51,6 +51,23 @@ def ld_project(point, K, E):
 # ---------------------------------------------------------------------------
 
 
+def homogeneous_warp(transform, xs, ys, depth, valid):
+    """The pixel-depth warp with every row and the full homogeneous divide.
+
+    Row r is evaluated as t[r,0]*x*d + t[r,1]*y*d + t[r,2]*d + t[r,3],
+    left to right; pixels with |q| or d'/q at or below W_EPS come back
+    invalid, as 0.
+    """
+    u, v, d, q = (t[0] * xs * depth + t[1] * ys * depth + t[2] * depth + t[3] for t in transform)
+    ok = valid & (np.abs(q) > W_EPS)
+    qs = np.where(ok, q, 1.0)
+    d = d / qs
+    ok = ok & (d > W_EPS)
+    ds = np.where(ok, d, 1.0)
+    return (np.where(ok, u / qs / ds, 0.0), np.where(ok, v / qs / ds, 0.0),
+            np.where(ok, d, 0.0), ok)
+
+
 def _scalar_warp_chain(x, y, depth, K_from, E_from, K_to, E_to):
     """project(back_project(.)) with separate inverse matrices per step."""
     ray = np.linalg.inv(K_from) @ np.array([x, y, 1.0])

@@ -450,3 +450,26 @@ def test_idempotent_reruns(plane_scene, tmp_path, capsys):
     assert run_cli(capsys, *args)[0] == 0
     second = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     assert first == second
+
+
+def test_threads_default_is_read_from_the_environment_on_every_call(plane_scene, monkeypatch, capsys):
+    # The parser is built once per process; the MVSGEO_THREADS default is not.
+    from mvsgeo import cli
+
+    seen = []
+    real = cli.evaluate_point_clouds
+
+    def recording(pred, gt, max_dist, workers=1):
+        seen.append(workers)
+        return real(pred, gt, max_dist, workers=workers)
+
+    monkeypatch.setattr(cli, "evaluate_point_clouds", recording)
+    cloud = str(plane_scene / "gt_cloud.ply")
+    argv = ["eval-pc", "--pred", cloud, "--gt", cloud, "--max-dist", "1"]
+    for value in ("3", "1", "2", "bad"):
+        monkeypatch.setenv("MVSGEO_THREADS", value)
+        assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.delenv("MVSGEO_THREADS")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, *argv, "--threads", "4")[0] == 0
+    assert seen == [3, 1, 2, 1, 1, 4]

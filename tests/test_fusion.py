@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -158,10 +160,120 @@ def test_threads_bit_identical():
     spec, views = scene_views("two-planes", conf=1.0)
     params = FusionParams(prob_threshold=0.5, consistency_threshold=2)
     base = fuse(views, params, threads=1)
-    for t in (2, 4):
+    # 3 and n_views + 1 put the end of the look-ahead window before, at
+    # and past the last reference view.
+    for t in (2, 3, 4, len(views) + 1):
         other = fuse(views, params, threads=t)
         assert np.array_equal(base.points, other.points)
         assert np.array_equal(base.confidence, other.confidence)
+
+
+@pytest.mark.parametrize("band", [1, 37, 10**6])
+def test_pair_stacks_match_full_frame_reprojection(monkeypatch, band):
+    # The banded pair check equals the full-frame forward_project +
+    # back_reproject chain bit for bit; the landing index is the rounded
+    # landing pixel, row-major in the source image, -1 off it.
+    from mvsgeo.camera import pixel_grid
+    from mvsgeo.fusion import _pair_stacks
+    from mvsgeo.reproject import back_reproject, forward_project
+
+    spec, views = scene_views("two-planes-offset", w=37, h=23, n=3, seed=2, conf=1.0)
+    (d_ref, _, ref), sources = views[0], [(v[0], v[2]) for v in views[1:]]
+    hole = np.ones(d_ref.shape, dtype=bool)
+    hole[5:9, 10:20] = False
+    d_ref = DepthMap(d_ref.values, d_ref.valid & hole)
+    monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
+    disp, rdd, dres, flat = _pair_stacks(d_ref, ref, sources)
+    xs, ys = pixel_grid(23, 37)
+    for i, (d_src, src) in enumerate(sources):
+        coords, _ = forward_project(d_ref, ref, src)
+        d_back, p_back = back_reproject(coords, d_src, src, ref)
+        ok = d_back.valid
+        want_disp = np.where(ok, np.hypot(p_back.x - xs, p_back.y - ys), np.inf)
+        denom = np.where(d_ref.valid, d_ref.values, 1.0)
+        want_rdd = np.where(ok, np.abs(d_back.values - d_ref.values) / denom, np.inf)
+        assert disp[i].tobytes() == want_disp.tobytes()
+        assert rdd[i].tobytes() == want_rdd.tobytes()
+        assert dres[i].tobytes() == d_back.values.tobytes()
+        sx, sy = np.rint(coords.x), np.rint(coords.y)
+        on = coords.valid & (sx >= 0) & (sx <= 36) & (sy >= 0) & (sy <= 22)
+        assert flat.dtype == np.int32
+        assert np.array_equal(flat[i], np.where(on, sy * 37 + sx, -1))
+        assert on.any() and not on.all()
+
+
+def test_single_thread_holds_one_reference_views_stacks(monkeypatch):
+    # Reference r's pair stacks are built just before its consume pass and
+    # dropped after it, so a single thread never holds two references'
+    # stacks.  Row bands of 8 rows keep the band temporaries small next to
+    # the stacks; the band size changes no bit.
+    import tracemalloc
+
+    w, h, n = 80, 64, 8
+    spec, views = scene_views("two-planes", w=w, h=h, n=n, conf=1.0)
+    params = FusionParams(prob_threshold=0.5, consistency_threshold=2)
+    monkeypatch.setattr(reproject, "_BAND_PIXELS", 8 * w)
+    fuse(views, params)  # first-call allocations out of the measurement
+    stacks = (n - 1) * h * w * (3 * 8 + 4)  # disp, rdd, dres float64 + int32 landing index
+    tracemalloc.start()
+    try:
+        fuse(views, params, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * stacks + h * w * 8, (peak, stacks)
+
+
+def test_far_off_landing_pixel_raises_no_warning():
+    # A valid pixel whose landing point lies beyond any integer range must
+    # be dropped by the bounds test before its index is cast.
+    from mvsgeo.camera import Camera
+
+    K = np.array([[100.0, 0.0, 50.0], [0.0, 100.0, 50.0], [0.0, 0.0, 1.0]])
+    ref = Camera(K=K, E=np.eye(4))
+    E = np.eye(4)
+    E[:3, :3] = [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]  # 90 degrees about y
+    E[2, 3] = 1e-11
+    src = Camera(K=K, E=E)
+    depth = DepthMap.from_values(np.full((100, 100), 1e7))
+    conf = np.ones((100, 100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cloud = fuse([(depth, conf, ref), (depth, conf, src)], FusionParams(consistency_threshold=1))
+    assert len(cloud) == 0
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_pool_builds_at_most_threads_references_ahead(monkeypatch, threads):
+    # Reference views whose stacks are built (or being built) but not yet
+    # consumed: at most the one being consumed plus `threads` ahead of it.
+    import threading
+
+    import mvsgeo.fusion
+
+    lock = threading.Lock()
+    state = {"open": 0, "max": 0}
+    build, consume = mvsgeo.fusion._pair_stacks, mvsgeo.fusion._consume_pass
+
+    def counting_build(*args):
+        with lock:
+            state["open"] += 1
+            state["max"] = max(state["max"], state["open"])
+        return build(*args)
+
+    def counting_consume(*args):
+        result = consume(*args)
+        with lock:
+            state["open"] -= 1
+        return result
+
+    monkeypatch.setattr(mvsgeo.fusion, "_pair_stacks", counting_build)
+    monkeypatch.setattr(mvsgeo.fusion, "_consume_pass", counting_consume)
+    spec, views = scene_views("plane", w=40, h=32, n=6, conf=1.0)
+    fuse(views, FusionParams(consistency_threshold=2), threads=threads)
+    assert state["open"] == 0
+    assert 1 <= state["max"] <= threads + 1
+    assert len(views) > threads + 1  # a window that could be overrun
 
 
 @pytest.mark.parametrize("kind, w, h, n, seed", BAND_SCENES)
@@ -180,24 +292,38 @@ def test_fused_cloud_is_band_invariant(monkeypatch, kind, w, h, n, seed):
 
 
 def test_one_forward_warp_per_pair(monkeypatch):
-    # The pair check reuses its forward warp for the back half instead of
-    # warping again through fbr.
+    # Each pair builds its forward and back transform once and warps
+    # forward once per band (one band here), reusing that warp for the
+    # back half instead of going through forward_project or fbr.
     import mvsgeo.fusion
     import mvsgeo.reproject
 
-    calls = []
-    original = mvsgeo.reproject.forward_project
+    transforms, forwards = [], []
+    original_transform, original_forward = mvsgeo.fusion.warp_transform, mvsgeo.reproject._forward
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting_transform(ref, src):
+        transforms.append((id(ref), id(src)))
+        return original_transform(ref, src)
 
-    monkeypatch.setattr(mvsgeo.reproject, "forward_project", counting)
-    monkeypatch.setattr(mvsgeo.fusion, "forward_project", counting)
+    def counting_forward(*args, **kwargs):
+        forwards.append(1)
+        return original_forward(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("fusion must not call the full-frame reprojection")
+
+    monkeypatch.setattr(mvsgeo.fusion, "warp_transform", counting_transform)
+    monkeypatch.setattr(mvsgeo.reproject, "_forward", counting_forward)
+    for name in ("forward_project", "back_reproject", "fbr"):
+        monkeypatch.setattr(mvsgeo.reproject, name, refused)
     spec, views = scene_views("plane", w=40, h=32, n=4, conf=1.0)
     pairs = [[1, 2], [0], [0, 1, 3], [2]]
     fuse(views, FusionParams(consistency_threshold=1), pairs=pairs)
-    assert len(calls) == sum(len(srcs) for srcs in pairs)
+    cams = [id(view[2]) for view in views]
+    expected = [(cams[r], cams[s]) for r, srcs in enumerate(pairs) for s in srcs]
+    expected += [(b, a) for a, b in expected]
+    assert sorted(transforms) == sorted(expected)
+    assert len(forwards) == sum(len(srcs) for srcs in pairs)
 
 
 def test_colors_sampled_from_images(rng):

@@ -13,6 +13,11 @@ from mvsgeo.reproject import CoordinateGrid, DepthMap, remap
 from oracles import _scalar_bilinear, scalar_consume_pass
 
 
+def flat_index(sx, sy, w):
+    """The consume pass's int32 landing index of (sx, sy) pixels, -1 where sx is."""
+    return np.where(sx >= 0, sy * w + sx, -1).astype(np.int32)
+
+
 def _assert_remap_matches_oracle(values, valid, xs, ys, cv):
     got = remap(DepthMap(values, valid), CoordinateGrid(xs, ys, cv))
     values = np.where(valid, values, 0.0)
@@ -66,8 +71,9 @@ def test_consume_pass_matches_scalar_oracle_bitwise(rng, mode, avg):
     src_idx = np.arange(1, n_src + 1, dtype=np.int64)
     f1, m1 = scalar_consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
                                  consumed1, 0, src_idx, 0.4, 2, mode, table, avg)
-    # The production pass has no mode: fusibile is its one-row table.
-    f2, m2 = _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
+    # The production pass has no mode: fusibile is its one-row table.  It
+    # takes the landing pixel as one flat index.
+    f2, m2 = _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, flat_index(sx, sy, w),
                            consumed2, 0, src_idx, 0.4, 2, table[:1] if mode == 0 else table, avg)
     assert np.array_equal(m1, m2)
     assert np.array_equal(f1, f2)
@@ -89,7 +95,7 @@ def test_consume_pass_respects_consumed_and_confidence():
     consumed = np.zeros((3, h, w), dtype=np.uint8)
     consumed[0, 1, 1] = 1  # pre-consumed reference pixel
     table = np.array([[1.0, 0.01]])
-    fused, mask = _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
+    fused, mask = _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, flat_index(sx, sy, w),
                                 consumed, 0, np.array([1, 2], dtype=np.int64),
                                 0.5, 1, table, 0)
     assert mask[0, 0] == 0      # confidence gate

@@ -76,6 +76,62 @@ def test_spatial_index_equals_quadratic_scan(rng):
     assert np.array_equal(kd, quadratic_nn(q, pts))
 
 
+def boundary_clouds(rng, max_dist):
+    """Query and reference clouds whose nearest distances sit at and around max_dist.
+
+    Queries lie on a 100-unit grid, one reference point next to each: on
+    the z axis at max_dist and 1-3 ulps either side (exact distances),
+    and in random directions at the same radii (rounded distances), plus
+    some well inside it, so the mean moves when a boundary point does.
+    """
+    inside = [max_dist]
+    outside = [max_dist]
+    for _ in range(3):
+        inside.append(np.nextafter(inside[-1], -np.inf))
+        outside.append(np.nextafter(outside[-1], np.inf))
+    radii = np.array([r for r in inside[1:] + [max_dist] + outside[1:] if r >= 0.0])
+    axis = np.stack([np.zeros_like(radii), np.zeros_like(radii), radii], axis=1)
+    radii = np.concatenate([np.repeat(radii, 20), rng.uniform(0.0, max_dist / 2, 40)])
+    dirs = rng.normal(size=(radii.shape[0], 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    offsets = np.concatenate([axis, -axis, dirs * radii[:, None]])
+    n = offsets.shape[0]
+    side = int(np.ceil(np.sqrt(n)))
+    grid = np.stack(np.meshgrid(np.arange(side), np.arange(side), [0.0]), axis=-1).reshape(-1, 3)
+    queries = 100.0 * grid[:n]
+    return queries, queries + offsets
+
+
+@pytest.mark.parametrize("max_dist", [0.2, 1.0, 2.0, 5.0])
+def test_bounded_search_matches_quadratic_oracle_bitwise(rng, max_dist):
+    queries, refs = boundary_clouds(rng, max_dist)
+    oracle = quadratic_nn(queries, refs)
+    assert (oracle == max_dist).any() and (oracle < max_dist).any() and (oracle > max_dist).any()
+    assert np.array_equal(nearest_neighbor_distances(queries, refs), oracle)
+    got = nearest_neighbor_distances(queries, refs, upper_bound=np.nextafter(max_dist, np.inf))
+    within = oracle <= max_dist
+    assert got[within].tobytes() == oracle[within].tobytes()
+    # Beyond the bound a distance is either exact or inf, never another value.
+    assert np.all((got[~within] == oracle[~within]) | np.isinf(got[~within]))
+    # Distances above the bound come back inf.
+    at_bound = nearest_neighbor_distances(queries, refs, upper_bound=max_dist)
+    assert np.isinf(at_bound[oracle > max_dist]).all()
+
+
+@pytest.mark.parametrize("max_dist", [0.0, 1e-170, 0.2, 1.0, 2.0, 5.0])
+def test_accuracy_and_completeness_match_quadratic_oracle_bitwise(rng, max_dist):
+    # A point exactly at max_dist counts; one ulp beyond it does not.  The
+    # squares of the two tiny thresholds fall below the normal range (1e-170
+    # squares to 0, so its points measure 0, not 1e-170).
+    queries, refs = boundary_clouds(rng, max_dist)
+    for pred, gt in ((queries, refs), (refs, queries)):
+        oracle = quadratic_nn(pred, gt)
+        assert (oracle == max_dist).any() or (max_dist == 1e-170 and (oracle == 0.0).any())
+        expected = oracle[oracle <= max_dist].mean()
+        assert accuracy(pred, gt, max_dist) == expected
+        assert completeness(gt, pred, max_dist) == expected
+
+
 def test_rigid_motion_invariance(rng):
     pred = rng.normal(size=(300, 3))
     gt = rng.normal(size=(400, 3))

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from mvsgeo import reproject, synth
-from mvsgeo.camera import Camera, Pixel, back_project, pixel_grid, project
+from mvsgeo.camera import Camera, Pixel, back_project, pixel_grid, project, warp_transform
 from mvsgeo.penalty import STAGE_DEPTH_THRESHOLDS, STAGE_PIXEL_THRESHOLDS, GcThresholds, stage_penalties
 from mvsgeo.reproject import CoordinateGrid, DepthMap, back_reproject, fbr, forward_project, remap
 
 from conftest import BAND_SCENES, band_sizes, random_camera
-from oracles import naive_penalty
+from oracles import homogeneous_warp, naive_penalty
 
 
 def identity_camera(f=500.0, cx=39.5, cy=31.5):
@@ -93,6 +93,27 @@ def test_forward_project_matches_primitive_loop(rng):
                 assert coords.x[i, j] == pytest.approx(pix.x, abs=1e-7)
                 assert coords.y[i, j] == pytest.approx(pix.y, abs=1e-7)
                 assert warped.values[i, j] == pytest.approx(depth, rel=1e-9)
+
+
+def test_apply_warp_matches_homogeneous_formula_bitwise(rng):
+    # A camera-to-camera warp ends exactly in (0, 0, 0, 1), so q is 1 and
+    # _apply_warp skips its row and divide; the full formula must agree
+    # bit for bit, extreme depths included.
+    transform = warp_transform(random_camera(rng), random_camera(rng))
+    assert tuple(transform[3]) == (0.0, 0.0, 0.0, 1.0)
+    h, w = 30, 40
+    xs = np.arange(w, dtype=np.float64)
+    ys = np.arange(h, dtype=np.float64)[:, None]
+    depth = rng.uniform(100.0, 2000.0, (h, w))
+    depth[::7, ::5] = -1000.0  # behind the camera
+    depth[3, :4] = [1e300, 1e-300, 0.0, 5e-324]
+    valid = rng.random((h, w)) > 0.1
+    depth = np.where(valid, depth, 0.0)
+    got = reproject._apply_warp(transform, xs, ys, depth, valid)
+    want = homogeneous_warp(transform, xs, ys, depth, valid)
+    for g, e in zip(got, want):
+        assert g.tobytes() == e.tobytes()
+    assert got[3].any() and not got[3].all()
 
 
 def test_remap_identity_grid():
