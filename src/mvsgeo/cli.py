@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from . import formats, synth
-from .camera import pixel_grid
 from .fusion import FusionParams, PointCloud, fuse
 from .loss import StageWeights, cross_entropy_error, stage_loss, total_loss
 from .metrics import depth_metrics, evaluate_point_clouds
@@ -39,7 +38,7 @@ from .penalty import (
     penalty_histogram,
     stage_penalties,
 )
-from .reproject import fbr
+from .reproject import _pair_errors, fbr
 from .views import load_pairing, rank_sources, save_pairing
 
 __all__ = ["main"]
@@ -359,13 +358,11 @@ def _cmd_warp(args) -> int:
         (f"reproj_valid_{tag}.pfm", d_reproj.valid.astype(np.float64)),
     ):
         (out / name).write_bytes(formats.write_pfm(formats.PfmImage(grid.astype(np.float32))))
-    h, w = d_ref.shape
-    xs, ys = pixel_grid(h, w)
-    ok = d_reproj.valid & d_ref.valid
+    ok = d_reproj.valid
     doc = {"ref": args.ref, "src": args.src, "valid_pixels": int(ok.sum()), "out": str(out)}
     if ok.any():
-        pde = np.hypot(p_reproj.x - xs, p_reproj.y - ys)[ok]
-        rdd = (np.abs(d_reproj.values - d_ref.values)[ok]) / d_ref.values[ok]
+        errors = _pair_errors(d_ref, slice(0, d_ref.height), p_reproj.x, p_reproj.y, d_reproj.values, ok)
+        pde, rdd = (e[ok] for e in errors)
         doc.update(
             mean_pde=float(pde.mean()),
             max_pde=float(pde.max()),

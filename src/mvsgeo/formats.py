@@ -39,7 +39,6 @@ __all__ = [
     "read_pfm",
     "write_pfm",
     "depth_from_pfm",
-    "depth_to_pfm",
     "read_cam",
     "write_cam",
     "read_ply",
@@ -156,13 +155,7 @@ def depth_from_pfm(img: PfmImage) -> "DepthMap":
 
     if img.channels != 1:
         raise ValueError("depth maps are single-channel PFMs")
-    values = img.data.astype(np.float64)
-    valid = np.isfinite(values) & (values > 0)
-    return DepthMap(np.where(valid, values, 0.0), valid)
-
-
-def depth_to_pfm(depth) -> PfmImage:
-    return PfmImage(depth.values.astype(np.float32))
+    return DepthMap.from_values(img.data)
 
 
 # ---------------------------------------------------------------------------

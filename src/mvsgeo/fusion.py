@@ -11,11 +11,11 @@ for any thread count: the consume pass is one sequential, vectorized
 numpy pass per reference view, in reference order.  A reference view's
 per-pair check arrays are built just before its pass and dropped after
 it; threads compute them at most `threads` reference views ahead, so at
-most threads + 1 views' arrays are alive.  Each pair is checked in the
-row bands of `reproject`, straight into the reference's (n_src, H, W)
-stacks: displacement, relative depth difference and reprojected depth
-(float64), and the landing pixel as one int32 flat index (-1 off the
-source image).
+most threads + 1 views' arrays are alive.  Each pair is checked band by
+band (reproject._pair_bands, the penalty's sqrt formula) straight into
+the reference's (n_src, H, W) stacks: displacement, relative depth
+difference and reprojected depth (float64), and the landing pixel as one
+int32 flat index (-1 off the source image).  Checks pass below (<).
 
 Two checking modes: "fusibile" applies one displacement/relative-depth
 threshold pair and a fixed required view count; "dynamic" derives the
@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Camera, pixel_grid, warp_transform
-from .reproject import DepthMap, _fbr_band, _fill_bands
+from .camera import Camera, pixel_grid
+from .reproject import DepthMap, _pair_bands
 
 __all__ = ["FusionParams", "PointCloud", "DEFAULT_DYNAMIC_TABLE", "dynamic_thresholds", "fuse"]
 
@@ -123,31 +123,6 @@ def _unpack_view(view):
     return depth, conf, cam, image
 
 
-def _pair_band(forward, back, d_ref: DepthMap, d_src: DepthMap, rows: slice):
-    """Pair-check rows of one (reference, source) pair.
-
-    Forward warp, source sample and back warp of the reference rows
-    `rows`, then the reprojection displacement (px) and relative depth
-    difference (np.inf where the reprojection failed), the reprojected
-    depth and the flat index of the rounded landing pixel in the source
-    image (-1 when it is off the image).
-    """
-    (x, y, landed), (x_back, y_back, d_back, ok) = _fbr_band(forward, back, d_ref, d_src, rows)
-    xs = np.arange(d_ref.width, dtype=np.float64)
-    ys = np.arange(rows.start, rows.stop, dtype=np.float64)[:, None]
-    disp = np.where(ok, np.hypot(x_back - xs, y_back - ys), np.inf)
-    depth = d_ref.values[rows]
-    denom = np.where(d_ref.valid[rows], depth, 1.0)
-    rdd = np.where(ok, np.abs(d_back - depth) / denom, np.inf)
-    # Bounds test in float: a landing pixel far outside the image may lie
-    # beyond any integer range, so only on-image indices are cast.
-    hs, ws = d_src.shape
-    cx, cy = np.rint(x), np.rint(y)
-    on_image = landed & (cx >= 0) & (cx <= ws - 1) & (cy >= 0) & (cy <= hs - 1)
-    flat = np.where(on_image, cy * ws + cx, -1.0).astype(np.int32)
-    return disp, rdd, d_back, flat
-
-
 def _pair_stacks(d_ref: DepthMap, ref_cam: Camera, sources):
     """(n_src, H, W) disp, rdd, reprojected-depth and landing-index stacks of one reference view.
 
@@ -156,9 +131,16 @@ def _pair_stacks(d_ref: DepthMap, ref_cam: Camera, sources):
     """
     stacks = tuple(np.empty((len(sources),) + d_ref.shape, dtype=dtype) for dtype in _PAIR_DTYPES)
     for i, (d_src, src_cam) in enumerate(sources):
-        forward, back = warp_transform(ref_cam, src_cam), warp_transform(src_cam, ref_cam)
-        _fill_bands(tuple(stack[i] for stack in stacks),
-                    lambda rows: _pair_band(forward, back, d_ref, d_src, rows))
+        disp, rdd, dres, flat = (stack[i] for stack in stacks)
+        hs, ws = d_src.shape
+        for rows, (x, y, landed), d_back, _, pde, rdd_rows in _pair_bands(d_ref, ref_cam, d_src, src_cam):
+            disp[rows], rdd[rows], dres[rows] = pde, rdd_rows, d_back
+            # Bounds test in float: a landing pixel far outside the image may
+            # lie beyond any integer range, so only on-image indices are cast.
+            cx, cy = np.rint(x), np.rint(y)
+            on_image = landed & (cx >= 0) & (cx <= ws - 1) & (cy >= 0) & (cy <= hs - 1)
+            flat[rows] = np.where(on_image, cy * ws + cx, -1.0)
+            del x, y, landed, d_back, pde, rdd_rows, cx, cy, on_image  # freed before the next band
     return stacks
 
 

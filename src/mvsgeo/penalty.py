@@ -7,15 +7,17 @@ exceeds the depth threshold (strict comparisons), or when the
 reprojection is impossible (occluded, out of view, behind a camera).
 Inconsistency votes are summed over the M source views and mapped to the
 per-pixel penalty: 1 + mask_sum/M in the [1,2] range mode, or
-1 + 2*mask_sum/M in the [1,3] mode.
+1 + 2*mask_sum/M in the [1,3] mode.  The displacement, sqrt(dx**2 +
+dy**2), and the depth difference come from reproject._pair_errors; a
+failed reprojection (fbr's result invalid) votes under any thresholds.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Camera, pixel_grid
-from .reproject import CoordinateGrid, DepthMap, fbr
+from .camera import Camera
+from .reproject import CoordinateGrid, DepthMap, _pair_errors, fbr
 
 __all__ = [
     "GcThresholds",
@@ -62,19 +64,9 @@ class PenaltyMap:
             raise ValueError(f"range_mode must be one of {_RANGE_MODES}")
 
 
-def _pair_errors(d_ref: DepthMap, d_reproj: DepthMap, p_reproj: CoordinateGrid):
-    """Reprojection displacement (px), relative depth difference and failed-reprojection mask."""
-    h, w = d_ref.shape
-    xs, ys = pixel_grid(h, w)
-    pde = np.sqrt((p_reproj.x - xs) ** 2 + (p_reproj.y - ys) ** 2)
-    denom = np.where(d_ref.valid, d_ref.values, 1.0)
-    rdd = np.abs(d_reproj.values - d_ref.values) / denom
-    return pde, rdd, ~(d_reproj.valid & p_reproj.valid)
-
-
-def _votes(tested, pde, rdd, failed, thresholds: GcThresholds) -> np.ndarray:
-    """One stage's vote: tested pixels whose reprojection failed or exceeds a threshold."""
-    return tested & (failed | (pde > thresholds.d_pixel) | (rdd > thresholds.d_depth))
+def _votes(tested, ok, pde, rdd, thresholds: GcThresholds) -> np.ndarray:
+    """One stage's vote: tested pixels whose reprojection failed (not ok) or exceeds a threshold."""
+    return tested & (~ok | (pde > thresholds.d_pixel) | (rdd > thresholds.d_depth))
 
 
 def inconsistency_mask(
@@ -93,7 +85,9 @@ def inconsistency_mask(
     tested = d_ref.valid
     if np.any(d_ref.values[tested] == 0):
         raise ValueError("zero reference depth")
-    return _votes(tested, *_pair_errors(d_ref, d_reproj, p_reproj), thresholds)
+    ok = d_reproj.valid & p_reproj.valid
+    pde, rdd = _pair_errors(d_ref, slice(0, d_ref.height), p_reproj.x, p_reproj.y, d_reproj.values, ok)
+    return _votes(tested, ok, pde, rdd, thresholds)
 
 
 def per_pixel_penalty(
@@ -135,9 +129,11 @@ def stage_penalties(
             raise ValueError(
                 f"source depth shape {d_src.shape} does not match reference {d_ref.shape}"
             )
-        errors = _pair_errors(d_ref, *fbr(d_ref, ref, d_src, src_cam))
+        d_back, p_back = fbr(d_ref, ref, d_src, src_cam)
+        ok = d_back.valid  # fbr's depth and coordinates share one mask
+        pde, rdd = _pair_errors(d_ref, slice(0, d_ref.height), p_back.x, p_back.y, d_back.values, ok)
         for mask_sum, thresholds in zip(mask_sums, stages):
-            mask_sum += _votes(d_ref.valid, *errors, thresholds)
+            mask_sum += _votes(d_ref.valid, ok, pde, rdd, thresholds)
     m = len(sources)
     penalties = []
     for mask_sum in mask_sums:

@@ -11,13 +11,17 @@ written into full-frame outputs, so its float64 temporaries (256 KB per
 band of _BAND_PIXELS) stay in a 2 MB L2 cache instead of streaming whole
 frames through memory.  An output pixel depends only on its own input
 pixel and the whole source map, so the band size never changes a bit.
+
+_pair_errors is the one pair check (penalty, fusion, `warp`): displacement
+sqrt(dx**2 + dy**2) and relative depth difference, inf where `ok` is false
+(invalid reference pixel, behind a camera, off the source, invalid corner).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import Camera, W_EPS, pixel_grid, warp_transform
+from .camera import Camera, W_EPS, warp_transform
 
 __all__ = ["DepthMap", "CoordinateGrid", "forward_project", "remap", "back_reproject", "fbr"]
 
@@ -101,11 +105,6 @@ class CoordinateGrid:
     def shape(self) -> tuple[int, int]:
         return self.x.shape
 
-    @classmethod
-    def identity(cls, height: int, width: int) -> "CoordinateGrid":
-        xs, ys = pixel_grid(height, width)
-        return cls(xs, ys)
-
 
 def _apply_warp(transform: np.ndarray, xs, ys, depth, valid):
     """Apply a pixel-depth warp to (x, y, d) grids.
@@ -133,20 +132,21 @@ def _wrap(cls, **fields):
 _WARP = (np.float64, np.float64, np.float64, bool)  # x, y, depth, validity
 
 
-def _fill_bands(outs, band):
-    """Fill the same-shaped full-frame arrays `outs` band by band from the outputs of band(rows)."""
-    h, w = outs[0].shape
+def _row_bands(shape):
+    """Row slices of max(1, _BAND_PIXELS // W) rows covering an H x W frame."""
+    h, w = shape
     step = max(1, _BAND_PIXELS // max(w, 1))
     for start in range(0, h, step):
-        rows = slice(start, min(start + step, h))
-        for out, part in zip(outs, band(rows)):
-            out[rows] = part
-    return outs
+        yield slice(start, min(start + step, h))
 
 
 def _banded(shape, dtypes, band):
     """Full-frame arrays of `dtypes` filled band by band from the outputs of band(rows)."""
-    return _fill_bands(tuple(np.empty(shape, dtype=dtype) for dtype in dtypes), band)
+    outs = tuple(np.empty(shape, dtype=dtype) for dtype in dtypes)
+    for rows in _row_bands(shape):
+        for out, part in zip(outs, band(rows)):
+            out[rows] = part
+    return outs
 
 
 def _forward(transform, d_ref: DepthMap, rows: slice):
@@ -194,6 +194,26 @@ def _fbr_band(forward, back, d_ref: DepthMap, d_src: DepthMap, rows: slice):
     """
     x, y, _, landed = _forward(forward, d_ref, rows)
     return (x, y, landed), _apply_warp(back, x, y, *_sample(d_src, x, y, landed))
+
+
+def _pair_errors(d_ref: DepthMap, rows: slice, x_back, y_back, d_back, ok):
+    """PDE (px) and RDD of reference rows `rows` reprojected to (x_back, y_back, d_back); inf where not ok."""
+    xs = np.arange(d_ref.width, dtype=np.float64)
+    ys = np.arange(rows.start, rows.stop, dtype=np.float64)[:, None]
+    pde = np.where(ok, np.sqrt((x_back - xs) ** 2 + (y_back - ys) ** 2), np.inf)
+    depth = d_ref.values[rows]
+    denom = np.where(d_ref.valid[rows], depth, 1.0)
+    rdd = np.where(ok, np.abs(d_back - depth) / denom, np.inf)
+    return pde, rdd
+
+
+def _pair_bands(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera):
+    """Per row band of one pair: rows, forward landing (x, y, valid), reprojected depth, ok, PDE, RDD."""
+    forward, back = warp_transform(ref, src), warp_transform(src, ref)
+    for rows in _row_bands(d_ref.shape):
+        landing, (x_back, y_back, d_back, ok) = _fbr_band(forward, back, d_ref, d_src, rows)
+        yield rows, landing, d_back, ok, *_pair_errors(d_ref, rows, x_back, y_back, d_back, ok)
+        del landing, x_back, y_back, d_back, ok  # freed before the next band
 
 
 def forward_project(d_ref: DepthMap, ref: Camera, src: Camera) -> tuple[CoordinateGrid, DepthMap]:

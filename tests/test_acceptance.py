@@ -32,6 +32,7 @@ from conftest import random_camera
 from oracles import naive_cross_entropy, naive_penalty, quadratic_nn
 from test_formats import CAM_MALFORMED, PFM_MALFORMED, PLY_MALFORMED
 from test_views import PAIR_MALFORMED
+from truth import covisibility_mask, fixed_point_mask, render_occlusion_truth
 
 
 def report(num, name, ok, detail=""):
@@ -51,7 +52,7 @@ def test_criterion_01_fbr_fixed_point():
         for s in range(1, 5):
             ds, _ = synth.render_depth(spec, s)
             d_re, p_re = fbr(d0, spec.cameras[0], ds, spec.cameras[s])
-            covis = synth.fixed_point_mask(spec, 0, s)
+            covis = fixed_point_mask(spec, 0, s)
             assert covis.sum() > 1000
             assert not (covis & ~d_re.valid).any()
             worst_pde = max(worst_pde, float(np.hypot(p_re.x - xs, p_re.y - ys)[covis].max()))
@@ -92,7 +93,7 @@ def test_criterion_02_penalty_oracle_equivalence():
 def test_criterion_03_penalty_semantics():
     spec = synth.make_scene("plane", 80, 64, 5, seed=31)
     d0, _ = synth.render_depth(spec, 0)
-    covis = np.logical_and.reduce([synth.covisibility_mask(spec, 0, s) for s in range(1, 5)])
+    covis = np.logical_and.reduce([covisibility_mask(spec, 0, s) for s in range(1, 5)])
     d_ref = DepthMap(np.where(covis, d0.values, 0.0), d0.valid & covis)
     sources = [(synth.render_depth(spec, s)[0], spec.cameras[s]) for s in range(1, 5)]
     thr = GcThresholds(1.0, 0.01)
@@ -121,7 +122,7 @@ def test_criterion_04_occlusion_robustness():
     sources = [(synth.render_depth(spec, s)[0], spec.cameras[s]) for s in range(1, 5)]
     thr = GcThresholds(1.0, 0.01)
     pen = apply_reference_mask(per_pixel_penalty(d0, spec.cameras[0], sources, thr), d0.valid)
-    covis = np.logical_and.reduce([synth.fixed_point_mask(spec, 0, s) for s in range(1, 5)])
+    covis = np.logical_and.reduce([fixed_point_mask(spec, 0, s) for s in range(1, 5)])
     mean_covis = float(pen.values[covis].mean())
     part_mean = covis.sum() > 5000 and mean_covis == 1.0
     # Occluded pixels vote inconsistent in their view.  The ray-cast truth
@@ -131,7 +132,7 @@ def test_criterion_04_occlusion_robustness():
     part_policy = True
     for s in range(1, 5):
         occ = ndimage.binary_erosion(
-            synth.render_occlusion_truth(spec, 0, s), structure=np.ones((5, 5), bool)
+            render_occlusion_truth(spec, 0, s), structure=np.ones((5, 5), bool)
         )
         if not occ.any():
             continue

@@ -8,6 +8,8 @@ from mvsgeo import formats
 from mvsgeo.cli import main
 from mvsgeo.loss import ProbabilityVolume
 
+from truth import covisibility_mask
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -143,7 +145,7 @@ def test_gc_penalty_one_corrupted_view_of_eight(tmp_path, capsys):
     # Trim the reference depth to the all-view co-visible region so border
     # pixels leaving some frustum do not add votes of their own.
     spec = synth.make_scene("plane", 40, 32, 9, seed=6)
-    covis = np.logical_and.reduce([synth.covisibility_mask(spec, 0, s) for s in range(1, 9)])
+    covis = np.logical_and.reduce([covisibility_mask(spec, 0, s) for s in range(1, 9)])
     ref_path = scene / "depths" / "00000000.pfm"
     ref = formats.read_pfm(ref_path.read_bytes())
     ref_path.write_bytes(formats.write_pfm(formats.PfmImage(np.where(covis, ref.data, 0.0).astype(np.float32))))
@@ -247,6 +249,37 @@ def test_warp_cli(plane_scene, tmp_path, capsys):
     assert doc["max_rdd"] < 1e-6
     for stem in ("reproj_depth", "reproj_x", "reproj_y", "reproj_valid"):
         assert (out_dir / f"{stem}_00000000_00000001.pfm").exists()
+
+
+def test_warp_statistics_are_the_pair_check_formula_bitwise(tmp_path, capsys):
+    # mean/max PDE and RDD in warp's JSON are sqrt(dx**2 + dy**2) and
+    # |d'' - d| / d over fbr's valid pixels, to the last bit; the occluder
+    # scene makes them far from zero, and its max_pde is one where
+    # np.hypot would differ in the last bit.
+    from mvsgeo.camera import pixel_grid
+    from mvsgeo.reproject import fbr
+
+    scene = tmp_path / "scene"
+    code, _, _ = run_cli(capsys, "synth", "--out", str(scene), "--kind", "two-planes",
+                         "--width", "48", "--height", "40", "--views", "3", "--seed", "0")
+    assert code == 0
+    code, out, _ = run_cli(capsys, "warp", "--scene", str(scene), "--ref", "0", "--src", "1",
+                           "--out", str(tmp_path / "warp"))
+    assert code == 0
+    doc = read_json(out)
+    cams, depths = [], []
+    for v in (0, 1):
+        cams.append(formats.read_cam((scene / "cams" / f"{v:08d}_cam.txt").read_text()))
+        depths.append(formats.depth_from_pfm(formats.read_pfm((scene / "depths" / f"{v:08d}.pfm").read_bytes())))
+    d_back, p_back = fbr(depths[0], cams[0], depths[1], cams[1])
+    ok = d_back.valid
+    xs, ys = pixel_grid(40, 48)
+    pde = np.sqrt((p_back.x - xs) ** 2 + (p_back.y - ys) ** 2)[ok]
+    rdd = np.abs(d_back.values - depths[0].values)[ok] / depths[0].values[ok]
+    assert doc["valid_pixels"] == int(ok.sum()) > 0
+    assert (doc["mean_pde"], doc["max_pde"]) == (float(pde.mean()), float(pde.max()))
+    assert (doc["mean_rdd"], doc["max_rdd"]) == (float(rdd.mean()), float(rdd.max()))
+    assert doc["max_pde"] > 1.0 and doc["max_rdd"] > 0.01
 
 
 def _finite_json(text):

@@ -6,7 +6,6 @@ from mvsgeo.formats import (
     ParseError,
     PfmImage,
     depth_from_pfm,
-    depth_to_pfm,
     read_cam,
     read_pfm,
     read_ply,
@@ -79,7 +78,7 @@ def test_depth_pfm_helpers(rng):
     values = np.where(rng.random((6, 7)) > 0.3, rng.uniform(1, 5, (6, 7)), 0.0).astype(np.float32)
     depth = depth_from_pfm(PfmImage(values))
     assert np.array_equal(depth.valid, values > 0)
-    out = depth_to_pfm(depth)
+    out = PfmImage(depth.values.astype(np.float32))
     assert np.array_equal(out.data, values)
     with pytest.raises(ValueError, match="single-channel"):
         depth_from_pfm(PfmImage(np.zeros((2, 2, 3), dtype=np.float32)))

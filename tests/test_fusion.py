@@ -171,8 +171,9 @@ def test_threads_bit_identical():
 @pytest.mark.parametrize("band", [1, 37, 10**6])
 def test_pair_stacks_match_full_frame_reprojection(monkeypatch, band):
     # The banded pair check equals the full-frame forward_project +
-    # back_reproject chain bit for bit; the landing index is the rounded
-    # landing pixel, row-major in the source image, -1 off it.
+    # back_reproject chain and the penalty's sqrt/RDD formula bit for bit;
+    # the landing index is the rounded landing pixel, row-major in the
+    # source image, -1 off it.
     from mvsgeo.camera import pixel_grid
     from mvsgeo.fusion import _pair_stacks
     from mvsgeo.reproject import back_reproject, forward_project
@@ -189,7 +190,7 @@ def test_pair_stacks_match_full_frame_reprojection(monkeypatch, band):
         coords, _ = forward_project(d_ref, ref, src)
         d_back, p_back = back_reproject(coords, d_src, src, ref)
         ok = d_back.valid
-        want_disp = np.where(ok, np.hypot(p_back.x - xs, p_back.y - ys), np.inf)
+        want_disp = np.where(ok, np.sqrt((p_back.x - xs) ** 2 + (p_back.y - ys) ** 2), np.inf)
         denom = np.where(d_ref.valid, d_ref.values, 1.0)
         want_rdd = np.where(ok, np.abs(d_back.values - d_ref.values) / denom, np.inf)
         assert disp[i].tobytes() == want_disp.tobytes()
@@ -292,14 +293,15 @@ def test_fused_cloud_is_band_invariant(monkeypatch, kind, w, h, n, seed):
 
 
 def test_one_forward_warp_per_pair(monkeypatch):
-    # Each pair builds its forward and back transform once and warps
-    # forward once per band (one band here), reusing that warp for the
-    # back half instead of going through forward_project or fbr.
+    # Each pair builds its forward and back transform once (inside
+    # reproject's pair check) and warps forward once per band (one band
+    # here), reusing that warp for the back half instead of going through
+    # forward_project or fbr.
     import mvsgeo.fusion
     import mvsgeo.reproject
 
     transforms, forwards = [], []
-    original_transform, original_forward = mvsgeo.fusion.warp_transform, mvsgeo.reproject._forward
+    original_transform, original_forward = mvsgeo.reproject.warp_transform, mvsgeo.reproject._forward
 
     def counting_transform(ref, src):
         transforms.append((id(ref), id(src)))
@@ -312,7 +314,7 @@ def test_one_forward_warp_per_pair(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("fusion must not call the full-frame reprojection")
 
-    monkeypatch.setattr(mvsgeo.fusion, "warp_transform", counting_transform)
+    monkeypatch.setattr(mvsgeo.reproject, "warp_transform", counting_transform)
     monkeypatch.setattr(mvsgeo.reproject, "_forward", counting_forward)
     for name in ("forward_project", "back_reproject", "fbr"):
         monkeypatch.setattr(mvsgeo.reproject, name, refused)

@@ -17,6 +17,7 @@ from mvsgeo.penalty import (
 from mvsgeo.reproject import CoordinateGrid, DepthMap
 
 from oracles import naive_penalty
+from truth import covisibility_mask, identity_grid
 
 
 def constant_depth(h, w, value=100.0):
@@ -25,7 +26,7 @@ def constant_depth(h, w, value=100.0):
 
 def identity_reproj(d: DepthMap):
     h, w = d.shape
-    return DepthMap(d.values.copy(), d.valid.copy()), CoordinateGrid.identity(h, w)
+    return DepthMap(d.values.copy(), d.valid.copy()), identity_grid(h, w)
 
 
 def test_thresholds_must_be_positive():
@@ -46,7 +47,7 @@ def test_mask_rdd_direct_substitution():
     # D0 = 100, D'' = 102, d_depth = 0.01: RDD = 0.02 flags the pixel.
     d = constant_depth(1, 1, 100.0)
     d_re = DepthMap(np.array([[102.0]]), np.array([[True]]))
-    p_re = CoordinateGrid.identity(1, 1)
+    p_re = identity_grid(1, 1)
     mask = inconsistency_mask(d, d_re, p_re, GcThresholds(1.0, 0.01))
     assert mask[0, 0]
 
@@ -116,7 +117,7 @@ def test_penalty_exact_scene_all_ones():
     # counts as inconsistent); votes then vanish everywhere.
     spec = synth.make_scene("plane", 40, 32, 5, seed=1)
     d0, _ = synth.render_depth(spec, 0)
-    covis = np.logical_and.reduce([synth.covisibility_mask(spec, 0, s) for s in range(1, 5)])
+    covis = np.logical_and.reduce([covisibility_mask(spec, 0, s) for s in range(1, 5)])
     d_ref = DepthMap(np.where(covis, d0.values, 0.0), d0.valid & covis)
     sources = [(synth.render_depth(spec, s)[0], spec.cameras[s]) for s in range(1, 5)]
     pen = per_pixel_penalty(d_ref, spec.cameras[0], sources, GcThresholds(1.0, 0.01))
@@ -151,6 +152,24 @@ def test_stage_penalties_match_naive_loop_oracle_per_stage():
             assert pen.range_mode == mode and pen.m == len(sources)
             oracle = naive_penalty(d0, spec.cameras[0], sources, thr.d_pixel, thr.d_depth, mode)
             assert np.array_equal(pen.values, oracle)
+
+
+def test_failed_reprojections_vote_under_infinite_thresholds():
+    # No displacement or depth difference exceeds an infinite threshold, so
+    # every vote left is a reprojection that cannot be done (occluded, off
+    # the source image, an invalid bilinear corner): those still vote
+    # inconsistent, bit for bit as in the nested-loop oracle.
+    spec = synth.make_scene("two-planes", 40, 32, 3, seed=0)
+    d0, _ = synth.render_depth(spec, 0)
+    sources = [(synth.render_depth(spec, s)[0], spec.cameras[s]) for s in (1, 2)]
+    pen = per_pixel_penalty(d0, spec.cameras[0], sources, GcThresholds(np.inf, np.inf))
+    oracle = naive_penalty(d0, spec.cameras[0], sources, np.inf, np.inf)
+    assert pen.values.tobytes() == oracle.tobytes()
+    assert np.count_nonzero(pen.values > 1.0) == 139
+    d_re, p_re = identity_reproj(constant_depth(4, 4))
+    d_re.valid[2, 2] = p_re.valid[2, 2] = False
+    mask = inconsistency_mask(constant_depth(4, 4), d_re, p_re, GcThresholds(np.inf, np.inf))
+    assert mask[2, 2] and mask.sum() == 1
 
 
 def test_stage_penalties_requires_a_stage():
@@ -215,7 +234,7 @@ def test_penalty_degradation_single_pixel():
     d_ref = DepthMap(vals, d0.valid)
     sources = [(synth.render_depth(spec, s)[0], spec.cameras[s]) for s in range(1, 5)]
     for s in range(1, 5):
-        assert synth.covisibility_mask(spec, 0, s)[i, j]
+        assert covisibility_mask(spec, 0, s)[i, j]
     pen = per_pixel_penalty(d_ref, spec.cameras[0], sources, thr)
     assert pen.values[i, j] == 2.0
     pen3 = per_pixel_penalty(d_ref, spec.cameras[0], sources, thr, "one-three")

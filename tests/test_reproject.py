@@ -8,6 +8,7 @@ from mvsgeo.reproject import CoordinateGrid, DepthMap, back_reproject, fbr, forw
 
 from conftest import BAND_SCENES, band_sizes, random_camera
 from oracles import homogeneous_warp, naive_penalty
+from truth import fixed_point_mask, identity_grid, render_occlusion_truth
 
 
 def identity_camera(f=500.0, cx=39.5, cy=31.5):
@@ -119,7 +120,7 @@ def test_apply_warp_matches_homogeneous_formula_bitwise(rng):
 def test_remap_identity_grid():
     values = np.arange(1, 21, dtype=np.float64).reshape(4, 5)
     src = DepthMap.from_values(values)
-    out = remap(src, CoordinateGrid.identity(4, 5))
+    out = remap(src, identity_grid(4, 5))
     assert np.array_equal(out.values, values)
     assert out.valid.all()
 
@@ -190,7 +191,7 @@ def test_fbr_fixed_point_on_exact_scene(kind):
     for s in (1, 2):
         ds, _ = synth.render_depth(spec, s)
         d_re, p_re = fbr(d0, spec.cameras[0], ds, spec.cameras[s])
-        fp = synth.fixed_point_mask(spec, 0, s)
+        fp = fixed_point_mask(spec, 0, s)
         assert fp.sum() > 1000
         assert not (fp & ~d_re.valid).any()
         pde = np.hypot(p_re.x - xs, p_re.y - ys)[fp]
@@ -225,7 +226,7 @@ def test_fbr_sphere_occlusion_matches_ray_cast():
     )
     d0, m0 = synth.render_depth(spec, 0)
     d1, _ = synth.render_depth(spec, 1)
-    occluded = synth.render_occlusion_truth(spec, 0, 1)
+    occluded = render_occlusion_truth(spec, 0, 1)
     assert occluded.sum() > 300
     d_re, p_re = fbr(d0, cams[0], d1, cams[1])
     xs, ys = pixel_grid(80, 100)
@@ -244,7 +245,7 @@ def test_fbr_occlusion_classification_matches_ray_cast():
     for s in (1, 2):
         ds, _ = synth.render_depth(spec, s)
         d_re, p_re = fbr(d0, spec.cameras[0], ds, spec.cameras[s])
-        occluded = synth.render_occlusion_truth(spec, 0, s)
+        occluded = render_occlusion_truth(spec, 0, s)
         if occluded.sum() == 0:
             continue
         pde = np.hypot(p_re.x - xs, p_re.y - ys)

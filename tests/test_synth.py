@@ -6,6 +6,7 @@ from mvsgeo.camera import Camera, pixel_grid
 from mvsgeo.reproject import fbr
 
 from oracles import ld_inv
+from truth import fixed_point_mask, render_components, render_occlusion_truth
 
 
 def test_fronto_parallel_plane_constant_depth():
@@ -57,7 +58,7 @@ def test_tilted_plane_matches_closed_form_extended_precision():
 
 def test_occlusion_truth_same_view_empty():
     spec = synth.make_scene("two-planes", 60, 48, 3, seed=1)
-    assert not synth.render_occlusion_truth(spec, 0, 0).any()
+    assert not render_occlusion_truth(spec, 0, 0).any()
 
 
 def test_occlusion_truth_containment_construction():
@@ -78,8 +79,8 @@ def test_occlusion_truth_containment_construction():
         ),
     )
     spec = synth.SceneSpec(geometry=geometry, cameras=(ref, src), resolution=(60, 40))
-    comp, hit = synth.render_components(spec, 0)
-    occluded = synth.render_occlusion_truth(spec, 0, 1)
+    comp, hit = render_components(spec, 0)
+    occluded = render_occlusion_truth(spec, 0, 1)
     back_pixels = hit & (comp == 0)
     assert back_pixels.sum() > 100
     assert occluded[back_pixels].all()
@@ -108,7 +109,7 @@ def test_occlusion_truth_matches_supersampled_zbuffer():
     xi = np.rint(x).astype(int)
     yi = np.rint(y).astype(int)
     inb = hit & (z > 0) & (xi >= 0) & (xi < w * factor) & (yi >= 0) & (yi < h * factor)
-    occluded = synth.render_occlusion_truth(spec, 0, src)
+    occluded = render_occlusion_truth(spec, 0, src)
 
     # A visible point matches its z-buffer sample; an occluded point sits
     # well behind it (the plane gap is ~26% relative depth, so 1% splits
@@ -132,7 +133,7 @@ def test_multi_view_consistency_fixed_point():
             if a == b:
                 continue
             d_re, p_re = fbr(maps[a], spec.cameras[a], maps[b], spec.cameras[b])
-            fp = synth.fixed_point_mask(spec, a, b)
+            fp = fixed_point_mask(spec, a, b)
             sel = fp & d_re.valid
             assert sel.sum() > 500
             pde = np.hypot(p_re.x - xs, p_re.y - ys)[sel]
