@@ -24,7 +24,6 @@ Formats:
 PFM and PLY payloads are viewed in place, not sliced out of the buffer.
 """
 
-import re
 import warnings
 
 import numpy as np

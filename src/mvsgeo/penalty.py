@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Camera
-from .reproject import CoordinateGrid, DepthMap, _pair_errors, fbr
+from .reproject import CoordinateGrid, DepthMap, _pair_errors, _row_bands, _Scratch, fbr
 
 __all__ = [
     "GcThresholds",
@@ -64,9 +64,9 @@ class PenaltyMap:
             raise ValueError(f"range_mode must be one of {_RANGE_MODES}")
 
 
-def _votes(tested, ok, pde, rdd, thresholds: GcThresholds) -> np.ndarray:
-    """One stage's vote: tested pixels whose reprojection failed (not ok) or exceeds a threshold."""
-    return tested & (~ok | (pde > thresholds.d_pixel) | (rdd > thresholds.d_depth))
+def _votes(tested, failed, pde, rdd, thresholds: GcThresholds) -> np.ndarray:
+    """One stage's vote: tested pixels whose reprojection failed or exceeds a threshold."""
+    return tested & (failed | (pde > thresholds.d_pixel) | (rdd > thresholds.d_depth))
 
 
 def inconsistency_mask(
@@ -85,9 +85,10 @@ def inconsistency_mask(
     tested = d_ref.valid
     if np.any(d_ref.values[tested] == 0):
         raise ValueError("zero reference depth")
-    ok = d_reproj.valid & p_reproj.valid
-    pde, rdd = _pair_errors(d_ref, slice(0, d_ref.height), p_reproj.x, p_reproj.y, d_reproj.values, ok)
-    return _votes(tested, ok, pde, rdd, thresholds)
+    failed = ~(d_reproj.valid & p_reproj.valid)
+    pde, rdd = _pair_errors(d_ref, slice(0, d_ref.height), p_reproj.x, p_reproj.y, d_reproj.values, failed,
+                            np.empty((2,) + d_ref.shape))
+    return _votes(tested, failed, pde, rdd, thresholds)
 
 
 def per_pixel_penalty(
@@ -111,11 +112,12 @@ def stage_penalties(
     """Penalty maps of one reference view for several threshold stages.
 
     The stages differ only in the thresholds applied to the same
-    reprojection, so each source is reprojected once (one fbr call), its
-    displacement and relative depth difference are computed once, and
-    every stage's thresholds are applied to them.  Returns one
-    PenaltyMap per stage, in the order of `stages`; each equals
-    per_pixel_penalty with that stage's thresholds.
+    reprojection, so each source is reprojected once (one fbr call).
+    Then, band by band of rows, its displacement and relative depth
+    difference are computed once and every stage's votes are added to
+    that stage's int64 sums, so no full-frame error array is made.
+    Returns one PenaltyMap per stage, in the order of `stages`; each
+    equals per_pixel_penalty with that stage's thresholds.
     """
     if not sources:
         raise ValueError("at least one source view is required")
@@ -124,19 +126,26 @@ def stage_penalties(
     if range_mode not in _RANGE_MODES:
         raise ValueError(f"range_mode must be one of {_RANGE_MODES}")
     mask_sums = [np.zeros(d_ref.shape, dtype=np.int64) for _ in stages]
+    scratch = _Scratch(d_ref.shape, 2, 1)
     for d_src, src_cam in sources:
         if d_src.shape != d_ref.shape:
             raise ValueError(
                 f"source depth shape {d_src.shape} does not match reference {d_ref.shape}"
             )
         d_back, p_back = fbr(d_ref, ref, d_src, src_cam)
-        ok = d_back.valid  # fbr's depth and coordinates share one mask
-        pde, rdd = _pair_errors(d_ref, slice(0, d_ref.height), p_back.x, p_back.y, d_back.values, ok)
-        for mask_sum, thresholds in zip(mask_sums, stages):
-            mask_sum += _votes(d_ref.valid, ok, pde, rdd, thresholds)
+        for rows in _row_bands(d_ref.shape):
+            errors, (failed,), _ = scratch.band(rows)
+            np.logical_not(d_back.valid[rows], out=failed)  # fbr's depth and coordinates share one mask
+            pde, rdd = _pair_errors(d_ref, rows, p_back.x[rows], p_back.y[rows], d_back.values[rows], failed, errors)
+            tested = d_ref.valid[rows]
+            for mask_sum, thresholds in zip(mask_sums, stages):
+                band_sum = mask_sum[rows]
+                band_sum += _votes(tested, failed, pde, rdd, thresholds)
+        del d_back, p_back  # freed before the next source's fbr
     m = len(sources)
     penalties = []
-    for mask_sum in mask_sums:
+    while mask_sums:
+        mask_sum = mask_sums.pop(0)  # each sum is freed once its map is made
         if range_mode == "one-two":
             values = 1.0 + mask_sum / m
         else:

@@ -6,11 +6,28 @@ that sampled depth back through the source camera and reproject it into
 the reference view.  Comparing the result against the original reference
 depth is the basis of every consistency check in this package.
 
-Each step is a vectorized numpy pass over one band of rows at a time,
-written into full-frame outputs, so its float64 temporaries (256 KB per
-band of _BAND_PIXELS) stay in a 2 MB L2 cache instead of streaming whole
-frames through memory.  An output pixel depends only on its own input
-pixel and the whole source map, so the band size never changes a bit.
+Each step is a vectorized numpy pass over one band of rows at a time.
+Each pair call (fbr, forward_project, remap, back_reproject,
+_pair_bands) allocates one _Scratch of band-sized buffers (256 KB per
+float64 buffer at _BAND_PIXELS) and every band reuses it: the chain
+writes through ufunc `out=` arguments into those buffers and, for its
+last step, straight into the row slices of the caller's full-frame
+outputs.  A band allocates nothing of its size, so the working set stays
+in L2 and no band pays for fresh pages or heap trimming.
+
+The sampler reads one corner-validity map per source map and call: a
+flat bool per pixel telling whether the bilinear cell with that upper-left
+pixel has four valid corners (about 50 us at 640 x 512).  One gather from
+it replaces four validity gathers, and each corner value is one
+np.take from the flat depths at the corner's offset (right +1, lower +W).
+
+Neither the band size nor the buffer reuse changes a bit: an output pixel
+depends only on its own input pixel and the whole source map, each
+ufunc is elementwise, and every pixel is computed by the same operations
+in the same order as with fresh arrays (the pair's shared terms, such as
+the pixel grid, are broadcast, not accumulated across bands).  Results
+outside a mask are written after the arithmetic (np.copyto with
+where=~ok), so the values a scratch buffer held before never leak.
 
 _pair_errors is the one pair check (penalty, fusion, `warp`): displacement
 sqrt(dx**2 + dy**2) and relative depth difference, inf where `ok` is false
@@ -106,20 +123,40 @@ class CoordinateGrid:
         return self.x.shape
 
 
-def _apply_warp(transform: np.ndarray, xs, ys, depth, valid):
-    """Apply a pixel-depth warp to (x, y, d) grids.
+def _scaled(a, s, buf):
+    """s * a in the leading a.size elements of buf, shaped like a (so it still broadcasts)."""
+    return np.multiply(a, s, out=buf.reshape(-1)[: a.size].reshape(a.shape))
+
+
+def _warp_row(t, xs, ys, depth, acc, tmp):
+    """acc = ((t[0]*x)*d + (t[1]*y)*d) + t[2]*d + t[3], evaluated in this order."""
+    np.multiply(_scaled(xs, t[0], tmp), depth, out=acc)
+    np.multiply(_scaled(ys, t[1], tmp), depth, out=tmp)
+    acc += tmp
+    np.multiply(depth, t[2], out=tmp)
+    acc += tmp
+    acc += t[3]
+
+
+def _apply_warp(transform: np.ndarray, xs, ys, depth, valid, out, tmp, failed):
+    """Apply a pixel-depth warp to (x, y, d) grids, writing (x', y', d', ok) into `out`.
 
     `transform` comes from warp_transform, whose last row is exactly
     (0, 0, 0, 1): the homogeneous coordinate is 1 and needs no divide.
-    Returns the warped (x', y', d') and a validity mask; pixels landing
-    behind the camera (d' below W_EPS) are invalidated.
+    Pixels landing behind the camera (d' not above W_EPS) come back
+    invalid, as 0.  tmp (float64) and failed (bool) are band-sized
+    scratch; failed is left holding ~ok.
     """
-    u = transform[0, 0] * xs * depth + transform[0, 1] * ys * depth + transform[0, 2] * depth + transform[0, 3]
-    v = transform[1, 0] * xs * depth + transform[1, 1] * ys * depth + transform[1, 2] * depth + transform[1, 3]
-    d = transform[2, 0] * xs * depth + transform[2, 1] * ys * depth + transform[2, 2] * depth + transform[2, 3]
-    ok = valid & (d > W_EPS)
-    ds = np.where(ok, d, 1.0)
-    return np.where(ok, u / ds, 0.0), np.where(ok, v / ds, 0.0), np.where(ok, d, 0.0), ok
+    x2, y2, d2, ok = out
+    _warp_row(transform[2], xs, ys, depth, d2, tmp)
+    np.greater(d2, W_EPS, out=ok)
+    ok &= valid
+    np.logical_not(ok, out=failed)
+    for t, acc in ((transform[0], x2), (transform[1], y2)):
+        _warp_row(t, xs, ys, depth, acc, tmp)
+        np.divide(acc, d2, out=acc, where=ok)
+        np.copyto(acc, 0.0, where=failed)
+    np.copyto(d2, 0.0, where=failed)
 
 
 def _wrap(cls, **fields):
@@ -132,10 +169,14 @@ def _wrap(cls, **fields):
 _WARP = (np.float64, np.float64, np.float64, bool)  # x, y, depth, validity
 
 
+def _band_rows(width):
+    return max(1, _BAND_PIXELS // max(width, 1))
+
+
 def _row_bands(shape):
     """Row slices of max(1, _BAND_PIXELS // W) rows covering an H x W frame."""
     h, w = shape
-    step = max(1, _BAND_PIXELS // max(w, 1))
+    step = _band_rows(w)
     for start in range(0, h, step):
         yield slice(start, min(start + step, h))
 
@@ -149,71 +190,170 @@ def _banded(shape, dtypes, band):
     return outs
 
 
-def _forward(transform, d_ref: DepthMap, rows: slice):
-    """Forward warp of reference rows `rows` (the pixel grid broadcast per band)."""
+class _Scratch:
+    """Band-sized buffers of one pair call, allocated once and reused by every band.
+
+    One array per buffer, not one block for all: measured on `fuse
+    --threads 2` over 320 x 256 x 8 views, one block per pair peaked
+    3-5 MB higher.
+    """
+
+    def __init__(self, shape, floats, bools):
+        h, w = shape
+        n = min(h, _band_rows(w))
+        self._f = [np.empty((n, w)) for _ in range(floats)]
+        self._b = [np.empty((n, w), dtype=bool) for _ in range(bools)]
+        self._i = np.empty((n, w), dtype=np.int64)
+
+    def band(self, rows):
+        """Float64 buffers, bool buffers and the int64 buffer cut to the rows of band `rows` (contiguous)."""
+        n = rows.stop - rows.start
+        return [a[:n] for a in self._f], [a[:n] for a in self._b], self._i[:n]
+
+
+def _filled(shape, dtypes, floats, bools, band):
+    """Full-frame arrays of `dtypes` written band by band by band(rows, outs, f, b, idx).
+
+    outs are the arrays' row slices; f, b, idx the band's views of one
+    _Scratch(shape, floats, bools) shared by all bands.
+    """
+    outs = tuple(np.empty(shape, dtype=dtype) for dtype in dtypes)
+    scratch = _Scratch(shape, floats, bools)
+    for rows in _row_bands(shape):
+        band(rows, tuple(out[rows] for out in outs), *scratch.band(rows))
+    return outs
+
+
+def _forward(transform, d_ref: DepthMap, rows: slice, out, tmp, failed):
+    """Forward warp of reference rows `rows` into `out` (the pixel grid broadcast per band)."""
     depth = d_ref.values[rows]
     xs = np.arange(depth.shape[1], dtype=np.float64)
     ys = np.arange(rows.start, rows.stop, dtype=np.float64)[:, None]
-    return _apply_warp(transform, xs, ys, depth, d_ref.valid[rows])
+    _apply_warp(transform, xs, ys, depth, d_ref.valid[rows], out, tmp, failed)
 
 
-def _sample(src_map: DepthMap, xs, ys, coords_valid):
-    """Bilinear samples of src_map at (xs, ys) and their validity (see remap)."""
-    values, valid = src_map.values.ravel(), src_map.valid.ravel()
-    hs, ws = src_map.shape
-    in_bounds = (
-        coords_valid
-        & (xs >= -_EDGE_EPS)
-        & (xs <= ws - 1 + _EDGE_EPS)
-        & (ys >= -_EDGE_EPS)
-        & (ys <= hs - 1 + _EDGE_EPS)
-    )
-    xc = np.clip(np.where(in_bounds, xs, 0.0), 0.0, ws - 1)
-    yc = np.clip(np.where(in_bounds, ys, 0.0), 0.0, hs - 1)
-    x0 = np.clip(np.floor(xc).astype(np.int64), 0, max(ws - 2, 0))
-    y0 = np.clip(np.floor(yc).astype(np.int64), 0, max(hs - 2, 0))
-    # Flat indices of the four corners; a 1-pixel-wide (tall) map has a
-    # single column (row), so its right (lower) corner is the left (upper).
-    i00 = y0 * ws + x0
-    i01 = i00 + (1 if ws > 1 else 0)
-    i10 = i00 + (ws if hs > 1 else 0)
-    i11 = i10 + (i01 - i00)
-    ok = in_bounds & valid[i00] & valid[i01] & valid[i10] & valid[i11]
-    fx = xc - x0
-    fy = yc - y0
-    top = values[i00] * (1.0 - fx) + values[i01] * fx
-    bot = values[i10] * (1.0 - fx) + values[i11] * fx
-    return np.where(ok, top * (1.0 - fy) + bot * fy, 0.0), ok
+def _corners(src_map: DepthMap):
+    """Flat offsets of a bilinear cell's right and lower corners, and its corner-validity map.
 
-
-def _fbr_band(forward, back, d_ref: DepthMap, d_src: DepthMap, rows: slice):
-    """Forward-backward reprojection of reference rows `rows`.
-
-    Returns the forward landing (x, y, valid) in the source view and the
-    back warp (x, y, depth, valid) in the reference view.
+    A 1-pixel-wide (tall) map has a single column (row), so its right
+    (lower) corner is the left (upper) one.  cells[i] tells whether all
+    four corners of the cell whose upper-left pixel has flat index i are
+    valid; only indices of cells inside the map are ever read.
     """
-    x, y, _, landed = _forward(forward, d_ref, rows)
-    return (x, y, landed), _apply_warp(back, x, y, *_sample(d_src, x, y, landed))
+    hs, ws = src_map.shape
+    dx, dy = (1 if ws > 1 else 0), (ws if hs > 1 else 0)
+    valid = src_map.valid.ravel()
+    pairs = valid.copy()
+    pairs[: valid.size - dx] &= valid[dx:]
+    cells = pairs.copy()
+    cells[: valid.size - dy] &= pairs[dy:]
+    return dx, dy, cells
 
 
-def _pair_errors(d_ref: DepthMap, rows: slice, x_back, y_back, d_back, ok):
-    """PDE (px) and RDD of reference rows `rows` reprojected to (x_back, y_back, d_back); inf where not ok."""
+def _sample(src_map: DepthMap, corners, xs, ys, coords_valid, out, tmp, idx, failed):
+    """Bilinear samples of src_map at (xs, ys), written with their validity into out = (values, ok).
+
+    See remap for the contract; corners is _corners(src_map).  tmp holds
+    six float64 buffers, idx one int64 and failed one bool buffer, all
+    band-sized; failed is left holding ~ok.
+    """
+    res, ok = out
+    xc, yc, gx, gy, lower, corner = tmp
+    dx, dy, cells = corners
+    values = src_map.values.ravel()
+    hs, ws = src_map.shape
+    np.greater_equal(xs, -_EDGE_EPS, out=ok)
+    ok &= coords_valid
+    ok &= np.less_equal(xs, ws - 1 + _EDGE_EPS, out=failed)
+    ok &= np.greater_equal(ys, -_EDGE_EPS, out=failed)
+    ok &= np.less_equal(ys, hs - 1 + _EDGE_EPS, out=failed)
+    np.logical_not(ok, out=failed)
+    # Out-of-bounds queries read cell 0; their samples are dropped below.
+    np.copyto(np.clip(xs, 0.0, ws - 1, out=xc), 0.0, where=failed)
+    np.copyto(np.clip(ys, 0.0, hs - 1, out=yc), 0.0, where=failed)
+    # The cell's upper-left pixel (x0, y0), clamped so that W-1 (H-1)
+    # falls in the last cell with fractional weight 1.
+    np.minimum(np.floor(xc, out=gx), max(ws - 2, 0), out=gx)
+    np.minimum(np.floor(yc, out=gy), max(hs - 2, 0), out=gy)
+    np.subtract(xc, gx, out=xc)  # fx
+    np.subtract(yc, gy, out=yc)  # fy
+    gy *= ws
+    gy += gx
+    np.copyto(idx, gy, casting="unsafe")  # y0 * W + x0, exact in float64
+    np.subtract(1.0, xc, out=gx)
+    np.subtract(1.0, yc, out=gy)
+    ok &= np.take(cells, idx, out=failed, mode="clip")
+    # top = v00*(1-fx) + v01*fx, lower = v10*(1-fx) + v11*fx, then
+    # top*(1-fy) + lower*fy; each corner is one gather at its offset.
+    top = np.take(values, idx, out=res, mode="clip")
+    top *= gx
+    np.take(values[dx:], idx, out=corner, mode="clip")
+    corner *= xc
+    top += corner
+    np.take(values[dy:], idx, out=lower, mode="clip")
+    lower *= gx
+    np.take(values[dx + dy:], idx, out=corner, mode="clip")
+    corner *= xc
+    lower += corner
+    top *= gy
+    lower *= yc
+    top += lower
+    np.logical_not(ok, out=failed)
+    np.copyto(res, 0.0, where=failed)
+
+
+def _fbr_band(forward, back, d_ref: DepthMap, d_src: DepthMap, corners, rows: slice, out, f, b, idx):
+    """Forward-backward reprojection of reference rows `rows`, the back warp written into `out`.
+
+    out = (x, y, depth, ok) in the reference view.  f, b, idx are band
+    scratch: at least 9 float64 and 3 bool buffers; b[2] is left holding
+    ~ok.  Returns the forward landing (x, y, valid) in the source view,
+    views of f and b.
+    """
+    x, y, s = f[:3]
+    landed, sampled, failed = b[:3]
+    _forward(forward, d_ref, rows, (x, y, s, landed), f[3], failed)  # s: forward depth, then sample
+    _sample(d_src, corners, x, y, landed, (s, sampled), f[3:9], idx, failed)
+    _apply_warp(back, x, y, s, sampled, out, f[3], failed)
+    return x, y, landed
+
+
+def _pair_errors(d_ref: DepthMap, rows: slice, x_back, y_back, d_back, failed, out):
+    """PDE (px) and RDD of reference rows `rows` reprojected to (x_back, y_back, d_back).
+
+    Written into out = (pde, rdd) and returned; inf where `failed` (the
+    reprojection is not ok).
+    """
+    pde, rdd = out
     xs = np.arange(d_ref.width, dtype=np.float64)
     ys = np.arange(rows.start, rows.stop, dtype=np.float64)[:, None]
-    pde = np.where(ok, np.sqrt((x_back - xs) ** 2 + (y_back - ys) ** 2), np.inf)
+    np.square(np.subtract(x_back, xs, out=pde), out=pde)
+    pde += np.square(np.subtract(y_back, ys, out=rdd), out=rdd)
+    np.sqrt(pde, out=pde)
     depth = d_ref.values[rows]
-    denom = np.where(d_ref.valid[rows], depth, 1.0)
-    rdd = np.where(ok, np.abs(d_back - depth) / denom, np.inf)
+    np.abs(np.subtract(d_back, depth, out=rdd), out=rdd)
+    np.divide(rdd, depth, out=rdd, where=d_ref.valid[rows])  # the denominator is 1 elsewhere
+    np.copyto(pde, np.inf, where=failed)
+    np.copyto(rdd, np.inf, where=failed)
     return pde, rdd
 
 
-def _pair_bands(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera):
-    """Per row band of one pair: rows, forward landing (x, y, valid), reprojected depth, ok, PDE, RDD."""
+def _pair_bands(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, d_back, pde, rdd):
+    """Fill one pair's full-frame reprojected depth, PDE and RDD band by band.
+
+    Yields per band its rows and the forward landing (x, y, valid) in the
+    source view.  The landing arrays are band scratch, overwritten by the
+    next band; the caller may overwrite them too.
+    """
     forward, back = warp_transform(ref, src), warp_transform(src, ref)
+    corners = _corners(d_src)
+    scratch = _Scratch(d_ref.shape, 9, 4)
     for rows in _row_bands(d_ref.shape):
-        landing, (x_back, y_back, d_back, ok) = _fbr_band(forward, back, d_ref, d_src, rows)
-        yield rows, landing, d_back, ok, *_pair_errors(d_ref, rows, x_back, y_back, d_back, ok)
-        del landing, x_back, y_back, d_back, ok  # freed before the next band
+        f, b, idx = scratch.band(rows)
+        x_back, y_back, depth = f[4], f[5], d_back[rows]  # f[4:] is free once the sample is done
+        landing = _fbr_band(forward, back, d_ref, d_src, corners, rows, (x_back, y_back, depth, b[3]), f, b, idx)
+        _pair_errors(d_ref, rows, x_back, y_back, depth, b[2], (pde[rows], rdd[rows]))
+        yield rows, *landing
 
 
 def forward_project(d_ref: DepthMap, ref: Camera, src: Camera) -> tuple[CoordinateGrid, DepthMap]:
@@ -225,7 +365,8 @@ def forward_project(d_ref: DepthMap, ref: Camera, src: Camera) -> tuple[Coordina
     invalid.
     """
     transform = warp_transform(ref, src)
-    x2, y2, d2, ok = _banded(d_ref.shape, _WARP, lambda rows: _forward(transform, d_ref, rows))
+    x2, y2, d2, ok = _filled(d_ref.shape, _WARP, 1, 1,
+                             lambda rows, out, f, b, idx: _forward(transform, d_ref, rows, out, f[0], b[0]))
     return _wrap(CoordinateGrid, x=x2, y=y2, valid=ok), _wrap(DepthMap, values=d2, valid=ok)
 
 
@@ -239,8 +380,12 @@ def remap(src_map: DepthMap, coords: CoordinateGrid) -> DepthMap:
     clamped to W-2/H-2 so the exact border coordinate W-1 (H-1) falls in
     the last cell with fractional weight 1.
     """
-    out, ok = _banded(coords.shape, (np.float64, bool),
-                      lambda rows: _sample(src_map, coords.x[rows], coords.y[rows], coords.valid[rows]))
+    corners = _corners(src_map)
+
+    def band(rows, out, f, b, idx):
+        _sample(src_map, corners, coords.x[rows], coords.y[rows], coords.valid[rows], out, f, idx, b[0])
+
+    out, ok = _filled(coords.shape, (np.float64, bool), 6, 1, band)
     return _wrap(DepthMap, values=out, valid=ok)
 
 
@@ -258,12 +403,14 @@ def back_reproject(
     camera come back invalid.
     """
     back = warp_transform(src, ref)
+    corners = _corners(d_src)
 
-    def band(rows):
+    def band(rows, out, f, b, idx):
         xs, ys = coords.x[rows], coords.y[rows]
-        return _apply_warp(back, xs, ys, *_sample(d_src, xs, ys, coords.valid[rows]))
+        _sample(d_src, corners, xs, ys, coords.valid[rows], (f[0], b[0]), f[1:7], idx, b[1])
+        _apply_warp(back, xs, ys, f[0], b[0], out, f[1], b[1])
 
-    x2, y2, d2, ok = _banded(coords.shape, _WARP, band)
+    x2, y2, d2, ok = _filled(coords.shape, _WARP, 7, 2, band)
     return _wrap(DepthMap, values=d2, valid=ok), _wrap(CoordinateGrid, x=x2, y=y2, valid=ok)
 
 
@@ -279,6 +426,10 @@ def fbr(d_ref: DepthMap, ref: Camera, d_src_gt: DepthMap, src: Camera) -> tuple[
     coordinates.  Invalidity propagates through every step.
     """
     forward, back = warp_transform(ref, src), warp_transform(src, ref)
+    corners = _corners(d_src_gt)
 
-    x2, y2, d2, ok = _banded(d_ref.shape, _WARP, lambda rows: _fbr_band(forward, back, d_ref, d_src_gt, rows)[1])
+    def band(rows, out, f, b, idx):
+        _fbr_band(forward, back, d_ref, d_src_gt, corners, rows, out, f, b, idx)
+
+    x2, y2, d2, ok = _filled(d_ref.shape, _WARP, 9, 3, band)
     return _wrap(DepthMap, values=d2, valid=ok), _wrap(CoordinateGrid, x=x2, y=y2, valid=ok)

@@ -168,14 +168,16 @@ def test_threads_bit_identical():
         assert np.array_equal(base.confidence, other.confidence)
 
 
-@pytest.mark.parametrize("band", [1, 37, 10**6])
+@pytest.mark.parametrize("band", [1, 36, 37, 38, 23 * 37 + 5, 10**6])
 def test_pair_stacks_match_full_frame_reprojection(monkeypatch, band):
     # The banded pair check equals the full-frame forward_project +
     # back_reproject chain and the penalty's sqrt/RDD formula bit for bit;
     # the landing index is the rounded landing pixel, row-major in the
-    # source image, -1 off it.
+    # source image, -1 off it.  One set of band buffers serves every band
+    # of a pair: bands of one pixel, of one row (W-1, W and W+1 pixels)
+    # and past the whole frame.
     from mvsgeo.camera import pixel_grid
-    from mvsgeo.fusion import _pair_stacks
+    from mvsgeo.fusion import _new_stacks, _pair_stacks
     from mvsgeo.reproject import back_reproject, forward_project
 
     spec, views = scene_views("two-planes-offset", w=37, h=23, n=3, seed=2, conf=1.0)
@@ -184,7 +186,7 @@ def test_pair_stacks_match_full_frame_reprojection(monkeypatch, band):
     hole[5:9, 10:20] = False
     d_ref = DepthMap(d_ref.values, d_ref.valid & hole)
     monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
-    disp, rdd, dres, flat = _pair_stacks(d_ref, ref, sources)
+    disp, rdd, dres, flat = _pair_stacks(d_ref, ref, sources, _new_stacks(len(sources), d_ref.shape))
     xs, ys = pixel_grid(23, 37)
     for i, (d_src, src) in enumerate(sources):
         coords, _ = forward_project(d_ref, ref, src)
@@ -275,6 +277,27 @@ def test_pool_builds_at_most_threads_references_ahead(monkeypatch, threads):
     assert state["open"] == 0
     assert 1 <= state["max"] <= threads + 1
     assert len(views) > threads + 1  # a window that could be overrun
+
+
+def test_stacks_are_allocated_on_the_consuming_thread(monkeypatch):
+    # Pool threads fill the stacks but do not allocate them: the thread
+    # that runs the consume passes, and frees the stacks, allocates them.
+    import threading
+
+    import mvsgeo.fusion
+
+    callers = []
+    new_stacks = mvsgeo.fusion._new_stacks
+
+    def recording(*args):
+        callers.append(threading.current_thread())
+        return new_stacks(*args)
+
+    monkeypatch.setattr(mvsgeo.fusion, "_new_stacks", recording)
+    spec, views = scene_views("plane", w=40, h=32, n=5, conf=1.0)
+    fuse(views, FusionParams(consistency_threshold=2), threads=2)
+    assert len(callers) == len(views)
+    assert set(callers) == {threading.current_thread()}
 
 
 @pytest.mark.parametrize("kind, w, h, n, seed", BAND_SCENES)

@@ -7,6 +7,7 @@ per-pixel loops in oracles.py.
 import numpy as np
 import pytest
 
+from mvsgeo import reproject
 from mvsgeo.fusion import _consume_pass
 from mvsgeo.reproject import CoordinateGrid, DepthMap, remap
 
@@ -51,6 +52,37 @@ def test_remap_matches_scalar_oracle_bitwise(rng):
         got = _assert_remap_matches_oracle(values, valid, xs, ys, np.ones(xs.shape, dtype=bool))
         assert got.valid.all()
         assert got.values[-1, -1] == values[-1, -1]
+
+
+@pytest.mark.parametrize("hs, ws", [(1, 1), (1, 6), (5, 1), (4, 7)])
+def test_remap_one_invalid_pixel_in_each_corner_matches_scalar_oracle_bitwise(monkeypatch, rng, hs, ws):
+    # Each pixel in turn is the map's one invalid pixel, so the cells
+    # around it see it as their upper-left, upper-right, lower-left and
+    # lower-right corner.  Queries step by thirds of a pixel up to exactly
+    # W-1 and H-1; 1-pixel-wide and 1-pixel-tall maps have one column
+    # (row) of corners.  Bands of 5 pixels make the per-call scratch serve
+    # several bands, the last one shorter.
+    monkeypatch.setattr(reproject, "_BAND_PIXELS", 5)
+    values = rng.uniform(1, 1000, (hs, ws))
+    xs, ys = np.meshgrid(np.arange(3 * ws - 2) / 3, np.arange(3 * hs - 2) / 3)
+    assert xs[-1, -1] == ws - 1 and ys[-1, -1] == hs - 1
+    everywhere = np.ones(xs.shape, dtype=bool)
+    seen = set()
+    for k in range(hs * ws):
+        valid = np.arange(hs * ws).reshape(hs, ws) != k
+        got = _assert_remap_matches_oracle(values, valid, xs, ys, everywhere)
+        iy, ix = divmod(k, ws)
+        for y, x in zip(ys[~got.valid], xs[~got.valid]):
+            # The invalid pixel's corner position in the dropped query's cell.
+            x0, y0 = min(int(x), max(ws - 2, 0)), min(int(y), max(hs - 2, 0))
+            seen.add((iy - y0, ix - x0))
+    assert seen == {(dy, dx) for dy in range(min(hs, 2)) for dx in range(min(ws, 2))}
+    # Non-finite and far-off coordinates marked valid are dropped before
+    # any cell index is cast (a cast of nan or inf would warn).
+    xs = np.array([[np.nan, np.inf, -np.inf, 1e300, 0.0, 0.0]])
+    ys = np.array([[0.0, 0.0, 0.0, 0.0, np.nan, -1e300]])
+    got = _assert_remap_matches_oracle(values, np.ones((hs, ws), dtype=bool), xs, ys, np.ones(xs.shape, dtype=bool))
+    assert not got.valid.any()
 
 
 @pytest.mark.parametrize("mode", [0, 1])

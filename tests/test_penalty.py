@@ -278,3 +278,34 @@ def test_penalty_histogram_reports_levels():
     assert doc["mean_penalty"] == pytest.approx(1.5)
     assert [h["level"] for h in doc["histogram"]] == [1.0, 1.5, 2.0]
     assert [h["count"] for h in doc["histogram"]] == [1, 1, 1]
+
+
+def test_stage_penalties_holds_one_reprojection_and_band_buffers(monkeypatch):
+    # Errors and votes are computed band by band: above its inputs,
+    # stage_penalties holds one fbr result (x, y, depth float64 and ok),
+    # fbr's bool corner-validity map (and, while it is built, one more),
+    # the int64 vote sums and a constant number of band buffers.
+    # Full-frame PDE/RDD arrays, or two sources' fbr results at once, do
+    # not fit.
+    import tracemalloc
+
+    from mvsgeo import reproject
+
+    w, h, n = 128, 256, 4
+    spec = synth.make_scene("two-planes", w, h, n, seed=0)
+    d0 = synth.render_depth(spec, 0)[0]
+    sources = [(synth.render_depth(spec, s)[0], spec.cameras[s]) for s in range(1, n)]
+    stages = [GcThresholds(dp, dd) for dp, dd in zip(STAGE_PIXEL_THRESHOLDS, STAGE_DEPTH_THRESHOLDS)]
+    band = 4 * w
+    monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
+    stage_penalties(d0, spec.cameras[0], sources, stages)  # first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        stage_penalties(d0, spec.cameras[0], sources, stages)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    fbr_outputs = h * w * (3 * 8 + 1)
+    corner_maps = 2 * h * w
+    sums = len(stages) * h * w * 8
+    assert peak < fbr_outputs + corner_maps + sums + 20 * band * 8, (peak, fbr_outputs + corner_maps + sums)

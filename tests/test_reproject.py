@@ -110,7 +110,8 @@ def test_apply_warp_matches_homogeneous_formula_bitwise(rng):
     depth[3, :4] = [1e300, 1e-300, 0.0, 5e-324]
     valid = rng.random((h, w)) > 0.1
     depth = np.where(valid, depth, 0.0)
-    got = reproject._apply_warp(transform, xs, ys, depth, valid)
+    got = (np.empty((h, w)), np.empty((h, w)), np.empty((h, w)), np.empty((h, w), dtype=bool))
+    reproject._apply_warp(transform, xs, ys, depth, valid, got, np.empty((h, w)), np.empty((h, w), dtype=bool))
     want = homogeneous_warp(transform, xs, ys, depth, valid)
     for g, e in zip(got, want):
         assert g.tobytes() == e.tobytes()
