@@ -41,7 +41,7 @@ from .penalty import (
     per_pixel_penalty,
     stage_penalties,
 )
-from .reproject import CoordinateGrid, DepthMap, back_reproject, fbr, forward_project, remap
+from .reproject import CoordinateGrid, DepthMap, fbr, forward_project, remap
 from .views import ScoreParams, ViewPairing, load_pairing, rank_sources, save_pairing, view_score
 
 __version__ = "0.1.0"

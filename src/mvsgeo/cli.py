@@ -108,7 +108,7 @@ def _scene_paths(scene: Path, view: int):
 
 
 def _load_scene(scene_dir: str):
-    """Validate upfront that every referenced file exists, then load it all."""
+    """Validate upfront that every referenced camera and depth file exists, then load them."""
     scene = Path(scene_dir)
     pairings = load_pairing(_require(scene / "pair.txt"))
     ids = sorted({p.reference for p in pairings} | {s for p in pairings for s, _ in p.ranked_sources})
@@ -116,17 +116,20 @@ def _load_scene(scene_dir: str):
         cam_path, depth_path, _ = _scene_paths(scene, view)
         _require(cam_path)
         _require(depth_path)
-    cams, depths, confs = {}, {}, {}
+    cams, depths = {}, {}
     for view in ids:
-        cam_path, depth_path, conf_path = _scene_paths(scene, view)
+        cam_path, depth_path, _ = _scene_paths(scene, view)
         cams[view] = formats.read_cam(cam_path.read_text())
         depths[view] = formats.depth_from_pfm(formats.read_pfm(depth_path.read_bytes()))
-        if conf_path.exists():
-            conf = formats.read_pfm(conf_path.read_bytes()).data.astype(np.float64)
-        else:
-            conf = depths[view].valid.astype(np.float64)
-        confs[view] = conf
-    return pairings, cams, depths, confs
+    return pairings, cams, depths
+
+
+def _load_confidence(scene_dir: str, view: int, depth) -> np.ndarray:
+    """A view's confidence map as float64; without a file, its depth validity."""
+    conf_path = _scene_paths(Path(scene_dir), view)[2]
+    if conf_path.exists():
+        return formats.read_pfm(conf_path.read_bytes()).data.astype(np.float64)
+    return depth.valid.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +197,7 @@ def _cmd_synth(args) -> int:
 def _cmd_gc_penalty(args) -> int:
     if len(args.d_pixel) != len(args.d_depth):
         raise ValueError("--d-pixel and --d-depth need the same number of stages")
-    pairings, cams, depths, _ = _load_scene(args.scene)
+    pairings, cams, depths = _load_scene(args.scene)
     by_ref = {p.reference: p for p in pairings}
     refs = args.ref if args.ref else sorted(by_ref)
     for r in refs:
@@ -276,11 +279,11 @@ def _cmd_loss(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    pairings, cams, depths, confs = _load_scene(args.scene)
+    pairings, cams, depths = _load_scene(args.scene)
     order = sorted(p.reference for p in pairings)
     index = {view: i for i, view in enumerate(order)}
     by_ref = {p.reference: p for p in pairings}
-    views = [(depths[v], confs[v], cams[v]) for v in order]
+    views = [(depths[v], _load_confidence(args.scene, v, depths[v]), cams[v]) for v in order]
     pairs = []
     for v in order:
         srcs = [index[s] for s, _ in by_ref[v].ranked_sources if s in index]
@@ -342,7 +345,7 @@ def _cmd_eval_depth(args) -> int:
 
 
 def _cmd_warp(args) -> int:
-    _, cams, depths, _ = _load_scene(args.scene)
+    _, cams, depths = _load_scene(args.scene)
     for v in (args.ref, args.src):
         if v not in cams:
             raise MissingInputError(f"view {v} not present in scene {args.scene}")

@@ -13,11 +13,13 @@ per-pair check arrays are built just before its pass and dropped after
 it; threads compute them at most `threads` reference views ahead, so at
 most threads + 1 views' arrays are alive.  They are allocated on the
 thread that runs the passes and frees them, so pool threads allocate
-only band-sized scratch.  Each pair is checked band by band
-(reproject._pair_bands, the penalty's sqrt formula) straight into the
-reference's (n_src, H, W) stacks: displacement, relative depth
-difference and reprojected depth (float64), and the landing pixel as one
-int32 flat index (-1 off the source image).  Checks pass below (<).
+only band-sized scratch.  Each pair is checked band by band, in one
+call per pair, by walking reproject._chain (the reprojection fbr
+computes) and applying reproject._pair_errors (the penalty's sqrt
+formula) straight into the reference's (n_src, H, W) stacks:
+displacement, relative depth difference and reprojected depth
+(float64), and the landing pixel as one int32 flat index (-1 off the
+source image).  Checks pass below (<).
 
 Two checking modes: "fusibile" applies one displacement/relative-depth
 threshold pair and a fixed required view count; "dynamic" derives the
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Camera, pixel_grid
-from .reproject import DepthMap, _pair_bands
+from .reproject import DepthMap, _chain, _pair_errors
 
 __all__ = ["FusionParams", "PointCloud", "DEFAULT_DYNAMIC_TABLE", "dynamic_thresholds", "fuse"]
 
@@ -137,19 +139,28 @@ def _pair_stacks(d_ref: DepthMap, ref_cam: Camera, sources, stacks):
     band by band straight into its row of the stacks.
     """
     for i, (d_src, src_cam) in enumerate(sources):
-        disp, rdd, dres, flat = (stack[i] for stack in stacks)
-        hs, ws = d_src.shape
-        for rows, x, y, landed in _pair_bands(d_ref, ref_cam, d_src, src_cam, dres, disp, rdd):
-            # Bounds test in float: a landing pixel far outside the image may
-            # lie beyond any integer range, so only on-image indices are cast.
-            # x and y are band scratch, rounded and combined in place.
-            cx, cy = np.rint(x, out=x), np.rint(y, out=y)
-            on_image = landed & (cx >= 0) & (cx <= ws - 1) & (cy >= 0) & (cy <= hs - 1)
-            cy *= ws
-            cy += cx
-            np.copyto(cy, -1.0, where=~on_image)
-            flat[rows] = cy
+        _fill_pair(d_ref, ref_cam, d_src, src_cam, *(stack[i] for stack in stacks))
     return stacks
+
+
+def _fill_pair(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Camera, disp, rdd, dres, flat):
+    """One pair's displacement, relative depth difference, reprojected depth and landing index.
+
+    A call per pair: the band views of reproject._chain die on return,
+    before the next pair allocates its band buffers.
+    """
+    hs, ws = d_src.shape
+    for rows, (x, y, landed), back, failed in _chain(d_ref, ref_cam, d_src, src_cam, (None, None, dres, None)):
+        _pair_errors(d_ref, rows, *back[:3], failed, (disp[rows], rdd[rows]))
+        # Bounds test in float: a landing pixel far outside the image may
+        # lie beyond any integer range, so only on-image indices are cast.
+        # x and y are band scratch, rounded and combined in place.
+        cx, cy = np.rint(x, out=x), np.rint(y, out=y)
+        on_image = landed & (cx >= 0) & (cx <= ws - 1) & (cy >= 0) & (cy <= hs - 1)
+        cy *= ws
+        cy += cx
+        np.copyto(cy, -1.0, where=~on_image)
+        flat[rows] = cy
 
 
 # One reference view's fuse/consume decision.  disp and rdd hold the

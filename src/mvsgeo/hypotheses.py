@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Camera
 from .reproject import DepthMap
 
 __all__ = [
@@ -58,7 +57,7 @@ def pixel_interval(dir_stage: float, di: float) -> float:
     return dir_stage * di
 
 
-def coarse_hypotheses(cfg: StageConfig, cam: Camera | None = None) -> np.ndarray:
+def coarse_hypotheses(cfg: StageConfig) -> np.ndarray:
     """Uniform first-stage sweep spanning [depth_min, depth_max] inclusive."""
     return np.linspace(cfg.depth_min, cfg.depth_max, cfg.num_hypotheses[0])
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .penalty import PenaltyMap
-from .reproject import DepthMap, _banded
+from .reproject import DepthMap, _bands
 
 __all__ = [
     "ProbabilityVolume",
@@ -110,8 +110,9 @@ def cross_entropy_error(vol: ProbabilityVolume, gt: DepthMap) -> tuple[np.ndarra
     probs = vol.probs
     if probs.shape[1:] != gt.shape:
         raise ValueError("probability volume does not match ground truth shape")
-    err, supervised, sums = _banded(gt.shape, (np.float64, bool, np.float64),
-                                    lambda rows: _band_error(probs, vol.hypotheses, gt, rows))
+    err, supervised, sums = np.empty(gt.shape), np.empty(gt.shape, dtype=bool), np.empty(gt.shape)
+    for rows, _, _ in _bands(gt.shape):  # no scratch: _band_error makes its own band arrays
+        err[rows], supervised[rows], sums[rows] = _band_error(probs, vol.hypotheses, gt, rows)
     off = np.abs(sums[supervised] - 1.0)
     if np.any(off > _NORM_TOL):
         raise ValueError(f"probability volume not normalized (max |sum - 1| = {float(off.max()):.3e})")

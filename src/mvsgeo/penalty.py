@@ -10,6 +10,9 @@ per-pixel penalty: 1 + mask_sum/M in the [1,2] range mode, or
 1 + 2*mask_sum/M in the [1,3] mode.  The displacement, sqrt(dx**2 +
 dy**2), and the depth difference come from reproject._pair_errors; a
 failed reprojection (fbr's result invalid) votes under any thresholds.
+Each source is reprojected by one fbr call, then its votes are added
+over the row bands of reproject._bands, so no full-frame error array is
+made and a source's fbr result is freed before the next source's.
 """
 
 from dataclasses import dataclass
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Camera
-from .reproject import CoordinateGrid, DepthMap, _pair_errors, _row_bands, _Scratch, fbr
+from .reproject import CoordinateGrid, DepthMap, _bands, _pair_errors, fbr
 
 __all__ = [
     "GcThresholds",
@@ -102,6 +105,21 @@ def per_pixel_penalty(
     return stage_penalties(d_ref, ref, sources, [thresholds], range_mode)[0]
 
 
+def _add_votes(d_ref: DepthMap, d_back: DepthMap, p_back: CoordinateGrid, stages, mask_sums) -> None:
+    """Add one source's votes of every stage to its int64 sum, band by band.
+
+    fbr's result and the band buffers are released on return, before the
+    next source is reprojected.
+    """
+    for rows, errors, (failed,) in _bands(d_ref.shape, 2, 1):
+        np.logical_not(d_back.valid[rows], out=failed)  # fbr's depth and coordinates share one mask
+        pde, rdd = _pair_errors(d_ref, rows, p_back.x[rows], p_back.y[rows], d_back.values[rows], failed, errors)
+        tested = d_ref.valid[rows]
+        for mask_sum, thresholds in zip(mask_sums, stages):
+            band_sum = mask_sum[rows]
+            band_sum += _votes(tested, failed, pde, rdd, thresholds)
+
+
 def stage_penalties(
     d_ref: DepthMap,
     ref: Camera,
@@ -126,22 +144,12 @@ def stage_penalties(
     if range_mode not in _RANGE_MODES:
         raise ValueError(f"range_mode must be one of {_RANGE_MODES}")
     mask_sums = [np.zeros(d_ref.shape, dtype=np.int64) for _ in stages]
-    scratch = _Scratch(d_ref.shape, 2, 1)
     for d_src, src_cam in sources:
         if d_src.shape != d_ref.shape:
             raise ValueError(
                 f"source depth shape {d_src.shape} does not match reference {d_ref.shape}"
             )
-        d_back, p_back = fbr(d_ref, ref, d_src, src_cam)
-        for rows in _row_bands(d_ref.shape):
-            errors, (failed,), _ = scratch.band(rows)
-            np.logical_not(d_back.valid[rows], out=failed)  # fbr's depth and coordinates share one mask
-            pde, rdd = _pair_errors(d_ref, rows, p_back.x[rows], p_back.y[rows], d_back.values[rows], failed, errors)
-            tested = d_ref.valid[rows]
-            for mask_sum, thresholds in zip(mask_sums, stages):
-                band_sum = mask_sum[rows]
-                band_sum += _votes(tested, failed, pde, rdd, thresholds)
-        del d_back, p_back  # freed before the next source's fbr
+        _add_votes(d_ref, *fbr(d_ref, ref, d_src, src_cam), stages, mask_sums)
     m = len(sources)
     penalties = []
     while mask_sums:

@@ -6,14 +6,28 @@ that sampled depth back through the source camera and reproject it into
 the reference view.  Comparing the result against the original reference
 depth is the basis of every consistency check in this package.
 
-Each step is a vectorized numpy pass over one band of rows at a time.
-Each pair call (fbr, forward_project, remap, back_reproject,
-_pair_bands) allocates one _Scratch of band-sized buffers (256 KB per
-float64 buffer at _BAND_PIXELS) and every band reuses it: the chain
-writes through ufunc `out=` arguments into those buffers and, for its
-last step, straight into the row slices of the caller's full-frame
-outputs.  A band allocates nothing of its size, so the working set stays
-in L2 and no band pays for fresh pages or heap trimming.
+Each step is a vectorized numpy pass over one band of rows at a time,
+and there is one walker and one chain.  _bands(shape, floats, bools) is
+the package's only row-band loop: it yields each band's rows with
+band-sized float64 and bool buffers (256 KB per float64 buffer at
+_BAND_PIXELS), allocated once per call and reused by every band.
+_chain(d_ref, ref, d_src, src, back_out) is the only composition of the
+forward-backward reprojection: per pair it builds both warp transforms
+and the source's corner-validity map once, then per band writes the
+forward warp, the sample and the back warp through ufunc `out=`
+arguments into the band buffers and, where the caller passes full-frame
+outputs, straight into their row slices.  fbr and fusion walk _chain;
+forward_project, remap, the penalty votes and the loss walk _bands.  The
+chain's own buffers are allocated once per pair, so the working set
+stays in L2 and no band pays for fresh pages or heap trimming (numpy
+still makes band-sized temporaries inside the forward warp's broadcast
+multiplies of the pixel grid).
+
+The views that _bands and _chain yield are overwritten by the next band
+and must not outlive their pair: a view still bound when the next pair
+starts (a loop variable, say) keeps that pair's buffers alive while the
+next pair allocates its own, and measured so, `fuse` peaked about 2 MB
+higher.
 
 The sampler reads one corner-validity map per source map and call: a
 flat bool per pixel telling whether the bilinear cell with that upper-left
@@ -40,7 +54,7 @@ import numpy as np
 
 from .camera import Camera, W_EPS, warp_transform
 
-__all__ = ["DepthMap", "CoordinateGrid", "forward_project", "remap", "back_reproject", "fbr"]
+__all__ = ["DepthMap", "CoordinateGrid", "forward_project", "remap", "fbr"]
 
 # Pixels per row band; the band is max(1, _BAND_PIXELS // W) rows.
 _BAND_PIXELS = 32768
@@ -169,59 +183,24 @@ def _wrap(cls, **fields):
 _WARP = (np.float64, np.float64, np.float64, bool)  # x, y, depth, validity
 
 
-def _band_rows(width):
-    return max(1, _BAND_PIXELS // max(width, 1))
+def _bands(shape, floats=0, bools=0):
+    """Row bands of max(1, _BAND_PIXELS // W) rows covering an H x W frame, with reused scratch.
 
-
-def _row_bands(shape):
-    """Row slices of max(1, _BAND_PIXELS // W) rows covering an H x W frame."""
+    Yields (rows, f, b): the band's row slice and lists of `floats`
+    float64 and `bools` bool buffers cut to its rows (contiguous).  The
+    buffers are allocated once per call and every band reuses them.  One
+    array per buffer, not one block for all: measured on `fuse --threads
+    2` over 320 x 256 x 8 views, one block per pair peaked 3-5 MB higher.
+    """
     h, w = shape
-    step = _band_rows(w)
+    step = max(1, _BAND_PIXELS // max(w, 1))
+    n = min(h, step)
+    f_all = [np.empty((n, w)) for _ in range(floats)]
+    b_all = [np.empty((n, w), dtype=bool) for _ in range(bools)]
     for start in range(0, h, step):
-        yield slice(start, min(start + step, h))
-
-
-def _banded(shape, dtypes, band):
-    """Full-frame arrays of `dtypes` filled band by band from the outputs of band(rows)."""
-    outs = tuple(np.empty(shape, dtype=dtype) for dtype in dtypes)
-    for rows in _row_bands(shape):
-        for out, part in zip(outs, band(rows)):
-            out[rows] = part
-    return outs
-
-
-class _Scratch:
-    """Band-sized buffers of one pair call, allocated once and reused by every band.
-
-    One array per buffer, not one block for all: measured on `fuse
-    --threads 2` over 320 x 256 x 8 views, one block per pair peaked
-    3-5 MB higher.
-    """
-
-    def __init__(self, shape, floats, bools):
-        h, w = shape
-        n = min(h, _band_rows(w))
-        self._f = [np.empty((n, w)) for _ in range(floats)]
-        self._b = [np.empty((n, w), dtype=bool) for _ in range(bools)]
-        self._i = np.empty((n, w), dtype=np.int64)
-
-    def band(self, rows):
-        """Float64 buffers, bool buffers and the int64 buffer cut to the rows of band `rows` (contiguous)."""
-        n = rows.stop - rows.start
-        return [a[:n] for a in self._f], [a[:n] for a in self._b], self._i[:n]
-
-
-def _filled(shape, dtypes, floats, bools, band):
-    """Full-frame arrays of `dtypes` written band by band by band(rows, outs, f, b, idx).
-
-    outs are the arrays' row slices; f, b, idx the band's views of one
-    _Scratch(shape, floats, bools) shared by all bands.
-    """
-    outs = tuple(np.empty(shape, dtype=dtype) for dtype in dtypes)
-    scratch = _Scratch(shape, floats, bools)
-    for rows in _row_bands(shape):
-        band(rows, tuple(out[rows] for out in outs), *scratch.band(rows))
-    return outs
+        rows = slice(start, min(start + step, h))
+        k = rows.stop - start
+        yield rows, [a[:k] for a in f_all], [a[:k] for a in b_all]
 
 
 def _forward(transform, d_ref: DepthMap, rows: slice, out, tmp, failed):
@@ -250,15 +229,17 @@ def _corners(src_map: DepthMap):
     return dx, dy, cells
 
 
-def _sample(src_map: DepthMap, corners, xs, ys, coords_valid, out, tmp, idx, failed):
+def _sample(src_map: DepthMap, corners, xs, ys, coords_valid, out, tmp, failed):
     """Bilinear samples of src_map at (xs, ys), written with their validity into out = (values, ok).
 
     See remap for the contract; corners is _corners(src_map).  tmp holds
-    six float64 buffers, idx one int64 and failed one bool buffer, all
-    band-sized; failed is left holding ~ok.
+    seven float64 buffers, the last one read as int64 cell indices (same
+    8 bytes), and failed one bool buffer, all band-sized; failed is left
+    holding ~ok.
     """
     res, ok = out
-    xc, yc, gx, gy, lower, corner = tmp
+    xc, yc, gx, gy, lower, corner, cell = tmp
+    idx = cell.view(np.int64)
     dx, dy, cells = corners
     values = src_map.values.ravel()
     hs, ws = src_map.shape
@@ -302,22 +283,6 @@ def _sample(src_map: DepthMap, corners, xs, ys, coords_valid, out, tmp, idx, fai
     np.copyto(res, 0.0, where=failed)
 
 
-def _fbr_band(forward, back, d_ref: DepthMap, d_src: DepthMap, corners, rows: slice, out, f, b, idx):
-    """Forward-backward reprojection of reference rows `rows`, the back warp written into `out`.
-
-    out = (x, y, depth, ok) in the reference view.  f, b, idx are band
-    scratch: at least 9 float64 and 3 bool buffers; b[2] is left holding
-    ~ok.  Returns the forward landing (x, y, valid) in the source view,
-    views of f and b.
-    """
-    x, y, s = f[:3]
-    landed, sampled, failed = b[:3]
-    _forward(forward, d_ref, rows, (x, y, s, landed), f[3], failed)  # s: forward depth, then sample
-    _sample(d_src, corners, x, y, landed, (s, sampled), f[3:9], idx, failed)
-    _apply_warp(back, x, y, s, sampled, out, f[3], failed)
-    return x, y, landed
-
-
 def _pair_errors(d_ref: DepthMap, rows: slice, x_back, y_back, d_back, failed, out):
     """PDE (px) and RDD of reference rows `rows` reprojected to (x_back, y_back, d_back).
 
@@ -338,22 +303,29 @@ def _pair_errors(d_ref: DepthMap, rows: slice, x_back, y_back, d_back, failed, o
     return pde, rdd
 
 
-def _pair_bands(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, d_back, pde, rdd):
-    """Fill one pair's full-frame reprojected depth, PDE and RDD band by band.
+def _chain(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, back_out):
+    """Forward-backward reprojection of one pair, walked band by band.
 
-    Yields per band its rows and the forward landing (x, y, valid) in the
-    source view.  The landing arrays are band scratch, overwritten by the
-    next band; the caller may overwrite them too.
+    Per pair both warp transforms and the source's corner-validity map are
+    built once.  Per band it yields (rows, (x, y, landed), back, failed):
+    the forward landing in the source view, the back warp back = (x, y,
+    depth, ok) in the reference view and failed = ~ok.  back_out holds
+    four full-frame arrays or None each; the back warp is written into the
+    given arrays' row slices and into band scratch elsewhere.  Every
+    yielded array that is not a given output is band scratch, overwritten
+    by the next band and dead once the pair is walked.
     """
     forward, back = warp_transform(ref, src), warp_transform(src, ref)
     corners = _corners(d_src)
-    scratch = _Scratch(d_ref.shape, 9, 4)
-    for rows in _row_bands(d_ref.shape):
-        f, b, idx = scratch.band(rows)
-        x_back, y_back, depth = f[4], f[5], d_back[rows]  # f[4:] is free once the sample is done
-        landing = _fbr_band(forward, back, d_ref, d_src, corners, rows, (x_back, y_back, depth, b[3]), f, b, idx)
-        _pair_errors(d_ref, rows, x_back, y_back, depth, b[2], (pde[rows], rdd[rows]))
-        yield rows, *landing
+    for rows, f, b in _bands(d_ref.shape, 10, 4):
+        x, y, s = f[:3]  # s: the forward depth, then the sample
+        landed, sampled, failed = b[:3]
+        _forward(forward, d_ref, rows, (x, y, s, landed), f[3], failed)
+        _sample(d_src, corners, x, y, landed, (s, sampled), f[3:], failed)
+        # f[4:7] and b[3] are free once the sample is done.
+        out = tuple(spare if a is None else a[rows] for a, spare in zip(back_out, (*f[4:7], b[3])))
+        _apply_warp(back, x, y, s, sampled, out, f[3], failed)
+        yield rows, (x, y, landed), out, failed
 
 
 def forward_project(d_ref: DepthMap, ref: Camera, src: Camera) -> tuple[CoordinateGrid, DepthMap]:
@@ -365,8 +337,9 @@ def forward_project(d_ref: DepthMap, ref: Camera, src: Camera) -> tuple[Coordina
     invalid.
     """
     transform = warp_transform(ref, src)
-    x2, y2, d2, ok = _filled(d_ref.shape, _WARP, 1, 1,
-                             lambda rows, out, f, b, idx: _forward(transform, d_ref, rows, out, f[0], b[0]))
+    outs = x2, y2, d2, ok = tuple(np.empty(d_ref.shape, dtype=dtype) for dtype in _WARP)
+    for rows, f, b in _bands(d_ref.shape, 1, 1):
+        _forward(transform, d_ref, rows, tuple(a[rows] for a in outs), f[0], b[0])
     return _wrap(CoordinateGrid, x=x2, y=y2, valid=ok), _wrap(DepthMap, values=d2, valid=ok)
 
 
@@ -381,37 +354,11 @@ def remap(src_map: DepthMap, coords: CoordinateGrid) -> DepthMap:
     the last cell with fractional weight 1.
     """
     corners = _corners(src_map)
-
-    def band(rows, out, f, b, idx):
-        _sample(src_map, corners, coords.x[rows], coords.y[rows], coords.valid[rows], out, f, idx, b[0])
-
-    out, ok = _filled(coords.shape, (np.float64, bool), 6, 1, band)
-    return _wrap(DepthMap, values=out, valid=ok)
-
-
-def back_reproject(
-    coords: CoordinateGrid, d_src: DepthMap, src: Camera, ref: Camera
-) -> tuple[DepthMap, CoordinateGrid]:
-    """Back half of the forward-backward reprojection.
-
-    Samples the source depth map at `coords` (the landing coordinates
-    forward_project returned for ref -> src), back-projects the sampled
-    depths through the source camera and reprojects them into the
-    reference view.  Returns the reprojected depth map (values in the
-    reference camera frame) and the reprojected pixel coordinates.
-    Invalid coordinates, failed samples and points behind the reference
-    camera come back invalid.
-    """
-    back = warp_transform(src, ref)
-    corners = _corners(d_src)
-
-    def band(rows, out, f, b, idx):
-        xs, ys = coords.x[rows], coords.y[rows]
-        _sample(d_src, corners, xs, ys, coords.valid[rows], (f[0], b[0]), f[1:7], idx, b[1])
-        _apply_warp(back, xs, ys, f[0], b[0], out, f[1], b[1])
-
-    x2, y2, d2, ok = _filled(coords.shape, _WARP, 7, 2, band)
-    return _wrap(DepthMap, values=d2, valid=ok), _wrap(CoordinateGrid, x=x2, y=y2, valid=ok)
+    values, ok = np.empty(coords.shape), np.empty(coords.shape, dtype=bool)
+    for rows, f, b in _bands(coords.shape, 7, 1):
+        _sample(src_map, corners, coords.x[rows], coords.y[rows], coords.valid[rows],
+                (values[rows], ok[rows]), f, b[0])
+    return _wrap(DepthMap, values=values, valid=ok)
 
 
 def fbr(d_ref: DepthMap, ref: Camera, d_src_gt: DepthMap, src: Camera) -> tuple[DepthMap, CoordinateGrid]:
@@ -420,16 +367,12 @@ def fbr(d_ref: DepthMap, ref: Camera, d_src_gt: DepthMap, src: Camera) -> tuple[
     Three steps: forward-warp the reference depths into the source view,
     sample the source depth map at the landing coordinates, then
     back-project the sampled depths through the source camera and
-    reproject into the reference view (forward_project, then
-    back_reproject, run band by band).  Returns the reprojected depth map
-    (values in the reference camera frame) and the reprojected pixel
-    coordinates.  Invalidity propagates through every step.
+    reproject into the reference view (_chain, run band by band).
+    Returns the reprojected depth map (values in the reference camera
+    frame) and the reprojected pixel coordinates.  Invalidity propagates
+    through every step.
     """
-    forward, back = warp_transform(ref, src), warp_transform(src, ref)
-    corners = _corners(d_src_gt)
-
-    def band(rows, out, f, b, idx):
-        _fbr_band(forward, back, d_ref, d_src_gt, corners, rows, out, f, b, idx)
-
-    x2, y2, d2, ok = _filled(d_ref.shape, _WARP, 9, 3, band)
+    outs = x2, y2, d2, ok = tuple(np.empty(d_ref.shape, dtype=dtype) for dtype in _WARP)
+    for _ in _chain(d_ref, ref, d_src_gt, src, outs):
+        pass
     return _wrap(DepthMap, values=d2, valid=ok), _wrap(CoordinateGrid, x=x2, y=y2, valid=ok)

@@ -218,6 +218,29 @@ def test_fuse_ascii_output(plane_scene, tmp_path, capsys):
     assert p.read_bytes().startswith(b"ply\nformat ascii 1.0\n")
 
 
+def test_only_fuse_reads_confidence_maps(plane_scene, tmp_path, capsys):
+    # synth writes depth validity as confidence, so fuse without the
+    # confidence files (their fallback) gives the same cloud.  Unreadable
+    # confidence files stop fuse but not gc-penalty or warp, which never
+    # read them.
+    import shutil
+
+    def cloud(name):
+        return "fuse", "--scene", str(plane_scene), "--out", str(tmp_path / name), "--num-consistent", "2"
+
+    assert run_cli(capsys, *cloud("with.ply"))[0] == 0
+    shutil.rmtree(plane_scene / "confidence")
+    assert run_cli(capsys, *cloud("without.ply"))[0] == 0
+    assert (tmp_path / "with.ply").read_bytes() == (tmp_path / "without.ply").read_bytes()
+    (plane_scene / "confidence").mkdir()
+    for v in range(4):
+        (plane_scene / "confidence" / f"{v:08d}.pfm").write_bytes(b"not a pfm")
+    assert run_cli(capsys, *cloud("broken.ply"))[0] == 3
+    assert run_cli(capsys, "gc-penalty", "--scene", str(plane_scene), "--out", str(tmp_path / "pen"))[0] == 0
+    assert run_cli(capsys, "warp", "--scene", str(plane_scene), "--ref", "0", "--src", "1",
+                   "--out", str(tmp_path / "warp"))[0] == 0
+
+
 def test_eval_depth_cli(plane_scene, tmp_path, capsys):
     d0 = plane_scene / "depths" / "00000000.pfm"
     code, out, _ = run_cli(capsys, "eval-depth", "--pred", str(d0), "--gt", str(d0))

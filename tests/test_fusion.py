@@ -170,15 +170,14 @@ def test_threads_bit_identical():
 
 @pytest.mark.parametrize("band", [1, 36, 37, 38, 23 * 37 + 5, 10**6])
 def test_pair_stacks_match_full_frame_reprojection(monkeypatch, band):
-    # The banded pair check equals the full-frame forward_project +
-    # back_reproject chain and the penalty's sqrt/RDD formula bit for bit;
-    # the landing index is the rounded landing pixel, row-major in the
-    # source image, -1 off it.  One set of band buffers serves every band
+    # The banded pair check equals fbr and the penalty's sqrt/RDD formula
+    # bit for bit; the landing index is forward_project's rounded landing
+    # pixel, row-major in the source image, -1 off it.  One set of band buffers serves every band
     # of a pair: bands of one pixel, of one row (W-1, W and W+1 pixels)
     # and past the whole frame.
     from mvsgeo.camera import pixel_grid
     from mvsgeo.fusion import _new_stacks, _pair_stacks
-    from mvsgeo.reproject import back_reproject, forward_project
+    from mvsgeo.reproject import fbr, forward_project
 
     spec, views = scene_views("two-planes-offset", w=37, h=23, n=3, seed=2, conf=1.0)
     (d_ref, _, ref), sources = views[0], [(v[0], v[2]) for v in views[1:]]
@@ -190,7 +189,7 @@ def test_pair_stacks_match_full_frame_reprojection(monkeypatch, band):
     xs, ys = pixel_grid(23, 37)
     for i, (d_src, src) in enumerate(sources):
         coords, _ = forward_project(d_ref, ref, src)
-        d_back, p_back = back_reproject(coords, d_src, src, ref)
+        d_back, p_back = fbr(d_ref, ref, d_src, src)
         ok = d_back.valid
         want_disp = np.where(ok, np.sqrt((p_back.x - xs) ** 2 + (p_back.y - ys) ** 2), np.inf)
         denom = np.where(d_ref.valid, d_ref.values, 1.0)
@@ -225,6 +224,34 @@ def test_single_thread_holds_one_reference_views_stacks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * stacks + h * w * 8, (peak, stacks)
+
+
+def test_pair_band_views_die_with_their_pair(monkeypatch):
+    # Above the stacks, filling one reference's stacks holds one pair's
+    # band scratch (10 float64 and 4 bool band buffers), the corner map
+    # (and its one intermediate while it is built) and a few band-sized
+    # temporaries.  A band view kept past its pair keeps that pair's
+    # buffers alive while the next pair allocates its own, and does not fit.
+    import tracemalloc
+
+    from mvsgeo.fusion import _new_stacks, _pair_stacks
+
+    w, h, n, rows = 80, 48, 5, 16
+    spec, views = scene_views("two-planes", w=w, h=h, n=n, conf=1.0)
+    (d_ref, _, ref), sources = views[0], [(v[0], v[2]) for v in views[1:]]
+    band = rows * w
+    monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
+    stacks = _new_stacks(len(sources), d_ref.shape)
+    _pair_stacks(d_ref, ref, sources, stacks)  # first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        _pair_stacks(d_ref, ref, sources, stacks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    scratch = band * (10 * 8 + 4)
+    corner_map = 2 * h * w
+    assert peak < scratch + corner_map + 4 * band * 8, (peak, scratch + corner_map)
 
 
 def test_far_off_landing_pixel_raises_no_warning():
@@ -339,7 +366,7 @@ def test_one_forward_warp_per_pair(monkeypatch):
 
     monkeypatch.setattr(mvsgeo.reproject, "warp_transform", counting_transform)
     monkeypatch.setattr(mvsgeo.reproject, "_forward", counting_forward)
-    for name in ("forward_project", "back_reproject", "fbr"):
+    for name in ("forward_project", "fbr"):
         monkeypatch.setattr(mvsgeo.reproject, name, refused)
     spec, views = scene_views("plane", w=40, h=32, n=4, conf=1.0)
     pairs = [[1, 2], [0], [0, 1, 3], [2]]

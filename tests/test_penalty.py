@@ -309,3 +309,64 @@ def test_stage_penalties_holds_one_reprojection_and_band_buffers(monkeypatch):
     corner_maps = 2 * h * w
     sums = len(stages) * h * w * 8
     assert peak < fbr_outputs + corner_maps + sums + 20 * band * 8, (peak, fbr_outputs + corner_maps + sums)
+
+
+def _degenerate_pair_penalties(src_of):
+    """Every stage's penalty of a 64 x 48 plane view against one source built by src_of(ref).
+
+    The source's depth map is the exact rendering of the plane in that
+    camera.  A RuntimeWarning fails the call.
+    """
+    import warnings
+
+    from mvsgeo.reproject import fbr
+
+    spec = synth.make_scene("plane", 64, 48, 2, seed=0)
+    ref = spec.cameras[0]
+    src = src_of(ref)
+    d_ref = synth.render_depth(spec, 0)[0]
+    d_src = synth.render_depth(synth.SceneSpec(spec.geometry, (ref, src), spec.resolution), 1)[0]
+    assert d_ref.valid.all()
+    stages = [GcThresholds(dp, dd) for dp, dd in zip(STAGE_PIXEL_THRESHOLDS, STAGE_DEPTH_THRESHOLDS)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pens = {mode: stage_penalties(d_ref, ref, [(d_src, src)], stages, mode) for mode in ("one-two", "one-three")}
+        reprojected = fbr(d_ref, ref, d_src, src)[0].valid
+    return pens, reprojected
+
+
+def test_source_equal_to_the_reference_gives_penalty_one():
+    pens, reprojected = _degenerate_pair_penalties(lambda ref: ref)
+    assert reprojected.all()
+    for pen in pens["one-two"] + pens["one-three"]:
+        assert np.array_equal(pen.values, np.ones((48, 64)))
+
+
+def test_source_facing_away_gives_the_top_penalty_everywhere():
+    # Same centre, looking the other way: the plane is behind the source
+    # camera, so no pixel can be reprojected and every one votes.
+    def away(ref):
+        return synth.look_at_camera(ref.K, (0.0, 0.0, 0.0), (0.0, 0.0, -650.0), ref.depth_min, ref.depth_interval)
+
+    pens, reprojected = _degenerate_pair_penalties(away)
+    assert not reprojected.any()
+    for pen in pens["one-two"]:
+        assert np.array_equal(pen.values, np.full((48, 64), 2.0))
+    for pen in pens["one-three"]:
+        assert np.array_equal(pen.values, np.full((48, 64), 3.0))
+
+
+def test_coincident_centres_with_different_rotations():
+    # A pure rotation (yaw, pitch and roll about the shared centre) has no
+    # parallax: every pixel the rotated view sees reprojects onto itself
+    # within all stage thresholds, and the rest, outside the rotated view,
+    # vote.  Measured split: 2178 consistent and 894 failed pixels.
+    def rotated(ref):
+        return synth.look_at_camera(ref.K, (0.0, 0.0, 0.0), (40.0, -30.0, 650.0), ref.depth_min,
+                                    ref.depth_interval, down=(0.2, 1.0, 0.0))
+
+    pens, reprojected = _degenerate_pair_penalties(rotated)
+    assert int(reprojected.sum()) == 2178
+    for mode, top in (("one-two", 2.0), ("one-three", 3.0)):
+        for pen in pens[mode]:
+            assert np.array_equal(pen.values, np.where(reprojected, 1.0, top))

@@ -4,7 +4,7 @@ import pytest
 from mvsgeo import reproject, synth
 from mvsgeo.camera import Camera, Pixel, back_project, pixel_grid, project, warp_transform
 from mvsgeo.penalty import STAGE_DEPTH_THRESHOLDS, STAGE_PIXEL_THRESHOLDS, GcThresholds, stage_penalties
-from mvsgeo.reproject import CoordinateGrid, DepthMap, back_reproject, fbr, forward_project, remap
+from mvsgeo.reproject import CoordinateGrid, DepthMap, fbr, forward_project, remap
 
 from conftest import BAND_SCENES, band_sizes, random_camera
 from oracles import homogeneous_warp, naive_penalty
@@ -257,13 +257,16 @@ def test_fbr_occlusion_classification_matches_ray_cast():
 
 
 def _reprojection_outputs(d0, ref, d1, src):
-    """Every array of forward_project, remap, back_reproject and fbr on one pair."""
+    """Every array of forward_project, remap, the back warp of the sample, and fbr on one pair."""
     coords, warped = forward_project(d0, ref, src)
     sampled = remap(d1, coords)
-    d_back, p_back = back_reproject(coords, d1, src, ref)
+    h, w = d0.shape
+    x, y, d, ok = np.empty((h, w)), np.empty((h, w)), np.empty((h, w)), np.empty((h, w), dtype=bool)
+    reproject._apply_warp(warp_transform(src, ref), coords.x, coords.y, sampled.values, sampled.valid,
+                          (x, y, d, ok), np.empty((h, w)), np.empty((h, w), dtype=bool))
     d_fbr, p_fbr = fbr(d0, ref, d1, src)
     return [coords.x, coords.y, coords.valid, warped.values, warped.valid, sampled.values, sampled.valid,
-            d_back.values, d_back.valid, p_back.x, p_back.y, p_back.valid,
+            d, ok, x, y, ok,
             d_fbr.values, d_fbr.valid, p_fbr.x, p_fbr.y, p_fbr.valid]
 
 
@@ -280,7 +283,7 @@ def test_reprojection_is_band_invariant(monkeypatch, kind, w, h, n, seed):
     base = _reprojection_outputs(d0, ref, d1, src)
     d_fbr_valid = base[13]
     assert 0.2 < d_fbr_valid.mean() < 1.0  # valid and invalid pixels both occur
-    # fbr is forward_project followed by back_reproject, bit for bit.
+    # fbr is forward_project, then remap, then the back warp, bit for bit.
     assert all(_same_bits(a, b) for a, b in zip(base[7:12], base[12:]))
     for band in band_sizes(h, w):
         monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
