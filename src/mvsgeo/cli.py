@@ -19,6 +19,7 @@ Scene directory convention (emitted by synth, consumed by the rest):
 import argparse
 import functools
 import json
+import mmap
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -84,6 +85,18 @@ def _require(path: Path) -> Path:
     return path
 
 
+def _mapped(path: Path):
+    """A read-only memory map of an existing file; b"" for an empty one, which mmap refuses.
+
+    Nothing is copied: the reader's views of the map keep it alive, so it
+    is never closed here.
+    """
+    with open(_require(path), "rb") as f:
+        if os.fstat(f.fileno()).st_size == 0:
+            return b""
+        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+
+
 def _emit_json(doc: dict, out: str | None = None) -> None:
     """Print doc and write it to out (parents created); a non-finite value raises ValueError."""
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -107,12 +120,19 @@ def _scene_paths(scene: Path, view: int):
     )
 
 
-def _load_scene(scene_dir: str):
-    """Validate upfront that every referenced camera and depth file exists, then load them."""
+def _load_scene(scene_dir: str, views=None):
+    """pair.txt's pairings, then the cameras and depths of `views` (default: every view it names).
+
+    Every camera and depth file to be read is checked to exist before any
+    is read; a requested view that pair.txt does not name is a missing input.
+    """
     scene = Path(scene_dir)
     pairings = load_pairing(_require(scene / "pair.txt"))
-    ids = sorted({p.reference for p in pairings} | {s for p in pairings for s, _ in p.ranked_sources})
+    named = {p.reference for p in pairings} | {s for p in pairings for s, _ in p.ranked_sources}
+    ids = sorted(named if views is None else set(views))
     for view in ids:
+        if view not in named:
+            raise MissingInputError(f"view {view} not present in scene {scene_dir}")
         cam_path, depth_path, _ = _scene_paths(scene, view)
         _require(cam_path)
         _require(depth_path)
@@ -252,7 +272,7 @@ def _cmd_loss(args) -> int:
     w_list = (weights.alpha, weights.beta, weights.gamma)
     losses = []
     for vol_path, gt_path, pen_path in zip(args.probvol, args.gt, args.penalty):
-        vol = formats.read_probability_volume(_require(Path(vol_path)).read_bytes())
+        vol = formats.read_probability_volume(_mapped(Path(vol_path)))
         gt = formats.depth_from_pfm(formats.read_pfm(_require(Path(gt_path)).read_bytes()))
         pen = formats.read_pfm(_require(Path(pen_path)).read_bytes()).data.astype(np.float64)
         err, supervised = cross_entropy_error(vol, gt)
@@ -345,10 +365,7 @@ def _cmd_eval_depth(args) -> int:
 
 
 def _cmd_warp(args) -> int:
-    _, cams, depths = _load_scene(args.scene)
-    for v in (args.ref, args.src):
-        if v not in cams:
-            raise MissingInputError(f"view {v} not present in scene {args.scene}")
+    _, cams, depths = _load_scene(args.scene, (args.ref, args.src))
     d_ref = depths[args.ref]
     d_reproj, p_reproj = fbr(d_ref, cams[args.ref], depths[args.src], cams[args.src])
     out = Path(args.out)

@@ -16,7 +16,6 @@ search's.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .reproject import DepthMap
 
@@ -78,8 +77,12 @@ def nearest_neighbor_distances(queries, refs, workers: int = 1, upper_bound: flo
     faster, same distances) over the reference points; the queries are
     split over `workers` threads, which does not change the result.
     Distances above `upper_bound` come back inf, and so may one equal to
-    it; the search prunes every branch farther than the bound.
+    it; the search prunes every branch farther than the bound.  scipy is
+    imported here, not at module level, so only a caller of this search
+    pays for loading it.
     """
+    from scipy.spatial import cKDTree
+
     queries = _points(queries)
     refs = _points(refs)
     tree = cKDTree(refs, balanced_tree=False)

@@ -19,9 +19,10 @@ arguments into the band buffers and, where the caller passes full-frame
 outputs, straight into their row slices.  fbr and fusion walk _chain;
 forward_project, remap, the penalty votes and the loss walk _bands.  The
 chain's own buffers are allocated once per pair, so the working set
-stays in L2 and no band pays for fresh pages or heap trimming (numpy
-still makes band-sized temporaries inside the forward warp's broadcast
-multiplies of the pixel grid).
+stays in L2 and no band pays for fresh pages or heap trimming.  The
+forward warp's broadcast multiplies of the pixel grid still use numpy's
+own iteration buffer (at most 8192 elements), and each scaled grid vector
+is a row- or column-sized array of its own (see _scaled).
 
 The views that _bands and _chain yield are overwritten by the next band
 and must not outlive their pair: a view still bound when the next pair
@@ -138,8 +139,13 @@ class CoordinateGrid:
 
 
 def _scaled(a, s, buf):
-    """s * a in the leading a.size elements of buf, shaped like a (so it still broadcasts)."""
-    return np.multiply(a, s, out=buf.reshape(-1)[: a.size].reshape(a.shape))
+    """s * a: into buf when a fills it, else (a pixel-grid vector that broadcasts) as a small new array.
+
+    A product that reads the result may then write all of buf without
+    overlapping its own input, which would make numpy copy that input at
+    the broadcast (band) size first.
+    """
+    return np.multiply(a, s, out=buf) if a.shape == buf.shape else a * s
 
 
 def _warp_row(t, xs, ys, depth, acc, tmp):

@@ -241,6 +241,26 @@ def test_only_fuse_reads_confidence_maps(plane_scene, tmp_path, capsys):
                    "--out", str(tmp_path / "warp"))[0] == 0
 
 
+def test_warp_reads_only_its_two_views(plane_scene, tmp_path, capsys):
+    # A garbage depth PFM of a third view stops the commands that read
+    # every view (gc-penalty) but not warp, which reads --ref and --src.
+    (plane_scene / "depths" / "00000002.pfm").write_bytes(b"not a pfm")
+    assert run_cli(capsys, "gc-penalty", "--scene", str(plane_scene), "--out", str(tmp_path / "pen"))[0] == 3
+    code, out, _ = run_cli(capsys, "warp", "--scene", str(plane_scene), "--ref", "0", "--src", "1",
+                           "--out", str(tmp_path / "warp"))
+    assert code == 0
+    assert read_json(out)["valid_pixels"] > 0
+
+
+def test_warp_view_missing_from_the_scene_exits_2(plane_scene, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "warp", "--scene", str(plane_scene), "--ref", "0", "--src", "9",
+                             "--out", str(tmp_path / "warp"))
+    assert code == 2
+    assert out == ""
+    assert "view 9 not present" in err
+    assert not (tmp_path / "warp").exists()
+
+
 def test_eval_depth_cli(plane_scene, tmp_path, capsys):
     d0 = plane_scene / "depths" / "00000000.pfm"
     code, out, _ = run_cli(capsys, "eval-depth", "--pred", str(d0), "--gt", str(d0))
@@ -426,6 +446,47 @@ def test_loss_cli_rejects_non_finite_volumes(tmp_path, capsys, field, index, val
     assert code == 3
     assert out == ""
     assert "must be finite" in err and f"byte offset {len(header)}" in err
+
+
+def test_loss_cli_empty_volume_file_is_a_parse_error(plane_scene, tmp_path, capsys):
+    # An empty file cannot be memory-mapped; the volume reader still
+    # rejects it with its own message.
+    argv = _plane_loss_argv(plane_scene, tmp_path)
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    argv[argv.index("--probvol") + 1] = str(empty)
+    code, out, err = run_cli(capsys, "loss", *argv)
+    assert code == 3
+    assert out == ""
+    assert "truncated PFM header (byte offset 0)" in err
+
+
+def test_loss_cli_does_not_copy_the_volume(tmp_path, capsys):
+    # The volume is read through a memory map: the traced Python and numpy
+    # allocations of a whole `loss` call stay under half the file's size,
+    # which a copy of the file alone would exceed.
+    import tracemalloc
+
+    d, h, w = 64, 48, 64
+    probs = np.full((d, h, w), 1.0 / d)
+    vol_path = tmp_path / "vol.bin"
+    vol_path.write_bytes(formats.write_probability_volume(
+        ProbabilityVolume(probs, np.linspace(100.0, 200.0, d))))
+    gt_path = tmp_path / "gt.pfm"
+    gt_path.write_bytes(formats.write_pfm(formats.PfmImage(np.full((h, w), 150.0, dtype=np.float32))))
+    pen_path = tmp_path / "pen.pfm"
+    pen_path.write_bytes(formats.write_pfm(formats.PfmImage(np.ones((h, w), dtype=np.float32))))
+    argv = ["loss", "--probvol", str(vol_path), "--gt", str(gt_path), "--penalty", str(pen_path)]
+    assert main(argv) == 0  # first-call allocations out of the measurement
+    first = capsys.readouterr().out
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == first
+    assert peak < vol_path.stat().st_size // 2, (peak, vol_path.stat().st_size)
 
 
 def _plane_loss_argv(plane_scene, tmp_path):

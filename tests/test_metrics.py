@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -197,3 +201,21 @@ def test_depth_metrics_matches_naive_loop(rng):
 def test_depth_metrics_empty_mask_errors():
     with pytest.raises(ValueError, match="valid"):
         depth_metrics(np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2), dtype=bool))
+
+
+def test_only_the_nearest_neighbor_search_loads_scipy():
+    # In a fresh interpreter (this one has scipy loaded by other tests),
+    # importing the package and its CLI loads no scipy module; the k-d
+    # search loads it when called.
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import mvsgeo, mvsgeo.cli\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded at import'\n"
+        "d = mvsgeo.nearest_neighbor_distances(np.zeros((2, 3)), np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 1.0]]))\n"
+        "assert d.tolist() == [1.0, 1.0], d\n"
+        "assert 'scipy.spatial' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=src, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -309,3 +309,27 @@ def test_stage_penalties_are_band_invariant(monkeypatch, kind, w, h, n, seed):
         for mode in modes:
             got = stage_penalties(d0, spec.cameras[0], sources, stages, mode)
             assert all(_same_bits(a.values, b.values) for a, b in zip(base[mode], got)), (band, mode)
+
+
+def test_forward_warp_makes_no_band_sized_copy():
+    # The forward warp's pixel grid broadcasts over the band (xs a row, ys
+    # a column).  A scaled grid vector sharing memory with the product's
+    # output makes numpy copy it at the band size first.  What is left is
+    # numpy's own iteration buffer (at most 8192 elements) and the row- and
+    # column-sized grid vectors: under half a band buffer.
+    import tracemalloc
+
+    h, w = 64, 512  # one band of the default size, 256 KB per float64 buffer
+    rng = np.random.default_rng(5)
+    d_ref = DepthMap.from_values(rng.uniform(400.0, 900.0, (h, w)))
+    transform = warp_transform(random_camera(rng), random_camera(rng))
+    out = tuple(np.empty((h, w), dtype=dtype) for dtype in reproject._WARP)
+    tmp, failed = np.empty((h, w)), np.empty((h, w), dtype=bool)
+    reproject._forward(transform, d_ref, slice(0, h), out, tmp, failed)  # first-call allocations
+    tracemalloc.start()
+    try:
+        reproject._forward(transform, d_ref, slice(0, h), out, tmp, failed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < h * w * 8 // 2, peak
