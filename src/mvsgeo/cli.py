@@ -4,7 +4,8 @@ Subcommands: synth, gc-penalty, loss, fuse, eval-pc, eval-depth, warp.
 Exit codes: 0 ok, 1 usage error, 2 missing input file, 3 computation
 error.  Every command accepts --threads (default from MVSGEO_THREADS);
 gc-penalty, fuse and eval-pc use it and produce byte-identical outputs
-for any thread count, the other commands ignore it.
+for any thread count, the other commands ignore it.  gc-penalty checks
+every reference, then writes each one's PFMs as soon as they are made.
 
 Scene directory convention (emitted by synth, consumed by the rest):
 
@@ -22,14 +23,13 @@ import json
 import mmap
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import formats, synth
 from .fusion import FusionParams, PointCloud, fuse
-from .loss import StageWeights, cross_entropy_error, stage_loss, total_loss
+from .loss import StageWeights, cross_entropy_error, stage_loss
 from .metrics import depth_metrics, evaluate_point_clouds
 from .penalty import (
     GcThresholds,
@@ -39,7 +39,7 @@ from .penalty import (
     penalty_histogram,
     stage_penalties,
 )
-from .reproject import _pair_errors, fbr
+from .reproject import _in_order, _pair_errors, fbr
 from .views import load_pairing, rank_sources, save_pairing
 
 __all__ = ["main"]
@@ -164,10 +164,9 @@ def _cmd_synth(args) -> int:
     (out / "depths").mkdir(exist_ok=True)
     (out / "confidence").mkdir(exist_ok=True)
     rng = np.random.default_rng(args.seed + 1)
-    renders = [synth.render_depth(spec, v)[0] for v in range(len(spec.cameras))]
     gt_points = []
     for v, cam in enumerate(spec.cameras):
-        depth = renders[v]
+        depth = synth.render_depth(spec, v)[0]
         (out / "cams" / f"{v:08d}_cam.txt").write_text(formats.write_cam(cam))
         values = depth.values
         if args.noise_std > 0:
@@ -178,7 +177,7 @@ def _cmd_synth(args) -> int:
         )
         conf = depth.valid.astype(np.float32)
         (out / "confidence" / f"{v:08d}.pfm").write_bytes(formats.write_pfm(formats.PfmImage(conf)))
-        gt_points.append(synth.surface_points(spec, v)[0][depth.valid])
+        gt_points.append(synth._depth_points(spec, v, depth.values)[depth.valid])
     # Rank every view's sources on a decimated back-projection of its depth.
     pairings = []
     for v in range(len(spec.cameras)):
@@ -219,41 +218,41 @@ def _cmd_gc_penalty(args) -> int:
         raise ValueError("--d-pixel and --d-depth need the same number of stages")
     pairings, cams, depths = _load_scene(args.scene)
     by_ref = {p.reference: p for p in pairings}
-    refs = args.ref if args.ref else sorted(by_ref)
-    for r in refs:
-        if r not in by_ref:
-            raise MissingInputError(f"view {r} not present in {Path(args.scene) / 'pair.txt'}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stages = [GcThresholds(dp, dd) for dp, dd in zip(args.d_pixel, args.d_depth)]
-
-    def run(ref_id):
+    # Every check that can reject the scene runs here, before any file is written.
+    jobs = []
+    for ref_id in args.ref if args.ref else sorted(by_ref):
+        if ref_id not in by_ref:
+            raise MissingInputError(f"view {ref_id} not present in {Path(args.scene) / 'pair.txt'}")
         pairing = by_ref[ref_id]
         src_ids = pairing.top(args.num_sources) if args.num_sources else [i for i, _ in pairing.ranked_sources]
         if not src_ids:
             raise ValueError(f"view {ref_id} has no source views in pair.txt")
-        sources = [(depths[s], cams[s]) for s in src_ids]
-        d_ref = depths[ref_id]
-        penalties = stage_penalties(d_ref, cams[ref_id], sources, stages, args.range)
-        return src_ids, [apply_reference_mask(penalty, d_ref.valid) for penalty in penalties]
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            computed = list(pool.map(run, refs))
-    else:
-        computed = [run(r) for r in refs]
-
+        for s in src_ids:
+            if depths[s].shape != depths[ref_id].shape:
+                raise ValueError(f"view {s} depth shape {depths[s].shape} does not match "
+                                 f"reference view {ref_id} {depths[ref_id].shape}")
+        jobs.append((ref_id, src_ids))
+    stages = [GcThresholds(dp, dd) for dp, dd in zip(args.d_pixel, args.d_depth)]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     summary = {"range_mode": args.range, "stages": [
         {"d_pixel": t.d_pixel, "d_depth": t.d_depth} for t in stages], "views": {}}
-    for ref_id, (src_ids, results) in zip(refs, computed):
+
+    def run(ref_id, src_ids):
+        d_ref = depths[ref_id]
+        penalties = stage_penalties(d_ref, cams[ref_id], [(depths[s], cams[s]) for s in src_ids], stages, args.range)
+        return ref_id, src_ids, [apply_reference_mask(penalty, d_ref.valid) for penalty in penalties]
+
+    def write(computed):
+        ref_id, src_ids, results = computed
         view_doc = {"sources": src_ids, "stages": []}
         for s, penalty in enumerate(results):
             path = out / f"penalty_{ref_id:08d}_stage{s}.pfm"
             path.write_bytes(formats.write_pfm(formats.PfmImage(penalty.values.astype(np.float32))))
-            doc = penalty_histogram(penalty)
-            doc["pfm"] = path.name
-            view_doc["stages"].append(doc)
+            view_doc["stages"].append({**penalty_histogram(penalty), "pfm": path.name})
         summary["views"][str(ref_id)] = view_doc
+
+    _in_order(run, write, jobs, args.threads)
     _emit_json(summary, out / "summary.json")
     return 0
 
@@ -269,7 +268,6 @@ def _cmd_loss(args) -> int:
     if len(args.probvol) > 3:
         raise ValueError("at most three stages")
     weights = StageWeights(args.alpha, args.beta, args.gamma)
-    w_list = (weights.alpha, weights.beta, weights.gamma)
     losses = []
     for vol_path, gt_path, pen_path in zip(args.probvol, args.gt, args.penalty):
         vol = formats.read_probability_volume(_mapped(Path(vol_path)))
@@ -278,10 +276,7 @@ def _cmd_loss(args) -> int:
         err, supervised = cross_entropy_error(vol, gt)
         valid = supervised & (pen > 0)
         losses.append(stage_loss(pen, err, valid))
-    if len(losses) == 3:
-        total = total_loss(losses, weights)
-    else:
-        total = float(sum(w * l for w, l in zip(w_list, losses)))
+    total = float(sum(w * l for w, l in zip((weights.alpha, weights.beta, weights.gamma), losses)))
     _emit_json(
         {
             "stage_losses": losses,

@@ -8,18 +8,16 @@ consistent sources.  Source pixels hit by an emitted point are marked
 consumed so each surface point is emitted once.  Emission order is the
 row-major reference-view scan, so output is deterministic and identical
 for any thread count: the consume pass is one sequential, vectorized
-numpy pass per reference view, in reference order.  A reference view's
-per-pair check arrays are built just before its pass and dropped after
-it; threads compute them at most `threads` reference views ahead, so at
-most threads + 1 views' arrays are alive.  They are allocated on the
-thread that runs the passes and frees them, so pool threads allocate
-only band-sized scratch.  Each pair is checked band by band, in one
-call per pair, by walking reproject._chain (the reprojection fbr
-computes) and applying reproject._pair_errors (the penalty's sqrt
-formula) straight into the reference's (n_src, H, W) stacks:
-displacement, relative depth difference and reprojected depth
-(float64), and the landing pixel as one int32 flat index (-1 off the
-source image).  Checks pass below (<).
+numpy pass per reference view, in reference order, in
+reproject._in_order.  A view's per-pair check arrays are allocated by
+the thread that runs the passes, filled by pool threads (which allocate
+only band-sized scratch) and dropped after the view's pass.  Each pair
+is checked band by band, in one call per pair, by walking
+reproject._chain (the reprojection fbr computes) and applying
+reproject._pair_errors (the penalty's sqrt formula) straight into the
+reference's (n_src, H, W) stacks: displacement, relative depth
+difference and reprojected depth (float64), and the landing pixel as
+one int32 flat index (-1 off the source image).  Checks pass below (<).
 
 Two checking modes: "fusibile" applies one displacement/relative-depth
 threshold pair and a fixed required view count; "dynamic" derives the
@@ -30,14 +28,12 @@ table is configuration, not canon; the default grows 0.25 px and 0.0025
 relative depth per required view.
 """
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Camera, pixel_grid
-from .reproject import DepthMap, _chain, _pair_errors
+from .camera import Camera
+from .reproject import DepthMap, _chain, _in_order, _pair_errors
 
 __all__ = ["FusionParams", "PointCloud", "DEFAULT_DYNAMIC_TABLE", "dynamic_thresholds", "fuse"]
 
@@ -184,19 +180,13 @@ def _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, flat,
     n_src = disp.shape[0]
     n_table = table.shape[0]
     eligible = (consumed[ref_idx] == 0) & ref_valid & (conf > prob_threshold)
-    kmax = max(n_table, min_consistent)
-    for k in range(kmax, min_consistent - 1, -1):
+    # Ascending k: the largest qualifying k writes its passing set last.
+    passing = np.zeros(disp.shape, dtype=bool)
+    for k in range(min_consistent, max(n_table, min_consistent) + 1):
         row = min(k, n_table) - 1
         pass_k = (disp < table[row, 0]) & (rdd < table[row, 1])
-        ok_k = pass_k.sum(axis=0) >= k
-        if k == kmax:
-            passing = pass_k & ok_k
-            ok = ok_k
-        else:
-            take = ok_k & ~ok
-            passing[:, take] = pass_k[:, take]
-            ok |= ok_k
-    fuse = eligible & ok
+        np.copyto(passing, pass_k, where=pass_k.sum(axis=0) >= k)
+    fuse = eligible & passing.any(axis=0)
     passing = passing & fuse[None, :, :]
     n = passing.sum(axis=0)
     if avg_mode == 0:
@@ -220,11 +210,8 @@ def _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, flat,
 
 def _back_project_grid(depth_values, mask, cam: Camera):
     """World points for the masked pixels of a depth grid, row-major order."""
-    h, w = depth_values.shape
-    xs, ys = pixel_grid(h, w)
+    y, x = np.nonzero(mask)
     d = depth_values[mask]
-    x = xs[mask]
-    y = ys[mask]
     rays = np.linalg.inv(cam.K) @ np.stack([x * d, y * d, d])
     world = cam.E[:3, :3].T @ (rays - cam.E[:3, 3:4])
     return world.T
@@ -269,9 +256,10 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
 
     def build(r, stacks):
         depth_r, _, cam_r, _ = unpacked[r]
-        return _pair_stacks(depth_r, cam_r, [(unpacked[s][0], unpacked[s][2]) for s in pairs[r]], stacks)
+        return r, _pair_stacks(depth_r, cam_r, [(unpacked[s][0], unpacked[s][2]) for s in pairs[r]], stacks)
 
-    def emit(r, stacks):
+    def emit(built):
+        r, stacks = built
         depth_r, conf_r, cam_r, image_r = unpacked[r]
         fused_depth, mask = _consume_pass(
             depth_r.values,
@@ -296,26 +284,10 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
             else:
                 all_colors.append(np.zeros((int(mask.sum()), 3), dtype=np.uint8))
 
-    # Consume passes run in reference order; reference r's stacks are built
-    # just before its pass, by the pool at most `threads` references ahead.
-    # The stacks are allocated here, not in the pool: freed stacks that pool
-    # threads had allocated stayed in those threads' heaps, and 15 calls of
-    # `fuse --threads 2` then `eval-pc` on 320 x 256 x 8 views peaked at
-    # 179 MB in 6 of 8 processes, against 145-146 MB allocated here.
-    def stacks_for(r):
-        return _new_stacks(len(pairs[r]), shape)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ahead = deque(pool.submit(build, r, stacks_for(r)) for r in range(min(threads, n_views)))
-            for r in range(n_views):
-                stacks = ahead.popleft().result()
-                if r + threads < n_views:
-                    ahead.append(pool.submit(build, r + threads, stacks_for(r + threads)))
-                emit(r, stacks)
-    else:
-        for r in range(n_views):
-            emit(r, build(r, stacks_for(r)))
+    # Stacks allocated by pool threads stayed in their heaps once freed: 15
+    # calls of `fuse --threads 2` then `eval-pc` on 320 x 256 x 8 views
+    # peaked at 179 MB in 6 of 8 processes, against 145-146 MB as items.
+    _in_order(build, emit, ((r, _new_stacks(len(pairs[r]), shape)) for r in range(n_views)), threads)
 
     if not all_points:
         return PointCloud(points=np.zeros((0, 3)))

@@ -47,9 +47,16 @@ where=~ok), so the values a scratch buffer held before never leak.
 _pair_errors is the one pair check (penalty, fusion, `warp`): displacement
 sqrt(dx**2 + dy**2) and relative depth difference, inf where `ok` is false
 (invalid reference pixel, behind a camera, off the source, invalid corner).
+
+_in_order is the only reference-view loop (`gc-penalty`, `fuse`): at most
+threads + 1 references' arrays are alive, and output order does not
+depend on threads.
 """
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -207,6 +214,29 @@ def _bands(shape, floats=0, bools=0):
         rows = slice(start, min(start + step, h))
         k = rows.stop - start
         yield rows, [a[:k] for a in f_all], [a[:k] for a in b_all]
+
+
+def _in_order(produce, consume, items, threads):
+    """consume(produce(*item)) for every item, in order, on the calling thread.
+
+    With threads > 1, `threads` pool workers produce at most `threads`
+    items ahead.  Items are drawn on the calling thread, the one that frees
+    them.  No item or result stays bound while the next is drawn or
+    awaited: it would keep its arrays alive beside the next one's.
+    """
+    items = iter(items)
+    if threads <= 1:
+        for item in items:
+            consume(produce(*item))
+            del item
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        ahead = deque(pool.submit(produce, *item) for item in islice(items, threads))
+        while ahead:
+            result = ahead.popleft().result()
+            ahead.extend(pool.submit(produce, *item) for item in islice(items, 1))
+            consume(result)
+            del result
 
 
 def _forward(transform, d_ref: DepthMap, rows: slice, out, tmp, failed):

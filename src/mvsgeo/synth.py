@@ -168,15 +168,17 @@ def render_depth(spec: SceneSpec, view: int) -> tuple[DepthMap, np.ndarray]:
     return depth, hit
 
 
+def _depth_points(spec: SceneSpec, view: int, depth: np.ndarray) -> np.ndarray:
+    """World point (H, W, 3) at camera depth `depth` on each pixel's ray (the origin where it is 0)."""
+    width, height = spec.resolution
+    origin, dirs = _camera_rays(spec.cameras[view], width, height)
+    return origin + depth[..., None] * dirs
+
+
 def surface_points(spec: SceneSpec, view: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact world-space surface point per pixel (H, W, 3) and the hit mask."""
-    width, height = spec.resolution
-    cam = spec.cameras[view]
-    origin, dirs = _camera_rays(cam, width, height)
-    t = _first_hit(spec.geometry, origin, dirs)
-    hit = np.isfinite(t)
-    pts = origin + np.where(hit, t, 0.0)[..., None] * dirs
-    return pts, hit
+    depth, hit = render_depth(spec, view)
+    return _depth_points(spec, view, depth.values), hit
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from mvsgeo import formats
+from mvsgeo import formats, reproject
 from mvsgeo.cli import main
-from mvsgeo.loss import ProbabilityVolume
+from mvsgeo.loss import ProbabilityVolume, StageWeights, total_loss
 
 from truth import covisibility_mask
 
@@ -159,6 +159,130 @@ def test_gc_penalty_one_corrupted_view_of_eight(tmp_path, capsys):
     assert code == 0
     mean = read_json(out)["views"]["0"]["stages"][0]["mean_penalty"]
     assert 1.0 < mean <= 1.0 + 1.0 / 8.0
+
+
+@pytest.fixture
+def six_view_scene(tmp_path, capsys):
+    scene = tmp_path / "scene6"
+    code, _, _ = run_cli(capsys, "synth", "--out", str(scene), "--kind", "two-planes",
+                         "--width", "80", "--height", "64", "--views", "6", "--seed", "4")
+    assert code == 0
+    return scene
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_gc_penalty_writes_each_reference_at_most_threads_ahead(six_view_scene, tmp_path, capsys,
+                                                                 monkeypatch, threads):
+    # References computed (or being computed) but not yet written: at most
+    # the one being written plus `threads` ahead of it.  With one stage,
+    # a reference's histogram is taken right after its PFM is written.
+    import threading
+
+    from mvsgeo import cli
+
+    lock = threading.Lock()
+    state = {"open": 0, "max": 0}
+    compute, histogram = cli.stage_penalties, cli.penalty_histogram
+
+    def counting_compute(*args):
+        with lock:
+            state["open"] += 1
+            state["max"] = max(state["max"], state["open"])
+        return compute(*args)
+
+    def counting_histogram(*args):
+        with lock:
+            state["open"] -= 1
+        return histogram(*args)
+
+    monkeypatch.setattr(cli, "stage_penalties", counting_compute)
+    monkeypatch.setattr(cli, "penalty_histogram", counting_histogram)
+    code, out, _ = run_cli(capsys, "gc-penalty", "--scene", str(six_view_scene), "--out", str(tmp_path / "p"),
+                           "--d-pixel", "1.0", "--d-depth", "0.01", "--threads", str(threads))
+    assert code == 0
+    assert state["open"] == 0
+    assert 1 <= state["max"] <= threads + 1
+    assert len(read_json(out)["views"]) > threads + 1  # a window that could be overrun
+
+
+def test_gc_penalty_single_thread_holds_one_reference(six_view_scene, tmp_path, capsys, monkeypatch):
+    # After the scene is loaded, a --threads 1 run holds one reference in
+    # flight (its int64 vote sums, then its stage maps; one pair's fbr
+    # result, band scratch and corner map) and at most one more set of
+    # stage maps.  Holding the maps of every reference until the end, as
+    # a compute-all-then-write loop does, exceeds this from the third
+    # reference on.  Row bands of 8 rows keep the band scratch small.
+    import tracemalloc
+
+    from mvsgeo import cli
+
+    w, h, n_stages = 80, 64, 3
+    monkeypatch.setattr(reproject, "_BAND_PIXELS", 8 * w)
+    load, loaded = cli._load_scene, []
+
+    def loading(*args):
+        scene = load(*args)
+        loaded.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return scene
+
+    monkeypatch.setattr(cli, "_load_scene", loading)
+    argv = ["gc-penalty", "--scene", str(six_view_scene), "--out", str(tmp_path / "p"), "--threads", "1"]
+    assert run_cli(capsys, *argv)[0] == 0  # first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(read_json(out)["views"]) >= 4
+    maps = n_stages * h * w * 8
+    fbr_result = h * w * (3 * 8 + 1)
+    scratch = 8 * w * (10 * 8 + 4)
+    corner_map = 3 * h * w
+    assert peak - loaded[-1] < 2 * maps + fbr_result + scratch + corner_map, (peak - loaded[-1], maps)
+
+
+def _two_view_pairs(scene, last_line):
+    """pair.txt with references 0, 1 and 2: 0 and 1 check each other, 2 lists `last_line`."""
+    (scene / "pair.txt").write_text(f"3\n0\n1 1 1.0\n1\n1 0 1.0\n2\n{last_line}\n")
+
+
+@pytest.mark.parametrize("case", ["no sources", "mis-shaped source"])
+def test_gc_penalty_rejects_the_scene_before_writing(plane_scene, tmp_path, capsys, case):
+    # The rejected reference comes last, after two that would compute.
+    if case == "no sources":
+        _two_view_pairs(plane_scene, "0")
+        message = "view 2 has no source views"
+    else:
+        _two_view_pairs(plane_scene, "1 3 1.0")
+        small = np.full((20, 24), 600.0, dtype=np.float32)
+        (plane_scene / "depths" / "00000003.pfm").write_bytes(formats.write_pfm(formats.PfmImage(small)))
+        message = "does not match reference"
+    out_dir = tmp_path / "pen"
+    for threads in ("1", "3"):
+        code, out, err = run_cli(capsys, "gc-penalty", "--scene", str(plane_scene), "--out", str(out_dir),
+                                 "--threads", threads)
+        assert code == 3
+        assert out == "" and message in err
+        assert list(out_dir.glob("*.pfm")) == [] and not (out_dir / "summary.json").exists()
+
+
+def test_synth_casts_each_views_rays_once(tmp_path, capsys, monkeypatch):
+    from mvsgeo import synth
+
+    calls = []
+    first_hit = synth._first_hit
+
+    def counting(*args):
+        calls.append(1)
+        return first_hit(*args)
+
+    monkeypatch.setattr(synth, "_first_hit", counting)
+    code, _, _ = run_cli(capsys, "synth", "--out", str(tmp_path / "s"), "--kind", "two-planes",
+                         "--width", "24", "--height", "16", "--views", "3")
+    assert code == 0
+    assert len(calls) == 3
 
 
 def test_missing_scene_exits_2(tmp_path, capsys):
@@ -420,6 +544,17 @@ def test_loss_cli_three_stages_total(tmp_path, capsys):
     per_stage = float(-np.log(np.float32(0.5)).astype(np.float64))
     assert doc["stage_losses"] == pytest.approx([per_stage] * 3, rel=1e-6)
     assert doc["total_loss"] == pytest.approx(4 * per_stage, rel=1e-6)
+    assert doc["total_loss"] == total_loss(doc["stage_losses"], StageWeights())
+    # A non-finite stage loss exits 3 through the JSON guard.
+    pen = np.ones((h, w), dtype=np.float32)
+    pen[0, 0] = np.inf
+    files[2][2].write_bytes(formats.write_pfm(formats.PfmImage(pen)))
+    code, out, err = run_cli(capsys, "loss",
+                             "--probvol", *[str(f[0]) for f in files],
+                             "--gt", *[str(f[1]) for f in files],
+                             "--penalty", *[str(f[2]) for f in files])
+    assert code == 3
+    assert out == "" and "JSON" in err
 
 
 @pytest.mark.parametrize("field, index, value", [

@@ -1,0 +1,123 @@
+"""The package has one reference-view loop: reproject._in_order.
+
+A static scan with the standard library's ast: outside _in_order no
+module of src/mvsgeo constructs a ThreadPoolExecutor or a deque (the
+look-ahead window).  Then _in_order's own contract: order, window,
+the thread items are drawn on, and no item kept alive past its turn.
+"""
+
+import ast
+import threading
+import weakref
+from pathlib import Path
+
+import pytest
+
+from mvsgeo.reproject import _in_order
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mvsgeo"
+LOOP = "_in_order"
+POOLS = ("ThreadPoolExecutor", "deque")
+
+
+def pool_constructions(source: str, loop: str | None = None) -> list[str]:
+    """Calls of ThreadPoolExecutor or deque outside the function named `loop`."""
+    tree = ast.parse(source)
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == loop:
+            inside |= {id(n) for n in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside or not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+        if name in POOLS:
+            found.append(f"{name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_scan_finds_pools_and_windows_and_accepts_the_loop():
+    fork = (
+        "def run(jobs, threads):\n"
+        "    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:\n"
+        "        ahead = collections.deque()\n"
+    )
+    assert pool_constructions(fork) == ["ThreadPoolExecutor (line 2)", "deque (line 3)"]
+    assert pool_constructions(fork.replace("def run", f"def {LOOP}"), LOOP) == []
+    assert pool_constructions("from concurrent.futures import ThreadPoolExecutor\n") == []
+
+
+def test_the_loop_is_the_pool_owner():
+    source = (PACKAGE / "reproject.py").read_text()
+    assert pool_constructions(source) != []  # the rule is not vacuous: _in_order builds the pool
+    assert pool_constructions(source, LOOP) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_runs_its_own_reference_loop(module):
+    source = (PACKAGE / module).read_text()
+    assert pool_constructions(source, LOOP if module == "reproject.py" else None) == []
+
+
+class Item:
+    """A stand-in for one reference view's arrays."""
+
+    def __init__(self, index):
+        self.index = index
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_consumes_every_item_in_order_on_the_calling_thread(threads):
+    caller = threading.current_thread()
+    drawn, consumed = [], []
+
+    def items():
+        for i in range(7):
+            drawn.append(threading.current_thread())
+            yield i, Item(i)
+
+    def produce(i, item):
+        assert item.index == i
+        return item
+
+    def consume(item):
+        consumed.append((item.index, threading.current_thread()))
+
+    _in_order(produce, consume, items(), threads)
+    assert consumed == [(i, caller) for i in range(7)]
+    assert drawn == [caller] * 7
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_no_item_outlives_the_window(threads):
+    # When an item is drawn, no earlier item is alive with one thread;
+    # with a pool, at most `threads` are: the one about to be consumed and
+    # those in flight.
+    alive = []
+    refs = []
+
+    def items():
+        for i in range(8):
+            alive.append(sum(ref() is not None for ref in refs))
+            item = Item(i)
+            refs.append(weakref.ref(item))
+            yield (item,)
+            del item
+
+    _in_order(lambda item: item, lambda item: None, items(), threads)
+    assert max(alive) == (0 if threads == 1 else threads)
+    assert all(ref() is None for ref in refs)
+
+
+def test_a_producer_error_reaches_the_caller():
+    def produce(i):
+        if i == 2:
+            raise ValueError("bad item")
+        return i
+
+    consumed = []
+    with pytest.raises(ValueError, match="bad item"):
+        _in_order(produce, consumed.append, ((i,) for i in range(5)), 2)
+    assert consumed == [0, 1]
