@@ -241,7 +241,7 @@ def _cmd_gc_penalty(args) -> int:
     def run(ref_id, src_ids):
         d_ref = depths[ref_id]
         penalties = stage_penalties(d_ref, cams[ref_id], [(depths[s], cams[s]) for s in src_ids], stages, args.range)
-        return ref_id, src_ids, [apply_reference_mask(penalty, d_ref.valid) for penalty in penalties]
+        return ref_id, src_ids, [apply_reference_mask(penalties.pop(0), d_ref.valid) for _ in stages]
 
     def write(computed):
         ref_id, src_ids, results = computed

@@ -165,7 +165,8 @@ def _fill_pair(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Camer
 # pixel fuses when some k >= min_consistent has count(table row k) >= k;
 # the largest qualifying k selects the consistent set.  table rows beyond
 # the end clamp to the last entry, so a one-row table (fusibile) is a
-# single threshold pair with a fixed required count.
+# single threshold pair with a fixed required count.  No count exceeds
+# n_src, so k stops there.
 #
 # Fused depth = mean (avg_mode 0) or median (avg_mode 1) over the
 # reference depth plus the passing sources' reprojected depths.  Consumed
@@ -182,7 +183,7 @@ def _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, flat,
     eligible = (consumed[ref_idx] == 0) & ref_valid & (conf > prob_threshold)
     # Ascending k: the largest qualifying k writes its passing set last.
     passing = np.zeros(disp.shape, dtype=bool)
-    for k in range(min_consistent, max(n_table, min_consistent) + 1):
+    for k in range(min_consistent, min(max(n_table, min_consistent), n_src) + 1):
         row = min(k, n_table) - 1
         pass_k = (disp < table[row, 0]) & (rdd < table[row, 1])
         np.copyto(passing, pass_k, where=pass_k.sum(axis=0) >= k)

@@ -9,10 +9,15 @@ Inconsistency votes are summed over the M source views and mapped to the
 per-pixel penalty: 1 + mask_sum/M in the [1,2] range mode, or
 1 + 2*mask_sum/M in the [1,3] mode.  The displacement, sqrt(dx**2 +
 dy**2), and the depth difference come from reproject._pair_errors; a
-failed reprojection (fbr's result invalid) votes under any thresholds.
-Each source is reprojected by one fbr call, then its votes are added
-over the row bands of reproject._bands, so no full-frame error array is
-made and a source's fbr result is freed before the next source's.
+failed reprojection (depth or coordinates invalid) votes under any
+thresholds.
+
+_add_votes is the one vote loop, over the row bands of reproject._bands
+with no full-frame error array.  inconsistency_mask runs it once into a
+bool map; stage_penalties once per source (one fbr call, freed before
+the next) into counts of the narrowest unsigned integer that holds M,
+then reads each map off one table of the M + 1 levels, bit for bit the
+per-pixel formula.
 """
 
 from dataclasses import dataclass
@@ -67,11 +72,6 @@ class PenaltyMap:
             raise ValueError(f"range_mode must be one of {_RANGE_MODES}")
 
 
-def _votes(tested, failed, pde, rdd, thresholds: GcThresholds) -> np.ndarray:
-    """One stage's vote: tested pixels whose reprojection failed or exceeds a threshold."""
-    return tested & (failed | (pde > thresholds.d_pixel) | (rdd > thresholds.d_depth))
-
-
 def inconsistency_mask(
     d_ref: DepthMap,
     d_reproj: DepthMap,
@@ -85,13 +85,11 @@ def inconsistency_mask(
     """
     if d_reproj.shape != d_ref.shape or p_reproj.shape != d_ref.shape:
         raise ValueError("reprojection outputs must match the reference shape")
-    tested = d_ref.valid
-    if np.any(d_ref.values[tested] == 0):
+    if np.any(d_ref.values == 0, where=d_ref.valid):
         raise ValueError("zero reference depth")
-    failed = ~(d_reproj.valid & p_reproj.valid)
-    pde, rdd = _pair_errors(d_ref, slice(0, d_ref.height), p_reproj.x, p_reproj.y, d_reproj.values, failed,
-                            np.empty((2,) + d_ref.shape))
-    return _votes(tested, failed, pde, rdd, thresholds)
+    mask = np.zeros(d_ref.shape, dtype=bool)
+    _add_votes(d_ref, d_reproj, p_reproj, [thresholds], [mask])
+    return mask
 
 
 def per_pixel_penalty(
@@ -105,19 +103,20 @@ def per_pixel_penalty(
     return stage_penalties(d_ref, ref, sources, [thresholds], range_mode)[0]
 
 
-def _add_votes(d_ref: DepthMap, d_back: DepthMap, p_back: CoordinateGrid, stages, mask_sums) -> None:
-    """Add one source's votes of every stage to its int64 sum, band by band.
+def _add_votes(d_ref: DepthMap, d_back: DepthMap, p_back: CoordinateGrid, stages, counts) -> None:
+    """Add one reprojection's votes of every stage to that stage's counts, band by band.
 
-    fbr's result and the band buffers are released on return, before the
-    next source is reprojected.
+    A tested (reference-valid) pixel votes where its reprojection failed
+    or exceeds a threshold.  The band buffers are released on return.
     """
     for rows, errors, (failed,) in _bands(d_ref.shape, 2, 1):
-        np.logical_not(d_back.valid[rows], out=failed)  # fbr's depth and coordinates share one mask
+        np.logical_and(d_back.valid[rows], p_back.valid[rows], out=failed)
+        np.logical_not(failed, out=failed)
         pde, rdd = _pair_errors(d_ref, rows, p_back.x[rows], p_back.y[rows], d_back.values[rows], failed, errors)
         tested = d_ref.valid[rows]
-        for mask_sum, thresholds in zip(mask_sums, stages):
-            band_sum = mask_sum[rows]
-            band_sum += _votes(tested, failed, pde, rdd, thresholds)
+        for count, thresholds in zip(counts, stages):
+            band = count[rows]
+            band += tested & (failed | (pde > thresholds.d_pixel) | (rdd > thresholds.d_depth))
 
 
 def stage_penalties(
@@ -130,12 +129,10 @@ def stage_penalties(
     """Penalty maps of one reference view for several threshold stages.
 
     The stages differ only in the thresholds applied to the same
-    reprojection, so each source is reprojected once (one fbr call).
-    Then, band by band of rows, its displacement and relative depth
-    difference are computed once and every stage's votes are added to
-    that stage's int64 sums, so no full-frame error array is made.
-    Returns one PenaltyMap per stage, in the order of `stages`; each
-    equals per_pixel_penalty with that stage's thresholds.
+    reprojection, so each source is reprojected once (one fbr call) and
+    _add_votes adds every stage's votes from it.  Returns one PenaltyMap
+    per stage, in the order of `stages`; each equals per_pixel_penalty
+    with that stage's thresholds.
     """
     if not sources:
         raise ValueError("at least one source view is required")
@@ -143,23 +140,17 @@ def stage_penalties(
         raise ValueError("at least one threshold stage is required")
     if range_mode not in _RANGE_MODES:
         raise ValueError(f"range_mode must be one of {_RANGE_MODES}")
-    mask_sums = [np.zeros(d_ref.shape, dtype=np.int64) for _ in stages]
+    m = len(sources)
+    counts = [np.zeros(d_ref.shape, dtype=np.min_scalar_type(m)) for _ in stages]
     for d_src, src_cam in sources:
         if d_src.shape != d_ref.shape:
             raise ValueError(
                 f"source depth shape {d_src.shape} does not match reference {d_ref.shape}"
             )
-        _add_votes(d_ref, *fbr(d_ref, ref, d_src, src_cam), stages, mask_sums)
-    m = len(sources)
-    penalties = []
-    while mask_sums:
-        mask_sum = mask_sums.pop(0)  # each sum is freed once its map is made
-        if range_mode == "one-two":
-            values = 1.0 + mask_sum / m
-        else:
-            values = 1.0 + 2.0 * mask_sum / m
-        penalties.append(PenaltyMap(values, range_mode, m))
-    return penalties
+        _add_votes(d_ref, *fbr(d_ref, ref, d_src, src_cam), stages, counts)
+    scale = 1.0 if range_mode == "one-two" else 2.0
+    levels = 1.0 + scale * np.arange(m + 1) / m
+    return [PenaltyMap(levels[count], range_mode, m) for count in counts]
 
 
 def apply_reference_mask(penalty: PenaltyMap, ref_mask: np.ndarray) -> PenaltyMap:

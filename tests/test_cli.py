@@ -207,11 +207,12 @@ def test_gc_penalty_writes_each_reference_at_most_threads_ahead(six_view_scene, 
 
 def test_gc_penalty_single_thread_holds_one_reference(six_view_scene, tmp_path, capsys, monkeypatch):
     # After the scene is loaded, a --threads 1 run holds one reference in
-    # flight (its int64 vote sums, then its stage maps; one pair's fbr
-    # result, band scratch and corner map) and at most one more set of
-    # stage maps.  Holding the maps of every reference until the end, as
-    # a compute-all-then-write loop does, exceeds this from the third
-    # reference on.  Row bands of 8 rows keep the band scratch small.
+    # flight (its narrow vote counts, then its stage maps; one pair's fbr
+    # result, band scratch and corner map) and at most one more map, the
+    # masked copy of the stage map being masked.  Holding the maps of
+    # every reference until the end, as a compute-all-then-write loop
+    # does, or every unmasked map beside the masked ones, exceeds this.
+    # Row bands of 8 rows keep the band scratch small.
     import tracemalloc
 
     from mvsgeo import cli
@@ -240,7 +241,7 @@ def test_gc_penalty_single_thread_holds_one_reference(six_view_scene, tmp_path, 
     fbr_result = h * w * (3 * 8 + 1)
     scratch = 8 * w * (10 * 8 + 4)
     corner_map = 3 * h * w
-    assert peak - loaded[-1] < 2 * maps + fbr_result + scratch + corner_map, (peak - loaded[-1], maps)
+    assert peak - loaded[-1] < maps + h * w * 8 + fbr_result + scratch + corner_map, (peak - loaded[-1], maps)
 
 
 def _two_view_pairs(scene, last_line):

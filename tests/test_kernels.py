@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mvsgeo import reproject
-from mvsgeo.fusion import _consume_pass
+from mvsgeo.fusion import DEFAULT_DYNAMIC_TABLE, _consume_pass
 from mvsgeo.reproject import CoordinateGrid, DepthMap, remap
 
 from oracles import _scalar_bilinear, scalar_consume_pass
@@ -88,6 +88,10 @@ def test_remap_one_invalid_pixel_in_each_corner_matches_scalar_oracle_bitwise(mo
 @pytest.mark.parametrize("mode", [0, 1])
 @pytest.mark.parametrize("avg", [0, 1])
 def test_consume_pass_matches_scalar_oracle_bitwise(rng, mode, avg):
+    # The oracle tests every k up to the table length, the production pass
+    # stops at the source count: a table longer than n_src and a required
+    # count above n_src (nothing fuses, consumed stays untouched) show the
+    # cut is exact.
     n_src, h, w = 4, 12, 15
     ref_depth = rng.uniform(400, 900, (h, w))
     ref_valid = rng.random((h, w)) > 0.1
@@ -97,20 +101,26 @@ def test_consume_pass_matches_scalar_oracle_bitwise(rng, mode, avg):
     dres = np.where(np.isfinite(disp), ref_depth[None] * rng.uniform(0.99, 1.01, (n_src, h, w)), 0.0)
     sx = rng.integers(-1, w, (n_src, h, w))
     sy = np.where(sx >= 0, rng.integers(0, h, (n_src, h, w)), -1)
-    table = np.array([[1.0, 0.01], [1.25, 0.0125], [1.5, 0.015]])
-    consumed1 = np.zeros((n_src + 1, h, w), dtype=np.uint8)
-    consumed2 = consumed1.copy()
     src_idx = np.arange(1, n_src + 1, dtype=np.int64)
-    f1, m1 = scalar_consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
-                                 consumed1, 0, src_idx, 0.4, 2, mode, table, avg)
-    # The production pass has no mode: fusibile is its one-row table.  It
-    # takes the landing pixel as one flat index.
-    f2, m2 = _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, flat_index(sx, sy, w),
-                           consumed2, 0, src_idx, 0.4, 2, table[:1] if mode == 0 else table, avg)
-    assert np.array_equal(m1, m2)
-    assert np.array_equal(f1, f2)
-    assert np.array_equal(consumed1, consumed2)
-    assert m1.sum() > 0  # the configuration exercises real fusions
+    three_rows = np.array([[1.0, 0.01], [1.25, 0.0125], [1.5, 0.015]])
+    long_table = np.array(DEFAULT_DYNAMIC_TABLE)
+    assert len(long_table) > n_src
+    for table, min_consistent, fuses in ((three_rows, 2, True), (long_table, 1, True),
+                                         (three_rows, n_src + 1, False)):
+        consumed1 = np.zeros((n_src + 1, h, w), dtype=np.uint8)
+        consumed2 = consumed1.copy()
+        f1, m1 = scalar_consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
+                                     consumed1, 0, src_idx, 0.4, min_consistent, mode, table, avg)
+        # The production pass has no mode: fusibile is its one-row table.
+        # It takes the landing pixel as one flat index.
+        f2, m2 = _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, flat_index(sx, sy, w),
+                               consumed2, 0, src_idx, 0.4, min_consistent,
+                               table[:1] if mode == 0 else table, avg)
+        assert np.array_equal(m1, m2)
+        assert np.array_equal(f1, f2)
+        assert np.array_equal(consumed1, consumed2)
+        # The configuration exercises real fusions, or none at all.
+        assert (m1.sum() > 0) == fuses and consumed1.any() == fuses
 
 
 def test_consume_pass_respects_consumed_and_confidence():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvsgeo import synth
+from mvsgeo import reproject, synth
 from mvsgeo.camera import pixel_grid
 from mvsgeo.penalty import (
     GcThresholds,
@@ -94,6 +94,77 @@ def test_mask_zero_reference_depth_errors():
     d_re, p_re = identity_reproj(constant_depth(3, 3))
     with pytest.raises(ValueError, match="zero reference depth"):
         inconsistency_mask(d, d_re, p_re, GcThresholds(1.0, 0.01))
+
+
+@pytest.mark.parametrize("band", [1, 12, 14, 27, None], ids=["1", "W-1", "W+1", "2W+1", "default"])
+def test_mask_is_the_full_frame_formula_in_any_band(rng, monkeypatch, band):
+    # Depth validity and coordinate validity differ, so a vote must read
+    # both.  Bands of 1, W-1 and W+1 pixels are one row each, 2W+1 pixels
+    # two rows with a shorter last band, the default the whole frame: the
+    # mask is the same full-frame formula bit for bit.  Row 0's valid
+    # coordinates land half a pixel off, exactly d_pixel: no vote of their
+    # own (strict).
+    h, w = 9, 13
+    if band is not None:
+        monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
+    depth = rng.uniform(50, 150, (h, w))
+    d_ref = DepthMap(depth, rng.random((h, w)) > 0.2)
+    d_back = DepthMap(depth * rng.uniform(0.98, 1.02, (h, w)), rng.random((h, w)) > 0.2)
+    gx, gy = pixel_grid(h, w)
+    x, y = gx + rng.normal(0, 0.5, (h, w)), gy + rng.normal(0, 0.5, (h, w))
+    x[0], y[0] = gx[0] + 0.5, gy[0]
+    p_back = CoordinateGrid(x, y, rng.random((h, w)) > 0.2)
+    assert (d_back.valid != p_back.valid).any()
+    failed = ~(d_back.valid & p_back.valid)
+    pde = np.sqrt(np.square(p_back.x - gx) + np.square(p_back.y - gy))
+    rdd = np.abs(d_back.values - d_ref.values) / np.where(d_ref.valid, d_ref.values, 1.0)
+    # Infinite thresholds leave only the failed reprojections' votes.
+    for thr in (GcThresholds(0.5, 0.01), GcThresholds(np.inf, np.inf)):
+        mask = inconsistency_mask(d_ref, d_back, p_back, thr)
+        want = d_ref.valid & (failed | (pde > thr.d_pixel) | (rdd > thr.d_depth))
+        assert mask.dtype == bool and np.array_equal(mask, want)
+        assert 0 < want.sum() < d_ref.valid.sum()
+    assert (pde[0][p_back.valid[0]] == 0.5).all()
+
+
+def test_mask_holds_no_float_frame():
+    # Above its inputs, one vote holds the bool mask and band buffers: no
+    # full-frame error stack and no gather of the valid reference depths
+    # (every pixel is valid here, so that gather would be a whole frame).
+    import tracemalloc
+
+    h, w = 480, 640
+    d = constant_depth(h, w)
+    d_re, p_re = identity_reproj(d)
+    thr = GcThresholds(1.0, 0.01)
+    inconsistency_mask(d, d_re, p_re, thr)  # first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        mask = inconsistency_mask(d, d_re, p_re, thr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not mask.any()
+    assert peak < h * w * 8, (peak, h * w * 8)
+
+
+@pytest.mark.parametrize("m", [255, 256])
+def test_vote_counts_at_the_narrow_integer_boundary(m):
+    # Votes are counted in the narrowest unsigned integer that holds m:
+    # uint8 up to 255 sources, uint16 from 256.  Three distinct views,
+    # repeated to m sources, give counts of 0, of some or of all m at
+    # different pixels; every level equals the nested-loop oracle's bits.
+    spec = synth.make_scene("two-planes-offset", 4, 3, 4, seed=23)
+    d0 = synth.render_depth(spec, 0)[0]
+    views = [(synth.render_depth(spec, s)[0], spec.cameras[s]) for s in range(1, 4)]
+    sources = [views[i % len(views)] for i in range(m)]
+    thr = GcThresholds(0.25, 0.0025)
+    for mode, top in (("one-two", 2.0), ("one-three", 3.0)):
+        (pen,) = stage_penalties(d0, spec.cameras[0], sources, [thr], mode)
+        oracle = naive_penalty(d0, spec.cameras[0], sources, thr.d_pixel, thr.d_depth, mode)
+        assert pen.values.tobytes() == oracle.tobytes()
+        levels = np.unique(oracle)
+        assert levels[0] == 1.0 and levels[-1] == top and len(levels) >= 4
 
 
 def test_penalty_arithmetic_of_final_line():
@@ -284,7 +355,7 @@ def test_stage_penalties_holds_one_reprojection_and_band_buffers(monkeypatch):
     # Errors and votes are computed band by band: above its inputs,
     # stage_penalties holds one fbr result (x, y, depth float64 and ok),
     # fbr's bool corner-validity map (and, while it is built, one more),
-    # the int64 vote sums and a constant number of band buffers.
+    # the vote counts and a constant number of band buffers.
     # Full-frame PDE/RDD arrays, or two sources' fbr results at once, do
     # not fit.
     import tracemalloc
