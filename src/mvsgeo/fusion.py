@@ -14,10 +14,21 @@ the thread that runs the passes, filled by pool threads (which allocate
 only band-sized scratch) and dropped after the view's pass.  Each pair
 is checked band by band, in one call per pair, by walking
 reproject._chain (the reprojection fbr computes) and applying
-reproject._pair_errors (the penalty's sqrt formula) straight into the
-reference's (n_src, H, W) stacks: displacement, relative depth
-difference and reprojected depth (float64), and the landing pixel as
-one int32 flat index (-1 off the source image).  Checks pass below (<).
+reproject._pair_errors (the penalty's sqrt formula) to band scratch.
+Checks pass below (<).
+
+A reference's stacks hold, per source and pixel, one pass bit per
+threshold-table row, the reprojected depth (float64) and the landing
+pixel as one int32 flat index (-1 off the source image): 13 bytes for up
+to 8 rows.  Bit r of a pixel is (PDE < table[r, 0]) & (RDD < table[r, 1]),
+evaluated band by band on the float64 displacement and relative depth
+difference and packed into ceil(rows / 8) uint8 planes, plane r // 8,
+bit r % 8.  Those are the only comparisons the consume pass makes on
+PDE and RDD, on the same values, so storing their outcomes instead of
+the float64 errors changes no decision.  A pixel has at most n_src
+passing sources, so no count above n_src can be met and only the first
+min(len(table), n_src) rows are kept.  The median average builds one
+(n_src + 1, H, W) float64 stack per pass and sorts it in place.
 
 Two checking modes: "fusibile" applies one displacement/relative-depth
 threshold pair and a fixed required view count; "dynamic" derives the
@@ -41,7 +52,6 @@ DEFAULT_DYNAMIC_TABLE = tuple((0.25 * k, 0.0025 * k) for k in range(1, 9))
 
 _MODES = ("fusibile", "dynamic")
 _AVERAGES = ("mean", "median")
-_PAIR_DTYPES = (np.float64, np.float64, np.float64, np.int32)  # disp, rdd, dres, landing index
 
 
 @dataclass(frozen=True)
@@ -123,31 +133,42 @@ def _unpack_view(view):
     return depth, conf, cam, image
 
 
-def _new_stacks(n_src, shape):
-    """Unfilled (n_src, H, W) disp, rdd, reprojected-depth and landing-index stacks."""
-    return tuple(np.empty((n_src,) + shape, dtype=dtype) for dtype in _PAIR_DTYPES)
+def _new_stacks(n_src, n_table, shape):
+    """Unfilled pass-bit, reprojected-depth and landing-index stacks of one reference view.
+
+    The bits are (n_src, ceil(rows / 8), H, W) uint8 for the first
+    rows = min(n_table, n_src) table rows, the others (n_src, H, W).
+    """
+    planes = -(-min(n_table, n_src) // 8)
+    return (np.empty((n_src, planes) + shape, dtype=np.uint8),
+            np.empty((n_src,) + shape),
+            np.empty((n_src,) + shape, dtype=np.int32))
 
 
-def _pair_stacks(d_ref: DepthMap, ref_cam: Camera, sources, stacks):
+def _pair_stacks(d_ref: DepthMap, ref_cam: Camera, sources, table, stacks):
     """Fill and return one reference view's stacks (from _new_stacks).
 
-    sources: (DepthMap, Camera) per source view.  Each pair is computed
-    band by band straight into its row of the stacks.
+    sources: (DepthMap, Camera) per source view; table: the (rows, 2)
+    threshold table, of which the first len(sources) rows are kept.  Each
+    pair is computed band by band straight into its row of the stacks.
     """
     for i, (d_src, src_cam) in enumerate(sources):
-        _fill_pair(d_ref, ref_cam, d_src, src_cam, *(stack[i] for stack in stacks))
+        _fill_pair(d_ref, ref_cam, d_src, src_cam, table[:len(sources)], *(stack[i] for stack in stacks))
     return stacks
 
 
-def _fill_pair(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Camera, disp, rdd, dres, flat):
-    """One pair's displacement, relative depth difference, reprojected depth and landing index.
+def _fill_pair(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Camera, table, bits, dres, flat):
+    """One pair's pass bits for each row of `table`, reprojected depth and landing index.
 
     A call per pair: the band views of reproject._chain die on return,
     before the next pair allocates its band buffers.
     """
     hs, ws = d_src.shape
     for rows, (x, y, landed), back, failed in _chain(d_ref, ref_cam, d_src, src_cam, (None, None, dres, None)):
-        _pair_errors(d_ref, rows, *back[:3], failed, (disp[rows], rdd[rows]))
+        # The back warp's x and y are band scratch, dead once read: PDE and
+        # RDD overwrite them.  Its ok and failed serve as the bits' scratch.
+        pde, rdd = _pair_errors(d_ref, rows, *back[:3], failed, back[:2])
+        _set_pass_bits(pde, rdd, table, bits[:, rows], failed, back[3])
         # Bounds test in float: a landing pixel far outside the image may
         # lie beyond any integer range, so only on-image indices are cast.
         # x and y are band scratch, rounded and combined in place.
@@ -159,14 +180,35 @@ def _fill_pair(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Camer
         flat[rows] = cy
 
 
-# One reference view's fuse/consume decision.  disp and rdd hold the
-# reprojection displacement (px) and relative depth difference per source
-# view, np.inf where the check is impossible (invalid reprojection).  A
-# pixel fuses when some k >= min_consistent has count(table row k) >= k;
-# the largest qualifying k selects the consistent set.  table rows beyond
-# the end clamp to the last entry, so a one-row table (fusibile) is a
-# single threshold pair with a fixed required count.  No count exceeds
-# n_src, so k stops there.
+def _set_pass_bits(pde, rdd, table, bits, hit, tmp):
+    """Set bit r % 8 of bits[r // 8] to (pde < table[r, 0]) & (rdd < table[r, 1]), the others to 0.
+
+    bits: (ceil(len(table) / 8), *pde.shape) uint8; hit and tmp are bool
+    scratch of pde's shape.
+    """
+    bits[...] = 0
+    for r, (t_pde, t_rdd) in enumerate(table):
+        np.less(pde, t_pde, out=hit)
+        hit &= np.less(rdd, t_rdd, out=tmp)
+        plane = bits[r // 8]
+        np.bitwise_or(plane, np.uint8(1 << r % 8), out=plane, where=hit)
+
+
+def _row_bits(bits, row, out):
+    """Table row `row`'s pass bits from (..., planes, H, W) bits, as a bool view of the uint8 buffer out."""
+    np.right_shift(bits[..., row // 8, :, :], row % 8, out=out)
+    out &= 1
+    return out.view(bool)
+
+
+# One reference view's fuse/consume decision.  bits holds, per source
+# view, the pass bits of the table rows (see _set_pass_bits); a check that
+# is impossible (invalid reprojection) passes no row.  A pixel fuses when
+# some k >= min_consistent has count(table row k) >= k; the largest
+# qualifying k selects the consistent set.  table rows beyond the end
+# clamp to the last entry, so a one-row table (fusibile) is a single
+# threshold pair with a fixed required count.  No count exceeds n_src, so
+# k stops there and row min(k, n_table) - 1 is always a kept row.
 #
 # Fused depth = mean (avg_mode 0) or median (avg_mode 1) over the
 # reference depth plus the passing sources' reprojected depths.  Consumed
@@ -174,21 +216,20 @@ def _fill_pair(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Camer
 # at the flat landing index `flat` (-1: off the source image).
 
 
-def _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, flat,
+def _consume_pass(ref_depth, ref_valid, conf, bits, dres, flat,
                   consumed, ref_idx, src_idx, prob_threshold,
-                  min_consistent, table, avg_mode):
+                  min_consistent, n_table, avg_mode):
     """Fused depth and boolean fused mask of one reference view; updates consumed."""
-    n_src = disp.shape[0]
-    n_table = table.shape[0]
+    n_src = dres.shape[0]
     eligible = (consumed[ref_idx] == 0) & ref_valid & (conf > prob_threshold)
     # Ascending k: the largest qualifying k writes its passing set last.
-    passing = np.zeros(disp.shape, dtype=bool)
+    passing = np.zeros(dres.shape, dtype=bool)
+    row_bits = np.empty(dres.shape, dtype=np.uint8)
     for k in range(min_consistent, min(max(n_table, min_consistent), n_src) + 1):
-        row = min(k, n_table) - 1
-        pass_k = (disp < table[row, 0]) & (rdd < table[row, 1])
+        pass_k = _row_bits(bits, min(k, n_table) - 1, row_bits)
         np.copyto(passing, pass_k, where=pass_k.sum(axis=0) >= k)
     fuse = eligible & passing.any(axis=0)
-    passing = passing & fuse[None, :, :]
+    passing &= fuse[None, :, :]
     n = passing.sum(axis=0)
     if avg_mode == 0:
         # Source by source into one (H, W) sum: the bits of an axis-0 sum,
@@ -198,9 +239,20 @@ def _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, flat,
             np.add(acc, dres[s], out=acc, where=passing[s])
         fused = np.where(fuse, (ref_depth + acc) / np.maximum(n + 1, 1), 0.0)
     else:
-        stack = np.concatenate([np.where(passing, dres, np.nan), ref_depth[None, :, :]], axis=0)
+        # The passing sources' depths, NaN elsewhere, and the reference
+        # depth in one private stack, sorted in place (NaN last).  The
+        # median of a pixel's n + 1 values is the mean of sorted entries
+        # n // 2 and (n + 1) // 2, summed low + high and halved: the bits
+        # of np.nanmedian, without its masked copy, argsort and gather.
+        stack = np.full((n_src + 1,) + ref_depth.shape, np.nan)
+        for s in range(n_src):
+            np.copyto(stack[s], dres[s], where=passing[s])
+        stack[n_src] = ref_depth
+        stack.sort(axis=0)
+        med = np.take_along_axis(stack, (n // 2)[None], axis=0)[0]
         with np.errstate(all="ignore"):
-            med = np.nanmedian(stack, axis=0)
+            med += np.take_along_axis(stack, ((n + 1) // 2)[None], axis=0)[0]
+            med /= 2.0
         fused = np.where(fuse, med, 0.0)
     consumed[ref_idx][fuse] = 1
     for s in range(n_src):
@@ -257,7 +309,7 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
 
     def build(r, stacks):
         depth_r, _, cam_r, _ = unpacked[r]
-        return r, _pair_stacks(depth_r, cam_r, [(unpacked[s][0], unpacked[s][2]) for s in pairs[r]], stacks)
+        return r, _pair_stacks(depth_r, cam_r, [(unpacked[s][0], unpacked[s][2]) for s in pairs[r]], table, stacks)
 
     def emit(built):
         r, stacks = built
@@ -272,7 +324,7 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
             np.asarray(pairs[r], dtype=np.int64),
             float(params.prob_threshold),
             int(params.consistency_threshold),
-            table,
+            len(table),
             avg_flag,
         )
         if not mask.any():
@@ -288,7 +340,7 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
     # Stacks allocated by pool threads stayed in their heaps once freed: 15
     # calls of `fuse --threads 2` then `eval-pc` on 320 x 256 x 8 views
     # peaked at 179 MB in 6 of 8 processes, against 145-146 MB as items.
-    _in_order(build, emit, ((r, _new_stacks(len(pairs[r]), shape)) for r in range(n_views)), threads)
+    _in_order(build, emit, ((r, _new_stacks(len(pairs[r]), len(table), shape)) for r in range(n_views)), threads)
 
     if not all_points:
         return PointCloud(points=np.zeros((0, 3)))

@@ -323,7 +323,8 @@ def _pair_errors(d_ref: DepthMap, rows: slice, x_back, y_back, d_back, failed, o
     """PDE (px) and RDD of reference rows `rows` reprojected to (x_back, y_back, d_back).
 
     Written into out = (pde, rdd) and returned; inf where `failed` (the
-    reprojection is not ok).
+    reprojection is not ok).  out may be (x_back, y_back) themselves:
+    each is read before it is written (fusion reuses them so).
     """
     pde, rdd = out
     xs = np.arange(d_ref.width, dtype=np.float64)

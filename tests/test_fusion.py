@@ -171,10 +171,12 @@ def test_threads_bit_identical():
 @pytest.mark.parametrize("band", [1, 36, 37, 38, 23 * 37 + 5, 10**6])
 def test_pair_stacks_match_full_frame_reprojection(monkeypatch, band):
     # The banded pair check equals fbr and the penalty's sqrt/RDD formula
-    # bit for bit; the landing index is forward_project's rounded landing
-    # pixel, row-major in the source image, -1 off it.  One set of band buffers serves every band
-    # of a pair: bands of one pixel, of one row (W-1, W and W+1 pixels)
-    # and past the whole frame.
+    # bit for bit: each pass bit is that PDE and RDD compared with its
+    # table row.  The landing index is forward_project's rounded landing
+    # pixel, row-major in the source image, -1 off it.  One set of band
+    # buffers serves every band of a pair: bands of one pixel, of one row
+    # (W-1, W and W+1 pixels) and past the whole frame.  The two sources
+    # repeated five times keep ten table rows in two bit planes.
     from mvsgeo.camera import pixel_grid
     from mvsgeo.fusion import _new_stacks, _pair_stacks
     from mvsgeo.reproject import fbr, forward_project
@@ -184,31 +186,52 @@ def test_pair_stacks_match_full_frame_reprojection(monkeypatch, band):
     hole = np.ones(d_ref.shape, dtype=bool)
     hole[5:9, 10:20] = False
     d_ref = DepthMap(d_ref.values, d_ref.valid & hole)
-    monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
-    disp, rdd, dres, flat = _pair_stacks(d_ref, ref, sources, _new_stacks(len(sources), d_ref.shape))
     xs, ys = pixel_grid(23, 37)
-    for i, (d_src, src) in enumerate(sources):
+    want = []
+    for d_src, src in sources:
         coords, _ = forward_project(d_ref, ref, src)
         d_back, p_back = fbr(d_ref, ref, d_src, src)
         ok = d_back.valid
-        want_disp = np.where(ok, np.sqrt((p_back.x - xs) ** 2 + (p_back.y - ys) ** 2), np.inf)
+        pde = np.where(ok, np.sqrt((p_back.x - xs) ** 2 + (p_back.y - ys) ** 2), np.inf)
         denom = np.where(d_ref.valid, d_ref.values, 1.0)
-        want_rdd = np.where(ok, np.abs(d_back.values - d_ref.values) / denom, np.inf)
-        assert disp[i].tobytes() == want_disp.tobytes()
-        assert rdd[i].tobytes() == want_rdd.tobytes()
+        rdd = np.where(ok, np.abs(d_back.values - d_ref.values) / denom, np.inf)
+        want.append((coords, d_back, pde, rdd))
+    # Rows at the errors' quartiles, at an error itself (strict <), at inf
+    # and out of order; the eleventh row is past the source count.
+    finite = np.isfinite(want[0][2])
+    q_pde = np.quantile(want[0][2][finite], [0.25, 0.5, 0.75])
+    q_rdd = np.quantile(want[0][3][finite], [0.25, 0.5, 0.75])
+    table = np.array([(q_pde[1], q_rdd[1]), (np.inf, np.inf), (q_pde[0], np.inf), (np.inf, q_rdd[2]),
+                      (want[0][2][finite][0], want[0][3][finite][0]), (q_pde[2], q_rdd[0]), (0.0, 0.0),
+                      (q_pde[0], q_rdd[2]), (q_pde[2], q_rdd[2]), (1.0, 0.01), (0.0, np.inf)])
+    sources, want = sources * 5, want * 5
+    monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
+    bits, dres, flat = _pair_stacks(d_ref, ref, sources, table, _new_stacks(len(sources), len(table), d_ref.shape))
+    assert bits.shape == (10, 2, 23, 37) and bits.dtype == np.uint8
+    assert flat.dtype == np.int32
+    for i, (coords, d_back, pde, rdd) in enumerate(want):
+        for r in range(10):
+            want_bit = (pde < table[r, 0]) & (rdd < table[r, 1])
+            assert np.array_equal((bits[i, r // 8] >> (r % 8)) & 1, want_bit), r
+        assert not (bits[i, 1] >> 2).any()
         assert dres[i].tobytes() == d_back.values.tobytes()
         sx, sy = np.rint(coords.x), np.rint(coords.y)
         on = coords.valid & (sx >= 0) & (sx <= 36) & (sy >= 0) & (sy <= 22)
-        assert flat.dtype == np.int32
         assert np.array_equal(flat[i], np.where(on, sy * 37 + sx, -1))
         assert on.any() and not on.all()
+    # Every row splits the pixels but the impossible ones.
+    assert all(0 < ((bits[:2, r // 8] >> (r % 8)) & 1).sum() < 2 * 23 * 37 for r in range(10) if r != 6)
 
 
 def test_single_thread_holds_one_reference_views_stacks(monkeypatch):
     # Reference r's pair stacks are built just before its consume pass and
     # dropped after it, so a single thread never holds two references'
     # stacks.  Row bands of 8 rows keep the band temporaries small next to
-    # the stacks; the band size changes no bit.
+    # the stacks; the band size changes no bit.  Above one reference's
+    # stacks, the consume pass's and the back-projection's frame-sized
+    # temporaries and the cloud emitted so far take about 15 float64
+    # frames (121 B/px measured); a second reference's stacks (91 B/px)
+    # do not fit beside them.
     import tracemalloc
 
     w, h, n = 80, 64, 8
@@ -216,14 +239,45 @@ def test_single_thread_holds_one_reference_views_stacks(monkeypatch):
     params = FusionParams(prob_threshold=0.5, consistency_threshold=2)
     monkeypatch.setattr(reproject, "_BAND_PIXELS", 8 * w)
     fuse(views, params)  # first-call allocations out of the measurement
-    stacks = (n - 1) * h * w * (3 * 8 + 4)  # disp, rdd, dres float64 + int32 landing index
+    stacks = (n - 1) * h * w * (1 + 8 + 4)  # one pass-bit plane, dres float64 + int32 landing index
     tracemalloc.start()
     try:
         fuse(views, params, threads=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * stacks + h * w * 8, (peak, stacks)
+    assert peak < stacks + h * w * 8 * 20, (peak, stacks)
+
+
+def test_median_consume_pass_holds_one_depth_stack(rng):
+    # The median mode fills one (n_src + 1, H, W) float64 stack and sorts
+    # it in place.  Beside it only the mean mode's own temporaries are
+    # alive (about one more stack's worth at 7 sources), not np.where's,
+    # np.concatenate's and np.nanmedian's copies of it.
+    import tracemalloc
+
+    from mvsgeo.fusion import _consume_pass
+
+    n_src, h, w = 7, 64, 80
+    ref_depth = rng.uniform(400, 900, (h, w))
+    dres = ref_depth[None] * rng.uniform(0.99, 1.01, (n_src, h, w))
+    bits = rng.integers(0, 256, (n_src, 1, h, w), dtype=np.uint8)
+    flat = rng.integers(-1, h * w, (n_src, h, w), dtype=np.int32)
+    stack = (n_src + 1) * h * w * 8
+    peaks = []
+    for avg in (0, 1):
+        consumed = np.zeros((n_src + 1, h, w), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            _, mask = _consume_pass(ref_depth, np.ones((h, w), dtype=bool), np.ones((h, w)), bits, dres, flat,
+                                    consumed, 0, np.arange(1, n_src + 1), 0.5, 2, 1, avg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mask.any()
+        peaks.append(peak)
+    assert peaks[0] < 1.5 * stack, peaks
+    assert peaks[1] < peaks[0] + 1.5 * stack, peaks
 
 
 def test_pair_band_views_die_with_their_pair(monkeypatch):
@@ -241,11 +295,12 @@ def test_pair_band_views_die_with_their_pair(monkeypatch):
     (d_ref, _, ref), sources = views[0], [(v[0], v[2]) for v in views[1:]]
     band = rows * w
     monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
-    stacks = _new_stacks(len(sources), d_ref.shape)
-    _pair_stacks(d_ref, ref, sources, stacks)  # first-call allocations out of the measurement
+    table = np.array(DEFAULT_DYNAMIC_TABLE)
+    stacks = _new_stacks(len(sources), len(table), d_ref.shape)
+    _pair_stacks(d_ref, ref, sources, table, stacks)  # first-call allocations out of the measurement
     tracemalloc.start()
     try:
-        _pair_stacks(d_ref, ref, sources, stacks)
+        _pair_stacks(d_ref, ref, sources, table, stacks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,14 +1,17 @@
 """The vectorized per-pixel kernels against their scalar oracles.
 
 reproject.remap and fusion._consume_pass must agree bitwise with the
-per-pixel loops in oracles.py.
+per-pixel loops in oracles.py, and fusion's pass bits with the float
+comparisons they store.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvsgeo import reproject
-from mvsgeo.fusion import DEFAULT_DYNAMIC_TABLE, _consume_pass
+from mvsgeo.fusion import DEFAULT_DYNAMIC_TABLE, _consume_pass, _row_bits, _set_pass_bits
 from mvsgeo.reproject import CoordinateGrid, DepthMap, remap
 
 from oracles import _scalar_bilinear, scalar_consume_pass
@@ -17,6 +20,22 @@ from oracles import _scalar_bilinear, scalar_consume_pass
 def flat_index(sx, sy, w):
     """The consume pass's int32 landing index of (sx, sy) pixels, -1 where sx is."""
     return np.where(sx >= 0, sy * w + sx, -1).astype(np.int32)
+
+
+def pass_bits(disp, rdd, table):
+    """The consume pass's pass bits, one pixel, source and row at a time.
+
+    Rows 0 .. min(len(table), n_src) - 1 are kept; row r is bit r % 8 of
+    uint8 plane r // 8.
+    """
+    n_src, h, w = disp.shape
+    rows = min(len(table), n_src)
+    bits = np.zeros((n_src, -(-rows // 8), h, w), dtype=np.uint8)
+    for s, i, j in np.ndindex(n_src, h, w):
+        for r in range(rows):
+            if disp[s, i, j] < table[r, 0] and rdd[s, i, j] < table[r, 1]:
+                bits[s, r // 8, i, j] |= 1 << (r % 8)
+    return bits
 
 
 def _assert_remap_matches_oracle(values, valid, xs, ys, cv):
@@ -85,6 +104,41 @@ def test_remap_one_invalid_pixel_in_each_corner_matches_scalar_oracle_bitwise(mo
     assert not got.valid.any()
 
 
+def _consume_inputs(rng, n_src, h, w, scale=1.0, impossible=0.2):
+    """Random consume-pass inputs: disp up to 2 * scale px, rdd up to 0.02 * scale, a share of impossible checks."""
+    ref_depth = rng.uniform(400, 900, (h, w))
+    ref_valid = rng.random((h, w)) > 0.1
+    conf = rng.random((h, w))
+    disp = np.where(rng.random((n_src, h, w)) > impossible, rng.uniform(0, 2 * scale, (n_src, h, w)), np.inf)
+    rdd = np.where(np.isfinite(disp), rng.uniform(0, 0.02 * scale, (n_src, h, w)), np.inf)
+    dres = np.where(np.isfinite(disp), ref_depth[None] * rng.uniform(0.99, 1.01, (n_src, h, w)), 0.0)
+    sx = rng.integers(-1, w, (n_src, h, w))
+    sy = np.where(sx >= 0, rng.integers(0, h, (n_src, h, w)), -1)
+    return ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy
+
+
+def _assert_consume_pass_matches_oracle(inputs, table, min_consistent, mode, avg):
+    """Run the oracle and the production pass on the same inputs; return the oracle's mask and consumed."""
+    ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy = inputs
+    n_src, h, w = disp.shape
+    src_idx = np.arange(1, n_src + 1, dtype=np.int64)
+    consumed1 = np.zeros((n_src + 1, h, w), dtype=np.uint8)
+    consumed2 = consumed1.copy()
+    f1, m1 = scalar_consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
+                                 consumed1, 0, src_idx, 0.4, min_consistent, mode, table, avg)
+    # The production pass has no mode: fusibile is its one-row table.  It
+    # reads the pass bits of the same disp and rdd, not the errors, and
+    # takes the landing pixel as one flat index.
+    table = table[:1] if mode == 0 else table
+    f2, m2 = _consume_pass(ref_depth, ref_valid, conf, pass_bits(disp, rdd, table), dres,
+                           flat_index(sx, sy, w), consumed2, 0, src_idx, 0.4, min_consistent,
+                           len(table), avg)
+    assert np.array_equal(m1, m2)
+    assert np.array_equal(f1, f2)
+    assert np.array_equal(consumed1, consumed2)
+    return m1, consumed1
+
+
 @pytest.mark.parametrize("mode", [0, 1])
 @pytest.mark.parametrize("avg", [0, 1])
 def test_consume_pass_matches_scalar_oracle_bitwise(rng, mode, avg):
@@ -93,34 +147,59 @@ def test_consume_pass_matches_scalar_oracle_bitwise(rng, mode, avg):
     # count above n_src (nothing fuses, consumed stays untouched) show the
     # cut is exact.
     n_src, h, w = 4, 12, 15
-    ref_depth = rng.uniform(400, 900, (h, w))
-    ref_valid = rng.random((h, w)) > 0.1
-    conf = rng.random((h, w))
-    disp = np.where(rng.random((n_src, h, w)) > 0.2, rng.uniform(0, 2, (n_src, h, w)), np.inf)
-    rdd = np.where(np.isfinite(disp), rng.uniform(0, 0.02, (n_src, h, w)), np.inf)
-    dres = np.where(np.isfinite(disp), ref_depth[None] * rng.uniform(0.99, 1.01, (n_src, h, w)), 0.0)
-    sx = rng.integers(-1, w, (n_src, h, w))
-    sy = np.where(sx >= 0, rng.integers(0, h, (n_src, h, w)), -1)
-    src_idx = np.arange(1, n_src + 1, dtype=np.int64)
+    inputs = _consume_inputs(rng, n_src, h, w)
     three_rows = np.array([[1.0, 0.01], [1.25, 0.0125], [1.5, 0.015]])
     long_table = np.array(DEFAULT_DYNAMIC_TABLE)
     assert len(long_table) > n_src
     for table, min_consistent, fuses in ((three_rows, 2, True), (long_table, 1, True),
                                          (three_rows, n_src + 1, False)):
-        consumed1 = np.zeros((n_src + 1, h, w), dtype=np.uint8)
-        consumed2 = consumed1.copy()
-        f1, m1 = scalar_consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
-                                     consumed1, 0, src_idx, 0.4, min_consistent, mode, table, avg)
-        # The production pass has no mode: fusibile is its one-row table.
-        # It takes the landing pixel as one flat index.
-        f2, m2 = _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, flat_index(sx, sy, w),
-                               consumed2, 0, src_idx, 0.4, min_consistent,
-                               table[:1] if mode == 0 else table, avg)
-        assert np.array_equal(m1, m2)
-        assert np.array_equal(f1, f2)
-        assert np.array_equal(consumed1, consumed2)
+        m1, consumed1 = _assert_consume_pass_matches_oracle(inputs, table, min_consistent, mode, avg)
         # The configuration exercises real fusions, or none at all.
         assert (m1.sum() > 0) == fuses and consumed1.any() == fuses
+
+
+@pytest.mark.parametrize("avg", [0, 1])
+@pytest.mark.parametrize("n_src, n_rows", [(10, 9), (66, 70), (70, 70)])
+def test_consume_pass_reads_every_bit_plane(rng, avg, n_src, n_rows):
+    # Tables of more than 8 and more than 64 rows keep one bit plane per 8
+    # rows, min(n_rows, n_src) rows in all.  With rdd tied to disp, row
+    # k - 1 passes about 0.95 * min(k / 0.9, n_src) sources, so the
+    # largest qualifying k lies near n_src: in the last bit plane.
+    h, w = 3, 4
+    inputs = list(_consume_inputs(rng, n_src, h, w, scale=0.9, impossible=0.05))
+    inputs[4] = 0.01 * inputs[3]
+    k = np.arange(1, n_rows + 1)[:, None]
+    table = np.hstack([2.0 * k / n_src, 0.02 * k / n_src])
+    assert -(-min(n_rows, n_src) // 8) == (2 if n_rows < 64 else 9)
+    for min_consistent in (1, n_src // 2, n_src - 4):
+        m1, _ = _assert_consume_pass_matches_oracle(inputs, table, min_consistent, 1, avg)
+        assert m1.sum() > 0, min_consistent
+
+
+_thresholds = st.sampled_from([0.0, 0.5, 1.0, 2.5, np.inf]) | st.floats(0.0, 3.0)
+_errors = st.sampled_from([0.0, 0.5, 1.0, 2.5, np.inf, np.nan]) | st.floats(0.0, 3.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=st.lists(st.tuples(_thresholds, _thresholds), min_size=1, max_size=70),
+       errors=st.lists(st.tuples(_errors, _errors), min_size=1, max_size=12))
+def test_pass_bits_equal_their_float_comparisons(table, errors):
+    # Any table (monotone or not, equal or infinite thresholds) and any
+    # PDE/RDD (inf where the check is impossible): each stored bit is its
+    # row's strict float64 comparison, and _row_bits reads it back.
+    table = np.array(table, dtype=np.float64)
+    pde, rdd = np.array(errors, dtype=np.float64).T.reshape(2, 1, -1)
+    bits = np.full((-(-len(table) // 8),) + pde.shape, 0xFF, dtype=np.uint8)
+    hit, tmp = np.empty(pde.shape, dtype=bool), np.empty(pde.shape, dtype=bool)
+    _set_pass_bits(pde, rdd, table, bits, hit, tmp)
+    out = np.empty(pde.shape, dtype=np.uint8)
+    for r, (t_pde, t_rdd) in enumerate(table):
+        want = (pde < t_pde) & (rdd < t_rdd)
+        assert np.array_equal(_row_bits(bits, r, out), want)
+        assert np.array_equal((bits[r // 8] >> (r % 8)) & 1, want)
+    # Bits past the last row stay 0.
+    if len(table) % 8:
+        assert not (bits[-1] >> (len(table) % 8)).any()
 
 
 def test_consume_pass_respects_consumed_and_confidence():
@@ -137,9 +216,9 @@ def test_consume_pass_respects_consumed_and_confidence():
     consumed = np.zeros((3, h, w), dtype=np.uint8)
     consumed[0, 1, 1] = 1  # pre-consumed reference pixel
     table = np.array([[1.0, 0.01]])
-    fused, mask = _consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, flat_index(sx, sy, w),
-                                consumed, 0, np.array([1, 2], dtype=np.int64),
-                                0.5, 1, table, 0)
+    fused, mask = _consume_pass(ref_depth, ref_valid, conf, pass_bits(disp, rdd, table), dres,
+                                flat_index(sx, sy, w), consumed, 0, np.array([1, 2], dtype=np.int64),
+                                0.5, 1, len(table), 0)
     assert mask[0, 0] == 0      # confidence gate
     assert mask[1, 1] == 0      # consumed pixel skipped
     assert mask[2, 2] == 1
