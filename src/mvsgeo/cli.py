@@ -35,9 +35,9 @@ from .penalty import (
     GcThresholds,
     STAGE_DEPTH_THRESHOLDS,
     STAGE_PIXEL_THRESHOLDS,
-    apply_reference_mask,
-    penalty_histogram,
-    stage_penalties,
+    _stage_counts,
+    _stage_histogram,
+    _stage_map,
 )
 from .reproject import _in_order, _pair_errors, fbr
 from .views import load_pairing, rank_sources, save_pairing
@@ -238,18 +238,20 @@ def _cmd_gc_penalty(args) -> int:
     summary = {"range_mode": args.range, "stages": [
         {"d_pixel": t.d_pixel, "d_depth": t.d_depth} for t in stages], "views": {}}
 
+    # A reference in flight is its per-stage vote counts; each stage's map
+    # and histogram are derived from them only as the stage is written.
     def run(ref_id, src_ids):
-        d_ref = depths[ref_id]
-        penalties = stage_penalties(d_ref, cams[ref_id], [(depths[s], cams[s]) for s in src_ids], stages, args.range)
-        return ref_id, src_ids, [apply_reference_mask(penalties.pop(0), d_ref.valid) for _ in stages]
+        return ref_id, src_ids, _stage_counts(depths[ref_id], cams[ref_id],
+                                              [(depths[s], cams[s]) for s in src_ids], stages)
 
     def write(computed):
-        ref_id, src_ids, results = computed
+        ref_id, src_ids, counts = computed
         view_doc = {"sources": src_ids, "stages": []}
-        for s, penalty in enumerate(results):
+        valid, m = depths[ref_id].valid, len(src_ids)
+        for s, count in enumerate(counts):
             path = out / f"penalty_{ref_id:08d}_stage{s}.pfm"
-            path.write_bytes(formats.write_pfm(formats.PfmImage(penalty.values.astype(np.float32))))
-            view_doc["stages"].append({**penalty_histogram(penalty), "pfm": path.name})
+            path.write_bytes(formats.write_pfm(formats.PfmImage(_stage_map(count, valid, args.range, m))))
+            view_doc["stages"].append({**_stage_histogram(count, valid, args.range, m), "pfm": path.name})
         summary["views"][str(ref_id)] = view_doc
 
     _in_order(run, write, jobs, args.threads)

@@ -13,9 +13,9 @@ reproject._in_order.  A view's per-pair check arrays are allocated by
 the thread that runs the passes, filled by pool threads (which allocate
 only band-sized scratch) and dropped after the view's pass.  Each pair
 is checked band by band, in one call per pair, by walking
-reproject._chain (the reprojection fbr computes) and applying
-reproject._pair_errors (the penalty's sqrt formula) to band scratch.
-Checks pass below (<).
+reproject._checks, the pair check the penalty's votes also walk: the
+reprojection fbr computes, then reproject._pair_errors (the penalty's
+sqrt formula) on band scratch.  Checks pass below (<).
 
 A reference's stacks hold, per source and pixel, one pass bit per
 threshold-table row, the reprojected depth (float64) and the landing
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Camera
-from .reproject import DepthMap, _chain, _in_order, _pair_errors
+from .reproject import DepthMap, _checks, _in_order
 
 __all__ = ["FusionParams", "PointCloud", "DEFAULT_DYNAMIC_TABLE", "dynamic_thresholds", "fuse"]
 
@@ -160,15 +160,13 @@ def _pair_stacks(d_ref: DepthMap, ref_cam: Camera, sources, table, stacks):
 def _fill_pair(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Camera, table, bits, dres, flat):
     """One pair's pass bits for each row of `table`, reprojected depth and landing index.
 
-    A call per pair: the band views of reproject._chain die on return,
+    A call per pair: the band views of reproject._checks die on return,
     before the next pair allocates its band buffers.
     """
     hs, ws = d_src.shape
-    for rows, (x, y, landed), back, failed in _chain(d_ref, ref_cam, d_src, src_cam, (None, None, dres, None)):
-        # The back warp's x and y are band scratch, dead once read: PDE and
-        # RDD overwrite them.  Its ok and failed serve as the bits' scratch.
-        pde, rdd = _pair_errors(d_ref, rows, *back[:3], failed, back[:2])
-        _set_pass_bits(pde, rdd, table, bits[:, rows], failed, back[3])
+    for rows, (x, y, landed), pde, rdd, failed, spare in _checks(d_ref, ref_cam, d_src, src_cam, dres):
+        # failed and spare serve as the bits' scratch.
+        _set_pass_bits(pde, rdd, table, bits[:, rows], failed, spare)
         # Bounds test in float: a landing pixel far outside the image may
         # lie beyond any integer range, so only on-image indices are cast.
         # x and y are band scratch, rounded and combined in place.

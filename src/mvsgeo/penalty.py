@@ -12,12 +12,17 @@ dy**2), and the depth difference come from reproject._pair_errors; a
 failed reprojection (depth or coordinates invalid) votes under any
 thresholds.
 
-_add_votes is the one vote loop, over the row bands of reproject._bands
-with no full-frame error array.  inconsistency_mask runs it once into a
-bool map; stage_penalties once per source (one fbr call, freed before
-the next) into counts of the narrowest unsigned integer that holds M,
-then reads each map off one table of the M + 1 levels, bit for bit the
-per-pixel formula.
+_add_votes is the one vote rule, applied band by band with no
+full-frame error array.  stage_penalties and gc-penalty take their votes
+straight off reproject._checks, the one pair-check walk, one call per
+source (_stage_counts), into one count array per stage of the narrowest
+unsigned integer that holds M.  _levels maps counts to the levels
+1 + k/M (or 1 + 2k/M), bit for bit the table of the M + 1 levels, and
+gc-penalty derives each stage's masked map and histogram from the counts
+alone (_stage_map, _stage_histogram).  per_pixel_penalty is the paper's
+composition of the public steps: the sum over sources of
+inconsistency_mask(d_ref, *fbr(...)), inconsistency_mask voting band by
+band over fbr's full-frame result.
 """
 
 from dataclasses import dataclass
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Camera
-from .reproject import CoordinateGrid, DepthMap, _bands, _pair_errors, fbr
+from .reproject import CoordinateGrid, DepthMap, _bands, _checks, _pair_errors, fbr
 
 __all__ = [
     "GcThresholds",
@@ -88,7 +93,12 @@ def inconsistency_mask(
     if np.any(d_ref.values == 0, where=d_ref.valid):
         raise ValueError("zero reference depth")
     mask = np.zeros(d_ref.shape, dtype=bool)
-    _add_votes(d_ref, d_reproj, p_reproj, [thresholds], [mask])
+    for rows, errors, (failed, spare) in _bands(d_ref.shape, 2, 2):
+        np.logical_and(d_reproj.valid[rows], p_reproj.valid[rows], out=failed)
+        np.logical_not(failed, out=failed)
+        pde, rdd = _pair_errors(d_ref, rows, p_reproj.x[rows], p_reproj.y[rows], d_reproj.values[rows], failed,
+                                errors)
+        _add_votes(d_ref.valid[rows], pde, rdd, failed, spare, [thresholds], [mask[rows]])
     return mask
 
 
@@ -99,24 +109,81 @@ def per_pixel_penalty(
     thresholds: GcThresholds,
     range_mode: str = "one-two",
 ) -> PenaltyMap:
-    """Accumulate inconsistency votes over all source views into the penalty map."""
-    return stage_penalties(d_ref, ref, sources, [thresholds], range_mode)[0]
+    """Accumulate inconsistency votes over all source views into the penalty map.
+
+    The paper's sum over sources of inconsistency_mask(d_ref, *fbr(...)),
+    mapped to the levels: bit for bit stage_penalties at one stage.
+    """
+    _check_sources(d_ref, sources, range_mode)
+    count = np.zeros(d_ref.shape, dtype=np.min_scalar_type(len(sources)))
+    for d_src, src_cam in sources:
+        count += inconsistency_mask(d_ref, *fbr(d_ref, ref, d_src, src_cam), thresholds)
+    return PenaltyMap(_levels(count, len(sources), range_mode), range_mode, len(sources))
 
 
-def _add_votes(d_ref: DepthMap, d_back: DepthMap, p_back: CoordinateGrid, stages, counts) -> None:
-    """Add one reprojection's votes of every stage to that stage's counts, band by band.
+def _check_sources(d_ref: DepthMap, sources, range_mode: str) -> None:
+    """Reject no sources, an unknown range mode or a source shaped unlike the reference."""
+    if not sources:
+        raise ValueError("at least one source view is required")
+    if range_mode not in _RANGE_MODES:
+        raise ValueError(f"range_mode must be one of {_RANGE_MODES}")
+    for d_src, _ in sources:
+        if d_src.shape != d_ref.shape:
+            raise ValueError(
+                f"source depth shape {d_src.shape} does not match reference {d_ref.shape}"
+            )
+
+
+def _levels(counts, m: int, range_mode: str) -> np.ndarray:
+    """The penalty levels 1 + k/M (or 1 + 2k/M) of vote counts k, as a new float64 array.
+
+    Elementwise, in the formula's order: each level has the bits of the
+    table 1.0 + scale * np.arange(M + 1) / M at its count, with no gather
+    from that table (which would first widen a narrow count array to
+    intp, 8 bytes per pixel).
+    """
+    levels = np.array(counts, dtype=np.float64)
+    levels *= 1.0 if range_mode == "one-two" else 2.0
+    levels /= m
+    levels += 1.0
+    return levels
+
+
+def _add_votes(tested, pde, rdd, failed, spare, stages, counts) -> None:
+    """Add one band's votes of every stage to that stage's count band.
 
     A tested (reference-valid) pixel votes where its reprojection failed
-    or exceeds a threshold.  The band buffers are released on return.
+    or exceeds a threshold (strict).  spare is a bool band buffer.
     """
-    for rows, errors, (failed,) in _bands(d_ref.shape, 2, 1):
-        np.logical_and(d_back.valid[rows], p_back.valid[rows], out=failed)
-        np.logical_not(failed, out=failed)
-        pde, rdd = _pair_errors(d_ref, rows, p_back.x[rows], p_back.y[rows], d_back.values[rows], failed, errors)
-        tested = d_ref.valid[rows]
-        for count, thresholds in zip(counts, stages):
-            band = count[rows]
-            band += tested & (failed | (pde > thresholds.d_pixel) | (rdd > thresholds.d_depth))
+    for count, thresholds in zip(counts, stages):
+        np.greater(pde, thresholds.d_pixel, out=spare)
+        spare |= failed
+        spare |= rdd > thresholds.d_depth
+        spare &= tested
+        count += spare
+
+
+def _add_pair_votes(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, stages, counts) -> None:
+    """Add one pair's votes of every stage to that stage's counts.
+
+    A call per pair: the band views of reproject._checks die on return,
+    before the next pair allocates its band buffers.
+    """
+    for rows, _, pde, rdd, failed, spare in _checks(d_ref, ref, d_src, src):
+        _add_votes(d_ref.valid[rows], pde, rdd, failed, spare, stages, [count[rows] for count in counts])
+
+
+def _stage_counts(d_ref: DepthMap, ref: Camera, sources, stages) -> list[np.ndarray]:
+    """Per stage, each reference pixel's inconsistency votes over the M sources.
+
+    One count array per stage, of the narrowest unsigned integer that
+    holds M, filled band by band off the pair-check walk.  The sources are
+    not checked here (see _check_sources).
+    """
+    counts = [np.zeros(d_ref.shape, dtype=np.min_scalar_type(len(sources))) for _ in stages]
+    for d_src, src_cam in sources:
+        _add_pair_votes(d_ref, ref, d_src, src_cam, stages, counts)
+    return counts
 
 
 def stage_penalties(
@@ -129,28 +196,16 @@ def stage_penalties(
     """Penalty maps of one reference view for several threshold stages.
 
     The stages differ only in the thresholds applied to the same
-    reprojection, so each source is reprojected once (one fbr call) and
-    _add_votes adds every stage's votes from it.  Returns one PenaltyMap
-    per stage, in the order of `stages`; each equals per_pixel_penalty
-    with that stage's thresholds.
+    reprojection, so each source's pair check is walked once and every
+    stage's votes are added from it.  Returns one PenaltyMap per stage,
+    in the order of `stages`; each equals per_pixel_penalty with that
+    stage's thresholds.
     """
-    if not sources:
-        raise ValueError("at least one source view is required")
+    _check_sources(d_ref, sources, range_mode)
     if not stages:
         raise ValueError("at least one threshold stage is required")
-    if range_mode not in _RANGE_MODES:
-        raise ValueError(f"range_mode must be one of {_RANGE_MODES}")
-    m = len(sources)
-    counts = [np.zeros(d_ref.shape, dtype=np.min_scalar_type(m)) for _ in stages]
-    for d_src, src_cam in sources:
-        if d_src.shape != d_ref.shape:
-            raise ValueError(
-                f"source depth shape {d_src.shape} does not match reference {d_ref.shape}"
-            )
-        _add_votes(d_ref, *fbr(d_ref, ref, d_src, src_cam), stages, counts)
-    scale = 1.0 if range_mode == "one-two" else 2.0
-    levels = 1.0 + scale * np.arange(m + 1) / m
-    return [PenaltyMap(levels[count], range_mode, m) for count in counts]
+    return [PenaltyMap(_levels(count, len(sources), range_mode), range_mode, len(sources))
+            for count in _stage_counts(d_ref, ref, sources, stages)]
 
 
 def apply_reference_mask(penalty: PenaltyMap, ref_mask: np.ndarray) -> PenaltyMap:
@@ -175,3 +230,36 @@ def penalty_histogram(penalty: PenaltyMap) -> dict:
         "mean_penalty": mean,
         "histogram": hist,
     }
+
+
+def _stage_histogram(count: np.ndarray, valid: np.ndarray, range_mode: str, m: int) -> dict:
+    """penalty_histogram of a stage's masked map, from its vote counts alone.
+
+    Bit for bit penalty_histogram(apply_reference_mask(PenaltyMap(
+    _levels(count, ...), ...), valid)): every level is >= 1, so the
+    pixels above 0 are exactly the valid ones, and the mean reads the
+    same levels in the same order.
+    """
+    inside = count[valid]
+    per_count = np.bincount(inside)
+    seen = np.flatnonzero(per_count)
+    return {
+        "range_mode": range_mode,
+        "num_sources": m,
+        "pixels_in_mask": int(inside.size),
+        "mean_penalty": float(_levels(inside, m, range_mode).mean()) if inside.size else 0.0,
+        "histogram": [{"level": float(lv), "count": int(n)}
+                      for lv, n in zip(_levels(seen, m, range_mode), per_count[seen])],
+    }
+
+
+def _stage_map(count: np.ndarray, valid: np.ndarray, range_mode: str, m: int) -> np.ndarray:
+    """A stage's masked penalty map as float32, from its vote counts alone.
+
+    Bit for bit apply_reference_mask(PenaltyMap(_levels(count, ...), ...),
+    valid).values.astype(np.float32): every level is >= 1, so zeroing it
+    where invalid is the mask's product.
+    """
+    values = _levels(count, m, range_mode).astype(np.float32)
+    values *= valid
+    return values

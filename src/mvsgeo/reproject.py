@@ -16,19 +16,22 @@ forward-backward reprojection: per pair it builds both warp transforms
 and the source's corner-validity map once, then per band writes the
 forward warp, the sample and the back warp through ufunc `out=`
 arguments into the band buffers and, where the caller passes full-frame
-outputs, straight into their row slices.  fbr and fusion walk _chain;
-forward_project, remap, the penalty votes and the loss walk _bands.  The
+outputs, straight into their row slices.  fbr walks _chain, and
+_checks(d_ref, ref, d_src, src, dres) is the one pair-check walk: it
+walks _chain and applies _pair_errors to each band, for the penalty's
+votes (penalty._stage_counts) and fusion's pass bits (fusion._fill_pair).
+forward_project, remap, inconsistency_mask and the loss walk _bands.  The
 chain's own buffers are allocated once per pair, so the working set
 stays in L2 and no band pays for fresh pages or heap trimming.  The
 forward warp's broadcast multiplies of the pixel grid still use numpy's
 own iteration buffer (at most 8192 elements), and each scaled grid vector
 is a row- or column-sized array of its own (see _scaled).
 
-The views that _bands and _chain yield are overwritten by the next band
-and must not outlive their pair: a view still bound when the next pair
-starts (a loop variable, say) keeps that pair's buffers alive while the
-next pair allocates its own, and measured so, `fuse` peaked about 2 MB
-higher.
+The views that _bands, _chain and _checks yield are overwritten by the
+next band and must not outlive their pair: a view still bound when the
+next pair starts (a loop variable, say) keeps that pair's buffers alive
+while the next pair allocates its own, and measured so, `fuse` peaked
+about 2 MB higher.
 
 The sampler reads one corner-validity map per source map and call: a
 flat bool per pixel telling whether the bilinear cell with that upper-left
@@ -100,9 +103,18 @@ class DepthMap:
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "DepthMap":
-        """Build a map whose validity is finite depth > 0."""
+        """Build a map whose validity is finite depth > 0.
+
+        The mask it builds is the constructor's condition, so the map is
+        made once, without the constructor's re-check and second copy.
+        The caller's array is never written.
+        """
         values = np.asarray(values, dtype=np.float64)
-        return cls(values, np.isfinite(values) & (values > 0))
+        if values.ndim != 2:
+            raise ValueError(f"depth values must be 2-D, got shape {values.shape}")
+        valid = np.isfinite(values)
+        valid &= values > 0
+        return _wrap(cls, values=np.where(valid, values, 0.0), valid=valid)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -363,6 +375,23 @@ def _chain(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, back_out)
         out = tuple(spare if a is None else a[rows] for a, spare in zip(back_out, (*f[4:7], b[3])))
         _apply_warp(back, x, y, s, sampled, out, f[3], failed)
         yield rows, (x, y, landed), out, failed
+
+
+def _checks(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, dres=None):
+    """The pair check of one pair, walked band by band: _chain, then _pair_errors per band.
+
+    Per band it yields (rows, (x, y, landed), pde, rdd, failed, spare):
+    the forward landing in the source view, PDE and RDD (inf where
+    failed), failed = ~ok of the back warp, and spare, a bool band buffer
+    (the back warp's ok) free for the caller.  PDE and RDD are written
+    over the back warp's x and y, band scratch dead once read, so no band
+    array is added.  The back warp's depth goes into dres[rows] when dres
+    (full frame) is given.  Every yielded array is band scratch,
+    overwritten by the next band.
+    """
+    for rows, landing, back, failed in _chain(d_ref, ref, d_src, src, (None, None, dres, None)):
+        pde, rdd = _pair_errors(d_ref, rows, *back[:3], failed, back[:2])
+        yield rows, landing, pde, rdd, failed, back[3]
 
 
 def forward_project(d_ref: DepthMap, ref: Camera, src: Camera) -> tuple[CoordinateGrid, DepthMap]:

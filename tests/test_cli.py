@@ -100,20 +100,21 @@ def test_gc_penalty_multi_stage_and_threads(plane_scene, tmp_path, capsys):
 
 def test_gc_penalty_reprojects_each_pair_once(plane_scene, tmp_path, capsys, monkeypatch):
     # Three stages share one forward-backward reprojection and one
-    # displacement/depth-difference pass per (reference, source) pair; only
-    # the threshold comparisons repeat per stage, and the public one-stage
-    # inconsistency_mask is not called at all.
+    # displacement/depth-difference pass per (reference, source) pair: one
+    # walk of the reprojection chain per pair, whose bands every stage
+    # votes from; only the threshold comparisons repeat per stage, and the
+    # public one-stage inconsistency_mask is not called at all.
     import mvsgeo.penalty
 
-    counts = {"fbr": 0, "inconsistency_mask": 0}
-    for name in counts:
-        original = getattr(mvsgeo.penalty, name)
+    counts = {"_chain": 0, "inconsistency_mask": 0}
+    for module, name in ((reproject, "_chain"), (mvsgeo.penalty, "inconsistency_mask")):
+        original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(mvsgeo.penalty, name, counting)
+        monkeypatch.setattr(module, name, counting)
     code, out, _ = run_cli(capsys, "gc-penalty", "--scene", str(plane_scene), "--out", str(tmp_path / "p"),
                            "--d-pixel", "1.0", "0.5", "0.25", "--d-depth", "0.01", "0.005", "0.0025",
                            "--threads", "1")
@@ -122,7 +123,7 @@ def test_gc_penalty_reprojects_each_pair_once(plane_scene, tmp_path, capsys, mon
     refs = len(doc["views"])
     pairs = sum(len(view["sources"]) for view in doc["views"].values())
     assert refs == 4 and pairs == refs * 3
-    assert counts == {"fbr": pairs, "inconsistency_mask": 0}
+    assert counts == {"_chain": pairs, "inconsistency_mask": 0}
 
 
 def test_gc_penalty_stage_count_mismatch(plane_scene, tmp_path, capsys):
@@ -175,14 +176,15 @@ def test_gc_penalty_writes_each_reference_at_most_threads_ahead(six_view_scene, 
                                                                  monkeypatch, threads):
     # References computed (or being computed) but not yet written: at most
     # the one being written plus `threads` ahead of it.  With one stage,
-    # a reference's histogram is taken right after its PFM is written.
+    # a reference's histogram is derived from its vote counts right after
+    # its PFM is written.
     import threading
 
     from mvsgeo import cli
 
     lock = threading.Lock()
     state = {"open": 0, "max": 0}
-    compute, histogram = cli.stage_penalties, cli.penalty_histogram
+    compute, histogram = cli._stage_counts, cli._stage_histogram
 
     def counting_compute(*args):
         with lock:
@@ -195,8 +197,8 @@ def test_gc_penalty_writes_each_reference_at_most_threads_ahead(six_view_scene, 
             state["open"] -= 1
         return histogram(*args)
 
-    monkeypatch.setattr(cli, "stage_penalties", counting_compute)
-    monkeypatch.setattr(cli, "penalty_histogram", counting_histogram)
+    monkeypatch.setattr(cli, "_stage_counts", counting_compute)
+    monkeypatch.setattr(cli, "_stage_histogram", counting_histogram)
     code, out, _ = run_cli(capsys, "gc-penalty", "--scene", str(six_view_scene), "--out", str(tmp_path / "p"),
                            "--d-pixel", "1.0", "--d-depth", "0.01", "--threads", str(threads))
     assert code == 0
@@ -207,12 +209,15 @@ def test_gc_penalty_writes_each_reference_at_most_threads_ahead(six_view_scene, 
 
 def test_gc_penalty_single_thread_holds_one_reference(six_view_scene, tmp_path, capsys, monkeypatch):
     # After the scene is loaded, a --threads 1 run holds one reference in
-    # flight (its narrow vote counts, then its stage maps; one pair's fbr
-    # result, band scratch and corner map) and at most one more map, the
-    # masked copy of the stage map being masked.  Holding the maps of
+    # flight: its narrow vote counts, one pair's band scratch and corner
+    # map while it is checked, then one stage's float32 map or the float64
+    # levels its mean reads while it is written.  Holding the maps of
     # every reference until the end, as a compute-all-then-write loop
-    # does, or every unmasked map beside the masked ones, exceeds this.
-    # Row bands of 8 rows keep the band scratch small.
+    # does, a float64 map per stage, or a pair's full-frame reprojection
+    # (25 B/px) exceeds this.  Row bands of 8 rows keep the band scratch
+    # small.  The window ends when the summary is emitted: encoding it
+    # makes about 100 KB of Python string chunks here, set by the number
+    # of references and stages, not by the frame.
     import tracemalloc
 
     from mvsgeo import cli
@@ -220,6 +225,7 @@ def test_gc_penalty_single_thread_holds_one_reference(six_view_scene, tmp_path, 
     w, h, n_stages = 80, 64, 3
     monkeypatch.setattr(reproject, "_BAND_PIXELS", 8 * w)
     load, loaded = cli._load_scene, []
+    emit, written = cli._emit_json, []
 
     def loading(*args):
         scene = load(*args)
@@ -227,21 +233,27 @@ def test_gc_penalty_single_thread_holds_one_reference(six_view_scene, tmp_path, 
         tracemalloc.reset_peak()
         return scene
 
+    def emitting(*args):
+        written.append(tracemalloc.get_traced_memory()[1])
+        return emit(*args)
+
     monkeypatch.setattr(cli, "_load_scene", loading)
+    monkeypatch.setattr(cli, "_emit_json", emitting)
     argv = ["gc-penalty", "--scene", str(six_view_scene), "--out", str(tmp_path / "p"), "--threads", "1"]
     assert run_cli(capsys, *argv)[0] == 0  # first-call allocations out of the measurement
     tracemalloc.start()
     try:
         code, out, _ = run_cli(capsys, *argv)
-        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 0 and len(read_json(out)["views"]) >= 4
-    maps = n_stages * h * w * 8
-    fbr_result = h * w * (3 * 8 + 1)
+    counts = n_stages * h * w
+    stage_map = h * w * 4
+    mean_gather = h * w * 8
     scratch = 8 * w * (10 * 8 + 4)
     corner_map = 3 * h * w
-    assert peak - loaded[-1] < maps + h * w * 8 + fbr_result + scratch + corner_map, (peak - loaded[-1], maps)
+    peak = written[-1] - loaded[-1]
+    assert peak < counts + stage_map + mean_gather + scratch + corner_map, (peak, counts)
 
 
 def _two_view_pairs(scene, last_line):

@@ -1,13 +1,19 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvsgeo import reproject, synth
+from mvsgeo import formats, reproject, synth
 from mvsgeo.camera import pixel_grid
 from mvsgeo.penalty import (
     GcThresholds,
     PenaltyMap,
     STAGE_DEPTH_THRESHOLDS,
     STAGE_PIXEL_THRESHOLDS,
+    _stage_histogram,
+    _stage_map,
     apply_reference_mask,
     inconsistency_mask,
     penalty_histogram,
@@ -351,13 +357,45 @@ def test_penalty_histogram_reports_levels():
     assert [h["count"] for h in doc["histogram"]] == [1, 1, 1]
 
 
-def test_stage_penalties_holds_one_reprojection_and_band_buffers(monkeypatch):
-    # Errors and votes are computed band by band: above its inputs,
-    # stage_penalties holds one fbr result (x, y, depth float64 and ok),
-    # fbr's bool corner-validity map (and, while it is built, one more),
-    # the vote counts and a constant number of band buffers.
-    # Full-frame PDE/RDD arrays, or two sources' fbr results at once, do
-    # not fit.
+@st.composite
+def _stage_counts_and_mask(draw):
+    """Vote counts of M sources (M from 1 to 300: uint8 and uint16), a range mode and a reference mask."""
+    m = draw(st.integers(1, 300))
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = rng.integers(0, m + 1, (h, w)).astype(np.min_scalar_type(m))
+    count.flat[rng.integers(0, h * w)] = draw(st.sampled_from([0, m]))
+    mask = draw(st.sampled_from(["random", "all", "none"]))
+    valid = {"random": rng.random((h, w)) < 0.6, "all": np.ones((h, w), bool), "none": np.zeros((h, w), bool)}[mask]
+    return count, valid, draw(st.sampled_from(["one-two", "one-three"])), m
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_stage_counts_and_mask())
+def test_stage_outputs_from_counts_equal_the_library_path(case):
+    # gc-penalty writes each stage's PFM and histogram from its vote counts
+    # alone: the same bytes as masking the level map read off the table
+    # 1 + k/M (or 1 + 2k/M) and taking its histogram.
+    count, valid, mode, m = case
+    scale = 1.0 if mode == "one-two" else 2.0
+    levels = 1.0 + scale * np.arange(m + 1) / m
+    masked = apply_reference_mask(PenaltyMap(levels[count], mode, m), valid)
+    want_pfm = formats.write_pfm(formats.PfmImage(masked.values.astype(np.float32)))
+    got = _stage_map(count, valid, mode, m)
+    assert got.dtype == np.float32 and formats.write_pfm(formats.PfmImage(got)) == want_pfm
+    doc = _stage_histogram(count, valid, mode, m)
+    assert json.dumps(doc) == json.dumps(penalty_histogram(masked))
+    assert doc["pixels_in_mask"] == valid.sum()
+
+
+def test_stage_penalties_holds_band_buffers_and_counts(monkeypatch):
+    # Votes are taken straight off the band walk of each pair check:
+    # above its inputs, stage_penalties holds the vote counts, one pair's
+    # bool corner-validity map (and, while it is built, one more), a
+    # constant number of band buffers, and at the end its float64 maps.
+    # A full-frame reprojection (fbr's x, y, depth and ok: 25 B/px),
+    # full-frame PDE/RDD arrays, or two pairs' band buffers at once do not
+    # fit.
     import tracemalloc
 
     from mvsgeo import reproject
@@ -376,10 +414,10 @@ def test_stage_penalties_holds_one_reprojection_and_band_buffers(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    fbr_outputs = h * w * (3 * 8 + 1)
     corner_maps = 2 * h * w
-    sums = len(stages) * h * w * 8
-    assert peak < fbr_outputs + corner_maps + sums + 20 * band * 8, (peak, fbr_outputs + corner_maps + sums)
+    counts = len(stages) * h * w
+    maps = len(stages) * h * w * 8
+    assert peak < corner_maps + counts + maps + 10 * band * 8, (peak, corner_maps + counts + maps)
 
 
 def _degenerate_pair_penalties(src_of):

@@ -3,7 +3,13 @@ import pytest
 
 from mvsgeo import reproject, synth
 from mvsgeo.camera import Camera, Pixel, back_project, pixel_grid, project, warp_transform
-from mvsgeo.penalty import STAGE_DEPTH_THRESHOLDS, STAGE_PIXEL_THRESHOLDS, GcThresholds, stage_penalties
+from mvsgeo.penalty import (
+    STAGE_DEPTH_THRESHOLDS,
+    STAGE_PIXEL_THRESHOLDS,
+    GcThresholds,
+    per_pixel_penalty,
+    stage_penalties,
+)
 from mvsgeo.reproject import CoordinateGrid, DepthMap, fbr, forward_project, remap
 
 from conftest import BAND_SCENES, band_sizes, random_camera
@@ -35,6 +41,48 @@ def test_depthmap_rejects_non_finite_valid_depths():
     dm = DepthMap(np.array([[np.inf, 1e300]]), np.array([[False, True]]))
     assert dm.valid.tolist() == [[False, True]]
     assert dm.values.tolist() == [[0.0, 1e300]]
+
+
+def test_depthmap_from_values_marks_finite_positive_depths(rng):
+    # NaN, +-inf, negative and (signed) zero depths are invalid and stored
+    # as 0; the map equals the checked constructor's on the same mask, and
+    # the caller's float64 array (not copied by np.asarray) is left as it was.
+    values = rng.uniform(0.5, 9.0, (6, 7))
+    values[0, :6] = [np.nan, np.inf, -np.inf, -3.0, 0.0, -0.0]
+    values[1, :2] = [1e300, 5e-324]
+    before = values.tobytes()
+    dm = DepthMap.from_values(values)
+    assert values.tobytes() == before
+    valid = np.isfinite(values) & (values > 0)
+    assert dm.valid.dtype == bool and np.array_equal(dm.valid, valid)
+    assert dm.valid[0].tolist() == [False] * 6 + [True] and dm.valid[1, :2].all()
+    checked = DepthMap(np.where(valid, values, 0.0), valid)
+    assert dm.values.dtype == np.float64 and dm.values.tobytes() == checked.values.tobytes()
+    assert not np.shares_memory(dm.values, values)
+    for shape in ((5,), (2, 3, 4)):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            DepthMap.from_values(np.ones(shape))
+
+
+@pytest.mark.parametrize("dtype, copied", [(np.float64, 0), (np.float32, 8)], ids=["float64", "float32"])
+def test_depthmap_from_values_builds_the_map_once(rng, dtype, copied):
+    # Above its input, from_values holds the map (8 + 1 B/px), the float64
+    # copy np.asarray makes of a narrower input, and at most one more byte
+    # per pixel: no gather of the valid depths to re-check them and no
+    # second copy of the values.
+    import tracemalloc
+
+    h, w = 256, 320
+    values = rng.uniform(1.0, 10.0, (h, w)).astype(dtype)
+    values[rng.random((h, w)) < 0.2] = 0.0
+    DepthMap.from_values(values)  # first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        DepthMap.from_values(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < h * w * (8 + 1 + copied + 1), (peak, h * w)
 
 
 def test_forward_project_identity_view():
@@ -304,11 +352,17 @@ def test_stage_penalties_are_band_invariant(monkeypatch, kind, w, h, n, seed):
             for pen, thr in zip(base[mode], stages):
                 oracle = naive_penalty(d0, spec.cameras[0], sources, thr.d_pixel, thr.d_depth, mode)
                 assert np.array_equal(pen.values, oracle)
-    for band in band_sizes(h, w):
-        monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
+    for band in (None, *band_sizes(h, w)):
+        if band is not None:
+            monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
         for mode in modes:
             got = stage_penalties(d0, spec.cameras[0], sources, stages, mode)
             assert all(_same_bits(a.values, b.values) for a, b in zip(base[mode], got)), (band, mode)
+            # The votes taken off the pair-check walk equal the paper's sum
+            # of public steps, inconsistency_mask(d_ref, *fbr(...)).
+            for pen, thr in zip(got, stages):
+                want = per_pixel_penalty(d0, spec.cameras[0], sources, thr, mode)
+                assert _same_bits(pen.values, want.values), (band, mode, thr)
 
 
 def test_forward_warp_makes_no_band_sized_copy():
