@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvsgeo import reproject
+from mvsgeo import cli, reproject
 from mvsgeo.formats import read_probability_volume, write_probability_volume
 from mvsgeo.loss import (
     PROB_FLOOR,
@@ -183,6 +185,101 @@ def test_cross_entropy_bitwise_equals_oracle_for_any_band_and_dtype(rng, monkeyp
                 assert err.dtype == np.float64
                 assert err.tobytes() == o_err.tobytes(), (band, v.probs.dtype)
                 assert np.array_equal(supervised, o_sup)
+
+
+def _bin_volume(rng, d, h, w, layout, bins):
+    """Float32-exact volume with ground truth on bins `bins` (even pixels) or halfway to the next bin (odd).
+
+    Hypotheses lie on a 0.5 grid, so every midpoint is exact and ties
+    the two bins around it; the lower one must win.
+    """
+    raw = rng.random((d, h, w)).astype(np.float32) + np.float32(0.01)
+    probs = (raw / raw.sum(axis=0, keepdims=True)).astype(np.float32).astype(np.float64)
+    shape = d if layout == "shared" else (d, h, w)
+    hyp = np.cumsum(rng.integers(1, 5, size=shape), axis=0) * 0.5 + 400.0
+    grid = np.broadcast_to(hyp[:, None, None] if layout == "shared" else hyp, (d, h, w))
+    k = np.asarray(bins).reshape(h, w)
+    lo = np.take_along_axis(grid, k[None], 0)[0]
+    hi = np.take_along_axis(grid, np.minimum(k + 1, d - 1)[None], 0)[0]
+    values = np.where(np.arange(h * w).reshape(h, w) % 2 == 0, lo, 0.5 * (lo + hi))
+    return ProbabilityVolume(probs, hyp), DepthMap.from_values(values)
+
+
+def _assert_equals_oracle(vols, gt):
+    o_err, o_sup = naive_cross_entropy(vols[0].probs, vols[0].hypotheses, gt.values, gt.valid)
+    for v in vols:
+        err, supervised = cross_entropy_error(v, gt)
+        assert err.tobytes() == o_err.tobytes(), (v.probs.dtype, v.probs.flags.aligned)
+        assert np.array_equal(supervised, o_sup)
+
+
+@pytest.mark.parametrize("layout", ["shared", "perpixel"])
+@pytest.mark.parametrize("d", [1, 2, 255, 256, 257, 300])
+def test_cross_entropy_picks_every_bin_at_the_index_dtype_boundary(rng, layout, d):
+    # The picked bin is kept in the narrowest unsigned type that holds
+    # D - 1: uint8 up to 256 bins, uint16 from 257.  Ground truth sits on
+    # and halfway after the last bins each type holds and the first ones
+    # past it, so a wrapped or truncated index picks the wrong probability.
+    # At 300 bins the flat gather index passes 2**15.
+    h, w = 9, 13
+    edge = np.repeat(np.clip([0, d - 1, d - 2, 254, 255, 256, 257, 299], 0, d - 1), 2)
+    bins = np.concatenate([edge, rng.integers(0, d, size=h * w - len(edge))])
+    vol, gt = _bin_volume(rng, d, h, w, layout, bins)
+    strided = ProbabilityVolume(np.asfortranarray(vol.probs), vol.hypotheses)
+    assert not strided.probs.flags.c_contiguous
+    _assert_equals_oracle([vol, strided, read_probability_volume(write_probability_volume(vol))], gt)
+
+
+@pytest.mark.parametrize("layout", ["shared", "perpixel"])
+def test_cross_entropy_reads_unaligned_volumes(rng, tmp_path, layout):
+    # The header is "PROBVOL\n", "D H W\n" and the layout line, so the
+    # digit counts of D, H and W set where the float32 payload starts.
+    heads, aligned = set(), set()
+    for d, h, w in ((2, 3, 4), (12, 3, 4), (12, 13, 4), (12, 13, 14)):
+        vol, gt = _bin_volume(rng, d, h, w, layout, rng.integers(0, d, size=h * w))
+        data = write_probability_volume(vol)
+        heads.add(len(f"PROBVOL\n{d} {h} {w}\n{layout}\n") % 4)
+        path = tmp_path / f"{d}_{h}_{w}.probvol"
+        path.write_bytes(data)
+        views = [read_probability_volume(data), read_probability_volume(cli._mapped(path))]
+        aligned.update(v.probs.flags.aligned for v in views)
+        _assert_equals_oracle([vol, *views], gt)
+    assert heads == {0, 1, 2, 3}
+    assert False in aligned
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), d=st.integers(1, 12), h=st.integers(1, 4), w=st.integers(1, 6),
+       layout=st.sampled_from(["shared", "perpixel"]))
+def test_cross_entropy_property_any_hypotheses_and_band(data, d, h, w, layout):
+    # Any strictly increasing hypotheses (float32-exact, on a 1/8 grid),
+    # ground truth on a bin, halfway between two, off range or invalid,
+    # and any band size: the same bits as the oracle.
+    shape = (d,) if layout == "shared" else (d, h, w)
+    n = int(np.prod(shape))
+    gaps = np.array(data.draw(st.lists(st.integers(1, 800), min_size=n, max_size=n)), dtype=np.float64)
+    hyp = data.draw(st.integers(1, 4000)) + np.cumsum(gaps.reshape(shape) / 8.0, axis=0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    raw = rng.random((d, h, w)).astype(np.float32) + np.float32(0.01)
+    probs = (raw / raw.sum(axis=0, keepdims=True)).astype(np.float32).astype(np.float64)
+    grid = np.broadcast_to(hyp[:, None, None] if layout == "shared" else hyp, (d, h, w))
+    kinds = data.draw(st.lists(st.sampled_from(["bin", "mid", "below", "above", "invalid"]),
+                               min_size=h * w, max_size=h * w))
+    bins = data.draw(st.lists(st.integers(0, d - 1), min_size=h * w, max_size=h * w))
+    values, valid = np.empty(h * w), np.ones(h * w, dtype=bool)
+    for p, (kind, k) in enumerate(zip(kinds, bins)):
+        i, j = divmod(p, w)
+        lo, hi = grid[k, i, j], grid[min(k + 1, d - 1), i, j]
+        values[p] = {"bin": lo, "mid": 0.5 * (lo + hi), "below": grid[0, i, j] - 0.125,
+                     "above": grid[-1, i, j] + 0.125, "invalid": 0.0}[kind]
+        valid[p] = kind != "invalid"
+    gt = DepthMap(values.reshape(h, w), valid.reshape(h, w))
+    vol = ProbabilityVolume(probs, hyp)
+    vols = [vol, read_probability_volume(write_probability_volume(vol))]
+    with pytest.MonkeyPatch.context() as mp:
+        for band in (1, w - 1, w + 1, reproject._BAND_PIXELS):
+            mp.setattr(reproject, "_BAND_PIXELS", band)
+            _assert_equals_oracle(vols, gt)
 
 
 @pytest.mark.parametrize("layout", ["shared", "perpixel"])
