@@ -378,8 +378,8 @@ def _cmd_warp(args) -> int:
     ok = d_reproj.valid
     doc = {"ref": args.ref, "src": args.src, "valid_pixels": int(ok.sum()), "out": str(out)}
     if ok.any():
-        errors = _pair_errors(d_ref, slice(0, d_ref.height), p_reproj.x, p_reproj.y, d_reproj.values, ~ok,
-                              np.empty((2,) + d_ref.shape))
+        errors = _pair_errors(d_ref.values.astype(np.float64, copy=False), d_ref.valid, slice(0, d_ref.height),
+                              p_reproj.x, p_reproj.y, d_reproj.values, ~ok, np.empty((2,) + d_ref.shape))
         pde, rdd = (e[ok] for e in errors)
         doc.update(
             mean_pde=float(pde.mean()),

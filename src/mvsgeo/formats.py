@@ -141,11 +141,19 @@ def read_pfm(data: bytes) -> PfmImage:
     return PfmImage(np.flipud(img).astype(np.float32), scale)
 
 
-def write_pfm(img: PfmImage) -> bytes:
+def write_pfm(img: PfmImage) -> bytearray:
+    """The PFM file of img, built in one buffer: the header, then the rows bottom first.
+
+    The flipped rows are written through a little-endian float32 view of
+    the buffer, so the payload is held once.
+    """
     magic = b"PF" if img.channels == 3 else b"Pf"
     header = magic + b"\n" + f"{img.width} {img.height}\n".encode() + b"-1.0\n"
-    payload = np.flipud(img.data).astype("<f4").tobytes()
-    return header + payload
+    data = bytearray(len(header) + 4 * img.data.size)
+    data[:len(header)] = header
+    payload = np.frombuffer(data, dtype="<f4", offset=len(header)).reshape(img.data.shape)
+    np.copyto(payload, np.flipud(img.data))
+    return data
 
 
 def depth_from_pfm(img: PfmImage) -> "DepthMap":

@@ -78,7 +78,8 @@ def refine_hypotheses(prev_depth: DepthMap, stage: int, cfg: StageConfig, di: fl
         # Band wider than the whole range: degrade to the uniform sweep.
         flat = np.linspace(cfg.depth_min, cfg.depth_max, n)
         return np.broadcast_to(flat[:, None, None], (n,) + prev_depth.shape).copy()
-    centers = np.clip(prev_depth.values, cfg.depth_min, cfg.depth_max)
+    # dtype=float64: a float32 map clipped to Python floats would stay float32.
+    centers = np.clip(prev_depth.values, cfg.depth_min, cfg.depth_max, dtype=np.float64)
     offsets = (np.arange(n, dtype=np.float64) - (n - 1) / 2.0) * spacing
     lo = centers + offsets[0]
     hi = centers + offsets[-1]

@@ -123,7 +123,8 @@ def depth_metrics(pred, gt, valid) -> DepthMetrics:
         raise ValueError("depth maps and mask must share a shape")
     if not valid.any():
         raise ValueError("no valid pixels to evaluate")
-    err = np.abs(pred_v[valid] - gt_v[valid])
+    # dtype=float64: two float32 maps (PFM depths) would subtract in float32.
+    err = np.abs(np.subtract(pred_v[valid], gt_v[valid], dtype=np.float64))
     return DepthMetrics(
         epe=float(err.mean()),
         e1=float((err > 1.0).mean()),

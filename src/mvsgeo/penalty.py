@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Camera
-from .reproject import CoordinateGrid, DepthMap, _bands, _checks, _pair_errors, fbr
+from .reproject import CoordinateGrid, DepthMap, _bands, _checks, _pair_errors, _widened, fbr
 
 __all__ = [
     "GcThresholds",
@@ -93,11 +93,11 @@ def inconsistency_mask(
     if np.any(d_ref.values == 0, where=d_ref.valid):
         raise ValueError("zero reference depth")
     mask = np.zeros(d_ref.shape, dtype=bool)
-    for rows, errors, (failed, spare) in _bands(d_ref.shape, 2, 2):
+    for rows, (pde, rdd, wide), (failed, spare) in _bands(d_ref.shape, 3, 2):
         np.logical_and(d_reproj.valid[rows], p_reproj.valid[rows], out=failed)
         np.logical_not(failed, out=failed)
-        pde, rdd = _pair_errors(d_ref, rows, p_reproj.x[rows], p_reproj.y[rows], d_reproj.values[rows], failed,
-                                errors)
+        _pair_errors(_widened(d_ref.values[rows], wide), d_ref.valid[rows], rows, p_reproj.x[rows],
+                     p_reproj.y[rows], d_reproj.values[rows], failed, (pde, rdd))
         _add_votes(d_ref.valid[rows], pde, rdd, failed, spare, [thresholds], [mask[rows]])
     return mask
 

@@ -39,6 +39,25 @@ pixel has four valid corners (about 50 us at 640 x 512).  One gather from
 it replaces four validity gathers, and each corner value is one
 np.take from the flat depths at the corner's offset (right +1, lower +W).
 
+Depths stay at their file's precision: a DepthMap keeps float32 or
+float64 values as given, so a PFM's depths hold 4 bytes per pixel (5 with
+the mask, against 9 widened to float64), and each kernel widens one band
+at a time into band scratch it already has.  _chain widens the reference
+band once (_widened), and the forward warp and _pair_errors read that
+copy; _sample gathers each bilinear corner of a float32 map into a
+float32 view of a band buffer and widens it there (_gather).  Every ufunc
+then runs its float64 loop on the same values (float32 to float64 is
+exact), so a float32 map gives the bits of its float64 widening.  No
+ufunc mixes the two dtypes: numpy's buffered casts made such a multiply
+2.3x slower than a float64 one.  Code that reads DepthMap.values outside
+the kernels widens before its arithmetic too: a float32 array with a
+float32 or Python scalar runs a float32 loop under numpy's promotion.
+
+A warp step that overflows (a huge depth, say) makes its pixel invalid,
+as one behind the camera, with no RuntimeWarning: _apply_warp runs each
+band with overflow raising, and only a band that raised is redone with
+the non-finite results masked, so other bands pay for no test.
+
 Neither the band size nor the buffer reuse changes a bit: an output pixel
 depends only on its own input pixel and the whole source map, each
 ufunc is elementwise, and every pixel is computed by the same operations
@@ -75,18 +94,39 @@ _BAND_PIXELS = 32768
 _EDGE_EPS = 1e-9
 
 
+def _depth_array(values) -> np.ndarray:
+    """values as an array of float32 or float64 as given; any other dtype widened to float64."""
+    values = np.asarray(values)
+    return values if values.dtype in (np.float32, np.float64) else values.astype(np.float64)
+
+
+def _widened(values: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """A band of depths as float64: itself when float64, else copied into buf (float64, its shape).
+
+    Widening float32 to float64 is exact, so every later float64 ufunc
+    sees the same values as it would on a float64 map.
+    """
+    if values.dtype == np.float64:
+        return values
+    np.copyto(buf, values)
+    return buf
+
+
 @dataclass
 class DepthMap:
     """H x W depth grid (scene units) with a validity mask.
 
-    Invalid pixels hold 0 and are ignored by all consumers.
+    Invalid pixels hold 0 and are ignored by all consumers.  values keeps
+    float32 or float64 as given (a PFM's depths stay float32, 4 B/px) and
+    widens any other dtype to float64; the kernels widen one band at a
+    time, so a float32 map gives the bits of its float64 widening.
     """
 
     values: np.ndarray
     valid: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _depth_array(self.values)
         valid = np.asarray(self.valid, dtype=bool)
         if values.ndim != 2:
             raise ValueError(f"depth values must be 2-D, got shape {values.shape}")
@@ -107,9 +147,10 @@ class DepthMap:
 
         The mask it builds is the constructor's condition, so the map is
         made once, without the constructor's re-check and second copy.
-        The caller's array is never written.
+        The caller's array is never written.  As in the constructor,
+        float32 and float64 values keep their dtype.
         """
-        values = np.asarray(values, dtype=np.float64)
+        values = _depth_array(values)
         if values.ndim != 2:
             raise ValueError(f"depth values must be 2-D, got shape {values.shape}")
         valid = np.isfinite(values)
@@ -178,24 +219,41 @@ def _warp_row(t, xs, ys, depth, acc, tmp):
 
 
 def _apply_warp(transform: np.ndarray, xs, ys, depth, valid, out, tmp, failed):
-    """Apply a pixel-depth warp to (x, y, d) grids, writing (x', y', d', ok) into `out`.
+    """Apply a pixel-depth warp to finite (x, y, d) grids, writing (x', y', d', ok) into `out`.
 
     `transform` comes from warp_transform, whose last row is exactly
     (0, 0, 0, 1): the homogeneous coordinate is 1 and needs no divide.
     Pixels landing behind the camera (d' not above W_EPS) come back
-    invalid, as 0.  tmp (float64) and failed (bool) are band-sized
-    scratch; failed is left holding ~ok.
+    invalid, as 0, and so do pixels whose d', x' or y' is not finite (a
+    step overflowed), with no RuntimeWarning.  tmp (float64) and failed
+    (bool) are band-sized scratch; failed is left holding ~ok.
     """
+    try:
+        # Finite inputs give finite results unless a step overflows, and
+        # that raises here: a band that does not overflow pays for no
+        # finiteness test.
+        with np.errstate(over="raise", invalid="raise"):
+            _warp_pixels(transform, xs, ys, depth, valid, out, tmp, failed, finite_only=False)
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _warp_pixels(transform, xs, ys, depth, valid, out, tmp, failed, finite_only=True)
+
+
+def _warp_pixels(transform, xs, ys, depth, valid, out, tmp, failed, finite_only):
+    """_apply_warp's arithmetic; finite_only also invalidates pixels with a non-finite result."""
     x2, y2, d2, ok = out
     _warp_row(transform[2], xs, ys, depth, d2, tmp)
     np.greater(d2, W_EPS, out=ok)
     ok &= valid
-    np.logical_not(ok, out=failed)
     for t, acc in ((transform[0], x2), (transform[1], y2)):
         _warp_row(t, xs, ys, depth, acc, tmp)
         np.divide(acc, d2, out=acc, where=ok)
-        np.copyto(acc, 0.0, where=failed)
-    np.copyto(d2, 0.0, where=failed)
+    if finite_only:
+        for a in (d2, x2, y2):
+            ok &= np.isfinite(a, out=failed)
+    np.logical_not(ok, out=failed)
+    for a in (x2, y2, d2):
+        np.copyto(a, 0.0, where=failed)
 
 
 def _wrap(cls, **fields):
@@ -251,12 +309,14 @@ def _in_order(produce, consume, items, threads):
             del result
 
 
-def _forward(transform, d_ref: DepthMap, rows: slice, out, tmp, failed):
-    """Forward warp of reference rows `rows` into `out` (the pixel grid broadcast per band)."""
-    depth = d_ref.values[rows]
+def _forward(transform, depth, valid, rows: slice, out, tmp, failed):
+    """Forward warp of reference rows `rows` (float64 depth band, validity band) into `out`.
+
+    The pixel grid is broadcast per band.
+    """
     xs = np.arange(depth.shape[1], dtype=np.float64)
     ys = np.arange(rows.start, rows.stop, dtype=np.float64)[:, None]
-    _apply_warp(transform, xs, ys, depth, d_ref.valid[rows], out, tmp, failed)
+    _apply_warp(transform, xs, ys, depth, valid, out, tmp, failed)
 
 
 def _corners(src_map: DepthMap):
@@ -275,6 +335,20 @@ def _corners(src_map: DepthMap):
     cells = pairs.copy()
     cells[: valid.size - dy] &= pairs[dy:]
     return dx, dy, cells
+
+
+def _gather(values, idx, out, scratch):
+    """values[idx] (index mode clip) into the float64 band `out`.
+
+    A float32 map is gathered into a float32 view of the float64 band
+    buffer `scratch` (its first half), then widened into `out`: a gather
+    that reads half the bytes, and no mixed-dtype ufunc.
+    """
+    if values.dtype == np.float64:
+        return np.take(values, idx, out=out, mode="clip")
+    narrow = np.ndarray(out.shape, dtype=np.float32, buffer=scratch)
+    np.copyto(out, np.take(values, idx, out=narrow, mode="clip"))
+    return out
 
 
 def _sample(src_map: DepthMap, corners, xs, ys, coords_valid, out, tmp, failed):
@@ -313,40 +387,42 @@ def _sample(src_map: DepthMap, corners, xs, ys, coords_valid, out, tmp, failed):
     np.subtract(1.0, yc, out=gy)
     ok &= np.take(cells, idx, out=failed, mode="clip")
     # top = v00*(1-fx) + v01*fx, lower = v10*(1-fx) + v11*fx, then
-    # top*(1-fy) + lower*fy; each corner is one gather at its offset.
-    top = np.take(values, idx, out=res, mode="clip")
+    # top*(1-fy) + lower*fy; each corner is one gather at its offset,
+    # through the buffer named last when the map is float32 (that buffer
+    # is free until then: gy once top*(1-fy) is taken).
+    top = _gather(values, idx, res, lower)
     top *= gx
-    np.take(values[dx:], idx, out=corner, mode="clip")
+    _gather(values[dx:], idx, corner, lower)
     corner *= xc
     top += corner
-    np.take(values[dy:], idx, out=lower, mode="clip")
+    top *= gy
+    _gather(values[dy:], idx, lower, corner)
     lower *= gx
-    np.take(values[dx + dy:], idx, out=corner, mode="clip")
+    _gather(values[dx + dy:], idx, corner, gy)
     corner *= xc
     lower += corner
-    top *= gy
     lower *= yc
     top += lower
     np.logical_not(ok, out=failed)
     np.copyto(res, 0.0, where=failed)
 
 
-def _pair_errors(d_ref: DepthMap, rows: slice, x_back, y_back, d_back, failed, out):
+def _pair_errors(depth, valid, rows: slice, x_back, y_back, d_back, failed, out):
     """PDE (px) and RDD of reference rows `rows` reprojected to (x_back, y_back, d_back).
 
-    Written into out = (pde, rdd) and returned; inf where `failed` (the
-    reprojection is not ok).  out may be (x_back, y_back) themselves:
-    each is read before it is written (fusion reuses them so).
+    depth is the rows' reference depths as float64 and valid their
+    validity.  Written into out = (pde, rdd) and returned; inf where
+    `failed` (the reprojection is not ok).  out may be (x_back, y_back)
+    themselves: each is read before it is written (fusion reuses them so).
     """
     pde, rdd = out
-    xs = np.arange(d_ref.width, dtype=np.float64)
+    xs = np.arange(depth.shape[1], dtype=np.float64)
     ys = np.arange(rows.start, rows.stop, dtype=np.float64)[:, None]
     np.square(np.subtract(x_back, xs, out=pde), out=pde)
     pde += np.square(np.subtract(y_back, ys, out=rdd), out=rdd)
     np.sqrt(pde, out=pde)
-    depth = d_ref.values[rows]
     np.abs(np.subtract(d_back, depth, out=rdd), out=rdd)
-    np.divide(rdd, depth, out=rdd, where=d_ref.valid[rows])  # the denominator is 1 elsewhere
+    np.divide(rdd, depth, out=rdd, where=valid)  # the denominator is 1 elsewhere
     np.copyto(pde, np.inf, where=failed)
     np.copyto(rdd, np.inf, where=failed)
     return pde, rdd
@@ -356,25 +432,28 @@ def _chain(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, back_out)
     """Forward-backward reprojection of one pair, walked band by band.
 
     Per pair both warp transforms and the source's corner-validity map are
-    built once.  Per band it yields (rows, (x, y, landed), back, failed):
-    the forward landing in the source view, the back warp back = (x, y,
-    depth, ok) in the reference view and failed = ~ok.  back_out holds
-    four full-frame arrays or None each; the back warp is written into the
-    given arrays' row slices and into band scratch elsewhere.  Every
-    yielded array that is not a given output is band scratch, overwritten
-    by the next band and dead once the pair is walked.
+    built once.  Per band it yields (rows, depth, (x, y, landed), back,
+    failed): the band's reference depths as float64 (widened once per
+    band), the forward landing in the source view, the back warp back =
+    (x, y, depth, ok) in the reference view and failed = ~ok.  back_out
+    holds four full-frame arrays or None each; the back warp is written
+    into the given arrays' row slices and into band scratch elsewhere.
+    Every yielded array that is not a given output is band scratch (or a
+    view of the reference map), overwritten by the next band and dead once
+    the pair is walked.
     """
     forward, back = warp_transform(ref, src), warp_transform(src, ref)
     corners = _corners(d_src)
-    for rows, f, b in _bands(d_ref.shape, 10, 4):
+    for rows, f, b in _bands(d_ref.shape, 11, 4):
+        depth = _widened(d_ref.values[rows], f[10])
         x, y, s = f[:3]  # s: the forward depth, then the sample
         landed, sampled, failed = b[:3]
-        _forward(forward, d_ref, rows, (x, y, s, landed), f[3], failed)
-        _sample(d_src, corners, x, y, landed, (s, sampled), f[3:], failed)
+        _forward(forward, depth, d_ref.valid[rows], rows, (x, y, s, landed), f[3], failed)
+        _sample(d_src, corners, x, y, landed, (s, sampled), f[3:10], failed)
         # f[4:7] and b[3] are free once the sample is done.
         out = tuple(spare if a is None else a[rows] for a, spare in zip(back_out, (*f[4:7], b[3])))
         _apply_warp(back, x, y, s, sampled, out, f[3], failed)
-        yield rows, (x, y, landed), out, failed
+        yield rows, depth, (x, y, landed), out, failed
 
 
 def _checks(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, dres=None):
@@ -385,12 +464,13 @@ def _checks(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, dres=Non
     failed), failed = ~ok of the back warp, and spare, a bool band buffer
     (the back warp's ok) free for the caller.  PDE and RDD are written
     over the back warp's x and y, band scratch dead once read, so no band
-    array is added.  The back warp's depth goes into dres[rows] when dres
+    array is added; they read the reference depths _chain widened for the
+    forward warp.  The back warp's depth goes into dres[rows] when dres
     (full frame) is given.  Every yielded array is band scratch,
     overwritten by the next band.
     """
-    for rows, landing, back, failed in _chain(d_ref, ref, d_src, src, (None, None, dres, None)):
-        pde, rdd = _pair_errors(d_ref, rows, *back[:3], failed, back[:2])
+    for rows, depth, landing, back, failed in _chain(d_ref, ref, d_src, src, (None, None, dres, None)):
+        pde, rdd = _pair_errors(depth, d_ref.valid[rows], rows, *back[:3], failed, back[:2])
         yield rows, landing, pde, rdd, failed, back[3]
 
 
@@ -404,8 +484,9 @@ def forward_project(d_ref: DepthMap, ref: Camera, src: Camera) -> tuple[Coordina
     """
     transform = warp_transform(ref, src)
     outs = x2, y2, d2, ok = tuple(np.empty(d_ref.shape, dtype=dtype) for dtype in _WARP)
-    for rows, f, b in _bands(d_ref.shape, 1, 1):
-        _forward(transform, d_ref, rows, tuple(a[rows] for a in outs), f[0], b[0])
+    for rows, f, b in _bands(d_ref.shape, 2, 1):
+        depth = _widened(d_ref.values[rows], f[1])
+        _forward(transform, depth, d_ref.valid[rows], rows, tuple(a[rows] for a in outs), f[0], b[0])
     return _wrap(CoordinateGrid, x=x2, y=y2, valid=ok), _wrap(DepthMap, values=d2, valid=ok)
 
 

@@ -74,6 +74,33 @@ def test_pfm_write_read_write_byte_stable(rng):
         assert b1 == b2
 
 
+@pytest.mark.parametrize("shape", [(7, 5), (7, 5, 3), (1, 1), (1, 4, 3)])
+def test_pfm_writer_emits_header_then_rows_bottom_first(rng, shape):
+    # The header, then the little-endian float32 rows bottom first: the
+    # bytes of header + np.flipud(data).astype("<f4").tobytes().
+    data = rng.normal(size=shape).astype(np.float32)
+    magic = b"PF" if len(shape) == 3 else b"Pf"
+    want = magic + f"\n{shape[1]} {shape[0]}\n-1.0\n".encode() + np.flipud(data).astype("<f4").tobytes()
+    assert bytes(write_pfm(PfmImage(data))) == want
+
+
+@pytest.mark.parametrize("shape", [(256, 320), (128, 160, 3)])
+def test_pfm_writer_holds_the_payload_once(rng, shape):
+    import tracemalloc
+
+    img = PfmImage(rng.normal(size=shape).astype(np.float32))
+    payload = img.data.nbytes
+    write_pfm(img)  # first-call allocations
+    tracemalloc.start()
+    try:
+        data = write_pfm(img)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    header = len(data) - payload
+    assert peak <= 1.1 * payload + header, (peak, payload)
+
+
 def test_depth_pfm_helpers(rng):
     values = np.where(rng.random((6, 7)) > 0.3, rng.uniform(1, 5, (6, 7)), 0.0).astype(np.float32)
     depth = depth_from_pfm(PfmImage(values))

@@ -108,6 +108,34 @@ def test_cross_entropy_rejects_unnormalized():
         cross_entropy_error(vol, gt)
 
 
+def test_cross_entropy_reports_the_largest_supervised_deviation(monkeypatch):
+    # Sums off by 0.5, 2e-3 and 3e-6 on supervised pixels in different row
+    # bands, and by 4.0 on a pixel whose ground truth is invalid: the
+    # message names the largest deviation among the supervised pixels only.
+    monkeypatch.setattr(reproject, "_BAND_PIXELS", 3)
+    d, h, w = 2, 4, 3
+    probs = np.full((d, h, w), 0.5)
+    probs[0, 0, 1] += 3e-6
+    probs[0, 2, 2] += 2e-3
+    probs[1, 3, 0] -= 0.5
+    probs[0, 1, 1] += 4.0
+    values = np.full((h, w), 2.5)
+    values[1, 1] = 0.0
+    vol = ProbabilityVolume(probs=probs, hypotheses=np.array([2.0, 3.0]))
+    sums = probs.sum(axis=0)
+    worst = float(np.abs(sums[values > 0] - 1.0).max())
+    assert worst == 0.5
+    with pytest.raises(ValueError) as exc:
+        cross_entropy_error(vol, DepthMap.from_values(values))
+    assert str(exc.value) == f"probability volume not normalized (max |sum - 1| = {worst:.3e})"
+    assert str(exc.value) == "probability volume not normalized (max |sum - 1| = 5.000e-01)"
+    # Within tolerance on every supervised pixel: accepted, whatever the
+    # unsupervised pixel sums to.
+    probs[1, 3, 0] += 0.5
+    probs[0, 2, 2] -= 2e-3
+    cross_entropy_error(ProbabilityVolume(probs=probs, hypotheses=np.array([2.0, 3.0])), DepthMap.from_values(values))
+
+
 def test_cross_entropy_tie_breaks_to_lower_bin():
     probs = np.zeros((2, 1, 1))
     probs[0] = 0.25

@@ -43,6 +43,17 @@ def test_depthmap_rejects_non_finite_valid_depths():
     assert dm.values.tolist() == [[0.0, 1e300]]
 
 
+def test_depthmap_keeps_float32_and_float64_and_widens_other_dtypes():
+    valid = np.array([[True, False]])
+    for given, kept in ((np.float32, np.float32), (np.float64, np.float64), (np.int64, np.float64),
+                        (np.float16, np.float64), (">f4", np.float64)):
+        values = np.array([[2.0, 7.0]], dtype=given)
+        for dm in (DepthMap(values, valid), DepthMap.from_values(values)):
+            assert dm.values.dtype == kept
+            assert dm.values[0, 0] == 2.0
+    assert DepthMap([[1.0, 2.0]], [[True, True]]).values.dtype == np.float64
+
+
 def test_depthmap_from_values_marks_finite_positive_depths(rng):
     # NaN, +-inf, negative and (signed) zero depths are invalid and stored
     # as 0; the map equals the checked constructor's on the same mask, and
@@ -164,6 +175,56 @@ def test_apply_warp_matches_homogeneous_formula_bitwise(rng):
     for g, e in zip(got, want):
         assert g.tobytes() == e.tobytes()
     assert got[3].any() and not got[3].all()
+
+
+def test_an_overflowing_warp_invalidates_its_pixel_without_a_warning():
+    # The plane scene at 32 x 24 with a depth of 1e307 at pixel (5, 20):
+    # its warp overflows (at (5, 5) it does not).  Under the suite's
+    # error::RuntimeWarning filter the pixel comes back invalid, as 0, and
+    # every other pixel keeps its bits.
+    spec = synth.make_scene("plane", 32, 24, 3, seed=0)
+    cams = spec.cameras
+    maps = [synth.render_depth(spec, v)[0] for v in range(3)]
+    values = maps[0].values.copy()
+    values[5, 20] = 1e307
+    huge = DepthMap(values, maps[0].valid)
+    others = np.ones(values.shape, dtype=bool)
+    others[5, 20] = False
+
+    def arrays(d, p):
+        return [d.values, d.valid, p.x, p.y, p.valid]
+
+    got, want = forward_project(huge, cams[0], cams[1]), forward_project(maps[0], cams[0], cams[1])
+    assert not got[0].valid[5, 20] and (got[0].x[5, 20], got[0].y[5, 20], got[1].values[5, 20]) == (0, 0, 0)
+    for g, w in zip(arrays(got[1], got[0]), arrays(want[1], want[0])):
+        assert g[others].tobytes() == w[others].tobytes()
+    got, want = fbr(huge, cams[0], maps[1], cams[1]), fbr(maps[0], cams[0], maps[1], cams[1])
+    assert not got[0].valid[5, 20]
+    for g, w in zip(arrays(*got), arrays(*want)):
+        assert g[others].tobytes() == w[others].tobytes()
+    stages = [GcThresholds(dp, dd) for dp, dd in zip(STAGE_PIXEL_THRESHOLDS, STAGE_DEPTH_THRESHOLDS)]
+    sources = [(maps[1], cams[1]), (maps[2], cams[2])]
+    got = stage_penalties(huge, cams[0], sources, stages)
+    want = stage_penalties(maps[0], cams[0], sources, stages)
+    for g, w in zip(got, want):
+        assert g.values[5, 20] == 2.0  # no source can check it
+        assert g.values[others].tobytes() == w.values[others].tobytes()
+    # As a source, with 1e307 on the 3 x 3 block around the pixel, the
+    # samples inside the block overflow the back warp.
+    block = maps[0].values.copy()
+    block[4:7, 19:22] = 1e307
+    got = stage_penalties(maps[1], cams[1], [(DepthMap(block, maps[0].valid), cams[0]), (maps[2], cams[2])], stages)
+    assert all(np.isin(g.values, [1.0, 1.5, 2.0]).all() for g in got)
+    # The warp itself, against the homogeneous formula on the other pixels.
+    transform = warp_transform(cams[0], cams[1])
+    xs, ys = np.arange(32.0), np.arange(24.0)[:, None]
+    out = (np.empty((24, 32)), np.empty((24, 32)), np.empty((24, 32)), np.empty((24, 32), dtype=bool))
+    reproject._apply_warp(transform, xs, ys, values, maps[0].valid, out, np.empty((24, 32)),
+                          np.empty((24, 32), dtype=bool))
+    assert not out[3][5, 20] and all(a[5, 20] == 0 for a in out[:3])
+    want = homogeneous_warp(transform, xs, ys, maps[0].values, maps[0].valid)
+    for g, w in zip(out, want):
+        assert g[others].tobytes() == w[others].tobytes()
 
 
 def test_remap_identity_grid():
@@ -365,24 +426,31 @@ def test_stage_penalties_are_band_invariant(monkeypatch, kind, w, h, n, seed):
                 assert _same_bits(pen.values, want.values), (band, mode, thr)
 
 
-def test_forward_warp_makes_no_band_sized_copy():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_forward_warp_makes_no_band_sized_copy(dtype):
     # The forward warp's pixel grid broadcasts over the band (xs a row, ys
     # a column).  A scaled grid vector sharing memory with the product's
     # output makes numpy copy it at the band size first.  What is left is
     # numpy's own iteration buffer (at most 8192 elements) and the row- and
-    # column-sized grid vectors: under half a band buffer.
+    # column-sized grid vectors: under half a band buffer.  A float32 map
+    # is widened into a band buffer the caller already has.
     import tracemalloc
 
     h, w = 64, 512  # one band of the default size, 256 KB per float64 buffer
     rng = np.random.default_rng(5)
-    d_ref = DepthMap.from_values(rng.uniform(400.0, 900.0, (h, w)))
+    d_ref = DepthMap.from_values(rng.uniform(400.0, 900.0, (h, w)).astype(dtype))
     transform = warp_transform(random_camera(rng), random_camera(rng))
     out = tuple(np.empty((h, w), dtype=dtype) for dtype in reproject._WARP)
-    tmp, failed = np.empty((h, w)), np.empty((h, w), dtype=bool)
-    reproject._forward(transform, d_ref, slice(0, h), out, tmp, failed)  # first-call allocations
+    tmp, failed, wide = np.empty((h, w)), np.empty((h, w), dtype=bool), np.empty((h, w))
+
+    def forward():
+        depth = reproject._widened(d_ref.values, wide)
+        reproject._forward(transform, depth, d_ref.valid, slice(0, h), out, tmp, failed)
+
+    forward()  # first-call allocations
     tracemalloc.start()
     try:
-        reproject._forward(transform, d_ref, slice(0, h), out, tmp, failed)
+        forward()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
