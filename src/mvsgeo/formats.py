@@ -145,7 +145,9 @@ def write_pfm(img: PfmImage) -> bytearray:
     """The PFM file of img, built in one buffer: the header, then the rows bottom first.
 
     The flipped rows are written through a little-endian float32 view of
-    the buffer, so the payload is held once.
+    the buffer, so the payload is held once.  The buffer itself is
+    returned, a mutable bytearray: converting it to bytes would copy the
+    payload again.
     """
     magic = b"PF" if img.channels == 3 else b"Pf"
     header = magic + b"\n" + f"{img.width} {img.height}\n".encode() + b"-1.0\n"

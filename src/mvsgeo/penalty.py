@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Camera
-from .reproject import CoordinateGrid, DepthMap, _bands, _checks, _pair_errors, _widened, fbr
+from .reproject import CoordinateGrid, DepthMap, _checks, _depth_bands, _pair_errors, fbr
 
 __all__ = [
     "GcThresholds",
@@ -93,10 +93,10 @@ def inconsistency_mask(
     if np.any(d_ref.values == 0, where=d_ref.valid):
         raise ValueError("zero reference depth")
     mask = np.zeros(d_ref.shape, dtype=bool)
-    for rows, (pde, rdd, wide), (failed, spare) in _bands(d_ref.shape, 3, 2):
+    for rows, depth, (pde, rdd), (failed, spare) in _depth_bands(d_ref, 2, 2):
         np.logical_and(d_reproj.valid[rows], p_reproj.valid[rows], out=failed)
         np.logical_not(failed, out=failed)
-        _pair_errors(_widened(d_ref.values[rows], wide), d_ref.valid[rows], rows, p_reproj.x[rows],
+        _pair_errors(depth, d_ref.valid[rows], rows, p_reproj.x[rows],
                      p_reproj.y[rows], d_reproj.values[rows], failed, (pde, rdd))
         _add_votes(d_ref.valid[rows], pde, rdd, failed, spare, [thresholds], [mask[rows]])
     return mask

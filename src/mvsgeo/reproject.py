@@ -20,12 +20,14 @@ outputs, straight into their row slices.  fbr walks _chain, and
 _checks(d_ref, ref, d_src, src, dres) is the one pair-check walk: it
 walks _chain and applies _pair_errors to each band, for the penalty's
 votes (penalty._stage_counts) and fusion's pass bits (fusion._fill_pair).
-forward_project, remap, inconsistency_mask and the loss walk _bands.  The
-chain's own buffers are allocated once per pair, so the working set
-stays in L2 and no band pays for fresh pages or heap trimming.  The
-forward warp's broadcast multiplies of the pixel grid still use numpy's
-own iteration buffer (at most 8192 elements), and each scaled grid vector
-is a row- or column-sized array of its own (see _scaled).
+forward_project and inconsistency_mask walk _depth_bands (_bands that
+also yields each band's reference depths as float64), remap and the loss
+walk _bands.  The chain's own buffers are allocated once per pair, so
+the working set stays in L2 and no band pays for fresh pages or heap
+trimming.  The forward warp's broadcast multiplies of the pixel grid
+still use numpy's own iteration buffer (at most 8192 elements), and each
+scaled grid vector is a row- or column-sized array of its own (see
+_scaled).
 
 The views that _bands, _chain and _checks yield are overwritten by the
 next band and must not outlive their pair: a view still bound when the
@@ -42,21 +44,22 @@ np.take from the flat depths at the corner's offset (right +1, lower +W).
 Depths stay at their file's precision: a DepthMap keeps float32 or
 float64 values as given, so a PFM's depths hold 4 bytes per pixel (5 with
 the mask, against 9 widened to float64), and each kernel widens one band
-at a time into band scratch it already has.  _chain widens the reference
-band once (_widened), and the forward warp and _pair_errors read that
-copy; _sample gathers each bilinear corner of a float32 map into a
-float32 view of a band buffer and widens it there (_gather).  Every ufunc
-then runs its float64 loop on the same values (float32 to float64 is
-exact), so a float32 map gives the bits of its float64 widening.  No
-ufunc mixes the two dtypes: numpy's buffered casts made such a multiply
-2.3x slower than a float64 one.  Code that reads DepthMap.values outside
+at a time into band scratch.  _chain widens the reference band once
+(_depth_bands, into a buffer allocated only for a float32 map), and the
+forward warp and _pair_errors read that copy; _sample gathers each
+bilinear corner of a float32 map into a float32 view of a band buffer
+and widens it there (_gather).  Every ufunc then runs its float64 loop
+on the same values (float32 to float64 is exact), so a float32 map gives
+the bits of its float64 widening.  No ufunc mixes the two dtypes:
+numpy's buffered casts made such a multiply 2.3x slower than a float64
+one.  Code that reads DepthMap.values outside
 the kernels widens before its arithmetic too: a float32 array with a
 float32 or Python scalar runs a float32 loop under numpy's promotion.
 
 A warp step that overflows (a huge depth, say) makes its pixel invalid,
-as one behind the camera, with no RuntimeWarning: _apply_warp runs each
-band with overflow raising, and only a band that raised is redone with
-the non-finite results masked, so other bands pay for no test.
+as one behind the camera, with no RuntimeWarning: _apply_warp computes
+each band with overflow ignored and invalidates every pixel whose d', x'
+or y' is not finite.
 
 Neither the band size nor the buffer reuse changes a bit: an output pixel
 depends only on its own input pixel and the whole source map, each
@@ -98,18 +101,6 @@ def _depth_array(values) -> np.ndarray:
     """values as an array of float32 or float64 as given; any other dtype widened to float64."""
     values = np.asarray(values)
     return values if values.dtype in (np.float32, np.float64) else values.astype(np.float64)
-
-
-def _widened(values: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """A band of depths as float64: itself when float64, else copied into buf (float64, its shape).
-
-    Widening float32 to float64 is exact, so every later float64 ufunc
-    sees the same values as it would on a float64 map.
-    """
-    if values.dtype == np.float64:
-        return values
-    np.copyto(buf, values)
-    return buf
 
 
 @dataclass
@@ -228,29 +219,16 @@ def _apply_warp(transform: np.ndarray, xs, ys, depth, valid, out, tmp, failed):
     step overflowed), with no RuntimeWarning.  tmp (float64) and failed
     (bool) are band-sized scratch; failed is left holding ~ok.
     """
-    try:
-        # Finite inputs give finite results unless a step overflows, and
-        # that raises here: a band that does not overflow pays for no
-        # finiteness test.
-        with np.errstate(over="raise", invalid="raise"):
-            _warp_pixels(transform, xs, ys, depth, valid, out, tmp, failed, finite_only=False)
-    except FloatingPointError:
-        with np.errstate(over="ignore", invalid="ignore"):
-            _warp_pixels(transform, xs, ys, depth, valid, out, tmp, failed, finite_only=True)
-
-
-def _warp_pixels(transform, xs, ys, depth, valid, out, tmp, failed, finite_only):
-    """_apply_warp's arithmetic; finite_only also invalidates pixels with a non-finite result."""
     x2, y2, d2, ok = out
-    _warp_row(transform[2], xs, ys, depth, d2, tmp)
-    np.greater(d2, W_EPS, out=ok)
-    ok &= valid
-    for t, acc in ((transform[0], x2), (transform[1], y2)):
-        _warp_row(t, xs, ys, depth, acc, tmp)
-        np.divide(acc, d2, out=acc, where=ok)
-    if finite_only:
-        for a in (d2, x2, y2):
-            ok &= np.isfinite(a, out=failed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _warp_row(transform[2], xs, ys, depth, d2, tmp)
+        np.greater(d2, W_EPS, out=ok)
+        ok &= valid
+        for t, acc in ((transform[0], x2), (transform[1], y2)):
+            _warp_row(t, xs, ys, depth, acc, tmp)
+            np.divide(acc, d2, out=acc, where=ok)
+    for a in (d2, x2, y2):
+        ok &= np.isfinite(a, out=failed)
     np.logical_not(ok, out=failed)
     for a in (x2, y2, d2):
         np.copyto(a, 0.0, where=failed)
@@ -284,6 +262,23 @@ def _bands(shape, floats=0, bools=0):
         rows = slice(start, min(start + step, h))
         k = rows.stop - start
         yield rows, [a[:k] for a in f_all], [a[:k] for a in b_all]
+
+
+def _depth_bands(d: DepthMap, floats=0, bools=0):
+    """_bands over d's frame that also yields each band's depths as float64: (rows, depth, f, b).
+
+    A float64 map's band is a view of its values.  A float32 map's band is
+    widened into one more float64 buffer, allocated only for such a map;
+    the widening is exact, so every later float64 ufunc sees the values of
+    the map's float64 widening.
+    """
+    narrow = d.values.dtype != np.float64
+    for rows, f, b in _bands(d.shape, floats + narrow, bools):
+        depth = d.values[rows]
+        if narrow:
+            np.copyto(f[floats], depth)
+            depth = f[floats]
+        yield rows, depth, f[:floats], b
 
 
 def _in_order(produce, consume, items, threads):
@@ -444,8 +439,7 @@ def _chain(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, back_out)
     """
     forward, back = warp_transform(ref, src), warp_transform(src, ref)
     corners = _corners(d_src)
-    for rows, f, b in _bands(d_ref.shape, 11, 4):
-        depth = _widened(d_ref.values[rows], f[10])
+    for rows, depth, f, b in _depth_bands(d_ref, 10, 4):
         x, y, s = f[:3]  # s: the forward depth, then the sample
         landed, sampled, failed = b[:3]
         _forward(forward, depth, d_ref.valid[rows], rows, (x, y, s, landed), f[3], failed)
@@ -484,8 +478,7 @@ def forward_project(d_ref: DepthMap, ref: Camera, src: Camera) -> tuple[Coordina
     """
     transform = warp_transform(ref, src)
     outs = x2, y2, d2, ok = tuple(np.empty(d_ref.shape, dtype=dtype) for dtype in _WARP)
-    for rows, f, b in _bands(d_ref.shape, 2, 1):
-        depth = _widened(d_ref.values[rows], f[1])
+    for rows, depth, f, b in _depth_bands(d_ref, 1, 1):
         _forward(transform, depth, d_ref.valid[rows], rows, tuple(a[rows] for a in outs), f[0], b[0])
     return _wrap(CoordinateGrid, x=x2, y=y2, valid=ok), _wrap(DepthMap, values=d2, valid=ok)
 
