@@ -35,9 +35,9 @@ from .penalty import (
     GcThresholds,
     STAGE_DEPTH_THRESHOLDS,
     STAGE_PIXEL_THRESHOLDS,
-    _stage_counts,
-    _stage_histogram,
-    _stage_map,
+    apply_reference_mask,
+    penalty_histogram,
+    stage_penalties,
 )
 from .reproject import _in_order, _pair_errors, fbr
 from .views import load_pairing, rank_sources, save_pairing
@@ -160,23 +160,21 @@ def _load_confidence(scene_dir: str, view: int, depth) -> np.ndarray:
 def _cmd_synth(args) -> int:
     spec = synth.make_scene(args.kind, args.width, args.height, args.views, args.seed)
     out = Path(args.out)
-    (out / "cams").mkdir(parents=True, exist_ok=True)
-    (out / "depths").mkdir(exist_ok=True)
-    (out / "confidence").mkdir(exist_ok=True)
+    for path in _scene_paths(out, 0):
+        path.parent.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed + 1)
     gt_points = []
     for v, cam in enumerate(spec.cameras):
+        cam_path, depth_path, conf_path = _scene_paths(out, v)
         depth = synth.render_depth(spec, v)[0]
-        (out / "cams" / f"{v:08d}_cam.txt").write_text(formats.write_cam(cam))
+        cam_path.write_text(formats.write_cam(cam))
         values = depth.values
         if args.noise_std > 0:
             noise = rng.normal(0.0, args.noise_std, size=values.shape)
             values = np.where(depth.valid, np.maximum(values + noise, 1e-6), 0.0)
-        (out / "depths" / f"{v:08d}.pfm").write_bytes(
-            formats.write_pfm(formats.PfmImage(values.astype(np.float32)))
-        )
+        depth_path.write_bytes(formats.write_pfm(formats.PfmImage(values.astype(np.float32))))
         conf = depth.valid.astype(np.float32)
-        (out / "confidence" / f"{v:08d}.pfm").write_bytes(formats.write_pfm(formats.PfmImage(conf)))
+        conf_path.write_bytes(formats.write_pfm(formats.PfmImage(conf)))
         gt_points.append(synth._depth_points(spec, v, depth.values)[depth.valid])
     # Rank every view's sources on a decimated back-projection of its depth.
     pairings = []
@@ -238,20 +236,20 @@ def _cmd_gc_penalty(args) -> int:
     summary = {"range_mode": args.range, "stages": [
         {"d_pixel": t.d_pixel, "d_depth": t.d_depth} for t in stages], "views": {}}
 
-    # A reference in flight is its per-stage vote counts; each stage's map
-    # and histogram are derived from them only as the stage is written.
+    # A reference in flight is its per-stage penalty maps, which hold vote
+    # counts; each stage's levels are derived only as the stage is written.
     def run(ref_id, src_ids):
-        return ref_id, src_ids, _stage_counts(depths[ref_id], cams[ref_id],
-                                              [(depths[s], cams[s]) for s in src_ids], stages)
+        return ref_id, src_ids, stage_penalties(depths[ref_id], cams[ref_id],
+                                                [(depths[s], cams[s]) for s in src_ids], stages, args.range)
 
     def write(computed):
-        ref_id, src_ids, counts = computed
+        ref_id, src_ids, penalties = computed
         view_doc = {"sources": src_ids, "stages": []}
-        valid, m = depths[ref_id].valid, len(src_ids)
-        for s, count in enumerate(counts):
+        valid = depths[ref_id].valid
+        for s, penalty in enumerate(penalties):
             path = out / f"penalty_{ref_id:08d}_stage{s}.pfm"
-            path.write_bytes(formats.write_pfm(formats.PfmImage(_stage_map(count, valid, args.range, m))))
-            view_doc["stages"].append({**_stage_histogram(count, valid, args.range, m), "pfm": path.name})
+            path.write_bytes(formats.write_pfm(formats.PfmImage(apply_reference_mask(penalty, valid))))
+            view_doc["stages"].append({**penalty_histogram(penalty, valid), "pfm": path.name})
         summary["views"][str(ref_id)] = view_doc
 
     _in_order(run, write, jobs, args.threads)

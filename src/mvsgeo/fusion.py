@@ -35,8 +35,8 @@ threshold pair and a fixed required view count; "dynamic" derives the
 threshold pair from the required count through a monotone table (looser
 displacement when more views must agree), accepting a pixel when any
 count from the required minimum upward is satisfied by its own row.  The
-table is configuration, not canon; the default grows 0.25 px and 0.0025
-relative depth per required view.
+table, DEFAULT_DYNAMIC_TABLE, is a convention, not canon: it grows
+0.25 px and 0.0025 relative depth per required view.
 """
 
 from dataclasses import dataclass
@@ -62,7 +62,6 @@ class FusionParams:
     prob_threshold: float = 0.5
     consistency_threshold: int = 3
     average: str = "mean"
-    dynamic_table: tuple = DEFAULT_DYNAMIC_TABLE
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -75,10 +74,6 @@ class FusionParams:
             raise ValueError("consistency_threshold must be >= 1")
         if self.disparity_threshold <= 0 or self.depth_threshold <= 0:
             raise ValueError("geometric thresholds must be positive")
-        table = tuple((float(a), float(b)) for a, b in self.dynamic_table)
-        if not table:
-            raise ValueError("dynamic table must not be empty")
-        object.__setattr__(self, "dynamic_table", table)
 
 
 @dataclass
@@ -109,14 +104,14 @@ class PointCloud:
         return self.points.shape[0]
 
 
-def dynamic_thresholds(num_required: int, table=DEFAULT_DYNAMIC_TABLE) -> tuple[float, float]:
+def dynamic_thresholds(num_required: int) -> tuple[float, float]:
     """(displacement px, relative depth) pair used when num_required views must agree.
 
-    Entries beyond the table clamp to its last row.
+    Counts beyond DEFAULT_DYNAMIC_TABLE clamp to its last row.
     """
     if num_required < 1:
         raise ValueError("num_required must be >= 1")
-    return tuple(table[min(num_required, len(table)) - 1])
+    return DEFAULT_DYNAMIC_TABLE[min(num_required, len(DEFAULT_DYNAMIC_TABLE)) - 1]
 
 
 def _unpack_view(view):
@@ -297,7 +292,7 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
     if params.mode == "fusibile":
         table = np.array([[params.disparity_threshold, params.depth_threshold]])
     else:
-        table = np.array(params.dynamic_table, dtype=np.float64)
+        table = np.array(DEFAULT_DYNAMIC_TABLE, dtype=np.float64)
 
     h, w = shape
     consumed = np.zeros((n_views, h, w), dtype=np.uint8)

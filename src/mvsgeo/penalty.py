@@ -13,14 +13,15 @@ failed reprojection (depth or coordinates invalid) votes under any
 thresholds.
 
 _add_votes is the one vote rule, applied band by band with no
-full-frame error array.  stage_penalties and gc-penalty take their votes
-straight off reproject._checks, the one pair-check walk, one call per
-source (_stage_counts), into one count array per stage of the narrowest
-unsigned integer that holds M.  _levels maps counts to the levels
-1 + k/M (or 1 + 2k/M), bit for bit the table of the M + 1 levels, and
-gc-penalty derives each stage's masked map and histogram from the counts
-alone (_stage_map, _stage_histogram).  per_pixel_penalty is the paper's
-composition of the public steps: the sum over sources of
+full-frame error array.  stage_penalties takes its votes straight off
+reproject._checks, the one pair-check walk, one call per source, into
+one count array per stage of the narrowest unsigned integer that holds
+M.  A PenaltyMap holds those vote counts, and _levels is the one
+mapping from a count k to its level 1 + k/M (or 1 + 2k/M), bit for bit
+the table of the M + 1 levels: PenaltyMap.values, apply_reference_mask
+(the masked map gc-penalty writes) and penalty_histogram (a bincount of
+the counts) all read the counts through it.  per_pixel_penalty is the
+paper's composition of the public steps: the sum over sources of
 inconsistency_mask(d_ref, *fbr(...)), inconsistency_mask voting band by
 band over fbr's full-frame result.
 """
@@ -65,16 +66,31 @@ class GcThresholds:
 
 @dataclass
 class PenaltyMap:
-    """Per-pixel inconsistency penalty with its range mode and view count."""
+    """Per-pixel inconsistency votes over M source views, with the range mode that maps them to levels.
 
-    values: np.ndarray
+    counts holds each pixel's vote count k, an integer 0 <= k <= m.
+    values is its penalty 1 + k/M ("one-two") or 1 + 2k/M ("one-three"),
+    a new float64 array on each read.
+    """
+
+    counts: np.ndarray
     range_mode: str
     m: int
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.counts = np.asarray(self.counts)
         if self.range_mode not in _RANGE_MODES:
             raise ValueError(f"range_mode must be one of {_RANGE_MODES}")
+        if self.m < 1:
+            raise ValueError("at least one source view is required")
+        if not np.issubdtype(self.counts.dtype, np.integer):
+            raise ValueError(f"vote counts must be integers, got {self.counts.dtype}")
+        if self.counts.size and not 0 <= int(self.counts.min()) <= int(self.counts.max()) <= self.m:
+            raise ValueError(f"vote counts must lie in [0, {self.m}]")
+
+    @property
+    def values(self) -> np.ndarray:
+        return _levels(self.counts, self.m, self.range_mode)
 
 
 def inconsistency_mask(
@@ -118,7 +134,7 @@ def per_pixel_penalty(
     count = np.zeros(d_ref.shape, dtype=np.min_scalar_type(len(sources)))
     for d_src, src_cam in sources:
         count += inconsistency_mask(d_ref, *fbr(d_ref, ref, d_src, src_cam), thresholds)
-    return PenaltyMap(_levels(count, len(sources), range_mode), range_mode, len(sources))
+    return PenaltyMap(count, range_mode, len(sources))
 
 
 def _check_sources(d_ref: DepthMap, sources, range_mode: str) -> None:
@@ -173,19 +189,6 @@ def _add_pair_votes(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, 
         _add_votes(d_ref.valid[rows], pde, rdd, failed, spare, stages, [count[rows] for count in counts])
 
 
-def _stage_counts(d_ref: DepthMap, ref: Camera, sources, stages) -> list[np.ndarray]:
-    """Per stage, each reference pixel's inconsistency votes over the M sources.
-
-    One count array per stage, of the narrowest unsigned integer that
-    holds M, filled band by band off the pair-check walk.  The sources are
-    not checked here (see _check_sources).
-    """
-    counts = [np.zeros(d_ref.shape, dtype=np.min_scalar_type(len(sources))) for _ in stages]
-    for d_src, src_cam in sources:
-        _add_pair_votes(d_ref, ref, d_src, src_cam, stages, counts)
-    return counts
-
-
 def stage_penalties(
     d_ref: DepthMap,
     ref: Camera,
@@ -197,69 +200,55 @@ def stage_penalties(
 
     The stages differ only in the thresholds applied to the same
     reprojection, so each source's pair check is walked once and every
-    stage's votes are added from it.  Returns one PenaltyMap per stage,
-    in the order of `stages`; each equals per_pixel_penalty with that
-    stage's thresholds.
+    stage's votes are added from it, band by band, into one count array
+    per stage of the narrowest unsigned integer that holds M.  Returns
+    one PenaltyMap per stage, in the order of `stages`; each equals
+    per_pixel_penalty with that stage's thresholds.
     """
     _check_sources(d_ref, sources, range_mode)
     if not stages:
         raise ValueError("at least one threshold stage is required")
-    return [PenaltyMap(_levels(count, len(sources), range_mode), range_mode, len(sources))
-            for count in _stage_counts(d_ref, ref, sources, stages)]
+    counts = [np.zeros(d_ref.shape, dtype=np.min_scalar_type(len(sources))) for _ in stages]
+    for d_src, src_cam in sources:
+        _add_pair_votes(d_ref, ref, d_src, src_cam, stages, counts)
+    return [PenaltyMap(count, range_mode, len(sources)) for count in counts]
 
 
-def apply_reference_mask(penalty: PenaltyMap, ref_mask: np.ndarray) -> PenaltyMap:
-    """Zero the penalty outside the reference view mask, keep it unchanged inside."""
-    ref_mask = np.asarray(ref_mask)
-    if ref_mask.shape != penalty.values.shape:
-        raise ValueError("reference mask shape mismatch")
-    values = penalty.values * (ref_mask != 0)
-    return PenaltyMap(values, penalty.range_mode, penalty.m)
+def apply_reference_mask(penalty: PenaltyMap, ref_mask: np.ndarray) -> np.ndarray:
+    """The penalty levels inside the reference view mask and 0 outside, as a new float64 array.
 
-
-def penalty_histogram(penalty: PenaltyMap) -> dict:
-    """Per-level pixel counts and the mean penalty over masked-in pixels."""
-    inside = penalty.values > 0
-    levels, counts = np.unique(penalty.values[inside], return_counts=True)
-    hist = [{"level": float(lv), "count": int(ct)} for lv, ct in zip(levels, counts)]
-    mean = float(penalty.values[inside].mean()) if inside.any() else 0.0
-    return {
-        "range_mode": penalty.range_mode,
-        "num_sources": penalty.m,
-        "pixels_in_mask": int(inside.sum()),
-        "mean_penalty": mean,
-        "histogram": hist,
-    }
-
-
-def _stage_histogram(count: np.ndarray, valid: np.ndarray, range_mode: str, m: int) -> dict:
-    """penalty_histogram of a stage's masked map, from its vote counts alone.
-
-    Bit for bit penalty_histogram(apply_reference_mask(PenaltyMap(
-    _levels(count, ...), ...), valid)): every level is >= 1, so the
-    pixels above 0 are exactly the valid ones, and the mean reads the
-    same levels in the same order.
+    A pixel is inside where ref_mask is nonzero.
     """
-    inside = count[valid]
-    per_count = np.bincount(inside)
+    inside = _inside(penalty, ref_mask)
+    values = penalty.values
+    np.copyto(values, 0.0, where=~inside)
+    return values
+
+
+def penalty_histogram(penalty: PenaltyMap, ref_mask: np.ndarray) -> dict:
+    """Per-level pixel counts and the mean penalty over the pixels inside the reference view mask.
+
+    The histogram is a bincount of the vote counts (widened to intp, as
+    bincount itself would, except that it refuses uint64); its levels and
+    the mean read the same levels as apply_reference_mask, in pixel order.
+    """
+    inside = penalty.counts[_inside(penalty, ref_mask)]
+    per_count = np.bincount(inside.astype(np.intp, copy=False))
     seen = np.flatnonzero(per_count)
+    m, mode = penalty.m, penalty.range_mode
     return {
-        "range_mode": range_mode,
+        "range_mode": mode,
         "num_sources": m,
         "pixels_in_mask": int(inside.size),
-        "mean_penalty": float(_levels(inside, m, range_mode).mean()) if inside.size else 0.0,
+        "mean_penalty": float(_levels(inside, m, mode).mean()) if inside.size else 0.0,
         "histogram": [{"level": float(lv), "count": int(n)}
-                      for lv, n in zip(_levels(seen, m, range_mode), per_count[seen])],
+                      for lv, n in zip(_levels(seen, m, mode), per_count[seen])],
     }
 
 
-def _stage_map(count: np.ndarray, valid: np.ndarray, range_mode: str, m: int) -> np.ndarray:
-    """A stage's masked penalty map as float32, from its vote counts alone.
-
-    Bit for bit apply_reference_mask(PenaltyMap(_levels(count, ...), ...),
-    valid).values.astype(np.float32): every level is >= 1, so zeroing it
-    where invalid is the mask's product.
-    """
-    values = _levels(count, m, range_mode).astype(np.float32)
-    values *= valid
-    return values
+def _inside(penalty: PenaltyMap, ref_mask) -> np.ndarray:
+    """ref_mask as a bool array, checked against the penalty's shape."""
+    inside = np.asarray(ref_mask, dtype=bool)
+    if inside.shape != penalty.counts.shape:
+        raise ValueError("reference mask shape mismatch")
+    return inside

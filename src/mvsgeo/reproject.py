@@ -19,7 +19,7 @@ arguments into the band buffers and, where the caller passes full-frame
 outputs, straight into their row slices.  fbr walks _chain, and
 _checks(d_ref, ref, d_src, src, dres) is the one pair-check walk: it
 walks _chain and applies _pair_errors to each band, for the penalty's
-votes (penalty._stage_counts) and fusion's pass bits (fusion._fill_pair).
+votes (penalty._add_pair_votes) and fusion's pass bits (fusion._fill_pair).
 forward_project and inconsistency_mask walk _depth_bands (_bands that
 also yields each band's reference depths as float64), remap and the loss
 walk _bands.  The chain's own buffers are allocated once per pair, so

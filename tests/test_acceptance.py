@@ -123,7 +123,7 @@ def test_criterion_04_occlusion_robustness():
     thr = GcThresholds(1.0, 0.01)
     pen = apply_reference_mask(per_pixel_penalty(d0, spec.cameras[0], sources, thr), d0.valid)
     covis = np.logical_and.reduce([fixed_point_mask(spec, 0, s) for s in range(1, 5)])
-    mean_covis = float(pen.values[covis].mean())
+    mean_covis = float(pen[covis].mean())
     part_mean = covis.sum() > 5000 and mean_covis == 1.0
     # Occluded pixels vote inconsistent in their view.  The ray-cast truth
     # classifies shadow-interior pixels (5x5 erosion keeps samples whose
@@ -159,7 +159,7 @@ def test_criterion_05_loss_arithmetic():
     err, sup = cross_entropy_error(vol, gt)
     o_err, o_sup = naive_cross_entropy(probs, hyp, gt.values, gt.valid)
     part_oracle = np.array_equal(sup, o_sup) and float(np.abs(err - o_err).max()) < 1e-10
-    pen = PenaltyMap(np.array([[1.0, 2.0], [1.0, 1.5]]), "one-two", 2)
+    pen = PenaltyMap(np.array([[0, 2], [0, 1]]), "one-two", 2)
     part_example = stage_loss(pen, np.array([[1.0, 1.0], [2.0, 4.0]]), np.ones((2, 2), bool)) == 2.75
     w_paper = StageWeights(1.0, 1.0, 2.0)
     part_total = (

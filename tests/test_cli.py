@@ -184,7 +184,7 @@ def test_gc_penalty_writes_each_reference_at_most_threads_ahead(six_view_scene, 
 
     lock = threading.Lock()
     state = {"open": 0, "max": 0}
-    compute, histogram = cli._stage_counts, cli._stage_histogram
+    compute, histogram = cli.stage_penalties, cli.penalty_histogram
 
     def counting_compute(*args):
         with lock:
@@ -197,8 +197,8 @@ def test_gc_penalty_writes_each_reference_at_most_threads_ahead(six_view_scene, 
             state["open"] -= 1
         return histogram(*args)
 
-    monkeypatch.setattr(cli, "_stage_counts", counting_compute)
-    monkeypatch.setattr(cli, "_stage_histogram", counting_histogram)
+    monkeypatch.setattr(cli, "stage_penalties", counting_compute)
+    monkeypatch.setattr(cli, "penalty_histogram", counting_histogram)
     code, out, _ = run_cli(capsys, "gc-penalty", "--scene", str(six_view_scene), "--out", str(tmp_path / "p"),
                            "--d-pixel", "1.0", "--d-depth", "0.01", "--threads", str(threads))
     assert code == 0
@@ -209,9 +209,10 @@ def test_gc_penalty_writes_each_reference_at_most_threads_ahead(six_view_scene, 
 
 def test_gc_penalty_single_thread_holds_one_reference(six_view_scene, tmp_path, capsys, monkeypatch):
     # After the scene is loaded, a --threads 1 run holds one reference in
-    # flight: its narrow vote counts, one pair's band scratch and corner
-    # map while it is checked, then one stage's float32 map or the float64
-    # levels its mean reads while it is written.  Holding the maps of
+    # flight: its penalty maps' narrow vote counts, one pair's band scratch
+    # and corner map while it is checked, then one stage's float64 masked
+    # levels and their float32 copy, or the float64 levels its mean
+    # reads, while it is written.  Holding the maps of
     # every reference until the end, as a compute-all-then-write loop
     # does, a float64 map per stage, or a pair's full-frame reprojection
     # (25 B/px) exceeds this.  Row bands of 8 rows keep the band scratch

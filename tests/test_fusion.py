@@ -43,8 +43,6 @@ def test_params_validation():
         FusionParams(disparity_threshold=0.0)
     with pytest.raises(ValueError):
         FusionParams(average="mode")
-    with pytest.raises(ValueError):
-        FusionParams(dynamic_table=())
 
 
 def test_point_cloud_validation():

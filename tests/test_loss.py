@@ -345,7 +345,7 @@ def test_stage_loss_zero_error():
 
 
 def test_stage_loss_worked_2x2_example():
-    pen = PenaltyMap(np.array([[1.0, 2.0], [1.0, 1.5]]), "one-two", 2)
+    pen = PenaltyMap(np.array([[0, 2], [0, 1]]), "one-two", 2)
     err = np.array([[1.0, 1.0], [2.0, 4.0]])
     assert stage_loss(pen, err, np.ones((2, 2), dtype=bool)) == 2.75
 

@@ -12,8 +12,6 @@ from mvsgeo.penalty import (
     PenaltyMap,
     STAGE_DEPTH_THRESHOLDS,
     STAGE_PIXEL_THRESHOLDS,
-    _stage_histogram,
-    _stage_map,
     apply_reference_mask,
     inconsistency_mask,
     penalty_histogram,
@@ -337,28 +335,60 @@ def test_stage_strictness(rng):
     assert not (masks[1] & ~masks[2]).any()
 
 
+def test_penalty_map_holds_counts_and_reads_fresh_levels():
+    counts = np.array([[0, 3], [8, 4]], dtype=np.uint8)
+    pen = PenaltyMap(counts, "one-three", 8)
+    assert pen.counts is counts
+    levels = pen.values
+    assert levels.dtype == np.float64 and np.array_equal(levels, [[1.0, 1.75], [3.0, 2.0]])
+    levels[:] = 0.0
+    assert pen.values is not levels and np.array_equal(pen.values, [[1.0, 1.75], [3.0, 2.0]])
+    assert np.array_equal(counts, [[0, 3], [8, 4]])
+
+
+@pytest.mark.parametrize("counts, mode, m, match", [
+    (np.array([[0, 3]]), "one-two", 2, r"lie in \[0, 2\]"),
+    (np.array([[-1, 0]]), "one-two", 2, r"lie in \[0, 2\]"),
+    (np.array([[0.0, 1.0]]), "one-two", 2, "integers"),
+    (np.array([[0.5, 1.0]]), "one-two", 2, "integers"),
+    (np.array([[0, 1]], dtype=np.uint8), "one-four", 2, "range_mode"),
+    (np.array([[0, 0]], dtype=np.uint8), "one-two", 0, "source"),
+], ids=["above m", "negative", "integral floats", "fractions", "unknown mode", "no sources"])
+def test_penalty_map_rejects_what_is_not_a_vote_count(counts, mode, m, match):
+    with pytest.raises(ValueError, match=match):
+        PenaltyMap(counts, mode, m)
+
+
 def test_apply_reference_mask():
-    pen = PenaltyMap(np.full((4, 4), 1.5), "one-two", 8)
-    assert np.array_equal(apply_reference_mask(pen, np.ones((4, 4))).values, pen.values)
-    assert np.array_equal(apply_reference_mask(pen, np.zeros((4, 4))).values, np.zeros((4, 4)))
+    pen = PenaltyMap(np.full((4, 4), 4, dtype=np.uint8), "one-two", 8)
+    assert np.array_equal(apply_reference_mask(pen, np.ones((4, 4))), np.full((4, 4), 1.5))
+    assert np.array_equal(apply_reference_mask(pen, np.zeros((4, 4))), np.zeros((4, 4)))
     checker = np.indices((4, 4)).sum(axis=0) % 2
     out = apply_reference_mask(pen, checker)
-    assert set(np.unique(out.values)) == {0.0, 1.5}
+    assert out.dtype == np.float64 and np.array_equal(out, np.where(checker == 1, 1.5, 0.0))
+    assert (pen.counts == 4).all()
     with pytest.raises(ValueError, match="shape"):
         apply_reference_mask(pen, np.ones((3, 4)))
 
 
-def test_penalty_histogram_reports_levels():
-    values = np.array([[1.0, 1.5,], [0.0, 2.0]])
-    doc = penalty_histogram(PenaltyMap(values, "one-two", 2))
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.uint64])
+def test_penalty_histogram_reports_levels(dtype):
+    counts = np.array([[0, 1], [2, 2]], dtype=dtype)
+    inside = np.array([[True, True], [False, True]])
+    doc = penalty_histogram(PenaltyMap(counts, "one-two", 2), inside)
+    assert doc["range_mode"] == "one-two" and doc["num_sources"] == 2
     assert doc["pixels_in_mask"] == 3
     assert doc["mean_penalty"] == pytest.approx(1.5)
     assert [h["level"] for h in doc["histogram"]] == [1.0, 1.5, 2.0]
     assert [h["count"] for h in doc["histogram"]] == [1, 1, 1]
+    empty = penalty_histogram(PenaltyMap(counts, "one-three", 2), np.zeros((2, 2), bool))
+    assert empty["pixels_in_mask"] == 0 and empty["mean_penalty"] == 0.0 and empty["histogram"] == []
+    with pytest.raises(ValueError, match="shape"):
+        penalty_histogram(PenaltyMap(counts, "one-two", 2), np.ones((2, 3), bool))
 
 
 @st.composite
-def _stage_counts_and_mask(draw):
+def _counts_and_mask(draw):
     """Vote counts of M sources (M from 1 to 300: uint8 and uint16), a range mode and a reference mask."""
     m = draw(st.integers(1, 300))
     h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
@@ -371,31 +401,41 @@ def _stage_counts_and_mask(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=_stage_counts_and_mask())
-def test_stage_outputs_from_counts_equal_the_library_path(case):
-    # gc-penalty writes each stage's PFM and histogram from its vote counts
-    # alone: the same bytes as masking the level map read off the table
-    # 1 + k/M (or 1 + 2k/M) and taking its histogram.
+@given(case=_counts_and_mask())
+def test_masked_map_and_histogram_read_the_level_table(case):
+    # gc-penalty writes each stage's PFM and histogram through
+    # apply_reference_mask and penalty_histogram: the bytes of the table
+    # 1 + k/M (or 1 + 2k/M) read at each count, zeroed outside the mask,
+    # and the histogram np.unique takes of the levels inside it.
     count, valid, mode, m = case
     scale = 1.0 if mode == "one-two" else 2.0
-    levels = 1.0 + scale * np.arange(m + 1) / m
-    masked = apply_reference_mask(PenaltyMap(levels[count], mode, m), valid)
-    want_pfm = formats.write_pfm(formats.PfmImage(masked.values.astype(np.float32)))
-    got = _stage_map(count, valid, mode, m)
-    assert got.dtype == np.float32 and formats.write_pfm(formats.PfmImage(got)) == want_pfm
-    doc = _stage_histogram(count, valid, mode, m)
-    assert json.dumps(doc) == json.dumps(penalty_histogram(masked))
-    assert doc["pixels_in_mask"] == valid.sum()
+    levels = (1.0 + scale * np.arange(m + 1) / m)[count]
+    pen = PenaltyMap(count, mode, m)
+    masked = apply_reference_mask(pen, valid)
+    want = np.where(valid, levels, 0.0)
+    assert masked.dtype == np.float64 and masked.tobytes() == want.tobytes()
+    pfm = formats.write_pfm(formats.PfmImage(masked))
+    assert pfm == formats.write_pfm(formats.PfmImage(want.astype(np.float32)))
+    inside = levels[valid]
+    seen, per_level = np.unique(inside, return_counts=True)
+    want_doc = {
+        "range_mode": mode,
+        "num_sources": m,
+        "pixels_in_mask": int(valid.sum()),
+        "mean_penalty": float(inside.mean()) if inside.size else 0.0,
+        "histogram": [{"level": float(lv), "count": int(n)} for lv, n in zip(seen, per_level)],
+    }
+    assert json.dumps(penalty_histogram(pen, valid)) == json.dumps(want_doc)
 
 
 def test_stage_penalties_holds_band_buffers_and_counts(monkeypatch):
     # Votes are taken straight off the band walk of each pair check:
     # above its inputs, stage_penalties holds the vote counts, one pair's
-    # bool corner-validity map (and, while it is built, one more), a
-    # constant number of band buffers, and at the end its float64 maps.
-    # A full-frame reprojection (fbr's x, y, depth and ok: 25 B/px),
-    # full-frame PDE/RDD arrays, or two pairs' band buffers at once do not
-    # fit.
+    # bool corner-validity map (and, while it is built, one more) and a
+    # constant number of band buffers.  Its penalty maps hold the counts,
+    # so no float64 level map is made.  A full-frame reprojection (fbr's
+    # x, y, depth and ok: 25 B/px), full-frame PDE/RDD arrays, a level
+    # map, or two pairs' band buffers at once do not fit.
     import tracemalloc
 
     from mvsgeo import reproject
@@ -416,8 +456,7 @@ def test_stage_penalties_holds_band_buffers_and_counts(monkeypatch):
         tracemalloc.stop()
     corner_maps = 2 * h * w
     counts = len(stages) * h * w
-    maps = len(stages) * h * w * 8
-    assert peak < corner_maps + counts + maps + 10 * band * 8, (peak, corner_maps + counts + maps)
+    assert peak < corner_maps + counts + 11 * band * 8, (peak, corner_maps + counts)
 
 
 def _degenerate_pair_penalties(src_of):
