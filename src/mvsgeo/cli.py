@@ -20,7 +20,6 @@ Scene directory convention (emitted by synth, consumed by the rest):
 import argparse
 import functools
 import json
-import mmap
 import os
 import sys
 from pathlib import Path
@@ -85,18 +84,6 @@ def _require(path: Path) -> Path:
     return path
 
 
-def _mapped(path: Path):
-    """A read-only memory map of an existing file; b"" for an empty one, which mmap refuses.
-
-    Nothing is copied: the reader's views of the map keep it alive, so it
-    is never closed here.
-    """
-    with open(_require(path), "rb") as f:
-        if os.fstat(f.fileno()).st_size == 0:
-            return b""
-        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-
-
 def _emit_json(doc: dict, out: str | None = None) -> None:
     """Print doc and write it to out (parents created); a non-finite value raises ValueError."""
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -145,11 +132,15 @@ def _load_scene(scene_dir: str, views=None):
 
 
 def _load_confidence(scene_dir: str, view: int, depth) -> np.ndarray:
-    """A view's confidence map as float64; without a file, its depth validity."""
+    """A view's confidence map at its file's float32; without a file, its depth validity.
+
+    fuse widens one reference's map at its consume pass, so a run holds
+    4 B/px of confidence per view, not 8.
+    """
     conf_path = _scene_paths(Path(scene_dir), view)[2]
     if conf_path.exists():
-        return formats.read_pfm(conf_path.read_bytes()).data.astype(np.float64)
-    return depth.valid.astype(np.float64)
+        return formats.read_pfm(conf_path.read_bytes()).data
+    return depth.valid.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +261,10 @@ def _cmd_loss(args) -> int:
     weights = StageWeights(args.alpha, args.beta, args.gamma)
     losses = []
     for vol_path, gt_path, pen_path in zip(args.probvol, args.gt, args.penalty):
-        vol = formats.read_probability_volume(_mapped(Path(vol_path)))
-        gt = formats.depth_from_pfm(formats.read_pfm(_require(Path(gt_path)).read_bytes()))
-        pen = formats.read_pfm(_require(Path(pen_path)).read_bytes()).data.astype(np.float64)
-        err, supervised = cross_entropy_error(vol, gt)
+        with formats.open_probability_volume(_require(Path(vol_path))) as vol:
+            gt = formats.depth_from_pfm(formats.read_pfm(_require(Path(gt_path)).read_bytes()))
+            pen = formats.read_pfm(_require(Path(pen_path)).read_bytes()).data.astype(np.float64)
+            err, supervised = cross_entropy_error(vol, gt)
         valid = supervised & (pen > 0)
         losses.append(stage_loss(pen, err, valid))
     total = float(sum(w * l for w, l in zip((weights.alpha, weights.beta, weights.gamma), losses)))

@@ -1,9 +1,9 @@
 """Readers and writers for the ecosystem file formats.
 
-All functions operate on byte buffers or strings; opening and closing
-files is the caller's concern.  Readers reject malformed input with a
-ParseError carrying the offending line or byte offset; they never
-silently truncate.
+All functions but open_probability_volume operate on byte buffers or
+strings; opening and closing files is the caller's concern.  Readers
+reject malformed input with a ParseError carrying the offending line or
+byte offset; they never silently truncate.
 
 Formats:
 
@@ -15,15 +15,20 @@ Formats:
 * PLY point clouds: ascii or binary_little_endian, float x/y/z and
   optional uchar red/green/blue.
 * Probability volume: "PROBVOL" magic line, "D H W" line, a
-  "shared"/"perpixel" hypothesis layout line, then raw little-endian
-  float32 hypotheses followed by the D*H*W probabilities.  The reader
-  returns read-only float32 views of the caller's bytes (no copy);
-  ProbabilityVolume(...) built by hand converts to float64.  Losses are
-  identical either way.
+  "shared"/"perpixel" hypothesis layout line (each line at most 256
+  bytes), then raw little-endian float32 hypotheses followed by the
+  D*H*W probabilities.  read_probability_volume returns read-only
+  float32 views of the caller's bytes (no copy), every value checked;
+  ProbabilityVolume(...) built by hand converts to float64.
+  open_probability_volume opens a file for the loss to read one row band
+  at a time, each byte once, checking each band as it is read; the two
+  share one header parser and report a malformed file alike.  Losses
+  are identical all three ways.
 
 PFM and PLY payloads are viewed in place, not sliced out of the buffer.
 """
 
+import os
 import warnings
 
 import numpy as np
@@ -43,6 +48,7 @@ __all__ = [
     "read_ply",
     "write_ply",
     "read_probability_volume",
+    "open_probability_volume",
     "write_probability_volume",
 ]
 
@@ -373,12 +379,39 @@ def write_ply(cloud: PointCloud, binary: bool = True) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def read_probability_volume(data: bytes) -> ProbabilityVolume:
-    magic, pos = _pfm_line(data, 0)
+# A header line of a probability volume is at most this many bytes,
+# its newline included.  The file opener reads the header one byte at a
+# time, so that no payload byte is read twice; the cap bounds those
+# reads for a file with no newline.
+_VOLUME_LINE_MAX = 256
+
+
+def _volume_line(raw: bytes, pos: int):
+    """(stripped text, next offset) of the header line at pos; raw holds the first bytes from pos.
+
+    raw is cut at _VOLUME_LINE_MAX bytes or the file's end, whichever
+    comes first; from a file it may also stop just after the newline.
+    """
+    end = raw.find(b"\n")
+    if end < 0:
+        if len(raw) < _VOLUME_LINE_MAX:
+            raise ParseError("truncated PFM header", offset=pos)
+        raise ParseError(f"probability volume header line longer than {_VOLUME_LINE_MAX} bytes", offset=pos)
+    return raw[:end].decode("latin-1").strip(), pos + end + 1
+
+
+def _volume_header(line, size: int):
+    """(d, h, w, layout, payload offset) of a probability volume of `size` bytes.
+
+    line(pos) returns the raw header bytes from pos (see _volume_line);
+    both readers parse through here, so a malformed header or a payload
+    of the wrong size gets the same message and offset from either.
+    """
+    magic, pos = _volume_line(line(0), 0)
     if magic != "PROBVOL":
         raise ParseError(f"bad probability volume magic {magic!r}", offset=0)
     dims_pos = pos
-    dims_line, pos = _pfm_line(data, pos)
+    dims_line, pos = _volume_line(line(pos), pos)
     parts = dims_line.split()
     if len(parts) != 3:
         raise ParseError(f"expected 'D H W', got {dims_line!r}", offset=dims_pos)
@@ -389,16 +422,23 @@ def read_probability_volume(data: bytes) -> ProbabilityVolume:
     if d <= 0 or h <= 0 or w <= 0:
         raise ParseError(f"non-positive volume dimensions {dims_line!r}", offset=dims_pos)
     layout_pos = pos
-    layout, pos = _pfm_line(data, pos)
+    layout, pos = _volume_line(line(pos), pos)
     if layout not in ("shared", "perpixel"):
         raise ParseError(f"unknown hypothesis layout {layout!r}", offset=layout_pos)
     n_hyp = d if layout == "shared" else d * h * w
     expected = (n_hyp + d * h * w) * 4
-    if len(data) - pos != expected:
+    if size - pos != expected:
         raise ParseError(
-            f"probability volume payload size mismatch: expected {expected} bytes, got {len(data) - pos}",
+            f"probability volume payload size mismatch: expected {expected} bytes, got {size - pos}",
             offset=pos,
         )
+    return d, h, w, layout, pos
+
+
+def read_probability_volume(data: bytes) -> ProbabilityVolume:
+    """The volume in data, as read-only float32 views of it, every value checked."""
+    d, h, w, layout, pos = _volume_header(lambda at: data[at:at + _VOLUME_LINE_MAX], len(data))
+    n_hyp = d if layout == "shared" else d * h * w
     flat = np.frombuffer(data, dtype="<f4", offset=pos)
     hyp = flat[:n_hyp]
     probs = flat[n_hyp:].reshape(d, h, w)
@@ -407,7 +447,100 @@ def read_probability_volume(data: bytes) -> ProbabilityVolume:
     try:
         return ProbabilityVolume._of_views(probs, hyp)
     except ValueError as exc:
-        raise ParseError(f"invalid probability volume: {exc}", offset=pos) from None
+        raise _invalid_volume(exc, pos) from None
+
+
+def _invalid_volume(exc: ValueError, pos: int) -> ParseError:
+    """The error of a volume whose values break the rules, at its payload offset pos."""
+    return ParseError(f"invalid probability volume: {exc}", offset=pos)
+
+
+class _VolumeFile:
+    """A probability volume file that loss.cross_entropy_error reads one row band at a time.
+
+    Made by open_probability_volume, which has parsed the header and
+    checked the payload size.  Each band's probabilities, and per-pixel
+    hypotheses, are read with os.preadv straight into the loss's reused
+    block, bin by bin, so each payload byte is read once and the file is
+    never mapped or held whole.  Shared hypotheses are read at open.
+    A band the volume rules reject raises the ParseError that
+    read_probability_volume gives for the same bytes; so does a file
+    that shrinks while it is read.
+    """
+
+    _dtype = np.dtype("<f4")
+
+    def __init__(self, path):
+        self._file = open(path, "rb", buffering=0)
+        try:
+            self._fd = self._file.fileno()
+            d, h, w, layout, self._pos = _volume_header(self._line, os.fstat(self._fd).st_size)
+            self.shape = (d, h, w)
+            self._probs_pos = self._pos + 4 * (d if layout == "shared" else d * h * w)
+            self._shared = None
+            if layout == "shared":
+                self._shared = np.empty(d, self._dtype)
+                self._read(self._shared, self._pos)
+        except BaseException:
+            self._file.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        self._file.close()
+
+    def _line(self, pos: int) -> bytes:
+        """The header bytes from pos up to the newline, one read per byte: none of the payload."""
+        raw = b""
+        while len(raw) < _VOLUME_LINE_MAX and not raw.endswith(b"\n"):
+            byte = os.pread(self._fd, 1, pos + len(raw))
+            if not byte:
+                break
+            raw += byte
+        return raw
+
+    def _read(self, buf: np.ndarray, offset: int) -> None:
+        """Fill the contiguous array buf from the file at offset."""
+        view = memoryview(buf).cast("B")
+        while view:
+            n = os.preadv(self._fd, [view], offset)
+            if n == 0:
+                # The file shrank since it was opened: the header check now
+                # fails as read_probability_volume would on its bytes.
+                _volume_header(self._line, os.fstat(self._fd).st_size)
+                raise ParseError("probability volume file changed while it was read", offset=offset)
+            view, offset = view[n:], offset + n
+
+    def _band(self, rows: slice, block):
+        d, h, w = self.shape
+        start = rows.start * w
+        hyp = self._shared
+        if hyp is None:
+            hyp = block(1, self._dtype)
+            for k in range(d):
+                self._read(hyp[k], self._pos + 4 * (k * h * w + start))
+        probs = block(0, self._dtype)
+        for k in range(d):
+            self._read(probs[k], self._probs_pos + 4 * (k * h * w + start))
+        return probs, hyp
+
+    def _rejected(self, exc: ValueError) -> ParseError:
+        return _invalid_volume(exc, self._pos)
+
+
+def open_probability_volume(path) -> _VolumeFile:
+    """Open a probability volume file for the loss to read band by band; close it (or use `with`) after.
+
+    The header is parsed and the payload size checked now, with
+    read_probability_volume's messages; the values are checked band by
+    band as the loss reads them.  The file must not change meanwhile.
+    """
+    return _VolumeFile(path)
 
 
 def write_probability_volume(vol: ProbabilityVolume) -> bytes:

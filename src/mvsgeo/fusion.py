@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Camera
-from .reproject import DepthMap, _checks, _in_order
+from .reproject import DepthMap, _checks, _depth_array, _in_order
 
 __all__ = ["FusionParams", "PointCloud", "DEFAULT_DYNAMIC_TABLE", "dynamic_thresholds", "fuse"]
 
@@ -122,7 +122,7 @@ def _unpack_view(view):
         depth, conf, cam, image = view
     else:
         raise ValueError("each view is (depth, confidence, camera[, image])")
-    conf = np.asarray(conf, dtype=np.float64)
+    conf = _depth_array(conf)
     if conf.shape != depth.shape:
         raise ValueError("confidence map shape does not match depth map")
     return depth, conf, cam, image
@@ -267,7 +267,11 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
     """Fuse per-view depth and confidence maps into one point cloud.
 
     views: list of (DepthMap, confidence, Camera[, image]) tuples; image
-    is an optional (H, W, 3) uint8 array supplying point colors.
+    is an optional (H, W, 3) uint8 array supplying point colors.  A
+    float32 confidence map stays float32, as a DepthMap's depths do, until
+    its reference's consume pass widens it; conf > prob_threshold then
+    compares in float64 (a float32 array against a Python float would
+    compare in float32), so a map and its float64 widening fuse alike.
     pairs: per reference view, the list of source view indices checked
     against it (defaults to all other views).
     """
@@ -307,6 +311,7 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
     def emit(built):
         r, stacks = built
         depth_r, conf_r, cam_r, image_r = unpacked[r]
+        conf_r = conf_r.astype(np.float64, copy=False)
         fused_depth, mask = _consume_pass(
             depth_r.values,
             depth_r.valid,

@@ -64,13 +64,15 @@ class GcThresholds:
             raise ValueError("thresholds must be strictly positive")
 
 
-@dataclass
+@dataclass(eq=False)
 class PenaltyMap:
     """Per-pixel inconsistency votes over M source views, with the range mode that maps them to levels.
 
-    counts holds each pixel's vote count k, an integer 0 <= k <= m.
-    values is its penalty 1 + k/M ("one-two") or 1 + 2k/M ("one-three"),
-    a new float64 array on each read.
+    counts holds each pixel's vote count k, an integer 0 <= k <= m, as a
+    read-only view of the array given, so no write through the map skips
+    that check.  values is its penalty 1 + k/M ("one-two") or 1 + 2k/M
+    ("one-three"), a new float64 array on each read.  Maps compare by
+    identity: elementwise == of two count arrays has no single truth value.
     """
 
     counts: np.ndarray
@@ -78,7 +80,8 @@ class PenaltyMap:
     m: int
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts)
+        self.counts = np.asarray(self.counts).view()
+        self.counts.flags.writeable = False
         if self.range_mode not in _RANGE_MODES:
             raise ValueError(f"range_mode must be one of {_RANGE_MODES}")
         if self.m < 1:

@@ -311,6 +311,7 @@ PROBVOL_MALFORMED = [
     b"PROBVOL\n2 1 1\nshared\n" + b"\x00" * 12,    # truncated payload
     b"PROBVOL\n2 1 1\nshared\n" + b"\x00" * 20,    # oversized payload
     b"PROBVOL\n2 1 1\nshared",                     # header never terminated
+    b"PROBVOL\n2 1 1" + b" " * 251 + b"\nshared\n" + b"\x00" * 16,  # header line over 256 bytes
     b"PROBVOL\n2 1 1\nshared\n" + np.array([2.0, 1.0, 0.5, 0.5], dtype="<f4").tobytes(),  # hypotheses not increasing
     b"PROBVOL\n2 1 1\nshared\n" + np.array([1.0, 2.0, np.nan, 0.5], dtype="<f4").tobytes(),  # NaN probability
     b"PROBVOL\n2 1 1\nshared\n" + np.array([1.0, np.inf, 0.5, 0.5], dtype="<f4").tobytes(),  # +inf hypothesis

@@ -338,12 +338,30 @@ def test_stage_strictness(rng):
 def test_penalty_map_holds_counts_and_reads_fresh_levels():
     counts = np.array([[0, 3], [8, 4]], dtype=np.uint8)
     pen = PenaltyMap(counts, "one-three", 8)
-    assert pen.counts is counts
+    assert np.shares_memory(pen.counts, counts) and pen.counts.dtype == np.uint8
     levels = pen.values
     assert levels.dtype == np.float64 and np.array_equal(levels, [[1.0, 1.75], [3.0, 2.0]])
     levels[:] = 0.0
     assert pen.values is not levels and np.array_equal(pen.values, [[1.0, 1.75], [3.0, 2.0]])
     assert np.array_equal(counts, [[0, 3], [8, 4]])
+
+
+def test_penalty_map_counts_are_read_only():
+    # A count above m written after construction would escape the check
+    # the constructor makes; the caller's own array stays writable.
+    counts = np.array([[0, 1], [2, 1]], dtype=np.uint8)
+    pen = PenaltyMap(counts, "one-two", 2)
+    with pytest.raises(ValueError, match="read-only"):
+        pen.counts[0, 0] = 3
+    assert counts.flags.writeable and np.array_equal(pen.values, [[1.0, 1.5], [2.0, 1.5]])
+
+
+def test_penalty_maps_compare_by_identity():
+    counts = np.array([[0, 1], [2, 1]], dtype=np.uint8)
+    pen = PenaltyMap(counts, "one-two", 2)
+    assert pen == pen
+    assert pen != PenaltyMap(counts, "one-two", 2)
+    assert len({pen, PenaltyMap(counts, "one-two", 2)}) == 2
 
 
 @pytest.mark.parametrize("counts, mode, m, match", [
