@@ -38,7 +38,7 @@ from .penalty import (
     penalty_histogram,
     stage_penalties,
 )
-from .reproject import _in_order, _pair_errors, fbr
+from .reproject import _depth_bands, _in_order, _pair_errors, fbr
 from .views import load_pairing, rank_sources, save_pairing
 
 __all__ = ["main"]
@@ -367,8 +367,9 @@ def _cmd_warp(args) -> int:
     ok = d_reproj.valid
     doc = {"ref": args.ref, "src": args.src, "valid_pixels": int(ok.sum()), "out": str(out)}
     if ok.any():
-        errors = _pair_errors(d_ref.values.astype(np.float64, copy=False), d_ref.valid, slice(0, d_ref.height),
-                              p_reproj.x, p_reproj.y, d_reproj.values, ~ok, np.empty((2,) + d_ref.shape))
+        errors = np.empty((2,) + d_ref.shape)
+        for rows, band, _, _ in _depth_bands(d_ref):
+            _pair_errors(*band, p_reproj.x[rows], p_reproj.y[rows], d_reproj.values[rows], ~ok[rows], errors[:, rows])
         pde, rdd = (e[ok] for e in errors)
         doc.update(
             mean_pde=float(pde.mean()),

@@ -1,34 +1,46 @@
 """Depth-map fusion into a single point cloud.
 
 Every view takes a turn as the reference.  A reference pixel fuses when
-its confidence clears the probability threshold and its depth passes the
-cross-view reprojection check in enough source views; the fused 3D point
-is the back-projection of the depth averaged over the reference and the
+it is still eligible (valid, its confidence above the probability
+threshold, not consumed) and its depth passes the cross-view
+reprojection check in enough source views; the fused 3D point is the
+back-projection of the depth averaged over the reference and the
 consistent sources.  Source pixels hit by an emitted point are marked
 consumed so each surface point is emitted once.  Emission order is the
 row-major reference-view scan, so output is deterministic and identical
 for any thread count: the consume pass is one sequential, vectorized
 numpy pass per reference view, in reference order, in
-reproject._in_order.  A view's per-pair check arrays are allocated by
-the thread that runs the passes, filled by pool threads (which allocate
-only band-sized scratch) and dropped after the view's pass.  Each pair
-is checked band by band, in one call per pair, by walking
-reproject._checks, the pair check the penalty's votes also walk: the
-reprojection fbr computes, then reproject._pair_errors (the penalty's
-sqrt formula) on band scratch.  Checks pass below (<).
+reproject._in_order.
 
-A reference's stacks hold, per source and pixel, one pass bit per
+Only eligible pixels are checked.  A reference is drawn, on the thread
+that runs the consume passes, after the pass of the reference `threads`
+places before it (one place at threads=1): its eligible pixels are then
+packed as ascending flat indices, and its per-pair check arrays are
+allocated for those pixels alone, filled by pool threads (which allocate
+only band-sized scratch) and dropped after the view's pass.  Consumed
+marks only ever go from 0 to 1, so a pixel skipped at the draw is still
+ineligible at the pass; the pass tests eligibility again on the packed
+pixels (some were consumed while the reference was in flight), and an
+ineligible pixel's bits, depth and landing index are never read, so
+the skip changes no output byte.  Each pair is checked chunk by chunk
+of the packed pixels, in one call per pair, by walking reproject._checks,
+the pair check the penalty's votes also walk: the reprojection fbr
+computes, then reproject._pair_errors (the penalty's sqrt formula) on
+band scratch.  Checks pass below (<).
+
+A reference's stacks hold, per source and packed pixel, one pass bit per
 threshold-table row, the reprojected depth (float64) and the landing
 pixel as one int32 flat index (-1 off the source image): 13 bytes for up
 to 8 rows.  Bit r of a pixel is (PDE < table[r, 0]) & (RDD < table[r, 1]),
-evaluated band by band on the float64 displacement and relative depth
+evaluated chunk by chunk on the float64 displacement and relative depth
 difference and packed into ceil(rows / 8) uint8 planes, plane r // 8,
 bit r % 8.  Those are the only comparisons the consume pass makes on
 PDE and RDD, on the same values, so storing their outcomes instead of
 the float64 errors changes no decision.  A pixel has at most n_src
 passing sources, so no count above n_src can be met and only the first
 min(len(table), n_src) rows are kept.  The median average builds one
-(n_src + 1, H, W) float64 stack per pass and sorts it in place.
+(n_src + 1, n) float64 stack over the n packed pixels per pass and sorts
+it in place.
 
 Two checking modes: "fusibile" applies one displacement/relative-depth
 threshold pair and a fixed required view count; "dynamic" derives the
@@ -128,40 +140,60 @@ def _unpack_view(view):
     return depth, conf, cam, image
 
 
-def _new_stacks(n_src, n_table, shape):
-    """Unfilled pass-bit, reprojected-depth and landing-index stacks of one reference view.
+def _eligible(consumed, valid, conf, prob_threshold):
+    """Which pixels can still fuse: not consumed, valid, confidence above prob_threshold.
 
-    The bits are (n_src, ceil(rows / 8), H, W) uint8 for the first
-    rows = min(n_table, n_src) table rows, the others (n_src, H, W).
+    The arrays are a reference's consumed marks, validity and confidence,
+    as frames or gathered at the same pixels.  The confidence compares in
+    float64 (against a float64 scalar, so a float32 map needs no widened
+    copy), as its float64 widening would.
+    """
+    ok = consumed == 0
+    ok &= valid
+    ok &= np.greater(conf, np.float64(prob_threshold))
+    return ok
+
+
+def _eligible_pixels(consumed, valid, conf, prob_threshold):
+    """Ascending flat indices of a reference's pixels that can still fuse (see _eligible)."""
+    return np.flatnonzero(_eligible(consumed, valid, conf, prob_threshold))
+
+
+def _new_stacks(n_src, n_table, n):
+    """Unfilled pass-bit, reprojected-depth and landing-index stacks of one reference view's n pixels.
+
+    The bits are (n_src, ceil(rows / 8), n) uint8 for the first
+    rows = min(n_table, n_src) table rows, the others (n_src, n).
     """
     planes = -(-min(n_table, n_src) // 8)
-    return (np.empty((n_src, planes) + shape, dtype=np.uint8),
-            np.empty((n_src,) + shape),
-            np.empty((n_src,) + shape, dtype=np.int32))
+    return (np.empty((n_src, planes, n), dtype=np.uint8),
+            np.empty((n_src, n)),
+            np.empty((n_src, n), dtype=np.int32))
 
 
-def _pair_stacks(d_ref: DepthMap, ref_cam: Camera, sources, table, stacks):
-    """Fill and return one reference view's stacks (from _new_stacks).
+def _pair_stacks(d_ref: DepthMap, ref_cam: Camera, sources, table, pixels, stacks):
+    """Fill and return the stacks (from _new_stacks) of one reference view's pixels `pixels`.
 
     sources: (DepthMap, Camera) per source view; table: the (rows, 2)
-    threshold table, of which the first len(sources) rows are kept.  Each
-    pair is computed band by band straight into its row of the stacks.
+    threshold table, of which the first len(sources) rows are kept;
+    pixels: ascending flat indices of the reference pixels to check.  Each
+    pair is computed chunk by chunk straight into its row of the stacks.
     """
     for i, (d_src, src_cam) in enumerate(sources):
-        _fill_pair(d_ref, ref_cam, d_src, src_cam, table[:len(sources)], *(stack[i] for stack in stacks))
+        _fill_pair(d_ref, ref_cam, d_src, src_cam, table[:len(sources)], pixels, *(stack[i] for stack in stacks))
     return stacks
 
 
-def _fill_pair(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Camera, table, bits, dres, flat):
-    """One pair's pass bits for each row of `table`, reprojected depth and landing index.
+def _fill_pair(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Camera, table, pixels, bits, dres, flat):
+    """One pair's pass bits for each row of `table`, reprojected depth and landing index at `pixels`.
 
     A call per pair: the band views of reproject._checks die on return,
     before the next pair allocates its band buffers.
     """
     hs, ws = d_src.shape
-    for rows, (x, y, landed), pde, rdd, failed, spare in _checks(d_ref, ref_cam, d_src, src_cam, dres):
+    for sel, (x, y, landed), pde, rdd, failed, spare in _checks(d_ref, ref_cam, d_src, src_cam, dres, pixels):
         # failed and spare serve as the bits' scratch.
-        _set_pass_bits(pde, rdd, table, bits[:, rows], failed, spare)
+        _set_pass_bits(pde, rdd, table, bits[:, sel], failed, spare)
         # Bounds test in float: a landing pixel far outside the image may
         # lie beyond any integer range, so only on-image indices are cast.
         # x and y are band scratch, rounded and combined in place.
@@ -170,7 +202,7 @@ def _fill_pair(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Camer
         cy *= ws
         cy += cx
         np.copyto(cy, -1.0, where=~on_image)
-        flat[rows] = cy
+        flat[sel] = cy
 
 
 def _set_pass_bits(pde, rdd, table, bits, hit, tmp):
@@ -188,15 +220,16 @@ def _set_pass_bits(pde, rdd, table, bits, hit, tmp):
 
 
 def _row_bits(bits, row, out):
-    """Table row `row`'s pass bits from (..., planes, H, W) bits, as a bool view of the uint8 buffer out."""
-    np.right_shift(bits[..., row // 8, :, :], row % 8, out=out)
+    """Table row `row`'s pass bits from (..., planes, n) bits, as a bool view of the uint8 buffer out."""
+    np.right_shift(bits[..., row // 8, :], row % 8, out=out)
     out &= 1
     return out.view(bool)
 
 
-# One reference view's fuse/consume decision.  bits holds, per source
-# view, the pass bits of the table rows (see _set_pass_bits); a check that
-# is impossible (invalid reprojection) passes no row.  A pixel fuses when
+# One reference view's fuse/consume decision, over the pixels its stacks
+# hold.  bits holds, per source view, the pass bits of the table rows
+# (see _set_pass_bits); a check that is impossible (invalid reprojection)
+# passes no row.  A pixel fuses when it is still eligible (_eligible) and
 # some k >= min_consistent has count(table row k) >= k; the largest
 # qualifying k selects the consistent set.  table rows beyond the end
 # clamp to the last entry, so a one-row table (fusibile) is a single
@@ -209,12 +242,20 @@ def _row_bits(bits, row, out):
 # at the flat landing index `flat` (-1: off the source image).
 
 
-def _consume_pass(ref_depth, ref_valid, conf, bits, dres, flat,
+def _consume_pass(ref_depth, ref_valid, conf, pixels, bits, dres, flat,
                   consumed, ref_idx, src_idx, prob_threshold,
                   min_consistent, n_table, avg_mode):
-    """Fused depth and boolean fused mask of one reference view; updates consumed."""
+    """Fused depth and boolean fused mask of one reference view's pixels `pixels`; updates consumed.
+
+    pixels: ascending flat indices of the reference pixels the stacks
+    hold, n of them; ref_depth, ref_valid and conf are frames.  Eligibility
+    is tested again on these pixels, so any pixels may be passed (all of
+    them, say).  The fused depth and mask come back packed likewise, (n,).
+    """
     n_src = dres.shape[0]
-    eligible = (consumed[ref_idx] == 0) & ref_valid & (conf > prob_threshold)
+    ref_consumed = consumed[ref_idx].reshape(-1)
+    eligible = _eligible(ref_consumed[pixels], ref_valid.reshape(-1)[pixels], conf.reshape(-1)[pixels],
+                         prob_threshold)
     # Ascending k: the largest qualifying k writes its passing set last.
     passing = np.zeros(dres.shape, dtype=bool)
     row_bits = np.empty(dres.shape, dtype=np.uint8)
@@ -222,45 +263,60 @@ def _consume_pass(ref_depth, ref_valid, conf, bits, dres, flat,
         pass_k = _row_bits(bits, min(k, n_table) - 1, row_bits)
         np.copyto(passing, pass_k, where=pass_k.sum(axis=0) >= k)
     fuse = eligible & passing.any(axis=0)
-    passing &= fuse[None, :, :]
+    passing &= fuse
     n = passing.sum(axis=0)
+    depth = ref_depth.reshape(-1)[pixels]
     if avg_mode == 0:
-        # Source by source into one (H, W) sum: the bits of an axis-0 sum,
-        # without a stack-sized temporary.
-        acc = np.zeros(ref_depth.shape)
+        # Source by source into one sum (the bits of an axis-0 sum, without
+        # a stack-sized temporary), then the reference depth, the count and
+        # the mask in place: the bits of np.where(fuse, (depth + sum) /
+        # (n + 1), 0.0), as addition commutes exactly, without its
+        # temporaries.
+        fused = np.zeros(depth.shape)
         for s in range(n_src):
-            np.add(acc, dres[s], out=acc, where=passing[s])
-        fused = np.where(fuse, (ref_depth + acc) / np.maximum(n + 1, 1), 0.0)
+            np.add(fused, dres[s], out=fused, where=passing[s])
+        fused += depth
+        fused /= n + 1
     else:
         # The passing sources' depths, NaN elsewhere, and the reference
         # depth in one private stack, sorted in place (NaN last).  The
         # median of a pixel's n + 1 values is the mean of sorted entries
         # n // 2 and (n + 1) // 2, summed low + high and halved: the bits
         # of np.nanmedian, without its masked copy, argsort and gather.
-        stack = np.full((n_src + 1,) + ref_depth.shape, np.nan)
+        stack = np.full((n_src + 1,) + depth.shape, np.nan)
         for s in range(n_src):
             np.copyto(stack[s], dres[s], where=passing[s])
-        stack[n_src] = ref_depth
+        stack[n_src] = depth
         stack.sort(axis=0)
-        med = np.take_along_axis(stack, (n // 2)[None], axis=0)[0]
+        fused = np.take_along_axis(stack, (n // 2)[None], axis=0)[0]
         with np.errstate(all="ignore"):
-            med += np.take_along_axis(stack, ((n + 1) // 2)[None], axis=0)[0]
-            med /= 2.0
-        fused = np.where(fuse, med, 0.0)
-    consumed[ref_idx][fuse] = 1
+            fused += np.take_along_axis(stack, ((n + 1) // 2)[None], axis=0)[0]
+            fused /= 2.0
+    np.copyto(fused, 0.0, where=~fuse)
+    ref_consumed[pixels[fuse]] = 1
     for s in range(n_src):
         hit = passing[s] & (flat[s] >= 0)
         consumed[src_idx[s]].reshape(-1)[flat[s][hit]] = 1
     return fused, fuse
 
 
-def _back_project_grid(depth_values, mask, cam: Camera):
-    """World points for the masked pixels of a depth grid, row-major order."""
-    y, x = np.nonzero(mask)
-    d = depth_values[mask]
-    rays = np.linalg.inv(cam.K) @ np.stack([x * d, y * d, d])
-    world = cam.E[:3, :3].T @ (rays - cam.E[:3, 3:4])
-    return world.T
+def _back_project_grid(depth, pixels, width, cam: Camera):
+    """World points of the pixels at flat indices `pixels` of a width-wide grid, with depths `depth`, in order.
+
+    The (3, N) homogeneous pixels are written row by row into one array
+    and each product is taken in place where it can be, so at most two
+    (3, N) float64 arrays are alive at once.
+    """
+    y, x = np.divmod(pixels, width)
+    homogeneous = np.empty((3, depth.size))
+    np.multiply(x, depth, out=homogeneous[0])
+    np.multiply(y, depth, out=homogeneous[1])
+    homogeneous[2] = depth
+    del x, y
+    rays = np.linalg.inv(cam.K) @ homogeneous
+    del homogeneous
+    rays -= cam.E[:3, 3:4]
+    return (cam.E[:3, :3].T @ rays).T
 
 
 def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int = 1) -> PointCloud:
@@ -268,12 +324,13 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
 
     views: list of (DepthMap, confidence, Camera[, image]) tuples; image
     is an optional (H, W, 3) uint8 array supplying point colors.  A
-    float32 confidence map stays float32, as a DepthMap's depths do, until
-    its reference's consume pass widens it; conf > prob_threshold then
-    compares in float64 (a float32 array against a Python float would
-    compare in float32), so a map and its float64 widening fuse alike.
-    pairs: per reference view, the list of source view indices checked
-    against it (defaults to all other views).
+    float32 confidence map stays float32, as a DepthMap's depths do:
+    conf > prob_threshold compares in float64 (_eligible; a float32 array
+    against a Python float would compare in float32), and the fused
+    points' confidences are widened as they are gathered, so a map and its
+    float64 widening fuse alike.  pairs: per reference view, the list of
+    distinct source view indices (0 <= index < len(views)) checked against
+    it (defaults to all other views).
     """
     if len(views) < 2:
         raise ValueError("fusion needs at least two views")
@@ -288,10 +345,15 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
     if len(pairs) != n_views:
         raise ValueError("pairs must list sources for every view")
     for r, srcs in enumerate(pairs):
-        if r in srcs:
-            raise ValueError("a view cannot be its own source")
         if not srcs:
             raise ValueError(f"view {r} has no source views")
+        for s in srcs:
+            if not 0 <= s < n_views:
+                raise ValueError(f"view {r} lists source {s}, not a view index in [0, {n_views})")
+        if r in srcs:
+            raise ValueError(f"view {r} cannot be its own source")
+        if len(set(srcs)) != len(srcs):
+            raise ValueError(f"view {r} lists a source view twice")
 
     if params.mode == "fusibile":
         table = np.array([[params.disparity_threshold, params.depth_threshold]])
@@ -303,42 +365,54 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
     all_points, all_colors, all_conf = [], [], []
     any_image = any(img is not None for *_, img in unpacked)
     avg_flag = 0 if params.average == "mean" else 1
+    prob_threshold = float(params.prob_threshold)
 
-    def build(r, stacks):
+    # Drawn on the calling thread, after the consume pass of the reference
+    # `threads` places before (_in_order): the reference's pixels that can
+    # still fuse, and stacks for them alone.  Stacks allocated by pool
+    # threads stayed in their heaps once freed: 15 calls of `fuse --threads
+    # 2` then `eval-pc` on 320 x 256 x 8 views peaked at 179 MB in 6 of 8
+    # processes, against 145-146 MB as items.
+    def item(r):
+        depth_r, conf_r = unpacked[r][:2]
+        pixels = _eligible_pixels(consumed[r], depth_r.valid, conf_r, prob_threshold)
+        return r, pixels, _new_stacks(len(pairs[r]), len(table), pixels.size)
+
+    def build(r, pixels, stacks):
         depth_r, _, cam_r, _ = unpacked[r]
-        return r, _pair_stacks(depth_r, cam_r, [(unpacked[s][0], unpacked[s][2]) for s in pairs[r]], table, stacks)
+        if pixels.size:  # a reference with no pixel left to fuse checks no pair
+            _pair_stacks(depth_r, cam_r, [(unpacked[s][0], unpacked[s][2]) for s in pairs[r]], table, pixels, stacks)
+        return r, pixels, stacks
 
     def emit(built):
-        r, stacks = built
+        r, pixels, stacks = built
         depth_r, conf_r, cam_r, image_r = unpacked[r]
-        conf_r = conf_r.astype(np.float64, copy=False)
         fused_depth, mask = _consume_pass(
             depth_r.values,
             depth_r.valid,
             conf_r,
+            pixels,
             *stacks,
             consumed,
             r,
             np.asarray(pairs[r], dtype=np.int64),
-            float(params.prob_threshold),
+            prob_threshold,
             int(params.consistency_threshold),
             len(table),
             avg_flag,
         )
-        if not mask.any():
+        fused = pixels[mask]
+        if not fused.size:
             return
-        all_points.append(_back_project_grid(fused_depth, mask, cam_r))
-        all_conf.append(conf_r[mask])
+        all_points.append(_back_project_grid(fused_depth[mask], fused, w, cam_r))
+        all_conf.append(conf_r.reshape(-1)[fused].astype(np.float64, copy=False))
         if any_image:
             if image_r is not None:
-                all_colors.append(np.asarray(image_r, dtype=np.uint8)[mask])
+                all_colors.append(np.asarray(image_r, dtype=np.uint8).reshape(-1, 3)[fused])
             else:
-                all_colors.append(np.zeros((int(mask.sum()), 3), dtype=np.uint8))
+                all_colors.append(np.zeros((fused.size, 3), dtype=np.uint8))
 
-    # Stacks allocated by pool threads stayed in their heaps once freed: 15
-    # calls of `fuse --threads 2` then `eval-pc` on 320 x 256 x 8 views
-    # peaked at 179 MB in 6 of 8 processes, against 145-146 MB as items.
-    _in_order(build, emit, ((r, _new_stacks(len(pairs[r]), len(table), shape)) for r in range(n_views)), threads)
+    _in_order(build, emit, (item(r) for r in range(n_views)), threads)
 
     if not all_points:
         return PointCloud(points=np.zeros((0, 3)))

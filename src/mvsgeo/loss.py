@@ -96,7 +96,7 @@ class ProbabilityVolume:
         elif self.hypotheses.shape != self.probs.shape:
             raise ValueError("per-pixel hypotheses must match probs shape")
         hyp = self.hypotheses
-        for rows, _, _ in _bands(self.probs.shape[1:]):
+        for rows, *_ in _bands(self.probs.shape[1:]):
             _check_block(self.probs[:, rows], hyp if hyp.ndim == 1 else hyp[:, rows])
 
     @property
@@ -131,7 +131,7 @@ def _blocks(vol):
     """
     d, h, w = vol.shape
     buffers, tallest = {}, None
-    for rows, _, _ in _bands((h, w)):
+    for rows, *_ in _bands((h, w)):
         size = d * (rows.stop - rows.start) * w
         tallest = tallest or size
 

@@ -112,11 +112,10 @@ def inconsistency_mask(
     if np.any(d_ref.values == 0, where=d_ref.valid):
         raise ValueError("zero reference depth")
     mask = np.zeros(d_ref.shape, dtype=bool)
-    for rows, depth, (pde, rdd), (failed, spare) in _depth_bands(d_ref, 2, 2):
+    for rows, band, (pde, rdd), (failed, spare) in _depth_bands(d_ref, 2, 2):
         np.logical_and(d_reproj.valid[rows], p_reproj.valid[rows], out=failed)
         np.logical_not(failed, out=failed)
-        _pair_errors(depth, d_ref.valid[rows], rows, p_reproj.x[rows],
-                     p_reproj.y[rows], d_reproj.values[rows], failed, (pde, rdd))
+        _pair_errors(*band, p_reproj.x[rows], p_reproj.y[rows], d_reproj.values[rows], failed, (pde, rdd))
         _add_votes(d_ref.valid[rows], pde, rdd, failed, spare, [thresholds], [mask[rows]])
     return mask
 

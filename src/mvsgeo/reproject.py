@@ -6,28 +6,34 @@ that sampled depth back through the source camera and reproject it into
 the reference view.  Comparing the result against the original reference
 depth is the basis of every consistency check in this package.
 
-Each step is a vectorized numpy pass over one band of rows at a time,
-and there is one walker and one chain.  _bands(shape, floats, bools) is
-the package's only row-band loop: it yields each band's rows with
-band-sized float64 and bool buffers (256 KB per float64 buffer at
-_BAND_PIXELS), allocated once per call and reused by every band.
-_chain(d_ref, ref, d_src, src, back_out) is the only composition of the
-forward-backward reprojection: per pair it builds both warp transforms
-and the source's corner-validity map once, then per band writes the
-forward warp, the sample and the back warp through ufunc `out=`
-arguments into the band buffers and, where the caller passes full-frame
-outputs, straight into their row slices.  fbr walks _chain, and
-_checks(d_ref, ref, d_src, src, dres) is the one pair-check walk: it
-walks _chain and applies _pair_errors to each band, for the penalty's
-votes (penalty._add_pair_votes) and fusion's pass bits (fusion._fill_pair).
-forward_project and inconsistency_mask walk _depth_bands (_bands that
-also yields each band's reference depths as float64), remap and the loss
-walk _bands.  The chain's own buffers are allocated once per pair, so
-the working set stays in L2 and no band pays for fresh pages or heap
-trimming.  The forward warp's broadcast multiplies of the pixel grid
-still use numpy's own iteration buffer (at most 8192 elements), and each
-scaled grid vector is a row- or column-sized array of its own (see
-_scaled).
+Each step is a vectorized numpy pass over one band at a time, and there
+is one walker and one chain.  _bands(shape, floats, bools, pixels) is the
+package's only band loop.  It walks bands of two kinds.  Without pixels
+a band is whole rows of the frame, and the pixel grid is its column and
+row vectors, broadcast over the band: gc-penalty, fbr, `warp` and the
+loss walk these.  With pixels, ascending flat indices of the frame
+pixels to check, a band is a chunk of at most max(_BAND_PIXELS, W) of
+them, with each pixel's x and y: fusion walks only the reference pixels
+that can still fuse.  Each band comes with band-sized float64 and bool
+buffers (256 KB per float64 buffer at _BAND_PIXELS), allocated once per
+call and reused by every band.  _chain(d_ref, ref, d_src, src, back_out,
+pixels) is the only composition of the forward-backward reprojection:
+per pair it builds both warp transforms and the source's corner-validity
+map once, then per band writes the forward warp, the sample and the back
+warp through ufunc `out=` arguments into the band buffers and, where the
+caller passes outputs (full frames, or one entry per pixel), straight
+into their band slices.  fbr walks _chain, and
+_checks(d_ref, ref, d_src, src, dres, pixels) is the one pair-check walk:
+it walks _chain and applies _pair_errors to each band, for the penalty's
+votes (penalty._add_pair_votes) and fusion's pass bits
+(fusion._fill_pair).  forward_project and inconsistency_mask walk
+_depth_bands (_bands that also yields each band's reference depths as
+float64 and their validity), remap and the loss walk _bands.  The
+chain's own buffers are allocated once per pair, so the working set
+stays in L2 and no band pays for fresh pages or heap trimming.  The
+forward warp's broadcast multiplies of a row band's pixel grid still use
+numpy's own iteration buffer (at most 8192 elements), and each scaled
+grid vector is a row- or column-sized array of its own (see _scaled).
 
 The views that _bands, _chain and _checks yield are overwritten by the
 next band and must not outlive their pair: a view still bound when the
@@ -45,37 +51,40 @@ Depths stay at their file's precision: a DepthMap keeps float32 or
 float64 values as given, so a PFM's depths hold 4 bytes per pixel (5 with
 the mask, against 9 widened to float64), and each kernel widens one band
 at a time into band scratch.  _chain widens the reference band once
-(_depth_bands, into a buffer allocated only for a float32 map), and the
-forward warp and _pair_errors read that copy; _sample gathers each
-bilinear corner of a float32 map into a float32 view of a band buffer
-and widens it there (_gather).  Every ufunc then runs its float64 loop
-on the same values (float32 to float64 is exact), so a float32 map gives
-the bits of its float64 widening.  No ufunc mixes the two dtypes:
-numpy's buffered casts made such a multiply 2.3x slower than a float64
-one.  Code that reads DepthMap.values outside
-the kernels widens before its arithmetic too: a float32 array with a
-float32 or Python scalar runs a float32 loop under numpy's promotion.
+(_depth_bands, into a buffer allocated only for a float32 map or a
+chunk of pixels), and the forward warp and _pair_errors read that copy;
+_sample gathers each bilinear corner of a float32 map into a float32
+view of a band buffer and widens it there (_gather).  Every ufunc then
+runs its float64 loop on the same values (float32 to float64 is exact),
+so a float32 map gives the bits of its float64 widening.  No ufunc mixes
+the two dtypes: numpy's buffered casts made such a multiply 2.3x slower
+than a float64 one.  Code that reads DepthMap.values outside the kernels
+widens before its arithmetic too: a float32 array with a float32 or
+Python scalar runs a float32 loop under numpy's promotion.
 
 A warp step that overflows (a huge depth, say) makes its pixel invalid,
 as one behind the camera, with no RuntimeWarning: _apply_warp computes
 each band with overflow ignored and invalidates every pixel whose d', x'
 or y' is not finite.
 
-Neither the band size nor the buffer reuse changes a bit: an output pixel
-depends only on its own input pixel and the whole source map, each
-ufunc is elementwise, and every pixel is computed by the same operations
-in the same order as with fresh arrays (the pair's shared terms, such as
-the pixel grid, are broadcast, not accumulated across bands).  Results
-outside a mask are written after the arithmetic (np.copyto with
-where=~ok), so the values a scratch buffer held before never leak.
+Neither the band size, the band kind nor the buffer reuse changes a
+bit: an output pixel depends only on its own input pixel and the whole
+source map, each ufunc is elementwise, and every pixel is computed by
+the same operations in the same order as with fresh arrays (the pair's
+shared terms, such as the pixel grid, are broadcast or stored per pixel,
+not accumulated across bands).  Results outside a mask are written
+after the arithmetic (np.copyto with where=~ok), so the values a scratch
+buffer held before never leak.
 
 _pair_errors is the one pair check (penalty, fusion, `warp`): displacement
 sqrt(dx**2 + dy**2) and relative depth difference, inf where `ok` is false
 (invalid reference pixel, behind a camera, off the source, invalid corner).
 
-_in_order is the only reference-view loop (`gc-penalty`, `fuse`): at most
-threads + 1 references' arrays are alive, and output order does not
-depend on threads.
+_in_order is the only reference-view loop (`gc-penalty`, `fuse`).  It
+draws each reference after the one `threads` places before it is
+consumed, so at most `threads` references' arrays are alive, fusion
+draws a reference seeing every reference `threads` or more places before
+it consumed, and output order does not depend on threads.
 """
 
 from collections import deque
@@ -89,7 +98,8 @@ from .camera import Camera, W_EPS, warp_transform
 
 __all__ = ["DepthMap", "CoordinateGrid", "forward_project", "remap", "fbr"]
 
-# Pixels per row band; the band is max(1, _BAND_PIXELS // W) rows.
+# Pixels per band: a row band is max(1, _BAND_PIXELS // W) rows, a chunk
+# of packed pixels at most max(_BAND_PIXELS, W) of them.
 _BAND_PIXELS = 32768
 
 # Bounds guard of remap: warping a view onto itself lands border pixels at
@@ -244,48 +254,81 @@ def _wrap(cls, **fields):
 _WARP = (np.float64, np.float64, np.float64, bool)  # x, y, depth, validity
 
 
-def _bands(shape, floats=0, bools=0):
-    """Row bands of max(1, _BAND_PIXELS // W) rows covering an H x W frame, with reused scratch.
+def _bands(shape, floats=0, bools=0, pixels=None):
+    """Bands covering an H x W frame, or the frame pixels `pixels`, with reused scratch.
 
-    Yields (rows, f, b): the band's row slice and lists of `floats`
-    float64 and `bools` bool buffers cut to its rows (contiguous).  The
-    buffers are allocated once per call and every band reuses them.  One
-    array per buffer, not one block for all: measured on `fuse --threads
-    2` over 320 x 256 x 8 views, one block per pair peaked 3-5 MB higher.
+    Yields (sel, (xs, ys), f, b).  Without pixels a band is
+    max(1, _BAND_PIXELS // W) whole rows: sel is its row slice, xs the
+    column coordinates (one row) and ys the row coordinates (one column),
+    which broadcast over the band.  With pixels, ascending flat indices
+    into the frame, a band is a chunk of at most max(_BAND_PIXELS, W)
+    consecutive entries (never fewer than the smallest row band holds):
+    sel slices the entries, and xs and ys hold each pixel's own
+    coordinates.  f and b are lists of `floats` float64 and `bools` bool
+    buffers cut to the band (contiguous).  The buffers are allocated once
+    per call and every band reuses them.  One array per buffer, not one
+    block for all: measured on `fuse --threads 2` over 320 x 256 x 8
+    views, one block per pair peaked 3-5 MB higher.
     """
     h, w = shape
-    step = max(1, _BAND_PIXELS // max(w, 1))
-    n = min(h, step)
-    f_all = [np.empty((n, w)) for _ in range(floats)]
-    b_all = [np.empty((n, w), dtype=bool) for _ in range(bools)]
-    for start in range(0, h, step):
-        rows = slice(start, min(start + step, h))
-        k = rows.stop - start
-        yield rows, [a[:k] for a in f_all], [a[:k] for a in b_all]
+    packed = pixels is not None
+    total = len(pixels) if packed else h
+    step = max(_BAND_PIXELS, w, 1) if packed else max(1, _BAND_PIXELS // max(w, 1))
+    dims = (min(total, step),) if packed else (min(total, step), w)
+    f_all = [np.empty(dims) for _ in range(floats + 2 * packed)]
+    b_all = [np.empty(dims, dtype=bool) for _ in range(bools)]
+    for start in range(0, total, step):
+        sel = slice(start, min(start + step, total))
+        k = sel.stop - start
+        f, b = [a[:k] for a in f_all], [a[:k] for a in b_all]
+        if packed:
+            # An integer divmod into the coordinate buffers' bytes, then a
+            # cast in place: 3x faster than a float divmod, no temporary,
+            # and exact (a flat index is below 2**53).
+            xs, ys = f[floats:]
+            np.divmod(pixels[sel], w, out=(ys.view(np.int64), xs.view(np.int64)))
+            np.copyto(xs, xs.view(np.int64))
+            np.copyto(ys, ys.view(np.int64))
+        else:
+            xs, ys = np.arange(w, dtype=np.float64), np.arange(start, sel.stop, dtype=np.float64)[:, None]
+        yield sel, (xs, ys), f[:floats], b
 
 
-def _depth_bands(d: DepthMap, floats=0, bools=0):
-    """_bands over d's frame that also yields each band's depths as float64: (rows, depth, f, b).
+def _depth_bands(d: DepthMap, floats=0, bools=0, pixels=None):
+    """_bands over d's frame (or its `pixels`) that also yields each band's reference pixels.
 
-    A float64 map's band is a view of its values.  A float32 map's band is
-    widened into one more float64 buffer, allocated only for such a map;
-    the widening is exact, so every later float64 ufunc sees the values of
-    the map's float64 widening.
+    Yields (sel, (xs, ys, depth, valid), f, b): the band's coordinates,
+    its depths as float64 and its validity.  A float64 map's row band is
+    a view of its values.  A float32 map's depths are widened into one
+    more float64 buffer, allocated only for such a map, and the depths and
+    validity of `pixels` are gathered into buffers of their own (a float32
+    map's through one more float64 buffer, see _gather).  The widening is
+    exact, so every later float64 ufunc sees the values of the map's
+    float64 widening.
     """
-    narrow = d.values.dtype != np.float64
-    for rows, f, b in _bands(d.shape, floats + narrow, bools):
-        depth = d.values[rows]
-        if narrow:
-            np.copyto(f[floats], depth)
-            depth = f[floats]
-        yield rows, depth, f[:floats], b
+    packed, narrow = pixels is not None, d.values.dtype != np.float64
+    extra = (packed or narrow) + (packed and narrow)
+    for sel, (xs, ys), f, b in _bands(d.shape, floats + extra, bools + packed, pixels):
+        if packed:
+            idx = pixels[sel]
+            depth = _gather(d.values.reshape(-1), idx, f[floats], f[-1])
+            valid = np.take(d.valid.reshape(-1), idx, out=b[bools], mode="clip")
+        else:
+            depth, valid = d.values[sel], d.valid[sel]
+            if narrow:
+                np.copyto(f[floats], depth)
+                depth = f[floats]
+        yield sel, (xs, ys, depth, valid), f[:floats], b[:bools]
 
 
 def _in_order(produce, consume, items, threads):
     """consume(produce(*item)) for every item, in order, on the calling thread.
 
-    With threads > 1, `threads` pool workers produce at most `threads`
-    items ahead.  Items are drawn on the calling thread, the one that frees
+    Each item is drawn after the one `threads` places before it is
+    consumed: with threads > 1, `threads` pool workers produce the items
+    drawn but not yet consumed, so at most `threads` items are alive, and
+    an item is drawn seeing every item `threads` or more places before it
+    consumed.  Items are drawn on the calling thread, the one that frees
     them.  No item or result stays bound while the next is drawn or
     awaited: it would keep its arrays alive beside the next one's.
     """
@@ -298,19 +341,12 @@ def _in_order(produce, consume, items, threads):
     with ThreadPoolExecutor(max_workers=threads) as pool:
         ahead = deque(pool.submit(produce, *item) for item in islice(items, threads))
         while ahead:
-            result = ahead.popleft().result()
+            consume(ahead.popleft().result())
             ahead.extend(pool.submit(produce, *item) for item in islice(items, 1))
-            consume(result)
-            del result
 
 
-def _forward(transform, depth, valid, rows: slice, out, tmp, failed):
-    """Forward warp of reference rows `rows` (float64 depth band, validity band) into `out`.
-
-    The pixel grid is broadcast per band.
-    """
-    xs = np.arange(depth.shape[1], dtype=np.float64)
-    ys = np.arange(rows.start, rows.stop, dtype=np.float64)[:, None]
+def _forward(transform, xs, ys, depth, valid, out, tmp, failed):
+    """Forward warp of reference pixels at (xs, ys) with float64 depths `depth` and validity `valid` into `out`."""
     _apply_warp(transform, xs, ys, depth, valid, out, tmp, failed)
 
 
@@ -402,17 +438,17 @@ def _sample(src_map: DepthMap, corners, xs, ys, coords_valid, out, tmp, failed):
     np.copyto(res, 0.0, where=failed)
 
 
-def _pair_errors(depth, valid, rows: slice, x_back, y_back, d_back, failed, out):
-    """PDE (px) and RDD of reference rows `rows` reprojected to (x_back, y_back, d_back).
+def _pair_errors(xs, ys, depth, valid, x_back, y_back, d_back, failed, out):
+    """PDE (px) and RDD of reference pixels at (xs, ys) reprojected to (x_back, y_back, d_back).
 
-    depth is the rows' reference depths as float64 and valid their
-    validity.  Written into out = (pde, rdd) and returned; inf where
-    `failed` (the reprojection is not ok).  out may be (x_back, y_back)
-    themselves: each is read before it is written (fusion reuses them so).
+    depth is the pixels' reference depths as float64 and valid their
+    validity; xs and ys are their coordinates, per pixel or a broadcast
+    row band's grid vectors (_bands).  Written into out = (pde, rdd) and
+    returned; inf where `failed` (the reprojection is not ok).  out may be
+    (x_back, y_back) themselves: each is read before it is written (fusion
+    reuses them so).
     """
     pde, rdd = out
-    xs = np.arange(depth.shape[1], dtype=np.float64)
-    ys = np.arange(rows.start, rows.stop, dtype=np.float64)[:, None]
     np.square(np.subtract(x_back, xs, out=pde), out=pde)
     pde += np.square(np.subtract(y_back, ys, out=rdd), out=rdd)
     np.sqrt(pde, out=pde)
@@ -423,49 +459,54 @@ def _pair_errors(depth, valid, rows: slice, x_back, y_back, d_back, failed, out)
     return pde, rdd
 
 
-def _chain(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, back_out):
+def _chain(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, back_out, pixels=None):
     """Forward-backward reprojection of one pair, walked band by band.
 
     Per pair both warp transforms and the source's corner-validity map are
-    built once.  Per band it yields (rows, depth, (x, y, landed), back,
-    failed): the band's reference depths as float64 (widened once per
-    band), the forward landing in the source view, the back warp back =
-    (x, y, depth, ok) in the reference view and failed = ~ok.  back_out
-    holds four full-frame arrays or None each; the back warp is written
-    into the given arrays' row slices and into band scratch elsewhere.
-    Every yielded array that is not a given output is band scratch (or a
-    view of the reference map), overwritten by the next band and dead once
-    the pair is walked.
+    built once.  The bands are _depth_bands(d_ref, ..., pixels): whole
+    rows, or chunks of the reference pixels `pixels` (ascending flat
+    indices).  Per band it yields (sel, band, (x, y, landed), back,
+    failed): band = (xs, ys, depth, valid) are the reference pixels'
+    coordinates, depths as float64 (widened or gathered once per band) and
+    validity, then the forward landing in the source view, the back warp
+    back = (x, y, depth, ok) in the reference view and failed = ~ok.
+    back_out holds four output arrays or None each, full frames (or one
+    entry per pixel of `pixels`); the back warp is written into the given
+    arrays' slices `sel` and into band scratch elsewhere.  Every yielded
+    array that is not a given output is band scratch (or a view of the
+    reference map), overwritten by the next band and dead once the pair is
+    walked.
     """
     forward, back = warp_transform(ref, src), warp_transform(src, ref)
     corners = _corners(d_src)
-    for rows, depth, f, b in _depth_bands(d_ref, 10, 4):
+    for sel, band, f, b in _depth_bands(d_ref, 10, 4, pixels):
         x, y, s = f[:3]  # s: the forward depth, then the sample
         landed, sampled, failed = b[:3]
-        _forward(forward, depth, d_ref.valid[rows], rows, (x, y, s, landed), f[3], failed)
+        _forward(forward, *band, (x, y, s, landed), f[3], failed)
         _sample(d_src, corners, x, y, landed, (s, sampled), f[3:10], failed)
         # f[4:7] and b[3] are free once the sample is done.
-        out = tuple(spare if a is None else a[rows] for a, spare in zip(back_out, (*f[4:7], b[3])))
+        out = tuple(spare if a is None else a[sel] for a, spare in zip(back_out, (*f[4:7], b[3])))
         _apply_warp(back, x, y, s, sampled, out, f[3], failed)
-        yield rows, depth, (x, y, landed), out, failed
+        yield sel, band, (x, y, landed), out, failed
 
 
-def _checks(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, dres=None):
+def _checks(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, dres=None, pixels=None):
     """The pair check of one pair, walked band by band: _chain, then _pair_errors per band.
 
-    Per band it yields (rows, (x, y, landed), pde, rdd, failed, spare):
-    the forward landing in the source view, PDE and RDD (inf where
-    failed), failed = ~ok of the back warp, and spare, a bool band buffer
-    (the back warp's ok) free for the caller.  PDE and RDD are written
-    over the back warp's x and y, band scratch dead once read, so no band
-    array is added; they read the reference depths _chain widened for the
-    forward warp.  The back warp's depth goes into dres[rows] when dres
-    (full frame) is given.  Every yielded array is band scratch,
+    Per band it yields (sel, (x, y, landed), pde, rdd, failed, spare):
+    the band's slice (rows, or entries of `pixels`), the forward landing
+    in the source view, PDE and RDD (inf where failed), failed = ~ok of
+    the back warp, and spare, a bool band buffer (the back warp's ok) free
+    for the caller.  PDE and RDD are written over the back warp's x and y,
+    band scratch dead once read, so no band array is added; they read the
+    reference depths _chain widened for the forward warp.  The back warp's
+    depth goes into dres[sel] when dres (a full frame, or one entry per
+    pixel of `pixels`) is given.  Every yielded array is band scratch,
     overwritten by the next band.
     """
-    for rows, depth, landing, back, failed in _chain(d_ref, ref, d_src, src, (None, None, dres, None)):
-        pde, rdd = _pair_errors(depth, d_ref.valid[rows], rows, *back[:3], failed, back[:2])
-        yield rows, landing, pde, rdd, failed, back[3]
+    for sel, band, landing, back, failed in _chain(d_ref, ref, d_src, src, (None, None, dres, None), pixels):
+        pde, rdd = _pair_errors(*band, *back[:3], failed, back[:2])
+        yield sel, landing, pde, rdd, failed, back[3]
 
 
 def forward_project(d_ref: DepthMap, ref: Camera, src: Camera) -> tuple[CoordinateGrid, DepthMap]:
@@ -478,8 +519,8 @@ def forward_project(d_ref: DepthMap, ref: Camera, src: Camera) -> tuple[Coordina
     """
     transform = warp_transform(ref, src)
     outs = x2, y2, d2, ok = tuple(np.empty(d_ref.shape, dtype=dtype) for dtype in _WARP)
-    for rows, depth, f, b in _depth_bands(d_ref, 1, 1):
-        _forward(transform, depth, d_ref.valid[rows], rows, tuple(a[rows] for a in outs), f[0], b[0])
+    for rows, band, f, b in _depth_bands(d_ref, 1, 1):
+        _forward(transform, *band, tuple(a[rows] for a in outs), f[0], b[0])
     return _wrap(CoordinateGrid, x=x2, y=y2, valid=ok), _wrap(DepthMap, values=d2, valid=ok)
 
 
@@ -495,7 +536,7 @@ def remap(src_map: DepthMap, coords: CoordinateGrid) -> DepthMap:
     """
     corners = _corners(src_map)
     values, ok = np.empty(coords.shape), np.empty(coords.shape, dtype=bool)
-    for rows, f, b in _bands(coords.shape, 7, 1):
+    for rows, _, f, b in _bands(coords.shape, 7, 1):
         _sample(src_map, corners, coords.x[rows], coords.y[rows], coords.valid[rows],
                 (values[rows], ok[rows]), f, b[0])
     return _wrap(DepthMap, values=values, valid=ok)

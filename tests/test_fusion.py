@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvsgeo import reproject, synth
 from mvsgeo.fusion import (
@@ -168,13 +170,14 @@ def test_threads_bit_identical():
 
 @pytest.mark.parametrize("band", [1, 36, 37, 38, 23 * 37 + 5, 10**6])
 def test_pair_stacks_match_full_frame_reprojection(monkeypatch, band):
-    # The banded pair check equals fbr and the penalty's sqrt/RDD formula
-    # bit for bit: each pass bit is that PDE and RDD compared with its
-    # table row.  The landing index is forward_project's rounded landing
-    # pixel, row-major in the source image, -1 off it.  One set of band
-    # buffers serves every band of a pair: bands of one pixel, of one row
-    # (W-1, W and W+1 pixels) and past the whole frame.  The two sources
-    # repeated five times keep ten table rows in two bit planes.
+    # The pair check at packed pixels equals fbr and the penalty's
+    # sqrt/RDD formula at those pixels, bit for bit: each pass bit is that
+    # PDE and RDD compared with its table row.  The landing index is
+    # forward_project's rounded landing pixel, row-major in the source
+    # image, -1 off it.  The pixels are a scattered ascending subset, some
+    # of them invalid; one set of band buffers serves every chunk of a
+    # pair: chunks of one row (W and W+1 pixels) and past all pixels.  The
+    # two sources repeated five times keep ten table rows in two bit planes.
     from mvsgeo.camera import pixel_grid
     from mvsgeo.fusion import _new_stacks, _pair_stacks
     from mvsgeo.reproject import fbr, forward_project
@@ -184,6 +187,8 @@ def test_pair_stacks_match_full_frame_reprojection(monkeypatch, band):
     hole = np.ones(d_ref.shape, dtype=bool)
     hole[5:9, 10:20] = False
     d_ref = DepthMap(d_ref.values, d_ref.valid & hole)
+    pixels = np.flatnonzero(np.random.default_rng(3).random(23 * 37) < 0.6)
+    assert not d_ref.valid.reshape(-1)[pixels].all()
     xs, ys = pixel_grid(23, 37)
     want = []
     for d_src, src in sources:
@@ -193,7 +198,10 @@ def test_pair_stacks_match_full_frame_reprojection(monkeypatch, band):
         pde = np.where(ok, np.sqrt((p_back.x - xs) ** 2 + (p_back.y - ys) ** 2), np.inf)
         denom = np.where(d_ref.valid, d_ref.values, 1.0)
         rdd = np.where(ok, np.abs(d_back.values - d_ref.values) / denom, np.inf)
-        want.append((coords, d_back, pde, rdd))
+        sx, sy = np.rint(coords.x), np.rint(coords.y)
+        on = coords.valid & (sx >= 0) & (sx <= 36) & (sy >= 0) & (sy <= 22)
+        flat = np.where(on, sy * 37 + sx, -1)
+        want.append(tuple(a.reshape(-1)[pixels] for a in (flat, d_back.values, pde, rdd)))
     # Rows at the errors' quartiles, at an error itself (strict <), at inf
     # and out of order; the eleventh row is past the source count.
     finite = np.isfinite(want[0][2])
@@ -204,47 +212,55 @@ def test_pair_stacks_match_full_frame_reprojection(monkeypatch, band):
                       (q_pde[0], q_rdd[2]), (q_pde[2], q_rdd[2]), (1.0, 0.01), (0.0, np.inf)])
     sources, want = sources * 5, want * 5
     monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
-    bits, dres, flat = _pair_stacks(d_ref, ref, sources, table, _new_stacks(len(sources), len(table), d_ref.shape))
-    assert bits.shape == (10, 2, 23, 37) and bits.dtype == np.uint8
-    assert flat.dtype == np.int32
-    for i, (coords, d_back, pde, rdd) in enumerate(want):
+    n = pixels.size
+    bits, dres, flat = _pair_stacks(d_ref, ref, sources, table, pixels, _new_stacks(len(sources), len(table), n))
+    assert bits.shape == (10, 2, n) and bits.dtype == np.uint8
+    assert dres.shape == flat.shape == (10, n) and flat.dtype == np.int32
+    for i, (want_flat, d_back, pde, rdd) in enumerate(want):
         for r in range(10):
             want_bit = (pde < table[r, 0]) & (rdd < table[r, 1])
             assert np.array_equal((bits[i, r // 8] >> (r % 8)) & 1, want_bit), r
         assert not (bits[i, 1] >> 2).any()
-        assert dres[i].tobytes() == d_back.values.tobytes()
-        sx, sy = np.rint(coords.x), np.rint(coords.y)
-        on = coords.valid & (sx >= 0) & (sx <= 36) & (sy >= 0) & (sy <= 22)
-        assert np.array_equal(flat[i], np.where(on, sy * 37 + sx, -1))
-        assert on.any() and not on.all()
+        assert dres[i].tobytes() == d_back.tobytes()
+        assert np.array_equal(flat[i], want_flat)
+        assert (want_flat >= 0).any() and not (want_flat >= 0).all()
     # Every row splits the pixels but the impossible ones.
-    assert all(0 < ((bits[:2, r // 8] >> (r % 8)) & 1).sum() < 2 * 23 * 37 for r in range(10) if r != 6)
+    assert all(0 < ((bits[:2, r // 8] >> (r % 8)) & 1).sum() < 2 * n for r in range(10) if r != 6)
 
 
 def test_single_thread_holds_one_reference_views_stacks(monkeypatch):
-    # Reference r's pair stacks are built just before its consume pass and
-    # dropped after it, so a single thread never holds two references'
-    # stacks.  Row bands of 8 rows keep the band temporaries small next to
-    # the stacks; the band size changes no bit.  Above one reference's
-    # stacks, the consume pass's and the back-projection's frame-sized
-    # temporaries and the cloud emitted so far take about 15 float64
-    # frames (121 B/px measured); a second reference's stacks (91 B/px)
-    # do not fit beside them.
+    # Reference r's pair stacks hold only its eligible pixels, are drawn
+    # just after reference r - 1's consume pass and dropped after r's, so
+    # a single thread never holds two references' stacks.  Only the left
+    # half of each view is confident: reference 0's stacks hold n0, half
+    # the frame (13 B per pixel and source).  Above them: the consumed
+    # marks of all views and the draw's masks, under 16 B per frame pixel,
+    # and under 96 B per eligible pixel of reference 0 for its packed
+    # indices, the consume pass's temporaries, the back-projection and the
+    # cloud emitted so far (66 B measured).  Full-frame stacks do not fit,
+    # nor do reference 1's stacks drawn before reference 0 has consumed
+    # its pixels (about n0 of them then).  Row bands of 8 rows keep the
+    # band temporaries small next to the stacks; the band size changes no
+    # bit.
     import tracemalloc
 
     w, h, n = 80, 64, 8
-    spec, views = scene_views("two-planes", w=w, h=h, n=n, conf=1.0)
+    conf = np.zeros((h, w))
+    conf[:, : w // 2] = 1.0
+    spec, views = scene_views("two-planes", w=w, h=h, n=n, conf=[conf] * n)
     params = FusionParams(prob_threshold=0.5, consistency_threshold=2)
     monkeypatch.setattr(reproject, "_BAND_PIXELS", 8 * w)
     fuse(views, params)  # first-call allocations out of the measurement
-    stacks = (n - 1) * h * w * (1 + 8 + 4)  # one pass-bit plane, dres float64 + int32 landing index
+    n0 = int((views[0][0].valid & (conf > 0.5)).sum())
+    assert n0 <= h * w // 2
+    stacks = (n - 1) * n0 * (1 + 8 + 4)  # one pass-bit plane, dres float64 + int32 landing index
     tracemalloc.start()
     try:
         fuse(views, params, threads=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < stacks + h * w * 8 * 20, (peak, stacks)
+    assert peak < stacks + 16 * h * w + 96 * n0, (peak, stacks)
 
 
 def test_median_consume_pass_holds_one_depth_stack(rng):
@@ -258,17 +274,18 @@ def test_median_consume_pass_holds_one_depth_stack(rng):
 
     n_src, h, w = 7, 64, 80
     ref_depth = rng.uniform(400, 900, (h, w))
-    dres = ref_depth[None] * rng.uniform(0.99, 1.01, (n_src, h, w))
-    bits = rng.integers(0, 256, (n_src, 1, h, w), dtype=np.uint8)
-    flat = rng.integers(-1, h * w, (n_src, h, w), dtype=np.int32)
+    pixels = np.arange(h * w)
+    dres = ref_depth.reshape(1, -1) * rng.uniform(0.99, 1.01, (n_src, h * w))
+    bits = rng.integers(0, 256, (n_src, 1, h * w), dtype=np.uint8)
+    flat = rng.integers(-1, h * w, (n_src, h * w), dtype=np.int32)
     stack = (n_src + 1) * h * w * 8
     peaks = []
     for avg in (0, 1):
         consumed = np.zeros((n_src + 1, h, w), dtype=np.uint8)
         tracemalloc.start()
         try:
-            _, mask = _consume_pass(ref_depth, np.ones((h, w), dtype=bool), np.ones((h, w)), bits, dres, flat,
-                                    consumed, 0, np.arange(1, n_src + 1), 0.5, 2, 1, avg)
+            _, mask = _consume_pass(ref_depth, np.ones((h, w), dtype=bool), np.ones((h, w)), pixels, bits, dres,
+                                    flat, consumed, 0, np.arange(1, n_src + 1), 0.5, 2, 1, avg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -280,10 +297,12 @@ def test_median_consume_pass_holds_one_depth_stack(rng):
 
 def test_pair_band_views_die_with_their_pair(monkeypatch):
     # Above the stacks, filling one reference's stacks holds one pair's
-    # band scratch (10 float64 and 4 bool band buffers), the corner map
-    # (and its one intermediate while it is built) and a few band-sized
-    # temporaries.  A band view kept past its pair keeps that pair's
-    # buffers alive while the next pair allocates its own, and does not fit.
+    # band scratch (the chain's 10 float64 and 4 bool band buffers, and a
+    # chunk's x, y, depths and validity: 3 float64 and 1 bool more), the
+    # corner map (and its one intermediate while it is built) and a few
+    # band-sized temporaries.  A band view kept past its pair keeps that
+    # pair's buffers alive while the next pair allocates its own, and does
+    # not fit.
     import tracemalloc
 
     from mvsgeo.fusion import _new_stacks, _pair_stacks
@@ -291,18 +310,21 @@ def test_pair_band_views_die_with_their_pair(monkeypatch):
     w, h, n, rows = 80, 48, 5, 16
     spec, views = scene_views("two-planes", w=w, h=h, n=n, conf=1.0)
     (d_ref, _, ref), sources = views[0], [(v[0], v[2]) for v in views[1:]]
+    assert d_ref.values.dtype == np.float64  # no widening buffer
     band = rows * w
     monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
     table = np.array(DEFAULT_DYNAMIC_TABLE)
-    stacks = _new_stacks(len(sources), len(table), d_ref.shape)
-    _pair_stacks(d_ref, ref, sources, table, stacks)  # first-call allocations out of the measurement
+    pixels = np.flatnonzero(d_ref.valid)
+    assert pixels.size > 2 * band  # several chunks
+    stacks = _new_stacks(len(sources), len(table), pixels.size)
+    _pair_stacks(d_ref, ref, sources, table, pixels, stacks)  # first-call allocations out of the measurement
     tracemalloc.start()
     try:
-        _pair_stacks(d_ref, ref, sources, table, stacks)
+        _pair_stacks(d_ref, ref, sources, table, pixels, stacks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    scratch = band * (10 * 8 + 4)
+    scratch = band * (13 * 8 + 5)
     corner_map = 2 * h * w
     assert peak < scratch + corner_map + 4 * band * 8, (peak, scratch + corner_map)
 
@@ -329,7 +351,9 @@ def test_far_off_landing_pixel_raises_no_warning():
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_pool_builds_at_most_threads_references_ahead(monkeypatch, threads):
     # Reference views whose stacks are built (or being built) but not yet
-    # consumed: at most the one being consumed plus `threads` ahead of it.
+    # consumed: at most the one being consumed plus `threads - 1` ahead of
+    # it, since each is drawn after the one `threads` places before it is
+    # consumed.
     import threading
 
     import mvsgeo.fusion
@@ -355,7 +379,7 @@ def test_pool_builds_at_most_threads_references_ahead(monkeypatch, threads):
     spec, views = scene_views("plane", w=40, h=32, n=6, conf=1.0)
     fuse(views, FusionParams(consistency_threshold=2), threads=threads)
     assert state["open"] == 0
-    assert 1 <= state["max"] <= threads + 1
+    assert 1 <= state["max"] <= threads
     assert len(views) > threads + 1  # a window that could be overrun
 
 
@@ -396,15 +420,18 @@ def test_fused_cloud_is_band_invariant(monkeypatch, kind, w, h, n, seed):
 
 
 def test_one_forward_warp_per_pair(monkeypatch):
-    # Each pair builds its forward and back transform once (inside
-    # reproject's pair check) and warps forward once per band (one band
-    # here), reusing that warp for the back half instead of going through
-    # forward_project or fbr.
+    # Each pair of a reference with pixels left to fuse builds its forward
+    # and back transform once (inside reproject's pair check) and warps
+    # forward once per chunk of those pixels, reusing that warp for the
+    # back half instead of going through forward_project or fbr.  A
+    # reference with no pixel left to fuse (view 3, whose confidence is 0)
+    # checks no pair.
     import mvsgeo.fusion
     import mvsgeo.reproject
 
-    transforms, forwards = [], []
+    transforms, forwards, eligible = [], [], []
     original_transform, original_forward = mvsgeo.reproject.warp_transform, mvsgeo.reproject._forward
+    original_stacks = mvsgeo.fusion._new_stacks
 
     def counting_transform(ref, src):
         transforms.append((id(ref), id(src)))
@@ -414,21 +441,30 @@ def test_one_forward_warp_per_pair(monkeypatch):
         forwards.append(1)
         return original_forward(*args, **kwargs)
 
+    def recording_stacks(n_src, n_table, n):
+        eligible.append(n)  # drawn in reference order
+        return original_stacks(n_src, n_table, n)
+
     def refused(*args, **kwargs):
         raise AssertionError("fusion must not call the full-frame reprojection")
 
     monkeypatch.setattr(mvsgeo.reproject, "warp_transform", counting_transform)
     monkeypatch.setattr(mvsgeo.reproject, "_forward", counting_forward)
+    monkeypatch.setattr(mvsgeo.fusion, "_new_stacks", recording_stacks)
     for name in ("forward_project", "fbr"):
         monkeypatch.setattr(mvsgeo.reproject, name, refused)
+    chunk = 100
+    monkeypatch.setattr(mvsgeo.reproject, "_BAND_PIXELS", chunk)
     spec, views = scene_views("plane", w=40, h=32, n=4, conf=1.0)
+    views[3] = (views[3][0], np.zeros((32, 40)), views[3][2])
     pairs = [[1, 2], [0], [0, 1, 3], [2]]
     fuse(views, FusionParams(consistency_threshold=1), pairs=pairs)
+    assert eligible[0] > 2 * chunk and eligible[3] == 0
     cams = [id(view[2]) for view in views]
-    expected = [(cams[r], cams[s]) for r, srcs in enumerate(pairs) for s in srcs]
+    expected = [(cams[r], cams[s]) for r, srcs in enumerate(pairs) for s in srcs if eligible[r]]
     expected += [(b, a) for a, b in expected]
     assert sorted(transforms) == sorted(expected)
-    assert len(forwards) == sum(len(srcs) for srcs in pairs)
+    assert len(forwards) == sum(len(srcs) * -(-eligible[r] // chunk) for r, srcs in enumerate(pairs))
 
 
 def test_colors_sampled_from_images(rng):
@@ -462,3 +498,102 @@ def test_input_validation():
         fuse([(views[0][0], np.ones((3, 3)), views[0][2])] + list(views[1:]), FusionParams())
     with pytest.raises(ValueError, match="own source"):
         fuse(views, FusionParams(), pairs=[[0, 1], [0], [1]])
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([[-2, -1], [0, 2], [0, 1]], "view 0 lists source -2"),
+    ([[1, 2], [0, 3], [0, 1]], "view 1 lists source 3"),
+    ([[1, 2], [0, 2], [1, 1]], "view 2 lists a source view twice"),
+], ids=["negative", "out-of-range", "duplicate"])
+def test_pairs_reject_bad_source_indices(pairs, message):
+    # A negative index would alias a view from the end, a duplicate would
+    # count one view twice and an index past the last view would raise a
+    # bare IndexError; each is a ValueError naming the reference.
+    spec, views = scene_views("plane", w=20, h=16, n=3, conf=1.0)
+    with pytest.raises(ValueError, match=message):
+        fuse(views, FusionParams(consistency_threshold=1), pairs=pairs)
+
+
+def holey_views(seed, w=24, h=16, n=4):
+    """A two-planes scene with invalid pixels and low-confidence pixels in every view, and colors."""
+    rng = np.random.default_rng(seed)
+    spec = synth.make_scene("two-planes", w, h, n, seed=1)
+    views = []
+    for v in range(n):
+        d, _ = synth.render_depth(spec, v)
+        depth = DepthMap(d.values, d.valid & (rng.random(d.shape) > 0.15))
+        conf = rng.uniform(0.0, 1.0, d.shape)
+        views.append((depth, conf, spec.cameras[v], rng.integers(0, 256, (h, w, 3), dtype=np.uint8)))
+    return views
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_each_pair_walks_the_pixels_eligible_when_its_reference_is_drawn(monkeypatch, threads):
+    # Reference r is drawn after the consume pass of reference r - threads:
+    # every pair of r walks exactly the pixels that are then valid,
+    # confident and not consumed, and a reference with none walks no pair.
+    # At one thread, r >= 1 walks no pixel consumed before its turn.
+    import mvsgeo.fusion
+
+    views = holey_views(7, w=32, h=24, n=6)
+    index = {id(view[0].valid): r for r, view in enumerate(views)}
+    drawn, walked, after = {}, [], []
+    eligible_pixels, chain, consume = mvsgeo.fusion._eligible_pixels, reproject._chain, mvsgeo.fusion._consume_pass
+
+    def recording_draw(consumed, valid, conf, prob_threshold):
+        pixels = eligible_pixels(consumed, valid, conf, prob_threshold)
+        drawn[index[id(valid)]] = pixels
+        return pixels
+
+    def recording_chain(d_ref, ref, d_src, src, back_out, pixels=None):
+        walked.append((index[id(d_ref.valid)], pixels.copy()))
+        return chain(d_ref, ref, d_src, src, back_out, pixels)
+
+    def recording_consume(*args):
+        result = consume(*args)
+        after.append(args[7].copy())  # the consumed marks after each pass, in reference order
+        return result
+
+    monkeypatch.setattr(mvsgeo.fusion, "_eligible_pixels", recording_draw)
+    monkeypatch.setattr(reproject, "_chain", recording_chain)
+    monkeypatch.setattr(mvsgeo.fusion, "_consume_pass", recording_consume)
+    prob = 0.3
+    fuse(views, FusionParams(prob_threshold=prob, consistency_threshold=2), threads=threads)
+    n_src = len(views) - 1
+    skipped = 0
+    for r, (depth, conf, *_) in enumerate(views):
+        before = after[r - threads][r] if r >= threads else np.zeros(depth.shape, dtype=np.uint8)
+        want = np.flatnonzero((before == 0) & depth.valid & (conf > prob))
+        assert np.array_equal(drawn[r], want), r
+        walks = [pixels for ref, pixels in walked if ref == r]
+        assert len(walks) == (n_src if want.size else 0), r
+        assert all(np.array_equal(pixels, want) for pixels in walks), r
+        if threads == 1 and r >= 1:
+            consumed_before = after[r - 1][r].reshape(-1) != 0
+            assert not consumed_before[want].any(), r
+            skipped += int((consumed_before & depth.valid.reshape(-1) & (conf.reshape(-1) > prob)).sum())
+    if threads == 1:
+        assert skipped > 0  # pixels that were valid and confident were skipped as consumed
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 3), mode=st.sampled_from(["fusibile", "dynamic"]),
+       average=st.sampled_from(["mean", "median"]), threads=st.sampled_from([1, 2, 3]),
+       band=st.sampled_from([1, 23, 25, reproject._BAND_PIXELS]))
+def test_skipping_ineligible_pixels_changes_no_byte(seed, mode, average, threads, band):
+    # Checking every pixel of every reference (the draw forced to skip
+    # nothing) and checking only the eligible ones give the same cloud,
+    # byte for byte, in both modes and averages, at any thread count and
+    # chunk size (1, W - 1 and W + 1 pixels and the default; W = 24).
+    import mvsgeo.fusion
+
+    views = holey_views(seed)
+    params = FusionParams(mode=mode, average=average, prob_threshold=0.3, consistency_threshold=2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reproject, "_BAND_PIXELS", band)
+        skipping = fuse(views, params, threads=threads)
+        patch.setattr(mvsgeo.fusion, "_eligible_pixels", lambda consumed, valid, conf, p: np.arange(valid.size))
+        checking = fuse(views, params, threads=threads)
+    assert len(skipping) > 0
+    for name in ("points", "colors", "confidence"):
+        assert getattr(skipping, name).tobytes() == getattr(checking, name).tobytes(), name

@@ -92,9 +92,9 @@ def test_consumes_every_item_in_order_on_the_calling_thread(threads):
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_no_item_outlives_the_window(threads):
-    # When an item is drawn, no earlier item is alive with one thread;
-    # with a pool, at most `threads` are: the one about to be consumed and
-    # those in flight.
+    # An item is drawn after the one `threads` places before it is
+    # consumed: no earlier item is alive with one thread, and with a pool
+    # at most `threads - 1` are, those in flight.
     alive = []
     refs = []
 
@@ -107,8 +107,44 @@ def test_no_item_outlives_the_window(threads):
             del item
 
     _in_order(lambda item: item, lambda item: None, items(), threads)
-    assert max(alive) == (0 if threads == 1 else threads)
+    assert max(alive) == threads - 1
     assert all(ref() is None for ref in refs)
+
+
+def test_window_holds_when_threads_switch_often():
+    # More workers than cores, a thread switch about every microsecond and
+    # producers that finish in a scrambled order: every item is still
+    # consumed once, in order, and no item drawn sees more than
+    # `threads - 1` earlier items alive.
+    import random
+    import sys
+    import time
+
+    threads, n = 4, 200
+    alive, refs, consumed = [], [], []
+
+    def items():
+        for i in range(n):
+            alive.append(sum(ref() is not None for ref in refs))
+            item = Item(i)
+            refs.append(weakref.ref(item))
+            yield (item,)
+            del item
+
+    def produce(item):
+        time.sleep(random.Random(item.index).random() * 1e-4)
+        return item
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        _in_order(produce, lambda item: consumed.append(item.index), items(), threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.perf_counter() - start < 30
+    assert consumed == list(range(n))
+    assert max(alive) == threads - 1
 
 
 def test_a_producer_error_reaches_the_caller():

@@ -38,6 +38,13 @@ def pass_bits(disp, rdd, table):
     return bits
 
 
+def all_pixels(bits, dres, flat):
+    """Every pixel of (..., H, W) stacks, packed: (pixels, bits, dres, flat) as the consume pass takes them."""
+    h, w = dres.shape[-2:]
+    return (np.arange(h * w), bits.reshape(bits.shape[:-2] + (h * w,)), dres.reshape(-1, h * w),
+            flat.reshape(-1, h * w))
+
+
 def _assert_remap_matches_oracle(values, valid, xs, ys, cv):
     got = remap(DepthMap(values, valid), CoordinateGrid(xs, ys, cv))
     values = np.where(valid, values, 0.0)
@@ -128,13 +135,15 @@ def _assert_consume_pass_matches_oracle(inputs, table, min_consistent, mode, avg
                                  consumed1, 0, src_idx, 0.4, min_consistent, mode, table, avg)
     # The production pass has no mode: fusibile is its one-row table.  It
     # reads the pass bits of the same disp and rdd, not the errors, and
-    # takes the landing pixel as one flat index.
+    # takes the landing pixel as one flat index.  It is given every pixel
+    # (invalid, unconfident and consumed ones too) and tests eligibility
+    # itself, as the oracle does.
     table = table[:1] if mode == 0 else table
-    f2, m2 = _consume_pass(ref_depth, ref_valid, conf, pass_bits(disp, rdd, table), dres,
-                           flat_index(sx, sy, w), consumed2, 0, src_idx, 0.4, min_consistent,
-                           len(table), avg)
-    assert np.array_equal(m1, m2)
-    assert np.array_equal(f1, f2)
+    f2, m2 = _consume_pass(ref_depth, ref_valid, conf, *all_pixels(pass_bits(disp, rdd, table), dres,
+                                                                   flat_index(sx, sy, w)),
+                           consumed2, 0, src_idx, 0.4, min_consistent, len(table), avg)
+    assert np.array_equal(m1, m2.reshape(h, w))
+    assert np.array_equal(f1, f2.reshape(h, w))
     assert np.array_equal(consumed1, consumed2)
     return m1, consumed1
 
@@ -188,7 +197,7 @@ def test_pass_bits_equal_their_float_comparisons(table, errors):
     # PDE/RDD (inf where the check is impossible): each stored bit is its
     # row's strict float64 comparison, and _row_bits reads it back.
     table = np.array(table, dtype=np.float64)
-    pde, rdd = np.array(errors, dtype=np.float64).T.reshape(2, 1, -1)
+    pde, rdd = np.array(errors, dtype=np.float64).T
     bits = np.full((-(-len(table) // 8),) + pde.shape, 0xFF, dtype=np.uint8)
     hit, tmp = np.empty(pde.shape, dtype=bool), np.empty(pde.shape, dtype=bool)
     _set_pass_bits(pde, rdd, table, bits, hit, tmp)
@@ -216,9 +225,10 @@ def test_consume_pass_respects_consumed_and_confidence():
     consumed = np.zeros((3, h, w), dtype=np.uint8)
     consumed[0, 1, 1] = 1  # pre-consumed reference pixel
     table = np.array([[1.0, 0.01]])
-    fused, mask = _consume_pass(ref_depth, ref_valid, conf, pass_bits(disp, rdd, table), dres,
-                                flat_index(sx, sy, w), consumed, 0, np.array([1, 2], dtype=np.int64),
-                                0.5, 1, len(table), 0)
+    fused, mask = _consume_pass(ref_depth, ref_valid, conf,
+                                *all_pixels(pass_bits(disp, rdd, table), dres, flat_index(sx, sy, w)),
+                                consumed, 0, np.array([1, 2], dtype=np.int64), 0.5, 1, len(table), 0)
+    fused, mask = fused.reshape(h, w), mask.reshape(h, w)
     assert mask[0, 0] == 0      # confidence gate
     assert mask[1, 1] == 0      # consumed pixel skipped
     assert mask[2, 2] == 1

@@ -442,13 +442,14 @@ def test_forward_warp_makes_no_band_sized_copy(dtype):
     transform = warp_transform(random_camera(rng), random_camera(rng))
     out = tuple(np.empty((h, w), dtype=dtype) for dtype in reproject._WARP)
     tmp, failed, wide = np.empty((h, w)), np.empty((h, w), dtype=bool), np.empty((h, w))
+    xs, ys = np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64)[:, None]  # the band's grid
 
     def forward():
         depth = d_ref.values
         if dtype == np.float32:  # as _depth_bands widens a band
             np.copyto(wide, depth)
             depth = wide
-        reproject._forward(transform, depth, d_ref.valid, slice(0, h), out, tmp, failed)
+        reproject._forward(transform, xs, ys, depth, d_ref.valid, out, tmp, failed)
 
     forward()  # first-call allocations
     tracemalloc.start()
