@@ -134,8 +134,8 @@ def _load_scene(scene_dir: str, views=None):
 def _load_confidence(scene_dir: str, view: int, depth) -> np.ndarray:
     """A view's confidence map at its file's float32; without a file, its depth validity.
 
-    fuse widens one reference's map at its consume pass, so a run holds
-    4 B/px of confidence per view, not 8.
+    fuse compares it in float64 and widens only the fused points'
+    confidences, so a run holds 4 B/px of confidence per view, not 8.
     """
     conf_path = _scene_paths(Path(scene_dir), view)[2]
     if conf_path.exists():

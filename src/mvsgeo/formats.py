@@ -395,7 +395,7 @@ def _volume_line(raw: bytes, pos: int):
     end = raw.find(b"\n")
     if end < 0:
         if len(raw) < _VOLUME_LINE_MAX:
-            raise ParseError("truncated PFM header", offset=pos)
+            raise ParseError("truncated probability volume header", offset=pos)
         raise ParseError(f"probability volume header line longer than {_VOLUME_LINE_MAX} bytes", offset=pos)
     return raw[:end].decode("latin-1").strip(), pos + end + 1
 

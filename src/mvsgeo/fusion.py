@@ -28,16 +28,16 @@ the pair check the penalty's votes also walk: the reprojection fbr
 computes, then reproject._pair_errors (the penalty's sqrt formula) on
 band scratch.  Checks pass below (<).
 
-A reference's stacks hold, per source and packed pixel, one pass bit per
-threshold-table row, the reprojected depth (float64) and the landing
-pixel as one int32 flat index (-1 off the source image): 13 bytes for up
-to 8 rows.  Bit r of a pixel is (PDE < table[r, 0]) & (RDD < table[r, 1]),
-evaluated chunk by chunk on the float64 displacement and relative depth
-difference and packed into ceil(rows / 8) uint8 planes, plane r // 8,
-bit r % 8.  Those are the only comparisons the consume pass makes on
-PDE and RDD, on the same values, so storing their outcomes instead of
-the float64 errors changes no decision.  A pixel has at most n_src
-passing sources, so no count above n_src can be met and only the first
+A reference's stacks hold, per source and packed pixel, one pass-bit
+byte, the reprojected depth (float64) and the landing pixel as one int32
+flat index (-1 off the source image): 13 bytes.  Bit r of the byte is
+(PDE < table[r, 0]) & (RDD < table[r, 1]), evaluated chunk by chunk on
+the float64 displacement and relative depth difference; a table has at
+most 8 rows (one for fusibile, DEFAULT_DYNAMIC_TABLE's 8 for dynamic).
+Those are the only comparisons the consume pass makes on PDE and RDD,
+on the same values, so storing their outcomes instead of the float64
+errors changes no decision.  A pixel has at most n_src passing sources,
+so no count above n_src can be met and only the first
 min(len(table), n_src) rows are kept.  The median average builds one
 (n_src + 1, n) float64 stack over the n packed pixels per pass and sorts
 it in place.
@@ -51,6 +51,7 @@ table, DEFAULT_DYNAMIC_TABLE, is a convention, not canon: it grows
 0.25 px and 0.0025 relative depth per required view.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,10 @@ class FusionParams:
             raise ValueError(f"average must be one of {_AVERAGES}")
         if not 0.0 <= self.prob_threshold <= 1.0:
             raise ValueError("prob_threshold must lie in [0, 1]")
+        try:
+            operator.index(self.consistency_threshold)
+        except TypeError:
+            raise ValueError("consistency_threshold must be an integer view count") from None
         if self.consistency_threshold < 1:
             raise ValueError("consistency_threshold must be >= 1")
         if self.disparity_threshold <= 0 or self.depth_threshold <= 0:
@@ -159,14 +164,9 @@ def _eligible_pixels(consumed, valid, conf, prob_threshold):
     return np.flatnonzero(_eligible(consumed, valid, conf, prob_threshold))
 
 
-def _new_stacks(n_src, n_table, n):
-    """Unfilled pass-bit, reprojected-depth and landing-index stacks of one reference view's n pixels.
-
-    The bits are (n_src, ceil(rows / 8), n) uint8 for the first
-    rows = min(n_table, n_src) table rows, the others (n_src, n).
-    """
-    planes = -(-min(n_table, n_src) // 8)
-    return (np.empty((n_src, planes, n), dtype=np.uint8),
+def _new_stacks(n_src, n):
+    """Unfilled (n_src, n) pass-bit (uint8), reprojected-depth and landing-index (int32) stacks of n pixels."""
+    return (np.empty((n_src, n), dtype=np.uint8),
             np.empty((n_src, n)),
             np.empty((n_src, n), dtype=np.int32))
 
@@ -193,7 +193,7 @@ def _fill_pair(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Camer
     hs, ws = d_src.shape
     for sel, (x, y, landed), pde, rdd, failed, spare in _checks(d_ref, ref_cam, d_src, src_cam, dres, pixels):
         # failed and spare serve as the bits' scratch.
-        _set_pass_bits(pde, rdd, table, bits[:, sel], failed, spare)
+        _set_pass_bits(pde, rdd, table, bits[sel], failed, spare)
         # Bounds test in float: a landing pixel far outside the image may
         # lie beyond any integer range, so only on-image indices are cast.
         # x and y are band scratch, rounded and combined in place.
@@ -206,28 +206,27 @@ def _fill_pair(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Camer
 
 
 def _set_pass_bits(pde, rdd, table, bits, hit, tmp):
-    """Set bit r % 8 of bits[r // 8] to (pde < table[r, 0]) & (rdd < table[r, 1]), the others to 0.
+    """Set bit r of bits to (pde < table[r, 0]) & (rdd < table[r, 1]), the others to 0.
 
-    bits: (ceil(len(table) / 8), *pde.shape) uint8; hit and tmp are bool
-    scratch of pde's shape.
+    bits: uint8 of pde's shape, for a table of at most 8 rows; hit and
+    tmp are bool scratch of pde's shape.
     """
     bits[...] = 0
     for r, (t_pde, t_rdd) in enumerate(table):
         np.less(pde, t_pde, out=hit)
         hit &= np.less(rdd, t_rdd, out=tmp)
-        plane = bits[r // 8]
-        np.bitwise_or(plane, np.uint8(1 << r % 8), out=plane, where=hit)
+        np.bitwise_or(bits, np.uint8(1 << r), out=bits, where=hit)
 
 
 def _row_bits(bits, row, out):
-    """Table row `row`'s pass bits from (..., planes, n) bits, as a bool view of the uint8 buffer out."""
-    np.right_shift(bits[..., row // 8, :], row % 8, out=out)
+    """Table row `row`'s pass bits from uint8 bits, as a bool view of the uint8 buffer out."""
+    np.right_shift(bits, row, out=out)
     out &= 1
     return out.view(bool)
 
 
 # One reference view's fuse/consume decision, over the pixels its stacks
-# hold.  bits holds, per source view, the pass bits of the table rows
+# hold.  bits holds, per source view, the pass-bit byte of the table rows
 # (see _set_pass_bits); a check that is impossible (invalid reprojection)
 # passes no row.  A pixel fuses when it is still eligible (_eligible) and
 # some k >= min_consistent has count(table row k) >= k; the largest
@@ -236,26 +235,30 @@ def _row_bits(bits, row, out):
 # threshold pair with a fixed required count.  No count exceeds n_src, so
 # k stops there and row min(k, n_table) - 1 is always a kept row.
 #
-# Fused depth = mean (avg_mode 0) or median (avg_mode 1) over the
-# reference depth plus the passing sources' reprojected depths.  Consumed
-# marking writes into the global (V, H, W) array through src_idx/ref_idx,
-# at the flat landing index `flat` (-1: off the source image).
+# Fused depth = the params.average ("mean" or "median") of the reference
+# depth and the passing sources' reprojected depths.  Consumed marking
+# writes into the global (V, H, W) array one view at a time, through
+# ref_idx and each int source index (an index array would select a copy
+# and the marks would be lost), at the flat landing index `flat` (-1: off
+# the source image).
 
 
-def _consume_pass(ref_depth, ref_valid, conf, pixels, bits, dres, flat,
-                  consumed, ref_idx, src_idx, prob_threshold,
-                  min_consistent, n_table, avg_mode):
+def _consume_pass(d_ref: DepthMap, conf, pixels, stacks, consumed, ref_idx, sources, params, n_table):
     """Fused depth and boolean fused mask of one reference view's pixels `pixels`; updates consumed.
 
     pixels: ascending flat indices of the reference pixels the stacks
-    hold, n of them; ref_depth, ref_valid and conf are frames.  Eligibility
-    is tested again on these pixels, so any pixels may be passed (all of
-    them, say).  The fused depth and mask come back packed likewise, (n,).
+    (from _pair_stacks) hold, n of them; d_ref and conf are frames;
+    sources: the source view indices, ints, in the stacks' order; n_table:
+    the table's length.  Eligibility is tested again on these pixels, so
+    any pixels may be passed (all of them, say).  The fused depth and mask
+    come back packed likewise, (n,).
     """
-    n_src = dres.shape[0]
+    bits, dres, flat = stacks
+    n_src = len(sources)
+    min_consistent = params.consistency_threshold
     ref_consumed = consumed[ref_idx].reshape(-1)
-    eligible = _eligible(ref_consumed[pixels], ref_valid.reshape(-1)[pixels], conf.reshape(-1)[pixels],
-                         prob_threshold)
+    eligible = _eligible(ref_consumed[pixels], d_ref.valid.reshape(-1)[pixels], conf.reshape(-1)[pixels],
+                         params.prob_threshold)
     # Ascending k: the largest qualifying k writes its passing set last.
     passing = np.zeros(dres.shape, dtype=bool)
     row_bits = np.empty(dres.shape, dtype=np.uint8)
@@ -265,8 +268,8 @@ def _consume_pass(ref_depth, ref_valid, conf, pixels, bits, dres, flat,
     fuse = eligible & passing.any(axis=0)
     passing &= fuse
     n = passing.sum(axis=0)
-    depth = ref_depth.reshape(-1)[pixels]
-    if avg_mode == 0:
+    depth = d_ref.values.reshape(-1)[pixels]
+    if params.average == "mean":
         # Source by source into one sum (the bits of an axis-0 sum, without
         # a stack-sized temporary), then the reference depth, the count and
         # the mask in place: the bits of np.where(fuse, (depth + sum) /
@@ -294,9 +297,9 @@ def _consume_pass(ref_depth, ref_valid, conf, pixels, bits, dres, flat,
             fused /= 2.0
     np.copyto(fused, 0.0, where=~fuse)
     ref_consumed[pixels[fuse]] = 1
-    for s in range(n_src):
+    for s, src in enumerate(sources):
         hit = passing[s] & (flat[s] >= 0)
-        consumed[src_idx[s]].reshape(-1)[flat[s][hit]] = 1
+        consumed[src].reshape(-1)[flat[s][hit]] = 1
     return fused, fuse
 
 
@@ -329,8 +332,8 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
     against a Python float would compare in float32), and the fused
     points' confidences are widened as they are gathered, so a map and its
     float64 widening fuse alike.  pairs: per reference view, the list of
-    distinct source view indices (0 <= index < len(views)) checked against
-    it (defaults to all other views).
+    distinct integer source view indices (0 <= index < len(views)) checked
+    against it (defaults to all other views).
     """
     if len(views) < 2:
         raise ValueError("fusion needs at least two views")
@@ -342,9 +345,14 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
     n_views = len(unpacked)
     if pairs is None:
         pairs = [[s for s in range(n_views) if s != r] for r in range(n_views)]
+    pairs = list(pairs)
     if len(pairs) != n_views:
         raise ValueError("pairs must list sources for every view")
     for r, srcs in enumerate(pairs):
+        try:
+            srcs = pairs[r] = [operator.index(s) for s in srcs]
+        except TypeError:
+            raise ValueError(f"view {r} lists a source that is not an integer view index") from None
         if not srcs:
             raise ValueError(f"view {r} has no source views")
         for s in srcs:
@@ -364,8 +372,6 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
     consumed = np.zeros((n_views, h, w), dtype=np.uint8)
     all_points, all_colors, all_conf = [], [], []
     any_image = any(img is not None for *_, img in unpacked)
-    avg_flag = 0 if params.average == "mean" else 1
-    prob_threshold = float(params.prob_threshold)
 
     # Drawn on the calling thread, after the consume pass of the reference
     # `threads` places before (_in_order): the reference's pixels that can
@@ -375,8 +381,8 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
     # processes, against 145-146 MB as items.
     def item(r):
         depth_r, conf_r = unpacked[r][:2]
-        pixels = _eligible_pixels(consumed[r], depth_r.valid, conf_r, prob_threshold)
-        return r, pixels, _new_stacks(len(pairs[r]), len(table), pixels.size)
+        pixels = _eligible_pixels(consumed[r], depth_r.valid, conf_r, params.prob_threshold)
+        return r, pixels, _new_stacks(len(pairs[r]), pixels.size)
 
     def build(r, pixels, stacks):
         depth_r, _, cam_r, _ = unpacked[r]
@@ -387,20 +393,7 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
     def emit(built):
         r, pixels, stacks = built
         depth_r, conf_r, cam_r, image_r = unpacked[r]
-        fused_depth, mask = _consume_pass(
-            depth_r.values,
-            depth_r.valid,
-            conf_r,
-            pixels,
-            *stacks,
-            consumed,
-            r,
-            np.asarray(pairs[r], dtype=np.int64),
-            prob_threshold,
-            int(params.consistency_threshold),
-            len(table),
-            avg_flag,
-        )
+        fused_depth, mask = _consume_pass(depth_r, conf_r, pixels, stacks, consumed, r, pairs[r], params, len(table))
         fused = pixels[mask]
         if not fused.size:
             return

@@ -632,7 +632,7 @@ def test_loss_cli_empty_volume_file_is_a_parse_error(plane_scene, tmp_path, caps
     code, out, err = run_cli(capsys, "loss", *argv)
     assert code == 3
     assert out == ""
-    assert "truncated PFM header (byte offset 0)" in err
+    assert "truncated probability volume header (byte offset 0)" in err
 
 
 def _plane_loss_argv(plane_scene, tmp_path):

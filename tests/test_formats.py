@@ -323,3 +323,12 @@ PROBVOL_MALFORMED = [
 def test_probvol_malformed_rejected_with_location(data):
     with pytest.raises(ParseError, match="offset"):
         read_probability_volume(data)
+
+
+@pytest.mark.parametrize("data, offset", [(b"", 0), (b"PROBVOL\n2 1 1", 8), (b"PROBVOL\n2 1 1\nshared", 14)],
+                         ids=["empty", "dims", "layout"])
+def test_probvol_unterminated_header_is_named_a_volume_header(data, offset):
+    # A header line cut short by the end of the file is a volume header
+    # fault, at the offset where the unterminated line starts.
+    with pytest.raises(ParseError, match=rf"^truncated probability volume header \(byte offset {offset}\)$"):
+        read_probability_volume(data)

@@ -45,6 +45,12 @@ def test_params_validation():
         FusionParams(disparity_threshold=0.0)
     with pytest.raises(ValueError):
         FusionParams(average="mode")
+    # The required view count is an integer: a fractional count would be
+    # cut to its integer part (2.5 fused as 2), a string would not compare.
+    for count in (2.5, 2.0, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="consistency_threshold must be an integer"):
+            FusionParams(consistency_threshold=count)
+    assert FusionParams(consistency_threshold=np.int64(3)).consistency_threshold == 3
 
 
 def test_point_cloud_validation():
@@ -65,6 +71,19 @@ def test_dynamic_thresholds_table():
     assert dynamic_thresholds(99) == dynamic_thresholds(len(DEFAULT_DYNAMIC_TABLE))
     with pytest.raises(ValueError):
         dynamic_thresholds(0)
+
+
+def test_dynamic_table_fits_one_pass_bit_byte():
+    # Each (source, pixel) pair keeps its table rows' pass bits in one
+    # uint8, bit r for row r: a table has at most 8 rows, and a ninth row
+    # has no bit to go to.
+    from mvsgeo.fusion import _set_pass_bits
+
+    assert 1 <= len(DEFAULT_DYNAMIC_TABLE) <= 8
+    errors = np.zeros(4)
+    scratch = np.empty(4, dtype=bool), np.empty(4, dtype=bool)
+    with pytest.raises(OverflowError):
+        _set_pass_bits(errors, errors, np.ones((9, 2)), np.empty(4, dtype=np.uint8), *scratch)
 
 
 def test_exact_plane_scene_fuses_everything():
@@ -177,7 +196,8 @@ def test_pair_stacks_match_full_frame_reprojection(monkeypatch, band):
     # image, -1 off it.  The pixels are a scattered ascending subset, some
     # of them invalid; one set of band buffers serves every chunk of a
     # pair: chunks of one row (W and W+1 pixels) and past all pixels.  The
-    # two sources repeated five times keep ten table rows in two bit planes.
+    # two sources repeated four times keep eight table rows, every bit of
+    # the pass-bit byte.
     from mvsgeo.camera import pixel_grid
     from mvsgeo.fusion import _new_stacks, _pair_stacks
     from mvsgeo.reproject import fbr, forward_project
@@ -203,29 +223,32 @@ def test_pair_stacks_match_full_frame_reprojection(monkeypatch, band):
         flat = np.where(on, sy * 37 + sx, -1)
         want.append(tuple(a.reshape(-1)[pixels] for a in (flat, d_back.values, pde, rdd)))
     # Rows at the errors' quartiles, at an error itself (strict <), at inf
-    # and out of order; the eleventh row is past the source count.
+    # and out of order, split over two tables: the first keeps 8 rows, a
+    # ninth is past the source count; the second keeps 3 rows of a byte.
     finite = np.isfinite(want[0][2])
     q_pde = np.quantile(want[0][2][finite], [0.25, 0.5, 0.75])
     q_rdd = np.quantile(want[0][3][finite], [0.25, 0.5, 0.75])
-    table = np.array([(q_pde[1], q_rdd[1]), (np.inf, np.inf), (q_pde[0], np.inf), (np.inf, q_rdd[2]),
-                      (want[0][2][finite][0], want[0][3][finite][0]), (q_pde[2], q_rdd[0]), (0.0, 0.0),
-                      (q_pde[0], q_rdd[2]), (q_pde[2], q_rdd[2]), (1.0, 0.01), (0.0, np.inf)])
-    sources, want = sources * 5, want * 5
+    rows = np.array([(q_pde[1], q_rdd[1]), (np.inf, np.inf), (q_pde[0], np.inf), (np.inf, q_rdd[2]),
+                     (want[0][2][finite][0], want[0][3][finite][0]), (q_pde[2], q_rdd[0]), (0.0, 0.0),
+                     (q_pde[0], q_rdd[2]), (q_pde[2], q_rdd[2]), (1.0, 0.01), (0.0, np.inf)])
+    sources, want = sources * 4, want * 4
     monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
     n = pixels.size
-    bits, dres, flat = _pair_stacks(d_ref, ref, sources, table, pixels, _new_stacks(len(sources), len(table), n))
-    assert bits.shape == (10, 2, n) and bits.dtype == np.uint8
-    assert dres.shape == flat.shape == (10, n) and flat.dtype == np.int32
-    for i, (want_flat, d_back, pde, rdd) in enumerate(want):
-        for r in range(10):
-            want_bit = (pde < table[r, 0]) & (rdd < table[r, 1])
-            assert np.array_equal((bits[i, r // 8] >> (r % 8)) & 1, want_bit), r
-        assert not (bits[i, 1] >> 2).any()
-        assert dres[i].tobytes() == d_back.tobytes()
-        assert np.array_equal(flat[i], want_flat)
-        assert (want_flat >= 0).any() and not (want_flat >= 0).all()
-    # Every row splits the pixels but the impossible ones.
-    assert all(0 < ((bits[:2, r // 8] >> (r % 8)) & 1).sum() < 2 * n for r in range(10) if r != 6)
+    for table in (rows[:9], rows[8:]):
+        kept = min(len(table), 8)
+        bits, dres, flat = _pair_stacks(d_ref, ref, sources, table, pixels, _new_stacks(len(sources), n))
+        assert bits.shape == dres.shape == flat.shape == (8, n)
+        assert bits.dtype == np.uint8 and flat.dtype == np.int32
+        for i, (want_flat, d_back, pde, rdd) in enumerate(want):
+            for r in range(kept):
+                want_bit = (pde < table[r, 0]) & (rdd < table[r, 1])
+                assert np.array_equal((bits[i] >> r) & 1, want_bit), r
+            assert not (bits[i] >> kept).any()
+            assert dres[i].tobytes() == d_back.tobytes()
+            assert np.array_equal(flat[i], want_flat)
+            assert (want_flat >= 0).any() and not (want_flat >= 0).all()
+        # Every row splits the pixels but the impossible ones.
+        assert all(0 < ((bits[:2] >> r) & 1).sum() < 2 * n for r in range(kept) if table[r, 0] > 0)
 
 
 def test_single_thread_holds_one_reference_views_stacks(monkeypatch):
@@ -253,7 +276,7 @@ def test_single_thread_holds_one_reference_views_stacks(monkeypatch):
     fuse(views, params)  # first-call allocations out of the measurement
     n0 = int((views[0][0].valid & (conf > 0.5)).sum())
     assert n0 <= h * w // 2
-    stacks = (n - 1) * n0 * (1 + 8 + 4)  # one pass-bit plane, dres float64 + int32 landing index
+    stacks = (n - 1) * n0 * (1 + 8 + 4)  # one pass-bit byte, dres float64 + int32 landing index
     tracemalloc.start()
     try:
         fuse(views, params, threads=1)
@@ -273,19 +296,20 @@ def test_median_consume_pass_holds_one_depth_stack(rng):
     from mvsgeo.fusion import _consume_pass
 
     n_src, h, w = 7, 64, 80
-    ref_depth = rng.uniform(400, 900, (h, w))
+    d_ref = DepthMap.from_values(rng.uniform(400, 900, (h, w)))
     pixels = np.arange(h * w)
-    dres = ref_depth.reshape(1, -1) * rng.uniform(0.99, 1.01, (n_src, h * w))
-    bits = rng.integers(0, 256, (n_src, 1, h * w), dtype=np.uint8)
+    dres = d_ref.values.reshape(1, -1) * rng.uniform(0.99, 1.01, (n_src, h * w))
+    bits = rng.integers(0, 256, (n_src, h * w), dtype=np.uint8)
     flat = rng.integers(-1, h * w, (n_src, h * w), dtype=np.int32)
     stack = (n_src + 1) * h * w * 8
     peaks = []
-    for avg in (0, 1):
+    for average in ("mean", "median"):
         consumed = np.zeros((n_src + 1, h, w), dtype=np.uint8)
+        params = FusionParams(consistency_threshold=2, average=average)
         tracemalloc.start()
         try:
-            _, mask = _consume_pass(ref_depth, np.ones((h, w), dtype=bool), np.ones((h, w)), pixels, bits, dres,
-                                    flat, consumed, 0, np.arange(1, n_src + 1), 0.5, 2, 1, avg)
+            _, mask = _consume_pass(d_ref, np.ones((h, w)), pixels, (bits, dres, flat), consumed, 0,
+                                    list(range(1, n_src + 1)), params, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -316,7 +340,7 @@ def test_pair_band_views_die_with_their_pair(monkeypatch):
     table = np.array(DEFAULT_DYNAMIC_TABLE)
     pixels = np.flatnonzero(d_ref.valid)
     assert pixels.size > 2 * band  # several chunks
-    stacks = _new_stacks(len(sources), len(table), pixels.size)
+    stacks = _new_stacks(len(sources), pixels.size)
     _pair_stacks(d_ref, ref, sources, table, pixels, stacks)  # first-call allocations out of the measurement
     tracemalloc.start()
     try:
@@ -441,9 +465,9 @@ def test_one_forward_warp_per_pair(monkeypatch):
         forwards.append(1)
         return original_forward(*args, **kwargs)
 
-    def recording_stacks(n_src, n_table, n):
+    def recording_stacks(n_src, n):
         eligible.append(n)  # drawn in reference order
-        return original_stacks(n_src, n_table, n)
+        return original_stacks(n_src, n)
 
     def refused(*args, **kwargs):
         raise AssertionError("fusion must not call the full-frame reprojection")
@@ -504,14 +528,29 @@ def test_input_validation():
     ([[-2, -1], [0, 2], [0, 1]], "view 0 lists source -2"),
     ([[1, 2], [0, 3], [0, 1]], "view 1 lists source 3"),
     ([[1, 2], [0, 2], [1, 1]], "view 2 lists a source view twice"),
-], ids=["negative", "out-of-range", "duplicate"])
+    ([[1.0, 2], [0, 2], [0, 1]], "view 0 lists a source that is not an integer view index"),
+    ([[1, 2], ["0", 2], [0, 1]], "view 1 lists a source that is not an integer view index"),
+], ids=["negative", "out-of-range", "duplicate", "float", "string"])
 def test_pairs_reject_bad_source_indices(pairs, message):
     # A negative index would alias a view from the end, a duplicate would
-    # count one view twice and an index past the last view would raise a
-    # bare IndexError; each is a ValueError naming the reference.
+    # count one view twice, an index past the last view would raise a bare
+    # IndexError, and a float or a string a bare TypeError; each is a
+    # ValueError naming the reference.
     spec, views = scene_views("plane", w=20, h=16, n=3, conf=1.0)
     with pytest.raises(ValueError, match=message):
         fuse(views, FusionParams(consistency_threshold=1), pairs=pairs)
+
+
+def test_pairs_take_any_integer_source_indices():
+    # numpy integers and integer arrays name the same views as Python
+    # ints, and fuse leaves the caller's lists as they were.
+    spec, views = scene_views("plane", w=20, h=16, n=3, conf=1.0)
+    params = FusionParams(consistency_threshold=1)
+    want = fuse(views, params, pairs=[[1, 2], [0, 2], [0, 1]])
+    pairs = [[np.int64(1), np.int32(2)], np.array([0, 2]), (np.uint8(0), 1)]
+    got = fuse(views, params, pairs=pairs)
+    assert len(want) > 0 and got.points.tobytes() == want.points.tobytes()
+    assert type(pairs[0][0]) is np.int64 and isinstance(pairs[1], np.ndarray) and isinstance(pairs[2], tuple)
 
 
 def holey_views(seed, w=24, h=16, n=4):
@@ -551,7 +590,7 @@ def test_each_pair_walks_the_pixels_eligible_when_its_reference_is_drawn(monkeyp
 
     def recording_consume(*args):
         result = consume(*args)
-        after.append(args[7].copy())  # the consumed marks after each pass, in reference order
+        after.append(args[4].copy())  # the consumed marks after each pass, in reference order
         return result
 
     monkeypatch.setattr(mvsgeo.fusion, "_eligible_pixels", recording_draw)

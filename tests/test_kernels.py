@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvsgeo import reproject
-from mvsgeo.fusion import DEFAULT_DYNAMIC_TABLE, _consume_pass, _row_bits, _set_pass_bits
+from mvsgeo.fusion import DEFAULT_DYNAMIC_TABLE, FusionParams, _consume_pass, _row_bits, _set_pass_bits
 from mvsgeo.reproject import CoordinateGrid, DepthMap, remap
 
 from oracles import _scalar_bilinear, scalar_consume_pass
@@ -25,24 +25,36 @@ def flat_index(sx, sy, w):
 def pass_bits(disp, rdd, table):
     """The consume pass's pass bits, one pixel, source and row at a time.
 
-    Rows 0 .. min(len(table), n_src) - 1 are kept; row r is bit r % 8 of
-    uint8 plane r // 8.
+    Rows 0 .. min(len(table), n_src) - 1 are kept; row r is bit r of the
+    pixel's uint8 byte.
     """
     n_src, h, w = disp.shape
-    rows = min(len(table), n_src)
-    bits = np.zeros((n_src, -(-rows // 8), h, w), dtype=np.uint8)
+    bits = np.zeros((n_src, h, w), dtype=np.uint8)
     for s, i, j in np.ndindex(n_src, h, w):
-        for r in range(rows):
+        for r in range(min(len(table), n_src)):
             if disp[s, i, j] < table[r, 0] and rdd[s, i, j] < table[r, 1]:
-                bits[s, r // 8, i, j] |= 1 << (r % 8)
+                bits[s, i, j] |= 1 << r
     return bits
 
 
 def all_pixels(bits, dres, flat):
-    """Every pixel of (..., H, W) stacks, packed: (pixels, bits, dres, flat) as the consume pass takes them."""
-    h, w = dres.shape[-2:]
-    return (np.arange(h * w), bits.reshape(bits.shape[:-2] + (h * w,)), dres.reshape(-1, h * w),
-            flat.reshape(-1, h * w))
+    """Every pixel of (n_src, H, W) stacks, packed: (pixels, stacks) as the consume pass takes them."""
+    n_src, h, w = dres.shape
+    return np.arange(h * w), tuple(a.reshape(n_src, h * w) for a in (bits, dres, flat))
+
+
+def consume(ref_depth, ref_valid, conf, bits, dres, flat, consumed, prob_threshold, min_consistent, n_table, avg):
+    """fusion._consume_pass on every pixel of (H, W) frames and (n_src, H, W) stacks, reference 0.
+
+    The sources are views 1 .. n_src; avg is the oracle's 0 (mean) or 1
+    (median).  Returns the fused depth and mask as (H, W) frames.
+    """
+    n_src, h, w = dres.shape
+    params = FusionParams(prob_threshold=prob_threshold, consistency_threshold=min_consistent,
+                          average=("mean", "median")[avg])
+    fused, mask = _consume_pass(DepthMap(ref_depth, ref_valid), conf, *all_pixels(bits, dres, flat), consumed, 0,
+                                list(range(1, n_src + 1)), params, n_table)
+    return fused.reshape(h, w), mask.reshape(h, w)
 
 
 def _assert_remap_matches_oracle(values, valid, xs, ys, cv):
@@ -128,7 +140,7 @@ def _assert_consume_pass_matches_oracle(inputs, table, min_consistent, mode, avg
     """Run the oracle and the production pass on the same inputs; return the oracle's mask and consumed."""
     ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy = inputs
     n_src, h, w = disp.shape
-    src_idx = np.arange(1, n_src + 1, dtype=np.int64)
+    src_idx = np.arange(1, n_src + 1)
     consumed1 = np.zeros((n_src + 1, h, w), dtype=np.uint8)
     consumed2 = consumed1.copy()
     f1, m1 = scalar_consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
@@ -139,11 +151,10 @@ def _assert_consume_pass_matches_oracle(inputs, table, min_consistent, mode, avg
     # (invalid, unconfident and consumed ones too) and tests eligibility
     # itself, as the oracle does.
     table = table[:1] if mode == 0 else table
-    f2, m2 = _consume_pass(ref_depth, ref_valid, conf, *all_pixels(pass_bits(disp, rdd, table), dres,
-                                                                   flat_index(sx, sy, w)),
-                           consumed2, 0, src_idx, 0.4, min_consistent, len(table), avg)
-    assert np.array_equal(m1, m2.reshape(h, w))
-    assert np.array_equal(f1, f2.reshape(h, w))
+    f2, m2 = consume(ref_depth, ref_valid, conf, pass_bits(disp, rdd, table), dres, flat_index(sx, sy, w),
+                     consumed2, 0.4, min_consistent, len(table), avg)
+    assert np.array_equal(m1, m2)
+    assert np.array_equal(f1, f2)
     assert np.array_equal(consumed1, consumed2)
     return m1, consumed1
 
@@ -168,19 +179,23 @@ def test_consume_pass_matches_scalar_oracle_bitwise(rng, mode, avg):
 
 
 @pytest.mark.parametrize("avg", [0, 1])
-@pytest.mark.parametrize("n_src, n_rows", [(10, 9), (66, 70), (70, 70)])
-def test_consume_pass_reads_every_bit_plane(rng, avg, n_src, n_rows):
-    # Tables of more than 8 and more than 64 rows keep one bit plane per 8
-    # rows, min(n_rows, n_src) rows in all.  With rdd tied to disp, row
-    # k - 1 passes about 0.95 * min(k / 0.9, n_src) sources, so the
-    # largest qualifying k lies near n_src: in the last bit plane.
-    h, w = 3, 4
-    inputs = list(_consume_inputs(rng, n_src, h, w, scale=0.9, impossible=0.05))
+def test_consume_pass_reads_bit_7_for_counts_past_the_table(rng, avg):
+    # An 8-row table (the dynamic table's length) and 10 sources: a count
+    # of 8 reads row 7, the byte's top bit, and so do the required counts
+    # 9 and 10, past the table, which clamp to its last row.  With rdd
+    # tied to disp, row k - 1 passes about 0.95 * 10 * k / 8 sources:
+    # row 7 every possible check, row 6 about 8.3, so the largest
+    # qualifying count is often 8, and from 9 on only row 7 decides.
+    n_src, h, w = 10, 6, 7
+    inputs = list(_consume_inputs(rng, n_src, h, w, impossible=0.05))
     inputs[4] = 0.01 * inputs[3]
-    k = np.arange(1, n_rows + 1)[:, None]
-    table = np.hstack([2.0 * k / n_src, 0.02 * k / n_src])
-    assert -(-min(n_rows, n_src) // 8) == (2 if n_rows < 64 else 9)
-    for min_consistent in (1, n_src // 2, n_src - 4):
+    k = np.arange(1, 9)[:, None]
+    table = np.hstack([0.25 * k, 0.0025 * k])
+    disp, rdd = inputs[3], inputs[4]
+    row_7 = ((disp < table[7, 0]) & (rdd < table[7, 1])).sum(axis=0)
+    row_6 = ((disp < table[6, 0]) & (rdd < table[6, 1])).sum(axis=0)
+    assert (row_7 == n_src).any() and (row_6 < 8).any() and (row_7 > row_6).any()
+    for min_consistent in (1, 8, 9, 10):
         m1, _ = _assert_consume_pass_matches_oracle(inputs, table, min_consistent, 1, avg)
         assert m1.sum() > 0, min_consistent
 
@@ -190,25 +205,25 @@ _errors = st.sampled_from([0.0, 0.5, 1.0, 2.5, np.inf, np.nan]) | st.floats(0.0,
 
 
 @settings(max_examples=60, deadline=None)
-@given(table=st.lists(st.tuples(_thresholds, _thresholds), min_size=1, max_size=70),
+@given(table=st.lists(st.tuples(_thresholds, _thresholds), min_size=1, max_size=8),
        errors=st.lists(st.tuples(_errors, _errors), min_size=1, max_size=12))
 def test_pass_bits_equal_their_float_comparisons(table, errors):
-    # Any table (monotone or not, equal or infinite thresholds) and any
-    # PDE/RDD (inf where the check is impossible): each stored bit is its
-    # row's strict float64 comparison, and _row_bits reads it back.
+    # Any table of 1 to 8 rows (monotone or not, equal or infinite
+    # thresholds) and any PDE/RDD (inf where the check is impossible):
+    # each stored bit is its row's strict float64 comparison, and
+    # _row_bits reads it back.
     table = np.array(table, dtype=np.float64)
     pde, rdd = np.array(errors, dtype=np.float64).T
-    bits = np.full((-(-len(table) // 8),) + pde.shape, 0xFF, dtype=np.uint8)
+    bits = np.full(pde.shape, 0xFF, dtype=np.uint8)
     hit, tmp = np.empty(pde.shape, dtype=bool), np.empty(pde.shape, dtype=bool)
     _set_pass_bits(pde, rdd, table, bits, hit, tmp)
     out = np.empty(pde.shape, dtype=np.uint8)
     for r, (t_pde, t_rdd) in enumerate(table):
         want = (pde < t_pde) & (rdd < t_rdd)
         assert np.array_equal(_row_bits(bits, r, out), want)
-        assert np.array_equal((bits[r // 8] >> (r % 8)) & 1, want)
+        assert np.array_equal((bits >> r) & 1, want)
     # Bits past the last row stay 0.
-    if len(table) % 8:
-        assert not (bits[-1] >> (len(table) % 8)).any()
+    assert not (bits >> len(table)).any()
 
 
 def test_consume_pass_respects_consumed_and_confidence():
@@ -225,10 +240,8 @@ def test_consume_pass_respects_consumed_and_confidence():
     consumed = np.zeros((3, h, w), dtype=np.uint8)
     consumed[0, 1, 1] = 1  # pre-consumed reference pixel
     table = np.array([[1.0, 0.01]])
-    fused, mask = _consume_pass(ref_depth, ref_valid, conf,
-                                *all_pixels(pass_bits(disp, rdd, table), dres, flat_index(sx, sy, w)),
-                                consumed, 0, np.array([1, 2], dtype=np.int64), 0.5, 1, len(table), 0)
-    fused, mask = fused.reshape(h, w), mask.reshape(h, w)
+    fused, mask = consume(ref_depth, ref_valid, conf, pass_bits(disp, rdd, table), dres, flat_index(sx, sy, w),
+                          consumed, 0.5, 1, len(table), 0)
     assert mask[0, 0] == 0      # confidence gate
     assert mask[1, 1] == 0      # consumed pixel skipped
     assert mask[2, 2] == 1
