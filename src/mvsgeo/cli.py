@@ -3,9 +3,10 @@
 Subcommands: synth, gc-penalty, loss, fuse, eval-pc, eval-depth, warp.
 Exit codes: 0 ok, 1 usage error, 2 missing input file, 3 computation
 error.  Every command accepts --threads (default from MVSGEO_THREADS);
-gc-penalty, fuse and eval-pc use it and produce byte-identical outputs
-for any thread count, the other commands ignore it.  gc-penalty checks
-every reference, then writes each one's PFMs as soon as they are made.
+gc-penalty and eval-pc use it and produce byte-identical outputs for
+any thread count, the other commands ignore it.  gc-penalty checks
+every reference, then writes each one's PFMs as soon as they are made;
+fuse runs its references in order on one thread.
 
 Scene directory convention (emitted by synth, consumed by the rest):
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import formats, synth
 from .fusion import FusionParams, PointCloud, fuse
-from .loss import StageWeights, cross_entropy_error, stage_loss
+from .loss import StageWeights, cross_entropy_error, stage_loss, total_loss
 from .metrics import depth_metrics, evaluate_point_clouds
 from .penalty import (
     GcThresholds,
@@ -267,12 +268,11 @@ def _cmd_loss(args) -> int:
             err, supervised = cross_entropy_error(vol, gt)
         valid = supervised & (pen > 0)
         losses.append(stage_loss(pen, err, valid))
-    total = float(sum(w * l for w, l in zip((weights.alpha, weights.beta, weights.gamma), losses)))
     _emit_json(
         {
             "stage_losses": losses,
             "weights": {"alpha": weights.alpha, "beta": weights.beta, "gamma": weights.gamma},
-            "total_loss": total,
+            "total_loss": total_loss(losses, weights),
         },
         args.out,
     )
@@ -302,7 +302,7 @@ def _cmd_fuse(args) -> int:
         consistency_threshold=args.num_consistent,
         average=args.average,
     )
-    cloud = fuse(views, params, pairs=pairs, threads=args.threads)
+    cloud = fuse(views, params, pairs=pairs)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(formats.write_ply(cloud, binary=not args.ascii))
@@ -443,7 +443,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--num-consistent", type=int, default=3)
     p.add_argument("--average", choices=("mean", "median"), default="mean")
     p.add_argument("--ascii", action="store_true", help="write ASCII PLY instead of binary")
-    add_threads(p)
+    add_threads(p, used=False)
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("eval-pc", help="accuracy/completeness/overall between two PLY clouds")

@@ -6,23 +6,18 @@ threshold, not consumed) and its depth passes the cross-view
 reprojection check in enough source views; the fused 3D point is the
 back-projection of the depth averaged over the reference and the
 consistent sources.  Source pixels hit by an emitted point are marked
-consumed so each surface point is emitted once.  Emission order is the
-row-major reference-view scan, so output is deterministic and identical
-for any thread count: the consume pass is one sequential, vectorized
-numpy pass per reference view, in reference order, in
-reproject._in_order.
+consumed so each surface point is emitted once.  The references run in
+order on the calling thread, each one's consume pass a sequential,
+vectorized numpy pass; emission order is the row-major reference-view
+scan, so output is deterministic.
 
-Only eligible pixels are checked.  A reference is drawn, on the thread
-that runs the consume passes, after the pass of the reference `threads`
-places before it (one place at threads=1): its eligible pixels are then
-packed as ascending flat indices, and its per-pair check arrays are
-allocated for those pixels alone, filled by pool threads (which allocate
-only band-sized scratch) and dropped after the view's pass.  Consumed
-marks only ever go from 0 to 1, so a pixel skipped at the draw is still
-ineligible at the pass; the pass tests eligibility again on the packed
-pixels (some were consumed while the reference was in flight), and an
-ineligible pixel's bits, depth and landing index are never read, so
-the skip changes no output byte.  Each pair is checked chunk by chunk
+Only eligible pixels are checked.  A reference is drawn after the
+previous reference's consume pass: its eligible pixels are then packed
+as ascending flat indices, and its per-pair check arrays are allocated
+for those pixels alone, filled, and dropped after the view's pass.  The
+pass tests eligibility again on the packed pixels, so any superset of
+them gives the same bytes: an ineligible pixel's bits, depth and
+landing index are never read.  Each pair is checked chunk by chunk
 of the packed pixels, in one call per pair, by walking reproject._checks,
 the pair check the penalty's votes also walk: the reprojection fbr
 computes, then reproject._pair_errors (the penalty's sqrt formula) on
@@ -57,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import Camera
-from .reproject import DepthMap, _checks, _depth_array, _in_order
+from .reproject import DepthMap, _checks, _depth_array
 
 __all__ = ["FusionParams", "PointCloud", "DEFAULT_DYNAMIC_TABLE", "dynamic_thresholds", "fuse"]
 
@@ -89,8 +84,8 @@ class FusionParams:
             raise ValueError("consistency_threshold must be an integer view count") from None
         if self.consistency_threshold < 1:
             raise ValueError("consistency_threshold must be >= 1")
-        if self.disparity_threshold <= 0 or self.depth_threshold <= 0:
-            raise ValueError("geometric thresholds must be positive")
+        if not (0 < self.disparity_threshold < np.inf and 0 < self.depth_threshold < np.inf):
+            raise ValueError("geometric thresholds must be finite and positive")
 
 
 @dataclass
@@ -322,7 +317,7 @@ def _back_project_grid(depth, pixels, width, cam: Camera):
     return (cam.E[:3, :3].T @ rays).T
 
 
-def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int = 1) -> PointCloud:
+def fuse(views, params: FusionParams = FusionParams(), pairs=None) -> PointCloud:
     """Fuse per-view depth and confidence maps into one point cloud.
 
     views: list of (DepthMap, confidence, Camera[, image]) tuples; image
@@ -373,30 +368,16 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
     all_points, all_colors, all_conf = [], [], []
     any_image = any(img is not None for *_, img in unpacked)
 
-    # Drawn on the calling thread, after the consume pass of the reference
-    # `threads` places before (_in_order): the reference's pixels that can
-    # still fuse, and stacks for them alone.  Stacks allocated by pool
-    # threads stayed in their heaps once freed: 15 calls of `fuse --threads
-    # 2` then `eval-pc` on 320 x 256 x 8 views peaked at 179 MB in 6 of 8
-    # processes, against 145-146 MB as items.
-    def item(r):
-        depth_r, conf_r = unpacked[r][:2]
+    for r, (depth_r, conf_r, cam_r, image_r) in enumerate(unpacked):
         pixels = _eligible_pixels(consumed[r], depth_r.valid, conf_r, params.prob_threshold)
-        return r, pixels, _new_stacks(len(pairs[r]), pixels.size)
-
-    def build(r, pixels, stacks):
-        depth_r, _, cam_r, _ = unpacked[r]
+        stacks = _new_stacks(len(pairs[r]), pixels.size)
         if pixels.size:  # a reference with no pixel left to fuse checks no pair
             _pair_stacks(depth_r, cam_r, [(unpacked[s][0], unpacked[s][2]) for s in pairs[r]], table, pixels, stacks)
-        return r, pixels, stacks
-
-    def emit(built):
-        r, pixels, stacks = built
-        depth_r, conf_r, cam_r, image_r = unpacked[r]
         fused_depth, mask = _consume_pass(depth_r, conf_r, pixels, stacks, consumed, r, pairs[r], params, len(table))
+        del stacks  # dropped before the next reference is drawn
         fused = pixels[mask]
         if not fused.size:
-            return
+            continue
         all_points.append(_back_project_grid(fused_depth[mask], fused, w, cam_r))
         all_conf.append(conf_r.reshape(-1)[fused].astype(np.float64, copy=False))
         if any_image:
@@ -404,8 +385,6 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None, threads: int 
                 all_colors.append(np.asarray(image_r, dtype=np.uint8).reshape(-1, 3)[fused])
             else:
                 all_colors.append(np.zeros((fused.size, 3), dtype=np.uint8))
-
-    _in_order(build, emit, (item(r) for r in range(n_views)), threads)
 
     if not all_points:
         return PointCloud(points=np.zeros((0, 3)))

@@ -3,7 +3,7 @@
 The per-pixel depth error is the negative log probability of the
 hypothesis bin nearest to the ground-truth depth (one-hot target, ties
 toward the lower bin).  Stage loss is the mean over supervised pixels of
-penalty times error; the total is the weighted sum of the three stages.
+penalty times error; the total is the weighted sum of one to three stages.
 
 A volume is walked one row band at a time (_blocks).  Each band is
 checked (_check_block) before it is scored (_band_error), whose gather
@@ -257,10 +257,14 @@ def stage_loss(penalty, error: np.ndarray, valid: np.ndarray) -> float:
 
 
 def total_loss(stage_losses, w: StageWeights = StageWeights()) -> float:
-    """Weighted sum of the three stage losses."""
+    """Weighted sum of one to three stage losses, weighted alpha, beta, gamma in stage order.
+
+    Summed from 0 in stage order: for finite losses, the bits of
+    alpha * l0 + beta * l1 + gamma * l2 (0 + x is x, but for -0.0).
+    """
     losses = [float(x) for x in stage_losses]
-    if len(losses) != 3:
-        raise ValueError("expected exactly three stage losses")
+    if not 1 <= len(losses) <= 3:
+        raise ValueError("expected one to three stage losses")
     if not all(np.isfinite(losses)):
         raise ValueError("stage losses must be finite")
-    return w.alpha * losses[0] + w.beta * losses[1] + w.gamma * losses[2]
+    return float(sum(weight * loss for weight, loss in zip((w.alpha, w.beta, w.gamma), losses)))

@@ -11,8 +11,19 @@ No distance beyond the threshold enters either mean, so the k-d tree
 search stops just past it (see _search_bound) and stays exact: every
 distance at or below the threshold has the same bits as an unbounded
 search's.
+
+Every search runs one schedule, _searches: evaluate_point_clouds hands
+it both directions at once, nearest_neighbor_distances one.  The calling
+thread builds the k-d trees, the one over fewer points first, and as
+soon as a tree is built its queries are searched on a pool of `workers`
+threads, part by part.  So on an evaluation the ground-truth tree is
+built while the completeness search runs.  The trees and the distance
+arrays are allocated on the calling thread: glibc keeps a heap per
+thread, and trees built on pool threads raised the benchmark's fuse-eval
+peak RSS from 116 to 146 MB.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,33 +81,65 @@ def _search_bound(max_dist: float) -> float:
     return max(np.nextafter(max_dist, np.inf), 2.0 ** -511)
 
 
-def nearest_neighbor_distances(queries, refs, workers: int = 1, upper_bound: float = np.inf) -> np.ndarray:
-    """Distance from every query point to its nearest reference point.
+# Query points per part of a search on the pool (np.array_split sizes
+# the parts evenly).
+_PART = 1 << 16
 
-    Exact k-d tree search (scipy cKDTree, built without median splits:
-    faster, same distances) over the reference points; the queries are
-    split over `workers` threads, which does not change the result.
-    Distances above `upper_bound` come back inf, and so may one equal to
-    it; the search prunes every branch farther than the bound.  scipy is
-    imported here, not at module level, so only a caller of this search
-    pays for loading it.
+
+def _searches(jobs, workers: int, bound: float) -> list[np.ndarray]:
+    """Distance from each query point to its nearest reference point, per (queries, refs) job.
+
+    One float64 array per job, in job order, on the schedule the module
+    docstring gives: each part of about _PART queries writes its own
+    slice of its job's array, so neither the parts nor the worker count
+    change a bit.  Distances above `bound` come back inf, and so may one
+    equal to it.
     """
     from scipy.spatial import cKDTree
 
-    queries = _points(queries)
-    refs = _points(refs)
-    tree = cKDTree(refs, balanced_tree=False)
-    dists, _ = tree.query(queries, k=1, workers=workers, distance_upper_bound=upper_bound)
-    return np.asarray(dists, dtype=np.float64)
+    dists = [np.empty(queries.shape[0]) for queries, _ in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        searched = []
+        for (queries, refs), job_dists in sorted(zip(jobs, dists), key=lambda job: job[0][1].shape[0]):
+            # Built without median splits and with 32 points a leaf: faster,
+            # same distances.
+            tree = cKDTree(refs, leafsize=32, balanced_tree=False)
+            parts = -(-queries.shape[0] // _PART)
+            for part, out in zip(np.array_split(queries, parts), np.array_split(job_dists, parts)):
+                searched.append(pool.submit(_search, tree, part, bound, out))
+        for future in searched:
+            future.result()
+    return dists
 
 
-def accuracy(pred, gt, max_dist: float, workers: int = 1) -> float:
-    """Mean nearest-neighbor distance predicted -> ground truth, cut at max_dist."""
-    dists = nearest_neighbor_distances(pred, gt, workers, upper_bound=_search_bound(max_dist))
+def _search(tree, queries, bound, out):
+    out[...] = tree.query(queries, k=1, workers=1, distance_upper_bound=bound)[0]
+
+
+def nearest_neighbor_distances(queries, refs, workers: int = 1, upper_bound: float = np.inf) -> np.ndarray:
+    """Distance from every query point to its nearest reference point.
+
+    Exact k-d tree search (scipy cKDTree) over the reference points, the
+    queries searched in parts on `workers` threads (_searches), which
+    does not change the result.  Distances above `upper_bound` come back
+    inf, and so may one equal to it; the search prunes every branch
+    farther than the bound.  scipy is imported by the search, not at
+    module level, so only a caller of it pays for loading it.
+    """
+    return _searches([(_points(queries), _points(refs))], workers, upper_bound)[0]
+
+
+def _cut_mean(dists: np.ndarray, max_dist: float) -> float:
+    """Mean of the distances at or below max_dist; raises when there is none."""
     measured = dists <= max_dist
     if not measured.any():
         raise ValueError("no measurable points")
     return float(dists[measured].mean())
+
+
+def accuracy(pred, gt, max_dist: float, workers: int = 1) -> float:
+    """Mean nearest-neighbor distance predicted -> ground truth, cut at max_dist."""
+    return _cut_mean(nearest_neighbor_distances(pred, gt, workers, _search_bound(max_dist)), max_dist)
 
 
 def completeness(pred, gt, max_dist: float, workers: int = 1) -> float:
@@ -109,8 +152,10 @@ def overall(acc: float, comp: float) -> float:
 
 
 def evaluate_point_clouds(pred, gt, max_dist: float, workers: int = 1) -> PointCloudMetrics:
-    acc = accuracy(pred, gt, max_dist, workers=workers)
-    comp = completeness(pred, gt, max_dist, workers=workers)
+    """Accuracy, completeness and overall, both searches in one schedule (_searches)."""
+    pred, gt = _points(pred), _points(gt)
+    to_gt, to_pred = _searches([(pred, gt), (gt, pred)], workers, _search_bound(max_dist))
+    acc, comp = _cut_mean(to_gt, max_dist), _cut_mean(to_pred, max_dist)
     return PointCloudMetrics(acc, comp, overall(acc, comp), max_dist)
 
 

@@ -60,8 +60,8 @@ class GcThresholds:
     d_depth: float
 
     def __post_init__(self):
-        if not (self.d_pixel > 0 and self.d_depth > 0):
-            raise ValueError("thresholds must be strictly positive")
+        if not (0 < self.d_pixel < np.inf and 0 < self.d_depth < np.inf):
+            raise ValueError("thresholds must be finite and strictly positive")
 
 
 @dataclass(eq=False)

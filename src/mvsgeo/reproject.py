@@ -80,11 +80,13 @@ _pair_errors is the one pair check (penalty, fusion, `warp`): displacement
 sqrt(dx**2 + dy**2) and relative depth difference, inf where `ok` is false
 (invalid reference pixel, behind a camera, off the source, invalid corner).
 
-_in_order is the only reference-view loop (`gc-penalty`, `fuse`).  It
-draws each reference after the one `threads` places before it is
-consumed, so at most `threads` references' arrays are alive, fusion
-draws a reference seeing every reference `threads` or more places before
-it consumed, and output order does not depend on threads.
+_in_order is gc-penalty's reference-view loop, the one that runs
+references on threads.  It draws each reference after the one `threads`
+places before it is consumed, so at most `threads` references' arrays
+are alive, and output order does not depend on threads.  fuse runs its
+references in order on the calling thread: each one depends on the
+consume passes of all before it, and references ahead on threads made
+it slower.
 """
 
 from collections import deque
@@ -324,13 +326,15 @@ def _depth_bands(d: DepthMap, floats=0, bools=0, pixels=None):
 def _in_order(produce, consume, items, threads):
     """consume(produce(*item)) for every item, in order, on the calling thread.
 
-    Each item is drawn after the one `threads` places before it is
-    consumed: with threads > 1, `threads` pool workers produce the items
-    drawn but not yet consumed, so at most `threads` items are alive, and
-    an item is drawn seeing every item `threads` or more places before it
-    consumed.  Items are drawn on the calling thread, the one that frees
-    them.  No item or result stays bound while the next is drawn or
-    awaited: it would keep its arrays alive beside the next one's.
+    gc-penalty's reference loop, whose references are independent: each
+    produce is one reference's penalty maps.  Each item is drawn after
+    the one `threads` places before it is consumed: with threads > 1,
+    `threads` pool workers produce the items drawn but not yet consumed,
+    so at most `threads` items are alive, and an item is drawn seeing
+    every item `threads` or more places before it consumed.  Items are
+    drawn on the calling thread, the one that frees them.  No item or
+    result stays bound while the next is drawn or awaited: it would keep
+    its arrays alive beside the next one's.
     """
     items = iter(items)
     if threads <= 1:

@@ -283,6 +283,25 @@ def test_gc_penalty_rejects_the_scene_before_writing(plane_scene, tmp_path, caps
         assert list(out_dir.glob("*.pfm")) == [] and not (out_dir / "summary.json").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("command, flags", [
+    ("gc-penalty", ("--d-pixel={}", "--d-depth=0.01")),
+    ("gc-penalty", ("--d-pixel=1", "--d-depth={}")),
+    ("fuse", ("--disp-thresh={}",)),
+    ("fuse", ("--depth-thresh={}",)),
+])
+def test_thresholds_must_be_finite_and_positive_before_writing(plane_scene, tmp_path, capsys, command, flags, value):
+    # A NaN threshold passes no check (fuse returned an empty cloud), an
+    # infinite one reached summary.json after every PFM was written.
+    out = tmp_path / "out"
+    target = str(out) if command == "gc-penalty" else str(out / "cloud.ply")
+    code, stdout, err = run_cli(capsys, command, "--scene", str(plane_scene), "--out", target,
+                                *(flag.format(value) for flag in flags))
+    assert code == 3
+    assert stdout == "" and "finite and" in err
+    assert not out.exists()
+
+
 def test_synth_casts_each_views_rays_once(tmp_path, capsys, monkeypatch):
     from mvsgeo import synth
 
@@ -585,7 +604,7 @@ def test_loss_cli_three_stages_total(tmp_path, capsys):
     assert doc["stage_losses"] == pytest.approx([per_stage] * 3, rel=1e-6)
     assert doc["total_loss"] == pytest.approx(4 * per_stage, rel=1e-6)
     assert doc["total_loss"] == total_loss(doc["stage_losses"], StageWeights())
-    # A non-finite stage loss exits 3 through the JSON guard.
+    # A non-finite stage loss exits 3 at total_loss, before any output.
     pen = np.ones((h, w), dtype=np.float32)
     pen[0, 0] = np.inf
     files[2][2].write_bytes(formats.write_pfm(formats.PfmImage(pen)))
@@ -594,7 +613,7 @@ def test_loss_cli_three_stages_total(tmp_path, capsys):
                              "--gt", *[str(f[1]) for f in files],
                              "--penalty", *[str(f[2]) for f in files])
     assert code == 3
-    assert out == "" and "JSON" in err
+    assert out == "" and "stage losses must be finite" in err
 
 
 @pytest.mark.parametrize("field, index, value", [

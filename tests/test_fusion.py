@@ -41,8 +41,12 @@ def test_params_validation():
         FusionParams(prob_threshold=1.5)
     with pytest.raises(ValueError):
         FusionParams(consistency_threshold=0)
-    with pytest.raises(ValueError):
-        FusionParams(disparity_threshold=0.0)
+    # Geometric thresholds are finite and positive: a NaN one would pass
+    # no check and fuse nothing, silently.
+    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        for field in ("disparity_threshold", "depth_threshold"):
+            with pytest.raises(ValueError, match="finite and positive"):
+                FusionParams(**{field: bad})
     with pytest.raises(ValueError):
         FusionParams(average="mode")
     # The required view count is an integer: a fractional count would be
@@ -175,18 +179,6 @@ def test_two_plane_scene_soundness_away_from_edges():
     assert off_surface.max() < 0.01 * 760.0
 
 
-def test_threads_bit_identical():
-    spec, views = scene_views("two-planes", conf=1.0)
-    params = FusionParams(prob_threshold=0.5, consistency_threshold=2)
-    base = fuse(views, params, threads=1)
-    # 3 and n_views + 1 put the end of the look-ahead window before, at
-    # and past the last reference view.
-    for t in (2, 3, 4, len(views) + 1):
-        other = fuse(views, params, threads=t)
-        assert np.array_equal(base.points, other.points)
-        assert np.array_equal(base.confidence, other.confidence)
-
-
 @pytest.mark.parametrize("band", [1, 36, 37, 38, 23 * 37 + 5, 10**6])
 def test_pair_stacks_match_full_frame_reprojection(monkeypatch, band):
     # The pair check at packed pixels equals fbr and the penalty's
@@ -279,7 +271,7 @@ def test_single_thread_holds_one_reference_views_stacks(monkeypatch):
     stacks = (n - 1) * n0 * (1 + 8 + 4)  # one pass-bit byte, dres float64 + int32 landing index
     tracemalloc.start()
     try:
-        fuse(views, params, threads=1)
+        fuse(views, params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -370,62 +362,6 @@ def test_far_off_landing_pixel_raises_no_warning():
         warnings.simplefilter("error", RuntimeWarning)
         cloud = fuse([(depth, conf, ref), (depth, conf, src)], FusionParams(consistency_threshold=1))
     assert len(cloud) == 0
-
-
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_pool_builds_at_most_threads_references_ahead(monkeypatch, threads):
-    # Reference views whose stacks are built (or being built) but not yet
-    # consumed: at most the one being consumed plus `threads - 1` ahead of
-    # it, since each is drawn after the one `threads` places before it is
-    # consumed.
-    import threading
-
-    import mvsgeo.fusion
-
-    lock = threading.Lock()
-    state = {"open": 0, "max": 0}
-    build, consume = mvsgeo.fusion._pair_stacks, mvsgeo.fusion._consume_pass
-
-    def counting_build(*args):
-        with lock:
-            state["open"] += 1
-            state["max"] = max(state["max"], state["open"])
-        return build(*args)
-
-    def counting_consume(*args):
-        result = consume(*args)
-        with lock:
-            state["open"] -= 1
-        return result
-
-    monkeypatch.setattr(mvsgeo.fusion, "_pair_stacks", counting_build)
-    monkeypatch.setattr(mvsgeo.fusion, "_consume_pass", counting_consume)
-    spec, views = scene_views("plane", w=40, h=32, n=6, conf=1.0)
-    fuse(views, FusionParams(consistency_threshold=2), threads=threads)
-    assert state["open"] == 0
-    assert 1 <= state["max"] <= threads
-    assert len(views) > threads + 1  # a window that could be overrun
-
-
-def test_stacks_are_allocated_on_the_consuming_thread(monkeypatch):
-    # Pool threads fill the stacks but do not allocate them: the thread
-    # that runs the consume passes, and frees the stacks, allocates them.
-    import threading
-
-    import mvsgeo.fusion
-
-    callers = []
-    new_stacks = mvsgeo.fusion._new_stacks
-
-    def recording(*args):
-        callers.append(threading.current_thread())
-        return new_stacks(*args)
-
-    monkeypatch.setattr(mvsgeo.fusion, "_new_stacks", recording)
-    spec, views = scene_views("plane", w=40, h=32, n=5, conf=1.0)
-    fuse(views, FusionParams(consistency_threshold=2), threads=2)
-    assert len(callers) == len(views)
-    assert set(callers) == {threading.current_thread()}
 
 
 @pytest.mark.parametrize("kind, w, h, n, seed", BAND_SCENES)
@@ -566,12 +502,11 @@ def holey_views(seed, w=24, h=16, n=4):
     return views
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_each_pair_walks_the_pixels_eligible_when_its_reference_is_drawn(monkeypatch, threads):
-    # Reference r is drawn after the consume pass of reference r - threads:
+def test_each_pair_walks_the_pixels_eligible_when_its_reference_is_drawn(monkeypatch):
+    # Reference r is drawn after the consume pass of reference r - 1:
     # every pair of r walks exactly the pixels that are then valid,
     # confident and not consumed, and a reference with none walks no pair.
-    # At one thread, r >= 1 walks no pixel consumed before its turn.
+    # So r >= 1 walks no pixel consumed before its turn.
     import mvsgeo.fusion
 
     views = holey_views(7, w=32, h=24, n=6)
@@ -597,42 +532,38 @@ def test_each_pair_walks_the_pixels_eligible_when_its_reference_is_drawn(monkeyp
     monkeypatch.setattr(reproject, "_chain", recording_chain)
     monkeypatch.setattr(mvsgeo.fusion, "_consume_pass", recording_consume)
     prob = 0.3
-    fuse(views, FusionParams(prob_threshold=prob, consistency_threshold=2), threads=threads)
+    fuse(views, FusionParams(prob_threshold=prob, consistency_threshold=2))
     n_src = len(views) - 1
     skipped = 0
     for r, (depth, conf, *_) in enumerate(views):
-        before = after[r - threads][r] if r >= threads else np.zeros(depth.shape, dtype=np.uint8)
+        before = after[r - 1][r] if r >= 1 else np.zeros(depth.shape, dtype=np.uint8)
         want = np.flatnonzero((before == 0) & depth.valid & (conf > prob))
         assert np.array_equal(drawn[r], want), r
         walks = [pixels for ref, pixels in walked if ref == r]
         assert len(walks) == (n_src if want.size else 0), r
         assert all(np.array_equal(pixels, want) for pixels in walks), r
-        if threads == 1 and r >= 1:
-            consumed_before = after[r - 1][r].reshape(-1) != 0
-            assert not consumed_before[want].any(), r
-            skipped += int((consumed_before & depth.valid.reshape(-1) & (conf.reshape(-1) > prob)).sum())
-    if threads == 1:
-        assert skipped > 0  # pixels that were valid and confident were skipped as consumed
+        skipped += int(((before != 0) & depth.valid & (conf > prob)).sum())
+    assert skipped > 0  # pixels that were valid and confident were skipped as consumed
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 3), mode=st.sampled_from(["fusibile", "dynamic"]),
-       average=st.sampled_from(["mean", "median"]), threads=st.sampled_from([1, 2, 3]),
+       average=st.sampled_from(["mean", "median"]),
        band=st.sampled_from([1, 23, 25, reproject._BAND_PIXELS]))
-def test_skipping_ineligible_pixels_changes_no_byte(seed, mode, average, threads, band):
+def test_skipping_ineligible_pixels_changes_no_byte(seed, mode, average, band):
     # Checking every pixel of every reference (the draw forced to skip
     # nothing) and checking only the eligible ones give the same cloud,
-    # byte for byte, in both modes and averages, at any thread count and
-    # chunk size (1, W - 1 and W + 1 pixels and the default; W = 24).
+    # byte for byte, in both modes and averages, at any chunk size (1,
+    # W - 1 and W + 1 pixels and the default; W = 24).
     import mvsgeo.fusion
 
     views = holey_views(seed)
     params = FusionParams(mode=mode, average=average, prob_threshold=0.3, consistency_threshold=2)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reproject, "_BAND_PIXELS", band)
-        skipping = fuse(views, params, threads=threads)
+        skipping = fuse(views, params)
         patch.setattr(mvsgeo.fusion, "_eligible_pixels", lambda consumed, valid, conf, p: np.arange(valid.size))
-        checking = fuse(views, params, threads=threads)
+        checking = fuse(views, params)
     assert len(skipping) > 0
     for name in ("points", "colors", "confidence"):
         assert getattr(skipping, name).tobytes() == getattr(checking, name).tobytes(), name

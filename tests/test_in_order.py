@@ -2,8 +2,10 @@
 
 A static scan with the standard library's ast: outside _in_order no
 module of src/mvsgeo constructs a ThreadPoolExecutor or a deque (the
-look-ahead window).  Then _in_order's own contract: order, window,
-the thread items are drawn on, and no item kept alive past its turn.
+look-ahead window), but for one other named pool owner,
+metrics._searches, which runs the k-d searches on its own pool and
+builds no window.  Then _in_order's own contract: order, window, the
+thread items are drawn on, and no item kept alive past its turn.
 """
 
 import ast
@@ -18,22 +20,24 @@ from mvsgeo.reproject import _in_order
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mvsgeo"
 LOOP = "_in_order"
 POOLS = ("ThreadPoolExecutor", "deque")
+# Per module, the one function that may construct a pool, and what it may construct.
+OWNERS = {"reproject.py": (LOOP, POOLS), "metrics.py": ("_searches", ("ThreadPoolExecutor",))}
 
 
-def pool_constructions(source: str, loop: str | None = None) -> list[str]:
-    """Calls of ThreadPoolExecutor or deque outside the function named `loop`."""
+def pool_constructions(source: str, owner: str | None = None, allowed=POOLS) -> list[str]:
+    """Calls of ThreadPoolExecutor or deque, but for those of `allowed` inside the function named `owner`."""
     tree = ast.parse(source)
     inside = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == loop:
+        if isinstance(node, ast.FunctionDef) and node.name == owner:
             inside |= {id(n) for n in ast.walk(node)}
     found = []
     for node in ast.walk(tree):
-        if id(node) in inside or not isinstance(node, ast.Call):
+        if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
-        if name in POOLS:
+        if name in POOLS and not (id(node) in inside and name in allowed):
             found.append(f"{name} (line {node.lineno})")
     return sorted(found)
 
@@ -46,6 +50,8 @@ def test_scan_finds_pools_and_windows_and_accepts_the_loop():
     )
     assert pool_constructions(fork) == ["ThreadPoolExecutor (line 2)", "deque (line 3)"]
     assert pool_constructions(fork.replace("def run", f"def {LOOP}"), LOOP) == []
+    # An owner allowed only a pool still may not build a window.
+    assert pool_constructions(fork, "run", ("ThreadPoolExecutor",)) == ["deque (line 3)"]
     assert pool_constructions("from concurrent.futures import ThreadPoolExecutor\n") == []
 
 
@@ -55,10 +61,16 @@ def test_the_loop_is_the_pool_owner():
     assert pool_constructions(source, LOOP) == []
 
 
+def test_the_searches_own_the_metrics_pool():
+    source = (PACKAGE / "metrics.py").read_text()
+    assert pool_constructions(source) != []  # not vacuous: _searches builds a pool
+    assert pool_constructions(source, *OWNERS["metrics.py"]) == []
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_module_runs_its_own_reference_loop(module):
     source = (PACKAGE / module).read_text()
-    assert pool_constructions(source, LOOP if module == "reproject.py" else None) == []
+    assert pool_constructions(source, *OWNERS.get(module, (None, ()))) == []
 
 
 class Item:

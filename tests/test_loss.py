@@ -384,9 +384,19 @@ def test_total_loss_paper_weights():
     assert total_loss([0.5, 0.25, 0.125], StageWeights()) == 1.0
 
 
+def test_total_loss_takes_one_to_three_stages():
+    # Stage k takes the k-th weight, summed from 0 in stage order: the
+    # bits of the written-out sum.
+    w = StageWeights(0.3, 0.7, 1.9)
+    assert total_loss([0.1], w) == 0.3 * 0.1
+    assert total_loss([0.1, 0.2], w) == 0.3 * 0.1 + 0.7 * 0.2
+    assert total_loss([0.1, 0.2, 0.3], w) == 0.3 * 0.1 + 0.7 * 0.2 + 1.9 * 0.3
+
+
 def test_total_loss_validation():
-    with pytest.raises(ValueError, match="three"):
-        total_loss([1.0, 2.0])
+    for losses in ([], [1.0, 2.0, 3.0, 4.0]):
+        with pytest.raises(ValueError, match="one to three"):
+            total_loss(losses)
     with pytest.raises(ValueError, match="finite"):
         total_loss([1.0, np.inf, 2.0])
     with pytest.raises(ValueError, match="non-negative"):

@@ -136,6 +136,65 @@ def test_accuracy_and_completeness_match_quadratic_oracle_bitwise(rng, max_dist)
         assert completeness(gt, pred, max_dist) == expected
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_searches_in_parts_match_quadratic_oracle_bitwise(rng, monkeypatch, workers):
+    # Parts of 7 points put part edges inside both clouds.  The three cloud
+    # pairs build the predicted tree first (fewer points), the ground
+    # truth's first, and either (equal sizes).  Every distance at or below
+    # max_dist, and so each mean, is the oracle's, bit for bit, at any
+    # worker count.
+    from mvsgeo import metrics
+
+    monkeypatch.setattr(metrics, "_PART", 7)
+    cut = []
+    cut_mean = metrics._cut_mean
+
+    def recording(dists, max_dist):
+        cut.append(dists.copy())
+        return cut_mean(dists, max_dist)
+
+    monkeypatch.setattr(metrics, "_cut_mean", recording)
+    max_dist = 1.0
+    queries, refs = boundary_clouds(rng, max_dist)
+    for pred, gt in ((refs[:101], queries), (queries, refs[:101]), (queries, refs)):
+        assert pred.shape[0] % 7 and gt.shape[0] % 7
+        oracles = quadratic_nn(pred, gt), quadratic_nn(gt, pred)
+        assert np.array_equal(nearest_neighbor_distances(pred, gt, workers), oracles[0])
+        cut.clear()
+        m = evaluate_point_clouds(pred, gt, max_dist, workers)
+        for got, oracle in zip(cut, oracles, strict=True):
+            within = oracle <= max_dist
+            assert np.array_equal(got <= max_dist, within)
+            assert got[within].tobytes() == oracle[within].tobytes()
+        assert m.accuracy == oracles[0][oracles[0] <= max_dist].mean()
+        assert m.completeness == oracles[1][oracles[1] <= max_dist].mean()
+        assert m.overall == (m.accuracy + m.completeness) / 2.0
+
+
+def test_searches_hold_under_frequent_thread_switches(rng, monkeypatch):
+    # More workers than cores, hundreds of 7-point parts per direction and
+    # a thread switch about every microsecond: each part still lands in
+    # its own slice, and every distance is the oracle's.
+    import sys
+    import time
+
+    from mvsgeo import metrics
+
+    monkeypatch.setattr(metrics, "_PART", 7)
+    pred = rng.uniform(-20, 20, size=(2000, 3))
+    gt = rng.uniform(-20, 20, size=(2400, 3))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.perf_counter()
+        to_gt, to_pred = metrics._searches([(pred, gt), (gt, pred)], 4, np.inf)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.perf_counter() - start < 30
+    assert np.array_equal(to_gt, quadratic_nn(pred, gt))
+    assert np.array_equal(to_pred, quadratic_nn(gt, pred))
+
+
 def test_rigid_motion_invariance(rng):
     pred = rng.normal(size=(300, 3))
     gt = rng.normal(size=(400, 3))

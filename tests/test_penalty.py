@@ -33,11 +33,16 @@ def identity_reproj(d: DepthMap):
     return DepthMap(d.values.copy(), d.valid.copy()), identity_grid(h, w)
 
 
-def test_thresholds_must_be_positive():
-    with pytest.raises(ValueError):
-        GcThresholds(0.0, 0.01)
-    with pytest.raises(ValueError):
-        GcThresholds(1.0, -0.5)
+# The largest finite threshold: no finite error exceeds it.
+HUGE = np.finfo(np.float64).max
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf, -np.inf])
+def test_thresholds_must_be_finite_and_positive(bad):
+    for pair in ((bad, 0.01), (1.0, bad)):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            GcThresholds(*pair)
+    assert GcThresholds(HUGE, 5e-324) == GcThresholds(HUGE, 5e-324)
 
 
 def test_mask_perfect_consistency_is_zero():
@@ -122,8 +127,8 @@ def test_mask_is_the_full_frame_formula_in_any_band(rng, monkeypatch, band):
     failed = ~(d_back.valid & p_back.valid)
     pde = np.sqrt(np.square(p_back.x - gx) + np.square(p_back.y - gy))
     rdd = np.abs(d_back.values - d_ref.values) / np.where(d_ref.valid, d_ref.values, 1.0)
-    # Infinite thresholds leave only the failed reprojections' votes.
-    for thr in (GcThresholds(0.5, 0.01), GcThresholds(np.inf, np.inf)):
+    # The largest thresholds leave only the failed reprojections' votes.
+    for thr in (GcThresholds(0.5, 0.01), GcThresholds(HUGE, HUGE)):
         mask = inconsistency_mask(d_ref, d_back, p_back, thr)
         want = d_ref.valid & (failed | (pde > thr.d_pixel) | (rdd > thr.d_depth))
         assert mask.dtype == bool and np.array_equal(mask, want)
@@ -229,21 +234,22 @@ def test_stage_penalties_match_naive_loop_oracle_per_stage():
             assert np.array_equal(pen.values, oracle)
 
 
-def test_failed_reprojections_vote_under_infinite_thresholds():
-    # No displacement or depth difference exceeds an infinite threshold, so
-    # every vote left is a reprojection that cannot be done (occluded, off
-    # the source image, an invalid bilinear corner): those still vote
-    # inconsistent, bit for bit as in the nested-loop oracle.
+def test_failed_reprojections_vote_under_the_largest_thresholds():
+    # No finite displacement or depth difference exceeds the largest finite
+    # threshold, so every vote left is a reprojection that cannot be done
+    # (occluded, off the source image, an invalid bilinear corner): those
+    # still vote inconsistent, bit for bit as in the nested-loop oracle
+    # with infinite thresholds.
     spec = synth.make_scene("two-planes", 40, 32, 3, seed=0)
     d0, _ = synth.render_depth(spec, 0)
     sources = [(synth.render_depth(spec, s)[0], spec.cameras[s]) for s in (1, 2)]
-    pen = per_pixel_penalty(d0, spec.cameras[0], sources, GcThresholds(np.inf, np.inf))
+    pen = per_pixel_penalty(d0, spec.cameras[0], sources, GcThresholds(HUGE, HUGE))
     oracle = naive_penalty(d0, spec.cameras[0], sources, np.inf, np.inf)
     assert pen.values.tobytes() == oracle.tobytes()
     assert np.count_nonzero(pen.values > 1.0) == 139
     d_re, p_re = identity_reproj(constant_depth(4, 4))
     d_re.valid[2, 2] = p_re.valid[2, 2] = False
-    mask = inconsistency_mask(constant_depth(4, 4), d_re, p_re, GcThresholds(np.inf, np.inf))
+    mask = inconsistency_mask(constant_depth(4, 4), d_re, p_re, GcThresholds(HUGE, HUGE))
     assert mask[2, 2] and mask.sum() == 1
 
 
