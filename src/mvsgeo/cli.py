@@ -19,6 +19,7 @@ Scene directory convention (emitted by synth, consumed by the rest):
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -260,14 +261,14 @@ def _cmd_loss(args) -> int:
     if len(args.probvol) > 3:
         raise ValueError("at most three stages")
     weights = StageWeights(args.alpha, args.beta, args.gamma)
-    losses = []
-    for vol_path, gt_path, pen_path in zip(args.probvol, args.gt, args.penalty):
-        with formats.open_probability_volume(_require(Path(vol_path))) as vol:
-            gt = formats.depth_from_pfm(formats.read_pfm(_require(Path(gt_path)).read_bytes()))
-            pen = formats.read_pfm(_require(Path(pen_path)).read_bytes()).data.astype(np.float64)
-            err, supervised = cross_entropy_error(vol, gt)
-        valid = supervised & (pen > 0)
-        losses.append(stage_loss(pen, err, valid))
+    with contextlib.ExitStack() as files:
+        stages = [_open_loss_stage(files, *paths) for paths in zip(args.probvol, args.gt, args.penalty)]
+        losses = []
+        for stage in stages:
+            vol, gt, pen = stage
+            losses.append(stage_loss(pen, *cross_entropy_error(vol, gt)))
+            for f in stage:  # its band buffers go with it
+                f.close()
     _emit_json(
         {
             "stage_losses": losses,
@@ -277,6 +278,23 @@ def _cmd_loss(args) -> int:
         args.out,
     )
     return 0
+
+
+def _open_loss_stage(files, vol_path, gt_path, pen_path):
+    """A stage's volume, ground truth and penalty, opened on `files` and header-checked.
+
+    The two PFMs must be 1-channel and match the volume's H x W frame; no
+    payload byte is read yet.
+    """
+    vol = files.enter_context(formats.open_probability_volume(_require(Path(vol_path))))
+    frame = vol.shape[1:]
+    opened = [vol]
+    for role, path in (("ground truth", gt_path), ("penalty", pen_path)):
+        pfm = files.enter_context(formats.open_pfm(_require(Path(path))))
+        if pfm.shape != frame:
+            raise ValueError(f"{role} {path} has shape {pfm.shape}, the probability volume {vol_path} needs {frame}")
+        opened.append(pfm)
+    return opened
 
 
 # ---------------------------------------------------------------------------

@@ -1,34 +1,42 @@
 """Readers and writers for the ecosystem file formats.
 
-All functions but open_probability_volume operate on byte buffers or
-strings; opening and closing files is the caller's concern.  Readers
-reject malformed input with a ParseError carrying the offending line or
-byte offset; they never silently truncate.
+All functions but open_pfm and open_probability_volume operate on byte
+buffers or strings; opening and closing files is the caller's concern.
+Readers reject malformed input with a ParseError carrying the offending
+line or byte offset; they never silently truncate.
 
 Formats:
 
 * PFM: "Pf"/"PF" magic line, "width height" line, scale line whose sign
   encodes endianness (negative = little endian), then raw 32-bit floats
   stored bottom row first.  The writer always emits little endian.
+  open_pfm opens a file for the loss to read one row band at a time,
+  top row first; it shares read_pfm's header parser.
 * cam.txt: "extrinsic" keyword + 4x4 world-to-camera matrix, "intrinsic"
   keyword + 3x3 matrix, then a "depth_min depth_interval" line.
 * PLY point clouds: ascii or binary_little_endian, float x/y/z and
   optional uchar red/green/blue.
 * Probability volume: "PROBVOL" magic line, "D H W" line, a
-  "shared"/"perpixel" hypothesis layout line (each line at most 256
-  bytes), then raw little-endian float32 hypotheses followed by the
-  D*H*W probabilities.  read_probability_volume returns read-only
-  float32 views of the caller's bytes (no copy), every value checked;
-  ProbabilityVolume(...) built by hand converts to float64.
+  "shared"/"perpixel" hypothesis layout line, then raw little-endian
+  float32 hypotheses followed by the D*H*W probabilities.
+  read_probability_volume returns read-only float32 views of the
+  caller's bytes (no copy), every value checked; ProbabilityVolume(...)
+  built by hand converts to float64.
   open_probability_volume opens a file for the loss to read one row band
   at a time, each byte once, checking each band as it is read; the two
   share one header parser and report a malformed file alike.  Losses
   are identical all three ways.
 
+A header line of either format is at most 256 bytes, its newline
+included.  The two file openers parse the header at open, reading it a
+byte at a time, then read each payload byte once with os.preadv into
+the caller's buffers.
+
 PFM and PLY payloads are viewed in place, not sliced out of the buffer.
 """
 
 import os
+import sys
 import warnings
 
 import numpy as np
@@ -41,6 +49,7 @@ __all__ = [
     "ParseError",
     "PfmImage",
     "read_pfm",
+    "open_pfm",
     "write_pfm",
     "depth_from_pfm",
     "read_cam",
@@ -65,6 +74,96 @@ class ParseError(ValueError):
         super().__init__(message + where)
         self.line = line
         self.offset = offset
+
+
+# ---------------------------------------------------------------------------
+# header lines and files read at offsets
+# ---------------------------------------------------------------------------
+
+
+# A header line of a PFM or probability volume is at most this many
+# bytes, its newline included.  A file opener reads the header one byte at
+# a time, so that no payload byte is read twice; the cap bounds those
+# reads for a file with no newline.
+_HEADER_LINE_MAX = 256
+
+# The most buffers one os.preadv call takes (at least POSIX's minimum, 16,
+# where the system gives no limit).
+_IOV_MAX = max(16, os.sysconf("SC_IOV_MAX"))
+
+
+def _header_line(raw: bytes, pos: int, kind: str):
+    """(stripped text, next offset) of the header line at pos of a `kind` file; raw holds its first bytes from pos.
+
+    raw is cut at _HEADER_LINE_MAX bytes or the file's end, whichever
+    comes first; from a file it may also stop just after the newline.
+    """
+    end = raw.find(b"\n")
+    if end < 0:
+        if len(raw) < _HEADER_LINE_MAX:
+            raise ParseError(f"truncated {kind} header", offset=pos)
+        raise ParseError(f"{kind} header line longer than {_HEADER_LINE_MAX} bytes", offset=pos)
+    return raw[:end].decode("latin-1").strip(), pos + end + 1
+
+
+class _OpenedFile:
+    """A file whose header is parsed at open and whose payload is read at offsets, each byte once.
+
+    A subclass names its format (_kind), parses its header in
+    _header(size) through _line, and takes the parsed values in _opened.
+    The payload is read with os.preadv straight into the caller's
+    buffers; nothing is mapped or buffered.  A file that shrinks while it
+    is read raises the ParseError its bytes reader gives for the bytes
+    left.
+    """
+
+    _kind = ""
+
+    def __init__(self, path):
+        self._file = open(path, "rb", buffering=0)
+        try:
+            self._fd = self._file.fileno()
+            self._opened(*self._header(os.fstat(self._fd).st_size))
+        except BaseException:
+            self._file.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        self._file.close()
+
+    def _line(self, pos: int):
+        """The header line at pos (see _header_line), read a byte at a time: none of the payload."""
+        raw = b""
+        while len(raw) < _HEADER_LINE_MAX and not raw.endswith(b"\n"):
+            byte = os.pread(self._fd, 1, pos + len(raw))
+            if not byte:
+                break
+            raw += byte
+        return _header_line(raw, pos, self._kind)
+
+    def _read(self, buffers, offset: int) -> None:
+        """Fill the contiguous arrays of `buffers`, in turn, from the file's bytes at offset."""
+        views = [memoryview(buf).cast("B") for buf in buffers]
+        first = 0
+        while first < len(views):
+            n = os.preadv(self._fd, views[first:first + _IOV_MAX], offset)
+            if n == 0:
+                # The file shrank since it was opened: the header check now
+                # fails as the bytes reader would on its bytes.
+                self._header(os.fstat(self._fd).st_size)
+                raise ParseError(f"{self._kind} file changed while it was read", offset=offset)
+            offset += n
+            while n:
+                taken = min(n, len(views[first]))
+                views[first], n = views[first][taken:], n - taken
+                if not views[first]:
+                    first += 1
 
 
 # ---------------------------------------------------------------------------
@@ -98,20 +197,20 @@ class PfmImage:
         return self.data.shape[1]
 
 
-def _pfm_line(data: bytes, pos: int):
-    end = data.find(b"\n", pos)
-    if end < 0:
-        raise ParseError("truncated PFM header", offset=pos)
-    return data[pos:end].decode("latin-1").strip(), end + 1
+def _pfm_header(line, size: int):
+    """(height, width, channels, scale, payload offset) of a PFM file of `size` bytes.
 
-
-def read_pfm(data: bytes) -> PfmImage:
-    magic, pos = _pfm_line(data, 0)
+    line(pos) returns the stripped header line at pos and the offset after
+    it (see _header_line).  read_pfm and open_pfm both parse through here,
+    so a malformed header or a payload of the wrong size gets the same
+    message and offset from either.
+    """
+    magic, pos = line(0)
     if magic not in ("Pf", "PF"):
         raise ParseError(f"bad PFM magic {magic!r}", offset=0)
     channels = 3 if magic == "PF" else 1
     dims_pos = pos
-    dims_line, pos = _pfm_line(data, pos)
+    dims_line, pos = line(pos)
     parts = dims_line.split()
     if len(parts) != 2:
         raise ParseError(f"expected 'width height', got {dims_line!r}", offset=dims_pos)
@@ -122,29 +221,82 @@ def read_pfm(data: bytes) -> PfmImage:
     if width <= 0 or height <= 0:
         raise ParseError(f"non-positive PFM dimensions {width}x{height}", offset=dims_pos)
     scale_pos = pos
-    scale_line, pos = _pfm_line(data, pos)
+    scale_line, pos = line(pos)
     try:
         scale = float(scale_line)
     except ValueError:
         raise ParseError(f"bad PFM scale {scale_line!r}", offset=scale_pos) from None
     if scale == 0:
         raise ParseError("zero PFM scale", offset=scale_pos)
-    count = width * height * channels
-    expected = count * 4
-    size = len(data) - pos
-    if size < expected:
+    expected = width * height * channels * 4
+    if size - pos < expected:
         raise ParseError(
-            f"truncated PFM payload: expected {expected} bytes, got {size}", offset=pos
+            f"truncated PFM payload: expected {expected} bytes, got {size - pos}", offset=pos
         )
-    if size > expected:
+    if size - pos > expected:
         raise ParseError(
-            f"trailing bytes after PFM payload: expected {expected}, got {size}", offset=pos + expected
+            f"trailing bytes after PFM payload: expected {expected}, got {size - pos}", offset=pos + expected
         )
+    return height, width, channels, scale, pos
+
+
+def read_pfm(data: bytes) -> PfmImage:
+    height, width, channels, scale, pos = _pfm_header(
+        lambda at: _header_line(data[at:at + _HEADER_LINE_MAX], at, "PFM"), len(data))
     dtype = "<f4" if scale < 0 else ">f4"
-    flat = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
+    flat = np.frombuffer(data, dtype=dtype, count=width * height * channels, offset=pos)
     shape = (height, width, 3) if channels == 3 else (height, width)
     img = flat.reshape(shape)
     return PfmImage(np.flipud(img).astype(np.float32), scale)
+
+
+class _PfmFile(_OpenedFile):
+    """A PFM file that the loss reads one row band at a time (made by open_pfm).
+
+    shape is (H, W), or (H, W, 3) for a colour file, as PfmImage.data's.
+    _band(rows) reads the rows, top row first, with os.preadv into a
+    reused native float32 buffer, sized at the first band (the tallest of
+    a walk; a taller band later gets a new one); each band overwrites the
+    one before.  Little- and big-endian files
+    read alike.  close() drops the buffer.
+    """
+
+    _kind = "PFM"
+
+    def _header(self, size: int):
+        return _pfm_header(self._line, size)
+
+    def _opened(self, height, width, channels, scale, pos):
+        self.shape = (height, width) if channels == 1 else (height, width, 3)
+        self._pos = pos
+        self._swap = (scale < 0) != (sys.byteorder == "little")
+        self._rows = None
+
+    def close(self) -> None:
+        super().close()
+        self._rows = None
+
+    def _band(self, rows: slice) -> np.ndarray:
+        n = rows.stop - rows.start
+        if self._rows is None or len(self._rows) < n:
+            self._rows = np.empty((n,) + self.shape[1:], np.float32)
+        band = self._rows[:n]
+        # The file stores the rows bottom first: the band's bottom row
+        # comes first, so the rows are filled in reverse.
+        self._read(band[::-1], self._pos + band[0].nbytes * (self.shape[0] - rows.stop))
+        if self._swap:
+            band.byteswap(inplace=True)
+        return band
+
+
+def open_pfm(path) -> _PfmFile:
+    """Open a PFM file for the loss to read band by band; close it (or use `with`) after.
+
+    The header is parsed and the payload size checked now, with
+    read_pfm's messages and offsets; no payload byte is read until a band
+    is.  The file must not change meanwhile.
+    """
+    return _PfmFile(path)
 
 
 def write_pfm(img: PfmImage) -> bytearray:
@@ -379,39 +531,19 @@ def write_ply(cloud: PointCloud, binary: bool = True) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-# A header line of a probability volume is at most this many bytes,
-# its newline included.  The file opener reads the header one byte at a
-# time, so that no payload byte is read twice; the cap bounds those
-# reads for a file with no newline.
-_VOLUME_LINE_MAX = 256
-
-
-def _volume_line(raw: bytes, pos: int):
-    """(stripped text, next offset) of the header line at pos; raw holds the first bytes from pos.
-
-    raw is cut at _VOLUME_LINE_MAX bytes or the file's end, whichever
-    comes first; from a file it may also stop just after the newline.
-    """
-    end = raw.find(b"\n")
-    if end < 0:
-        if len(raw) < _VOLUME_LINE_MAX:
-            raise ParseError("truncated probability volume header", offset=pos)
-        raise ParseError(f"probability volume header line longer than {_VOLUME_LINE_MAX} bytes", offset=pos)
-    return raw[:end].decode("latin-1").strip(), pos + end + 1
-
-
 def _volume_header(line, size: int):
     """(d, h, w, layout, payload offset) of a probability volume of `size` bytes.
 
-    line(pos) returns the raw header bytes from pos (see _volume_line);
-    both readers parse through here, so a malformed header or a payload
-    of the wrong size gets the same message and offset from either.
+    line(pos) returns the stripped header line at pos and the offset after
+    it (see _header_line); both readers parse through here, so a malformed
+    header or a payload of the wrong size gets the same message and offset
+    from either.
     """
-    magic, pos = _volume_line(line(0), 0)
+    magic, pos = line(0)
     if magic != "PROBVOL":
         raise ParseError(f"bad probability volume magic {magic!r}", offset=0)
     dims_pos = pos
-    dims_line, pos = _volume_line(line(pos), pos)
+    dims_line, pos = line(pos)
     parts = dims_line.split()
     if len(parts) != 3:
         raise ParseError(f"expected 'D H W', got {dims_line!r}", offset=dims_pos)
@@ -422,7 +554,7 @@ def _volume_header(line, size: int):
     if d <= 0 or h <= 0 or w <= 0:
         raise ParseError(f"non-positive volume dimensions {dims_line!r}", offset=dims_pos)
     layout_pos = pos
-    layout, pos = _volume_line(line(pos), pos)
+    layout, pos = line(pos)
     if layout not in ("shared", "perpixel"):
         raise ParseError(f"unknown hypothesis layout {layout!r}", offset=layout_pos)
     n_hyp = d if layout == "shared" else d * h * w
@@ -437,7 +569,8 @@ def _volume_header(line, size: int):
 
 def read_probability_volume(data: bytes) -> ProbabilityVolume:
     """The volume in data, as read-only float32 views of it, every value checked."""
-    d, h, w, layout, pos = _volume_header(lambda at: data[at:at + _VOLUME_LINE_MAX], len(data))
+    d, h, w, layout, pos = _volume_header(
+        lambda at: _header_line(data[at:at + _HEADER_LINE_MAX], at, "probability volume"), len(data))
     n_hyp = d if layout == "shared" else d * h * w
     flat = np.frombuffer(data, dtype="<f4", offset=pos)
     hyp = flat[:n_hyp]
@@ -455,79 +588,52 @@ def _invalid_volume(exc: ValueError, pos: int) -> ParseError:
     return ParseError(f"invalid probability volume: {exc}", offset=pos)
 
 
-class _VolumeFile:
+class _VolumeFile(_OpenedFile):
     """A probability volume file that loss.cross_entropy_error reads one row band at a time.
 
     Made by open_probability_volume, which has parsed the header and
-    checked the payload size.  Each band's probabilities, and per-pixel
-    hypotheses, are read with os.preadv straight into the loss's reused
-    block, bin by bin, so each payload byte is read once and the file is
-    never mapped or held whole.  Shared hypotheses are read at open.
-    A band the volume rules reject raises the ParseError that
-    read_probability_volume gives for the same bytes; so does a file
-    that shrinks while it is read.
+    checked the payload size.  _band(rows, block) reads the band's
+    probabilities with os.preadv straight into the loss's reused block,
+    bin by bin, and returns them with slab(k), bin k's hypotheses: per
+    pixel, slab(k) reads the band's bin-k slab into one of two reused
+    slabs, as the scoring loop reaches that bin; shared hypotheses are
+    read at the first band.  So each payload byte is read once and the
+    file is never mapped or held whole.  A band the volume rules reject
+    raises the ParseError that read_probability_volume gives for the same
+    bytes; so does a file that shrinks while it is read.
     """
 
+    _kind = "probability volume"
     _dtype = np.dtype("<f4")
 
-    def __init__(self, path):
-        self._file = open(path, "rb", buffering=0)
-        try:
-            self._fd = self._file.fileno()
-            d, h, w, layout, self._pos = _volume_header(self._line, os.fstat(self._fd).st_size)
-            self.shape = (d, h, w)
-            self._probs_pos = self._pos + 4 * (d if layout == "shared" else d * h * w)
-            self._shared = None
-            if layout == "shared":
-                self._shared = np.empty(d, self._dtype)
-                self._read(self._shared, self._pos)
-        except BaseException:
-            self._file.close()
-            raise
+    def _header(self, size: int):
+        return _volume_header(self._line, size)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def close(self) -> None:
-        self._file.close()
-
-    def _line(self, pos: int) -> bytes:
-        """The header bytes from pos up to the newline, one read per byte: none of the payload."""
-        raw = b""
-        while len(raw) < _VOLUME_LINE_MAX and not raw.endswith(b"\n"):
-            byte = os.pread(self._fd, 1, pos + len(raw))
-            if not byte:
-                break
-            raw += byte
-        return raw
-
-    def _read(self, buf: np.ndarray, offset: int) -> None:
-        """Fill the contiguous array buf from the file at offset."""
-        view = memoryview(buf).cast("B")
-        while view:
-            n = os.preadv(self._fd, [view], offset)
-            if n == 0:
-                # The file shrank since it was opened: the header check now
-                # fails as read_probability_volume would on its bytes.
-                _volume_header(self._line, os.fstat(self._fd).st_size)
-                raise ParseError("probability volume file changed while it was read", offset=offset)
-            view, offset = view[n:], offset + n
+    def _opened(self, d, h, w, layout, pos):
+        self.shape = (d, h, w)
+        self._pos = pos
+        self._perpixel = layout == "perpixel"
+        self._probs_pos = pos + 4 * (d * h * w if self._perpixel else d)
+        self._shared = None
 
     def _band(self, rows: slice, block):
         d, h, w = self.shape
         start = rows.start * w
-        hyp = self._shared
-        if hyp is None:
-            hyp = block(1, self._dtype)
-            for k in range(d):
-                self._read(hyp[k], self._pos + 4 * (k * h * w + start))
-        probs = block(0, self._dtype)
+        probs = block(0, self._dtype, d)
         for k in range(d):
-            self._read(probs[k], self._probs_pos + 4 * (k * h * w + start))
-        return probs, hyp
+            self._read([probs[k]], self._probs_pos + 4 * (k * h * w + start))
+        if not self._perpixel:
+            if self._shared is None:
+                self._shared = np.empty(d, self._dtype)
+                self._read([self._shared], self._pos)
+            return probs, self._shared.__getitem__
+        slabs = block(1, self._dtype, 2)
+
+        def slab(k):
+            self._read([slabs[k % 2]], self._pos + 4 * (k * h * w + start))
+            return slabs[k % 2]
+
+        return probs, slab
 
     def _rejected(self, exc: ValueError) -> ParseError:
         return _invalid_volume(exc, self._pos)
@@ -537,8 +643,9 @@ def open_probability_volume(path) -> _VolumeFile:
     """Open a probability volume file for the loss to read band by band; close it (or use `with`) after.
 
     The header is parsed and the payload size checked now, with
-    read_probability_volume's messages; the values are checked band by
-    band as the loss reads them.  The file must not change meanwhile.
+    read_probability_volume's messages; no payload byte is read until a
+    band is, and the values are checked as the loss reads them.  The file
+    must not change meanwhile.
     """
     return _VolumeFile(path)
 

@@ -15,13 +15,13 @@ Only eligible pixels are checked.  A reference is drawn after the
 previous reference's consume pass: its eligible pixels are then packed
 as ascending flat indices, and its per-pair check arrays are allocated
 for those pixels alone, filled, and dropped after the view's pass.  The
-pass tests eligibility again on the packed pixels, so any superset of
-them gives the same bytes: an ineligible pixel's bits, depth and
-landing index are never read.  Each pair is checked chunk by chunk
-of the packed pixels, in one call per pair, by walking reproject._checks,
-the pair check the penalty's votes also walk: the reprojection fbr
-computes, then reproject._pair_errors (the penalty's sqrt formula) on
-band scratch.  Checks pass below (<).
+draw is the one eligibility test: the references run in order, so
+nothing is consumed between a reference's draw and its pass, and the
+pass takes every packed pixel as eligible.  Each pair is checked chunk
+by chunk of the packed pixels, in one call per pair, by walking
+reproject._checks, the pair check the penalty's votes also walk: the
+reprojection fbr computes, then reproject._pair_errors (the penalty's
+sqrt formula) on band scratch.  Checks pass below (<).
 
 A reference's stacks hold, per source and packed pixel, one pass-bit
 byte, the reprojected depth (float64) and the landing pixel as one int32
@@ -140,23 +140,19 @@ def _unpack_view(view):
     return depth, conf, cam, image
 
 
-def _eligible(consumed, valid, conf, prob_threshold):
-    """Which pixels can still fuse: not consumed, valid, confidence above prob_threshold.
+def _eligible_pixels(consumed, valid, conf, prob_threshold):
+    """Ascending flat indices of a reference's pixels that can still fuse.
 
-    The arrays are a reference's consumed marks, validity and confidence,
-    as frames or gathered at the same pixels.  The confidence compares in
-    float64 (against a float64 scalar, so a float32 map needs no widened
-    copy), as its float64 widening would.
+    A pixel can fuse when it is not consumed, valid and its confidence is
+    above prob_threshold; the arrays are the reference's consumed marks,
+    validity and confidence frames.  The confidence compares in float64
+    (against a float64 scalar, so a float32 map needs no widened copy), as
+    its float64 widening would.
     """
     ok = consumed == 0
     ok &= valid
     ok &= np.greater(conf, np.float64(prob_threshold))
-    return ok
-
-
-def _eligible_pixels(consumed, valid, conf, prob_threshold):
-    """Ascending flat indices of a reference's pixels that can still fuse (see _eligible)."""
-    return np.flatnonzero(_eligible(consumed, valid, conf, prob_threshold))
+    return np.flatnonzero(ok)
 
 
 def _new_stacks(n_src, n):
@@ -221,10 +217,10 @@ def _row_bits(bits, row, out):
 
 
 # One reference view's fuse/consume decision, over the pixels its stacks
-# hold.  bits holds, per source view, the pass-bit byte of the table rows
-# (see _set_pass_bits); a check that is impossible (invalid reprojection)
-# passes no row.  A pixel fuses when it is still eligible (_eligible) and
-# some k >= min_consistent has count(table row k) >= k; the largest
+# hold, all of them eligible (_eligible_pixels).  bits holds, per source
+# view, the pass-bit byte of the table rows (see _set_pass_bits); a check
+# that is impossible (invalid reprojection) passes no row.  A pixel fuses
+# when some k >= min_consistent has count(table row k) >= k; the largest
 # qualifying k selects the consistent set.  table rows beyond the end
 # clamp to the last entry, so a one-row table (fusibile) is a single
 # threshold pair with a fixed required count.  No count exceeds n_src, so
@@ -238,29 +234,26 @@ def _row_bits(bits, row, out):
 # the source image).
 
 
-def _consume_pass(d_ref: DepthMap, conf, pixels, stacks, consumed, ref_idx, sources, params, n_table):
+def _consume_pass(d_ref: DepthMap, pixels, stacks, consumed, ref_idx, sources, params, n_table):
     """Fused depth and boolean fused mask of one reference view's pixels `pixels`; updates consumed.
 
-    pixels: ascending flat indices of the reference pixels the stacks
-    (from _pair_stacks) hold, n of them; d_ref and conf are frames;
-    sources: the source view indices, ints, in the stacks' order; n_table:
-    the table's length.  Eligibility is tested again on these pixels, so
-    any pixels may be passed (all of them, say).  The fused depth and mask
+    pixels: ascending flat indices of the eligible reference pixels (the
+    draw, _eligible_pixels) the stacks (from _pair_stacks) hold, n of
+    them; d_ref is a frame; sources: the source view indices, ints, in the
+    stacks' order; n_table: the table's length.  The fused depth and mask
     come back packed likewise, (n,).
     """
     bits, dres, flat = stacks
     n_src = len(sources)
     min_consistent = params.consistency_threshold
     ref_consumed = consumed[ref_idx].reshape(-1)
-    eligible = _eligible(ref_consumed[pixels], d_ref.valid.reshape(-1)[pixels], conf.reshape(-1)[pixels],
-                         params.prob_threshold)
     # Ascending k: the largest qualifying k writes its passing set last.
     passing = np.zeros(dres.shape, dtype=bool)
     row_bits = np.empty(dres.shape, dtype=np.uint8)
     for k in range(min_consistent, min(max(n_table, min_consistent), n_src) + 1):
         pass_k = _row_bits(bits, min(k, n_table) - 1, row_bits)
         np.copyto(passing, pass_k, where=pass_k.sum(axis=0) >= k)
-    fuse = eligible & passing.any(axis=0)
+    fuse = passing.any(axis=0)
     passing &= fuse
     n = passing.sum(axis=0)
     depth = d_ref.values.reshape(-1)[pixels]
@@ -373,7 +366,7 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None) -> PointCloud
         stacks = _new_stacks(len(pairs[r]), pixels.size)
         if pixels.size:  # a reference with no pixel left to fuse checks no pair
             _pair_stacks(depth_r, cam_r, [(unpacked[s][0], unpacked[s][2]) for s in pairs[r]], table, pixels, stacks)
-        fused_depth, mask = _consume_pass(depth_r, conf_r, pixels, stacks, consumed, r, pairs[r], params, len(table))
+        fused_depth, mask = _consume_pass(depth_r, pixels, stacks, consumed, r, pairs[r], params, len(table))
         del stacks  # dropped before the next reference is drawn
         fused = pixels[mask]
         if not fused.size:

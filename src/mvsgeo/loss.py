@@ -5,21 +5,29 @@ hypothesis bin nearest to the ground-truth depth (one-hot target, ties
 toward the lower bin).  Stage loss is the mean over supervised pixels of
 penalty times error; the total is the weighted sum of one to three stages.
 
-A volume is walked one row band at a time (_blocks).  Each band is
-checked (_check_block) before it is scored (_band_error), whose gather
-needs the band's probabilities as one contiguous (D, rows, W) array.
-A walked volume offers shape, _band(rows, block), which returns the
-band's probabilities and its (D, rows, W) or shared (D,) hypotheses,
-and _rejected(exc), the error to raise for a band the check rejects.
-block(k, dtype) is the walk's k-th reused (D, rows, W) buffer.
-formats.open_probability_volume reads each band from the file into
-blocks, so a volume on disk is read once and never held whole.
+A volume is walked one row band at a time (_blocks).  Each band's
+probabilities are checked (_check_probs) before it is scored
+(_band_error), whose gather needs them as one contiguous (D, rows, W)
+array; its hypotheses come one bin slab at a time, as the scoring loop
+reaches that bin, and each slab is checked against the one before
+(_slabs).  A walked volume offers shape, _band(rows, block), which
+returns the band's probabilities and slab(k), bin k's (rows, W) or
+shared scalar hypotheses, and _rejected(exc), the error to raise for a
+band the checks reject.  block(k, dtype, bins) is the walk's k-th reused
+(bins, rows, W) buffer.  formats.open_probability_volume reads each
+band's probabilities into a block and each per-pixel slab into one of
+two reused slabs, so a volume on disk is read once and never held whole.
 ProbabilityVolume returns views of its arrays, and copies its
 probabilities into a block only where the view is not contiguous (a
 volume of more than one band).  Its eager check, which
-formats.read_probability_volume runs too, applies _check_block to each
-band's views with no copy.  A float32 volume keeps float32 bands; the
-error is computed in float64 either way, so both give the same bits.
+formats.read_probability_volume runs too, applies the same checks to
+each band's views with no copy.  A float32 volume keeps float32 bands;
+the error is computed in float64 either way, so both give the same bits.
+
+The ground truth and the penalty may be DepthMap and array inputs or
+1-channel PFM files opened with formats.open_pfm, read band by band into
+the file's reused band buffer: a stage then holds no frame-sized input,
+only its error, supervised mask and packed penalty-times-error products.
 
 The nearest bin is tracked as an integer index, not as a picked
 probability: per bin, pick = max(pick, k * better), where better is the
@@ -95,9 +103,11 @@ class ProbabilityVolume:
                 raise ValueError("hypothesis count does not match probs")
         elif self.hypotheses.shape != self.probs.shape:
             raise ValueError("per-pixel hypotheses must match probs shape")
-        hyp = self.hypotheses
         for rows, *_ in _bands(self.probs.shape[1:]):
-            _check_block(self.probs[:, rows], hyp if hyp.ndim == 1 else hyp[:, rows])
+            probs, slab = self._band(rows, None)
+            _check_probs(probs)
+            for _ in _slabs(slab, len(probs), self._rejected):
+                pass
 
     @property
     def num_hypotheses(self) -> int:
@@ -108,55 +118,75 @@ class ProbabilityVolume:
         return self.probs.shape
 
     def _band(self, rows: slice, block):
-        """Views of the band, its probabilities copied into a block unless the view is contiguous."""
+        """The band's probabilities, copied into a block unless the view is contiguous, and its slabs' getter.
+
+        block None asks for the views alone (the eager check).
+        """
         probs = self.probs[:, rows]
-        if not probs.flags.c_contiguous:
-            buf = block(0, probs.dtype)
+        if block is not None and not probs.flags.c_contiguous:
+            buf = block(0, probs.dtype, len(probs))
             np.copyto(buf, probs)
             probs = buf
-        return probs, self.hypotheses if self.hypotheses.ndim == 1 else self.hypotheses[:, rows]
+        hyp = self.hypotheses
+        return probs, (hyp if hyp.ndim == 1 else hyp[:, rows]).__getitem__
 
     def _rejected(self, exc: ValueError) -> ValueError:
         return exc
 
 
 def _blocks(vol):
-    """Yield (rows, probs, hyp) for each of reproject's row bands of vol, checked.
+    """Yield (rows, probs, slabs) for each of reproject's row bands of vol.
 
-    probs is the band's contiguous (D, rows, W) probabilities and hyp its
-    (D, rows, W) hypotheses or the shared (D,) ones, as vol._band(rows,
-    block) returns them.  A buffer of block is allocated at its first use
-    to fit the first band, the tallest, and every later band reuses it,
-    so a band read into it is overwritten by the next.
+    probs is the band's contiguous (D, rows, W) probabilities, checked,
+    and slabs the checked iterator of its bins' hypotheses (_slabs), as
+    vol._band(rows, block) returns them.  A buffer of block is allocated
+    at its first use to fit the first band, the tallest, and every later
+    band reuses it, so a band read into it is overwritten by the next.
     """
     d, h, w = vol.shape
     buffers, tallest = {}, None
     for rows, *_ in _bands((h, w)):
-        size = d * (rows.stop - rows.start) * w
-        tallest = tallest or size
+        pixels = (rows.stop - rows.start) * w
+        tallest = tallest or pixels
 
-        def block(k, dtype, size=size):
+        def block(k, dtype, bins, pixels=pixels):
             if k not in buffers:
-                buffers[k] = np.empty(tallest, dtype)
-            return buffers[k][:size].reshape(d, -1, w)
+                buffers[k] = np.empty(bins * tallest, dtype)
+            return buffers[k][:bins * pixels].reshape(bins, -1, w)
 
-        probs, hyp = vol._band(rows, block)
+        probs, slab = vol._band(rows, block)
         try:
-            _check_block(probs, hyp)
+            _check_probs(probs)
         except ValueError as exc:
             raise vol._rejected(exc) from None
-        yield rows, probs, hyp
+        yield rows, probs, _slabs(slab, d, vol._rejected)
 
 
-def _check_block(probs: np.ndarray, hyp: np.ndarray) -> None:
-    """Validate one block's values with two reductions and slab-sized temporaries only."""
+def _check_probs(probs: np.ndarray) -> None:
+    """Validate one block's probabilities with two reductions."""
     # min propagates NaN, so one comparison rejects NaN and negatives.
     if not (probs.min() >= 0 and probs.max() < np.inf):
         raise ValueError("probabilities must be finite and non-negative")
-    # A NaN fails a comparison; with strict increase, finite ends bound the rest.
-    increasing = all((hyp[k] > hyp[k - 1]).all() for k in range(1, len(hyp)))
-    if not (increasing and np.isfinite(hyp[0]).all() and np.isfinite(hyp[-1]).all()):
-        raise ValueError("hypotheses must be finite and strictly increasing")
+
+
+def _slabs(slab, d: int, rejected):
+    """Yield slab(k), bin k's hypotheses, for k = 0 .. d - 1, each checked as it comes.
+
+    A slab must exceed the one before it everywhere, and the first and
+    last must be finite: a NaN fails a comparison, and with strict
+    increase finite ends bound the rest.  A slab that breaks the rule
+    raises rejected(ValueError(...)) before it is yielded.  The previous
+    slab is compared after the next is read, so slab may reuse two
+    buffers in turn.
+    """
+    prev = None
+    for k in range(d):
+        cur = slab(k)
+        finite = k not in (0, d - 1) or np.isfinite(cur).all()
+        if not (finite and (prev is None or (cur > prev).all())):
+            raise rejected(ValueError("hypotheses must be finite and strictly increasing")) from None
+        yield cur
+        prev = cur
 
 
 @dataclass(frozen=True)
@@ -170,38 +200,57 @@ class StageWeights:
             raise ValueError("stage weights must be non-negative")
 
 
-def cross_entropy_error(vol, gt: DepthMap) -> tuple[np.ndarray, np.ndarray]:
+def cross_entropy_error(vol, gt) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel depth error and the supervised-pixel mask.
 
     vol is a ProbabilityVolume or a volume file opened with
-    formats.open_probability_volume.  A pixel is supervised when the
-    ground truth is valid and lies inside the hypothesis range; elsewhere
-    the error is 0 and masked out.  Raises if a band's values break the
-    volume rules (a ParseError naming the payload offset, for a file), or
-    if the distribution at any supervised pixel is not normalized.
-    Walks the volume one checked band block at a time (_blocks), so no
-    volume-sized array is made or read at once; float32 and float64
-    volumes of the same values give the same bits.
+    formats.open_probability_volume; gt a DepthMap or a 1-channel PFM
+    file opened with formats.open_pfm, whose zero, negative and
+    non-finite pixels are invalid, as DepthMap.from_values makes them.  A
+    pixel is supervised when the ground truth is valid and lies inside
+    the hypothesis range; elsewhere the error is 0 and masked out.  Raises
+    if a band's values break the volume rules (a ParseError naming the
+    payload offset, for a file), or if the distribution at any supervised
+    pixel is not normalized.  Walks the volume and a ground-truth file one
+    checked band at a time (_blocks), so no volume-sized array is made or
+    read at once; float32 and float64 volumes of the same values give the
+    same bits, as do a ground-truth file and its DepthMap.
     """
     if vol.shape[1:] != gt.shape:
         raise ValueError("probability volume does not match ground truth shape")
-    err, supervised = np.empty(gt.shape), np.empty(gt.shape, dtype=bool)
+    err, supervised = np.empty(vol.shape[1:]), np.empty(vol.shape[1:], dtype=bool)
     worst = 0.0  # max |sum - 1| over the supervised pixels so far
-    for rows, probs, hyp in _blocks(vol):
-        err[rows], supervised[rows], off = _band_error(probs, hyp, gt, rows)
+    for rows, probs, slabs in _blocks(vol):
+        err[rows], supervised[rows], off = _band_error(probs, slabs, *_truth_band(gt, rows))
         worst = max(worst, off)
     if worst > _NORM_TOL:
         raise ValueError(f"probability volume not normalized (max |sum - 1| = {worst:.3e})")
     return err, supervised
 
 
-def _band_error(probs, hyp, gt: DepthMap, rows: slice):
+def _truth_band(gt, rows: slice):
+    """The ground truth's depths (float64, 0 where invalid) and validity in the band `rows`.
+
+    The depths are read as float64, one copy per band: a float32 depth
+    against float32 hypotheses would otherwise run the distance in
+    float32.
+    """
+    if isinstance(gt, DepthMap):
+        return gt.values[rows].astype(np.float64, copy=False), gt.valid[rows]
+    values = gt._band(rows)
+    valid = np.isfinite(values)
+    valid &= values > 0
+    g = values.astype(np.float64)
+    g[~valid] = 0.0
+    return g, valid
+
+
+def _band_error(probs, slabs, g, valid):
     """Error, supervised mask and max |sum - 1| over the supervised pixels of one band block.
 
-    probs is the band's contiguous (D, rows, W) block and hyp its
-    (D, rows, W) hypotheses or the shared (D,) ones.  The ground truth is
-    read as float64, one copy per band: a float32 depth against float32
-    hypotheses would otherwise run the distance in float32.
+    probs is the band's contiguous (D, rows, W) block and slabs the
+    iterator of its bins' (rows, W) or shared scalar hypotheses; g and
+    valid are the band's float64 ground truth and validity.
 
     The running minimum of |h_k - g| replaces only on a strictly smaller
     distance, and pick = max(pick, k * better) then holds the bin of the
@@ -209,24 +258,29 @@ def _band_error(probs, hyp, gt: DepthMap, rows: slice):
     type that holds D - 1.  No pass of the loop is masked (see the module
     docstring).  A per-pixel hypothesis slab is cast to float64 before the
     subtraction: numpy's buffered mixed-dtype subtract took 42 us a band
-    against 25 for the cast and a float64 subtract.  After the loop one
-    gather reads the picked probabilities through a flat index into the
-    block (np.take was 4.5x slower on a file's unaligned views).  The sums
-    add the bins in order, as a float64 sum over axis 0 does; 0 stands for
-    a band with no supervised pixel, as every |sum - 1| is at least 0.
+    against 25 for the cast and a float64 subtract.  The range test reads
+    the first slab before the loop and the last after it, so only two
+    slabs are needed at once.  After the loop one gather reads the picked
+    probabilities through a flat index into the block (np.take was 4.5x
+    slower on a file's unaligned views).  The sums add the bins in order,
+    as a float64 sum over axis 0 does; 0 stands for a band with no
+    supervised pixel, as every |sum - 1| is at least 0.
     """
-    g = gt.values[rows].astype(np.float64, copy=False)
-    best = np.abs(hyp[0] - g)
+    first = next(slabs)
+    shared = np.ndim(first) == 0
+    best = np.abs(first - g)
+    supervised = valid & (g >= first)
     sums = probs[0].astype(np.float64)
     dist = np.empty_like(best)
     better = np.empty(best.shape, dtype=bool)
     pick = np.zeros(best.shape, dtype=np.min_scalar_type(probs.shape[0] - 1))
     kb = np.empty_like(pick)
-    for k in range(1, probs.shape[0]):
-        if hyp.ndim == 1:
-            np.subtract(hyp[k], g, out=dist)
+    last = first
+    for k, last in enumerate(slabs, 1):
+        if shared:
+            np.subtract(last, g, out=dist)
         else:
-            np.copyto(dist, hyp[k])
+            np.copyto(dist, last)
             dist -= g
         np.abs(dist, out=dist)
         np.less(dist, best, out=better)
@@ -234,10 +288,10 @@ def _band_error(probs, hyp, gt: DepthMap, rows: slice):
         np.multiply(better, k, out=kb, dtype=kb.dtype)
         np.maximum(pick, kb, out=pick)
         sums += probs[k]
+    supervised &= g <= last
     flat = np.arange(g.size).reshape(g.shape)
     flat += np.multiply(pick, g.size, dtype=np.intp)
     picked = probs.reshape(-1)[flat]
-    supervised = gt.valid[rows] & (g >= hyp[0]) & (g <= hyp[-1])
     # dtype=float64: a float32 pick maximum'd with a Python float would stay float32.
     err = -np.log(np.maximum(picked, PROB_FLOOR, dtype=np.float64))
     off = np.abs(np.subtract(sums, 1.0, out=sums), out=sums)
@@ -245,15 +299,44 @@ def _band_error(probs, hyp, gt: DepthMap, rows: slice):
 
 
 def stage_loss(penalty, error: np.ndarray, valid: np.ndarray) -> float:
-    """Mean over valid pixels of penalty times per-pixel error."""
-    weights = penalty.values if isinstance(penalty, PenaltyMap) else np.asarray(penalty, dtype=np.float64)
+    """Mean over valid pixels of penalty times per-pixel error.
+
+    penalty is a PenaltyMap, an array, or a 1-channel penalty PFM file
+    opened with formats.open_pfm.  A file is read band by band, and its
+    pixels whose penalty is not above 0 are dropped as well (0 is
+    gc-penalty's value outside the reference mask): penalty times error
+    at the kept pixels is packed, in pixel order, into one float64 array,
+    whose mean has the bits of the array path's with valid & (penalty > 0).
+    """
     error = np.asarray(error, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
-    if weights.shape != error.shape or valid.shape != error.shape:
+    streamed = hasattr(penalty, "_band")
+    if streamed:
+        shape = penalty.shape
+    else:
+        weights = penalty.values if isinstance(penalty, PenaltyMap) else np.asarray(penalty, dtype=np.float64)
+        shape = weights.shape
+    if shape != error.shape or valid.shape != error.shape:
         raise ValueError("penalty, error and mask shapes must match")
-    if not valid.any():
+    products = _packed_products(penalty, error, valid) if streamed else weights[valid] * error[valid]
+    if not products.size:
         raise ValueError("no supervised pixels")
-    return float(np.mean(weights[valid] * error[valid]))
+    return float(np.mean(products))
+
+
+def _packed_products(penalty, error, valid) -> np.ndarray:
+    """Penalty times error at the valid pixels whose penalty is above 0, in pixel order, band by band."""
+    products = np.empty(np.count_nonzero(valid))
+    n = 0
+    for rows, *_ in _bands(error.shape):
+        pen = penalty._band(rows)
+        keep = pen > 0
+        keep &= valid[rows]
+        end = n + np.count_nonzero(keep)
+        # The float32 penalty widens exactly, as the array path's float64 copy does.
+        np.multiply(pen[keep], error[rows][keep], out=products[n:end])
+        n = end
+    return products[:n]
 
 
 def total_loss(stage_losses, w: StageWeights = StageWeights()) -> float:

@@ -151,7 +151,7 @@ def naive_penalty(d_ref, ref_cam, sources, d_pixel, d_depth, range_mode="one-two
 def scalar_consume_pass(ref_depth, ref_valid, conf, disp, rdd, dres, sx, sy,
                         consumed, ref_idx, src_idx, prob_threshold,
                         min_consistent, mode, table, avg_mode):
-    """Per-pixel loop version of fusion._consume_pass (fusibile-style scan).
+    """Per-pixel loop version of fuse's draw (fusion._eligible_pixels) and fusion._consume_pass.
 
     Same arguments and the same consumed-array side effect; returns the
     fused depth and a uint8 fused mask.

@@ -300,7 +300,7 @@ def test_median_consume_pass_holds_one_depth_stack(rng):
         params = FusionParams(consistency_threshold=2, average=average)
         tracemalloc.start()
         try:
-            _, mask = _consume_pass(d_ref, np.ones((h, w)), pixels, (bits, dres, flat), consumed, 0,
+            _, mask = _consume_pass(d_ref, pixels, (bits, dres, flat), consumed, 0,
                                     list(range(1, n_src + 1)), params, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -525,7 +525,7 @@ def test_each_pair_walks_the_pixels_eligible_when_its_reference_is_drawn(monkeyp
 
     def recording_consume(*args):
         result = consume(*args)
-        after.append(args[4].copy())  # the consumed marks after each pass, in reference order
+        after.append(args[3].copy())  # the consumed marks after each pass, in reference order
         return result
 
     monkeypatch.setattr(mvsgeo.fusion, "_eligible_pixels", recording_draw)
@@ -551,18 +551,27 @@ def test_each_pair_walks_the_pixels_eligible_when_its_reference_is_drawn(monkeyp
        average=st.sampled_from(["mean", "median"]),
        band=st.sampled_from([1, 23, 25, reproject._BAND_PIXELS]))
 def test_skipping_ineligible_pixels_changes_no_byte(seed, mode, average, band):
-    # Checking every pixel of every reference (the draw forced to skip
-    # nothing) and checking only the eligible ones give the same cloud,
-    # byte for byte, in both modes and averages, at any chunk size (1,
-    # W - 1 and W + 1 pixels and the default; W = 24).
+    # Checking every pixel of every reference and then taking the drawn
+    # (eligible) pixels' columns, and checking only the drawn pixels, give
+    # the same cloud, byte for byte, in both modes and averages, at any
+    # chunk size (1, W - 1 and W + 1 pixels and the default; W = 24).
     import mvsgeo.fusion
 
     views = holey_views(seed)
     params = FusionParams(mode=mode, average=average, prob_threshold=0.3, consistency_threshold=2)
+    pair_stacks = mvsgeo.fusion._pair_stacks
+
+    def checking_every_pixel(d_ref, ref_cam, sources, table, pixels, stacks):
+        every = np.arange(d_ref.valid.size)
+        whole = pair_stacks(d_ref, ref_cam, sources, table, every, mvsgeo.fusion._new_stacks(len(sources), every.size))
+        for stack, full in zip(stacks, whole):
+            stack[...] = full[:, pixels]
+        return stacks
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reproject, "_BAND_PIXELS", band)
         skipping = fuse(views, params)
-        patch.setattr(mvsgeo.fusion, "_eligible_pixels", lambda consumed, valid, conf, p: np.arange(valid.size))
+        patch.setattr(mvsgeo.fusion, "_pair_stacks", checking_every_pixel)
         checking = fuse(views, params)
     assert len(skipping) > 0
     for name in ("points", "colors", "confidence"):

@@ -1,7 +1,7 @@
 """The vectorized per-pixel kernels against their scalar oracles.
 
-reproject.remap and fusion._consume_pass must agree bitwise with the
-per-pixel loops in oracles.py, and fusion's pass bits with the float
+reproject.remap and fuse's draw and consume pass must agree bitwise with
+the per-pixel loops in oracles.py, and fusion's pass bits with the float
 comparisons they store.
 """
 
@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvsgeo import reproject
-from mvsgeo.fusion import DEFAULT_DYNAMIC_TABLE, FusionParams, _consume_pass, _row_bits, _set_pass_bits
+from mvsgeo.fusion import (DEFAULT_DYNAMIC_TABLE, FusionParams, _consume_pass, _eligible_pixels, _row_bits,
+                           _set_pass_bits)
 from mvsgeo.reproject import CoordinateGrid, DepthMap, remap
 
 from oracles import _scalar_bilinear, scalar_consume_pass
@@ -37,24 +38,24 @@ def pass_bits(disp, rdd, table):
     return bits
 
 
-def all_pixels(bits, dres, flat):
-    """Every pixel of (n_src, H, W) stacks, packed: (pixels, stacks) as the consume pass takes them."""
-    n_src, h, w = dres.shape
-    return np.arange(h * w), tuple(a.reshape(n_src, h * w) for a in (bits, dres, flat))
-
-
 def consume(ref_depth, ref_valid, conf, bits, dres, flat, consumed, prob_threshold, min_consistent, n_table, avg):
-    """fusion._consume_pass on every pixel of (H, W) frames and (n_src, H, W) stacks, reference 0.
+    """fuse's draw and fusion._consume_pass on (H, W) frames and (n_src, H, W) stacks, reference 0.
 
-    The sources are views 1 .. n_src; avg is the oracle's 0 (mean) or 1
-    (median).  Returns the fused depth and mask as (H, W) frames.
+    The draw (_eligible_pixels) packs the pixels the pass takes and the
+    stacks at them; the sources are views 1 .. n_src; avg is the oracle's
+    0 (mean) or 1 (median).  Returns the fused depth and mask as (H, W)
+    frames, 0 and False at the pixels not drawn.
     """
     n_src, h, w = dres.shape
     params = FusionParams(prob_threshold=prob_threshold, consistency_threshold=min_consistent,
                           average=("mean", "median")[avg])
-    fused, mask = _consume_pass(DepthMap(ref_depth, ref_valid), conf, *all_pixels(bits, dres, flat), consumed, 0,
+    pixels = _eligible_pixels(consumed[0], ref_valid, conf, prob_threshold)
+    stacks = tuple(a.reshape(n_src, h * w)[:, pixels] for a in (bits, dres, flat))
+    fused, mask = _consume_pass(DepthMap(ref_depth, ref_valid), pixels, stacks, consumed, 0,
                                 list(range(1, n_src + 1)), params, n_table)
-    return fused.reshape(h, w), mask.reshape(h, w)
+    fused_frame, mask_frame = np.zeros(h * w), np.zeros(h * w, dtype=bool)
+    fused_frame[pixels], mask_frame[pixels] = fused, mask
+    return fused_frame.reshape(h, w), mask_frame.reshape(h, w)
 
 
 def _assert_remap_matches_oracle(values, valid, xs, ys, cv):
@@ -147,9 +148,9 @@ def _assert_consume_pass_matches_oracle(inputs, table, min_consistent, mode, avg
                                  consumed1, 0, src_idx, 0.4, min_consistent, mode, table, avg)
     # The production pass has no mode: fusibile is its one-row table.  It
     # reads the pass bits of the same disp and rdd, not the errors, and
-    # takes the landing pixel as one flat index.  It is given every pixel
-    # (invalid, unconfident and consumed ones too) and tests eligibility
-    # itself, as the oracle does.
+    # takes the landing pixel as one flat index.  It is given the pixels
+    # fuse's draw picks (valid, confident, not consumed); the oracle tests
+    # eligibility itself, pixel by pixel.
     table = table[:1] if mode == 0 else table
     f2, m2 = consume(ref_depth, ref_valid, conf, pass_bits(disp, rdd, table), dres, flat_index(sx, sy, w),
                      consumed2, 0.4, min_consistent, len(table), avg)

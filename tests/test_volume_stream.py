@@ -3,8 +3,9 @@
 A volume file opened with formats.open_probability_volume, the same
 volume in memory and the naive oracle give the same bits; a malformed
 file is rejected with the same message and offset by the bytes reader
-and by `loss`; a `loss` call reads each file once and holds two band
-blocks of it, whatever the frame height.
+and by `loss`; a `loss` call reads each input file once and holds one
+band block of the volume and two hypothesis slabs, whatever the frame
+height.
 """
 
 import os
@@ -185,24 +186,26 @@ def _write_uniform_loss(tmp_path, d, h, w, layout, stage=0):
     return vol, gt, pen
 
 
-def test_loss_reads_each_volume_file_once(tmp_path, capsys, monkeypatch):
-    # Every byte the three-stage call reads from its volumes goes through
-    # os.pread (the header, a byte at a time) or os.preadv (the payload,
-    # one band of one bin at a time): the total is each file's size.
+def test_loss_reads_each_input_byte_once(tmp_path, capsys, monkeypatch):
+    # Every byte the three-stage call reads from its volumes, ground
+    # truths and penalties goes through os.pread (a header, a byte at a
+    # time) or os.preadv (a band of one bin, a hypothesis slab, a PFM
+    # band): per open file the reads tile the whole file once, no byte
+    # twice, and the files read are the nine inputs.
     monkeypatch.setattr(reproject, "_BAND_PIXELS", 50)
     files = [_write_uniform_loss(tmp_path, d, h, w, layout, k)
              for k, (d, h, w, layout) in enumerate(((6, 7, 9, "shared"), (5, 14, 18, "perpixel"), (3, 28, 36, "perpixel")))]
-    read = []
+    spans = {}
     pread, preadv = os.pread, os.preadv
 
     def counted_pread(fd, n, offset):
         out = pread(fd, n, offset)
-        read.append(len(out))
+        spans.setdefault(fd, []).append((offset, len(out)))
         return out
 
     def counted_preadv(fd, buffers, offset):
         n = preadv(fd, buffers, offset)
-        read.append(n)
+        spans.setdefault(fd, []).append((offset, n))
         return n
 
     monkeypatch.setattr(os, "pread", counted_pread)
@@ -210,18 +213,26 @@ def test_loss_reads_each_volume_file_once(tmp_path, capsys, monkeypatch):
     argv = ["loss", "--probvol", *(str(f[0]) for f in files), "--gt", *(str(f[1]) for f in files),
             "--penalty", *(str(f[2]) for f in files)]
     assert main(argv) == 0
-    assert sum(read) == sum(f[0].stat().st_size for f in files)
+    sizes = []
+    for reads in spans.values():
+        end = 0
+        for offset, n in sorted(reads):
+            assert offset == end, (offset, end)
+            end += n
+        sizes.append(end)
+    assert sorted(sizes) == sorted(path.stat().st_size for stage in files for path in stage)
     assert len(capsys.readouterr().out) > 0
 
 
-# A `loss` call holds one probability block and, per pixel, one hypothesis
-# block of D x band float32 values; beside them _band_error's band arrays
-# (about 69 B per band pixel measured: float64 distances, sums, flat
-# index and error, bool masks, the picked bins) and the frame-sized
-# outputs and inputs of the stage (error, masks, ground truth, penalty:
-# about 31 B per frame pixel at the peak).
+# A `loss` stage holds one probability block of D x band float32 values
+# and, per pixel, two hypothesis slabs of one band each; beside them
+# _band_error's band arrays (about 69 B per band pixel measured: float64
+# distances, sums, flat index and error, bool masks, the picked bins), the
+# ground truth's and the penalty's float32 band buffers, and the stage's
+# frame-sized arrays: the error (float64), the supervised mask and the
+# packed penalty-times-error products (float64), 17 B per frame pixel.
 _BAND_ARRAYS = 96
-_FRAME_ARRAYS = 48
+_FRAME_ARRAYS = 17
 
 
 def _traced_peak(call):
@@ -235,17 +246,17 @@ def _traced_peak(call):
 
 
 @pytest.mark.parametrize("layout", ["shared", "perpixel"])
-def test_loss_cli_holds_two_band_blocks_and_the_frame_outputs(tmp_path, capsys, monkeypatch, layout):
-    # 8 bands of 16 rows: a float32 copy of the whole probability volume
-    # (2 MB) would exceed the bound.
+def test_loss_cli_holds_one_band_block_and_the_frame_outputs(tmp_path, capsys, monkeypatch, layout):
+    # 8 bands of 16 rows: a second block of D x band values, such as a
+    # per-pixel hypothesis block, would exceed the bound.
     d, h, w, band = 64, 128, 64, 1024
     monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
     vol, gt, pen = _write_uniform_loss(tmp_path, d, h, w, layout)
     argv = ["loss", "--probvol", str(vol), "--gt", str(gt), "--penalty", str(pen)]
     peak = _traced_peak(lambda: main(argv))
-    bound = 2 * d * band * 4 + _BAND_ARRAYS * band + _FRAME_ARRAYS * h * w
+    bound = d * band * 4 + 2 * band * 4 + _BAND_ARRAYS * band + _FRAME_ARRAYS * h * w
     assert peak <= bound, (peak, bound)
-    assert d * h * w * 4 > bound
+    assert peak + d * band * 4 > bound
     capsys.readouterr()
 
 
@@ -263,7 +274,7 @@ def test_error_peak_above_its_outputs_does_not_grow_with_height(tmp_path, monkey
         with open_probability_volume(path) as vol:
             excess.append(_traced_peak(lambda: cross_entropy_error(vol, gt)) - 9 * h * w)
     assert excess[1] <= excess[0] + 1024, excess
-    assert excess[0] < 2 * d * 8 * w * 4 + _BAND_ARRAYS * 8 * w
+    assert excess[0] < d * 8 * w * 4 + 2 * 8 * w * 4 + _BAND_ARRAYS * 8 * w
 
 
 def test_a_header_line_of_256_bytes_is_read_alike(tmp_path):
