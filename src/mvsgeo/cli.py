@@ -40,7 +40,7 @@ from .penalty import (
     penalty_histogram,
     stage_penalties,
 )
-from .reproject import _depth_bands, _in_order, _pair_errors, fbr
+from .reproject import _WARP, _chain, _in_order, _pair_errors
 from .views import load_pairing, rank_sources, save_pairing
 
 __all__ = ["main"]
@@ -371,23 +371,17 @@ def _cmd_eval_depth(args) -> int:
 def _cmd_warp(args) -> int:
     _, cams, depths = _load_scene(args.scene, (args.ref, args.src))
     d_ref = depths[args.ref]
-    d_reproj, p_reproj = fbr(d_ref, cams[args.ref], depths[args.src], cams[args.src])
+    x, y, d, ok = outs = tuple(np.empty(d_ref.shape, dtype=dtype) for dtype in _WARP)
+    errors = np.empty((2,) + d_ref.shape)
+    for sel, band, _, back, failed in _chain(d_ref, cams[args.ref], depths[args.src], cams[args.src], outs):
+        _pair_errors(*band, *back[:3], failed, errors[:, sel])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tag = f"{args.ref:08d}_{args.src:08d}"
-    for name, grid in (
-        (f"reproj_depth_{tag}.pfm", d_reproj.values),
-        (f"reproj_x_{tag}.pfm", p_reproj.x),
-        (f"reproj_y_{tag}.pfm", p_reproj.y),
-        (f"reproj_valid_{tag}.pfm", d_reproj.valid.astype(np.float64)),
-    ):
-        (out / name).write_bytes(formats.write_pfm(formats.PfmImage(grid.astype(np.float32))))
-    ok = d_reproj.valid
+    for stem, grid in zip(("depth", "x", "y", "valid"), (d, x, y, ok)):
+        (out / f"reproj_{stem}_{tag}.pfm").write_bytes(formats.write_pfm(formats.PfmImage(grid.astype(np.float32))))
     doc = {"ref": args.ref, "src": args.src, "valid_pixels": int(ok.sum()), "out": str(out)}
     if ok.any():
-        errors = np.empty((2,) + d_ref.shape)
-        for rows, band, _, _ in _depth_bands(d_ref):
-            _pair_errors(*band, p_reproj.x[rows], p_reproj.y[rows], d_reproj.values[rows], ~ok[rows], errors[:, rows])
         pde, rdd = (e[ok] for e in errors)
         doc.update(
             mean_pde=float(pde.mean()),

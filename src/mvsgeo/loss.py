@@ -24,10 +24,12 @@ formats.read_probability_volume runs too, applies the same checks to
 each band's views with no copy.  A float32 volume keeps float32 bands;
 the error is computed in float64 either way, so both give the same bits.
 
-The ground truth and the penalty may be DepthMap and array inputs or
-1-channel PFM files opened with formats.open_pfm, read band by band into
-the file's reused band buffer: a stage then holds no frame-sized input,
-only its error, supervised mask and packed penalty-times-error products.
+The ground truth and the penalty, whatever their kind (a DepthMap, a
+PenaltyMap, an array, or a 1-channel PFM opened with formats.open_pfm),
+are read a band at a time through _band_reader, with one pixel rule:
+ground truth is valid where finite and > 0, and a penalty not above 0 (0,
+negative or NaN) drops its pixel.  A file's band is read into its reused
+buffer, so a stage holds no frame-sized input.
 
 The nearest bin is tracked as an integer index, not as a picked
 probability: per bin, pick = max(pick, k * better), where better is the
@@ -45,8 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .penalty import PenaltyMap
-from .reproject import DepthMap, _bands
+from .reproject import _bands
 
 __all__ = [
     "ProbabilityVolume",
@@ -73,7 +74,9 @@ class ProbabilityVolume:
     Probabilities must be finite and non-negative, hypotheses finite.
     The constructor converts both to float64; a volume read from bytes
     (formats.read_probability_volume) holds read-only float32 views of
-    the bytes instead.  Losses are bit-identical either way.
+    the bytes instead.  Losses are bit-identical either way.  Values are
+    checked again as they are scored: a float64 array is held, not copied,
+    so only that check sees a value the caller writes into it later.
     """
 
     probs: np.ndarray
@@ -204,40 +207,46 @@ def cross_entropy_error(vol, gt) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel depth error and the supervised-pixel mask.
 
     vol is a ProbabilityVolume or a volume file opened with
-    formats.open_probability_volume; gt a DepthMap or a 1-channel PFM
-    file opened with formats.open_pfm, whose zero, negative and
-    non-finite pixels are invalid, as DepthMap.from_values makes them.  A
-    pixel is supervised when the ground truth is valid and lies inside
+    formats.open_probability_volume; gt a DepthMap, an (H, W) array or a
+    1-channel PFM file opened with formats.open_pfm, whose zero, negative
+    and non-finite pixels are invalid, as DepthMap.from_values makes them.
+    A pixel is supervised when the ground truth is valid and lies inside
     the hypothesis range; elsewhere the error is 0 and masked out.  Raises
     if a band's values break the volume rules (a ParseError naming the
     payload offset, for a file), or if the distribution at any supervised
-    pixel is not normalized.  Walks the volume and a ground-truth file one
+    pixel is not normalized.  Walks the volume and the ground truth one
     checked band at a time (_blocks), so no volume-sized array is made or
     read at once; float32 and float64 volumes of the same values give the
-    same bits, as do a ground-truth file and its DepthMap.
+    same bits, as do a ground-truth file, its array and its DepthMap.
     """
-    if vol.shape[1:] != gt.shape:
+    truth, shape = _band_reader(gt)
+    if vol.shape[1:] != shape:
         raise ValueError("probability volume does not match ground truth shape")
-    err, supervised = np.empty(vol.shape[1:]), np.empty(vol.shape[1:], dtype=bool)
+    err, supervised = np.empty(shape), np.empty(shape, dtype=bool)
     worst = 0.0  # max |sum - 1| over the supervised pixels so far
     for rows, probs, slabs in _blocks(vol):
-        err[rows], supervised[rows], off = _band_error(probs, slabs, *_truth_band(gt, rows))
+        err[rows], supervised[rows], off = _band_error(probs, slabs, *_truth_band(truth(rows)))
         worst = max(worst, off)
     if worst > _NORM_TOL:
         raise ValueError(f"probability volume not normalized (max |sum - 1| = {worst:.3e})")
     return err, supervised
 
 
-def _truth_band(gt, rows: slice):
-    """The ground truth's depths (float64, 0 where invalid) and validity in the band `rows`.
+def _band_reader(x):
+    """x's band reader (rows to that band of its frame: an opened PFM's _band, else x.values') and frame shape."""
+    if hasattr(x, "_band"):
+        return x._band, x.shape
+    values = np.asarray(getattr(x, "values", x))
+    return values.__getitem__, values.shape
+
+
+def _truth_band(values):
+    """A ground-truth band's depths (float64, 0 where invalid) and validity (finite and > 0).
 
     The depths are read as float64, one copy per band: a float32 depth
     against float32 hypotheses would otherwise run the distance in
     float32.
     """
-    if isinstance(gt, DepthMap):
-        return gt.values[rows].astype(np.float64, copy=False), gt.valid[rows]
-    values = gt._band(rows)
     valid = np.isfinite(values)
     valid &= values > 0
     g = values.astype(np.float64)
@@ -299,44 +308,34 @@ def _band_error(probs, slabs, g, valid):
 
 
 def stage_loss(penalty, error: np.ndarray, valid: np.ndarray) -> float:
-    """Mean over valid pixels of penalty times per-pixel error.
+    """Mean over the valid pixels whose penalty is above 0 of penalty times per-pixel error.
 
     penalty is a PenaltyMap, an array, or a 1-channel penalty PFM file
-    opened with formats.open_pfm.  A file is read band by band, and its
-    pixels whose penalty is not above 0 are dropped as well (0 is
-    gc-penalty's value outside the reference mask): penalty times error
-    at the kept pixels is packed, in pixel order, into one float64 array,
-    whose mean has the bits of the array path's with valid & (penalty > 0).
+    opened with formats.open_pfm, each read band by band (_band_reader).
+    A pixel whose penalty is not above 0 (0, negative or NaN) is dropped,
+    whatever the kind: gc-penalty writes 0 outside the reference mask, and
+    a PenaltyMap's levels are at least 1.  Penalty times error at the kept
+    pixels is packed, in pixel order, into one float64 array, whose mean
+    is the loss; a float32 penalty widens exactly, so it gives the bits of
+    its float64 widening.
     """
     error = np.asarray(error, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
-    streamed = hasattr(penalty, "_band")
-    if streamed:
-        shape = penalty.shape
-    else:
-        weights = penalty.values if isinstance(penalty, PenaltyMap) else np.asarray(penalty, dtype=np.float64)
-        shape = weights.shape
-    if shape != error.shape or valid.shape != error.shape:
-        raise ValueError("penalty, error and mask shapes must match")
-    products = _packed_products(penalty, error, valid) if streamed else weights[valid] * error[valid]
-    if not products.size:
-        raise ValueError("no supervised pixels")
-    return float(np.mean(products))
-
-
-def _packed_products(penalty, error, valid) -> np.ndarray:
-    """Penalty times error at the valid pixels whose penalty is above 0, in pixel order, band by band."""
+    weights, shape = _band_reader(penalty)
+    if shape != error.shape or valid.shape != error.shape or error.ndim != 2:
+        raise ValueError("penalty, error and mask shapes must match, as (H, W) frames")
     products = np.empty(np.count_nonzero(valid))
     n = 0
     for rows, *_ in _bands(error.shape):
-        pen = penalty._band(rows)
+        pen = weights(rows)
         keep = pen > 0
         keep &= valid[rows]
         end = n + np.count_nonzero(keep)
-        # The float32 penalty widens exactly, as the array path's float64 copy does.
         np.multiply(pen[keep], error[rows][keep], out=products[n:end])
         n = end
-    return products[:n]
+    if not n:
+        raise ValueError("no supervised pixels")
+    return float(np.mean(products[:n]))
 
 
 def total_loss(stage_losses, w: StageWeights = StageWeights()) -> float:

@@ -26,7 +26,8 @@ into their band slices.  fbr walks _chain, and
 _checks(d_ref, ref, d_src, src, dres, pixels) is the one pair-check walk:
 it walks _chain and applies _pair_errors to each band, for the penalty's
 votes (penalty._add_pair_votes) and fusion's pass bits
-(fusion._fill_pair).  forward_project and inconsistency_mask walk
+(fusion._fill_pair); `warp` walks _chain into its four frames and applies
+_pair_errors per band.  forward_project and inconsistency_mask walk
 _depth_bands (_bands that also yields each band's reference depths as
 float64 and their validity), remap and the loss walk _bands.  The
 chain's own buffers are allocated once per pair, so the working set
@@ -76,9 +77,10 @@ not accumulated across bands).  Results outside a mask are written
 after the arithmetic (np.copyto with where=~ok), so the values a scratch
 buffer held before never leak.
 
-_pair_errors is the one pair check (penalty, fusion, `warp`): displacement
-sqrt(dx**2 + dy**2) and relative depth difference, inf where `ok` is false
-(invalid reference pixel, behind a camera, off the source, invalid corner).
+_pair_errors is the one pair check: displacement sqrt(dx**2 + dy**2) and
+relative depth difference, inf where `ok` is false (invalid reference
+pixel, behind a camera, off the source, invalid corner), applied per band
+of a _chain walk (_checks, `warp`) or of fbr's frames (inconsistency_mask).
 
 _in_order is gc-penalty's reference-view loop, the one that runs
 references on threads.  It draws each reference after the one `threads`

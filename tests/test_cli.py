@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from mvsgeo import formats, reproject
+from mvsgeo import formats, reproject, synth
 from mvsgeo.cli import main
 from mvsgeo.loss import ProbabilityVolume, StageWeights, total_loss
 
@@ -506,6 +508,39 @@ def test_warp_statistics_are_the_pair_check_formula_bitwise(tmp_path, capsys):
     assert (doc["mean_pde"], doc["max_pde"]) == (float(pde.mean()), float(pde.max()))
     assert (doc["mean_rdd"], doc["max_rdd"]) == (float(rdd.mean()), float(rdd.max()))
     assert doc["max_pde"] > 1.0 and doc["max_rdd"] > 0.01
+
+
+def _outputs(root):
+    """Every file under root, by its path relative to root, as bytes."""
+    return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(synth.PRESET_SCENES), w=st.integers(2, 14), h=st.integers(1, 9),
+       seed=st.integers(0, 2**16), first_threads=st.sampled_from([1, 2]))
+def test_gc_penalty_and_warp_outputs_do_not_depend_on_the_band_size(tmp_path_factory, capsys, kind, w, h, seed,
+                                                                     first_threads):
+    # Bands of one pixel (one row), W - 1, W + 1 and the default, with
+    # gc-penalty's reference loop alternating between the serial and the
+    # pool path: every gc-penalty and warp output byte, and warp's JSON
+    # but for its out path, is the same.
+    scene = tmp_path_factory.mktemp("scene")
+    assert main(["synth", "--out", str(scene), "--kind", kind, "--width", str(w), "--height", str(h),
+                 "--views", "3", "--seed", str(seed)]) == 0
+    capsys.readouterr()
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        for i, band in enumerate((1, w - 1, w + 1, reproject._BAND_PIXELS)):
+            mp.setattr(reproject, "_BAND_PIXELS", band)
+            out = tmp_path_factory.mktemp("out")
+            threads = str(first_threads if i % 2 == 0 else 3 - first_threads)
+            assert main(["gc-penalty", "--scene", str(scene), "--out", str(out / "pen"), "--threads", threads]) == 0
+            capsys.readouterr()
+            assert main(["warp", "--scene", str(scene), "--ref", "1", "--src", "2", "--out", str(out / "warp")]) == 0
+            warp_doc = read_json(capsys.readouterr().out)
+            del warp_doc["out"]
+            runs.append((_outputs(out), warp_doc))
+    assert all(run == runs[0] for run in runs[1:])
 
 
 def _finite_json(text):

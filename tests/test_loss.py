@@ -54,6 +54,24 @@ def test_volume_rejects_non_finite_values(field, index, value):
         ProbabilityVolume(**arrays)
 
 
+@pytest.mark.parametrize("field, index, value", [
+    ("probs", (1, 0, 1), np.nan),
+    ("probs", (2, 1, 0), -0.5),
+    ("hypotheses", (3,), np.inf),
+    ("hypotheses", (2,), np.nan),
+])
+def test_cross_entropy_rejects_a_value_written_into_the_callers_array_after_construction(field, index, value):
+    # A float64 volume holds the caller's arrays, not copies, so the check
+    # at construction cannot see a later write; the scoring walk checks
+    # every band again and rejects it.
+    arrays = {"probs": np.full((4, 2, 2), 0.25), "hypotheses": np.array([1.0, 2.0, 3.0, 4.0])}
+    vol = ProbabilityVolume(**arrays)
+    assert vol.probs is arrays["probs"] and vol.hypotheses is arrays["hypotheses"]
+    arrays[field][index] = value
+    with pytest.raises(ValueError, match="probabilities must be|hypotheses must be"):
+        cross_entropy_error(vol, DepthMap.from_values(np.full((2, 2), 2.5)))
+
+
 def test_volume_rejects_empty_shapes():
     with pytest.raises(ValueError, match="empty"):
         ProbabilityVolume(probs=np.zeros((2, 0, 3)), hypotheses=np.array([1.0, 2.0]))

@@ -20,6 +20,7 @@ from mvsgeo import formats, reproject
 from mvsgeo.cli import main
 from mvsgeo.formats import ParseError, open_pfm, read_pfm, read_probability_volume
 from mvsgeo.loss import ProbabilityVolume, cross_entropy_error, stage_loss
+from mvsgeo.penalty import PenaltyMap
 from mvsgeo.reproject import DepthMap
 
 from test_formats import PFM_MALFORMED
@@ -100,28 +101,43 @@ def _poisoned(rng, gt: DepthMap):
     return values
 
 
+def _loss_or_none(penalty, error, valid):
+    """stage_loss, or None where no pixel is left to score."""
+    try:
+        return stage_loss(penalty, error, valid)
+    except ValueError as exc:
+        assert "no supervised pixels" in str(exc)
+        return None
+
+
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(d=st.integers(1, 40), h=st.integers(1, 6), w=st.integers(1, 5),
        layout=st.sampled_from(["shared", "perpixel"]), big_endian=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_streamed_loss_is_the_composition_on_arrays(tmp_path, capsys, d, h, w, layout, big_endian, seed):
     # The CLI streams the volume, ground truth and penalty; the public
-    # composition on in-memory inputs (float64 and float32 volumes), masked
-    # by penalty > 0, gives the same JSON bits at every band size.
+    # composition on in-memory inputs (float64 and float32 volumes, the
+    # ground truth as a DepthMap or its raw array, the penalty as a float64
+    # or float32 array) gives the same JSON bits at every band size.  Every
+    # kind drops a penalty of 0, -1 or NaN; the other pixels hold a
+    # PenaltyMap's levels, which score the same bits over the kept pixels.
     rng = np.random.default_rng(seed)
     probs, hyp, gt = _random_case(rng, d, h, w, layout)
     gt_values = _poisoned(rng, gt)
-    pen = rng.choice(np.array([0.0, 1.0, 1.25, 1.5, 2.0], dtype=np.float32), size=(h, w))
+    levels = PenaltyMap(rng.integers(0, 5, size=(h, w)), "one-two", 4)
+    dropped = rng.random((h, w)) < 0.3
+    pen = levels.values.astype(np.float32)
+    pen[dropped] = rng.choice(np.array([0.0, -1.0, np.nan], dtype=np.float32), size=int(dropped.sum()))
     paths = {name: tmp_path / name for name in ("vol.probvol", "gt.pfm", "pen.pfm")}
     vol_bytes = _volume_bytes(probs, hyp)
     paths["vol.probvol"].write_bytes(vol_bytes)
     paths["gt.pfm"].write_bytes(_pfm_bytes(gt_values, big_endian))
     paths["pen.pfm"].write_bytes(_pfm_bytes(pen, big_endian))
-    truth, weights = DepthMap.from_values(gt_values), pen.astype(np.float64)
     losses = set()
     for vol in (ProbabilityVolume(probs, hyp), read_probability_volume(vol_bytes)):
-        err, supervised = cross_entropy_error(vol, truth)
-        valid = supervised & (weights > 0)
-        losses.add(stage_loss(weights, err, valid) if valid.any() else None)
+        for truth in (DepthMap.from_values(gt_values), gt_values):
+            err, supervised = cross_entropy_error(vol, truth)
+            losses.update(_loss_or_none(weights, err, supervised) for weights in (pen.astype(np.float64), pen))
+            losses.add(_loss_or_none(levels, err, supervised & ~dropped))
     (loss,) = losses
     argv = ["loss", "--probvol", str(paths["vol.probvol"]), "--gt", str(paths["gt.pfm"]),
             "--penalty", str(paths["pen.pfm"])]
@@ -183,17 +199,24 @@ def test_every_stage_is_header_checked_before_any_payload_byte_is_read(tmp_path,
 
 def test_a_penalty_not_above_zero_drops_its_pixel(tmp_path, capsys):
     # gc-penalty writes 0 outside the reference mask; NaN and negative
-    # penalties are not above 0 either.  Only the pixels whose penalty is
-    # above 0 count, as the array path's mask pen > 0 keeps them.
+    # penalties are not above 0 either.  Every penalty kind drops those
+    # pixels: the values as a float64 or a float32 array and opened as a
+    # PFM give the CLI's bits at band sizes 1, W - 1, W + 1 and the
+    # default, and a PenaltyMap gives the bits of its levels as an array.
     stages = _three_stages(tmp_path)[:1]
-    pen = np.ones((6, 5), dtype=np.float32)
-    pen[0] = [0.0, np.nan, -1.0, 0.0, 0.0]
+    levels = PenaltyMap(np.arange(30).reshape(6, 5) % 5, "one-two", 4)
+    pen = levels.values.astype(np.float32)
+    pen[0] = [0.0, np.nan, -1.0, 0.0, -0.0]
     stages[0][2].write_bytes(_pfm_bytes(pen))
     assert main(_argv(stages)) == 0
-    doc = json.loads(capsys.readouterr().out)
+    (loss,) = json.loads(capsys.readouterr().out)["stage_losses"]
     err, supervised = cross_entropy_error(read_probability_volume(stages[0][0].read_bytes()),
                                           formats.depth_from_pfm(read_pfm(stages[0][1].read_bytes())))
-    weights = pen.astype(np.float64)
-    assert doc["stage_losses"] == [stage_loss(weights, err, supervised & (weights > 0))]
-    with open_pfm(stages[0][2]) as f:
-        assert stage_loss(f, err, supervised) == doc["stage_losses"][0]
+    assert supervised[0].all()
+    assert loss == np.mean((pen * err)[supervised & (pen > 0)])
+    level_loss = stage_loss(levels.values, err, supervised)
+    with open_pfm(stages[0][2]) as f, pytest.MonkeyPatch.context() as mp:
+        for band in (1, 4, 6, reproject._BAND_PIXELS):
+            mp.setattr(reproject, "_BAND_PIXELS", band)
+            assert [stage_loss(p, err, supervised) for p in (pen.astype(np.float64), pen, f)] == [loss] * 3
+            assert stage_loss(levels, err, supervised) == level_loss
