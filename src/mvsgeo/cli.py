@@ -264,11 +264,12 @@ def _cmd_loss(args) -> int:
     with contextlib.ExitStack() as files:
         stages = [_open_loss_stage(files, *paths) for paths in zip(args.probvol, args.gt, args.penalty)]
         losses = []
-        for stage in stages:
-            vol, gt, pen = stage
-            losses.append(stage_loss(pen, *cross_entropy_error(vol, gt)))
-            for f in stage:  # its band buffers go with it
-                f.close()
+        for vol, gt, pen in stages:
+            error = cross_entropy_error(vol, gt)
+            vol.close()  # each file's band buffers go with it
+            gt.close()
+            losses.append(stage_loss(pen, *error))
+            pen.close()
     _emit_json(
         {
             "stage_losses": losses,

@@ -11,7 +11,8 @@ Formats:
   encodes endianness (negative = little endian), then raw 32-bit floats
   stored bottom row first.  The writer always emits little endian.
   open_pfm opens a file for the loss to read one row band at a time,
-  top row first; it shares read_pfm's header parser.
+  each band one positioned read of its stored rows, served top row
+  first; it shares read_pfm's header parser.
 * cam.txt: "extrinsic" keyword + 4x4 world-to-camera matrix, "intrinsic"
   keyword + 3x3 matrix, then a "depth_min depth_interval" line.
 * PLY point clouds: ascii or binary_little_endian, float x/y/z and
@@ -30,11 +31,13 @@ Formats:
 A header line of either format is at most 256 bytes, its newline
 included.  The two file openers parse the header at open, reading it a
 byte at a time, then read each payload byte once with os.preadv into
-the caller's buffers.
+band buffers that the opened file owns, reuses from band to band and
+drops at close.
 
 PFM and PLY payloads are viewed in place, not sliced out of the buffer.
 """
 
+import math
 import os
 import sys
 import warnings
@@ -87,10 +90,6 @@ class ParseError(ValueError):
 # reads for a file with no newline.
 _HEADER_LINE_MAX = 256
 
-# The most buffers one os.preadv call takes (at least POSIX's minimum, 16,
-# where the system gives no limit).
-_IOV_MAX = max(16, os.sysconf("SC_IOV_MAX"))
-
 
 def _header_line(raw: bytes, pos: int, kind: str):
     """(stripped text, next offset) of the header line at pos of a `kind` file; raw holds its first bytes from pos.
@@ -111,8 +110,8 @@ class _OpenedFile:
 
     A subclass names its format (_kind), parses its header in
     _header(size) through _line, and takes the parsed values in _opened.
-    The payload is read with os.preadv straight into the caller's
-    buffers; nothing is mapped or buffered.  A file that shrinks while it
+    The payload is read with os.preadv straight into the file's own band
+    buffers (_buffer); nothing is mapped.  A file that shrinks while it
     is read raises the ParseError its bytes reader gives for the bytes
     left.
     """
@@ -120,6 +119,7 @@ class _OpenedFile:
     _kind = ""
 
     def __init__(self, path):
+        self._buffers = {}
         self._file = open(path, "rb", buffering=0)
         try:
             self._fd = self._file.fileno()
@@ -136,6 +136,19 @@ class _OpenedFile:
 
     def close(self) -> None:
         self._file.close()
+        self._buffers.clear()
+
+    def _buffer(self, key, size: int, dtype) -> np.ndarray:
+        """The first size values of the file's reused buffer `key`, made at its first use.
+
+        Made to fit the first request, the tallest band of a walk; a larger
+        request later gets a new one.  Each band read into it overwrites
+        the one before; close() drops it.
+        """
+        buf = self._buffers.get(key)
+        if buf is None or len(buf) < size:
+            buf = self._buffers[key] = np.empty(size, dtype)
+        return buf[:size]
 
     def _line(self, pos: int):
         """The header line at pos (see _header_line), read a byte at a time: none of the payload."""
@@ -147,23 +160,17 @@ class _OpenedFile:
             raw += byte
         return _header_line(raw, pos, self._kind)
 
-    def _read(self, buffers, offset: int) -> None:
-        """Fill the contiguous arrays of `buffers`, in turn, from the file's bytes at offset."""
-        views = [memoryview(buf).cast("B") for buf in buffers]
-        first = 0
-        while first < len(views):
-            n = os.preadv(self._fd, views[first:first + _IOV_MAX], offset)
+    def _read(self, buf: np.ndarray, offset: int) -> None:
+        """Fill the contiguous array buf from the file's bytes at offset."""
+        view = memoryview(buf).cast("B")
+        while view:
+            n = os.preadv(self._fd, [view], offset)
             if n == 0:
                 # The file shrank since it was opened: the header check now
                 # fails as the bytes reader would on its bytes.
                 self._header(os.fstat(self._fd).st_size)
                 raise ParseError(f"{self._kind} file changed while it was read", offset=offset)
-            offset += n
-            while n:
-                taken = min(n, len(views[first]))
-                views[first], n = views[first][taken:], n - taken
-                if not views[first]:
-                    first += 1
+            view, offset = view[n:], offset + n
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +261,10 @@ class _PfmFile(_OpenedFile):
     """A PFM file that the loss reads one row band at a time (made by open_pfm).
 
     shape is (H, W), or (H, W, 3) for a colour file, as PfmImage.data's.
-    _band(rows) reads the rows, top row first, with os.preadv into a
-    reused native float32 buffer, sized at the first band (the tallest of
-    a walk; a taller band later gets a new one); each band overwrites the
-    one before.  Little- and big-endian files
-    read alike.  close() drops the buffer.
+    _band(rows) reads the rows as stored, bottom row first, with one
+    os.preadv into the file's reused native float32 buffer (_buffer), and
+    returns them top row first, a reversed view of it.  Little- and
+    big-endian files read alike.
     """
 
     _kind = "PFM"
@@ -270,23 +276,14 @@ class _PfmFile(_OpenedFile):
         self.shape = (height, width) if channels == 1 else (height, width, 3)
         self._pos = pos
         self._swap = (scale < 0) != (sys.byteorder == "little")
-        self._rows = None
-
-    def close(self) -> None:
-        super().close()
-        self._rows = None
 
     def _band(self, rows: slice) -> np.ndarray:
-        n = rows.stop - rows.start
-        if self._rows is None or len(self._rows) < n:
-            self._rows = np.empty((n,) + self.shape[1:], np.float32)
-        band = self._rows[:n]
-        # The file stores the rows bottom first: the band's bottom row
-        # comes first, so the rows are filled in reverse.
-        self._read(band[::-1], self._pos + band[0].nbytes * (self.shape[0] - rows.stop))
+        row = self.shape[1:]
+        band = self._buffer("rows", (rows.stop - rows.start) * math.prod(row), np.float32).reshape((-1,) + row)
+        self._read(band, self._pos + band[0].nbytes * (self.shape[0] - rows.stop))
         if self._swap:
             band.byteswap(inplace=True)
-        return band
+        return band[::-1]
 
 
 def open_pfm(path) -> _PfmFile:
@@ -592,15 +589,16 @@ class _VolumeFile(_OpenedFile):
     """A probability volume file that loss.cross_entropy_error reads one row band at a time.
 
     Made by open_probability_volume, which has parsed the header and
-    checked the payload size.  _band(rows, block) reads the band's
-    probabilities with os.preadv straight into the loss's reused block,
-    bin by bin, and returns them with slab(k), bin k's hypotheses: per
-    pixel, slab(k) reads the band's bin-k slab into one of two reused
-    slabs, as the scoring loop reaches that bin; shared hypotheses are
-    read at the first band.  So each payload byte is read once and the
-    file is never mapped or held whole.  A band the volume rules reject
-    raises the ParseError that read_probability_volume gives for the same
-    bytes; so does a file that shrinks while it is read.
+    checked the payload size.  _band(rows) reads the band's probabilities
+    with os.preadv, bin by bin, straight into the file's reused (D, rows,
+    W) block (_buffer), and returns them with slab(k), bin k's
+    hypotheses: per pixel, slab(k) reads the band's bin-k slab into one
+    of the file's two reused slabs, as the scoring loop reaches that bin;
+    shared hypotheses are read at the first band and kept.  So each
+    payload byte is read once and the file is never mapped or held whole.
+    A band the volume rules reject raises the ParseError that
+    read_probability_volume gives for the same bytes; so does a file that
+    shrinks while it is read.
     """
 
     _kind = "probability volume"
@@ -614,23 +612,21 @@ class _VolumeFile(_OpenedFile):
         self._pos = pos
         self._perpixel = layout == "perpixel"
         self._probs_pos = pos + 4 * (d * h * w if self._perpixel else d)
-        self._shared = None
 
-    def _band(self, rows: slice, block):
+    def _band(self, rows: slice):
         d, h, w = self.shape
-        start = rows.start * w
-        probs = block(0, self._dtype, d)
+        start, pixels = rows.start * w, (rows.stop - rows.start) * w
+        probs = self._buffer("probs", d * pixels, self._dtype).reshape(d, -1, w)
         for k in range(d):
-            self._read([probs[k]], self._probs_pos + 4 * (k * h * w + start))
+            self._read(probs[k], self._probs_pos + 4 * (k * h * w + start))
         if not self._perpixel:
-            if self._shared is None:
-                self._shared = np.empty(d, self._dtype)
-                self._read([self._shared], self._pos)
-            return probs, self._shared.__getitem__
-        slabs = block(1, self._dtype, 2)
+            if "shared" not in self._buffers:
+                self._read(self._buffer("shared", d, self._dtype), self._pos)
+            return probs, self._buffers["shared"].__getitem__
+        slabs = self._buffer("slabs", 2 * pixels, self._dtype).reshape(2, -1, w)
 
         def slab(k):
-            self._read([slabs[k % 2]], self._pos + 4 * (k * h * w + start))
+            self._read(slabs[k % 2], self._pos + 4 * (k * h * w + start))
             return slabs[k % 2]
 
         return probs, slab

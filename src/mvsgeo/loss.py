@@ -7,29 +7,27 @@ penalty times error; the total is the weighted sum of one to three stages.
 
 A volume is walked one row band at a time (_blocks).  Each band's
 probabilities are checked (_check_probs) before it is scored
-(_band_error), whose gather needs them as one contiguous (D, rows, W)
-array; its hypotheses come one bin slab at a time, as the scoring loop
-reaches that bin, and each slab is checked against the one before
-(_slabs).  A walked volume offers shape, _band(rows, block), which
-returns the band's probabilities and slab(k), bin k's (rows, W) or
-shared scalar hypotheses, and _rejected(exc), the error to raise for a
-band the checks reject.  block(k, dtype, bins) is the walk's k-th reused
-(bins, rows, W) buffer.  formats.open_probability_volume reads each
-band's probabilities into a block and each per-pixel slab into one of
-two reused slabs, so a volume on disk is read once and never held whole.
-ProbabilityVolume returns views of its arrays, and copies its
-probabilities into a block only where the view is not contiguous (a
-volume of more than one band).  Its eager check, which
-formats.read_probability_volume runs too, applies the same checks to
-each band's views with no copy.  A float32 volume keeps float32 bands;
-the error is computed in float64 either way, so both give the same bits.
+(_band_error); its hypotheses come one bin slab at a time, as the
+scoring loop reaches that bin, and each slab is checked against the one
+before (_slabs).  A walked volume offers shape, _band(rows), which
+returns the band's (D, rows, W) probabilities and slab(k), bin k's
+(rows, W) or shared scalar hypotheses, and _rejected(exc), the error to
+raise for a band the checks reject.  formats.open_probability_volume
+reads each band's probabilities into one block and each per-pixel slab
+into one of two slabs, buffers the opened file owns, reuses from band to
+band and drops at close, so a volume on disk is read once and never held
+whole.  ProbabilityVolume returns views of its arrays; its eager check,
+which formats.read_probability_volume runs too, drains the same walk.
+A float32 volume keeps float32 bands; the error is computed in float64
+either way, so both give the same bits.
 
 The ground truth and the penalty, whatever their kind (a DepthMap, a
 PenaltyMap, an array, or a 1-channel PFM opened with formats.open_pfm),
 are read a band at a time through _band_reader, with one pixel rule:
 ground truth is valid where finite and > 0, and a penalty not above 0 (0,
-negative or NaN) drops its pixel.  A file's band is read into its reused
-buffer, so a stage holds no frame-sized input.
+negative or NaN) drops its pixel.  A file's band is one positioned read
+into the file's own reused buffer, served top row first, so a stage
+holds no frame-sized input.
 
 The nearest bin is tracked as an integer index, not as a picked
 probability: per bin, pick = max(pick, k * better), where better is the
@@ -96,7 +94,7 @@ class ProbabilityVolume:
         return obj
 
     def _check(self) -> None:
-        """Validate the shapes, then each band's values on views of the arrays, copying nothing."""
+        """Validate the shapes, then each band's values on views of the arrays: the loss's walk, drained."""
         if self.probs.ndim != 3:
             raise ValueError(f"probs must be (D, H, W), got shape {self.probs.shape}")
         if 0 in self.probs.shape:
@@ -106,10 +104,8 @@ class ProbabilityVolume:
                 raise ValueError("hypothesis count does not match probs")
         elif self.hypotheses.shape != self.probs.shape:
             raise ValueError("per-pixel hypotheses must match probs shape")
-        for rows, *_ in _bands(self.probs.shape[1:]):
-            probs, slab = self._band(rows, None)
-            _check_probs(probs)
-            for _ in _slabs(slab, len(probs), self._rejected):
+        for _, _, slabs in _blocks(self):
+            for _ in slabs:
                 pass
 
     @property
@@ -120,18 +116,10 @@ class ProbabilityVolume:
     def shape(self) -> tuple:
         return self.probs.shape
 
-    def _band(self, rows: slice, block):
-        """The band's probabilities, copied into a block unless the view is contiguous, and its slabs' getter.
-
-        block None asks for the views alone (the eager check).
-        """
-        probs = self.probs[:, rows]
-        if block is not None and not probs.flags.c_contiguous:
-            buf = block(0, probs.dtype, len(probs))
-            np.copyto(buf, probs)
-            probs = buf
+    def _band(self, rows: slice):
+        """Views of the band's probabilities, and its slabs' getter."""
         hyp = self.hypotheses
-        return probs, (hyp if hyp.ndim == 1 else hyp[:, rows]).__getitem__
+        return self.probs[:, rows], (hyp if hyp.ndim == 1 else hyp[:, rows]).__getitem__
 
     def _rejected(self, exc: ValueError) -> ValueError:
         return exc
@@ -140,24 +128,14 @@ class ProbabilityVolume:
 def _blocks(vol):
     """Yield (rows, probs, slabs) for each of reproject's row bands of vol.
 
-    probs is the band's contiguous (D, rows, W) probabilities, checked,
-    and slabs the checked iterator of its bins' hypotheses (_slabs), as
-    vol._band(rows, block) returns them.  A buffer of block is allocated
-    at its first use to fit the first band, the tallest, and every later
-    band reuses it, so a band read into it is overwritten by the next.
+    probs is the band's (D, rows, W) probabilities, checked, and slabs
+    the checked iterator of its bins' hypotheses (_slabs), as
+    vol._band(rows) returns them.  A file's band lives in the file's
+    reused buffers, so it is overwritten by the next.
     """
     d, h, w = vol.shape
-    buffers, tallest = {}, None
     for rows, *_ in _bands((h, w)):
-        pixels = (rows.stop - rows.start) * w
-        tallest = tallest or pixels
-
-        def block(k, dtype, bins, pixels=pixels):
-            if k not in buffers:
-                buffers[k] = np.empty(bins * tallest, dtype)
-            return buffers[k][:bins * pixels].reshape(bins, -1, w)
-
-        probs, slab = vol._band(rows, block)
+        probs, slab = vol._band(rows)
         try:
             _check_probs(probs)
         except ValueError as exc:
@@ -199,8 +177,8 @@ class StageWeights:
     gamma: float = 2.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
-            raise ValueError("stage weights must be non-negative")
+        if not all(0 <= weight < np.inf for weight in (self.alpha, self.beta, self.gamma)):
+            raise ValueError("stage weights must be finite and non-negative")
 
 
 def cross_entropy_error(vol, gt) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +211,7 @@ def cross_entropy_error(vol, gt) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _band_reader(x):
-    """x's band reader (rows to that band of its frame: an opened PFM's _band, else x.values') and frame shape."""
+    """x's band reader (rows to that band of its frame: x._band if x has one, else x.values') and frame shape."""
     if hasattr(x, "_band"):
         return x._band, x.shape
     values = np.asarray(getattr(x, "values", x))
@@ -257,9 +235,9 @@ def _truth_band(values):
 def _band_error(probs, slabs, g, valid):
     """Error, supervised mask and max |sum - 1| over the supervised pixels of one band block.
 
-    probs is the band's contiguous (D, rows, W) block and slabs the
-    iterator of its bins' (rows, W) or shared scalar hypotheses; g and
-    valid are the band's float64 ground truth and validity.
+    probs is the band's (D, rows, W) block and slabs the iterator of its
+    bins' (rows, W) or shared scalar hypotheses; g and valid are the
+    band's float64 ground truth and validity.
 
     The running minimum of |h_k - g| replaces only on a strictly smaller
     distance, and pick = max(pick, k * better) then holds the bin of the
@@ -270,10 +248,11 @@ def _band_error(probs, slabs, g, valid):
     against 25 for the cast and a float64 subtract.  The range test reads
     the first slab before the loop and the last after it, so only two
     slabs are needed at once.  After the loop one gather reads the picked
-    probabilities through a flat index into the block (np.take was 4.5x
-    slower on a file's unaligned views).  The sums add the bins in order,
-    as a float64 sum over axis 0 does; 0 stands for a band with no
-    supervised pixel, as every |sum - 1| is at least 0.
+    probabilities through a flat index into the block, which reshape
+    copies if it is a non-contiguous view (np.take was 4.5x slower on a
+    file's unaligned views).  The sums add the bins in order, as a
+    float64 sum over axis 0 does; 0 stands for a band with no supervised
+    pixel, as every |sum - 1| is at least 0.
     """
     first = next(slabs)
     shared = np.ndim(first) == 0

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reproject import DepthMap
-
 __all__ = [
     "PointCloudMetrics",
     "DepthMetrics",
@@ -161,14 +159,14 @@ def evaluate_point_clouds(pred, gt, max_dist: float, workers: int = 1) -> PointC
 
 def depth_metrics(pred, gt, valid) -> DepthMetrics:
     """EPE / e1 / e3 over the valid pixels of a depth map pair."""
-    pred_v = pred.values if isinstance(pred, DepthMap) else np.asarray(pred, dtype=np.float64)
-    gt_v = gt.values if isinstance(gt, DepthMap) else np.asarray(gt, dtype=np.float64)
+    pred_v, gt_v = (np.asarray(getattr(x, "values", x)) for x in (pred, gt))
     valid = np.asarray(valid, dtype=bool)
     if pred_v.shape != gt_v.shape or valid.shape != gt_v.shape:
         raise ValueError("depth maps and mask must share a shape")
     if not valid.any():
         raise ValueError("no valid pixels to evaluate")
-    # dtype=float64: two float32 maps (PFM depths) would subtract in float32.
+    # dtype=float64: float32 maps (PFM depths) would subtract in float32;
+    # float32 widens exactly, so any mix of kinds gives the same bits.
     err = np.abs(np.subtract(pred_v[valid], gt_v[valid], dtype=np.float64))
     return DepthMetrics(
         epe=float(err.mean()),

@@ -18,7 +18,8 @@ reproject._checks, the one pair-check walk, one call per source, into
 one count array per stage of the narrowest unsigned integer that holds
 M.  A PenaltyMap holds those vote counts, and _levels is the one
 mapping from a count k to its level 1 + k/M (or 1 + 2k/M), bit for bit
-the table of the M + 1 levels: PenaltyMap.values, apply_reference_mask
+the table of the M + 1 levels: PenaltyMap.values, PenaltyMap._band (a
+row band of them, as the loss reads a penalty), apply_reference_mask
 (the masked map gc-penalty writes) and penalty_histogram (a bincount of
 the counts) all read the counts through it.  per_pixel_penalty is the
 paper's composition of the public steps: the sum over sources of
@@ -94,6 +95,14 @@ class PenaltyMap:
     @property
     def values(self) -> np.ndarray:
         return _levels(self.counts, self.m, self.range_mode)
+
+    @property
+    def shape(self) -> tuple:
+        return self.counts.shape
+
+    def _band(self, rows: slice) -> np.ndarray:
+        """values' rows band, without the frame (the loss reads a penalty band by band)."""
+        return _levels(self.counts[rows], self.m, self.range_mode)
 
 
 def inconsistency_mask(

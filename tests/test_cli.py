@@ -689,13 +689,13 @@ def test_loss_cli_empty_volume_file_is_a_parse_error(plane_scene, tmp_path, caps
     assert "truncated probability volume header (byte offset 0)" in err
 
 
-def _plane_loss_argv(plane_scene, tmp_path):
-    """`loss` arguments for view 0 of plane_scene: a uniform 2-bin volume and a unit penalty."""
+def _plane_loss_argv(plane_scene, tmp_path, penalty=1.0):
+    """`loss` arguments for view 0 of plane_scene: a uniform 2-bin volume and a constant penalty."""
     vol = tmp_path / "vol.bin"
     vol.write_bytes(formats.write_probability_volume(
         ProbabilityVolume(np.full((2, 40, 48), 0.5), np.array([1.0, 1e6]))))
     ones = tmp_path / "ones.pfm"
-    ones.write_bytes(formats.write_pfm(formats.PfmImage(np.ones((40, 48), dtype=np.float32))))
+    ones.write_bytes(formats.write_pfm(formats.PfmImage(np.full((40, 48), penalty, dtype=np.float32))))
     return ["--probvol", str(vol), "--gt", str(plane_scene / "depths" / "00000000.pfm"),
             "--penalty", str(ones)]
 
@@ -724,7 +724,9 @@ def test_non_finite_json_value_exits_3(plane_scene, tmp_path, capsys, command):
         gt_cloud = str(plane_scene / "gt_cloud.ply")
         argv = ["eval-pc", "--pred", gt_cloud, "--gt", gt_cloud, "--max-dist", "inf"]
     else:
-        argv = ["loss", *_plane_loss_argv(plane_scene, tmp_path), "--alpha", "inf"]
+        # Finite weights only (an infinite one is rejected before any
+        # read): 1e308 times the stage loss, 4 log 2, overflows the total.
+        argv = ["loss", *_plane_loss_argv(plane_scene, tmp_path, penalty=4.0), "--alpha", "1e308"]
     json_path = tmp_path / "out.json"
     code, out, err = run_cli(capsys, *argv, "--out", str(json_path))
     assert code == 3

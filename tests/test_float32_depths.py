@@ -110,6 +110,9 @@ def test_float32_maps_give_the_bytes_of_their_float64_widening(scene, band, rang
     if valid.any():
         assert_same_bytes(depth_metrics(maps[1][0], maps[0][0], valid),
                           depth_metrics(maps[1][1], maps[0][1], valid))
+        # One input rule for every kind: a DepthMap against a raw array.
+        assert_same_bytes(depth_metrics(maps[1][0], values[0], valid),
+                          depth_metrics(maps[1][1], maps[0][1], valid))
     depths = d_ref_64.values[d_ref_64.valid]
     if depths.size:
         # Bounds inside the depth range and off the float32 grid, so that

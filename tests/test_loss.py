@@ -352,6 +352,27 @@ def test_volume_read_and_error_allocate_less_than_a_volume(rng, layout):
     assert error_peak < d * h * w * np.dtype(np.float64).itemsize
 
 
+def test_stage_loss_reads_a_penalty_map_band_by_band():
+    # At 640 x 512 the float64 level frame is 2.6 MB.  stage_loss packs
+    # penalty times error at the kept pixels (8 B each); beyond that it
+    # holds band arrays only (0.56 MB measured), less than half a frame of
+    # levels, and gives the bits of the levels read as an array.
+    h, w, m = 512, 640, 4
+    rng = np.random.default_rng(3)
+    pm = PenaltyMap(rng.integers(0, m + 1, size=(h, w)).astype(np.uint8), "one-three", m)
+    err = rng.random((h, w))
+    valid = rng.random((h, w)) < 0.5
+    stage_loss(pm, err, valid)  # first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        got = stage_loss(pm, err, valid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * np.count_nonzero(valid) + 8 * h * w // 2, peak
+    assert np.float64(got).tobytes() == np.float64(stage_loss(pm.values, err, valid)).tobytes()
+
+
 def test_stage_loss_identity_weight():
     err = np.array([[1.0, 2.0], [3.0, 4.0]])
     ones = np.ones((2, 2))
@@ -419,3 +440,12 @@ def test_total_loss_validation():
         total_loss([1.0, np.inf, 2.0])
     with pytest.raises(ValueError, match="non-negative"):
         StageWeights(-1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_stage_weights_reject_a_non_finite_weight(field, value):
+    # A NaN weight made total_loss NaN, and `loss --alpha nan` failed only
+    # when its JSON was written, after every stage was read and scored.
+    with pytest.raises(ValueError, match="stage weights must be finite and non-negative"):
+        StageWeights(**{field: value})

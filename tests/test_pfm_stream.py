@@ -197,6 +197,19 @@ def test_every_stage_is_header_checked_before_any_payload_byte_is_read(tmp_path,
         assert str(broken) in err
 
 
+@pytest.mark.parametrize("weight", [["--alpha", "nan"], ["--beta=-inf"], ["--gamma", "inf"]])
+def test_a_non_finite_stage_weight_is_rejected_before_any_file_is_read(tmp_path, capsys, monkeypatch, weight):
+    # json cannot write a NaN or infinite weight; the call exits 3 before
+    # it reads a payload byte, with nothing printed.
+    payload_reads = []
+    preadv = os.preadv
+    monkeypatch.setattr(os, "preadv", lambda *args: payload_reads.append(args) or preadv(*args))
+    assert main(_argv(_three_stages(tmp_path)) + weight) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and payload_reads == []
+    assert "stage weights must be finite and non-negative" in err
+
+
 def test_a_penalty_not_above_zero_drops_its_pixel(tmp_path, capsys):
     # gc-penalty writes 0 outside the reference mask; NaN and negative
     # penalties are not above 0 either.  Every penalty kind drops those
