@@ -15,7 +15,6 @@ from .hypotheses import (
     StageConfig,
     band_width,
     coarse_hypotheses,
-    load_stage_config,
     pixel_interval,
     refine_hypotheses,
 )
@@ -42,6 +41,6 @@ from .penalty import (
     stage_penalties,
 )
 from .reproject import CoordinateGrid, DepthMap, fbr, forward_project, remap
-from .views import ScoreParams, ViewPairing, load_pairing, rank_sources, save_pairing, view_score
+from .views import ViewPairing, load_pairing, rank_sources, save_pairing, view_score
 
 __version__ = "0.1.0"

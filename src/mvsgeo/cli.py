@@ -2,11 +2,11 @@
 
 Subcommands: synth, gc-penalty, loss, fuse, eval-pc, eval-depth, warp.
 Exit codes: 0 ok, 1 usage error, 2 missing input file, 3 computation
-error.  Every command accepts --threads (default from MVSGEO_THREADS);
-gc-penalty and eval-pc use it and produce byte-identical outputs for
-any thread count, the other commands ignore it.  gc-penalty checks
-every reference, then writes each one's PFMs as soon as they are made;
-fuse runs its references in order on one thread.
+error.  Every command accepts --threads (default 1); gc-penalty and
+eval-pc use it and produce byte-identical outputs for any thread count,
+the other commands ignore it.  gc-penalty checks every reference, then
+writes each one's PFMs as soon as they are made; fuse runs its
+references in order on one thread.
 
 Scene directory convention (emitted by synth, consumed by the rest):
 
@@ -22,7 +22,6 @@ import argparse
 import contextlib
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -56,13 +55,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MVSGEO_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _count_type(minimum: int):
@@ -136,8 +128,8 @@ def _load_scene(scene_dir: str, views=None):
 def _load_confidence(scene_dir: str, view: int, depth) -> np.ndarray:
     """A view's confidence map at its file's float32; without a file, its depth validity.
 
-    fuse compares it in float64 and widens only the fused points'
-    confidences, so a run holds 4 B/px of confidence per view, not 8.
+    fuse compares it with its threshold in float64 and keeps no per-point
+    confidence, so a run holds 4 B/px of confidence per view, not 8.
     """
     conf_path = _scene_paths(Path(scene_dir), view)[2]
     if conf_path.exists():
@@ -354,11 +346,20 @@ def _cmd_eval_pc(args) -> int:
 
 def _cmd_eval_depth(args) -> int:
     pred = formats.depth_from_pfm(formats.read_pfm(_require(Path(args.pred)).read_bytes()))
+
+    # Each input must match the prediction's frame before any arithmetic;
+    # a 3-channel mask, (H, W, 3), fails too.
+    def check(role, path, shape):
+        if shape != pred.shape:
+            raise ValueError(f"{role} {path} has shape {shape}, the prediction {args.pred} needs {pred.shape}")
+
     gt = formats.depth_from_pfm(formats.read_pfm(_require(Path(args.gt)).read_bytes()))
+    check("ground truth", args.gt, gt.shape)
     valid = pred.valid & gt.valid
     if args.mask:
-        mask_img = formats.read_pfm(_require(Path(args.mask)).read_bytes())
-        valid = valid & (mask_img.data.astype(np.float64) > 0)
+        mask = formats.read_pfm(_require(Path(args.mask)).read_bytes()).data
+        check("mask", args.mask, mask.shape)
+        valid = valid & (mask.astype(np.float64) > 0)
     m = depth_metrics(pred, gt, valid)
     _emit_json({"epe": m.epe, "e1": m.e1, "e3": m.e3, "n_valid": int(valid.sum())}, args.out)
     return 0
@@ -406,10 +407,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_threads(p, used=True):
-        text = ("worker threads (default: MVSGEO_THREADS or 1)" if used
+        text = ("worker threads (default: 1)" if used
                 else "accepted for a uniform command line; has no effect on this command")
-        # The default is read from MVSGEO_THREADS at each call (see main).
-        p.add_argument("--threads", type=_count_type(1), default=None, help=text)
+        p.add_argument("--threads", type=_count_type(1), default=1, help=text)
 
     p = sub.add_parser("synth", help="emit a synthetic scene directory")
     p.add_argument("--out", required=True)
@@ -488,8 +488,6 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads is None:
-        args.threads = _default_threads()
     try:
         return args.func(args)
     except MissingInputError as exc:

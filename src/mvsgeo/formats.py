@@ -179,9 +179,12 @@ class _OpenedFile:
 
 
 class PfmImage:
-    """Decoded PFM: data is (H, W) or (H, W, 3) float32, top row first."""
+    """Decoded PFM: data is (H, W) or (H, W, 3) float32, top row first.
 
-    def __init__(self, data: np.ndarray, scale: float = -1.0):
+    The file's byte order is not kept: write_pfm always writes little endian.
+    """
+
+    def __init__(self, data: np.ndarray):
         data = np.asarray(data, dtype=np.float32)
         if data.ndim == 2:
             channels = 1
@@ -189,10 +192,7 @@ class PfmImage:
             channels = 3
         else:
             raise ValueError(f"PFM data must be (H, W) or (H, W, 3), got {data.shape}")
-        if scale == 0:
-            raise ValueError("PFM scale must be non-zero")
         self.data = data
-        self.scale = float(scale)
         self.channels = channels
 
     @property
@@ -254,7 +254,7 @@ def read_pfm(data: bytes) -> PfmImage:
     flat = np.frombuffer(data, dtype=dtype, count=width * height * channels, offset=pos)
     shape = (height, width, 3) if channels == 3 else (height, width)
     img = flat.reshape(shape)
-    return PfmImage(np.flipud(img).astype(np.float32), scale)
+    return PfmImage(np.flipud(img).astype(np.float32))
 
 
 class _PfmFile(_OpenedFile):

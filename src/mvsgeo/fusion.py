@@ -90,11 +90,10 @@ class FusionParams:
 
 @dataclass
 class PointCloud:
-    """Fused 3D points with optional per-point color and confidence."""
+    """Fused 3D points with optional per-point color."""
 
     points: np.ndarray
     colors: np.ndarray | None = None
-    confidence: np.ndarray | None = None
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -106,11 +105,6 @@ class PointCloud:
             if colors.shape[0] != points.shape[0]:
                 raise ValueError("colors length mismatch")
             self.colors = colors
-        if self.confidence is not None:
-            conf = np.asarray(self.confidence, dtype=np.float64).reshape(-1)
-            if conf.shape[0] != points.shape[0]:
-                raise ValueError("confidence length mismatch")
-            self.confidence = conf
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -315,11 +309,11 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None) -> PointCloud
 
     views: list of (DepthMap, confidence, Camera[, image]) tuples; image
     is an optional (H, W, 3) uint8 array supplying point colors.  A
-    float32 confidence map stays float32, as a DepthMap's depths do:
-    conf > prob_threshold compares in float64 (_eligible; a float32 array
-    against a Python float would compare in float32), and the fused
-    points' confidences are widened as they are gathered, so a map and its
-    float64 widening fuse alike.  pairs: per reference view, the list of
+    confidence map only gates which pixels can fuse, and a float32 one
+    stays float32, as a DepthMap's depths do: conf > prob_threshold
+    compares in float64 (_eligible_pixels; a float32 array against a
+    Python float would compare in float32), so a map and its float64
+    widening fuse alike.  pairs: per reference view, the list of
     distinct integer source view indices (0 <= index < len(views)) checked
     against it (defaults to all other views).
     """
@@ -358,7 +352,7 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None) -> PointCloud
 
     h, w = shape
     consumed = np.zeros((n_views, h, w), dtype=np.uint8)
-    all_points, all_colors, all_conf = [], [], []
+    all_points, all_colors = [], []
     any_image = any(img is not None for *_, img in unpacked)
 
     for r, (depth_r, conf_r, cam_r, image_r) in enumerate(unpacked):
@@ -372,7 +366,6 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None) -> PointCloud
         if not fused.size:
             continue
         all_points.append(_back_project_grid(fused_depth[mask], fused, w, cam_r))
-        all_conf.append(conf_r.reshape(-1)[fused].astype(np.float64, copy=False))
         if any_image:
             if image_r is not None:
                 all_colors.append(np.asarray(image_r, dtype=np.uint8).reshape(-1, 3)[fused])
@@ -383,5 +376,4 @@ def fuse(views, params: FusionParams = FusionParams(), pairs=None) -> PointCloud
         return PointCloud(points=np.zeros((0, 3)))
     points = np.concatenate(all_points)
     colors = np.concatenate(all_colors) if any_image else None
-    confidence = np.concatenate(all_conf)
-    return PointCloud(points=points, colors=colors, confidence=confidence)
+    return PointCloud(points=points, colors=colors)

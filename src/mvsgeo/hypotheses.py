@@ -7,7 +7,6 @@ that would leave the global range are shifted back inside it so the
 hypothesis list stays strictly increasing.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ __all__ = [
     "coarse_hypotheses",
     "refine_hypotheses",
     "band_width",
-    "load_stage_config",
 ]
 
 # Stage-wise depth interval ratios, coarse to refine.
@@ -91,23 +89,3 @@ def refine_hypotheses(prev_depth: DepthMap, stage: int, cfg: StageConfig, di: fl
 def band_width(cfg: StageConfig, stage: int, di: float) -> float:
     """Total depth range a stage sweeps: hypothesis count times pixel interval."""
     return cfg.num_hypotheses[stage] * pixel_interval(cfg.dir[stage], di)
-
-
-def load_stage_config(text: str) -> StageConfig:
-    """Parse the JSON stage-config document.
-
-    Keys: num_hypotheses (3 ints), dir (3 floats), depth_min, depth_max.
-    Missing keys fall back to the defaults.
-    """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid stage config: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("stage config must be a JSON object")
-    kwargs = {}
-    for key in ("num_hypotheses", "dir", "depth_min", "depth_max"):
-        if key in doc:
-            value = doc[key]
-            kwargs[key] = tuple(value) if isinstance(value, list) else value
-    return StageConfig(**kwargs)

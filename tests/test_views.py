@@ -6,7 +6,6 @@ import pytest
 from mvsgeo import synth
 from mvsgeo.formats import ParseError
 from mvsgeo.views import (
-    ScoreParams,
     ViewPairing,
     format_pair_text,
     load_pairing,
@@ -22,7 +21,8 @@ def camera_at(eye, target=(0.0, 0.0, 600.0)):
     return synth.look_at_camera(K, eye, target)
 
 
-def hand_score(ref_eye, cand_eye, points, params=ScoreParams()):
+def hand_score(ref_eye, cand_eye, points):
+    # MVSNet's angle weight: peak 5 degrees, sigma 1 inside it, 10 beyond.
     total = 0.0
     for p in points:
         b1 = np.asarray(ref_eye, dtype=float) - p
@@ -31,8 +31,8 @@ def hand_score(ref_eye, cand_eye, points, params=ScoreParams()):
         if n1 < 1e-12 or n2 < 1e-12:
             continue
         theta = math.degrees(math.acos(max(-1.0, min(1.0, float(b1 @ b2) / (n1 * n2)))))
-        sigma = params.sigma_below if theta <= params.theta0 else params.sigma_above
-        total += math.exp(-((theta - params.theta0) ** 2) / (2 * sigma**2))
+        sigma = 1.0 if theta <= 5.0 else 10.0
+        total += math.exp(-((theta - 5.0) ** 2) / (2 * sigma**2))
     return total
 
 
