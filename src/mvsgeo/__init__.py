@@ -8,7 +8,7 @@ scenes, and readers/writers for the ecosystem file formats.
 """
 
 from .camera import Camera, Pixel, back_project, pixel_grid, project, warp_transform
-from .fusion import DEFAULT_DYNAMIC_TABLE, FusionParams, PointCloud, dynamic_thresholds, fuse
+from .fusion import DEFAULT_DYNAMIC_TABLE, FusionParams, PointCloud, fuse
 from .hypotheses import (
     DIR_TEST,
     DIR_TRAIN,

@@ -2,9 +2,13 @@
 
 Subcommands: synth, gc-penalty, loss, fuse, eval-pc, eval-depth, warp.
 Exit codes: 0 ok, 1 usage error, 2 missing input file, 3 computation
-error.  Every command accepts --threads (default 1); gc-penalty and
-eval-pc use it and produce byte-identical outputs for any thread count,
-the other commands ignore it.  gc-penalty checks every reference, then
+error.  A missing input prints "missing input: <path>" (or names the
+view that the scene lacks); an input file that a reader rejects is
+named in front of the reader's message, "<path>: <message>", whether
+it is rejected when opened or, for a loss volume, as it is scored.
+Every command accepts --threads (default 1); gc-penalty and eval-pc use
+it and produce byte-identical outputs for any thread count, the other
+commands ignore it.  gc-penalty checks every reference, then
 writes each one's PFMs as soon as they are made; fuse runs its
 references in order on one thread.
 
@@ -45,10 +49,6 @@ from .views import load_pairing, rank_sources, save_pairing
 __all__ = ["main"]
 
 
-class MissingInputError(FileNotFoundError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse variant that exits 1 on usage errors instead of 2."""
 
@@ -72,10 +72,30 @@ def _count_type(minimum: int):
     return parse
 
 
-def _require(path: Path) -> Path:
+def _require(path: Path) -> None:
     if not path.exists():
-        raise MissingInputError(str(path))
-    return path
+        raise FileNotFoundError(str(path))
+
+
+@contextlib.contextmanager
+def _reading(path):
+    """Name path in front of the ValueError (a ParseError among them) that its file's contents raise within."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read(path, parse):
+    """parse(the bytes of the file at path), a ValueError it raises named as _reading names it."""
+    with _reading(path):
+        return parse(Path(path).read_bytes())
+
+
+def _read_depth(path):
+    """The depth map in a 1-channel PFM file, named as _read names it; its bytes are dropped before the map is made."""
+    with _reading(path):
+        return formats.depth_from_pfm(formats.read_pfm(Path(path).read_bytes()))
 
 
 def _emit_json(doc: dict, out: str | None = None) -> None:
@@ -108,20 +128,23 @@ def _load_scene(scene_dir: str, views=None):
     is read; a requested view that pair.txt does not name is a missing input.
     """
     scene = Path(scene_dir)
-    pairings = load_pairing(_require(scene / "pair.txt"))
+    pair_path = scene / "pair.txt"
+    with _reading(pair_path):
+        pairings = load_pairing(pair_path)
     named = {p.reference for p in pairings} | {s for p in pairings for s, _ in p.ranked_sources}
     ids = sorted(named if views is None else set(views))
     for view in ids:
         if view not in named:
-            raise MissingInputError(f"view {view} not present in scene {scene_dir}")
+            raise FileNotFoundError(f"view {view} not present in scene {scene_dir}")
         cam_path, depth_path, _ = _scene_paths(scene, view)
         _require(cam_path)
         _require(depth_path)
     cams, depths = {}, {}
     for view in ids:
         cam_path, depth_path, _ = _scene_paths(scene, view)
-        cams[view] = formats.read_cam(cam_path.read_text())
-        depths[view] = formats.depth_from_pfm(formats.read_pfm(depth_path.read_bytes()))
+        with _reading(cam_path):
+            cams[view] = formats.read_cam(cam_path.read_text())
+        depths[view] = _read_depth(depth_path)
     return pairings, cams, depths
 
 
@@ -133,7 +156,7 @@ def _load_confidence(scene_dir: str, view: int, depth) -> np.ndarray:
     """
     conf_path = _scene_paths(Path(scene_dir), view)[2]
     if conf_path.exists():
-        return formats.read_pfm(conf_path.read_bytes()).data
+        return _read(conf_path, formats.read_pfm).data
     return depth.valid.astype(np.float32)
 
 
@@ -205,7 +228,7 @@ def _cmd_gc_penalty(args) -> int:
     jobs = []
     for ref_id in args.ref if args.ref else sorted(by_ref):
         if ref_id not in by_ref:
-            raise MissingInputError(f"view {ref_id} not present in {Path(args.scene) / 'pair.txt'}")
+            raise FileNotFoundError(f"view {ref_id} not present in {Path(args.scene) / 'pair.txt'}")
         pairing = by_ref[ref_id]
         src_ids = pairing.top(args.num_sources) if args.num_sources else [i for i, _ in pairing.ranked_sources]
         if not src_ids:
@@ -256,8 +279,9 @@ def _cmd_loss(args) -> int:
     with contextlib.ExitStack() as files:
         stages = [_open_loss_stage(files, *paths) for paths in zip(args.probvol, args.gt, args.penalty)]
         losses = []
-        for vol, gt, pen in stages:
-            error = cross_entropy_error(vol, gt)
+        for (vol, gt, pen), vol_path in zip(stages, args.probvol):
+            with _reading(vol_path):
+                error = cross_entropy_error(vol, gt)
             vol.close()  # each file's band buffers go with it
             gt.close()
             losses.append(stage_loss(pen, *error))
@@ -279,11 +303,13 @@ def _open_loss_stage(files, vol_path, gt_path, pen_path):
     The two PFMs must be 1-channel and match the volume's H x W frame; no
     payload byte is read yet.
     """
-    vol = files.enter_context(formats.open_probability_volume(_require(Path(vol_path))))
+    with _reading(vol_path):
+        vol = files.enter_context(formats.open_probability_volume(Path(vol_path)))
     frame = vol.shape[1:]
     opened = [vol]
     for role, path in (("ground truth", gt_path), ("penalty", pen_path)):
-        pfm = files.enter_context(formats.open_pfm(_require(Path(path))))
+        with _reading(path):
+            pfm = files.enter_context(formats.open_pfm(Path(path)))
         if pfm.shape != frame:
             raise ValueError(f"{role} {path} has shape {pfm.shape}, the probability volume {vol_path} needs {frame}")
         opened.append(pfm)
@@ -327,8 +353,7 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_eval_pc(args) -> int:
-    pred = formats.read_ply(_require(Path(args.pred)).read_bytes())
-    gt = formats.read_ply(_require(Path(args.gt)).read_bytes())
+    pred, gt = _read(args.pred, formats.read_ply), _read(args.gt, formats.read_ply)
     m = evaluate_point_clouds(pred, gt, args.max_dist, workers=args.threads)
     _emit_json(
         {
@@ -345,7 +370,7 @@ def _cmd_eval_pc(args) -> int:
 
 
 def _cmd_eval_depth(args) -> int:
-    pred = formats.depth_from_pfm(formats.read_pfm(_require(Path(args.pred)).read_bytes()))
+    pred = _read_depth(args.pred)
 
     # Each input must match the prediction's frame before any arithmetic;
     # a 3-channel mask, (H, W, 3), fails too.
@@ -353,11 +378,11 @@ def _cmd_eval_depth(args) -> int:
         if shape != pred.shape:
             raise ValueError(f"{role} {path} has shape {shape}, the prediction {args.pred} needs {pred.shape}")
 
-    gt = formats.depth_from_pfm(formats.read_pfm(_require(Path(args.gt)).read_bytes()))
+    gt = _read_depth(args.gt)
     check("ground truth", args.gt, gt.shape)
     valid = pred.valid & gt.valid
     if args.mask:
-        mask = formats.read_pfm(_require(Path(args.mask)).read_bytes()).data
+        mask = _read(args.mask, formats.read_pfm).data
         check("mask", args.mask, mask.shape)
         valid = valid & (mask.astype(np.float64) > 0)
     m = depth_metrics(pred, gt, valid)
@@ -490,9 +515,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MissingInputError as exc:
-        sys.stderr.write(f"mvsgeo: missing input: {exc}\n")
-        return 2
     except FileNotFoundError as exc:
         sys.stderr.write(f"mvsgeo: missing input: {exc.filename or exc}\n")
         return 2

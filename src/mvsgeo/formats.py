@@ -29,7 +29,9 @@ Formats:
   are identical all three ways.
 
 A header line of either format is at most 256 bytes, its newline
-included.  The two file openers parse the header at open, reading it a
+included, and both formats' dimensions lines are checked by one parser
+(field count, integers, positivity), each fault reported at the line's
+offset.  The two file openers parse the header at open, reading it a
 byte at a time, then read each payload byte once with os.preadv into
 band buffers that the opened file owns, reuses from band to band and
 drops at close.
@@ -47,6 +49,7 @@ import numpy as np
 from .camera import Camera
 from .fusion import PointCloud
 from .loss import ProbabilityVolume
+from .reproject import DepthMap
 
 __all__ = [
     "ParseError",
@@ -105,11 +108,30 @@ def _header_line(raw: bytes, pos: int, kind: str):
     return raw[:end].decode("latin-1").strip(), pos + end + 1
 
 
+def _dims(line, pos: int, names: str, kind: str):
+    """The positive integer dimensions ("width height", say) on the header line at pos, and the offset after it.
+
+    line(pos) is the header's line reader (see _header_line); a `kind`
+    file's malformed dimensions line is reported at pos.
+    """
+    text, end = line(pos)
+    parts = text.split()
+    if len(parts) != len(names.split()):
+        raise ParseError(f"expected {names!r}, got {text!r}", offset=pos)
+    try:
+        dims = [int(p) for p in parts]
+    except ValueError:
+        raise ParseError(f"non-integer {kind} dimensions {text!r}", offset=pos) from None
+    if min(dims) <= 0:
+        raise ParseError(f"non-positive {kind} dimensions {text!r}", offset=pos)
+    return dims, end
+
+
 class _OpenedFile:
     """A file whose header is parsed at open and whose payload is read at offsets, each byte once.
 
-    A subclass names its format (_kind), parses its header in
-    _header(size) through _line, and takes the parsed values in _opened.
+    A subclass names its format (_kind), and its _header(size) parses
+    the header through _line and stores the parsed values.
     The payload is read with os.preadv straight into the file's own band
     buffers (_buffer); nothing is mapped.  A file that shrinks while it
     is read raises the ParseError its bytes reader gives for the bytes
@@ -123,7 +145,7 @@ class _OpenedFile:
         self._file = open(path, "rb", buffering=0)
         try:
             self._fd = self._file.fileno()
-            self._opened(*self._header(os.fstat(self._fd).st_size))
+            self._header(os.fstat(self._fd).st_size)
         except BaseException:
             self._file.close()
             raise
@@ -216,17 +238,7 @@ def _pfm_header(line, size: int):
     if magic not in ("Pf", "PF"):
         raise ParseError(f"bad PFM magic {magic!r}", offset=0)
     channels = 3 if magic == "PF" else 1
-    dims_pos = pos
-    dims_line, pos = line(pos)
-    parts = dims_line.split()
-    if len(parts) != 2:
-        raise ParseError(f"expected 'width height', got {dims_line!r}", offset=dims_pos)
-    try:
-        width, height = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"non-integer PFM dimensions {dims_line!r}", offset=dims_pos) from None
-    if width <= 0 or height <= 0:
-        raise ParseError(f"non-positive PFM dimensions {width}x{height}", offset=dims_pos)
+    (width, height), pos = _dims(line, pos, "width height", "PFM")
     scale_pos = pos
     scale_line, pos = line(pos)
     try:
@@ -270,11 +282,8 @@ class _PfmFile(_OpenedFile):
     _kind = "PFM"
 
     def _header(self, size: int):
-        return _pfm_header(self._line, size)
-
-    def _opened(self, height, width, channels, scale, pos):
+        height, width, channels, scale, self._pos = _pfm_header(self._line, size)
         self.shape = (height, width) if channels == 1 else (height, width, 3)
-        self._pos = pos
         self._swap = (scale < 0) != (sys.byteorder == "little")
 
     def _band(self, rows: slice) -> np.ndarray:
@@ -313,10 +322,8 @@ def write_pfm(img: PfmImage) -> bytearray:
     return data
 
 
-def depth_from_pfm(img: PfmImage) -> "DepthMap":
+def depth_from_pfm(img: PfmImage) -> DepthMap:
     """Single-channel PFM to DepthMap; zero, negative and non-finite pixels are invalid."""
-    from .reproject import DepthMap
-
     if img.channels != 1:
         raise ValueError("depth maps are single-channel PFMs")
     return DepthMap.from_values(img.data)
@@ -539,17 +546,7 @@ def _volume_header(line, size: int):
     magic, pos = line(0)
     if magic != "PROBVOL":
         raise ParseError(f"bad probability volume magic {magic!r}", offset=0)
-    dims_pos = pos
-    dims_line, pos = line(pos)
-    parts = dims_line.split()
-    if len(parts) != 3:
-        raise ParseError(f"expected 'D H W', got {dims_line!r}", offset=dims_pos)
-    try:
-        d, h, w = (int(p) for p in parts)
-    except ValueError:
-        raise ParseError(f"non-integer volume dimensions {dims_line!r}", offset=dims_pos) from None
-    if d <= 0 or h <= 0 or w <= 0:
-        raise ParseError(f"non-positive volume dimensions {dims_line!r}", offset=dims_pos)
+    (d, h, w), pos = _dims(line, pos, "D H W", "volume")
     layout_pos = pos
     layout, pos = line(pos)
     if layout not in ("shared", "perpixel"):
@@ -605,13 +602,10 @@ class _VolumeFile(_OpenedFile):
     _dtype = np.dtype("<f4")
 
     def _header(self, size: int):
-        return _volume_header(self._line, size)
-
-    def _opened(self, d, h, w, layout, pos):
+        d, h, w, layout, self._pos = _volume_header(self._line, size)
         self.shape = (d, h, w)
-        self._pos = pos
         self._perpixel = layout == "perpixel"
-        self._probs_pos = pos + 4 * (d * h * w if self._perpixel else d)
+        self._probs_pos = self._pos + 4 * (d * h * w if self._perpixel else d)
 
     def _band(self, rows: slice):
         d, h, w = self.shape

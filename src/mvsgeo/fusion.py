@@ -54,7 +54,7 @@ import numpy as np
 from .camera import Camera
 from .reproject import DepthMap, _checks, _depth_array
 
-__all__ = ["FusionParams", "PointCloud", "DEFAULT_DYNAMIC_TABLE", "dynamic_thresholds", "fuse"]
+__all__ = ["FusionParams", "PointCloud", "DEFAULT_DYNAMIC_TABLE", "fuse"]
 
 DEFAULT_DYNAMIC_TABLE = tuple((0.25 * k, 0.0025 * k) for k in range(1, 9))
 
@@ -108,16 +108,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-def dynamic_thresholds(num_required: int) -> tuple[float, float]:
-    """(displacement px, relative depth) pair used when num_required views must agree.
-
-    Counts beyond DEFAULT_DYNAMIC_TABLE clamp to its last row.
-    """
-    if num_required < 1:
-        raise ValueError("num_required must be >= 1")
-    return DEFAULT_DYNAMIC_TABLE[min(num_required, len(DEFAULT_DYNAMIC_TABLE)) - 1]
 
 
 def _unpack_view(view):

@@ -109,10 +109,6 @@ class ProbabilityVolume:
                 pass
 
     @property
-    def num_hypotheses(self) -> int:
-        return self.probs.shape[0]
-
-    @property
     def shape(self) -> tuple:
         return self.probs.shape
 

@@ -166,14 +166,6 @@ class DepthMap:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass
 class CoordinateGrid:

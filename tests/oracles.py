@@ -261,12 +261,22 @@ def naive_cross_entropy(probs, hypotheses, gt_values, gt_valid, floor=1e-12):
 
 
 def quadratic_nn(queries, refs, chunk=256):
-    """Full O(n*m) distance-matrix scan, chunked to bound memory."""
+    """Full O(n*m) distance-matrix scan, chunked to bound memory.
+
+    Squared differences are added per axis in x, y, z order into one
+    (chunk, m) array: the order in which a sum over the last axis of a
+    (chunk, m, 3) array adds them, so the same bits without that array.
+    """
     queries = np.asarray(queries, dtype=np.float64)
     refs = np.asarray(refs, dtype=np.float64)
     out = np.empty(queries.shape[0])
     for s in range(0, queries.shape[0], chunk):
         q = queries[s:s + chunk]
-        d2 = ((q[:, None, :] - refs[None, :, :]) ** 2).sum(axis=2)
+        d2 = np.zeros((q.shape[0], refs.shape[0]))
+        diff = np.empty_like(d2)
+        for axis in range(3):
+            np.subtract.outer(q[:, axis], refs[:, axis], out=diff)
+            diff *= diff
+            d2 += diff
         out[s:s + chunk] = np.sqrt(d2.min(axis=1))
     return out

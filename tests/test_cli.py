@@ -1,6 +1,7 @@
 import json
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from mvsgeo import formats, reproject, synth
 from mvsgeo.cli import main
 from mvsgeo.loss import ProbabilityVolume, StageWeights, total_loss
+from mvsgeo.views import parse_pair_text
 
 from truth import covisibility_mask
 
@@ -819,3 +821,185 @@ def test_threads_default_to_1_and_no_environment_variable_sets_them(plane_scene,
     assert files == sorted(p.name for p in (tmp_path / "pen_env").iterdir()) and "summary.json" in files
     for name in files:
         assert (tmp_path / "pen" / name).read_bytes() == (tmp_path / "pen_env" / name).read_bytes(), name
+
+
+def test_bad_thread_count_text_exits_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gc-penalty", "--scene", "s", "--out", "o", "--threads", "x"])
+    assert exc.value.code == 1
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+
+
+def test_gc_penalty_reference_missing_from_pair_file_exits_2(plane_scene, tmp_path, capsys):
+    out_dir = tmp_path / "pen"
+    code, out, err = run_cli(capsys, "gc-penalty", "--scene", str(plane_scene), "--out", str(out_dir), "--ref", "9")
+    assert (code, out) == (2, "")
+    assert err == f"mvsgeo: missing input: view 9 not present in {plane_scene / 'pair.txt'}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("gts, stages, message", [
+    (1, 2, "need one file per stage"),
+    (4, 4, "at most three stages"),
+])
+def test_loss_stage_counts_exit_3(plane_scene, tmp_path, capsys, gts, stages, message):
+    vol, gt, pen = _plane_loss_argv(plane_scene, tmp_path)[1::2]
+    code, out, err = run_cli(capsys, "loss", "--probvol", *[vol] * stages, "--gt", *[gt] * gts,
+                             "--penalty", *[pen] * stages)
+    assert (code, out) == (3, "")
+    assert message in err
+
+
+def test_synth_noise_lands_on_valid_pixels_only(tmp_path, capsys, monkeypatch):
+    # --noise-std adds Gaussian noise drawn from --seed to the valid depths
+    # alone, clamped to 1e-6 (float32(1e-6) in the file); invalid pixels
+    # stay 0 and the confidence map is the validity.  A rerun writes the
+    # same bytes; another seed, which moves no camera, draws other noise.
+    render = synth.render_depth
+
+    def holed(spec, view):  # every preset fills the frame: cut a hole in it
+        depth, hit = render(spec, view)
+        hit = hit.copy()
+        hit[:, :8] = False
+        return reproject.DepthMap(depth.values, hit), hit
+
+    monkeypatch.setattr(synth, "render_depth", holed)
+    for name, seed, std in (("clean", "0", "0"), ("a", "0", "300"), ("b", "0", "300"), ("c", "1", "300")):
+        assert run_cli(capsys, "synth", "--out", str(tmp_path / name), "--kind", "two-planes", "--width", "32",
+                       "--height", "24", "--views", "3", "--seed", seed, "--noise-std", std)[0] == 0
+
+    def pfm(name, kind, view):
+        return formats.read_pfm((tmp_path / name / kind / f"{view:08d}.pfm").read_bytes()).data
+
+    clamped = 0
+    for v in range(3):
+        clean, noisy = pfm("clean", "depths", v), pfm("a", "depths", v)
+        valid = clean > 0
+        assert 0 < valid.sum() < valid.size
+        assert (noisy[~valid] == 0).all()
+        assert (noisy[valid] >= np.float32(1e-6)).all()
+        assert (noisy[valid] != clean[valid]).mean() > 0.9
+        clamped += int((noisy == np.float32(1e-6)).sum())
+        assert np.array_equal(pfm("a", "confidence", v), valid.astype(np.float32))
+        other = pfm("c", "depths", v)
+        assert (other[valid] != noisy[valid]).mean() > 0.9 and (other[~valid] == 0).all()
+    assert clamped > 0  # a draw below -depth was clamped
+    assert _outputs(tmp_path / "a") == _outputs(tmp_path / "b")
+
+
+def test_eval_depth_mask_excludes_pixels(plane_scene, tmp_path, capsys):
+    # A mask pixel counts when it is above 0: 0, negative and NaN ones drop
+    # their pixel.  n_valid and epe are numpy's over the kept pixels.
+    pred_path, gt_path = (plane_scene / "depths" / f"{v:08d}.pfm" for v in (1, 0))
+    mask = np.ones((40, 48), dtype=np.float32)
+    mask[:, :20] = 0.0
+    mask[5] = -1.0
+    mask[6, 30:] = np.nan
+    mask[7] = 0.5
+    mask_path = tmp_path / "mask.pfm"
+    mask_path.write_bytes(formats.write_pfm(formats.PfmImage(mask)))
+    code, out, _ = run_cli(capsys, "eval-depth", "--pred", str(pred_path), "--gt", str(gt_path),
+                           "--mask", str(mask_path))
+    assert code == 0
+    doc = read_json(out)
+    pred, gt = (formats.read_pfm(p.read_bytes()).data.astype(np.float64) for p in (pred_path, gt_path))
+    keep = (pred > 0) & (gt > 0) & (mask > 0)
+    assert 0 < doc["n_valid"] == int(keep.sum()) < int(((pred > 0) & (gt > 0)).sum())
+    epe = float(np.abs(pred[keep] - gt[keep]).mean())
+    assert epe > 0 and doc["epe"] == epe
+
+
+def _reader_inputs(scene, tmp_path):
+    """Each command's arguments on plane_scene, and every file they read by name."""
+    d0, d1 = (scene / "depths" / f"{v:08d}.pfm" for v in (0, 1))
+    files = {
+        "pair.txt": scene / "pair.txt", "cam 2": scene / "cams" / "00000002_cam.txt", "depth 1": d1,
+        "confidence 3": scene / "confidence" / "00000003.pfm",
+        "pred.pfm": tmp_path / "pred.pfm", "gt.pfm": tmp_path / "gt.pfm", "mask.pfm": tmp_path / "mask.pfm",
+        "pred.ply": tmp_path / "pred.ply", "gt.ply": tmp_path / "gt.ply",
+    }
+    for name in ("pred.pfm", "gt.pfm"):
+        files[name].write_bytes(d1.read_bytes())
+    files["mask.pfm"].write_bytes(formats.write_pfm(formats.PfmImage(np.ones((40, 48), dtype=np.float32))))
+    for name in ("pred.ply", "gt.ply"):
+        files[name].write_bytes((scene / "gt_cloud.ply").read_bytes())
+    loss = _plane_loss_argv(scene, tmp_path)
+    gt_copy = tmp_path / "loss_gt.pfm"
+    gt_copy.write_bytes(d0.read_bytes())
+    loss[3] = str(gt_copy)
+    files.update({"volume": Path(loss[1]), "loss gt": gt_copy, "penalty": Path(loss[5])})
+    out = str(tmp_path / "out")
+    argv = {
+        "gc-penalty": ["--scene", str(scene), "--out", out],
+        "fuse": ["--scene", str(scene), "--out", out + "/cloud.ply", "--num-consistent", "2"],
+        "warp": ["--scene", str(scene), "--ref", "0", "--src", "1", "--out", out],
+        "loss": loss,
+        "eval-pc": ["--pred", str(files["pred.ply"]), "--gt", str(files["gt.ply"]), "--max-dist", "1"],
+        "eval-depth": ["--pred", str(files["pred.pfm"]), "--gt", str(files["gt.pfm"]),
+                       "--mask", str(files["mask.pfm"])],
+    }
+    return argv, files
+
+
+def _depth_of(data):
+    return formats.depth_from_pfm(formats.read_pfm(data))
+
+
+# How each file kind is corrupted, and the library reader whose message names the fault.
+CORRUPTIONS = {
+    "3-channel": lambda data: formats.write_pfm(formats.PfmImage(np.ones((40, 48, 3), dtype=np.float32))),
+    "truncated": lambda data: data[:-4],
+    "garbage": lambda data: b"garbage\n",
+    "NaN in the last band": lambda data: data[:-4] + np.float32(np.nan).tobytes(),
+}
+READERS = {
+    "pair.txt": lambda data: parse_pair_text(data.decode()), "cam 2": lambda data: formats.read_cam(data.decode()),
+    "depth 1": _depth_of, "pred.pfm": _depth_of, "gt.pfm": _depth_of,
+    "confidence 3": formats.read_pfm, "mask.pfm": formats.read_pfm, "loss gt": formats.read_pfm,
+    "penalty": formats.read_pfm, "pred.ply": formats.read_ply, "gt.ply": formats.read_ply,
+    "volume": formats.read_probability_volume,
+}
+
+
+@pytest.mark.parametrize("command, name, corruption", [
+    ("gc-penalty", "pair.txt", "garbage"),
+    ("gc-penalty", "cam 2", "garbage"),
+    ("gc-penalty", "depth 1", "3-channel"),
+    ("fuse", "depth 1", "3-channel"),
+    ("fuse", "confidence 3", "truncated"),
+    ("warp", "depth 1", "truncated"),
+    ("loss", "volume", "garbage"),
+    ("loss", "loss gt", "truncated"),
+    ("loss", "penalty", "garbage"),
+    ("loss", "volume", "NaN in the last band"),
+    ("eval-pc", "pred.ply", "truncated"),
+    ("eval-pc", "gt.ply", "garbage"),
+    ("eval-depth", "pred.pfm", "3-channel"),
+    ("eval-depth", "gt.pfm", "truncated"),
+    ("eval-depth", "mask.pfm", "garbage"),
+])
+def test_a_rejected_input_file_is_named(plane_scene, tmp_path, capsys, command, name, corruption):
+    # Exit 3 with the file's path in front of its reader's message, the
+    # same message and offset the library gives for the same bytes: a loss
+    # volume whether it is rejected at open or as it is scored.
+    argv, files = _reader_inputs(plane_scene, tmp_path)
+    path = files[name]
+    path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+    with pytest.raises(ValueError) as rejected:
+        READERS[name](path.read_bytes())
+    code, out, err = run_cli(capsys, command, *argv[command])
+    assert (code, out) == (3, "")
+    assert err == f"mvsgeo: error: {path}: {rejected.value}\n"
+
+
+@pytest.mark.parametrize("command, name", [
+    ("loss", "volume"), ("loss", "loss gt"), ("loss", "penalty"),
+    ("eval-pc", "pred.ply"), ("eval-pc", "gt.ply"),
+    ("eval-depth", "pred.pfm"), ("eval-depth", "gt.pfm"), ("eval-depth", "mask.pfm"),
+])
+def test_a_missing_input_file_is_named(plane_scene, tmp_path, capsys, command, name):
+    argv, files = _reader_inputs(plane_scene, tmp_path)
+    files[name].unlink()
+    code, out, err = run_cli(capsys, command, *argv[command])
+    assert (code, out) == (2, "")
+    assert err == f"mvsgeo: missing input: {files[name]}\n"

@@ -132,6 +132,22 @@ def test_pfm_malformed_rejected_with_location(data):
         read_pfm(data)
 
 
+@pytest.mark.parametrize("read, data, message", [
+    (read_pfm, b"Pf\n1\n-1.0\n", "expected 'width height', got '1' (byte offset 3)"),
+    (read_pfm, b"Pf\nx y\n-1.0\n", "non-integer PFM dimensions 'x y' (byte offset 3)"),
+    (read_pfm, b"Pf\n0 4\n-1.0\n", "non-positive PFM dimensions '0 4' (byte offset 3)"),
+    (read_probability_volume, b"PROBVOL\n2 1\nshared\n", "expected 'D H W', got '2 1' (byte offset 8)"),
+    (read_probability_volume, b"PROBVOL\nx 1 1\nshared\n", "non-integer volume dimensions 'x 1 1' (byte offset 8)"),
+    (read_probability_volume, b"PROBVOL\n2 -1 1\nshared\n", "non-positive volume dimensions '2 -1 1' (byte offset 8)"),
+])
+def test_pfm_and_volume_dimension_lines_are_rejected_alike(read, data, message):
+    # One dimensions parser: the same three checks, worded alike, at the
+    # offset where the line starts.
+    with pytest.raises(ParseError) as exc:
+        read(data)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # cam.txt
 # ---------------------------------------------------------------------------
@@ -190,6 +206,9 @@ CAM_MALFORMED = [
     "extrinsic\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n\nintrinsic\n400 0 80\n0 400 60\n0 0 1\n\nfoo bar\n",  # bad depth values
     "extrinsic\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n\nintrinsic\n400 0 80\n0 400 60\n0 0 1\n\n-5 2.5\n",  # invalid camera
     "extrinsic\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n\nintrinsic\n400 1e9 80\n2 400 60\n0 0 1\n\n425 2.5\n",  # K not upper-tri
+    "extrinsic\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n\nintrinsic\n400 0 80\n0 400 60\n",  # truncated matrix
+    "extrinsic\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n\nintrinsic\n400 0 80\n0 400 60\n0 0 2\n\n425 2.5\n",  # K[2][2] != 1
+    "extrinsic\n1 0 0 0\n0 1 0 inf\n0 0 1 0\n0 0 0 1\n\nintrinsic\n400 0 80\n0 400 60\n0 0 1\n\n425 2.5\n",  # non-finite
 ]
 
 
@@ -248,6 +267,8 @@ PLY_MALFORMED = [
     b"ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nproperty float y\nproperty float z\nend_header\n1 2 3\n",  # row count mismatch
     b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\nproperty float y\nproperty float z\nend_header\n1 2\n",    # short row
     b"ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\nproperty float y\nproperty float z\nend_header\n1 2 z\n",  # non-numeric row
+    b"ply\nformat ascii 1.0\nelement vertex 0\nproperty float\nproperty float y\nproperty float z\nend_header\n",  # bad property line
+    b"ply\nformat ascii 1.0\nobj_info scanner\nelement vertex 0\nproperty float x\nproperty float y\nproperty float z\nend_header\n",  # unknown line
 ]
 
 
@@ -255,6 +276,17 @@ PLY_MALFORMED = [
 def test_ply_malformed_rejected_with_location(data):
     with pytest.raises(ParseError, match="line|offset"):
         read_ply(data)
+
+
+@pytest.mark.parametrize("binary", [True, False])
+def test_ply_header_comments_are_skipped(rng, binary):
+    data = write_ply(random_cloud(rng, 5, colors=True), binary=binary)
+    head, body = data.split(b"end_header\n")
+    lines = head.split(b"\n")
+    commented = b"\n".join([lines[0], b"comment written by hand", *lines[1:3], b"comment  two  spaces",
+                            *lines[3:]]) + b"end_header\n" + body
+    plain, got = read_ply(data), read_ply(commented)
+    assert np.array_equal(got.points, plain.points) and np.array_equal(got.colors, plain.colors)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from mvsgeo.fusion import (
     DEFAULT_DYNAMIC_TABLE,
     FusionParams,
     PointCloud,
-    dynamic_thresholds,
     fuse,
 )
 from mvsgeo.reproject import DepthMap
@@ -66,15 +65,11 @@ def test_point_cloud_validation():
 
 
 def test_dynamic_thresholds_table():
-    assert dynamic_thresholds(1) == pytest.approx((0.25, 0.0025))
-    for k in range(1, len(DEFAULT_DYNAMIC_TABLE)):
-        a = dynamic_thresholds(k)
-        b = dynamic_thresholds(k + 1)
-        assert a[0] <= b[0]  # monotone displacement
-    # beyond the table: clamp to the last entry
-    assert dynamic_thresholds(99) == dynamic_thresholds(len(DEFAULT_DYNAMIC_TABLE))
-    with pytest.raises(ValueError):
-        dynamic_thresholds(0)
+    # Row k - 1 is the (displacement px, relative depth) pair used when k
+    # views must agree: looser as more views must agree.
+    assert DEFAULT_DYNAMIC_TABLE[0] == pytest.approx((0.25, 0.0025))
+    for a, b in zip(DEFAULT_DYNAMIC_TABLE, DEFAULT_DYNAMIC_TABLE[1:]):
+        assert a[0] <= b[0] and a[1] <= b[1]
 
 
 def test_dynamic_table_fits_one_pass_bit_byte():
@@ -443,6 +438,25 @@ def test_colors_sampled_from_images(rng):
     k = int(dist.argmin())
     assert dist[k] < 1e-3
     assert (cloud.colors[k] == imgs[0][i, j]).all()
+
+
+def test_views_without_an_image_give_their_points_zero_color():
+    # Images for views 0 and 2 only: the same points as with no image, each
+    # point coloured by its reference view's image, and black where that
+    # view has none.  A constant image per view tells the references apart.
+    spec, views = scene_views("plane", w=40, h=32, conf=1.0)
+    imgs = [np.full((32, 40, 3), 40 * (v + 1), dtype=np.uint8) for v in range(5)]
+    params = FusionParams(consistency_threshold=2)
+    every = fuse([(*view, img) for view, img in zip(views, imgs)], params)
+    some = fuse([(*view, imgs[v] if v in (0, 2) else None) for v, view in enumerate(views)], params)
+    bare = fuse(views, params)
+    assert bare.colors is None and np.array_equal(some.points, bare.points)
+    assert np.array_equal(every.points, bare.points)
+    reference = every.colors[:, 0] // 40 - 1
+    assert {0, 2, 3} <= set(reference.tolist()) <= set(range(5))
+    kept = np.isin(reference, (0, 2))
+    assert np.array_equal(some.colors[kept], every.colors[kept])
+    assert (some.colors[~kept] == 0).all()
 
 
 def test_input_validation():

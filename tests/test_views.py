@@ -103,6 +103,15 @@ def test_parse_minimal_pair_file():
     assert pairings[0].ranked_sources == ((7, 15.25), (3, 9.5))
 
 
+def test_pair_file_blank_lines_are_skipped_and_counted():
+    # Blank lines anywhere, whitespace-only ones too, are skipped; a line
+    # number still counts them.
+    text = "\n2\n\n0\n1 1 0.5\n  \n\n1\n1 0 0.5\n\n"
+    assert parse_pair_text(text) == parse_pair_text("2\n0\n1 1 0.5\n1\n1 0 0.5\n")
+    with pytest.raises(ParseError, match=r"reference view id, got 'x' \(line 5\)"):
+        parse_pair_text("\n1\n\n\nx\n1 0 0.5\n")
+
+
 def test_pair_round_trip(rng):
     pairings = [
         ViewPairing(0, ((2, 101.5), (1, 55.25))),

@@ -131,7 +131,7 @@ def _assert_rejected_alike(argv, data, capsys):
     assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"mvsgeo: error: {expected}\n"
+    assert err == f"mvsgeo: error: {argv[2]}: {expected}\n"  # the volume file named first
 
 
 @pytest.mark.parametrize("data", MALFORMED.values(), ids=MALFORMED.keys())
@@ -169,7 +169,7 @@ def test_a_volume_truncated_after_its_size_check_is_rejected_as_the_truncated_by
     assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"mvsgeo: error: {_bytes_error(data[:len(data) - 4 * W])}\n"
+    assert err == f"mvsgeo: error: {path}: {_bytes_error(data[:len(data) - 4 * W])}\n"
     assert "payload size mismatch" in err
 
 
