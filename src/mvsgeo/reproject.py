@@ -82,19 +82,13 @@ relative depth difference, inf where `ok` is false (invalid reference
 pixel, behind a camera, off the source, invalid corner), applied per band
 of a _chain walk (_checks, `warp`) or of fbr's frames (inconsistency_mask).
 
-_in_order is gc-penalty's reference-view loop, the one that runs
-references on threads.  It draws each reference after the one `threads`
-places before it is consumed, so at most `threads` references' arrays
-are alive, and output order does not depend on threads.  fuse runs its
-references in order on the calling thread: each one depends on the
-consume passes of all before it, and references ahead on threads made
-it slower.
+gc-penalty and fuse run their references in order on the calling
+thread.  A reference's check is over a hundred short ufunc calls per
+band with Python between them, so references on threads were GIL-bound:
+they bought little wall time for more CPU.
 """
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -315,32 +309,6 @@ def _depth_bands(d: DepthMap, floats=0, bools=0, pixels=None):
                 np.copyto(f[floats], depth)
                 depth = f[floats]
         yield sel, (xs, ys, depth, valid), f[:floats], b[:bools]
-
-
-def _in_order(produce, consume, items, threads):
-    """consume(produce(*item)) for every item, in order, on the calling thread.
-
-    gc-penalty's reference loop, whose references are independent: each
-    produce is one reference's penalty maps.  Each item is drawn after
-    the one `threads` places before it is consumed: with threads > 1,
-    `threads` pool workers produce the items drawn but not yet consumed,
-    so at most `threads` items are alive, and an item is drawn seeing
-    every item `threads` or more places before it consumed.  Items are
-    drawn on the calling thread, the one that frees them.  No item or
-    result stays bound while the next is drawn or awaited: it would keep
-    its arrays alive beside the next one's.
-    """
-    items = iter(items)
-    if threads <= 1:
-        for item in items:
-            consume(produce(*item))
-            del item
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        ahead = deque(pool.submit(produce, *item) for item in islice(items, threads))
-        while ahead:
-            consume(ahead.popleft().result())
-            ahead.extend(pool.submit(produce, *item) for item in islice(items, 1))
 
 
 def _forward(transform, xs, ys, depth, valid, out, tmp, failed):

@@ -177,29 +177,29 @@ def six_view_scene(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
-def test_gc_penalty_writes_each_reference_at_most_threads_ahead(six_view_scene, tmp_path, capsys,
-                                                                 monkeypatch, threads):
-    # References computed (or being computed) but not yet written: at most
-    # the one being written plus `threads` ahead of it.  With one stage,
-    # a reference's histogram is derived from its vote counts right after
-    # its PFM is written.
-    import threading
+def test_gc_penalty_writes_each_reference_before_the_next(six_view_scene, tmp_path, capsys, monkeypatch, threads):
+    # At any --threads one reference is in flight: each is written before
+    # the next is checked, and its penalty maps are gone by then.  With
+    # one stage, a reference's histogram is derived from its vote counts
+    # right after its PFM is written.
+    import weakref
 
     from mvsgeo import cli
 
-    lock = threading.Lock()
     state = {"open": 0, "max": 0}
+    maps = []
     compute, histogram = cli.stage_penalties, cli.penalty_histogram
 
     def counting_compute(*args):
-        with lock:
-            state["open"] += 1
-            state["max"] = max(state["max"], state["open"])
-        return compute(*args)
+        assert all(ref() is None for ref in maps)  # the previous reference's maps are dropped
+        state["open"] += 1
+        state["max"] = max(state["max"], state["open"])
+        penalties = compute(*args)
+        maps.extend(weakref.ref(p) for p in penalties)
+        return penalties
 
     def counting_histogram(*args):
-        with lock:
-            state["open"] -= 1
+        state["open"] -= 1
         return histogram(*args)
 
     monkeypatch.setattr(cli, "stage_penalties", counting_compute)
@@ -207,16 +207,17 @@ def test_gc_penalty_writes_each_reference_at_most_threads_ahead(six_view_scene, 
     code, out, _ = run_cli(capsys, "gc-penalty", "--scene", str(six_view_scene), "--out", str(tmp_path / "p"),
                            "--d-pixel", "1.0", "--d-depth", "0.01", "--threads", str(threads))
     assert code == 0
-    assert state["open"] == 0
-    assert 1 <= state["max"] <= threads + 1
-    assert len(read_json(out)["views"]) > threads + 1  # a window that could be overrun
+    assert state == {"open": 0, "max": 1}
+    assert len(read_json(out)["views"]) > threads + 1  # more references than any window
+    assert all(ref() is None for ref in maps)
 
 
-def test_gc_penalty_single_thread_holds_one_reference(six_view_scene, tmp_path, capsys, monkeypatch):
-    # After the scene is loaded, a --threads 1 run holds one reference in
-    # flight: its penalty maps' narrow vote counts, one pair's band scratch
-    # and corner map while it is checked, then one stage's float64 masked
-    # levels and their float32 copy, or the float64 levels its mean
+@pytest.mark.parametrize("threads", [1, 3])
+def test_gc_penalty_holds_one_reference(six_view_scene, tmp_path, capsys, monkeypatch, threads):
+    # After the scene is loaded, a run holds one reference in flight at
+    # any --threads: its penalty maps' narrow vote counts, one pair's band
+    # scratch and corner map while it is checked, then one stage's float64
+    # masked levels and their float32 copy, or the float64 levels its mean
     # reads, while it is written.  Holding the maps of
     # every reference until the end, as a compute-all-then-write loop
     # does, a float64 map per stage, or a pair's full-frame reprojection
@@ -245,7 +246,7 @@ def test_gc_penalty_single_thread_holds_one_reference(six_view_scene, tmp_path, 
 
     monkeypatch.setattr(cli, "_load_scene", loading)
     monkeypatch.setattr(cli, "_emit_json", emitting)
-    argv = ["gc-penalty", "--scene", str(six_view_scene), "--out", str(tmp_path / "p"), "--threads", "1"]
+    argv = ["gc-penalty", "--scene", str(six_view_scene), "--out", str(tmp_path / "p"), "--threads", str(threads)]
     assert run_cli(capsys, *argv)[0] == 0  # first-call allocations out of the measurement
     tracemalloc.start()
     try:
@@ -990,6 +991,32 @@ def test_a_rejected_input_file_is_named(plane_scene, tmp_path, capsys, command, 
     code, out, err = run_cli(capsys, command, *argv[command])
     assert (code, out) == (3, "")
     assert err == f"mvsgeo: error: {path}: {rejected.value}\n"
+
+
+@pytest.mark.parametrize("name", ["loss gt", "penalty"])
+def test_a_loss_pfm_cut_short_after_it_is_opened_is_named(plane_scene, tmp_path, capsys, monkeypatch, name):
+    # A ground truth or penalty cut short after `loss` opened and checked
+    # its header fails as a band is read, while the stage is scored: exit
+    # 3 with its own path (not the volume's, nor none) in front of the
+    # message read_pfm gives for the bytes left.
+    argv, files = _reader_inputs(plane_scene, tmp_path)
+    path = files[name]
+    cut = path.read_bytes()[:-4 * 48 * 20]  # half the rows gone
+    with pytest.raises(formats.ParseError) as rejected:
+        formats.read_pfm(cut)
+    opener = formats.open_pfm
+
+    def open_then_cut(at):
+        opened = opener(at)
+        if Path(at) == path:
+            path.write_bytes(cut)
+        return opened
+
+    monkeypatch.setattr(formats, "open_pfm", open_then_cut)
+    code, out, err = run_cli(capsys, "loss", *argv["loss"])
+    assert (code, out) == (3, "")
+    assert err == f"mvsgeo: error: {path}: {rejected.value}\n"
+    assert "truncated PFM payload" in err
 
 
 @pytest.mark.parametrize("command, name", [

@@ -44,7 +44,7 @@ def test_scan_finds_private_penalty_uses_and_accepts_the_public_api():
     ]
     public = (
         "from .penalty import PenaltyMap, apply_reference_mask, penalty_histogram, stage_penalties\n"
-        "from .reproject import _in_order, _pair_errors\n"
+        "from .reproject import _chain, _pair_errors\n"
         "levels = penalty.values\n"
     )
     assert private_penalty_uses(public) == []
