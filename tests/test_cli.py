@@ -212,6 +212,44 @@ def test_gc_penalty_writes_each_reference_before_the_next(six_view_scene, tmp_pa
     assert all(ref() is None for ref in maps)
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_gc_penalty_checks_references_in_order_on_the_calling_thread(six_view_scene, tmp_path, capsys,
+                                                                     monkeypatch, threads):
+    # At any --threads each reference is checked on the calling thread, no
+    # other thread is started, and the references are checked in the order
+    # --ref gives them, each after the PFMs of every earlier one are written.
+    import threading
+
+    from mvsgeo import cli
+
+    caller, before = threading.current_thread(), threading.active_count()
+    order = [3, 0, 5, 1]
+    out = tmp_path / "p"
+    load, compute = cli._load_scene, cli.stage_penalties
+    scene, checked = {}, []
+
+    def loading(*args):
+        pairings, cams, depths = load(*args)
+        scene.update(depths)
+        return pairings, cams, depths
+
+    def recording_compute(d_ref, *args):
+        ref_id = next(i for i, d in scene.items() if d is d_ref)
+        written = sorted(p.name for p in out.glob("penalty_*.pfm"))
+        checked.append((ref_id, threading.current_thread(), threading.active_count(), written))
+        return compute(d_ref, *args)
+
+    monkeypatch.setattr(cli, "_load_scene", loading)
+    monkeypatch.setattr(cli, "stage_penalties", recording_compute)
+    code, stdout, _ = run_cli(capsys, "gc-penalty", "--scene", str(six_view_scene), "--out", str(out),
+                              "--ref", *map(str, order), "--d-pixel", "1.0", "--d-depth", "0.01",
+                              "--threads", str(threads))
+    assert code == 0
+    assert sorted(map(int, read_json(stdout)["views"])) == sorted(order)
+    assert checked == [(r, caller, before, sorted(f"penalty_{e:08d}_stage0.pfm" for e in order[:k]))
+                       for k, r in enumerate(order)]
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_gc_penalty_holds_one_reference(six_view_scene, tmp_path, capsys, monkeypatch, threads):
     # After the scene is loaded, a run holds one reference in flight at
