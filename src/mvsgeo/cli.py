@@ -12,7 +12,12 @@ every reference, then runs them in order on the calling thread, writing
 each one's PFMs and summary entry before it checks the next; references
 on threads were GIL-bound (at 640 x 512 x 5 views, two threads took
 0.75-0.86 s of CPU for 0.50-0.68 s of wall time, one thread 0.60-0.71 s
-for 0.61-0.77 s).  fuse runs its references in order on one thread too.
+for 0.61-0.77 s).  Its check reads pair.txt, every camera and each depth
+file's header alone; then it holds two depth maps, the reference's and
+the source's of the pair being checked, each read as it is needed into a
+frame that the next read overwrites, so its memory does not grow with
+the view count.  fuse runs its references in order on one thread too,
+with every view's depth loaded first.
 
 Scene directory convention (emitted by synth, consumed by the rest):
 
@@ -29,6 +34,7 @@ import contextlib
 import functools
 import json
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -117,10 +123,24 @@ def _read(path, parse):
         return parse(Path(path).read_bytes())
 
 
-def _read_depth(path):
-    """The depth map in a 1-channel PFM file, named as _read names it; its bytes are dropped before the map is made."""
-    with _reading(path):
-        return formats.depth_from_pfm(formats.read_pfm(Path(path).read_bytes()))
+def _read_depth(path, shape=None, frame=None):
+    """The depth map in a 1-channel PFM file, read band by band (_PfmFile.depth), named as _reading names it.
+
+    frame is the (values, valid) pair it is read into, or None for fresh
+    arrays.  shape, when given, is the one the file's header had when the
+    scene was checked: a file that no longer has it is rejected before a
+    byte is read into frame.
+    """
+    with _reading(path), formats.open_pfm(Path(path)) as pfm:
+        if shape is not None and pfm.shape != shape:
+            raise ValueError(f"depth shape {pfm.shape} is not the {shape} it had when the scene was checked")
+        return pfm.depth(frame)
+
+
+def _depth_shape(path):
+    """The (H, W) of the depth map in a 1-channel PFM file, from its header alone, named as _reading names it."""
+    with _reading(path), formats.open_pfm(Path(path)) as pfm:
+        return pfm.depth_shape
 
 
 def _emit_json(doc: dict, out: str | None = None) -> None:
@@ -146,11 +166,13 @@ def _scene_paths(scene: Path, view: int):
     )
 
 
-def _load_scene(scene_dir: str, views=None):
-    """pair.txt's pairings, then the cameras and depths of `views` (default: every view it names).
+def _load_scene(scene_dir: str, views=None, depth=_read_depth):
+    """pair.txt's pairings, then the cameras of `views` (default: every view it names) and depth(path) of each.
 
-    Every camera and depth file to be read is checked to exist before any
-    is read; a requested view that pair.txt does not name is a missing input.
+    depth reads a view's depth file: its map by default, its shape alone
+    for _depth_shape.  Every camera and depth file to be read is checked
+    to exist before any is read; a requested view that pair.txt does not
+    name is a missing input.
     """
     scene = Path(scene_dir)
     pair_path = scene / "pair.txt"
@@ -169,7 +191,7 @@ def _load_scene(scene_dir: str, views=None):
         cam_path, depth_path, _ = _scene_paths(scene, view)
         with _reading(cam_path):
             cams[view] = formats.read_cam(cam_path.read_text())
-        depths[view] = _read_depth(depth_path)
+        depths[view] = depth(depth_path)
     return pairings, cams, depths
 
 
@@ -244,12 +266,47 @@ def _cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Frame:
+    """One depth map's float32 values and bool validity, which each read overwrites; remade for another shape."""
+
+    def __init__(self):
+        self._arrays = None
+
+    def read(self, path, shape):
+        """The depth map in the file at path, whose checked shape is shape, read into the frame."""
+        if self._arrays is None or self._arrays[0].shape != shape:
+            self._arrays = None  # the old frame goes before the new one is made
+            self._arrays = (np.empty(shape, np.float32), np.empty(shape, bool))
+        return _read_depth(path, shape, self._arrays)
+
+
+class _Sources(Sequence):
+    """A reference's sources for stage_penalties: item i reads source i's depth into one frame, which item i + 1 overwrites.
+
+    views holds each source's (depth path, checked shape, camera).
+    """
+
+    def __init__(self, views, frame: _Frame):
+        self._views, self._frame = views, frame
+
+    def __len__(self):
+        return len(self._views)
+
+    def __getitem__(self, i):
+        path, shape, cam = self._views[i]
+        return self._frame.read(path, shape), cam
+
+
 def _cmd_gc_penalty(args) -> int:
     if len(args.d_pixel) != len(args.d_depth):
         raise ValueError("--d-pixel and --d-depth need the same number of stages")
-    pairings, cams, depths = _load_scene(args.scene)
+    # Every check that can reject the scene runs here, before any file is
+    # written: pair.txt, every camera and every depth file's header.  A
+    # header whose shape and payload size check out leaves no payload
+    # byte that can fail to decode, so the depths are read only as the
+    # references are checked.
+    pairings, cams, shapes = _load_scene(args.scene, depth=_depth_shape)
     by_ref = {p.reference: p for p in pairings}
-    # Every check that can reject the scene runs here, before any file is written.
     jobs = []
     for ref_id in args.ref if args.ref else sorted(by_ref):
         if ref_id not in by_ref:
@@ -259,9 +316,9 @@ def _cmd_gc_penalty(args) -> int:
         if not src_ids:
             raise ValueError(f"view {ref_id} has no source views in pair.txt")
         for s in src_ids:
-            if depths[s].shape != depths[ref_id].shape:
-                raise ValueError(f"view {s} depth shape {depths[s].shape} does not match "
-                                 f"reference view {ref_id} {depths[ref_id].shape}")
+            if shapes[s] != shapes[ref_id]:
+                raise ValueError(f"view {s} depth shape {shapes[s]} does not match "
+                                 f"reference view {ref_id} {shapes[ref_id]}")
         jobs.append((ref_id, src_ids))
     stages = [GcThresholds(dp, dd) for dp, dd in zip(args.d_pixel, args.d_depth)]
     out = Path(args.out)
@@ -269,14 +326,19 @@ def _cmd_gc_penalty(args) -> int:
     summary = {"range_mode": args.range, "stages": [
         {"d_pixel": t.d_pixel, "d_depth": t.d_depth} for t in stages], "views": {}}
 
-    # A reference in flight is its per-stage penalty maps, which hold vote
-    # counts; each stage's levels are derived only as the stage is written,
-    # and the maps are dropped before the next reference is checked.
+    # Two depth maps are held, each in a frame that its next read
+    # overwrites: the reference's, and the source's of the pair being
+    # checked.  A reference in flight is also its per-stage penalty maps,
+    # which hold vote counts; each stage's levels are derived only as the
+    # stage is written, and the maps are dropped before the next
+    # reference is checked.
+    scene, ref_frame, src_frame = Path(args.scene), _Frame(), _Frame()
     for ref_id, src_ids in jobs:
-        penalties = stage_penalties(depths[ref_id], cams[ref_id], [(depths[s], cams[s]) for s in src_ids],
-                                    stages, args.range)
+        d_ref = ref_frame.read(_scene_paths(scene, ref_id)[1], shapes[ref_id])
+        sources = _Sources([(_scene_paths(scene, s)[1], shapes[s], cams[s]) for s in src_ids], src_frame)
+        penalties = stage_penalties(d_ref, cams[ref_id], sources, stages, args.range)
         view_doc = {"sources": src_ids, "stages": []}
-        valid = depths[ref_id].valid
+        valid = d_ref.valid
         for s, penalty in enumerate(penalties):
             path = out / f"penalty_{ref_id:08d}_stage{s}.pfm"
             path.write_bytes(formats.write_pfm(formats.PfmImage(apply_reference_mask(penalty, valid))))

@@ -7,12 +7,14 @@ line or byte offset; they never silently truncate.
 
 Formats:
 
-* PFM: "Pf"/"PF" magic line, "width height" line, scale line whose sign
-  encodes endianness (negative = little endian), then raw 32-bit floats
-  stored bottom row first.  The writer always emits little endian.
-  open_pfm opens a file for the loss to read one row band at a time,
-  each band one positioned read of its stored rows, served top row
-  first; it shares read_pfm's header parser.
+* PFM: "Pf"/"PF" magic line, "width height" line, scale line (a finite
+  non-zero decimal) whose sign encodes endianness (negative = little
+  endian), then raw 32-bit floats stored bottom row first.  The writer
+  always emits little endian.  open_pfm opens a file to be read one row
+  band at a time, each band one positioned read of its stored rows,
+  served top row first: by the loss, and by the CLI's depth reads, which
+  fill a whole depth frame band by band; it shares read_pfm's header
+  parser.
 * cam.txt: "extrinsic" keyword + 4x4 world-to-camera matrix, "intrinsic"
   keyword + 3x3 matrix, then a "depth_min depth_interval" line.
 * PLY point clouds: ascii or binary_little_endian, float x/y/z and
@@ -30,17 +32,18 @@ Formats:
 
 A header line of either format is at most 256 bytes, its newline
 included, and both formats' dimensions lines are checked by one parser
-(field count, integers, positivity), each fault reported at the line's
-offset.  The two file openers parse the header at open, reading it a
-byte at a time, then read each payload byte once with os.preadv into
-band buffers that the opened file owns, reuses from band to band and
-drops at close.
+(field count, ASCII digits, positivity), each fault reported at the
+line's offset.  The two file openers parse the header at open, reading
+it a byte at a time, then read each payload byte once with os.preadv
+into band buffers that the opened file owns, reuses from band to band
+and drops at close.
 
 PFM and PLY payloads are viewed in place, not sliced out of the buffer.
 """
 
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -108,6 +111,9 @@ def _header_line(raw: bytes, pos: int, kind: str):
     return raw[:end].decode("latin-1").strip(), pos + end + 1
 
 
+_DIGITS = re.compile(r"-?[0-9]+")
+
+
 def _dims(line, pos: int, names: str, kind: str):
     """The positive integer dimensions ("width height", say) on the header line at pos, and the offset after it.
 
@@ -118,10 +124,11 @@ def _dims(line, pos: int, names: str, kind: str):
     parts = text.split()
     if len(parts) != len(names.split()):
         raise ParseError(f"expected {names!r}, got {text!r}", offset=pos)
-    try:
-        dims = [int(p) for p in parts]
-    except ValueError:
-        raise ParseError(f"non-integer {kind} dimensions {text!r}", offset=pos) from None
+    # ASCII digits only: int() would also take "+1", "1_0" and non-ASCII
+    # digits.  A minus sign passes here to be reported as non-positive.
+    if not all(_DIGITS.fullmatch(p) for p in parts):
+        raise ParseError(f"non-integer {kind} dimensions {text!r}", offset=pos)
+    dims = [int(p) for p in parts]
     if min(dims) <= 0:
         raise ParseError(f"non-positive {kind} dimensions {text!r}", offset=pos)
     return dims, end
@@ -226,6 +233,9 @@ class PfmImage:
         return self.data.shape[1]
 
 
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
 def _pfm_header(line, size: int):
     """(height, width, channels, scale, payload offset) of a PFM file of `size` bytes.
 
@@ -241,10 +251,11 @@ def _pfm_header(line, size: int):
     (width, height), pos = _dims(line, pos, "width height", "PFM")
     scale_pos = pos
     scale_line, pos = line(pos)
-    try:
-        scale = float(scale_line)
-    except ValueError:
-        raise ParseError(f"bad PFM scale {scale_line!r}", offset=scale_pos) from None
+    # A finite decimal: float() would also take "nan", "inf" and "1_0",
+    # and a NaN scale would pick the byte order by a false "scale < 0".
+    scale = float(scale_line) if _DECIMAL.fullmatch(scale_line) else math.nan
+    if not math.isfinite(scale):
+        raise ParseError(f"bad PFM scale {scale_line!r}", offset=scale_pos)
     if scale == 0:
         raise ParseError("zero PFM scale", offset=scale_pos)
     expected = width * height * channels * 4
@@ -270,7 +281,7 @@ def read_pfm(data: bytes) -> PfmImage:
 
 
 class _PfmFile(_OpenedFile):
-    """A PFM file that the loss reads one row band at a time (made by open_pfm).
+    """A PFM file read one row band at a time (made by open_pfm): by the loss, and by depth() for a depth map.
 
     shape is (H, W), or (H, W, 3) for a colour file, as PfmImage.data's.
     _band(rows) reads the rows as stored, bottom row first, with one
@@ -286,6 +297,25 @@ class _PfmFile(_OpenedFile):
         self.shape = (height, width) if channels == 1 else (height, width, 3)
         self._swap = (scale < 0) != (sys.byteorder == "little")
 
+    @property
+    def depth_shape(self) -> tuple:
+        """shape, which a depth map's file has as (H, W); a 3-channel file raises depth_from_pfm's ValueError."""
+        if len(self.shape) != 2:
+            raise ValueError(_ONE_CHANNEL)
+        return self.shape
+
+    def depth(self, frame=None) -> DepthMap:
+        """The file's depth map, as depth_from_pfm(read_pfm(its bytes)) makes it, read band by band.
+
+        frame is the (values, valid) pair of float32 and bool arrays of
+        depth_shape that the map is read into (see DepthMap._of_bands), or
+        None for fresh ones.  No bytes object, flipped copy or masked copy
+        of the frame is made.
+        """
+        shape = self.depth_shape
+        values, valid = frame if frame is not None else (np.empty(shape, np.float32), np.empty(shape, bool))
+        return DepthMap._of_bands(self._band, values, valid)
+
     def _band(self, rows: slice) -> np.ndarray:
         row = self.shape[1:]
         band = self._buffer("rows", (rows.stop - rows.start) * math.prod(row), np.float32).reshape((-1,) + row)
@@ -296,7 +326,7 @@ class _PfmFile(_OpenedFile):
 
 
 def open_pfm(path) -> _PfmFile:
-    """Open a PFM file for the loss to read band by band; close it (or use `with`) after.
+    """Open a PFM file to read band by band (or its depth map, whole); close it (or use `with`) after.
 
     The header is parsed and the payload size checked now, with
     read_pfm's messages and offsets; no payload byte is read until a band
@@ -322,10 +352,13 @@ def write_pfm(img: PfmImage) -> bytearray:
     return data
 
 
+_ONE_CHANNEL = "depth maps are single-channel PFMs"
+
+
 def depth_from_pfm(img: PfmImage) -> DepthMap:
     """Single-channel PFM to DepthMap; zero, negative and non-finite pixels are invalid."""
     if img.channels != 1:
-        raise ValueError("depth maps are single-channel PFMs")
+        raise ValueError(_ONE_CHANNEL)
     return DepthMap.from_values(img.data)
 
 
@@ -500,7 +533,18 @@ def read_ply(data: bytes) -> PointCloud:
                     colors[i] = [int(p) for p in parts[3:]]
             except ValueError:
                 raise ParseError("non-numeric vertex field", line=len(lines) + i + 1) from None
-    return PointCloud(points=points, colors=colors)
+    try:
+        return PointCloud(points=points, colors=colors)
+    except ValueError as exc:
+        # The cloud's finiteness check is the one that can fail here; the
+        # first vertex that breaks it is found only then.
+        finite = np.isfinite(points).all(axis=1)
+        if finite.all():
+            raise
+        row = int(np.argmin(finite))
+        if fmt == "ascii":
+            raise ParseError(str(exc), line=len(lines) + row + 1) from None
+        raise ParseError(str(exc), offset=len(header) + row * rec.itemsize) from None
 
 
 def write_ply(cloud: PointCloud, binary: bool = True) -> bytes:

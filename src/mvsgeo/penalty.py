@@ -27,6 +27,7 @@ inconsistency_mask(d_ref, *fbr(...)), inconsistency_mask voting band by
 band over fbr's full-frame result.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,24 +142,26 @@ def per_pixel_penalty(
     The paper's sum over sources of inconsistency_mask(d_ref, *fbr(...)),
     mapped to the levels: bit for bit stage_penalties at one stage.
     """
-    _check_sources(d_ref, sources, range_mode)
+    _check_sources(sources, range_mode)
     count = np.zeros(d_ref.shape, dtype=np.min_scalar_type(len(sources)))
     for d_src, src_cam in sources:
+        _check_source(d_ref, d_src)
         count += inconsistency_mask(d_ref, *fbr(d_ref, ref, d_src, src_cam), thresholds)
     return PenaltyMap(count, range_mode, len(sources))
 
 
-def _check_sources(d_ref: DepthMap, sources, range_mode: str) -> None:
-    """Reject no sources, an unknown range mode or a source shaped unlike the reference."""
+def _check_sources(sources, range_mode: str) -> None:
+    """Reject no sources or an unknown range mode; each source's shape is checked as it is reached."""
     if not sources:
         raise ValueError("at least one source view is required")
     if range_mode not in _RANGE_MODES:
         raise ValueError(f"range_mode must be one of {_RANGE_MODES}")
-    for d_src, _ in sources:
-        if d_src.shape != d_ref.shape:
-            raise ValueError(
-                f"source depth shape {d_src.shape} does not match reference {d_ref.shape}"
-            )
+
+
+def _check_source(d_ref: DepthMap, d_src: DepthMap) -> None:
+    """Reject a source shaped unlike the reference."""
+    if d_src.shape != d_ref.shape:
+        raise ValueError(f"source depth shape {d_src.shape} does not match reference {d_ref.shape}")
 
 
 def _levels(counts, m: int, range_mode: str) -> np.ndarray:
@@ -203,7 +206,7 @@ def _add_pair_votes(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, 
 def stage_penalties(
     d_ref: DepthMap,
     ref: Camera,
-    sources: list[tuple[DepthMap, Camera]],
+    sources: Sequence[tuple[DepthMap, Camera]],
     stages: list[GcThresholds],
     range_mode: str = "one-two",
 ) -> list[PenaltyMap]:
@@ -215,12 +218,19 @@ def stage_penalties(
     per stage of the narrowest unsigned integer that holds M.  Returns
     one PenaltyMap per stage, in the order of `stages`; each equals
     per_pixel_penalty with that stage's thresholds.
+
+    sources is read once, item by item and in order, each item as its
+    pair is checked, and len(sources) is M.  So an item may be made as
+    it is read, and its map may be overwritten by the next (gc-penalty
+    reads each source's depth file into one reused frame so).  Each
+    source's shape is checked when it is reached.
     """
-    _check_sources(d_ref, sources, range_mode)
+    _check_sources(sources, range_mode)
     if not stages:
         raise ValueError("at least one threshold stage is required")
     counts = [np.zeros(d_ref.shape, dtype=np.min_scalar_type(len(sources))) for _ in stages]
     for d_src, src_cam in sources:
+        _check_source(d_ref, d_src)
         _add_pair_votes(d_ref, ref, d_src, src_cam, stages, counts)
     return [PenaltyMap(count, range_mode, len(sources)) for count in counts]
 

@@ -145,16 +145,35 @@ class DepthMap:
         """Build a map whose validity is finite depth > 0.
 
         The mask it builds is the constructor's condition, so the map is
-        made once, without the constructor's re-check and second copy.
-        The caller's array is never written.  As in the constructor,
-        float32 and float64 values keep their dtype.
+        made once, a band at a time (_of_bands), without the constructor's
+        re-check and second copy.  The caller's array is never written.
+        As in the constructor, float32 and float64 values keep their dtype.
         """
         values = _depth_array(values)
         if values.ndim != 2:
             raise ValueError(f"depth values must be 2-D, got shape {values.shape}")
-        valid = np.isfinite(values)
-        valid &= values > 0
-        return _wrap(cls, values=np.where(valid, values, 0.0), valid=valid)
+        return cls._of_bands(values.__getitem__, np.empty(values.shape, values.dtype), np.empty(values.shape, bool))
+
+    @classmethod
+    def _of_bands(cls, band, values: np.ndarray, valid: np.ndarray) -> "DepthMap":
+        """The map of the depths band(rows) gives for each row band, written into values and valid.
+
+        values (float32 or float64) and valid (bool) are frames of one
+        shape.  Band by band, the depths are copied into values, valid is
+        set where they are finite and > 0, and values is zeroed elsewhere:
+        from_values' rule, applied in place with one band-sized bool
+        buffer and no temporary frame.  A PFM file's depths are read so
+        (formats.open_pfm), into fresh frames or reused ones.
+        """
+        for rows, _, _, (spare,) in _bands(values.shape, 0, 1):
+            v, ok = values[rows], valid[rows]
+            np.copyto(v, band(rows))
+            np.isfinite(v, out=ok)
+            np.greater(v, 0, out=spare)
+            ok &= spare
+            np.logical_not(ok, out=spare)
+            np.copyto(v, 0, where=spare)
+        return _wrap(cls, values=values, valid=valid)
 
     @property
     def shape(self) -> tuple[int, int]:

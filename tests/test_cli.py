@@ -222,24 +222,25 @@ def test_gc_penalty_checks_references_in_order_on_the_calling_thread(six_view_sc
 
     from mvsgeo import cli
 
+    # A reference is known by the depth file its map was read from.
     caller, before = threading.current_thread(), threading.active_count()
     order = [3, 0, 5, 1]
     out = tmp_path / "p"
-    load, compute = cli._load_scene, cli.stage_penalties
-    scene, checked = {}, []
+    read, compute = cli._read_depth, cli.stage_penalties
+    maps, checked = [], []
 
-    def loading(*args):
-        pairings, cams, depths = load(*args)
-        scene.update(depths)
-        return pairings, cams, depths
+    def reading(path, *args):
+        depth = read(path, *args)
+        maps.append((int(Path(path).stem), depth))
+        return depth
 
     def recording_compute(d_ref, *args):
-        ref_id = next(i for i, d in scene.items() if d is d_ref)
+        ref_id = next(v for v, d in reversed(maps) if d is d_ref)
         written = sorted(p.name for p in out.glob("penalty_*.pfm"))
         checked.append((ref_id, threading.current_thread(), threading.active_count(), written))
         return compute(d_ref, *args)
 
-    monkeypatch.setattr(cli, "_load_scene", loading)
+    monkeypatch.setattr(cli, "_read_depth", reading)
     monkeypatch.setattr(cli, "stage_penalties", recording_compute)
     code, stdout, _ = run_cli(capsys, "gc-penalty", "--scene", str(six_view_scene), "--out", str(out),
                               "--ref", *map(str, order), "--d-pixel", "1.0", "--d-depth", "0.01",
@@ -252,17 +253,20 @@ def test_gc_penalty_checks_references_in_order_on_the_calling_thread(six_view_sc
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_gc_penalty_holds_one_reference(six_view_scene, tmp_path, capsys, monkeypatch, threads):
-    # After the scene is loaded, a run holds one reference in flight at
-    # any --threads: its penalty maps' narrow vote counts, one pair's band
-    # scratch and corner map while it is checked, then one stage's float64
-    # masked levels and their float32 copy, or the float64 levels its mean
-    # reads, while it is written.  Holding the maps of
-    # every reference until the end, as a compute-all-then-write loop
-    # does, a float64 map per stage, or a pair's full-frame reprojection
-    # (25 B/px) exceeds this.  Row bands of 8 rows keep the band scratch
-    # small.  The window ends when the summary is emitted: encoding it
-    # makes about 100 KB of Python string chunks here, set by the number
-    # of references and stages, not by the frame.
+    # After the scene is checked (pair.txt, the cameras and the depth
+    # headers), a run holds one reference in flight at any --threads: two
+    # depth maps, the reference's and the checked source's, each in a
+    # frame its next read overwrites, and one depth read's band buffers;
+    # its penalty maps' narrow vote counts, one pair's band scratch and
+    # corner map while it is checked, then one stage's float64 masked
+    # levels and their float32 copy, or the float64 levels its mean reads,
+    # while it is written.  Holding the maps of every reference until the
+    # end, as a compute-all-then-write loop does, a float64 map per stage,
+    # a pair's full-frame reprojection (25 B/px) or a third depth map
+    # exceeds this.  Row bands of 8 rows keep the band scratch small.  The
+    # window ends when the summary is emitted: encoding it makes about
+    # 100 KB of Python string chunks here, set by the number of references
+    # and stages, not by the frame.
     import tracemalloc
 
     from mvsgeo import cli
@@ -272,8 +276,8 @@ def test_gc_penalty_holds_one_reference(six_view_scene, tmp_path, capsys, monkey
     load, loaded = cli._load_scene, []
     emit, written = cli._emit_json, []
 
-    def loading(*args):
-        scene = load(*args)
+    def loading(*args, **kwargs):
+        scene = load(*args, **kwargs)
         loaded.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
         return scene
@@ -297,8 +301,88 @@ def test_gc_penalty_holds_one_reference(six_view_scene, tmp_path, capsys, monkey
     mean_gather = h * w * 8
     scratch = 8 * w * (10 * 8 + 4)
     corner_map = 3 * h * w
+    frames = 2 * 5 * h * w
+    read_bands = 8 * w * (4 + 1)
     peak = written[-1] - loaded[-1]
-    assert peak < counts + stage_map + mean_gather + scratch + corner_map, (peak, counts)
+    assert peak < counts + stage_map + mean_gather + scratch + corner_map + frames + read_bands, (peak, counts)
+
+
+def test_gc_penalty_peak_does_not_grow_with_the_view_count(tmp_path, capsys):
+    # gc-penalty reads only depth headers before its first reference, then
+    # holds two depth maps: the reference's and the checked source's.  So
+    # the same four references, each checked against its top four sources,
+    # peak alike in a scene of 24 views and in one of 48: within one
+    # view's depth and mask (5 B/px) of tracemalloc's peak above the
+    # pre-run baseline.  Loading every view before the first reference
+    # grows that peak by 24 views' maps.  What still grows with the views
+    # is what the check parses, the cameras and pair.txt (where synth
+    # lists every other view): about 94 KB from 24 to 48 views here.
+    import tracemalloc
+
+    w, h = 256, 192
+    peaks = []
+    for views in (24, 48):
+        scene = tmp_path / f"scene{views}"
+        assert run_cli(capsys, "synth", "--out", str(scene), "--kind", "two-planes", "--width", str(w),
+                       "--height", str(h), "--views", str(views))[0] == 0
+        argv = ["gc-penalty", "--scene", str(scene), "--out", str(tmp_path / f"p{views}"), "--ref", "0", "1", "2", "3",
+                "--num-sources", "4"]
+        assert run_cli(capsys, *argv)[0] == 0  # first-call allocations out of the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code = run_cli(capsys, *argv)[0]
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert abs(peaks[1] - peaks[0]) < 5 * w * h, peaks
+
+
+@pytest.mark.parametrize("change", ["reshaped", "3-channel", "truncated"])
+def test_gc_penalty_rejects_a_depth_file_changed_after_the_check(six_view_scene, tmp_path, capsys, monkeypatch,
+                                                                 change):
+    # A source's depth file changes after the up-front check passed it and
+    # before its pair reads it: here, as reference 2 is read.  The run
+    # exits 3 naming that file, a changed shape found from the header
+    # before any byte is read into the reused frame.  References 0 and 1,
+    # written before, keep the bytes of an undisturbed run; no NaN is in
+    # any output and no summary is written.
+    from mvsgeo import cli
+
+    argv = ["gc-penalty", "--scene", str(six_view_scene), "--ref", "0", "1", "2", "3", "--num-sources", "2"]
+    clean, out = tmp_path / "clean", tmp_path / "out"
+    code, stdout, _ = run_cli(capsys, *argv, "--out", str(clean))
+    assert code == 0
+    victim = six_view_scene / "depths" / f"{read_json(stdout)['views']['2']['sources'][0]:08d}.pfm"
+    data = victim.read_bytes()
+    changed = {
+        "reshaped": formats.write_pfm(formats.PfmImage(np.full((20, 24), 600.0, dtype=np.float32))),
+        "3-channel": formats.write_pfm(formats.PfmImage(np.full((64, 80, 3), 600.0, dtype=np.float32))),
+        "truncated": data[:len(data) // 2],
+    }[change]
+    if change == "truncated":
+        with pytest.raises(formats.ParseError) as rejected:
+            formats.read_pfm(changed)
+        message = str(rejected.value)
+    else:
+        message = f"depth shape {formats.read_pfm(changed).data.shape} is not the (64, 80) it had when the scene was checked"
+    read = cli._read_depth
+
+    def changing(path, *args):
+        if Path(path).name == "00000002.pfm":
+            victim.write_bytes(changed)
+        return read(path, *args)
+
+    monkeypatch.setattr(cli, "_read_depth", changing)
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert err == f"mvsgeo: error: {victim}: {message}\n"
+    written = sorted(p.name for p in out.iterdir())
+    assert written == [f"penalty_{r:08d}_stage{k}.pfm" for r in (0, 1) for k in range(3)]
+    for name in written:
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
+        assert not np.isnan(formats.read_pfm((out / name).read_bytes()).data).any()
 
 
 def _two_view_pairs(scene, last_line):
@@ -1004,6 +1088,7 @@ READERS = {
     ("gc-penalty", "pair.txt", "garbage"),
     ("gc-penalty", "cam 2", "garbage"),
     ("gc-penalty", "depth 1", "3-channel"),
+    ("gc-penalty", "depth 1", "truncated"),
     ("fuse", "depth 1", "3-channel"),
     ("fuse", "confidence 3", "truncated"),
     ("warp", "depth 1", "truncated"),
@@ -1013,6 +1098,7 @@ READERS = {
     ("loss", "volume", "NaN in the last band"),
     ("eval-pc", "pred.ply", "truncated"),
     ("eval-pc", "gt.ply", "garbage"),
+    ("eval-pc", "gt.ply", "NaN in the last band"),
     ("eval-depth", "pred.pfm", "3-channel"),
     ("eval-depth", "gt.pfm", "truncated"),
     ("eval-depth", "mask.pfm", "garbage"),

@@ -123,6 +123,10 @@ PFM_MALFORMED = [
     b"Pf\n2 2\n-1.0\n" + b"\x00" * 8,                  # truncated payload
     b"Pf\n1 1\n-1.0\n" + b"\x00" * 12,                 # trailing bytes
     b"Pf 1 1 -1.0 ",                                   # header never terminated
+    b"Pf\n1_0 1\n-1.0\n" + b"\x00" * 40,               # int() would read 10
+    b"Pf\n+1 1\n-1.0\n" + b"\x00" * 4,                  # int() would read 1
+    b"Pf\n1 1\n-nan\n" + b"\x00" * 4,                   # NaN scale
+    b"Pf\n1 1\n1e999\n" + b"\x00" * 4,                  # scale overflows to inf
 ]
 
 
@@ -136,13 +140,21 @@ def test_pfm_malformed_rejected_with_location(data):
     (read_pfm, b"Pf\n1\n-1.0\n", "expected 'width height', got '1' (byte offset 3)"),
     (read_pfm, b"Pf\nx y\n-1.0\n", "non-integer PFM dimensions 'x y' (byte offset 3)"),
     (read_pfm, b"Pf\n0 4\n-1.0\n", "non-positive PFM dimensions '0 4' (byte offset 3)"),
+    (read_pfm, b"Pf\n1_0 1\n-1.0\n" + b"\x00" * 40, "non-integer PFM dimensions '1_0 1' (byte offset 3)"),
+    (read_pfm, b"Pf\n+1 1\n-1.0\n" + b"\x00" * 4, "non-integer PFM dimensions '+1 1' (byte offset 3)"),
     (read_probability_volume, b"PROBVOL\n2 1\nshared\n", "expected 'D H W', got '2 1' (byte offset 8)"),
     (read_probability_volume, b"PROBVOL\nx 1 1\nshared\n", "non-integer volume dimensions 'x 1 1' (byte offset 8)"),
     (read_probability_volume, b"PROBVOL\n2 -1 1\nshared\n", "non-positive volume dimensions '2 -1 1' (byte offset 8)"),
+    (read_probability_volume, b"PROBVOL\n1_0 1 1\nshared\n" + b"\x00" * 80,
+     "non-integer volume dimensions '1_0 1 1' (byte offset 8)"),
+    (read_probability_volume, b"PROBVOL\n+2 1 1\nshared\n" + b"\x00" * 16,
+     "non-integer volume dimensions '+2 1 1' (byte offset 8)"),
 ])
 def test_pfm_and_volume_dimension_lines_are_rejected_alike(read, data, message):
     # One dimensions parser: the same three checks, worded alike, at the
-    # offset where the line starts.
+    # offset where the line starts.  A dimension is ASCII digits: int()
+    # alone took "1_0" as 10 and "+1" as 1, and the payloads here are
+    # sized to match those readings.
     with pytest.raises(ParseError) as exc:
         read(data)
     assert str(exc.value) == message
@@ -279,6 +291,23 @@ def test_ply_malformed_rejected_with_location(data):
 
 
 @pytest.mark.parametrize("binary", [True, False])
+def test_ply_non_finite_coordinate_is_a_parse_error_at_its_vertex(binary):
+    # The third vertex's y is NaN, the fourth's z +inf.  An ASCII file
+    # names the third vertex's line (7 header lines, then vertices 1-3);
+    # a binary one the third 12-byte record's offset.
+    points = np.array([[1, 2, 3], [4, 5, 6], [7, np.nan, 9], [1, 1, np.inf]])
+    data = write_ply(PointCloud(points=np.zeros((4, 3))), binary=binary)
+    head = data[:data.index(b"end_header\n") + len(b"end_header\n")]
+    if binary:
+        data, where = head + points.astype("<f4").tobytes(), f"byte offset {len(head) + 2 * 12}"
+    else:
+        data, where = head + b"".join(b"%r %r %r\n" % tuple(p) for p in points.tolist()), "line 10"
+    with pytest.raises(ParseError) as exc:
+        read_ply(data)
+    assert str(exc.value) == f"point coordinates must be finite ({where})"
+
+
+@pytest.mark.parametrize("binary", [True, False])
 def test_ply_header_comments_are_skipped(rng, binary):
     data = write_ply(random_cloud(rng, 5, colors=True), binary=binary)
     head, body = data.split(b"end_header\n")
@@ -338,6 +367,8 @@ PROBVOL_MALFORMED = [
     b"PROBVOL\nx 1 1\nshared\n" + b"\x00" * 16,    # non-integer dim
     b"PROBVOL\n0 1 1\nshared\n",                   # zero dim
     b"PROBVOL\n-2 1 1\nshared\n" + b"\x00" * 16,   # negative dim
+    b"PROBVOL\n1_0 1 1\nshared\n" + b"\x00" * 80,  # int() would read 10
+    b"PROBVOL\n+2 1 1\nshared\n" + b"\x00" * 16,   # int() would read 2
     b"PROBVOL\n2 1 1\nbanana\n" + b"\x00" * 16,    # unknown layout
     b"PROBVOL\n2 1 1\nshared\n" + b"\x00" * 12,    # truncated payload
     b"PROBVOL\n2 1 1\nshared\n" + b"\x00" * 20,    # oversized payload

@@ -234,6 +234,44 @@ def test_stage_penalties_match_naive_loop_oracle_per_stage():
             assert np.array_equal(pen.values, oracle)
 
 
+def test_stage_penalties_read_a_sequence_of_sources_item_by_item_in_order():
+    # As gc-penalty reads its depth files: each item is made as it is
+    # read, into one frame that the next item overwrites.  stage_penalties
+    # reads every item once, in order, and its maps are the list's bit for
+    # bit.  A source shaped unlike the reference is rejected when it is
+    # reached, with the list's message.
+    from collections.abc import Sequence
+
+    spec = synth.make_scene("two-planes-offset", 40, 32, 4, seed=23)
+    d0, _ = synth.render_depth(spec, 0)
+    sources = [(synth.render_depth(spec, s)[0], spec.cameras[s]) for s in range(1, 4)]
+    stages = [GcThresholds(dp, dd) for dp, dd in zip(STAGE_PIXEL_THRESHOLDS, STAGE_DEPTH_THRESHOLDS)]
+
+    class Reading(Sequence):
+        def __init__(self, items):
+            self.items, self.reads, self.frames = items, [], {}
+
+        def __len__(self):
+            return len(self.items)
+
+        def __getitem__(self, i):
+            d, cam = self.items[i]
+            self.reads.append(i)
+            frame = self.frames.setdefault(d.shape, (np.empty(d.shape), np.empty(d.shape, bool)))
+            return DepthMap._of_bands(d.values.__getitem__, *frame), cam
+
+    for mode in ("one-two", "one-three"):
+        reading = Reading(sources)
+        got = stage_penalties(d0, spec.cameras[0], reading, stages, mode)
+        assert reading.reads == [0, 1, 2]
+        for pen, want in zip(got, stage_penalties(d0, spec.cameras[0], sources, stages, mode), strict=True):
+            assert pen.m == want.m == 3 and pen.counts.tobytes() == want.counts.tobytes()
+    reading = Reading(sources[:2] + [(constant_depth(6, 5), spec.cameras[3])])
+    with pytest.raises(ValueError, match=r"^source depth shape \(6, 5\) does not match reference \(32, 40\)$"):
+        stage_penalties(d0, spec.cameras[0], reading, stages)
+    assert reading.reads == [0, 1, 2]
+
+
 def test_failed_reprojections_vote_under_the_largest_thresholds():
     # No finite displacement or depth difference exceeds the largest finite
     # threshold, so every vote left is a reprojection that cannot be done

@@ -78,6 +78,22 @@ def test_open_pfm_rejects_a_malformed_file_as_read_pfm_does(tmp_path, data):
     assert "byte offset" in str(by_file.value)
 
 
+@pytest.mark.parametrize("scale", ["nan", "-nan", "inf", "-inf"])
+def test_a_non_finite_pfm_scale_is_rejected_by_both_readers_at_its_line(tmp_path, scale):
+    # A NaN scale picked the byte order by a false "scale < 0": a
+    # little-endian 1.5 under "-nan" read as 6.9e-41.
+    data = f"Pf\n1 1\n{scale}\n".encode() + np.float32(1.5).astype("<f4").tobytes()
+    message = f"bad PFM scale {scale!r} (byte offset 7)"
+    with pytest.raises(ParseError) as by_bytes:
+        read_pfm(data)
+    path = tmp_path / "scale.pfm"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as by_file:
+        open_pfm(path)
+    assert str(by_bytes.value) == str(by_file.value) == message
+    assert by_bytes.value.offset == by_file.value.offset == 7
+
+
 def test_a_pfm_that_shrinks_while_it_is_read_is_rejected_as_its_bytes(tmp_path):
     data = _pfm_bytes(np.ones((6, 5)))
     path = tmp_path / "img.pfm"
