@@ -17,7 +17,9 @@ file's header alone; then it holds two depth maps, the reference's and
 the source's of the pair being checked, each read as it is needed into a
 frame that the next read overwrites, so its memory does not grow with
 the view count.  fuse runs its references in order on one thread too,
-with every view's depth loaded first.
+with every view's depth loaded first.  eval-pc checks --max-dist before
+it reads either cloud, then reads each one's points through
+formats.open_ply and hands them to the search as read.
 
 Scene directory convention (emitted by synth, consumed by the rest):
 
@@ -33,6 +35,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -135,6 +138,12 @@ def _read_depth(path, shape=None, frame=None):
         if shape is not None and pfm.shape != shape:
             raise ValueError(f"depth shape {pfm.shape} is not the {shape} it had when the scene was checked")
         return pfm.depth(frame)
+
+
+def _read_points(path):
+    """The float64 points of the PLY cloud at path, read through formats.open_ply, named as _reading names it."""
+    with _reading(path), formats.open_ply(Path(path)) as ply:
+        return ply.points()
 
 
 def _depth_shape(path):
@@ -438,7 +447,12 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_eval_pc(args) -> int:
-    pred, gt = _read(args.pred, formats.read_ply), _read(args.gt, formats.read_ply)
+    # json writes no NaN or infinity, so an infinite max_dist, legal in
+    # the library, is rejected here too.
+    if not 0 <= args.max_dist < math.inf:
+        raise ValueError(f"--max-dist must be finite and non-negative, got {args.max_dist}")
+    # No PointCloud: its finiteness pass would repeat open_ply's.
+    pred, gt = _read_points(args.pred), _read_points(args.gt)
     m = evaluate_point_clouds(pred, gt, args.max_dist, workers=args.threads)
     _emit_json(
         {

@@ -1,7 +1,8 @@
 """Readers and writers for the ecosystem file formats.
 
-All functions but open_pfm and open_probability_volume operate on byte
-buffers or strings; opening and closing files is the caller's concern.
+All functions but open_pfm, open_ply and open_probability_volume
+operate on byte buffers or strings; opening and closing files is the
+caller's concern.
 Readers reject malformed input with a ParseError carrying the offending
 line or byte offset; they never silently truncate.
 
@@ -18,7 +19,11 @@ Formats:
 * cam.txt: "extrinsic" keyword + 4x4 world-to-camera matrix, "intrinsic"
   keyword + 3x3 matrix, then a "depth_min depth_interval" line.
 * PLY point clouds: ascii or binary_little_endian, float x/y/z and
-  optional uchar red/green/blue.
+  optional uchar red/green/blue.  A vertex count or colour is ASCII
+  digits (a colour 0-255), an ASCII coordinate a decimal, and every
+  coordinate finite.  open_ply opens a file for eval-pc: its points()
+  reads a binary body band by band straight into the float64 points the
+  k-d tree indexes; it shares read_ply's header parser and ASCII rules.
 * Probability volume: "PROBVOL" magic line, "D H W" line, a
   "shared"/"perpixel" hypothesis layout line, then raw little-endian
   float32 hypotheses followed by the D*H*W probabilities.
@@ -30,15 +35,16 @@ Formats:
   share one header parser and report a malformed file alike.  Losses
   are identical all three ways.
 
-A header line of either format is at most 256 bytes, its newline
-included, and both formats' dimensions lines are checked by one parser
-(field count, ASCII digits, positivity), each fault reported at the
-line's offset.  The two file openers parse the header at open, reading
-it a byte at a time, then read each payload byte once with os.preadv
-into band buffers that the opened file owns, reuses from band to band
-and drops at close.
+A header line of a PFM, PLY or probability volume is at most 256 bytes,
+its newline included.  The PFM and volume dimensions lines are checked
+by one parser (field count, ASCII digits, positivity), each fault
+reported at the line's offset.  The three file openers parse the header
+at open, reading it a byte at a time, then read each payload byte once
+with os.preadv into band buffers that the opened file owns, reuses from
+band to band and drops at close.
 
-PFM and PLY payloads are viewed in place, not sliced out of the buffer.
+read_pfm and read_ply view their payloads in place, not sliced out of
+the buffer.
 """
 
 import math
@@ -52,7 +58,7 @@ import numpy as np
 from .camera import Camera
 from .fusion import PointCloud
 from .loss import ProbabilityVolume
-from .reproject import DepthMap
+from .reproject import DepthMap, _bands
 
 __all__ = [
     "ParseError",
@@ -64,6 +70,7 @@ __all__ = [
     "read_cam",
     "write_cam",
     "read_ply",
+    "open_ply",
     "write_ply",
     "read_probability_volume",
     "open_probability_volume",
@@ -90,7 +97,7 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-# A header line of a PFM or probability volume is at most this many
+# A header line of a PFM, PLY or probability volume is at most this many
 # bytes, its newline included.  A file opener reads the header one byte at
 # a time, so that no payload byte is read twice; the cap bounds those
 # reads for a file with no newline.
@@ -112,6 +119,7 @@ def _header_line(raw: bytes, pos: int, kind: str):
 
 
 _DIGITS = re.compile(r"-?[0-9]+")
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def _dims(line, pos: int, names: str, kind: str):
@@ -231,9 +239,6 @@ class PfmImage:
     @property
     def width(self) -> int:
         return self.data.shape[1]
-
-
-_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def _pfm_header(line, size: int):
@@ -443,46 +448,58 @@ def write_cam(cam: Camera) -> str:
 
 _PLY_XYZ = ("x", "y", "z")
 _PLY_RGB = ("red", "green", "blue")
+# Coordinates that read as floats but are not decimals: rejected by the
+# finiteness rule, as a NaN or infinite decimal such as 1e999 is.
+_NON_FINITE = re.compile(r"[+-]?(?:nan|inf(?:inity)?)", re.IGNORECASE)
+_NOT_FINITE = "point coordinates must be finite"
 
 
-def read_ply(data: bytes) -> PointCloud:
-    end = data.find(b"end_header\n")
-    if end < 0:
-        raise ParseError("missing PLY end_header", offset=len(data))
-    header = data[: end + len(b"end_header\n")]
-    body = memoryview(data)[len(header):]
-    lines = header.decode("latin-1").splitlines()
-    if not lines or lines[0].strip() != "ply":
+def _ply_record(has_rgb: bool) -> np.dtype:
+    """A binary vertex record: float32 x, y, z, then uchar red, green, blue when the layout has colour."""
+    return np.dtype([("xyz", "<f4", (3,))] + ([("rgb", "u1", (3,))] if has_rgb else []))
+
+
+def _ply_header(line, size: int):
+    """(binary, vertex count, has_rgb, payload offset, header line count) of a PLY file of `size` bytes.
+
+    line(pos) returns the stripped header line at pos and the offset after
+    it (see _header_line); the header ends at its `end_header` line.
+    read_ply and open_ply both parse through here, so a malformed header
+    or a binary payload of the wrong size gets the same message and
+    location from either.
+    """
+    text, pos = line(0)
+    if text != "ply":
         raise ParseError("bad PLY magic", line=1)
-    fmt = None
-    count = None
+    fmt = count = None
     props = []
-    for n, raw in enumerate(lines[1:], start=2):
-        ln = raw.strip()
+    n = 1
+    while True:
+        ln, pos = line(pos)
+        n += 1
+        if ln == "end_header":
+            break
         if not ln or ln.startswith("comment"):
             continue
+        parts = ln.split()
         if ln.startswith("format"):
-            parts = ln.split()
             if len(parts) != 3 or parts[1] not in ("ascii", "binary_little_endian"):
                 raise ParseError(f"unsupported PLY format line {ln!r}", line=n)
             fmt = parts[1]
         elif ln.startswith("element"):
-            parts = ln.split()
             if len(parts) != 3 or parts[1] != "vertex":
                 raise ParseError(f"unsupported PLY element {ln!r}", line=n)
-            try:
-                count = int(parts[2])
-            except ValueError:
-                raise ParseError(f"bad vertex count in {ln!r}", line=n) from None
+            # ASCII digits only, as _dims; a minus sign passes here to be
+            # reported as negative.
+            if not _DIGITS.fullmatch(parts[2]):
+                raise ParseError(f"bad vertex count in {ln!r}", line=n)
+            count = int(parts[2])
             if count < 0:
                 raise ParseError(f"negative vertex count {count}", line=n)
         elif ln.startswith("property"):
-            parts = ln.split()
             if len(parts) != 3:
                 raise ParseError(f"bad property line {ln!r}", line=n)
             props.append((parts[1], parts[2]))
-        elif ln == "end_header":
-            break
         else:
             raise ParseError(f"unrecognized PLY header line {ln!r}", line=n)
     if fmt is None:
@@ -491,60 +508,118 @@ def read_ply(data: bytes) -> PointCloud:
         raise ParseError("missing PLY vertex element", line=1)
     names = tuple(name for _, name in props)
     types = tuple(tp for tp, _ in props)
-    if names == _PLY_XYZ:
-        has_rgb = False
-        expected_types = ("float",) * 3
-    elif names == _PLY_XYZ + _PLY_RGB:
-        has_rgb = True
-        expected_types = ("float",) * 3 + ("uchar",) * 3
-    else:
+    if names not in (_PLY_XYZ, _PLY_XYZ + _PLY_RGB):
         raise ParseError(f"unsupported PLY property layout {names!r}", line=1)
-    if types != expected_types:
+    has_rgb = len(names) == 6
+    if types != ("float",) * 3 + ("uchar",) * (len(names) - 3):
         raise ParseError(f"unsupported PLY property types {types!r}", line=1)
+    binary = fmt == "binary_little_endian"
+    if binary:
+        expected = _ply_record(has_rgb).itemsize * count
+        if size - pos != expected:
+            raise ParseError(f"PLY payload size mismatch: expected {expected} bytes, got {size - pos}", offset=pos)
+    return binary, count, has_rgb, pos, n
 
-    if fmt == "binary_little_endian":
-        rec = np.dtype([("xyz", "<f4", (3,))] + ([("rgb", "u1", (3,))] if has_rgb else []))
-        expected = rec.itemsize * count
-        if len(body) != expected:
-            raise ParseError(
-                f"PLY payload size mismatch: expected {expected} bytes, got {len(body)}",
-                offset=len(header),
-            )
-        arr = np.frombuffer(body, dtype=rec, count=count)
-        points = arr["xyz"].astype(np.float64)
-        colors = arr["rgb"].copy() if has_rgb else None
-    else:
-        rows = str(body, "latin-1").splitlines()
-        if len(rows) != count:
-            raise ParseError(
-                f"PLY vertex count mismatch: header says {count}, body has {len(rows)} rows",
-                line=len(lines) + min(count, len(rows)) + 1,
-            )
-        width = 6 if has_rgb else 3
-        points = np.zeros((count, 3))
-        colors = np.zeros((count, 3), dtype=np.uint8) if has_rgb else None
-        for i, row in enumerate(rows):
-            parts = row.split()
-            if len(parts) != width:
-                raise ParseError(f"expected {width} vertex fields, got {len(parts)}", line=len(lines) + i + 1)
-            try:
-                points[i] = [float(p) for p in parts[:3]]
-                if has_rgb:
-                    colors[i] = [int(p) for p in parts[3:]]
-            except ValueError:
-                raise ParseError("non-numeric vertex field", line=len(lines) + i + 1) from None
-    try:
-        return PointCloud(points=points, colors=colors)
-    except ValueError as exc:
-        # The cloud's finiteness check is the one that can fail here; the
-        # first vertex that breaks it is found only then.
-        finite = np.isfinite(points).all(axis=1)
-        if finite.all():
-            raise
-        row = int(np.argmin(finite))
-        if fmt == "ascii":
-            raise ParseError(str(exc), line=len(lines) + row + 1) from None
-        raise ParseError(str(exc), offset=len(header) + row * rec.itemsize) from None
+
+def _widen(records: np.ndarray, out: np.ndarray, offset: int) -> None:
+    """Copy the xyz of binary records, read from the file's offset, into the float64 rows out; each must be finite."""
+    xyz = records["xyz"]
+    finite = np.isfinite(xyz).all(axis=1)
+    if not finite.all():
+        raise ParseError(_NOT_FINITE, offset=offset + int(np.argmin(finite)) * records.itemsize)
+    out[...] = xyz
+
+
+def _ply_ascii(text: str, count: int, has_rgb: bool, lines: int):
+    """The float64 points and uint8 colours (None without) of an ASCII body after `lines` header lines.
+
+    Each row holds x y z (decimals) and, with colour, red green blue
+    (ASCII digits, 0-255).  A fault is reported at its vertex's line: the
+    first malformed row, else the first with a coordinate that is not
+    finite.
+    """
+    rows = text.splitlines()
+    if len(rows) != count:
+        raise ParseError(
+            f"PLY vertex count mismatch: header says {count}, body has {len(rows)} rows",
+            line=lines + min(count, len(rows)) + 1,
+        )
+    width = 6 if has_rgb else 3
+    points = np.zeros((count, 3))
+    colors = np.zeros((count, 3), dtype=np.uint8) if has_rgb else None
+    for i, row in enumerate(rows):
+        parts = row.split()
+        if len(parts) != width:
+            raise ParseError(f"expected {width} vertex fields, got {len(parts)}", line=lines + i + 1)
+        # float() would also take "1_0", int() "+1" and "1_0".
+        if not (all(_DECIMAL.fullmatch(p) or _NON_FINITE.fullmatch(p) for p in parts[:3])
+                and all(_DIGITS.fullmatch(p) for p in parts[3:])):
+            raise ParseError("non-numeric vertex field", line=lines + i + 1)
+        points[i] = [float(p) for p in parts[:3]]
+        if has_rgb:
+            rgb = [int(p) for p in parts[3:]]
+            if not all(0 <= c <= 255 for c in rgb):
+                raise ParseError(f"vertex colour outside 0-255 in {row.strip()!r}", line=lines + i + 1)
+            colors[i] = rgb
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise ParseError(_NOT_FINITE, line=lines + int(np.argmin(finite)) + 1)
+    return points, colors
+
+
+def read_ply(data: bytes) -> PointCloud:
+    binary, count, has_rgb, pos, lines = _ply_header(
+        lambda at: _header_line(data[at:at + _HEADER_LINE_MAX], at, "PLY"), len(data))
+    if not binary:
+        return PointCloud(*_ply_ascii(str(memoryview(data)[pos:], "latin-1"), count, has_rgb, lines))
+    records = np.frombuffer(data, dtype=_ply_record(has_rgb), count=count, offset=pos)
+    points = np.empty((count, 3))
+    _widen(records, points, pos)
+    return PointCloud(points, records["rgb"].copy() if has_rgb else None)
+
+
+class _PlyFile(_OpenedFile):
+    """A PLY point cloud whose points eval-pc reads (made by open_ply).
+
+    points() reads a binary body one band of records at a time (the
+    vertices as the rows of reproject._bands' N x 1 frame), each band one
+    os.preadv into the file's reused byte buffer (_buffer), and widens the
+    band's xyz straight into the float64 points, checking them finite;
+    colours are not read.  No bytes object or record view of the whole
+    file is made.
+    """
+
+    _kind = "PLY"
+
+    def _header(self, size: int):
+        self._binary, self._count, self._rgb, self._pos, self._lines = _ply_header(self._line, size)
+
+    def points(self) -> np.ndarray:
+        """The (N, 3) float64 points, the bits of read_ply(the file's bytes).points, or its ParseError."""
+        if not self._binary:
+            # An ASCII body's length is not in its header: it is read whole,
+            # as long as the file is now, and parsed by read_ply's rules.
+            body = self._buffer("body", max(os.fstat(self._fd).st_size - self._pos, 0), np.uint8)
+            self._read(body, self._pos)
+            return _ply_ascii(str(body, "latin-1"), self._count, self._rgb, self._lines)[0]
+        record = _ply_record(self._rgb)
+        points = np.empty((self._count, 3))
+        for rows, *_ in _bands((self._count, 1)):
+            band = self._buffer("records", (rows.stop - rows.start) * record.itemsize, np.uint8)
+            offset = self._pos + rows.start * record.itemsize
+            self._read(band, offset)
+            _widen(band.view(record), points[rows], offset)
+        return points
+
+
+def open_ply(path) -> _PlyFile:
+    """Open a PLY point cloud to read its points; close it (or use `with`) after.
+
+    The header is parsed, and a binary payload's size checked, now, with
+    read_ply's messages and locations; no payload byte is read until
+    points() is called.  The file must not change meanwhile.
+    """
+    return _PlyFile(path)
 
 
 def write_ply(cloud: PointCloud, binary: bool = True) -> bytes:

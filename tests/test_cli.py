@@ -1,5 +1,6 @@
 import json
 import shutil
+import sys
 import warnings
 from pathlib import Path
 
@@ -24,6 +25,19 @@ def run_cli(capsys, *argv):
 
 def read_json(stdout):
     return json.loads(stdout)
+
+
+def held_path_parts(*roots):
+    """Every path part under roots, interned and held for a tracemalloc window.
+
+    pathlib (Python 3.11) interns each part of every path it parses, and
+    an interned string that dies leaves its table; so each run interns
+    its paths anew, and the interpreter's table of interned strings grows
+    by a 1.9 MB block whenever it fills, at a point set by everything the
+    process has interned before.  With every part held, a run's parts
+    are found in the table and add nothing to it.
+    """
+    return [sys.intern(part) for root in roots for path in (root, *root.rglob("*")) for part in path.parts]
 
 
 @pytest.fixture
@@ -290,6 +304,7 @@ def test_gc_penalty_holds_one_reference(six_view_scene, tmp_path, capsys, monkey
     monkeypatch.setattr(cli, "_emit_json", emitting)
     argv = ["gc-penalty", "--scene", str(six_view_scene), "--out", str(tmp_path / "p"), "--threads", str(threads)]
     assert run_cli(capsys, *argv)[0] == 0  # first-call allocations out of the measurement
+    held = held_path_parts(six_view_scene, tmp_path)  # held through the window
     tracemalloc.start()
     try:
         code, out, _ = run_cli(capsys, *argv)
@@ -328,6 +343,7 @@ def test_gc_penalty_peak_does_not_grow_with_the_view_count(tmp_path, capsys):
         argv = ["gc-penalty", "--scene", str(scene), "--out", str(tmp_path / f"p{views}"), "--ref", "0", "1", "2", "3",
                 "--num-sources", "4"]
         assert run_cli(capsys, *argv)[0] == 0  # first-call allocations out of the measurement
+        held = held_path_parts(scene, tmp_path / f"p{views}")  # held through the window
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -866,6 +882,8 @@ def test_json_out_creates_parent_directories(plane_scene, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["eval-pc", "loss"])
 def test_non_finite_json_value_exits_3(plane_scene, tmp_path, capsys, command):
     if command == "eval-pc":
+        # An infinite --max-dist would be written to the JSON: it is
+        # rejected before either cloud is read.
         gt_cloud = str(plane_scene / "gt_cloud.ply")
         argv = ["eval-pc", "--pred", gt_cloud, "--gt", gt_cloud, "--max-dist", "inf"]
     else:
@@ -876,7 +894,7 @@ def test_non_finite_json_value_exits_3(plane_scene, tmp_path, capsys, command):
     code, out, err = run_cli(capsys, *argv, "--out", str(json_path))
     assert code == 3
     assert out == "" and not json_path.exists()
-    assert ("JSON" if command == "eval-pc" else "total loss overflows") in err
+    assert ("--max-dist must be finite" if command == "eval-pc" else "total loss overflows") in err
 
 
 def test_unknown_flag_exits_1(capsys):

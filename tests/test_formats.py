@@ -284,6 +284,52 @@ PLY_MALFORMED = [
 ]
 
 
+_PLY_XYZ_PROPS = b"property float x\nproperty float y\nproperty float z\n"
+
+
+def _ply(fmt, count, body, rgb=False):
+    """A PLY file of the given format line word, vertex count text and body bytes."""
+    props = _PLY_XYZ_PROPS + (b"property uchar red\nproperty uchar green\nproperty uchar blue\n" if rgb else b"")
+    return b"ply\nformat " + fmt + b" 1.0\nelement vertex " + count + b"\n" + props + b"end_header\n" + body
+
+
+# Numbers the PLY grammar rejects, each at its line: a vertex count and a
+# colour are ASCII digits (a colour 0-255), a coordinate is a decimal.
+# float() and int() took the first three, and a colour of 300 or -1
+# raised numpy's OverflowError.
+PLY_BAD_NUMBERS = {
+    "signed count": (_ply(b"ascii", b"+1", b"1 2 3\n"), "bad vertex count in 'element vertex +1' (line 3)"),
+    "count with an underscore": (_ply(b"binary_little_endian", b"1_0", b"\x00" * 120),
+                                 "bad vertex count in 'element vertex 1_0' (line 3)"),
+    "coordinate with an underscore": (_ply(b"ascii", b"1", b"1_0 +2 3\n"), "non-numeric vertex field (line 8)"),
+    "colour above 255": (_ply(b"ascii", b"2", b"1 2 3 0 0 0\n1 2 3 0 300 0\n", rgb=True),
+                         "vertex colour outside 0-255 in '1 2 3 0 300 0' (line 12)"),
+    "negative colour": (_ply(b"ascii", b"1", b"1 2 3 -1 0 0\n", rgb=True),
+                        "vertex colour outside 0-255 in '1 2 3 -1 0 0' (line 11)"),
+    "signed colour": (_ply(b"ascii", b"1", b"1 2 3 +1 0 0\n", rgb=True), "non-numeric vertex field (line 11)"),
+    "decimal colour": (_ply(b"ascii", b"1", b"1 2 3 1.0 0 0\n", rgb=True), "non-numeric vertex field (line 11)"),
+    "hexadecimal coordinate": (_ply(b"ascii", b"1", b"0x1 2 3\n"), "non-numeric vertex field (line 8)"),
+    # A header line is at most 256 bytes, its newline included, as PFM's.
+    "long header line": (b"ply\ncomment " + b"x" * 248 + b"\n" + _ply(b"ascii", b"0", b"")[4:],
+                         "PLY header line longer than 256 bytes (byte offset 4)"),
+}
+PLY_MALFORMED += [data for data, _ in PLY_BAD_NUMBERS.values()]
+
+
+@pytest.mark.parametrize("data, message", PLY_BAD_NUMBERS.values(), ids=PLY_BAD_NUMBERS.keys())
+def test_ply_numbers_follow_the_grammar(data, message):
+    with pytest.raises(ParseError) as exc:
+        read_ply(data)
+    assert str(exc.value) == message
+
+
+def test_ply_accepts_every_decimal_form_and_the_colour_range():
+    data = _ply(b"ascii", b"00004", b"1. .5 -2e3\n+1E-2 0 7\n-0 1.5e+1 3\n0009 4 5\n")
+    assert read_ply(data).points.tolist() == [[1.0, 0.5, -2e3], [0.01, 0, 7], [0, 15, 3], [9, 4, 5]]
+    rgb = _ply(b"ascii", b"2", b"1 2 3 0 255 007\n1 2 3 255 0 0\n", rgb=True)
+    assert read_ply(rgb).colors.tolist() == [[0, 255, 7], [255, 0, 0]]
+
+
 @pytest.mark.parametrize("data", PLY_MALFORMED)
 def test_ply_malformed_rejected_with_location(data):
     with pytest.raises(ParseError, match="line|offset"):

@@ -136,16 +136,18 @@ def test_accuracy_and_completeness_match_quadratic_oracle_bitwise(rng, max_dist)
         assert completeness(gt, pred, max_dist) == expected
 
 
+@pytest.mark.parametrize("leaf", [1, 32, 64])
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_searches_in_parts_match_quadratic_oracle_bitwise(rng, monkeypatch, workers):
+def test_searches_in_parts_match_quadratic_oracle_bitwise(rng, monkeypatch, workers, leaf):
     # Parts of 7 points put part edges inside both clouds.  The three cloud
     # pairs build the predicted tree first (fewer points), the ground
     # truth's first, and either (equal sizes).  Every distance at or below
     # max_dist, and so each mean, is the oracle's, bit for bit, at any
-    # worker count.
+    # worker count and leaf size.
     from mvsgeo import metrics
 
     monkeypatch.setattr(metrics, "_PART", 7)
+    monkeypatch.setattr(metrics, "_LEAF", leaf)
     cut = []
     cut_mean = metrics._cut_mean
 
@@ -193,6 +195,30 @@ def test_searches_hold_under_frequent_thread_switches(rng, monkeypatch):
     assert time.perf_counter() - start < 30
     assert np.array_equal(to_gt, quadratic_nn(pred, gt))
     assert np.array_equal(to_pred, quadratic_nn(gt, pred))
+
+
+@pytest.mark.parametrize("max_dist", [np.nan, -1.0, -0.5e-300, -np.inf])
+@pytest.mark.parametrize("metric", [accuracy, completeness, evaluate_point_clouds])
+def test_a_nan_or_negative_max_dist_is_rejected_before_any_search(rng, monkeypatch, metric, max_dist):
+    # It reported "no measurable points" after both searches had run.
+    from mvsgeo import metrics
+
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(metrics, "_searches", no_search)
+    cloud = rng.normal(size=(20, 3))
+    with pytest.raises(ValueError) as exc:
+        metric(cloud, cloud, max_dist)
+    assert str(exc.value) == f"max_dist must be a non-negative number, got {max_dist}"
+
+
+def test_an_infinite_max_dist_measures_every_point(rng):
+    pred, gt = rng.normal(size=(30, 3)), rng.normal(size=(40, 3))
+    m = evaluate_point_clouds(pred, gt, np.inf)
+    assert m.accuracy == quadratic_nn(pred, gt).mean() and m.completeness == quadratic_nn(gt, pred).mean()
+    # Zero (of either sign) is a bound too: it measures coincident points.
+    assert evaluate_point_clouds(pred, pred, 0.0).overall == evaluate_point_clouds(pred, pred, -0.0).overall == 0.0
 
 
 def test_rigid_motion_invariance(rng):
