@@ -120,10 +120,10 @@ class _NamedBands:
         self._pfm.close()
 
 
-def _read(path, parse):
-    """parse(the bytes of the file at path), a ValueError it raises named as _reading names it."""
-    with _reading(path):
-        return parse(Path(path).read_bytes())
+def _read_image(path):
+    """The image in a PFM file, read band by band (_PfmFile.image), named as _reading names it."""
+    with _reading(path), formats.open_pfm(Path(path)) as pfm:
+        return pfm.image()
 
 
 def _read_depth(path, shape=None, frame=None):
@@ -212,7 +212,7 @@ def _load_confidence(scene_dir: str, view: int, depth) -> np.ndarray:
     """
     conf_path = _scene_paths(Path(scene_dir), view)[2]
     if conf_path.exists():
-        return _read(conf_path, formats.read_pfm).data
+        return _read_image(conf_path)
     return depth.valid.astype(np.float32)
 
 
@@ -481,7 +481,7 @@ def _cmd_eval_depth(args) -> int:
     check("ground truth", args.gt, gt.shape)
     valid = pred.valid & gt.valid
     if args.mask:
-        mask = _read(args.mask, formats.read_pfm).data
+        mask = _read_image(args.mask)
         check("mask", args.mask, mask.shape)
         valid = valid & (mask.astype(np.float64) > 0)
     m = depth_metrics(pred, gt, valid)

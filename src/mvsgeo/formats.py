@@ -1,50 +1,52 @@
 """Readers and writers for the ecosystem file formats.
 
-All functions but open_pfm, open_ply and open_probability_volume
-operate on byte buffers or strings; opening and closing files is the
-caller's concern.
+Each binary format (PFM, PLY, probability volume) has one reader: an
+_OpenedFile subclass, the format's only header parser and payload
+decoder, over a file or over the caller's bytes.  open_pfm, open_ply and
+open_probability_volume build it over a file, to be read band by band
+and closed after; read_pfm, read_ply and read_probability_volume build
+it over bytes.  Every other function operates on byte buffers or
+strings; opening and closing files is the caller's concern.
 Readers reject malformed input with a ParseError carrying the offending
-line or byte offset; they never silently truncate.
+line or byte offset; they never silently truncate.  docs/FORMATS.md
+gives each format's grammar.
 
 Formats:
 
 * PFM: "Pf"/"PF" magic line, "width height" line, scale line (a finite
   non-zero decimal) whose sign encodes endianness (negative = little
   endian), then raw 32-bit floats stored bottom row first.  The writer
-  always emits little endian.  open_pfm opens a file to be read one row
-  band at a time, each band one positioned read of its stored rows,
-  served top row first: by the loss, and by the CLI's depth reads, which
-  fill a whole depth frame band by band; it shares read_pfm's header
-  parser.
+  always emits little endian.  The reader serves one row band at a
+  time, each band one read of its stored rows, top row first: to the
+  loss, to the CLI's depth reads, which fill a whole depth frame band by
+  band, and to image(), which fills a whole image (read_pfm, and the
+  CLI's confidence and mask reads).
 * cam.txt: "extrinsic" keyword + 4x4 world-to-camera matrix, "intrinsic"
-  keyword + 3x3 matrix, then a "depth_min depth_interval" line.
+  keyword + 3x3 matrix, then a "depth_min depth_interval" line; every
+  value a finite decimal.
 * PLY point clouds: ascii or binary_little_endian, float x/y/z and
   optional uchar red/green/blue.  A vertex count or colour is ASCII
   digits (a colour 0-255), an ASCII coordinate a decimal, and every
-  coordinate finite.  open_ply opens a file for eval-pc: its points()
-  reads a binary body band by band straight into the float64 points the
-  k-d tree indexes; it shares read_ply's header parser and ASCII rules.
+  coordinate finite.  A binary body is read band by band straight into
+  the float64 points, and into the colours for read_ply; eval-pc's
+  open_ply(...).points() reads no colours.
 * Probability volume: "PROBVOL" magic line, "D H W" line, a
   "shared"/"perpixel" hypothesis layout line, then raw little-endian
   float32 hypotheses followed by the D*H*W probabilities.
   read_probability_volume returns read-only float32 views of the
   caller's bytes (no copy), every value checked; ProbabilityVolume(...)
-  built by hand converts to float64.
-  open_probability_volume opens a file for the loss to read one row band
-  at a time, each byte once, checking each band as it is read; the two
-  share one header parser and report a malformed file alike.  Losses
-  are identical all three ways.
+  built by hand converts to float64.  The loss reads an opened volume
+  one row band at a time, each byte once, checking each band as it is
+  read.  Losses are identical all three ways.
 
 A header line of a PFM, PLY or probability volume is at most 256 bytes,
-its newline included.  The PFM and volume dimensions lines are checked
-by one parser (field count, ASCII digits, positivity), each fault
-reported at the line's offset.  The three file openers parse the header
-at open, reading it a byte at a time, then read each payload byte once
-with os.preadv into band buffers that the opened file owns, reuses from
-band to band and drops at close.
-
-read_pfm and read_ply view their payloads in place, not sliced out of
-the buffer.
+its newline included, and is stripped of ASCII whitespace; its fields
+are split at ASCII whitespace alone.  The PFM and volume dimensions
+lines are checked by one parser (field count, ASCII digits, positivity),
+each fault reported at the line's offset.  A reader parses the header
+when it is built, from a file a byte at a time, then reads each payload
+byte once into band buffers that it owns, reuses from band to band and
+drops at close: from a file with os.preadv.
 """
 
 import math
@@ -93,76 +95,49 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# header lines and files read at offsets
+# one reader per format, over a file or bytes
 # ---------------------------------------------------------------------------
 
 
 # A header line of a PFM, PLY or probability volume is at most this many
-# bytes, its newline included.  A file opener reads the header one byte at
-# a time, so that no payload byte is read twice; the cap bounds those
-# reads for a file with no newline.
+# bytes, its newline included.  A file's header is read one byte at a time,
+# so that no payload byte is read twice; the cap bounds those reads for a
+# file with no newline.
 _HEADER_LINE_MAX = 256
-
-
-def _header_line(raw: bytes, pos: int, kind: str):
-    """(stripped text, next offset) of the header line at pos of a `kind` file; raw holds its first bytes from pos.
-
-    raw is cut at _HEADER_LINE_MAX bytes or the file's end, whichever
-    comes first; from a file it may also stop just after the newline.
-    """
-    end = raw.find(b"\n")
-    if end < 0:
-        if len(raw) < _HEADER_LINE_MAX:
-            raise ParseError(f"truncated {kind} header", offset=pos)
-        raise ParseError(f"{kind} header line longer than {_HEADER_LINE_MAX} bytes", offset=pos)
-    return raw[:end].decode("latin-1").strip(), pos + end + 1
-
 
 _DIGITS = re.compile(r"-?[0-9]+")
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-
-
-def _dims(line, pos: int, names: str, kind: str):
-    """The positive integer dimensions ("width height", say) on the header line at pos, and the offset after it.
-
-    line(pos) is the header's line reader (see _header_line); a `kind`
-    file's malformed dimensions line is reported at pos.
-    """
-    text, end = line(pos)
-    parts = text.split()
-    if len(parts) != len(names.split()):
-        raise ParseError(f"expected {names!r}, got {text!r}", offset=pos)
-    # ASCII digits only: int() would also take "+1", "1_0" and non-ASCII
-    # digits.  A minus sign passes here to be reported as non-positive.
-    if not all(_DIGITS.fullmatch(p) for p in parts):
-        raise ParseError(f"non-integer {kind} dimensions {text!r}", offset=pos)
-    dims = [int(p) for p in parts]
-    if min(dims) <= 0:
-        raise ParseError(f"non-positive {kind} dimensions {text!r}", offset=pos)
-    return dims, end
+# ASCII whitespace, as bytes.split() has it: str.split() would also split
+# at "\x1c"-"\x1f", "\x85" and "\xa0".
+_WHITESPACE = " \t\n\r\x0b\x0c"
+_fields = re.compile(f"[^{_WHITESPACE}]+").findall
 
 
 class _OpenedFile:
-    """A file whose header is parsed at open and whose payload is read at offsets, each byte once.
+    """A format's reader: its header parsed when it is built, its payload read at offsets, each byte once.
 
-    A subclass names its format (_kind), and its _header(size) parses
-    the header through _line and stores the parsed values.
-    The payload is read with os.preadv straight into the file's own band
-    buffers (_buffer); nothing is mapped.  A file that shrinks while it
-    is read raises the ParseError its bytes reader gives for the bytes
-    left.
+    Built over the file at path, or over the caller's bytes data.  A
+    subclass names its format (_kind), and its _header(size) parses the
+    header through _line and stores the parsed values.  The payload is
+    read with _read into the reader's own band buffers (_buffer): from a
+    file with os.preadv, nothing mapped, or copied from the bytes.  A file
+    that shrinks while it is read raises the ParseError its bytes give.
     """
 
     _kind = ""
 
-    def __init__(self, path):
+    def __init__(self, path=None, *, data=None):
         self._buffers = {}
-        self._file = open(path, "rb", buffering=0)
-        try:
+        self._data = self._file = None
+        if data is not None:
+            self._data = memoryview(data).cast("B")
+        else:
+            self._file = open(path, "rb", buffering=0)
             self._fd = self._file.fileno()
-            self._header(os.fstat(self._fd).st_size)
+        try:
+            self._header(self._size())
         except BaseException:
-            self._file.close()
+            self.close()
             raise
 
     def __enter__(self):
@@ -172,11 +147,16 @@ class _OpenedFile:
         self.close()
 
     def close(self) -> None:
-        self._file.close()
+        if self._file is not None:
+            self._file.close()
         self._buffers.clear()
 
+    def _size(self) -> int:
+        """The source's size: the bytes', or the file's now."""
+        return len(self._data) if self._data is not None else os.fstat(self._fd).st_size
+
     def _buffer(self, key, size: int, dtype) -> np.ndarray:
-        """The first size values of the file's reused buffer `key`, made at its first use.
+        """The first size values of the reader's reused buffer `key`, made at its first use.
 
         Made to fit the first request, the tallest band of a walk; a larger
         request later gets a new one.  Each band read into it overwrites
@@ -188,24 +168,59 @@ class _OpenedFile:
         return buf[:size]
 
     def _line(self, pos: int):
-        """The header line at pos (see _header_line), read a byte at a time: none of the payload."""
-        raw = b""
-        while len(raw) < _HEADER_LINE_MAX and not raw.endswith(b"\n"):
-            byte = os.pread(self._fd, 1, pos + len(raw))
-            if not byte:
-                break
-            raw += byte
-        return _header_line(raw, pos, self._kind)
+        """(text, next offset) of the header line at pos, its text stripped of ASCII whitespace.
+
+        A file's line is read a byte at a time: none of the payload.  A
+        line with no newline in its first _HEADER_LINE_MAX bytes is too
+        long, or truncated where the source ends first.
+        """
+        if self._data is not None:
+            raw = bytes(self._data[pos:pos + _HEADER_LINE_MAX])
+        else:
+            raw = b""
+            while len(raw) < _HEADER_LINE_MAX and not raw.endswith(b"\n"):
+                byte = os.pread(self._fd, 1, pos + len(raw))
+                if not byte:
+                    break
+                raw += byte
+        end = raw.find(b"\n")
+        if end < 0:
+            if len(raw) < _HEADER_LINE_MAX:
+                raise ParseError(f"truncated {self._kind} header", offset=pos)
+            raise ParseError(f"{self._kind} header line longer than {_HEADER_LINE_MAX} bytes", offset=pos)
+        return raw[:end].strip().decode("latin-1"), pos + end + 1
+
+    def _dims(self, pos: int, names: str, kind: str):
+        """The positive integer dimensions ("width height", say) on the header line at pos, and the offset after it.
+
+        A `kind` file's malformed dimensions line is reported at pos.
+        """
+        text, end = self._line(pos)
+        parts = _fields(text)
+        if len(parts) != len(names.split()):
+            raise ParseError(f"expected {names!r}, got {text!r}", offset=pos)
+        # ASCII digits only: int() would also take "+1", "1_0" and non-ASCII
+        # digits.  A minus sign passes here to be reported as non-positive.
+        if not all(_DIGITS.fullmatch(p) for p in parts):
+            raise ParseError(f"non-integer {kind} dimensions {text!r}", offset=pos)
+        dims = [int(p) for p in parts]
+        if min(dims) <= 0:
+            raise ParseError(f"non-positive {kind} dimensions {text!r}", offset=pos)
+        return dims, end
 
     def _read(self, buf: np.ndarray, offset: int) -> None:
-        """Fill the contiguous array buf from the file's bytes at offset."""
+        """Fill the contiguous array buf from the source's bytes at offset."""
         view = memoryview(buf).cast("B")
+        if self._data is not None:
+            # The header check has sized the payload: the bytes hold it.
+            view[:] = self._data[offset:offset + len(view)]
+            return
         while view:
             n = os.preadv(self._fd, [view], offset)
             if n == 0:
                 # The file shrank since it was opened: the header check now
-                # fails as the bytes reader would on its bytes.
-                self._header(os.fstat(self._fd).st_size)
+                # fails as it does on the file's bytes.
+                self._header(self._size())
                 raise ParseError(f"{self._kind} file changed while it was read", offset=offset)
             view, offset = view[n:], offset + n
 
@@ -241,56 +256,12 @@ class PfmImage:
         return self.data.shape[1]
 
 
-def _pfm_header(line, size: int):
-    """(height, width, channels, scale, payload offset) of a PFM file of `size` bytes.
-
-    line(pos) returns the stripped header line at pos and the offset after
-    it (see _header_line).  read_pfm and open_pfm both parse through here,
-    so a malformed header or a payload of the wrong size gets the same
-    message and offset from either.
-    """
-    magic, pos = line(0)
-    if magic not in ("Pf", "PF"):
-        raise ParseError(f"bad PFM magic {magic!r}", offset=0)
-    channels = 3 if magic == "PF" else 1
-    (width, height), pos = _dims(line, pos, "width height", "PFM")
-    scale_pos = pos
-    scale_line, pos = line(pos)
-    # A finite decimal: float() would also take "nan", "inf" and "1_0",
-    # and a NaN scale would pick the byte order by a false "scale < 0".
-    scale = float(scale_line) if _DECIMAL.fullmatch(scale_line) else math.nan
-    if not math.isfinite(scale):
-        raise ParseError(f"bad PFM scale {scale_line!r}", offset=scale_pos)
-    if scale == 0:
-        raise ParseError("zero PFM scale", offset=scale_pos)
-    expected = width * height * channels * 4
-    if size - pos < expected:
-        raise ParseError(
-            f"truncated PFM payload: expected {expected} bytes, got {size - pos}", offset=pos
-        )
-    if size - pos > expected:
-        raise ParseError(
-            f"trailing bytes after PFM payload: expected {expected}, got {size - pos}", offset=pos + expected
-        )
-    return height, width, channels, scale, pos
-
-
-def read_pfm(data: bytes) -> PfmImage:
-    height, width, channels, scale, pos = _pfm_header(
-        lambda at: _header_line(data[at:at + _HEADER_LINE_MAX], at, "PFM"), len(data))
-    dtype = "<f4" if scale < 0 else ">f4"
-    flat = np.frombuffer(data, dtype=dtype, count=width * height * channels, offset=pos)
-    shape = (height, width, 3) if channels == 3 else (height, width)
-    img = flat.reshape(shape)
-    return PfmImage(np.flipud(img).astype(np.float32))
-
-
 class _PfmFile(_OpenedFile):
-    """A PFM file read one row band at a time (made by open_pfm): by the loss, and by depth() for a depth map.
+    """A PFM read one row band at a time (made by open_pfm and read_pfm): by the loss, by depth() and by image().
 
     shape is (H, W), or (H, W, 3) for a colour file, as PfmImage.data's.
     _band(rows) reads the rows as stored, bottom row first, with one
-    os.preadv into the file's reused native float32 buffer (_buffer), and
+    read into the reader's reused native float32 buffer (_buffer), and
     returns them top row first, a reversed view of it.  Little- and
     big-endian files read alike.
     """
@@ -298,8 +269,29 @@ class _PfmFile(_OpenedFile):
     _kind = "PFM"
 
     def _header(self, size: int):
-        height, width, channels, scale, self._pos = _pfm_header(self._line, size)
-        self.shape = (height, width) if channels == 1 else (height, width, 3)
+        magic, pos = self._line(0)
+        if magic not in ("Pf", "PF"):
+            raise ParseError(f"bad PFM magic {magic!r}", offset=0)
+        (width, height), scale_pos = self._dims(pos, "width height", "PFM")
+        scale_line, pos = self._line(scale_pos)
+        # A finite decimal: float() would also take "nan", "inf" and "1_0",
+        # and a NaN scale would pick the byte order by a false "scale < 0".
+        scale = float(scale_line) if _DECIMAL.fullmatch(scale_line) else math.nan
+        if not math.isfinite(scale):
+            raise ParseError(f"bad PFM scale {scale_line!r}", offset=scale_pos)
+        if scale == 0:
+            raise ParseError("zero PFM scale", offset=scale_pos)
+        self.shape = (height, width) if magic == "Pf" else (height, width, 3)
+        expected = 4 * math.prod(self.shape)
+        if size - pos < expected:
+            raise ParseError(
+                f"truncated PFM payload: expected {expected} bytes, got {size - pos}", offset=pos
+            )
+        if size - pos > expected:
+            raise ParseError(
+                f"trailing bytes after PFM payload: expected {expected}, got {size - pos}", offset=pos + expected
+            )
+        self._pos = pos
         self._swap = (scale < 0) != (sys.byteorder == "little")
 
     @property
@@ -321,6 +313,13 @@ class _PfmFile(_OpenedFile):
         values, valid = frame if frame is not None else (np.empty(shape, np.float32), np.empty(shape, bool))
         return DepthMap._of_bands(self._band, values, valid)
 
+    def image(self) -> np.ndarray:
+        """The whole image, top row first, in a fresh native float32 array of shape, filled band by band."""
+        out = np.empty(self.shape, np.float32)
+        for rows, *_ in _bands(self.shape[:2]):
+            out[rows] = self._band(rows)
+        return out
+
     def _band(self, rows: slice) -> np.ndarray:
         row = self.shape[1:]
         band = self._buffer("rows", (rows.stop - rows.start) * math.prod(row), np.float32).reshape((-1,) + row)
@@ -330,8 +329,13 @@ class _PfmFile(_OpenedFile):
         return band[::-1]
 
 
+def read_pfm(data: bytes) -> PfmImage:
+    """The PFM image in data, decoded by the reader open_pfm uses (_PfmFile.image)."""
+    return PfmImage(_PfmFile(data=data).image())
+
+
 def open_pfm(path) -> _PfmFile:
-    """Open a PFM file to read band by band (or its depth map, whole); close it (or use `with`) after.
+    """Open a PFM file to read band by band (or its depth map or image, whole); close it (or use `with`) after.
 
     The header is parsed and the payload size checked now, with
     read_pfm's messages and offsets; no payload byte is read until a band
@@ -381,10 +385,12 @@ def _parse_matrix(lines, start, rows, cols, what):
         parts = lines[ln].split()
         if len(parts) != cols:
             raise ParseError(f"expected {cols} values in {what} row, got {len(parts)}", line=ln + 1)
-        try:
-            mat[r] = [float(p) for p in parts]
-        except ValueError:
-            raise ParseError(f"non-numeric value in {what} matrix", line=ln + 1) from None
+        # Finite decimals: float() would also take "1_0", "nan" and "inf".
+        if not all(_DECIMAL.fullmatch(p) for p in parts):
+            raise ParseError(f"non-numeric value in {what} matrix", line=ln + 1)
+        mat[r] = [float(p) for p in parts]
+        if not np.isfinite(mat[r]).all():
+            raise ParseError(f"non-finite value in {what} matrix", line=ln + 1)
     return mat
 
 
@@ -413,10 +419,12 @@ def read_cam(text: str) -> Camera:
     parts = stripped[depth_row].split()
     if len(parts) < 2:
         raise ParseError("depth range line needs 'depth_min depth_interval'", line=depth_row + 1)
-    try:
-        depth_min, depth_interval = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ParseError("non-numeric depth range values", line=depth_row + 1) from None
+    # Further tokens are not read: DTU cameras carry four.
+    if not all(_DECIMAL.fullmatch(p) for p in parts[:2]):
+        raise ParseError("non-numeric depth range values", line=depth_row + 1)
+    depth_min, depth_interval = float(parts[0]), float(parts[1])
+    if not (math.isfinite(depth_min) and math.isfinite(depth_interval)):
+        raise ParseError("non-finite depth range values", line=depth_row + 1)
     try:
         cam = Camera(K=K, E=E, depth_min=depth_min, depth_interval=depth_interval)
     except ValueError as exc:
@@ -459,157 +467,145 @@ def _ply_record(has_rgb: bool) -> np.dtype:
     return np.dtype([("xyz", "<f4", (3,))] + ([("rgb", "u1", (3,))] if has_rgb else []))
 
 
-def _ply_header(line, size: int):
-    """(binary, vertex count, has_rgb, payload offset, header line count) of a PLY file of `size` bytes.
-
-    line(pos) returns the stripped header line at pos and the offset after
-    it (see _header_line); the header ends at its `end_header` line.
-    read_ply and open_ply both parse through here, so a malformed header
-    or a binary payload of the wrong size gets the same message and
-    location from either.
-    """
-    text, pos = line(0)
-    if text != "ply":
-        raise ParseError("bad PLY magic", line=1)
-    fmt = count = None
-    props = []
-    n = 1
-    while True:
-        ln, pos = line(pos)
-        n += 1
-        if ln == "end_header":
-            break
-        if not ln or ln.startswith("comment"):
-            continue
-        parts = ln.split()
-        if ln.startswith("format"):
-            if len(parts) != 3 or parts[1] not in ("ascii", "binary_little_endian"):
-                raise ParseError(f"unsupported PLY format line {ln!r}", line=n)
-            fmt = parts[1]
-        elif ln.startswith("element"):
-            if len(parts) != 3 or parts[1] != "vertex":
-                raise ParseError(f"unsupported PLY element {ln!r}", line=n)
-            # ASCII digits only, as _dims; a minus sign passes here to be
-            # reported as negative.
-            if not _DIGITS.fullmatch(parts[2]):
-                raise ParseError(f"bad vertex count in {ln!r}", line=n)
-            count = int(parts[2])
-            if count < 0:
-                raise ParseError(f"negative vertex count {count}", line=n)
-        elif ln.startswith("property"):
-            if len(parts) != 3:
-                raise ParseError(f"bad property line {ln!r}", line=n)
-            props.append((parts[1], parts[2]))
-        else:
-            raise ParseError(f"unrecognized PLY header line {ln!r}", line=n)
-    if fmt is None:
-        raise ParseError("missing PLY format line", line=1)
-    if count is None:
-        raise ParseError("missing PLY vertex element", line=1)
-    names = tuple(name for _, name in props)
-    types = tuple(tp for tp, _ in props)
-    if names not in (_PLY_XYZ, _PLY_XYZ + _PLY_RGB):
-        raise ParseError(f"unsupported PLY property layout {names!r}", line=1)
-    has_rgb = len(names) == 6
-    if types != ("float",) * 3 + ("uchar",) * (len(names) - 3):
-        raise ParseError(f"unsupported PLY property types {types!r}", line=1)
-    binary = fmt == "binary_little_endian"
-    if binary:
-        expected = _ply_record(has_rgb).itemsize * count
-        if size - pos != expected:
-            raise ParseError(f"PLY payload size mismatch: expected {expected} bytes, got {size - pos}", offset=pos)
-    return binary, count, has_rgb, pos, n
-
-
-def _widen(records: np.ndarray, out: np.ndarray, offset: int) -> None:
-    """Copy the xyz of binary records, read from the file's offset, into the float64 rows out; each must be finite."""
-    xyz = records["xyz"]
-    finite = np.isfinite(xyz).all(axis=1)
-    if not finite.all():
-        raise ParseError(_NOT_FINITE, offset=offset + int(np.argmin(finite)) * records.itemsize)
-    out[...] = xyz
-
-
-def _ply_ascii(text: str, count: int, has_rgb: bool, lines: int):
-    """The float64 points and uint8 colours (None without) of an ASCII body after `lines` header lines.
-
-    Each row holds x y z (decimals) and, with colour, red green blue
-    (ASCII digits, 0-255).  A fault is reported at its vertex's line: the
-    first malformed row, else the first with a coordinate that is not
-    finite.
-    """
-    rows = text.splitlines()
-    if len(rows) != count:
-        raise ParseError(
-            f"PLY vertex count mismatch: header says {count}, body has {len(rows)} rows",
-            line=lines + min(count, len(rows)) + 1,
-        )
-    width = 6 if has_rgb else 3
-    points = np.zeros((count, 3))
-    colors = np.zeros((count, 3), dtype=np.uint8) if has_rgb else None
-    for i, row in enumerate(rows):
-        parts = row.split()
-        if len(parts) != width:
-            raise ParseError(f"expected {width} vertex fields, got {len(parts)}", line=lines + i + 1)
-        # float() would also take "1_0", int() "+1" and "1_0".
-        if not (all(_DECIMAL.fullmatch(p) or _NON_FINITE.fullmatch(p) for p in parts[:3])
-                and all(_DIGITS.fullmatch(p) for p in parts[3:])):
-            raise ParseError("non-numeric vertex field", line=lines + i + 1)
-        points[i] = [float(p) for p in parts[:3]]
-        if has_rgb:
-            rgb = [int(p) for p in parts[3:]]
-            if not all(0 <= c <= 255 for c in rgb):
-                raise ParseError(f"vertex colour outside 0-255 in {row.strip()!r}", line=lines + i + 1)
-            colors[i] = rgb
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        raise ParseError(_NOT_FINITE, line=lines + int(np.argmin(finite)) + 1)
-    return points, colors
-
-
-def read_ply(data: bytes) -> PointCloud:
-    binary, count, has_rgb, pos, lines = _ply_header(
-        lambda at: _header_line(data[at:at + _HEADER_LINE_MAX], at, "PLY"), len(data))
-    if not binary:
-        return PointCloud(*_ply_ascii(str(memoryview(data)[pos:], "latin-1"), count, has_rgb, lines))
-    records = np.frombuffer(data, dtype=_ply_record(has_rgb), count=count, offset=pos)
-    points = np.empty((count, 3))
-    _widen(records, points, pos)
-    return PointCloud(points, records["rgb"].copy() if has_rgb else None)
-
-
 class _PlyFile(_OpenedFile):
-    """A PLY point cloud whose points eval-pc reads (made by open_ply).
+    """A PLY point cloud read (made by open_ply and read_ply) into float64 points, and colours when asked.
 
-    points() reads a binary body one band of records at a time (the
-    vertices as the rows of reproject._bands' N x 1 frame), each band one
-    os.preadv into the file's reused byte buffer (_buffer), and widens the
-    band's xyz straight into the float64 points, checking them finite;
-    colours are not read.  No bytes object or record view of the whole
-    file is made.
+    A binary body is read one band of records at a time (the vertices as
+    the rows of reproject._bands' N x 1 frame), each band one read into
+    the reader's reused byte buffer (_buffer), and the band's xyz are
+    widened straight into the float64 points, checked finite; its colours
+    are copied only for read_ply.  No bytes object or record view of the
+    whole file is made.  An ASCII body's length is not in its header: it
+    is read whole, as long as the source is now.
     """
 
     _kind = "PLY"
 
     def _header(self, size: int):
-        self._binary, self._count, self._rgb, self._pos, self._lines = _ply_header(self._line, size)
+        """Parse the header, which ends at its `end_header` line; check a binary payload's size."""
+        text, pos = self._line(0)
+        if text != "ply":
+            raise ParseError("bad PLY magic", line=1)
+        fmt = count = None
+        props = []
+        n = 1
+        while True:
+            ln, pos = self._line(pos)
+            n += 1
+            if ln == "end_header":
+                break
+            parts = _fields(ln)
+            if not parts or parts[0] == "comment":
+                continue
+            if {"format": fmt, "element": count}.get(parts[0]) is not None:
+                raise ParseError(f"repeated PLY {parts[0]} line {ln!r}", line=n)
+            if parts[0] == "format":
+                if len(parts) != 3 or parts[1] not in ("ascii", "binary_little_endian"):
+                    raise ParseError(f"unsupported PLY format line {ln!r}", line=n)
+                fmt = parts[1]
+            elif parts[0] == "element":
+                if len(parts) != 3 or parts[1] != "vertex":
+                    raise ParseError(f"unsupported PLY element {ln!r}", line=n)
+                # ASCII digits only, as _dims; a minus sign passes here to be
+                # reported as negative.
+                if not _DIGITS.fullmatch(parts[2]):
+                    raise ParseError(f"bad vertex count in {ln!r}", line=n)
+                count = int(parts[2])
+                if count < 0:
+                    raise ParseError(f"negative vertex count {count}", line=n)
+            elif parts[0] == "property":
+                if len(parts) != 3:
+                    raise ParseError(f"bad property line {ln!r}", line=n)
+                props.append((parts[1], parts[2]))
+            else:
+                raise ParseError(f"unrecognized PLY header line {ln!r}", line=n)
+        if fmt is None:
+            raise ParseError("missing PLY format line", line=1)
+        if count is None:
+            raise ParseError("missing PLY vertex element", line=1)
+        names = tuple(name for _, name in props)
+        types = tuple(tp for tp, _ in props)
+        if names not in (_PLY_XYZ, _PLY_XYZ + _PLY_RGB):
+            raise ParseError(f"unsupported PLY property layout {names!r}", line=1)
+        self._rgb = len(names) == 6
+        if types != ("float",) * 3 + ("uchar",) * (len(names) - 3):
+            raise ParseError(f"unsupported PLY property types {types!r}", line=1)
+        self._binary = fmt == "binary_little_endian"
+        self._count, self._pos, self._lines = count, pos, n
+        if self._binary:
+            expected = _ply_record(self._rgb).itemsize * count
+            if size - pos != expected:
+                raise ParseError(f"PLY payload size mismatch: expected {expected} bytes, got {size - pos}", offset=pos)
 
     def points(self) -> np.ndarray:
-        """The (N, 3) float64 points, the bits of read_ply(the file's bytes).points, or its ParseError."""
+        """The (N, 3) float64 points, the bits of read_ply's, or its ParseError; no colour is read."""
+        return self._cloud(colors=False)[0]
+
+    def _cloud(self, colors: bool):
+        """The float64 points and, with colors, the uint8 colours (None for a layout without)."""
         if not self._binary:
-            # An ASCII body's length is not in its header: it is read whole,
-            # as long as the file is now, and parsed by read_ply's rules.
-            body = self._buffer("body", max(os.fstat(self._fd).st_size - self._pos, 0), np.uint8)
-            self._read(body, self._pos)
-            return _ply_ascii(str(body, "latin-1"), self._count, self._rgb, self._lines)[0]
+            return self._ascii()
         record = _ply_record(self._rgb)
         points = np.empty((self._count, 3))
+        rgb = np.empty((self._count, 3), np.uint8) if colors and self._rgb else None
         for rows, *_ in _bands((self._count, 1)):
             band = self._buffer("records", (rows.stop - rows.start) * record.itemsize, np.uint8)
             offset = self._pos + rows.start * record.itemsize
             self._read(band, offset)
-            _widen(band.view(record), points[rows], offset)
-        return points
+            records = band.view(record)
+            finite = np.isfinite(records["xyz"]).all(axis=1)
+            if not finite.all():
+                raise ParseError(_NOT_FINITE, offset=offset + int(np.argmin(finite)) * record.itemsize)
+            points[rows] = records["xyz"]
+            if rgb is not None:
+                rgb[rows] = records["rgb"]
+        return points, rgb
+
+    def _ascii(self):
+        """The float64 points and uint8 colours (None without) of an ASCII body.
+
+        Rows end at "\n" (the last one may lack it).  Each holds x y z
+        (decimals) and, with colour, red green blue (ASCII digits, 0-255).
+        A fault is reported at its vertex's line: the first malformed row,
+        else the first with a coordinate that is not finite.
+        """
+        body = self._buffer("body", max(self._size() - self._pos, 0), np.uint8)
+        self._read(body, self._pos)
+        rows = str(body, "latin-1").split("\n")
+        if not rows[-1]:
+            rows.pop()
+        count, lines = self._count, self._lines
+        if len(rows) != count:
+            raise ParseError(
+                f"PLY vertex count mismatch: header says {count}, body has {len(rows)} rows",
+                line=lines + min(count, len(rows)) + 1,
+            )
+        width = 6 if self._rgb else 3
+        points = np.zeros((count, 3))
+        colors = np.zeros((count, 3), dtype=np.uint8) if self._rgb else None
+        for i, row in enumerate(rows):
+            parts = _fields(row)
+            if len(parts) != width:
+                raise ParseError(f"expected {width} vertex fields, got {len(parts)}", line=lines + i + 1)
+            # float() would also take "1_0", int() "+1" and "1_0".
+            if not (all(_DECIMAL.fullmatch(p) or _NON_FINITE.fullmatch(p) for p in parts[:3])
+                    and all(_DIGITS.fullmatch(p) for p in parts[3:])):
+                raise ParseError("non-numeric vertex field", line=lines + i + 1)
+            points[i] = [float(p) for p in parts[:3]]
+            if colors is not None:
+                rgb = [int(p) for p in parts[3:]]
+                if not all(0 <= c <= 255 for c in rgb):
+                    raise ParseError(f"vertex colour outside 0-255 in {row.strip(_WHITESPACE)!r}", line=lines + i + 1)
+                colors[i] = rgb
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():
+            raise ParseError(_NOT_FINITE, line=lines + int(np.argmin(finite)) + 1)
+        return points, colors
+
+
+def read_ply(data: bytes) -> PointCloud:
+    """The point cloud in data, colours and all, decoded by the reader open_ply uses (_PlyFile)."""
+    return PointCloud(*_PlyFile(data=data)._cloud(colors=True))
 
 
 def open_ply(path) -> _PlyFile:
@@ -654,63 +650,17 @@ def write_ply(cloud: PointCloud, binary: bool = True) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _volume_header(line, size: int):
-    """(d, h, w, layout, payload offset) of a probability volume of `size` bytes.
-
-    line(pos) returns the stripped header line at pos and the offset after
-    it (see _header_line); both readers parse through here, so a malformed
-    header or a payload of the wrong size gets the same message and offset
-    from either.
-    """
-    magic, pos = line(0)
-    if magic != "PROBVOL":
-        raise ParseError(f"bad probability volume magic {magic!r}", offset=0)
-    (d, h, w), pos = _dims(line, pos, "D H W", "volume")
-    layout_pos = pos
-    layout, pos = line(pos)
-    if layout not in ("shared", "perpixel"):
-        raise ParseError(f"unknown hypothesis layout {layout!r}", offset=layout_pos)
-    n_hyp = d if layout == "shared" else d * h * w
-    expected = (n_hyp + d * h * w) * 4
-    if size - pos != expected:
-        raise ParseError(
-            f"probability volume payload size mismatch: expected {expected} bytes, got {size - pos}",
-            offset=pos,
-        )
-    return d, h, w, layout, pos
-
-
-def read_probability_volume(data: bytes) -> ProbabilityVolume:
-    """The volume in data, as read-only float32 views of it, every value checked."""
-    d, h, w, layout, pos = _volume_header(
-        lambda at: _header_line(data[at:at + _HEADER_LINE_MAX], at, "probability volume"), len(data))
-    n_hyp = d if layout == "shared" else d * h * w
-    flat = np.frombuffer(data, dtype="<f4", offset=pos)
-    hyp = flat[:n_hyp]
-    probs = flat[n_hyp:].reshape(d, h, w)
-    if layout == "perpixel":
-        hyp = hyp.reshape(d, h, w)
-    try:
-        return ProbabilityVolume._of_views(probs, hyp)
-    except ValueError as exc:
-        raise _invalid_volume(exc, pos) from None
-
-
-def _invalid_volume(exc: ValueError, pos: int) -> ParseError:
-    """The error of a volume whose values break the rules, at its payload offset pos."""
-    return ParseError(f"invalid probability volume: {exc}", offset=pos)
-
-
 class _VolumeFile(_OpenedFile):
-    """A probability volume file that loss.cross_entropy_error reads one row band at a time.
+    """A probability volume reader: the header parser of both volume readers, and the loss's band reader of a file.
 
-    Made by open_probability_volume, which has parsed the header and
-    checked the payload size.  _band(rows) reads the band's probabilities
-    with os.preadv, bin by bin, straight into the file's reused (D, rows,
-    W) block (_buffer), and returns them with slab(k), bin k's
+    Made by open_probability_volume, which the loss reads one row band at
+    a time, and by read_probability_volume, which parses the header
+    through it and views the payload in place.  _band(rows) reads the
+    band's probabilities, bin by bin, straight into the reader's reused
+    (D, rows, W) block (_buffer), and returns them with slab(k), bin k's
     hypotheses: per pixel, slab(k) reads the band's bin-k slab into one
-    of the file's two reused slabs, as the scoring loop reaches that bin;
-    shared hypotheses are read at the first band and kept.  So each
+    of the reader's two reused slabs, as the scoring loop reaches that
+    bin; shared hypotheses are read at the first band and kept.  So each
     payload byte is read once and the file is never mapped or held whole.
     A band the volume rules reject raises the ParseError that
     read_probability_volume gives for the same bytes; so does a file that
@@ -721,10 +671,22 @@ class _VolumeFile(_OpenedFile):
     _dtype = np.dtype("<f4")
 
     def _header(self, size: int):
-        d, h, w, layout, self._pos = _volume_header(self._line, size)
+        magic, pos = self._line(0)
+        if magic != "PROBVOL":
+            raise ParseError(f"bad probability volume magic {magic!r}", offset=0)
+        (d, h, w), layout_pos = self._dims(pos, "D H W", "volume")
+        layout, pos = self._line(layout_pos)
+        if layout not in ("shared", "perpixel"):
+            raise ParseError(f"unknown hypothesis layout {layout!r}", offset=layout_pos)
         self.shape = (d, h, w)
         self._perpixel = layout == "perpixel"
-        self._probs_pos = self._pos + 4 * (d * h * w if self._perpixel else d)
+        self._pos, self._probs_pos = pos, pos + 4 * (d * h * w if self._perpixel else d)
+        expected = self._probs_pos - pos + 4 * d * h * w
+        if size - pos != expected:
+            raise ParseError(
+                f"probability volume payload size mismatch: expected {expected} bytes, got {size - pos}",
+                offset=pos,
+            )
 
     def _band(self, rows: slice):
         d, h, w = self.shape
@@ -745,7 +707,18 @@ class _VolumeFile(_OpenedFile):
         return probs, slab
 
     def _rejected(self, exc: ValueError) -> ParseError:
-        return _invalid_volume(exc, self._pos)
+        """The error of a volume whose values break the rules, at its payload offset."""
+        return ParseError(f"invalid probability volume: {exc}", offset=self._pos)
+
+
+def read_probability_volume(data: bytes) -> ProbabilityVolume:
+    """The volume in data, as read-only float32 views of it, every value checked; its header parsed by _VolumeFile."""
+    vol = _VolumeFile(data=data)
+    hyp, probs = np.split(np.frombuffer(data, dtype="<f4", offset=vol._pos), [(vol._probs_pos - vol._pos) // 4])
+    try:
+        return ProbabilityVolume._of_views(probs.reshape(vol.shape), hyp.reshape(vol.shape) if vol._perpixel else hyp)
+    except ValueError as exc:
+        raise vol._rejected(exc) from None
 
 
 def open_probability_volume(path) -> _VolumeFile:

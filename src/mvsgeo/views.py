@@ -6,13 +6,14 @@ few degrees away from zero so near-duplicate viewpoints rank low), summed
 over all sample points.
 """
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .camera import Camera
-from .formats import ParseError
+from .formats import _DECIMAL, _DIGITS, ParseError
 
 __all__ = ["ViewPairing", "view_score", "rank_sources", "parse_pair_text", "format_pair_text", "load_pairing", "save_pairing"]
 
@@ -95,28 +96,28 @@ def parse_pair_text(text: str) -> list[ViewPairing]:
         idx += 1
         return lines[idx - 1].strip(), idx
 
+    # Counts and ids are ASCII digits (int() would also take "+1" and
+    # "1_0"; a minus sign passes to be reported as negative), scores finite
+    # decimals.
     header, ln = next_line()
-    try:
-        count = int(header)
-    except ValueError:
-        raise ParseError(f"expected pairing count, got {header!r}", line=ln) from None
+    if not _DIGITS.fullmatch(header):
+        raise ParseError(f"expected pairing count, got {header!r}", line=ln)
+    count = int(header)
     if count < 0:
         raise ParseError(f"negative pairing count {count}", line=ln)
     pairings = []
     for _ in range(count):
         ref_line, ln = next_line()
-        try:
-            ref_id = int(ref_line)
-        except ValueError:
-            raise ParseError(f"expected reference view id, got {ref_line!r}", line=ln) from None
+        if not _DIGITS.fullmatch(ref_line):
+            raise ParseError(f"expected reference view id, got {ref_line!r}", line=ln)
+        ref_id = int(ref_line)
         if ref_id < 0:
             raise ParseError(f"negative view id {ref_id}", line=ln)
         src_line, ln = next_line()
         tokens = src_line.split()
-        try:
-            n_src = int(tokens[0])
-        except (IndexError, ValueError):
-            raise ParseError("expected source count", line=ln) from None
+        if not tokens or not _DIGITS.fullmatch(tokens[0]):
+            raise ParseError("expected source count", line=ln)
+        n_src = int(tokens[0])
         if n_src < 0 or len(tokens) != 1 + 2 * n_src:
             raise ParseError(
                 f"expected {1 + 2 * max(n_src, 0)} tokens for {n_src} sources, got {len(tokens)}",
@@ -124,11 +125,10 @@ def parse_pair_text(text: str) -> list[ViewPairing]:
             )
         sources = []
         for k in range(n_src):
-            try:
-                sid = int(tokens[1 + 2 * k])
-                score = float(tokens[2 + 2 * k])
-            except ValueError:
-                raise ParseError(f"bad source id/score pair at token {1 + 2 * k}", line=ln) from None
+            sid, score = tokens[1 + 2 * k:3 + 2 * k]
+            if not (_DIGITS.fullmatch(sid) and _DECIMAL.fullmatch(score) and math.isfinite(float(score))):
+                raise ParseError(f"bad source id/score pair at token {1 + 2 * k}", line=ln)
+            sid, score = int(sid), float(score)
             if sid < 0:
                 raise ParseError(f"negative view id {sid}", line=ln)
             sources.append((sid, score))

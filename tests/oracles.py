@@ -2,8 +2,14 @@
 
 Everything here is deliberately written the slow, obvious way: scalar
 per-pixel loops, explicit matrix algebra, extended-precision arithmetic.
-None of it calls the vectorized code paths it verifies.
+None of it calls the vectorized code paths it verifies.  The file-format
+parsers share no code with mvsgeo.formats: each is written from the
+grammar in docs/FORMATS.md.
 """
+
+import math
+import re
+import struct
 
 import numpy as np
 
@@ -280,3 +286,158 @@ def quadratic_nn(queries, refs, chunk=256):
             d2 += diff
         out[s:s + chunk] = np.sqrt(d2.min(axis=1))
     return out
+
+
+# ---------------------------------------------------------------------------
+# file-format parsers, from docs/FORMATS.md's grammar alone
+# ---------------------------------------------------------------------------
+#
+# Each takes a file's bytes and returns what the grammar decodes, or None
+# where it rejects the file.  They parse bytes: bytes.split() and
+# bytes.strip() know ASCII whitespace alone, and bytes.isdigit() ASCII
+# digits alone.  Binary float32 values are built from their bit patterns,
+# so a NaN keeps its payload bits.
+
+_GRAMMAR_DECIMAL = re.compile(rb"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def _grammar_lines(data, count, pos=0):
+    """The first `count` header lines from pos, stripped, and the offset after them; None if one has no
+    newline within its 256 bytes."""
+    lines = []
+    for _ in range(count):
+        end = data.find(b"\n", pos, pos + 256)
+        if end < 0:
+            return None
+        lines.append(data[pos:end].strip())
+        pos = end + 1
+    return lines, pos
+
+
+def _positive_ints(line, n):
+    """The n whitespace-separated positive integers, in ASCII digits, on line, or None."""
+    fields = line.split()
+    if len(fields) != n or not all(f.isdigit() for f in fields):
+        return None
+    values = [int(f) for f in fields]
+    return values if min(values) > 0 else None
+
+
+def _finite_decimal(field):
+    """The value of a decimal field, or None for another field or a value that is not finite."""
+    if not _GRAMMAR_DECIMAL.fullmatch(field):
+        return None
+    value = float(field)
+    return value if math.isfinite(value) else None
+
+
+def _float32s(payload, little_endian):
+    """The float32 values stored in payload, each from the integer its 4 bytes encode."""
+    bits = struct.unpack(("<" if little_endian else ">") + "I" * (len(payload) // 4), payload)
+    return np.array(bits, dtype=np.uint32).view(np.float32)
+
+
+def oracle_pfm(data):
+    """The (H, W) or (H, W, 3) float32 image of a PFM file, top row first, or None."""
+    header = _grammar_lines(data, 3)
+    if header is None:
+        return None
+    (magic, dims, scale_line), pos = header
+    size = _positive_ints(dims, 2)
+    scale = _finite_decimal(scale_line)
+    if magic not in (b"Pf", b"PF") or size is None or not scale:
+        return None
+    width, height = size
+    channels = 1 if magic == b"Pf" else 3
+    if len(data) - pos != 4 * width * height * channels:
+        return None
+    stored = _float32s(data[pos:], scale < 0).reshape(height, width, channels)
+    image = np.ascontiguousarray(stored[::-1])  # stored bottom row first
+    return image[:, :, 0].copy() if channels == 1 else image
+
+
+_XYZ = [(b"float", b"x"), (b"float", b"y"), (b"float", b"z")]
+_RGB = [(b"uchar", b"red"), (b"uchar", b"green"), (b"uchar", b"blue")]
+
+
+def oracle_ply(data):
+    """(float64 points (N, 3), uint8 colours (N, 3) or None without) of a PLY file, or None."""
+    first = _grammar_lines(data, 1)
+    if first is None or first[0] != [b"ply"]:
+        return None
+    pos, fmt, count, props = first[1], None, None, []
+    while True:
+        line = _grammar_lines(data, 1, pos)
+        if line is None:
+            return None
+        (text,), pos = line
+        if text == b"end_header":
+            break
+        fields = text.split()
+        if not fields or fields[0] == b"comment":
+            continue
+        key, rest = fields[0], fields[1:]
+        if key == b"format" and fmt is None and len(rest) == 2 and rest[0] in (b"ascii", b"binary_little_endian"):
+            fmt = rest[0]
+        elif key == b"element" and count is None and len(rest) == 2 and rest[0] == b"vertex" and rest[1].isdigit():
+            count = int(rest[1])
+        elif key == b"property" and len(rest) == 2:
+            props.append(tuple(rest))
+        else:
+            return None
+    if fmt is None or count is None or props not in (_XYZ, _XYZ + _RGB):
+        return None
+    coloured = len(props) == 6
+    body = data[pos:]
+    points, colours = [], []
+    if fmt == b"binary_little_endian":
+        size = 15 if coloured else 12
+        if len(body) != size * count:
+            return None
+        for i in range(count):
+            record = body[size * i:size * (i + 1)]
+            points.append(struct.unpack("<3f", record[:12]))
+            colours.append(list(record[12:]))
+        if not all(math.isfinite(v) for p in points for v in p):
+            return None
+    else:
+        rows = body.split(b"\n")
+        if rows[-1] == b"":
+            rows.pop()  # the last row's newline
+        if len(rows) != count:
+            return None
+        for row in rows:
+            fields = row.split()
+            if len(fields) != (6 if coloured else 3):
+                return None
+            xyz = [_finite_decimal(f) for f in fields[:3]]
+            rgb = [int(f) if f.isdigit() else 256 for f in fields[3:]]
+            if None in xyz or max(rgb, default=0) > 255:
+                return None
+            points.append(xyz)
+            colours.append(rgb)
+    points = np.array(points, dtype=np.float64).reshape(count, 3)
+    return points, np.array(colours, dtype=np.uint8).reshape(count, 3) if coloured else None
+
+
+def oracle_probability_volume(data):
+    """(float32 probabilities (D, H, W), float32 hypotheses (D,) or (D, H, W)) of a volume file, or None."""
+    header = _grammar_lines(data, 3)
+    if header is None:
+        return None
+    (magic, dims, layout), pos = header
+    shape = _positive_ints(dims, 3)
+    if magic != b"PROBVOL" or shape is None or layout not in (b"shared", b"perpixel"):
+        return None
+    d, h, w = shape
+    n_hyp = d if layout == b"shared" else d * h * w
+    if len(data) - pos != 4 * (n_hyp + d * h * w):
+        return None
+    values = _float32s(data[pos:], True)
+    hyp, probs = values[:n_hyp], values[n_hyp:].reshape(d, h, w)
+    if not all(math.isfinite(p) and p >= 0 for p in probs.flat):
+        return None
+    for column in hyp.reshape(d, -1).T.tolist():
+        if not all(math.isfinite(v) for v in column) or any(b <= a for a, b in zip(column, column[1:])):
+            return None
+    return probs, hyp if layout == b"shared" else hyp.reshape(d, h, w)

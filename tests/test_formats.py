@@ -222,6 +222,36 @@ CAM_MALFORMED = [
     "extrinsic\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n\nintrinsic\n400 0 80\n0 400 60\n0 0 2\n\n425 2.5\n",  # K[2][2] != 1
     "extrinsic\n1 0 0 0\n0 1 0 inf\n0 0 1 0\n0 0 0 1\n\nintrinsic\n400 0 80\n0 400 60\n0 0 1\n\n425 2.5\n",  # non-finite
 ]
+# Numbers the cam grammar rejects, each at its line: every value is a
+# finite decimal.  float() read "1_0" as 10.0, "4_25" as 425.0 and took
+# "nan" and "inf".
+_CAM = "extrinsic\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n\nintrinsic\n{k}\n0 400 60\n0 0 1\n\n{depth}\n"
+CAM_BAD_NUMBERS = {
+    "intrinsic with an underscore": (_CAM.format(k="4_00 0 80", depth="425 2.5"),
+                                     "non-numeric value in intrinsic matrix (line 8)"),
+    "intrinsic 1_0": (_CAM.format(k="1_0 0 80", depth="425 2.5"), "non-numeric value in intrinsic matrix (line 8)"),
+    "NaN intrinsic": (_CAM.format(k="nan 0 80", depth="425 2.5"), "non-numeric value in intrinsic matrix (line 8)"),
+    "overflowing intrinsic": (_CAM.format(k="1e999 0 80", depth="425 2.5"),
+                              "non-finite value in intrinsic matrix (line 8)"),
+    "depth_min with an underscore": (_CAM.format(k="400 0 80", depth="4_25 2.5"),
+                                     "non-numeric depth range values (line 12)"),
+    "infinite depth interval": (_CAM.format(k="400 0 80", depth="425 inf"), "non-numeric depth range values (line 12)"),
+    "overflowing depth_min": (_CAM.format(k="400 0 80", depth="1e999 2.5"), "non-finite depth range values (line 12)"),
+}
+CAM_MALFORMED += [text for text, _ in CAM_BAD_NUMBERS.values()]
+
+
+@pytest.mark.parametrize("text, message", CAM_BAD_NUMBERS.values(), ids=CAM_BAD_NUMBERS.keys())
+def test_cam_numbers_follow_the_grammar(text, message):
+    with pytest.raises(ParseError) as exc:
+        read_cam(text)
+    assert str(exc.value) == message
+
+
+def test_cam_accepts_every_decimal_form_and_extra_depth_tokens():
+    # DTU cameras carry four depth tokens; only the first two are read.
+    cam = read_cam(_CAM.format(k="+4e2 0. .0", depth="425.0 2.5e0 192 935.5"))
+    assert cam.K[0].tolist() == [400.0, 0.0, 0.0] and (cam.depth_min, cam.depth_interval) == (425.0, 2.5)
 
 
 @pytest.mark.parametrize("text", CAM_MALFORMED)
@@ -328,6 +358,45 @@ def test_ply_accepts_every_decimal_form_and_the_colour_range():
     assert read_ply(data).points.tolist() == [[1.0, 0.5, -2e3], [0.01, 0, 7], [0, 15, 3], [9, 4, 5]]
     rgb = _ply(b"ascii", b"2", b"1 2 3 0 255 007\n1 2 3 255 0 0\n", rgb=True)
     assert read_ply(rgb).colors.tolist() == [[0, 255, 7], [255, 0, 0]]
+
+
+# Fields split at ASCII whitespace alone, a PLY header line is named by
+# its first field, format and element lines come once, and ASCII rows end
+# at "\n" alone: str.split() took "\xa0" and "\x1c" as separators,
+# startswith() took "formatted" for "format", a later element line
+# replaced an earlier one, and splitlines() ended rows at "\r" and "\x0c".
+TEXT_RULES = {
+    "non-ASCII space in dimensions": (b"Pf\n2\xa01\n-1\n" + b"\x00" * 8,
+                                      "expected 'width height', got '2\\xa01' (byte offset 3)"),
+    "ASCII separator in dimensions": (b"PROBVOL\n2 1\x1c1\nshared\n" + b"\x00" * 16,
+                                      "expected 'D H W', got '2 1\\x1c1' (byte offset 8)"),
+    "non-ASCII space around a magic": (b"\xa0Pf\n1 1\n-1\n" + b"\x00" * 4, "bad PFM magic '\\xa0Pf' (byte offset 0)"),
+    "format named by a prefix": (b"ply\nformatted ascii 1.0\n" + _ply(b"ascii", b"0", b"")[4:],
+                                 "unrecognized PLY header line 'formatted ascii 1.0' (line 2)"),
+    "repeated element": (_ply(b"ascii", b"1", b"1 2 3\n").replace(b"end_header", b"element vertex 2\nend_header"),
+                         "repeated PLY element line 'element vertex 2' (line 7)"),
+    "repeated format": (b"ply\nformat ascii 1.0\n" + _ply(b"binary_little_endian", b"0", b"")[4:],
+                        "repeated PLY format line 'format binary_little_endian 1.0' (line 3)"),
+    "rows split at a carriage return": (_ply(b"ascii", b"2", b"1 2 3\r4 5 6\n"),
+                                        "PLY vertex count mismatch: header says 2, body has 1 rows (line 9)"),
+    "rows split at a form feed": (_ply(b"ascii", b"2", b"1 2 3\x0c4 5 6\n"),
+                                  "PLY vertex count mismatch: header says 2, body has 1 rows (line 9)"),
+}
+PLY_MALFORMED += [data for data, _ in TEXT_RULES.values() if data.startswith(b"ply")]
+
+
+@pytest.mark.parametrize("data, message", TEXT_RULES.values(), ids=TEXT_RULES.keys())
+def test_text_follows_the_ascii_grammar(data, message):
+    read = {b"Pf": read_pfm, b"ply": read_ply, b"PRO": read_probability_volume}
+    with pytest.raises(ParseError) as exc:
+        read[next(k for k in read if data.lstrip(b"\xa0").startswith(k))](data)
+    assert str(exc.value) == message
+
+
+def test_ascii_whitespace_around_fields_and_crlf_rows_are_read():
+    assert read_pfm(b"Pf\r\n 1\t1 \r\n-1\x0c\n" + np.float32(2.0).tobytes()).data.tolist() == [[2.0]]
+    data = _ply(b"ascii", b"2", b"1 2 3\r\n\t4\x0b5 6 \r\n").replace(b"\n", b"\r\n", 3)
+    assert read_ply(data).points.tolist() == [[1, 2, 3], [4, 5, 6]]
 
 
 @pytest.mark.parametrize("data", PLY_MALFORMED)

@@ -1,11 +1,12 @@
 """The loss's band-streamed ground truth and penalty: formats.open_pfm.
 
 An opened PFM gives read_pfm's values band by band, in either byte
-order; a malformed or shrinking one is rejected with read_pfm's message
-and offset.  `loss` reads its ground truths and penalties through it and
-prints the bits of the public composition on in-memory inputs; it opens
-and header-checks every input of every stage before it reads any payload
-byte.
+order, and both give the bits of the grammar's oracle parser
+(tests/oracles.py); a malformed or shrinking one is rejected with
+read_pfm's message and offset, and the oracle rejects it too.  `loss`
+reads its ground truths and penalties through it and prints the bits of
+the public composition on in-memory inputs; it opens and header-checks
+every input of every stage before it reads any payload byte.
 """
 
 import json
@@ -23,6 +24,7 @@ from mvsgeo.loss import ProbabilityVolume, cross_entropy_error, stage_loss
 from mvsgeo.penalty import PenaltyMap
 from mvsgeo.reproject import DepthMap
 
+from oracles import oracle_pfm
 from test_formats import PFM_MALFORMED
 from test_volume_stream import _random_case, _volume_bytes, _write_uniform_loss
 
@@ -54,6 +56,7 @@ def test_open_pfm_reads_the_bytes_readers_rows_band_by_band(tmp_path, rng, chann
     path = tmp_path / "img.pfm"
     path.write_bytes(data)
     want = read_pfm(data).data
+    assert want.tobytes() == oracle_pfm(data).tobytes()
     with open_pfm(path) as f:
         assert f.shape == want.shape
         for band in (w, w - 1, w + 1, reproject._BAND_PIXELS):
@@ -68,6 +71,7 @@ LONG_LINE = b"Pf\n1 1" + b" " * 253 + b"\n-1.0\n" + b"\x00" * 4
 
 @pytest.mark.parametrize("data", PFM_MALFORMED + [LONG_LINE])
 def test_open_pfm_rejects_a_malformed_file_as_read_pfm_does(tmp_path, data):
+    assert oracle_pfm(data) is None
     with pytest.raises(ParseError) as by_bytes:
         read_pfm(data)
     path = tmp_path / "bad.pfm"
@@ -84,6 +88,7 @@ def test_a_non_finite_pfm_scale_is_rejected_by_both_readers_at_its_line(tmp_path
     # little-endian 1.5 under "-nan" read as 6.9e-41.
     data = f"Pf\n1 1\n{scale}\n".encode() + np.float32(1.5).astype("<f4").tobytes()
     message = f"bad PFM scale {scale!r} (byte offset 7)"
+    assert oracle_pfm(data) is None
     with pytest.raises(ParseError) as by_bytes:
         read_pfm(data)
     path = tmp_path / "scale.pfm"

@@ -1,12 +1,13 @@
 """eval-pc's cloud reader: formats.open_ply.
 
 An opened PLY gives read_ply's points, bit for bit, for ASCII, binary
-and coloured clouds, and rejects every file read_ply rejects with the
-same message and location, also one cut short after it was opened.  A
-binary body is read band by band straight into the float64 points, so
-the read holds the points, one band of records and little else: no copy
-of the file.  `eval-pc` reads both clouds through it and checks
---max-dist before it reads either.
+and coloured clouds, and both give the bits of the grammar's oracle
+parser (tests/oracles.py); it rejects every file read_ply and the oracle
+reject, with read_ply's message and location, also one cut short after
+it was opened.  A binary body is read band by band straight into the
+float64 points, so the read holds the points, one band of records and
+little else: no copy of the file.  `eval-pc` reads both clouds through
+it and checks --max-dist before it reads either.
 """
 
 import json
@@ -22,6 +23,7 @@ from mvsgeo.formats import ParseError, open_ply, read_ply, write_ply
 from mvsgeo.fusion import PointCloud
 from mvsgeo.metrics import evaluate_point_clouds
 
+from oracles import oracle_ply
 from test_formats import PLY_MALFORMED, random_cloud
 
 
@@ -57,6 +59,7 @@ def _rejections(tmp_path, data):
 @pytest.mark.parametrize("data", PLY_MALFORMED)
 def test_open_ply_rejects_a_malformed_file_as_read_ply_does(tmp_path, data):
     by_bytes, by_file = _rejections(tmp_path, data)
+    assert oracle_ply(data) is None
     assert by_bytes is not None and by_file is not None
     assert str(by_file) == str(by_bytes)
     assert (by_file.line, by_file.offset) == (by_bytes.line, by_bytes.offset)
@@ -72,6 +75,9 @@ def test_open_ply_reads_read_plys_bits(tmp_path, rng, small_bands, binary, color
         path.write_bytes(data)
         points = _points_of(path)
         want = read_ply(data).points
+        oracle_points, oracle_colors = oracle_ply(data)
+        assert want.tobytes() == oracle_points.tobytes()
+        assert np.array_equal(read_ply(data).colors, oracle_colors) if colors else oracle_colors is None
         assert points.dtype == np.float64 and points.shape == (n, 3)
         assert points.tobytes() == want.tobytes()
 
@@ -100,6 +106,7 @@ def test_a_non_finite_coordinate_is_rejected_alike_in_any_band(tmp_path, rng, sm
             body = b"".join(b" ".join([b"%r" % float(v) for v in p] + [b"%d" % c for c in k]) + b"\n"
                             for p, k in zip(points.astype(np.float32).tolist(), rgb.tolist()))
         by_bytes, by_file = _rejections(tmp_path, head + body)
+        assert oracle_ply(head + body) is None
         assert str(by_file) == str(by_bytes) and by_bytes.args[0].startswith("point coordinates must be finite")
         if binary:
             assert by_file.offset == len(head) + bad * (15 if colors else 12)
@@ -109,7 +116,8 @@ def test_a_non_finite_coordinate_is_rejected_alike_in_any_band(tmp_path, rng, sm
 
 def test_random_mutations_are_read_or_rejected_alike(tmp_path, rng):
     # Byte flips and truncations of ASCII, binary and coloured clouds:
-    # both readers give the same bits or the same ParseError.
+    # both readers give the same bits or the same ParseError, the oracle's
+    # bits where it decodes the bytes and a ParseError where it rejects.
     clouds = [write_ply(random_cloud(rng, 6, colors), binary=binary) for binary in (True, False) for colors in
               (False, True)]
     path = tmp_path / "cloud.ply"
@@ -121,12 +129,15 @@ def test_random_mutations_are_read_or_rejected_alike(tmp_path, rng):
             for at in rng.integers(len(data), size=int(rng.integers(1, 4))):
                 data[at] = int(rng.integers(256))
         data = bytes(data)
+        oracle = oracle_ply(data)
         try:
             want = read_ply(data).points
         except ParseError as exc:
+            assert oracle is None, data
             by_bytes, by_file = _rejections(tmp_path, data)
             assert (str(by_file), by_file.line, by_file.offset) == (str(exc), exc.line, exc.offset), data
             continue
+        assert oracle is not None and want.tobytes() == oracle[0].tobytes(), data
         path.write_bytes(data)
         assert _points_of(path).tobytes() == want.tobytes(), data
 

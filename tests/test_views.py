@@ -163,6 +163,18 @@ PAIR_MALFORMED = [
     ("1\n0\n1 -7 3.0\n", "negative view id"),
     ("2\n0\n1 1 3.0\n", "end of pair file"),
     ("1\n0\n1 0 3.0\n", "own sources"),
+    # Counts and ids are ASCII digits, scores finite decimals: int() read
+    # "1_0" as 10 and "+1" as 1, and float() took "nan" and "inf".
+    ("1\n0\n+1 1_0 0.5\n", "source count"),
+    ("1\n0\n1 1_0 0.5\n", "id/score pair at token 1"),
+    ("1\n0\n1 +1 0.5\n", "id/score pair at token 1"),
+    ("1\n0\n1 1 nan\n", "id/score pair at token 1"),
+    ("1\n0\n1 1 inf\n", "id/score pair at token 1"),
+    ("1\n0\n1 1 1e999\n", "id/score pair at token 1"),
+    ("1\n0\n1 1 0x1\n", "id/score pair at token 1"),
+    ("+1\n0\n1 1 0.5\n", "pairing count"),
+    ("1_0\n0\n1 1 0.5\n", "pairing count"),
+    ("1\n1_0\n1 1 0.5\n", "reference view id"),
 ]
 
 

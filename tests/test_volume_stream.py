@@ -1,9 +1,10 @@
 """The loss's band-streamed volume read.
 
 A volume file opened with formats.open_probability_volume, the same
-volume in memory and the naive oracle give the same bits; a malformed
-file is rejected with the same message and offset by the bytes reader
-and by `loss`; a `loss` call reads each input file once and holds one
+volume in memory and the naive oracle give the same bits, and the bytes
+reader decodes the grammar's oracle parser's bits (tests/oracles.py); a
+malformed file, which that parser rejects, is rejected with the same
+message and offset by the bytes reader and by `loss`; a `loss` call reads each input file once and holds one
 band block of the volume and two hypothesis slabs, whatever the frame
 height.
 """
@@ -22,7 +23,7 @@ from mvsgeo.formats import ParseError, open_probability_volume, read_probability
 from mvsgeo.loss import ProbabilityVolume, cross_entropy_error
 from mvsgeo.reproject import DepthMap
 
-from oracles import naive_cross_entropy
+from oracles import naive_cross_entropy, oracle_probability_volume
 from test_formats import PROBVOL_MALFORMED
 
 
@@ -64,6 +65,8 @@ def test_file_volume_memory_twin_and_oracle_give_the_same_bits(tmp_path, d, h, w
     data = _volume_bytes(probs, hyp, pad)
     path = tmp_path / "vol.probvol"
     path.write_bytes(data)
+    viewed = read_probability_volume(data)
+    assert [a.tobytes() for a in oracle_probability_volume(data)] == [viewed.probs.tobytes(), viewed.hypotheses.tobytes()]
     with pytest.MonkeyPatch.context() as mp, open_probability_volume(path) as from_file:
         for band in (1, w - 1, w + 1, 2 * w + 1, reproject._BAND_PIXELS):
             mp.setattr(reproject, "_BAND_PIXELS", band)
@@ -126,6 +129,7 @@ def _bytes_error(data):
 
 
 def _assert_rejected_alike(argv, data, capsys):
+    assert oracle_probability_volume(data) is None
     expected = _bytes_error(data)
     assert "byte offset" in expected
     assert main(argv) == 3
@@ -285,6 +289,7 @@ def test_a_header_line_of_256_bytes_is_read_alike(tmp_path):
     assert data.index(b"\n", 8) - 8 == 255
     path = tmp_path / "vol.probvol"
     path.write_bytes(data)
+    assert oracle_probability_volume(data)[1].tobytes() == read_probability_volume(data).hypotheses.tobytes()
     gt = DepthMap.from_values(np.full((H, W), 250.0))
     with open_probability_volume(path) as from_file:
         assert cross_entropy_error(from_file, gt)[0].tobytes() == cross_entropy_error(
