@@ -74,8 +74,9 @@ class Camera:
         parsed (the io layer downgrades failures here to warnings).
         """
         R = self.E[:3, :3]
-        err = np.abs(R.T @ R - np.eye(3)).max()
-        if err > rtol:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product fails, as NaN or inf
+            err = np.abs(R.T @ R - np.eye(3)).max()
+        if not err <= rtol:
             raise ValueError(f"rotation block not orthonormal (max |R^T R - I| = {err:.3e})")
         if np.linalg.det(R) < 0:
             raise ValueError("rotation block has negative determinant")

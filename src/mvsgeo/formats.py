@@ -40,8 +40,10 @@ Formats:
   read.  Losses are identical all three ways.
 
 A header line of a PFM, PLY or probability volume is at most 256 bytes,
-its newline included, and is stripped of ASCII whitespace; its fields
-are split at ASCII whitespace alone.  The PFM and volume dimensions
+its newline included.  It, and each line of a cam.txt, pair.txt or ASCII
+PLY body (_text_lines: a line ends at "\n" alone), is stripped of ASCII
+whitespace, its fields split at ASCII whitespace alone (_fields): "\xa0",
+"\x85" and "\u2028" are field characters.  The PFM and volume dimensions
 lines are checked by one parser (field count, ASCII digits, positivity),
 each fault reported at the line's offset.  A reader parses the header
 when it is built, from a file a byte at a time, then reads each payload
@@ -105,12 +107,24 @@ class ParseError(ValueError):
 # file with no newline.
 _HEADER_LINE_MAX = 256
 
-_DIGITS = re.compile(r"-?[0-9]+")
+_DIGITS = re.compile(r"[0-9]+|-0*[1-9][0-9]*")  # "-" passes before a non-zero value, to be reported as negative
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 # ASCII whitespace, as bytes.split() has it: str.split() would also split
 # at "\x1c"-"\x1f", "\x85" and "\xa0".
 _WHITESPACE = " \t\n\r\x0b\x0c"
 _fields = re.compile(f"[^{_WHITESPACE}]+").findall
+
+
+def _text_lines(text: str) -> list:
+    """The lines of a cam.txt, pair.txt or ASCII PLY body, stripped of ASCII whitespace; fields are _fields(line).
+
+    A line ends at "\n" alone (the last may lack it), so "\r\n" ends one
+    too, its "\r" stripped, and "\x85" or "\u2028" is a field character.
+    """
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return [ln.strip(_WHITESPACE) for ln in lines]
 
 
 class _OpenedFile:
@@ -197,7 +211,7 @@ class _OpenedFile:
         """
         text, end = self._line(pos)
         parts = _fields(text)
-        if len(parts) != len(names.split()):
+        if len(parts) != len(_fields(names)):
             raise ParseError(f"expected {names!r}, got {text!r}", offset=pos)
         # ASCII digits only: int() would also take "+1", "1_0" and non-ASCII
         # digits.  A minus sign passes here to be reported as non-positive.
@@ -376,47 +390,44 @@ def depth_from_pfm(img: PfmImage) -> DepthMap:
 # ---------------------------------------------------------------------------
 
 
-def _parse_matrix(lines, start, rows, cols, what):
-    mat = np.zeros((rows, cols))
-    for r in range(rows):
-        ln = start + r
+def _content(lines, i: int) -> int:
+    """The index of the first non-blank line of lines at or after i, or len(lines)."""
+    return next((j for j in range(i, len(lines)) if lines[j]), len(lines))
+
+
+def _parse_matrix(lines, what: str, size: int):
+    """The size x size matrix of the cam.txt section `what`, and the index of the first non-blank line after it.
+
+    Its rows are consecutive lines (a blank one is a row with no values)
+    from the first non-blank line after the first line reading `what`.
+    """
+    keyword = next((i for i, ln in enumerate(lines) if ln.lower() == what), None)
+    if keyword is None:
+        raise ParseError(f"missing '{what}' section", line=len(lines))
+    start = _content(lines, keyword + 1)
+    mat = np.zeros((size, size))
+    for r, ln in enumerate(range(start, start + size)):
         if ln >= len(lines):
             raise ParseError(f"truncated {what} matrix", line=len(lines))
-        parts = lines[ln].split()
-        if len(parts) != cols:
-            raise ParseError(f"expected {cols} values in {what} row, got {len(parts)}", line=ln + 1)
+        parts = _fields(lines[ln])
+        if len(parts) != size:
+            raise ParseError(f"expected {size} values in {what} row, got {len(parts)}", line=ln + 1)
         # Finite decimals: float() would also take "1_0", "nan" and "inf".
         if not all(_DECIMAL.fullmatch(p) for p in parts):
             raise ParseError(f"non-numeric value in {what} matrix", line=ln + 1)
         mat[r] = [float(p) for p in parts]
         if not np.isfinite(mat[r]).all():
             raise ParseError(f"non-finite value in {what} matrix", line=ln + 1)
-    return mat
+    return mat, _content(lines, start + size)
 
 
 def read_cam(text: str) -> Camera:
-    lines = text.splitlines()
-    stripped = [ln.strip() for ln in lines]
-
-    def find_keyword(word):
-        for i, ln in enumerate(stripped):
-            if ln.lower() == word:
-                return i
-        raise ParseError(f"missing '{word}' section", line=len(lines))
-
-    def next_content(i):
-        while i < len(stripped) and not stripped[i]:
-            i += 1
-        return i
-
-    ext_row = next_content(find_keyword("extrinsic") + 1)
-    E = _parse_matrix(stripped, ext_row, 4, 4, "extrinsic")
-    int_row = next_content(find_keyword("intrinsic") + 1)
-    K = _parse_matrix(stripped, int_row, 3, 3, "intrinsic")
-    depth_row = next_content(int_row + 3)
-    if depth_row >= len(stripped):
+    lines = _text_lines(text)
+    E, _ = _parse_matrix(lines, "extrinsic", 4)
+    K, depth_row = _parse_matrix(lines, "intrinsic", 3)
+    if depth_row >= len(lines):
         raise ParseError("missing depth range line", line=len(lines))
-    parts = stripped[depth_row].split()
+    parts = _fields(lines[depth_row])
     if len(parts) < 2:
         raise ParseError("depth range line needs 'depth_min depth_interval'", line=depth_row + 1)
     # Further tokens are not read: DTU cameras carry four.
@@ -564,16 +575,14 @@ class _PlyFile(_OpenedFile):
     def _ascii(self):
         """The float64 points and uint8 colours (None without) of an ASCII body.
 
-        Rows end at "\n" (the last one may lack it).  Each holds x y z
+        Rows are the body's _text_lines.  Each holds x y z
         (decimals) and, with colour, red green blue (ASCII digits, 0-255).
         A fault is reported at its vertex's line: the first malformed row,
         else the first with a coordinate that is not finite.
         """
         body = self._buffer("body", max(self._size() - self._pos, 0), np.uint8)
         self._read(body, self._pos)
-        rows = str(body, "latin-1").split("\n")
-        if not rows[-1]:
-            rows.pop()
+        rows = _text_lines(str(body, "latin-1"))
         count, lines = self._count, self._lines
         if len(rows) != count:
             raise ParseError(
@@ -595,7 +604,7 @@ class _PlyFile(_OpenedFile):
             if colors is not None:
                 rgb = [int(p) for p in parts[3:]]
                 if not all(0 <= c <= 255 for c in rgb):
-                    raise ParseError(f"vertex colour outside 0-255 in {row.strip(_WHITESPACE)!r}", line=lines + i + 1)
+                    raise ParseError(f"vertex colour outside 0-255 in {row!r}", line=lines + i + 1)
                 colors[i] = rgb
         finite = np.isfinite(points).all(axis=1)
         if not finite.all():
@@ -630,10 +639,8 @@ def write_ply(cloud: PointCloud, binary: bool = True) -> bytes:
     xyz = cloud.points.astype("<f4")
     if binary:
         if has_rgb:
-            rec = np.dtype([("xyz", "<f4", (3,)), ("rgb", "u1", (3,))])
-            arr = np.empty(n, dtype=rec)
-            arr["xyz"] = xyz
-            arr["rgb"] = cloud.colors
+            arr = np.empty(n, dtype=_ply_record(True))
+            arr["xyz"], arr["rgb"] = xyz, cloud.colors
             return head + arr.tobytes()
         return head + xyz.tobytes()
     rows = []

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reproject import _bands
+from .reproject import _bands, _valid_depths
 
 __all__ = [
     "ProbabilityVolume",
@@ -215,17 +215,14 @@ def _band_reader(x):
 
 
 def _truth_band(values):
-    """A ground-truth band's depths (float64, 0 where invalid) and validity (finite and > 0).
+    """A ground-truth band's depths (float64, 0 where invalid) and validity, by reproject._valid_depths.
 
     The depths are read as float64, one copy per band: a float32 depth
     against float32 hypotheses would otherwise run the distance in
     float32.
     """
-    valid = np.isfinite(values)
-    valid &= values > 0
     g = values.astype(np.float64)
-    g[~valid] = 0.0
-    return g, valid
+    return g, _valid_depths(g, np.empty(g.shape, bool), np.empty(g.shape, bool))
 
 
 def _band_error(probs, slabs, g, valid):

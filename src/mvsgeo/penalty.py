@@ -84,10 +84,7 @@ class PenaltyMap:
     def __post_init__(self):
         self.counts = np.asarray(self.counts).view()
         self.counts.flags.writeable = False
-        if self.range_mode not in _RANGE_MODES:
-            raise ValueError(f"range_mode must be one of {_RANGE_MODES}")
-        if self.m < 1:
-            raise ValueError("at least one source view is required")
+        _check_sources(self.m, self.range_mode)
         if not np.issubdtype(self.counts.dtype, np.integer):
             raise ValueError(f"vote counts must be integers, got {self.counts.dtype}")
         if self.counts.size and not 0 <= int(self.counts.min()) <= int(self.counts.max()) <= self.m:
@@ -142,7 +139,7 @@ def per_pixel_penalty(
     The paper's sum over sources of inconsistency_mask(d_ref, *fbr(...)),
     mapped to the levels: bit for bit stage_penalties at one stage.
     """
-    _check_sources(sources, range_mode)
+    _check_sources(len(sources), range_mode)
     count = np.zeros(d_ref.shape, dtype=np.min_scalar_type(len(sources)))
     for d_src, src_cam in sources:
         _check_source(d_ref, d_src)
@@ -150,9 +147,9 @@ def per_pixel_penalty(
     return PenaltyMap(count, range_mode, len(sources))
 
 
-def _check_sources(sources, range_mode: str) -> None:
-    """Reject no sources or an unknown range mode; each source's shape is checked as it is reached."""
-    if not sources:
+def _check_sources(m: int, range_mode: str) -> None:
+    """Reject a source count m below 1 or an unknown range mode (each source's shape is checked as it is reached)."""
+    if m < 1:
         raise ValueError("at least one source view is required")
     if range_mode not in _RANGE_MODES:
         raise ValueError(f"range_mode must be one of {_RANGE_MODES}")
@@ -225,7 +222,7 @@ def stage_penalties(
     reads each source's depth file into one reused frame so).  Each
     source's shape is checked when it is reached.
     """
-    _check_sources(sources, range_mode)
+    _check_sources(len(sources), range_mode)
     if not stages:
         raise ValueError("at least one threshold stage is required")
     counts = [np.zeros(d_ref.shape, dtype=np.min_scalar_type(len(sources))) for _ in stages]

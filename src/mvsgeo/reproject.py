@@ -111,6 +111,16 @@ def _depth_array(values) -> np.ndarray:
     return values if values.dtype in (np.float32, np.float64) else values.astype(np.float64)
 
 
+def _valid_depths(values: np.ndarray, valid: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Set valid where values is finite and > 0 and zero values elsewhere, in place; spare is bool scratch."""
+    np.isfinite(values, out=valid)
+    np.greater(values, 0, out=spare)
+    valid &= spare
+    np.logical_not(valid, out=spare)
+    np.copyto(values, 0, where=spare)
+    return valid
+
+
 @dataclass
 class DepthMap:
     """H x W depth grid (scene units) with a validity mask.
@@ -159,20 +169,14 @@ class DepthMap:
         """The map of the depths band(rows) gives for each row band, written into values and valid.
 
         values (float32 or float64) and valid (bool) are frames of one
-        shape.  Band by band, the depths are copied into values, valid is
-        set where they are finite and > 0, and values is zeroed elsewhere:
-        from_values' rule, applied in place with one band-sized bool
-        buffer and no temporary frame.  A PFM file's depths are read so
-        (formats.open_pfm), into fresh frames or reused ones.
+        shape.  Band by band, the depths are copied into values, and
+        _valid_depths applies from_values' rule to them in place, with one
+        band-sized bool buffer and no temporary frame.  A PFM file's
+        depths are read so (formats.open_pfm), into fresh or reused frames.
         """
         for rows, _, _, (spare,) in _bands(values.shape, 0, 1):
-            v, ok = values[rows], valid[rows]
-            np.copyto(v, band(rows))
-            np.isfinite(v, out=ok)
-            np.greater(v, 0, out=spare)
-            ok &= spare
-            np.logical_not(ok, out=spare)
-            np.copyto(v, 0, where=spare)
+            np.copyto(values[rows], band(rows))
+            _valid_depths(values[rows], valid[rows], spare)
         return _wrap(cls, values=values, valid=valid)
 
     @property

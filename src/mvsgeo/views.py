@@ -4,6 +4,10 @@ Candidates are scored per sample point by a piecewise Gaussian of the
 baseline angle between the two camera rays through the point (peaked a
 few degrees away from zero so near-duplicate viewpoints rank low), summed
 over all sample points.
+
+pair.txt: the pairing count, then per pairing a line with the reference
+view id (each listed once) and one "n id1 score1 id2 score2 ...", split
+by formats._text_lines and formats._fields; blank lines are skipped.
 """
 
 import math
@@ -13,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import Camera
-from .formats import _DECIMAL, _DIGITS, ParseError
+from .formats import _DECIMAL, _DIGITS, ParseError, _fields, _text_lines
 
 __all__ = ["ViewPairing", "view_score", "rank_sources", "parse_pair_text", "format_pair_text", "load_pairing", "save_pairing"]
 
@@ -78,65 +82,54 @@ def rank_sources(ref: Camera, candidates, sample_points, candidate_ids, referenc
 # ---------------------------------------------------------------------------
 # pair.txt
 # ---------------------------------------------------------------------------
-#
-# Line 1: number of pairings.  Then per pairing two lines: the reference
-# view id, and "n id1 score1 id2 score2 ...".
 
 
 def parse_pair_text(text: str) -> list[ViewPairing]:
-    lines = text.splitlines()
-    idx = 0
-
-    def next_line():
-        nonlocal idx
-        while idx < len(lines) and not lines[idx].strip():
-            idx += 1
-        if idx >= len(lines):
-            raise ParseError("unexpected end of pair file", line=len(lines))
-        idx += 1
-        return lines[idx - 1].strip(), idx
-
-    # Counts and ids are ASCII digits (int() would also take "+1" and
-    # "1_0"; a minus sign passes to be reported as negative), scores finite
-    # decimals.
-    header, ln = next_line()
-    if not _DIGITS.fullmatch(header):
-        raise ParseError(f"expected pairing count, got {header!r}", line=ln)
-    count = int(header)
-    if count < 0:
-        raise ParseError(f"negative pairing count {count}", line=ln)
-    pairings = []
-    for _ in range(count):
-        ref_line, ln = next_line()
-        if not _DIGITS.fullmatch(ref_line):
-            raise ParseError(f"expected reference view id, got {ref_line!r}", line=ln)
-        ref_id = int(ref_line)
-        if ref_id < 0:
-            raise ParseError(f"negative view id {ref_id}", line=ln)
-        src_line, ln = next_line()
-        tokens = src_line.split()
-        if not tokens or not _DIGITS.fullmatch(tokens[0]):
-            raise ParseError("expected source count", line=ln)
-        n_src = int(tokens[0])
-        if n_src < 0 or len(tokens) != 1 + 2 * n_src:
-            raise ParseError(
-                f"expected {1 + 2 * max(n_src, 0)} tokens for {n_src} sources, got {len(tokens)}",
-                line=ln,
-            )
-        sources = []
-        for k in range(n_src):
-            sid, score = tokens[1 + 2 * k:3 + 2 * k]
-            if not (_DIGITS.fullmatch(sid) and _DECIMAL.fullmatch(score) and math.isfinite(float(score))):
-                raise ParseError(f"bad source id/score pair at token {1 + 2 * k}", line=ln)
-            sid, score = int(sid), float(score)
-            if sid < 0:
-                raise ParseError(f"negative view id {sid}", line=ln)
-            sources.append((sid, score))
-        try:
-            pairings.append(ViewPairing(ref_id, tuple(sources)))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=ln) from None
-    return pairings
+    lines = _text_lines(text)
+    content = ((n, ln) for n, ln in enumerate(lines, 1) if ln)  # the non-blank lines, numbered from 1
+    pairings = {}  # by reference id
+    try:
+        # Counts and ids are ASCII digits (int() would also take "+1" and
+        # "1_0"; a minus sign passes to be reported as negative), scores
+        # finite decimals.
+        ln, header = next(content)
+        if not _DIGITS.fullmatch(header):
+            raise ParseError(f"expected pairing count, got {header!r}", line=ln)
+        count = int(header)
+        if count < 0:
+            raise ParseError(f"negative pairing count {count}", line=ln)
+        for _ in range(count):
+            ln, ref_line = next(content)
+            if not _DIGITS.fullmatch(ref_line):
+                raise ParseError(f"expected reference view id, got {ref_line!r}", line=ln)
+            ref_id = int(ref_line)
+            if ref_id < 0:
+                raise ParseError(f"negative view id {ref_id}", line=ln)
+            if ref_id in pairings:
+                raise ParseError(f"reference view {ref_id} listed twice", line=ln)
+            ln, src_line = next(content)
+            tokens = _fields(src_line)
+            if not tokens or not _DIGITS.fullmatch(tokens[0]):
+                raise ParseError("expected source count", line=ln)
+            n_src = int(tokens[0])
+            if n_src < 0 or len(tokens) != 1 + 2 * n_src:
+                raise ParseError(f"expected {1 + 2 * max(n_src, 0)} tokens for {n_src} sources, got {len(tokens)}", line=ln)
+            sources = []
+            for k in range(n_src):
+                sid, score = tokens[1 + 2 * k:3 + 2 * k]
+                if not (_DIGITS.fullmatch(sid) and _DECIMAL.fullmatch(score) and math.isfinite(float(score))):
+                    raise ParseError(f"bad source id/score pair at token {1 + 2 * k}", line=ln)
+                sid, score = int(sid), float(score)
+                if sid < 0:
+                    raise ParseError(f"negative view id {sid}", line=ln)
+                sources.append((sid, score))
+            try:
+                pairings[ref_id] = ViewPairing(ref_id, tuple(sources))
+            except ValueError as exc:
+                raise ParseError(str(exc), line=ln) from None
+    except StopIteration:
+        raise ParseError("unexpected end of pair file", line=len(lines)) from None
+    return list(pairings.values())
 
 
 def format_pair_text(pairings) -> str:

@@ -441,3 +441,89 @@ def oracle_probability_volume(data):
         if not all(math.isfinite(v) for v in column) or any(b <= a for a, b in zip(column, column[1:])):
             return None
     return probs, hyp if layout == b"shared" else hyp.reshape(d, h, w)
+
+
+# cam.txt and pair.txt are read as text (str).  Their oracles parse its
+# UTF-8 bytes, so that bytes.split(), bytes.strip(), bytes.lower() and
+# bytes.isdigit() know ASCII alone: a non-ASCII character encodes to
+# bytes 0x80-0xff, none of them whitespace, a digit or a letter.
+
+
+def _text_rows(text):
+    """The lines of text as bytes, each stripped of ASCII whitespace: a line ends at \\n, the last may lack one."""
+    rows = text.encode("utf-8", "surrogatepass").split(b"\n")
+    if rows[-1] == b"":
+        rows.pop()  # the last line's newline
+    return [row.strip() for row in rows]
+
+
+def _first_content(rows, start):
+    """The index of the first non-blank row from start on, or len(rows)."""
+    while start < len(rows) and rows[start] == b"":
+        start += 1
+    return start
+
+
+def _cam_matrix(rows, keyword, size):
+    """(size x size float64 matrix, index of the row after it) of a cam.txt section, or None."""
+    heads = [i for i, row in enumerate(rows) if row.lower() == keyword]
+    if not heads:
+        return None
+    start = _first_content(rows, heads[0] + 1)
+    if start + size > len(rows):
+        return None
+    values = [[_finite_decimal(f) for f in rows[i].split()] for i in range(start, start + size)]
+    if any(len(row) != size or None in row for row in values):
+        return None
+    return np.array(values, dtype=np.float64), start + size
+
+
+def oracle_cam(text):
+    """(E (4, 4), K (3, 3), depth_min, depth_interval) of a cam.txt, as float64, or None."""
+    rows = _text_rows(text)
+    extrinsic = _cam_matrix(rows, b"extrinsic", 4)
+    intrinsic = _cam_matrix(rows, b"intrinsic", 3)
+    if extrinsic is None or intrinsic is None:
+        return None
+    (E, _), (K, end) = extrinsic, intrinsic
+    at = _first_content(rows, end)
+    fields = rows[at].split() if at < len(rows) else []
+    depths = [_finite_decimal(f) for f in fields[:2]]
+    if len(depths) < 2 or None in depths:
+        return None
+    depth_min, depth_interval = depths
+    # The camera rules: K upper triangular with positive focal entries and
+    # K[2][2] = 1 (within 1e-12), both depth values positive.
+    if K[1, 0] != 0 or K[2, 0] != 0 or K[2, 1] != 0 or not (K[0, 0] > 0 and K[1, 1] > 0):
+        return None
+    if abs(K[2, 2] - 1.0) > 1e-12 or not (depth_min > 0 and depth_interval > 0):
+        return None
+    return E, K, depth_min, depth_interval
+
+
+def oracle_pair(text):
+    """The pairings of a pair.txt, [(reference id, ((source id, score), ...)), ...], or None.
+
+    Blank lines are skipped; lines after the last pairing are not read.
+    """
+    rows = [row for row in _text_rows(text) if row != b""]
+    if not rows or not rows[0].isdigit():
+        return None
+    count = int(rows[0])
+    if len(rows) < 1 + 2 * count:
+        return None
+    pairings = []
+    for k in range(count):
+        ref, fields = rows[1 + 2 * k], rows[2 + 2 * k].split()
+        if not ref.isdigit() or int(ref) in [r for r, _ in pairings]:
+            return None
+        if not fields[0].isdigit() or len(fields) != 1 + 2 * int(fields[0]):
+            return None
+        ids, scores = fields[1::2], [_finite_decimal(f) for f in fields[2::2]]
+        if not all(i.isdigit() for i in ids) or None in scores:
+            return None
+        ids = [int(i) for i in ids]
+        if len(set(ids)) != len(ids) or int(ref) in ids:
+            return None
+        pairings.append((int(ref), tuple(zip(ids, scores))))
+    return pairings

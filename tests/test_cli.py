@@ -979,6 +979,21 @@ def test_gc_penalty_reference_missing_from_pair_file_exits_2(plane_scene, tmp_pa
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command, out", [("fuse", "cloud.ply"), ("gc-penalty", "pen"), ("warp", "warp")])
+def test_a_reference_listed_twice_in_pair_file_exits_3(plane_scene, tmp_path, capsys, command, out):
+    # Listed twice, reference 0 was fused twice, as two views (6261 points
+    # on a 64x48 plane scene against 3242), and gc-penalty used the later
+    # listing.
+    pair = plane_scene / "pair.txt"
+    count, *lines = pair.read_text().split("\n")
+    pair.write_text("\n".join([str(int(count) + 1), *lines[:-1], *lines[:2]]) + "\n")
+    argv = {"fuse": ["--num-consistent", "2"], "gc-penalty": [], "warp": ["--ref", "0", "--src", "1"]}[command]
+    code, stdout, err = run_cli(capsys, command, "--scene", str(plane_scene), "--out", str(tmp_path / out), *argv)
+    assert (code, stdout) == (3, "")
+    assert err == f"mvsgeo: error: {pair}: reference view 0 listed twice (line {2 * int(count) + 2})\n"
+    assert not (tmp_path / out).exists()
+
+
 @pytest.mark.parametrize("gts, stages, message", [
     (1, 2, "need one file per stage"),
     (4, 4, "at most three stages"),

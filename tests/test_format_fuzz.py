@@ -1,4 +1,4 @@
-"""Byte-level differential fuzzing of the PFM, PLY and probability volume readers against tests/oracles.py.
+"""Differential fuzzing of every file reader against tests/oracles.py.
 
 Valid files are mutated by bit flips, truncations and header-line edits:
 PFMs of 1 and 3 channels in either byte order, ASCII and binary clouds
@@ -11,19 +11,29 @@ reads give its bits; where it rejects the mutant, both raise the same
 ParseError and no other exception.  No read's tracemalloc peak exceeds
 twice the file's size plus 64 KB: a header cannot make a reader allocate
 for a payload the file does not hold.
+
+cam.txt and pair.txt texts (write_cam's and format_pair_text's) are
+mutated by character flips, truncations and line edits: a space or a
+line break replaced by a non-ASCII separator or "\r\n", a blank line
+put in, a field replaced by "1_0", "nan" and other edges.  read_cam and
+parse_pair_text give their oracle's values, bit for bit, or raise
+ParseError where it rejects, and no other exception.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mvsgeo import loss, reproject
-from mvsgeo.formats import (ParseError, open_pfm, open_ply, open_probability_volume, read_pfm, read_ply,
-                            read_probability_volume, write_ply)
+from mvsgeo.formats import (ParseError, open_pfm, open_ply, open_probability_volume, read_cam, read_pfm, read_ply,
+                            read_probability_volume, write_cam, write_ply)
+from mvsgeo.views import ViewPairing, format_pair_text, parse_pair_text
 
-from oracles import oracle_pfm, oracle_ply, oracle_probability_volume
+from conftest import random_camera
+from oracles import oracle_cam, oracle_pair, oracle_pfm, oracle_ply, oracle_probability_volume
 from test_formats import random_cloud
 from test_pfm_stream import _pfm_bytes
 from test_volume_stream import _random_case, _volume_bytes
@@ -39,8 +49,8 @@ EDGE_LINES = [
 PLY_LINES = [
     b"ply", b"format ascii 1.0", b"format binary_little_endian 1.0", b"format binary_big_endian 1.0",
     b"formatted ascii 1.0", b"format\xa0ascii 1.0", b"element vertex 0", b"element vertex 3", b"element vertex -1",
-    b"element vertex +1", b"element vertex 1_0", b"element face 1", b"property float x", b"property uchar red",
-    b"property double x", b"comment a b c", b"commentary", b"end_header", b"end_header x", b"1 2 3", b"nan 0 0",
+    b"element vertex +1", b"element vertex 1_0", b"element vertex -0", b"element face 1", b"property float x",
+    b"property uchar red", b"property double x", b"comment a b c", b"commentary", b"end_header", b"end_header x", b"1 2 3", b"nan 0 0",
 ]
 VOLUME_LINES = [
     b"PROBVOL", b"probvol", b"2 1 1", b"1 1 1", b"1_0 1 1", b"+2 1 1", b"0 1 1", b"2 1", b"shared", b"perpixel",
@@ -240,3 +250,124 @@ def test_every_header_bit_flip_and_cut_of_a_ply_reads_as_the_oracle(tmp_path):
     valid = write_ply(random_cloud(np.random.default_rng(2), 2, True))
     _every_header_flip_and_cut(valid, valid[:valid.index(b"end_header\n")].count(b"\n") + 1,
                                lambda data: _check_ply(data, path))
+
+
+# ---------------------------------------------------------------------------
+# cam.txt and pair.txt
+# ---------------------------------------------------------------------------
+
+# What a line edit may put in place of a space or a line break: non-ASCII
+# separators and line breaks that str.split() and str.splitlines() know,
+# and ASCII whitespace.
+SEPARATORS = ["\xa0", "\x1c", "\x1f", "\x85", "\u2028", "\u2029", "\r\n", "\r", "\t", "\x0b", "\x0c", "  "]
+# What a line edit may put in place of a field.
+TEXT_FIELDS = ["1_0", "nan", "-nan", "inf", "1e999", "+1", "-1", "0", "-0", "0x1", "1.", ".5", "\xa01", "extrinsic",
+               "INTRINSIC", "", "\u0661"]
+
+
+def _check_cam(text: str) -> None:
+    want = oracle_cam(text)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a sloppy rotation still reads
+            cam = read_cam(text)
+    except ParseError:
+        assert want is None, text
+        return
+    assert want is not None, text
+    assert _bits(cam.E, cam.K, cam.depth_min, cam.depth_interval) == _bits(*want), text
+
+
+def _check_pair(text: str) -> None:
+    want = oracle_pair(text)
+    try:
+        got = parse_pair_text(text)
+    except ParseError:
+        assert want is None, text
+        return
+    assert want is not None, text
+
+    def bits(pairings):
+        return [(ref, [(i, score.hex()) for i, score in sources]) for ref, sources in pairings]
+
+    assert bits((p.reference, p.ranked_sources) for p in got) == bits(want), text
+
+
+@st.composite
+def _valid_cam(draw) -> str:
+    return write_cam(random_camera(np.random.default_rng(draw(st.integers(0, 2**16)))))
+
+
+@st.composite
+def _valid_pair(draw) -> str:
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    views = draw(st.integers(2, 5))
+    pairings = []
+    for ref in draw(st.permutations(range(views)))[:draw(st.integers(0, views))]:
+        others = [v for v in range(views) if v != ref]
+        sources = rng.permutation(others)[:draw(st.integers(0, len(others)))]
+        pairings.append(ViewPairing(ref, tuple((int(v), float(rng.normal(scale=10))) for v in sources)))
+    return format_pair_text(pairings)
+
+
+@st.composite
+def text_mutants(draw, valid):
+    text = draw(valid())
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "truncate", "space", "line break", "blank line", "field"]))
+        spaces = [k for k, c in enumerate(text) if c == " "]
+        breaks = [k for k, c in enumerate(text) if c == "\n"]
+        if kind == "flip" and text:
+            at = draw(st.integers(0, len(text) - 1))
+            text = text[:at] + chr(ord(text[at]) ^ 1 << draw(st.integers(0, 7))) + text[at + 1:]
+        elif kind == "truncate":
+            text = text[:draw(st.integers(0, len(text)))]
+        elif kind in ("space", "line break") and (spaces if kind == "space" else breaks):
+            at = draw(st.sampled_from(spaces if kind == "space" else breaks))
+            text = text[:at] + draw(st.sampled_from(SEPARATORS)) + text[at + 1:]
+        elif kind == "blank line" and breaks:
+            at = draw(st.sampled_from(breaks))
+            text = text[:at] + draw(st.sampled_from(["\n", "\n \t", "\r\n"])) + text[at:]
+        elif kind == "field":
+            lines = text.split("\n")
+            i = draw(st.integers(0, len(lines) - 1))
+            fields = lines[i].split(" ")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(TEXT_FIELDS))
+            lines[i] = " ".join(fields)
+            text = "\n".join(lines)
+    return text
+
+
+_TEXT_FUZZ = settings(max_examples=150, deadline=None)
+
+
+@_TEXT_FUZZ
+@given(text=text_mutants(_valid_cam))
+def test_a_mutated_cam_reads_as_the_oracle_or_raises_only_parse_error(text):
+    _check_cam(text)
+
+
+@_TEXT_FUZZ
+@given(text=text_mutants(_valid_pair))
+def test_a_mutated_pair_file_reads_as_the_oracle_or_raises_only_parse_error(text):
+    _check_pair(text)
+
+
+def _every_separator_and_cut(valid: str, check) -> None:
+    """check valid with each space and line break replaced by each separator, and valid cut at each character."""
+    for at, c in enumerate(valid):
+        if c in " \n":
+            for sep in SEPARATORS:
+                check(valid[:at] + sep + valid[at + 1:])
+    for end in range(len(valid) + 1):
+        check(valid[:end])
+
+
+def test_every_separator_and_cut_of_a_cam_reads_as_the_oracle():
+    cam = random_camera(np.random.default_rng(3))
+    _every_separator_and_cut(write_cam(cam), _check_cam)
+
+
+def test_every_separator_and_cut_of_a_pair_file_reads_as_the_oracle():
+    pairings = [ViewPairing(0, ((2, 1.5), (1, -0.25))), ViewPairing(2, ()), ViewPairing(1, ((0, 3e-5),))]
+    _every_separator_and_cut(format_pair_text(pairings), _check_pair)

@@ -206,6 +206,18 @@ def test_cam_sloppy_rotation_warns_but_parses():
     assert cam.E[0, 1] == 5e-3
 
 
+def test_cam_whose_rotation_check_overflows_fails_validation_without_a_runtime_warning():
+    # R^T R of a 1e200 entry overflows: numpy's matmul warned, an error
+    # under -W error::RuntimeWarning, where the camera should just fail
+    # its rotation check.
+    E = np.eye(4)
+    E[0, 0] = 1e200
+    text = write_cam(Camera(K=np.array([[400.0, 0, 80], [0, 400.0, 60], [0, 0, 1.0]]), E=E))
+    with pytest.warns(UserWarning, match="fails validation"):
+        cam = read_cam(text)
+    assert cam.E[0, 0] == 1e200
+
+
 CAM_MALFORMED = [
     "",                                                           # empty
     "intrinsic\n400 0 80\n0 400 60\n0 0 1\n\n425 2.5\n",           # missing extrinsic
@@ -238,7 +250,29 @@ CAM_BAD_NUMBERS = {
     "infinite depth interval": (_CAM.format(k="400 0 80", depth="425 inf"), "non-numeric depth range values (line 12)"),
     "overflowing depth_min": (_CAM.format(k="400 0 80", depth="1e999 2.5"), "non-finite depth range values (line 12)"),
 }
+# Lines end at "\n" and fields are split at ASCII whitespace alone: a
+# non-ASCII separator or line break is a field character, so its line is
+# rejected.  str.split() and str.splitlines() split at each of these.
+_VALID_CAM = _CAM.format(k="400 0 80", depth="425 2.5")
+for _sep in ["\xa0", "\x1c", "\x85", "\u2028"]:
+    CAM_BAD_NUMBERS |= {
+        f"{_sep!r} between intrinsic values": (_VALID_CAM.replace("400 0 80", f"400{_sep}0 80"),
+                                               "expected 3 values in intrinsic row, got 2 (line 8)"),
+        f"{_sep!r} between depth values": (_VALID_CAM.replace("425 2.5", f"425{_sep}2.5"),
+                                           "depth range line needs 'depth_min depth_interval' (line 12)"),
+        f"{_sep!r} as an intrinsic line break": (_VALID_CAM.replace("80\n0 400", f"80{_sep}0 400"),
+                                                 "expected 3 values in intrinsic row, got 5 (line 8)"),
+        f"{_sep!r} as an extrinsic line break": (_VALID_CAM.replace("0 0 1 0\n", f"0 0 1 0{_sep}"),
+                                                 "expected 4 values in extrinsic row, got 7 (line 4)"),
+    }
 CAM_MALFORMED += [text for text, _ in CAM_BAD_NUMBERS.values()]
+
+
+def test_cam_with_crlf_line_ends_reads_as_with_lf(rng):
+    text = write_cam(random_camera(rng))
+    lf, crlf = read_cam(text), read_cam(text.replace("\n", "\r\n"))
+    assert (crlf.E.tobytes(), crlf.K.tobytes()) == (lf.E.tobytes(), lf.K.tobytes())
+    assert (crlf.depth_min.hex(), crlf.depth_interval.hex()) == (lf.depth_min.hex(), lf.depth_interval.hex())
 
 
 @pytest.mark.parametrize("text, message", CAM_BAD_NUMBERS.values(), ids=CAM_BAD_NUMBERS.keys())
@@ -339,6 +373,9 @@ PLY_BAD_NUMBERS = {
     "signed colour": (_ply(b"ascii", b"1", b"1 2 3 +1 0 0\n", rgb=True), "non-numeric vertex field (line 11)"),
     "decimal colour": (_ply(b"ascii", b"1", b"1 2 3 1.0 0 0\n", rgb=True), "non-numeric vertex field (line 11)"),
     "hexadecimal coordinate": (_ply(b"ascii", b"1", b"0x1 2 3\n"), "non-numeric vertex field (line 8)"),
+    # "-0" is not ASCII digits, and no negative value: both read as 0.
+    "negative zero count": (_ply(b"ascii", b"-0", b""), "bad vertex count in 'element vertex -0' (line 3)"),
+    "negative zero colour": (_ply(b"ascii", b"1", b"1 2 3 -00 0 0\n", rgb=True), "non-numeric vertex field (line 11)"),
     # A header line is at most 256 bytes, its newline included, as PFM's.
     "long header line": (b"ply\ncomment " + b"x" * 248 + b"\n" + _ply(b"ascii", b"0", b"")[4:],
                          "PLY header line longer than 256 bytes (byte offset 4)"),

@@ -175,7 +175,25 @@ PAIR_MALFORMED = [
     ("+1\n0\n1 1 0.5\n", "pairing count"),
     ("1_0\n0\n1 1 0.5\n", "pairing count"),
     ("1\n1_0\n1 1 0.5\n", "reference view id"),
+    # "-0" is not ASCII digits, and no negative value: each read as 0.
+    ("-0\n", "expected pairing count, got '-0' (line 1)"),
+    ("1\n-0\n1 1 0.5\n", "expected reference view id, got '-0' (line 2)"),
+    ("1\n0\n-0\n", "expected source count (line 3)"),
+    ("1\n0\n1 -00 0.5\n", "bad source id/score pair at token 1 (line 3)"),
+    # A reference is listed once: a second listing would be checked or
+    # fused twice.
+    ("2\n0\n1 1 0.5\n0\n1 1 0.5\n", "reference view 0 listed twice (line 4)"),
+    ("3\n0\n1 1 0.5\n1\n1 0 0.5\n\n0\n1 1 0.25\n", "reference view 0 listed twice (line 7)"),
 ]
+# Lines end at "\n" and fields are split at ASCII whitespace alone: a
+# non-ASCII separator or line break is a field character, so its line is
+# rejected.  str.split() and str.splitlines() split at each of these.
+for _sep in ["\xa0", "\x1c", "\x85", "\u2028"]:
+    PAIR_MALFORMED += [
+        (f"1\n0\n1 1{_sep}0.5\n", "expected 3 tokens for 1 sources, got 2 (line 3)"),
+        (f"1\n0{_sep}1 1 0.5\n", f"expected reference view id, got {f'0{_sep}1 1 0.5'!r} (line 2)"),
+        (f"1{_sep}0\n1 1 0.5\n", f"expected pairing count, got {f'1{_sep}0'!r} (line 1)"),
+    ]
 
 
 @pytest.mark.parametrize("text,fragment", PAIR_MALFORMED)
@@ -183,3 +201,12 @@ def test_pair_malformed_rejected_with_line(text, fragment):
     with pytest.raises(ParseError, match="line") as err:
         parse_pair_text(text)
     assert fragment in str(err.value)
+
+
+def test_pair_file_with_crlf_line_ends_reads_as_with_lf():
+    text = format_pair_text([ViewPairing(0, ((2, 1.5), (1, -0.25))), ViewPairing(2, ()), ViewPairing(1, ((0, 3e-5),))])
+
+    def bits(pairings):
+        return [(p.reference, [(i, score.hex()) for i, score in p.ranked_sources]) for p in pairings]
+
+    assert bits(parse_pair_text(text.replace("\n", "\r\n"))) == bits(parse_pair_text(text))
