@@ -7,19 +7,21 @@ view that the scene lacks); an input file that a reader rejects is
 named in front of the reader's message, "<path>: <message>", whether
 it is rejected when opened or, for a loss input, as it is scored.
 Every command accepts --threads (default 1); only eval-pc uses it, and
-its output is byte-identical for any thread count.  gc-penalty checks
-every reference, then runs them in order on the calling thread, writing
-each one's PFMs and summary entry before it checks the next; references
-on threads were GIL-bound (at 640 x 512 x 5 views, two threads took
-0.75-0.86 s of CPU for 0.50-0.68 s of wall time, one thread 0.60-0.71 s
-for 0.61-0.77 s).  Its check reads pair.txt, every camera and each depth
-file's header alone; then it holds two depth maps, the reference's and
-the source's of the pair being checked, each read as it is needed into a
-frame that the next read overwrites, so its memory does not grow with
-the view count.  fuse runs its references in order on one thread too,
-with every view's depth loaded first.  eval-pc checks --max-dist before
-it reads either cloud, then reads each one's points through
-formats.open_ply and hands them to the search as read.
+its output is byte-identical for any thread count.  gc-penalty, fuse
+and warp open their scene one way (_Scene): before any depth map is read
+or file written, pair.txt, every camera and each depth file's header are
+read (warp: of its two views).  gc-penalty then checks every reference,
+and runs them in order on the calling thread, writing each one's PFMs
+and summary entry before it checks the next; references on threads were
+GIL-bound (at 640 x 512 x 5 views, two threads took 0.75-0.86 s of CPU
+for 0.50-0.68 s of wall time, one thread 0.60-0.71 s for 0.61-0.77 s).
+It holds two depth maps, the reference's and the source's of the pair
+being checked, each read as it is needed into a frame that the next read
+overwrites, so its memory does not grow with the view count.  fuse runs
+its references in order on one thread too, with every reference's depth
+loaded first.  eval-pc checks --max-dist before it reads either cloud,
+then reads each one's points through formats.open_ply and hands them to
+the search as read.
 
 Scene directory convention (emitted by synth, consumed by the rest):
 
@@ -83,11 +85,6 @@ def _count_type(minimum: int):
     return parse
 
 
-def _require(path: Path) -> None:
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-
-
 class _NamedError(ValueError):
     """A ValueError with the path of the file it came from in front (see _reading)."""
 
@@ -126,30 +123,16 @@ def _read_image(path):
         return pfm.image()
 
 
-def _read_depth(path, shape=None, frame=None):
-    """The depth map in a 1-channel PFM file, read band by band (_PfmFile.depth), named as _reading names it.
-
-    frame is the (values, valid) pair it is read into, or None for fresh
-    arrays.  shape, when given, is the one the file's header had when the
-    scene was checked: a file that no longer has it is rejected before a
-    byte is read into frame.
-    """
+def _read_depth(path):
+    """The depth map in a 1-channel PFM file, read band by band (_PfmFile.depth), named as _reading names it."""
     with _reading(path), formats.open_pfm(Path(path)) as pfm:
-        if shape is not None and pfm.shape != shape:
-            raise ValueError(f"depth shape {pfm.shape} is not the {shape} it had when the scene was checked")
-        return pfm.depth(frame)
+        return pfm.depth()
 
 
 def _read_points(path):
     """The float64 points of the PLY cloud at path, read through formats.open_ply, named as _reading names it."""
     with _reading(path), formats.open_ply(Path(path)) as ply:
         return ply.points()
-
-
-def _depth_shape(path):
-    """The (H, W) of the depth map in a 1-channel PFM file, from its header alone, named as _reading names it."""
-    with _reading(path), formats.open_pfm(Path(path)) as pfm:
-        return pfm.depth_shape
 
 
 def _emit_json(doc: dict, out: str | None = None) -> None:
@@ -175,45 +158,62 @@ def _scene_paths(scene: Path, view: int):
     )
 
 
-def _load_scene(scene_dir: str, views=None, depth=_read_depth):
-    """pair.txt's pairings, then the cameras of `views` (default: every view it names) and depth(path) of each.
+class _Scene:
+    """A scene directory, checked when opened: pair.txt, then the cameras and depth headers of `views`.
 
-    depth reads a view's depth file: its map by default, its shape alone
-    for _depth_shape.  Every camera and depth file to be read is checked
-    to exist before any is read; a requested view that pair.txt does not
-    name is a missing input.
+    views defaults to every view pair.txt names; one it does not name, or
+    a missing camera or depth file, is a missing input.  A header whose
+    shape and payload size check out leaves no payload byte that can fail
+    to decode, so a depth is read only when asked for.  cam.txt is read
+    with no newline translation, as load_pairing reads pair.txt.
     """
-    scene = Path(scene_dir)
-    pair_path = scene / "pair.txt"
-    with _reading(pair_path):
-        pairings = load_pairing(pair_path)
-    named = {p.reference for p in pairings} | {s for p in pairings for s, _ in p.ranked_sources}
-    ids = sorted(named if views is None else set(views))
-    for view in ids:
-        if view not in named:
-            raise FileNotFoundError(f"view {view} not present in scene {scene_dir}")
-        cam_path, depth_path, _ = _scene_paths(scene, view)
-        _require(cam_path)
-        _require(depth_path)
-    cams, depths = {}, {}
-    for view in ids:
-        cam_path, depth_path, _ = _scene_paths(scene, view)
-        with _reading(cam_path):
-            cams[view] = formats.read_cam(cam_path.read_text())
-        depths[view] = depth(depth_path)
-    return pairings, cams, depths
 
+    def __init__(self, root, views=None):
+        self.root = Path(root)
+        pair_path = self.root / "pair.txt"
+        with _reading(pair_path):
+            self.pairings = {p.reference: p for p in load_pairing(pair_path)}
+        named = set(self.pairings) | {s for p in self.pairings.values() for s, _ in p.ranked_sources}
+        ids = sorted(named if views is None else set(views))
+        for view in ids:
+            if view not in named:
+                raise FileNotFoundError(f"view {view} not present in scene {root}")
+            for path in _scene_paths(self.root, view)[:2]:
+                if not path.exists():
+                    raise FileNotFoundError(str(path))
+        self.cams, self.shapes = {}, {}
+        for view in ids:
+            cam_path, depth_path, _ = _scene_paths(self.root, view)
+            with _reading(cam_path), open(cam_path, newline="") as text:
+                self.cams[view] = formats.read_cam(text.read())
+            with _reading(depth_path), formats.open_pfm(depth_path) as pfm:
+                self.shapes[view] = pfm.depth_shape
 
-def _load_confidence(scene_dir: str, view: int, depth) -> np.ndarray:
-    """A view's confidence map at its file's float32; without a file, its depth validity.
+    def sources(self, ref, m=0):
+        """The ids of reference ref's top m sources (all for 0), in pair.txt's order."""
+        if ref not in self.pairings:
+            raise FileNotFoundError(f"view {ref} not present in {self.root / 'pair.txt'}")
+        pairing = self.pairings[ref]
+        return pairing.top(m or len(pairing.ranked_sources))
 
-    fuse compares it with its threshold in float64 and keeps no per-point
-    confidence, so a run holds 4 B/px of confidence per view, not 8.
-    """
-    conf_path = _scene_paths(Path(scene_dir), view)[2]
-    if conf_path.exists():
-        return _read_image(conf_path)
-    return depth.valid.astype(np.float32)
+    def depth(self, view, frame=None):
+        """A checked view's depth map, read band by band into frame, a (values, valid) pair, or fresh arrays.
+
+        A file whose header no longer has its checked shape is rejected
+        before a byte is read into frame.
+        """
+        path, shape = _scene_paths(self.root, view)[1], self.shapes[view]
+        with _reading(path), formats.open_pfm(path) as pfm:
+            if pfm.shape != shape:
+                raise ValueError(f"depth shape {pfm.shape} is not the {shape} it had when the scene was checked")
+            return pfm.depth(frame)
+
+    def confidence(self, view, depth) -> np.ndarray:
+        """A view's confidence map at its file's float32 (4 B/px, not 8); without a file, depth's validity."""
+        conf_path = _scene_paths(self.root, view)[2]
+        if conf_path.exists():
+            return _read_image(conf_path)
+        return depth.valid.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -281,47 +281,39 @@ class _Frame:
     def __init__(self):
         self._arrays = None
 
-    def read(self, path, shape):
-        """The depth map in the file at path, whose checked shape is shape, read into the frame."""
+    def read(self, scene, view):
+        """The depth map of a checked view of scene, read into the frame."""
+        shape = scene.shapes[view]
         if self._arrays is None or self._arrays[0].shape != shape:
             self._arrays = None  # the old frame goes before the new one is made
             self._arrays = (np.empty(shape, np.float32), np.empty(shape, bool))
-        return _read_depth(path, shape, self._arrays)
+        return scene.depth(view, self._arrays)
 
 
 class _Sources(Sequence):
-    """A reference's sources for stage_penalties: item i reads source i's depth into one frame, which item i + 1 overwrites.
+    """A reference's sources for stage_penalties: item i reads source ids[i]'s depth into frame, which i + 1 overwrites."""
 
-    views holds each source's (depth path, checked shape, camera).
-    """
-
-    def __init__(self, views, frame: _Frame):
-        self._views, self._frame = views, frame
+    def __init__(self, scene, ids, frame: _Frame):
+        self._scene, self._ids, self._frame = scene, ids, frame
 
     def __len__(self):
-        return len(self._views)
+        return len(self._ids)
 
     def __getitem__(self, i):
-        path, shape, cam = self._views[i]
-        return self._frame.read(path, shape), cam
+        view = self._ids[i]
+        return self._frame.read(self._scene, view), self._scene.cams[view]
 
 
 def _cmd_gc_penalty(args) -> int:
     if len(args.d_pixel) != len(args.d_depth):
         raise ValueError("--d-pixel and --d-depth need the same number of stages")
     # Every check that can reject the scene runs here, before any file is
-    # written: pair.txt, every camera and every depth file's header.  A
-    # header whose shape and payload size check out leaves no payload
-    # byte that can fail to decode, so the depths are read only as the
-    # references are checked.
-    pairings, cams, shapes = _load_scene(args.scene, depth=_depth_shape)
-    by_ref = {p.reference: p for p in pairings}
+    # written; the depths are read only as the references are checked.
+    scene = _Scene(args.scene)
+    shapes = scene.shapes
     jobs = []
-    for ref_id in args.ref if args.ref else sorted(by_ref):
-        if ref_id not in by_ref:
-            raise FileNotFoundError(f"view {ref_id} not present in {Path(args.scene) / 'pair.txt'}")
-        pairing = by_ref[ref_id]
-        src_ids = pairing.top(args.num_sources) if args.num_sources else [i for i, _ in pairing.ranked_sources]
+    for ref_id in args.ref if args.ref else sorted(scene.pairings):
+        src_ids = scene.sources(ref_id, args.num_sources)
         if not src_ids:
             raise ValueError(f"view {ref_id} has no source views in pair.txt")
         for s in src_ids:
@@ -341,11 +333,10 @@ def _cmd_gc_penalty(args) -> int:
     # which hold vote counts; each stage's levels are derived only as the
     # stage is written, and the maps are dropped before the next
     # reference is checked.
-    scene, ref_frame, src_frame = Path(args.scene), _Frame(), _Frame()
+    ref_frame, src_frame = _Frame(), _Frame()
     for ref_id, src_ids in jobs:
-        d_ref = ref_frame.read(_scene_paths(scene, ref_id)[1], shapes[ref_id])
-        sources = _Sources([(_scene_paths(scene, s)[1], shapes[s], cams[s]) for s in src_ids], src_frame)
-        penalties = stage_penalties(d_ref, cams[ref_id], sources, stages, args.range)
+        d_ref = ref_frame.read(scene, ref_id)
+        penalties = stage_penalties(d_ref, scene.cams[ref_id], _Sources(scene, src_ids, src_frame), stages, args.range)
         view_doc = {"sources": src_ids, "stages": []}
         valid = d_ref.valid
         for s, penalty in enumerate(penalties):
@@ -416,15 +407,12 @@ def _open_loss_stage(files, vol_path, gt_path, pen_path):
 
 
 def _cmd_fuse(args) -> int:
-    pairings, cams, depths = _load_scene(args.scene)
-    order = sorted(p.reference for p in pairings)
+    scene = _Scene(args.scene)
+    order = sorted(scene.pairings)
     index = {view: i for i, view in enumerate(order)}
-    by_ref = {p.reference: p for p in pairings}
-    views = [(depths[v], _load_confidence(args.scene, v, depths[v]), cams[v]) for v in order]
-    pairs = []
-    for v in order:
-        srcs = [index[s] for s, _ in by_ref[v].ranked_sources if s in index]
-        pairs.append(srcs)
+    depths = [scene.depth(v) for v in order]
+    views = [(d, scene.confidence(v, d), scene.cams[v]) for v, d in zip(order, depths)]
+    pairs = [[index[s] for s in scene.sources(v) if s in index] for v in order]
     params = FusionParams(
         mode=args.mode,
         disparity_threshold=args.disp_thresh,
@@ -495,11 +483,11 @@ def _cmd_eval_depth(args) -> int:
 
 
 def _cmd_warp(args) -> int:
-    _, cams, depths = _load_scene(args.scene, (args.ref, args.src))
-    d_ref = depths[args.ref]
+    scene = _Scene(args.scene, (args.ref, args.src))
+    d_ref, cams = scene.depth(args.ref), scene.cams
     x, y, d, ok = outs = tuple(np.empty(d_ref.shape, dtype=dtype) for dtype in _WARP)
     errors = np.empty((2,) + d_ref.shape)
-    for sel, band, _, back, failed in _chain(d_ref, cams[args.ref], depths[args.src], cams[args.src], outs):
+    for sel, band, _, back, failed in _chain(d_ref, cams[args.ref], scene.depth(args.src), cams[args.src], outs):
         _pair_errors(*band, *back[:3], failed, errors[:, sel])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -334,11 +334,6 @@ def _depth_bands(d: DepthMap, floats=0, bools=0, pixels=None):
         yield sel, (xs, ys, depth, valid), f[:floats], b[:bools]
 
 
-def _forward(transform, xs, ys, depth, valid, out, tmp, failed):
-    """Forward warp of reference pixels at (xs, ys) with float64 depths `depth` and validity `valid` into `out`."""
-    _apply_warp(transform, xs, ys, depth, valid, out, tmp, failed)
-
-
 def _corners(src_map: DepthMap):
     """Flat offsets of a bilinear cell's right and lower corners, and its corner-validity map.
 
@@ -471,7 +466,7 @@ def _chain(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, back_out,
     for sel, band, f, b in _depth_bands(d_ref, 10, 4, pixels):
         x, y, s = f[:3]  # s: the forward depth, then the sample
         landed, sampled, failed = b[:3]
-        _forward(forward, *band, (x, y, s, landed), f[3], failed)
+        _apply_warp(forward, *band, (x, y, s, landed), f[3], failed)
         _sample(d_src, corners, x, y, landed, (s, sampled), f[3:10], failed)
         # f[4:7] and b[3] are free once the sample is done.
         out = tuple(spare if a is None else a[sel] for a, spare in zip(back_out, (*f[4:7], b[3])))
@@ -509,7 +504,7 @@ def forward_project(d_ref: DepthMap, ref: Camera, src: Camera) -> tuple[Coordina
     transform = warp_transform(ref, src)
     outs = x2, y2, d2, ok = tuple(np.empty(d_ref.shape, dtype=dtype) for dtype in _WARP)
     for rows, band, f, b in _depth_bands(d_ref, 1, 1):
-        _forward(transform, *band, tuple(a[rows] for a in outs), f[0], b[0])
+        _apply_warp(transform, *band, tuple(a[rows] for a in outs), f[0], b[0])
     return _wrap(CoordinateGrid, x=x2, y=y2, valid=ok), _wrap(DepthMap, values=d2, valid=ok)
 
 

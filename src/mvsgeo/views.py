@@ -7,7 +7,8 @@ over all sample points.
 
 pair.txt: the pairing count, then per pairing a line with the reference
 view id (each listed once) and one "n id1 score1 id2 score2 ...", split
-by formats._text_lines and formats._fields; blank lines are skipped.
+by formats._text_lines and formats._fields; blank lines are skipped, and
+a non-blank line after the last pairing is an error.
 """
 
 import math
@@ -129,6 +130,8 @@ def parse_pair_text(text: str) -> list[ViewPairing]:
                 raise ParseError(str(exc), line=ln) from None
     except StopIteration:
         raise ParseError("unexpected end of pair file", line=len(lines)) from None
+    for ln, line in content:
+        raise ParseError(f"unexpected line after the last pairing: {line!r}", line=ln)
     return list(pairings.values())
 
 
@@ -145,8 +148,9 @@ def format_pair_text(pairings) -> str:
 
 
 def load_pairing(path) -> list[ViewPairing]:
-    """Read and parse a pair.txt file."""
-    return parse_pair_text(Path(path).read_text())
+    """Read and parse a pair.txt file, with no newline translation, so it is parsed as written."""
+    with open(path, newline="") as text:
+        return parse_pair_text(text.read())
 
 
 def save_pairing(pairings, path) -> None:

@@ -504,13 +504,13 @@ def oracle_cam(text):
 def oracle_pair(text):
     """The pairings of a pair.txt, [(reference id, ((source id, score), ...)), ...], or None.
 
-    Blank lines are skipped; lines after the last pairing are not read.
+    Blank lines are skipped; a non-blank line after the last pairing rejects the file.
     """
     rows = [row for row in _text_rows(text) if row != b""]
     if not rows or not rows[0].isdigit():
         return None
     count = int(rows[0])
-    if len(rows) < 1 + 2 * count:
+    if len(rows) != 1 + 2 * count:
         return None
     pairings = []
     for k in range(count):

@@ -236,16 +236,16 @@ def test_gc_penalty_checks_references_in_order_on_the_calling_thread(six_view_sc
 
     from mvsgeo import cli
 
-    # A reference is known by the depth file its map was read from.
+    # A reference is known by the view its map was read for.
     caller, before = threading.current_thread(), threading.active_count()
     order = [3, 0, 5, 1]
     out = tmp_path / "p"
-    read, compute = cli._read_depth, cli.stage_penalties
+    read, compute = cli._Scene.depth, cli.stage_penalties
     maps, checked = [], []
 
-    def reading(path, *args):
-        depth = read(path, *args)
-        maps.append((int(Path(path).stem), depth))
+    def reading(scene, view, *args):
+        depth = read(scene, view, *args)
+        maps.append((view, depth))
         return depth
 
     def recording_compute(d_ref, *args):
@@ -254,7 +254,7 @@ def test_gc_penalty_checks_references_in_order_on_the_calling_thread(six_view_sc
         checked.append((ref_id, threading.current_thread(), threading.active_count(), written))
         return compute(d_ref, *args)
 
-    monkeypatch.setattr(cli, "_read_depth", reading)
+    monkeypatch.setattr(cli._Scene, "depth", reading)
     monkeypatch.setattr(cli, "stage_penalties", recording_compute)
     code, stdout, _ = run_cli(capsys, "gc-penalty", "--scene", str(six_view_scene), "--out", str(out),
                               "--ref", *map(str, order), "--d-pixel", "1.0", "--d-depth", "0.01",
@@ -287,20 +287,19 @@ def test_gc_penalty_holds_one_reference(six_view_scene, tmp_path, capsys, monkey
 
     w, h, n_stages = 80, 64, 3
     monkeypatch.setattr(reproject, "_BAND_PIXELS", 8 * w)
-    load, loaded = cli._load_scene, []
+    load, loaded = cli._Scene.__init__, []
     emit, written = cli._emit_json, []
 
     def loading(*args, **kwargs):
-        scene = load(*args, **kwargs)
+        load(*args, **kwargs)
         loaded.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
-        return scene
 
     def emitting(*args):
         written.append(tracemalloc.get_traced_memory()[1])
         return emit(*args)
 
-    monkeypatch.setattr(cli, "_load_scene", loading)
+    monkeypatch.setattr(cli._Scene, "__init__", loading)
     monkeypatch.setattr(cli, "_emit_json", emitting)
     argv = ["gc-penalty", "--scene", str(six_view_scene), "--out", str(tmp_path / "p"), "--threads", str(threads)]
     assert run_cli(capsys, *argv)[0] == 0  # first-call allocations out of the measurement
@@ -383,14 +382,14 @@ def test_gc_penalty_rejects_a_depth_file_changed_after_the_check(six_view_scene,
         message = str(rejected.value)
     else:
         message = f"depth shape {formats.read_pfm(changed).data.shape} is not the (64, 80) it had when the scene was checked"
-    read = cli._read_depth
+    read = cli._Scene.depth
 
-    def changing(path, *args):
-        if Path(path).name == "00000002.pfm":
+    def changing(scene, view, *args):
+        if view == 2:
             victim.write_bytes(changed)
-        return read(path, *args)
+        return read(scene, view, *args)
 
-    monkeypatch.setattr(cli, "_read_depth", changing)
+    monkeypatch.setattr(cli._Scene, "depth", changing)
     code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
     assert (code, stdout) == (3, "")
     assert err == f"mvsgeo: error: {victim}: {message}\n"
@@ -992,6 +991,64 @@ def test_a_reference_listed_twice_in_pair_file_exits_3(plane_scene, tmp_path, ca
     assert (code, stdout) == (3, "")
     assert err == f"mvsgeo: error: {pair}: reference view 0 listed twice (line {2 * int(count) + 2})\n"
     assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize("command, argv", [("fuse", ["--num-consistent", "2"]), ("warp", ["--ref", "3", "--src", "0"])])
+def test_fuse_and_warp_check_the_scene_before_reading_a_depth(plane_scene, tmp_path, capsys, monkeypatch, command,
+                                                              argv):
+    # fuse and warp check their views up front, as gc-penalty does: the
+    # last view's 3-channel depth file is rejected by name before any
+    # depth map is read (both would read view 0's first) and before any
+    # output is made.
+    victim = plane_scene / "depths" / "00000003.pfm"
+    victim.write_bytes(CORRUPTIONS["3-channel"](victim.read_bytes()))
+    with pytest.raises(ValueError) as rejected:
+        _depth_of(victim.read_bytes())
+    depth, reads = formats._PfmFile.depth, []
+
+    def reading(pfm, *args):
+        reads.append(pfm)
+        return depth(pfm, *args)
+
+    monkeypatch.setattr(formats._PfmFile, "depth", reading)
+    out = tmp_path / "out"
+    target = out / "cloud.ply" if command == "fuse" else out
+    code, stdout, err = run_cli(capsys, command, "--scene", str(plane_scene), "--out", str(target), *argv)
+    assert (code, stdout, reads) == (3, "", [])
+    assert err == f"mvsgeo: error: {victim}: {rejected.value}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, out, argv", [
+    ("gc-penalty", "pen", []), ("fuse", "cloud.ply", ["--num-consistent", "2"]),
+    ("warp", "warp", ["--ref", "0", "--src", "1"]),
+])
+@pytest.mark.parametrize("case", ["lone CR in pair.txt", "lone CR in a cam", "line after the last pairing"])
+def test_scene_text_is_read_as_its_parser_reads_it(plane_scene, tmp_path, capsys, command, out, argv, case):
+    # No newline translation: a lone "\r" ends no line, so the file is
+    # rejected at its line, as parse_pair_text and read_cam reject its
+    # text (read_text() turned "\r" into "\n" and the scene read).  A
+    # pair.txt line after the last pairing is an error, not dropped.
+    path = plane_scene / ("cams/00000000_cam.txt" if case == "lone CR in a cam" else "pair.txt")
+    text = path.read_text()
+    text = text + "1\n" if case == "line after the last pairing" else text.replace("\n", "\r")
+    path.write_bytes(text.encode())
+    with pytest.raises(formats.ParseError) as rejected:
+        (formats.read_cam if "cam" in case else parse_pair_text)(text)
+    code, stdout, err = run_cli(capsys, command, "--scene", str(plane_scene), "--out", str(tmp_path / out), *argv)
+    assert (code, stdout) == (3, "")
+    assert err == f"mvsgeo: error: {path}: {rejected.value}\n"
+    assert not (tmp_path / out).exists()
+
+
+def test_a_scene_with_crlf_line_ends_reads_as_with_lf(plane_scene, tmp_path, capsys):
+    argv = ["--ref", "0", "2", "--num-sources", "2"]
+    assert run_cli(capsys, "gc-penalty", "--scene", str(plane_scene), "--out", str(tmp_path / "lf"), *argv)[0] == 0
+    for path in [plane_scene / "pair.txt", *(plane_scene / "cams").iterdir()]:
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert run_cli(capsys, "gc-penalty", "--scene", str(plane_scene), "--out", str(tmp_path / "crlf"), *argv)[0] == 0
+    for name in sorted(p.name for p in (tmp_path / "lf").iterdir()):
+        assert (tmp_path / "lf" / name).read_bytes() == (tmp_path / "crlf" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("gts, stages, message", [

@@ -139,15 +139,19 @@ def test_a_loaded_scene_holds_five_bytes_per_pixel_and_view(tmp_path):
     scene = tmp_path / "scene"
     assert cli.main(["synth", "--out", str(scene), "--kind", "two-planes",
                      "--width", str(w), "--height", str(h), "--views", str(views)]) == 0
-    cli._load_scene(str(scene))  # first-call allocations (imports, caches)
+    def load():
+        opened = cli._Scene(scene)
+        return opened, {v: opened.depth(v) for v in opened.shapes}
+
+    load()  # first-call allocations (imports, caches)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        loaded = cli._load_scene(str(scene))
+        loaded = load()
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    depths = loaded[2]
+    _, depths = loaded
     assert all(d.values.dtype == np.float32 for d in depths.values())
     assert held <= views * (5 * w * h + 4096), held
 

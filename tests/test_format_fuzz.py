@@ -15,9 +15,9 @@ for a payload the file does not hold.
 cam.txt and pair.txt texts (write_cam's and format_pair_text's) are
 mutated by character flips, truncations and line edits: a space or a
 line break replaced by a non-ASCII separator or "\r\n", a blank line
-put in, a field replaced by "1_0", "nan" and other edges.  read_cam and
-parse_pair_text give their oracle's values, bit for bit, or raise
-ParseError where it rejects, and no other exception.
+put in, a line appended, a field replaced by "1_0", "nan" and other
+edges.  read_cam and parse_pair_text give their oracle's values, bit for
+bit, or raise ParseError where it rejects, and no other exception.
 """
 
 import tracemalloc
@@ -314,7 +314,8 @@ def _valid_pair(draw) -> str:
 def text_mutants(draw, valid):
     text = draw(valid())
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["flip", "truncate", "space", "line break", "blank line", "field"]))
+        kind = draw(st.sampled_from(["flip", "truncate", "space", "line break", "blank line", "appended line",
+                                     "field"]))
         spaces = [k for k, c in enumerate(text) if c == " "]
         breaks = [k for k, c in enumerate(text) if c == "\n"]
         if kind == "flip" and text:
@@ -328,6 +329,8 @@ def text_mutants(draw, valid):
         elif kind == "blank line" and breaks:
             at = draw(st.sampled_from(breaks))
             text = text[:at] + draw(st.sampled_from(["\n", "\n \t", "\r\n"])) + text[at:]
+        elif kind == "appended line":
+            text += draw(st.sampled_from(["0\n", "1 0 0.5\n", "x", " \n", "\n"]))
         elif kind == "field":
             lines = text.split("\n")
             i = draw(st.integers(0, len(lines) - 1))

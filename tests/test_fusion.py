@@ -376,24 +376,23 @@ def test_fused_cloud_is_band_invariant(monkeypatch, kind, w, h, n, seed):
 def test_one_forward_warp_per_pair(monkeypatch):
     # Each pair of a reference with pixels left to fuse builds its forward
     # and back transform once (inside reproject's pair check) and warps
-    # forward once per chunk of those pixels, reusing that warp for the
-    # back half instead of going through forward_project or fbr.  A
-    # reference with no pixel left to fuse (view 3, whose confidence is 0)
-    # checks no pair.
+    # twice per chunk of those pixels, forward and back, instead of going
+    # through forward_project or fbr.  A reference with no pixel left to
+    # fuse (view 3, whose confidence is 0) checks no pair.
     import mvsgeo.fusion
     import mvsgeo.reproject
 
-    transforms, forwards, eligible = [], [], []
-    original_transform, original_forward = mvsgeo.reproject.warp_transform, mvsgeo.reproject._forward
+    transforms, warps, eligible = [], [], []
+    original_transform, original_warp = mvsgeo.reproject.warp_transform, mvsgeo.reproject._apply_warp
     original_stacks = mvsgeo.fusion._new_stacks
 
     def counting_transform(ref, src):
         transforms.append((id(ref), id(src)))
         return original_transform(ref, src)
 
-    def counting_forward(*args, **kwargs):
-        forwards.append(1)
-        return original_forward(*args, **kwargs)
+    def counting_warp(*args, **kwargs):
+        warps.append(1)
+        return original_warp(*args, **kwargs)
 
     def recording_stacks(n_src, n):
         eligible.append(n)  # drawn in reference order
@@ -403,7 +402,7 @@ def test_one_forward_warp_per_pair(monkeypatch):
         raise AssertionError("fusion must not call the full-frame reprojection")
 
     monkeypatch.setattr(mvsgeo.reproject, "warp_transform", counting_transform)
-    monkeypatch.setattr(mvsgeo.reproject, "_forward", counting_forward)
+    monkeypatch.setattr(mvsgeo.reproject, "_apply_warp", counting_warp)
     monkeypatch.setattr(mvsgeo.fusion, "_new_stacks", recording_stacks)
     for name in ("forward_project", "fbr"):
         monkeypatch.setattr(mvsgeo.reproject, name, refused)
@@ -418,7 +417,7 @@ def test_one_forward_warp_per_pair(monkeypatch):
     expected = [(cams[r], cams[s]) for r, srcs in enumerate(pairs) for s in srcs if eligible[r]]
     expected += [(b, a) for a, b in expected]
     assert sorted(transforms) == sorted(expected)
-    assert len(forwards) == sum(len(srcs) * -(-eligible[r] // chunk) for r, srcs in enumerate(pairs))
+    assert len(warps) == 2 * sum(len(srcs) * -(-eligible[r] // chunk) for r, srcs in enumerate(pairs))
 
 
 def test_colors_sampled_from_images(rng):

@@ -472,7 +472,7 @@ def test_forward_warp_makes_no_band_sized_copy(dtype):
         if dtype == np.float32:  # as _depth_bands widens a band
             np.copyto(wide, depth)
             depth = wide
-        reproject._forward(transform, xs, ys, depth, d_ref.valid, out, tmp, failed)
+        reproject._apply_warp(transform, xs, ys, depth, d_ref.valid, out, tmp, failed)
 
     forward()  # first-call allocations
     tracemalloc.start()

@@ -184,6 +184,13 @@ PAIR_MALFORMED = [
     # fused twice.
     ("2\n0\n1 1 0.5\n0\n1 1 0.5\n", "reference view 0 listed twice (line 4)"),
     ("3\n0\n1 1 0.5\n1\n1 0 0.5\n\n0\n1 1 0.25\n", "reference view 0 listed twice (line 7)"),
+    # A count one short dropped the last pairing: a non-blank line after
+    # the last pairing is an error, at its line.
+    ("1\n0\n1 1 0.5\n1\n1 0 0.5\n", "unexpected line after the last pairing: '1' (line 4)"),
+    ("1\n0\n1 1 0.5\n\n \t\nx", "unexpected line after the last pairing: 'x' (line 6)"),
+    ("0\n0\n", "unexpected line after the last pairing: '0' (line 2)"),
+    # "\r" alone ends no line.
+    ("1\r0\r1 1 0.5\r", "expected pairing count, got '1\\r0\\r1 1 0.5' (line 1)"),
 ]
 # Lines end at "\n" and fields are split at ASCII whitespace alone: a
 # non-ASCII separator or line break is a field character, so its line is
@@ -210,3 +217,20 @@ def test_pair_file_with_crlf_line_ends_reads_as_with_lf():
         return [(p.reference, [(i, score.hex()) for i, score in p.ranked_sources]) for p in pairings]
 
     assert bits(parse_pair_text(text.replace("\n", "\r\n"))) == bits(parse_pair_text(text))
+
+
+def test_load_pairing_reads_line_ends_as_parse_pair_text_does(tmp_path):
+    # No newline translation: a lone "\r" ends no line, as in
+    # parse_pair_text (read_text() made it one), and "\r\n" files read
+    # bit for bit as their "\n" forms.
+    pairings = [ViewPairing(0, ((2, 1.5), (1, -0.25))), ViewPairing(2, ()), ViewPairing(1, ((0, 3e-5),))]
+    text, path = format_pair_text(pairings), tmp_path / "pair.txt"
+    path.write_bytes(text.replace("\n", "\r").encode())
+    with pytest.raises(ParseError, match=r"expected pairing count, got .* \(line 1\)"):
+        load_pairing(path)
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+
+    def bits(pairings):
+        return [(p.reference, [(i, score.hex()) for i, score in p.ranked_sources]) for p in pairings]
+
+    assert bits(load_pairing(path)) == bits(pairings)
