@@ -4,7 +4,8 @@ Core pieces: pinhole projection primitives, forward-backward reprojection
 of depth maps, multi-view inconsistency penalties, penalty-weighted
 classification loss, plane-sweep hypothesis generation, depth-map fusion
 into point clouds, point-cloud and depth metrics, analytic synthetic
-scenes, and readers/writers for the ecosystem file formats.
+scenes, the scene directory reader (Scene), and readers/writers for the
+ecosystem file formats.
 """
 
 from .camera import Camera, Pixel, back_project, pixel_grid, project, warp_transform
@@ -41,6 +42,6 @@ from .penalty import (
     stage_penalties,
 )
 from .reproject import CoordinateGrid, DepthMap, fbr, forward_project, remap
-from .views import ViewPairing, load_pairing, rank_sources, save_pairing, view_score
+from .views import Scene, ViewPairing, load_pairing, rank_sources, save_pairing, view_score
 
 __version__ = "0.1.0"

@@ -8,29 +8,17 @@ named in front of the reader's message, "<path>: <message>", whether
 it is rejected when opened or, for a loss input, as it is scored.
 Every command accepts --threads (default 1); only eval-pc uses it, and
 its output is byte-identical for any thread count.  gc-penalty, fuse
-and warp open their scene one way (_Scene): before any depth map is read
-or file written, pair.txt, every camera and each depth file's header are
-read (warp: of its two views).  gc-penalty then checks every reference,
-and runs them in order on the calling thread, writing each one's PFMs
-and summary entry before it checks the next; references on threads were
-GIL-bound (at 640 x 512 x 5 views, two threads took 0.75-0.86 s of CPU
-for 0.50-0.68 s of wall time, one thread 0.60-0.71 s for 0.61-0.77 s).
-It holds two depth maps, the reference's and the source's of the pair
-being checked, each read as it is needed into a frame that the next read
-overwrites, so its memory does not grow with the view count.  fuse runs
-its references in order on one thread too, with every reference's depth
-loaded first.  eval-pc checks --max-dist before it reads either cloud,
-then reads each one's points through formats.open_ply and hands them to
-the search as read.
-
-Scene directory convention (emitted by synth, consumed by the rest):
-
-    scene/
-      pair.txt                   view pairing (ids + scores)
-      cams/{i:08d}_cam.txt       per-view camera
-      depths/{i:08d}.pfm         per-view depth, 0 marks invalid pixels
-      confidence/{i:08d}.pfm     optional per-view confidence in [0, 1]
-      spec.json, gt_cloud.ply    synth provenance and exact surface samples
+and warp read every camera and depth through views.Scene, the one scene
+reader, which checks the scene (warp: its two views) before any depth
+map is read or file written.  gc-penalty checks each reference's sources
+up front (Scene.source_views), then runs the references in order on the
+calling thread (threads were GIL-bound), writing each one's PFMs and
+summary entry before it checks the next; it holds the scene's two depth
+frames, so its memory does not grow with the view count.  fuse runs its
+references in order on one thread too, with every reference's depth
+loaded first.  eval-pc checks --max-dist before it reads either
+cloud, then reads each one's points through formats.open_ply and hands
+them to the search as read.
 """
 
 import argparse
@@ -39,7 +27,6 @@ import functools
 import json
 import math
 import sys
-from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +44,7 @@ from .penalty import (
     stage_penalties,
 )
 from .reproject import _WARP, _chain, _pair_errors
-from .views import load_pairing, rank_sources, save_pairing
+from .views import Scene, _read_image, _reading, rank_sources, save_pairing
 
 __all__ = ["main"]
 
@@ -85,24 +72,6 @@ def _count_type(minimum: int):
     return parse
 
 
-class _NamedError(ValueError):
-    """A ValueError with the path of the file it came from in front (see _reading)."""
-
-
-@contextlib.contextmanager
-def _reading(path):
-    """Name path in front of the ValueError (a ParseError among them) that its file's contents raise within.
-
-    An error a nested _reading has named keeps the name of its own file.
-    """
-    try:
-        yield
-    except _NamedError:
-        raise
-    except ValueError as exc:
-        raise _NamedError(f"{path}: {exc}") from None
-
-
 class _NamedBands:
     """A PFM opened with formats.open_pfm whose band reads (loss._band_reader) name its path, as _reading does."""
 
@@ -115,12 +84,6 @@ class _NamedBands:
 
     def close(self):
         self._pfm.close()
-
-
-def _read_image(path):
-    """The image in a PFM file, read band by band (_PfmFile.image), named as _reading names it."""
-    with _reading(path), formats.open_pfm(Path(path)) as pfm:
-        return pfm.image()
 
 
 def _read_depth(path):
@@ -146,77 +109,6 @@ def _emit_json(doc: dict, out: str | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# scene directory access
-# ---------------------------------------------------------------------------
-
-
-def _scene_paths(scene: Path, view: int):
-    return (
-        scene / "cams" / f"{view:08d}_cam.txt",
-        scene / "depths" / f"{view:08d}.pfm",
-        scene / "confidence" / f"{view:08d}.pfm",
-    )
-
-
-class _Scene:
-    """A scene directory, checked when opened: pair.txt, then the cameras and depth headers of `views`.
-
-    views defaults to every view pair.txt names; one it does not name, or
-    a missing camera or depth file, is a missing input.  A header whose
-    shape and payload size check out leaves no payload byte that can fail
-    to decode, so a depth is read only when asked for.  cam.txt is read
-    with no newline translation, as load_pairing reads pair.txt.
-    """
-
-    def __init__(self, root, views=None):
-        self.root = Path(root)
-        pair_path = self.root / "pair.txt"
-        with _reading(pair_path):
-            self.pairings = {p.reference: p for p in load_pairing(pair_path)}
-        named = set(self.pairings) | {s for p in self.pairings.values() for s, _ in p.ranked_sources}
-        ids = sorted(named if views is None else set(views))
-        for view in ids:
-            if view not in named:
-                raise FileNotFoundError(f"view {view} not present in scene {root}")
-            for path in _scene_paths(self.root, view)[:2]:
-                if not path.exists():
-                    raise FileNotFoundError(str(path))
-        self.cams, self.shapes = {}, {}
-        for view in ids:
-            cam_path, depth_path, _ = _scene_paths(self.root, view)
-            with _reading(cam_path), open(cam_path, newline="") as text:
-                self.cams[view] = formats.read_cam(text.read())
-            with _reading(depth_path), formats.open_pfm(depth_path) as pfm:
-                self.shapes[view] = pfm.depth_shape
-
-    def sources(self, ref, m=0):
-        """The ids of reference ref's top m sources (all for 0), in pair.txt's order."""
-        if ref not in self.pairings:
-            raise FileNotFoundError(f"view {ref} not present in {self.root / 'pair.txt'}")
-        pairing = self.pairings[ref]
-        return pairing.top(m or len(pairing.ranked_sources))
-
-    def depth(self, view, frame=None):
-        """A checked view's depth map, read band by band into frame, a (values, valid) pair, or fresh arrays.
-
-        A file whose header no longer has its checked shape is rejected
-        before a byte is read into frame.
-        """
-        path, shape = _scene_paths(self.root, view)[1], self.shapes[view]
-        with _reading(path), formats.open_pfm(path) as pfm:
-            if pfm.shape != shape:
-                raise ValueError(f"depth shape {pfm.shape} is not the {shape} it had when the scene was checked")
-            return pfm.depth(frame)
-
-    def confidence(self, view, depth) -> np.ndarray:
-        """A view's confidence map at its file's float32 (4 B/px, not 8); without a file, depth's validity."""
-        conf_path = _scene_paths(self.root, view)[2]
-        if conf_path.exists():
-            return _read_image(conf_path)
-        return depth.valid.astype(np.float32)
-
-
-# ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
 
@@ -224,12 +116,12 @@ class _Scene:
 def _cmd_synth(args) -> int:
     spec = synth.make_scene(args.kind, args.width, args.height, args.views, args.seed)
     out = Path(args.out)
-    for path in _scene_paths(out, 0):
+    for path in Scene._files(out, 0):
         path.parent.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed + 1)
     gt_points = []
     for v, cam in enumerate(spec.cameras):
-        cam_path, depth_path, conf_path = _scene_paths(out, v)
+        cam_path, depth_path, conf_path = Scene._files(out, v)
         depth = synth.render_depth(spec, v)[0]
         cam_path.write_text(formats.write_cam(cam))
         values = depth.values
@@ -275,69 +167,26 @@ def _cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Frame:
-    """One depth map's float32 values and bool validity, which each read overwrites; remade for another shape."""
-
-    def __init__(self):
-        self._arrays = None
-
-    def read(self, scene, view):
-        """The depth map of a checked view of scene, read into the frame."""
-        shape = scene.shapes[view]
-        if self._arrays is None or self._arrays[0].shape != shape:
-            self._arrays = None  # the old frame goes before the new one is made
-            self._arrays = (np.empty(shape, np.float32), np.empty(shape, bool))
-        return scene.depth(view, self._arrays)
-
-
-class _Sources(Sequence):
-    """A reference's sources for stage_penalties: item i reads source ids[i]'s depth into frame, which i + 1 overwrites."""
-
-    def __init__(self, scene, ids, frame: _Frame):
-        self._scene, self._ids, self._frame = scene, ids, frame
-
-    def __len__(self):
-        return len(self._ids)
-
-    def __getitem__(self, i):
-        view = self._ids[i]
-        return self._frame.read(self._scene, view), self._scene.cams[view]
-
-
 def _cmd_gc_penalty(args) -> int:
     if len(args.d_pixel) != len(args.d_depth):
         raise ValueError("--d-pixel and --d-depth need the same number of stages")
     # Every check that can reject the scene runs here, before any file is
     # written; the depths are read only as the references are checked.
-    scene = _Scene(args.scene)
-    shapes = scene.shapes
-    jobs = []
-    for ref_id in args.ref if args.ref else sorted(scene.pairings):
-        src_ids = scene.sources(ref_id, args.num_sources)
-        if not src_ids:
-            raise ValueError(f"view {ref_id} has no source views in pair.txt")
-        for s in src_ids:
-            if shapes[s] != shapes[ref_id]:
-                raise ValueError(f"view {s} depth shape {shapes[s]} does not match "
-                                 f"reference view {ref_id} {shapes[ref_id]}")
-        jobs.append((ref_id, src_ids))
+    scene = Scene(args.scene)
+    jobs = [(ref_id, scene.source_views(ref_id, args.num_sources)) for ref_id in args.ref or sorted(scene.pairings)]
     stages = [GcThresholds(dp, dd) for dp, dd in zip(args.d_pixel, args.d_depth)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = {"range_mode": args.range, "stages": [
         {"d_pixel": t.d_pixel, "d_depth": t.d_depth} for t in stages], "views": {}}
 
-    # Two depth maps are held, each in a frame that its next read
-    # overwrites: the reference's, and the source's of the pair being
-    # checked.  A reference in flight is also its per-stage penalty maps,
-    # which hold vote counts; each stage's levels are derived only as the
-    # stage is written, and the maps are dropped before the next
-    # reference is checked.
-    ref_frame, src_frame = _Frame(), _Frame()
-    for ref_id, src_ids in jobs:
-        d_ref = ref_frame.read(scene, ref_id)
-        penalties = stage_penalties(d_ref, scene.cams[ref_id], _Sources(scene, src_ids, src_frame), stages, args.range)
-        view_doc = {"sources": src_ids, "stages": []}
+    # A reference in flight is the scene's two depth frames and its
+    # per-stage vote counts; each stage's levels are derived only as the
+    # stage is written, and the maps go before the next reference.
+    for ref_id, sources in jobs:
+        d_ref = scene.reference(ref_id)
+        penalties = stage_penalties(d_ref, scene.cams[ref_id], sources, stages, args.range)
+        view_doc = {"sources": sources.ids, "stages": []}
         valid = d_ref.valid
         for s, penalty in enumerate(penalties):
             path = out / f"penalty_{ref_id:08d}_stage{s}.pfm"
@@ -407,7 +256,7 @@ def _open_loss_stage(files, vol_path, gt_path, pen_path):
 
 
 def _cmd_fuse(args) -> int:
-    scene = _Scene(args.scene)
+    scene = Scene(args.scene)
     order = sorted(scene.pairings)
     index = {view: i for i, view in enumerate(order)}
     depths = [scene.depth(v) for v in order]
@@ -483,12 +332,12 @@ def _cmd_eval_depth(args) -> int:
 
 
 def _cmd_warp(args) -> int:
-    scene = _Scene(args.scene, (args.ref, args.src))
+    scene = Scene(args.scene, (args.ref, args.src))
     d_ref, cams = scene.depth(args.ref), scene.cams
     x, y, d, ok = outs = tuple(np.empty(d_ref.shape, dtype=dtype) for dtype in _WARP)
     errors = np.empty((2,) + d_ref.shape)
     for sel, band, _, back, failed in _chain(d_ref, cams[args.ref], scene.depth(args.src), cams[args.src], outs):
-        _pair_errors(*band, *back[:3], failed, errors[:, sel])
+        _pair_errors(*band[:3], *back[:3], failed, errors[:, sel])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tag = f"{args.ref:08d}_{args.src:08d}"

@@ -122,7 +122,7 @@ def inconsistency_mask(
     for rows, band, (pde, rdd), (failed, spare) in _depth_bands(d_ref, 2, 2):
         np.logical_and(d_reproj.valid[rows], p_reproj.valid[rows], out=failed)
         np.logical_not(failed, out=failed)
-        _pair_errors(*band, p_reproj.x[rows], p_reproj.y[rows], d_reproj.values[rows], failed, (pde, rdd))
+        _pair_errors(*band[:3], p_reproj.x[rows], p_reproj.y[rows], d_reproj.values[rows], failed, (pde, rdd))
         _add_votes(d_ref.valid[rows], pde, rdd, failed, spare, [thresholds], [mask[rows]])
     return mask
 

@@ -81,6 +81,9 @@ _pair_errors is the one pair check: displacement sqrt(dx**2 + dy**2) and
 relative depth difference, inf where `ok` is false (invalid reference
 pixel, behind a camera, off the source, invalid corner), applied per band
 of a _chain walk (_checks, `warp`) or of fbr's frames (inconsistency_mask).
+Its divide |d'' - d| / d is unmasked, as _apply_warp's are: a failed
+pixel's quotient is overwritten, and an overflow (a valid float64 depth
+of 5e-324) gives inf, which votes and passes no fusion row.
 
 gc-penalty and fuse run their references in order on the calling
 thread.  A reference's check is over a hundred short ufunc calls per
@@ -243,13 +246,13 @@ def _apply_warp(transform: np.ndarray, xs, ys, depth, valid, out, tmp, failed):
     (bool) are band-sized scratch; failed is left holding ~ok.
     """
     x2, y2, d2, ok = out
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a failed pixel's quotient is zeroed below
         _warp_row(transform[2], xs, ys, depth, d2, tmp)
         np.greater(d2, W_EPS, out=ok)
         ok &= valid
         for t, acc in ((transform[0], x2), (transform[1], y2)):
             _warp_row(t, xs, ys, depth, acc, tmp)
-            np.divide(acc, d2, out=acc, where=ok)
+            np.divide(acc, d2, out=acc)
     for a in (d2, x2, y2):
         ok &= np.isfinite(a, out=failed)
     np.logical_not(ok, out=failed)
@@ -422,22 +425,22 @@ def _sample(src_map: DepthMap, corners, xs, ys, coords_valid, out, tmp, failed):
     np.copyto(res, 0.0, where=failed)
 
 
-def _pair_errors(xs, ys, depth, valid, x_back, y_back, d_back, failed, out):
+def _pair_errors(xs, ys, depth, x_back, y_back, d_back, failed, out):
     """PDE (px) and RDD of reference pixels at (xs, ys) reprojected to (x_back, y_back, d_back).
 
-    depth is the pixels' reference depths as float64 and valid their
-    validity; xs and ys are their coordinates, per pixel or a broadcast
-    row band's grid vectors (_bands).  Written into out = (pde, rdd) and
-    returned; inf where `failed` (the reprojection is not ok).  out may be
-    (x_back, y_back) themselves: each is read before it is written (fusion
-    reuses them so).
+    depth is the pixels' reference depths as float64; xs and ys are their
+    coordinates, per pixel or a broadcast row band's grid vectors (_bands).
+    Written into out = (pde, rdd) and returned; inf where `failed` (the
+    reprojection is not ok).  out may be (x_back, y_back) themselves: each
+    is read before it is written (fusion reuses them so).
     """
     pde, rdd = out
     np.square(np.subtract(x_back, xs, out=pde), out=pde)
     pde += np.square(np.subtract(y_back, ys, out=rdd), out=rdd)
     np.sqrt(pde, out=pde)
     np.abs(np.subtract(d_back, depth, out=rdd), out=rdd)
-    np.divide(rdd, depth, out=rdd, where=valid)  # the denominator is 1 elsewhere
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(rdd, depth, out=rdd)
     np.copyto(pde, np.inf, where=failed)
     np.copyto(rdd, np.inf, where=failed)
     return pde, rdd
@@ -489,7 +492,7 @@ def _checks(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, dres=Non
     overwritten by the next band.
     """
     for sel, band, landing, back, failed in _chain(d_ref, ref, d_src, src, (None, None, dres, None), pixels):
-        pde, rdd = _pair_errors(*band, *back[:3], failed, back[:2])
+        pde, rdd = _pair_errors(*band[:3], *back[:3], failed, back[:2])
         yield sel, landing, pde, rdd, failed, back[3]
 
 

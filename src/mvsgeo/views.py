@@ -1,4 +1,4 @@
-"""Source view ranking and the pair.txt view-pairing format.
+"""Source view ranking, the pair.txt view-pairing format and the scene directory reader.
 
 Candidates are scored per sample point by a piecewise Gaussian of the
 baseline angle between the two camera rays through the point (peaked a
@@ -9,18 +9,27 @@ pair.txt: the pairing count, then per pairing a line with the reference
 view id (each listed once) and one "n id1 score1 id2 score2 ...", split
 by formats._text_lines and formats._fields; blank lines are skipped, and
 a non-blank line after the last pairing is an error.
+
+Scene(root, views=None) is the one reader of a scene directory, whose
+layout (docs/FORMATS.md, "Scene directories") synth writes.  Opening it
+reads pair.txt (load_pairing), the cameras (formats.read_cam) and the
+depth headers (formats.open_pfm); a file a reader rejects is named in
+front of the reader's message, "<path>: <message>" (_reading).
 """
 
+import contextlib
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .camera import Camera
-from .formats import _DECIMAL, _DIGITS, ParseError, _fields, _text_lines
+from .formats import _DECIMAL, _DIGITS, ParseError, _fields, _text_lines, open_pfm, read_cam
 
-__all__ = ["ViewPairing", "view_score", "rank_sources", "parse_pair_text", "format_pair_text", "load_pairing", "save_pairing"]
+__all__ = ["Scene", "ViewPairing", "view_score", "rank_sources", "parse_pair_text", "format_pair_text", "load_pairing",
+           "save_pairing"]
 
 
 # Angle weight (MVSNet's): a Gaussian peaked at _THETA0 degrees, of
@@ -155,3 +164,139 @@ def load_pairing(path) -> list[ViewPairing]:
 
 def save_pairing(pairings, path) -> None:
     Path(path).write_text(format_pair_text(pairings))
+
+
+# ---------------------------------------------------------------------------
+# scene directories
+# ---------------------------------------------------------------------------
+
+
+class _NamedError(ValueError):
+    """A ValueError with the path of the file it came from in front (see _reading)."""
+
+
+@contextlib.contextmanager
+def _reading(path):
+    """Name path in front of the ValueError (a ParseError among them) that its file's contents raise within.
+
+    An error a nested _reading has named keeps the name of its own file.
+    """
+    try:
+        yield
+    except _NamedError:
+        raise
+    except ValueError as exc:
+        raise _NamedError(f"{path}: {exc}") from None
+
+
+def _read_image(path):
+    """The image in a PFM file, read band by band (_PfmFile.image), named as _reading names it."""
+    with _reading(path), open_pfm(Path(path)) as pfm:
+        return pfm.image()
+
+
+class Scene:
+    """A scene directory, checked when opened: pair.txt, then the cameras and depth headers of `views`.
+
+    views defaults to every view pair.txt names; one it does not name, or
+    a missing camera or depth file, is a missing input (FileNotFoundError).
+    A header whose shape and payload size check out leaves no payload byte
+    that can fail to decode, so a depth is read band by band only when
+    asked for.  cam.txt is read with no newline translation, as pair.txt.
+    pairings maps each reference to its ViewPairing, cams and shapes each
+    checked view to its Camera and depth shape.
+    """
+
+    def __init__(self, root, views=None):
+        self.root = Path(root)
+        pair_path = self.root / "pair.txt"
+        with _reading(pair_path):
+            self.pairings = {p.reference: p for p in load_pairing(pair_path)}
+        named = set(self.pairings) | {s for p in self.pairings.values() for s, _ in p.ranked_sources}
+        ids = sorted(named if views is None else set(views))
+        for view in ids:
+            if view not in named:
+                raise FileNotFoundError(f"view {view} not present in scene {root}")
+            for path in self._files(self.root, view)[:2]:
+                if not path.exists():
+                    raise FileNotFoundError(str(path))
+        self.cams, self.shapes = {}, {}
+        for view in ids:
+            cam_path, depth_path, _ = self._files(self.root, view)
+            with _reading(cam_path), open(cam_path, newline="") as text:
+                self.cams[view] = read_cam(text.read())
+            with _reading(depth_path), open_pfm(depth_path) as pfm:
+                self.shapes[view] = pfm.depth_shape
+        self._frames = [None, None]  # the reference's and the source's (values, valid)
+
+    @staticmethod
+    def _files(root, view):
+        """The camera, depth and confidence file of view `view` in the scene directory root, a Path."""
+        return (root / "cams" / f"{view:08d}_cam.txt", root / "depths" / f"{view:08d}.pfm",
+                root / "confidence" / f"{view:08d}.pfm")
+
+    def sources(self, ref, m=0):
+        """The ids of reference ref's top m sources (all for 0), in pair.txt's order."""
+        if ref not in self.pairings:
+            raise FileNotFoundError(f"view {ref} not present in {self.root / 'pair.txt'}")
+        return self.pairings[ref].top(m or len(self.pairings[ref].ranked_sources))
+
+    def depth(self, view, frame=None):
+        """A checked view's depth map, read band by band into frame, a (values, valid) pair, or fresh arrays.
+
+        A file whose header lost its checked shape is rejected before a byte is read into frame.
+        """
+        path, shape = self._files(self.root, view)[1], self.shapes[view]
+        with _reading(path), open_pfm(path) as pfm:
+            if pfm.shape != shape:
+                raise ValueError(f"depth shape {pfm.shape} is not the {shape} it had when the scene was checked")
+            return pfm.depth(frame)
+
+    def confidence(self, view, depth) -> np.ndarray:
+        """A view's confidence map at its file's float32 (4 B/px, not 8); without a file, depth's validity."""
+        path = self._files(self.root, view)[2]
+        return _read_image(path) if path.exists() else depth.valid.astype(np.float32)
+
+    def reference(self, ref):
+        """Checked view ref's depth map, read into the scene's reference frame, which the next reference() overwrites."""
+        return self._read(0, ref)
+
+    def source_views(self, ref, m=0):
+        """Reference ref's top m sources (all for 0) as stage_penalties reads them: a lazy sequence of (DepthMap, Camera).
+
+        Checked now, before any depth is read: ref has a source in pair.txt,
+        and each source's depth has ref's shape (ref and its sources must be
+        among the views the scene checked).  Item i reads source ids[i]'s
+        depth into the scene's source frame, which the next item read
+        overwrites; ids lists the sources in pair.txt's order.
+        """
+        ids = self.sources(ref, m)
+        if not ids:
+            raise ValueError(f"view {ref} has no source views in pair.txt")
+        for s in ids:
+            if self.shapes[s] != self.shapes[ref]:
+                raise ValueError(f"view {s} depth shape {self.shapes[s]} does not match "
+                                 f"reference view {ref} {self.shapes[ref]}")
+        return _SourceViews(self, ids)
+
+    def _read(self, k, view):
+        """A checked view's depth map, read into frame k (0: the reference's, 1: the source's), remade for another shape."""
+        if self._frames[k] is None or self._frames[k][0].shape != self.shapes[view]:
+            self._frames[k] = None  # the old frame goes before the new one is made
+            self._frames[k] = (np.empty(self.shapes[view], np.float32), np.empty(self.shapes[view], bool))
+        return self.depth(view, self._frames[k])
+
+
+@dataclass
+class _SourceViews(Sequence):
+    """Scene.source_views: item i is source ids[i]'s depth, read into the scene's source frame, and its camera."""
+
+    _scene: Scene
+    ids: list
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        view = self.ids[i]
+        return self._scene._read(1, view), self._scene.cams[view]

@@ -140,7 +140,10 @@ def naive_penalty(d_ref, ref_cam, sources, d_pixel, d_depth, range_mode="one-two
                     continue
                 x2, y2, d2 = res
                 pde = np.sqrt((x2 - j) ** 2 + (y2 - i) ** 2)
-                rdd = abs(d2 - d0) / d0
+                # A valid depth so small that the quotient overflows (5e-324)
+                # gives inf, which votes, as in the package.
+                with np.errstate(over="ignore"):
+                    rdd = abs(d2 - d0) / d0
                 if pde > d_pixel or rdd > d_depth:
                     mask_sum[i, j] += 1
     m = len(sources)

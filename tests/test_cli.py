@@ -234,13 +234,13 @@ def test_gc_penalty_checks_references_in_order_on_the_calling_thread(six_view_sc
     # --ref gives them, each after the PFMs of every earlier one are written.
     import threading
 
-    from mvsgeo import cli
+    from mvsgeo import cli, views
 
     # A reference is known by the view its map was read for.
     caller, before = threading.current_thread(), threading.active_count()
     order = [3, 0, 5, 1]
     out = tmp_path / "p"
-    read, compute = cli._Scene.depth, cli.stage_penalties
+    read, compute = views.Scene.depth, cli.stage_penalties
     maps, checked = [], []
 
     def reading(scene, view, *args):
@@ -254,7 +254,7 @@ def test_gc_penalty_checks_references_in_order_on_the_calling_thread(six_view_sc
         checked.append((ref_id, threading.current_thread(), threading.active_count(), written))
         return compute(d_ref, *args)
 
-    monkeypatch.setattr(cli._Scene, "depth", reading)
+    monkeypatch.setattr(views.Scene, "depth", reading)
     monkeypatch.setattr(cli, "stage_penalties", recording_compute)
     code, stdout, _ = run_cli(capsys, "gc-penalty", "--scene", str(six_view_scene), "--out", str(out),
                               "--ref", *map(str, order), "--d-pixel", "1.0", "--d-depth", "0.01",
@@ -283,11 +283,11 @@ def test_gc_penalty_holds_one_reference(six_view_scene, tmp_path, capsys, monkey
     # and stages, not by the frame.
     import tracemalloc
 
-    from mvsgeo import cli
+    from mvsgeo import cli, views
 
     w, h, n_stages = 80, 64, 3
     monkeypatch.setattr(reproject, "_BAND_PIXELS", 8 * w)
-    load, loaded = cli._Scene.__init__, []
+    load, loaded = views.Scene.__init__, []
     emit, written = cli._emit_json, []
 
     def loading(*args, **kwargs):
@@ -299,7 +299,7 @@ def test_gc_penalty_holds_one_reference(six_view_scene, tmp_path, capsys, monkey
         written.append(tracemalloc.get_traced_memory()[1])
         return emit(*args)
 
-    monkeypatch.setattr(cli._Scene, "__init__", loading)
+    monkeypatch.setattr(views.Scene, "__init__", loading)
     monkeypatch.setattr(cli, "_emit_json", emitting)
     argv = ["gc-penalty", "--scene", str(six_view_scene), "--out", str(tmp_path / "p"), "--threads", str(threads)]
     assert run_cli(capsys, *argv)[0] == 0  # first-call allocations out of the measurement
@@ -363,7 +363,7 @@ def test_gc_penalty_rejects_a_depth_file_changed_after_the_check(six_view_scene,
     # before any byte is read into the reused frame.  References 0 and 1,
     # written before, keep the bytes of an undisturbed run; no NaN is in
     # any output and no summary is written.
-    from mvsgeo import cli
+    from mvsgeo import views
 
     argv = ["gc-penalty", "--scene", str(six_view_scene), "--ref", "0", "1", "2", "3", "--num-sources", "2"]
     clean, out = tmp_path / "clean", tmp_path / "out"
@@ -382,14 +382,14 @@ def test_gc_penalty_rejects_a_depth_file_changed_after_the_check(six_view_scene,
         message = str(rejected.value)
     else:
         message = f"depth shape {formats.read_pfm(changed).data.shape} is not the (64, 80) it had when the scene was checked"
-    read = cli._Scene.depth
+    read = views.Scene.depth
 
     def changing(scene, view, *args):
         if view == 2:
             victim.write_bytes(changed)
         return read(scene, view, *args)
 
-    monkeypatch.setattr(cli._Scene, "depth", changing)
+    monkeypatch.setattr(views.Scene, "depth", changing)
     code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
     assert (code, stdout) == (3, "")
     assert err == f"mvsgeo: error: {victim}: {message}\n"
@@ -423,6 +423,29 @@ def test_gc_penalty_rejects_the_scene_before_writing(plane_scene, tmp_path, caps
         assert code == 3
         assert out == "" and message in err
         assert list(out_dir.glob("*.pfm")) == [] and not (out_dir / "summary.json").exists()
+
+
+def test_gc_penalty_checks_the_shapes_of_the_sources_it_uses(plane_scene, tmp_path, capsys):
+    # Reference 0's second source, view 3, has a depth file of another
+    # shape.  With --num-sources 1 view 3 is named in pair.txt but not
+    # used: only its header is read, the run succeeds and lists source 1
+    # alone.  With every source the run exits 3, naming both views and
+    # their shapes, and a reference with no source exits 3 naming it; both
+    # before any file is written.
+    (plane_scene / "pair.txt").write_text("1\n0\n2 1 1.0 3 0.5\n")
+    small = np.full((20, 24), 600.0, dtype=np.float32)
+    (plane_scene / "depths" / "00000003.pfm").write_bytes(formats.write_pfm(formats.PfmImage(small)))
+    argv = ["gc-penalty", "--scene", str(plane_scene), "--d-pixel", "1.0", "--d-depth", "0.01"]
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "m1"), "--num-sources", "1")
+    assert (code, err) == (0, "")
+    assert read_json(out)["views"]["0"]["sources"] == [1]
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "all"))
+    assert (code, out) == (3, "")
+    assert err == "mvsgeo: error: view 3 depth shape (20, 24) does not match reference view 0 (40, 48)\n"
+    (plane_scene / "pair.txt").write_text("2\n0\n2 1 1.0 3 0.5\n1\n0\n")
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "none"), "--num-sources", "1")
+    assert (code, out, err) == (3, "", "mvsgeo: error: view 1 has no source views in pair.txt\n")
+    assert not (tmp_path / "all").exists() and not (tmp_path / "none").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])

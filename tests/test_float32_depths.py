@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvsgeo import cli, formats, reproject, synth
+from mvsgeo import Scene, cli, formats, reproject, synth
 from mvsgeo.fusion import FusionParams, fuse
 from mvsgeo.hypotheses import StageConfig, refine_hypotheses
 from mvsgeo.loss import ProbabilityVolume, cross_entropy_error
@@ -140,7 +140,7 @@ def test_a_loaded_scene_holds_five_bytes_per_pixel_and_view(tmp_path):
     assert cli.main(["synth", "--out", str(scene), "--kind", "two-planes",
                      "--width", str(w), "--height", str(h), "--views", str(views)]) == 0
     def load():
-        opened = cli._Scene(scene)
+        opened = Scene(scene)
         return opened, {v: opened.depth(v) for v in opened.shapes}
 
     load()  # first-call allocations (imports, caches)

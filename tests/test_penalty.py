@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvsgeo import formats, reproject, synth
-from mvsgeo.camera import pixel_grid
+from mvsgeo.camera import Camera, pixel_grid
+from mvsgeo.fusion import FusionParams, fuse
 from mvsgeo.penalty import (
     GcThresholds,
     PenaltyMap,
@@ -289,6 +290,47 @@ def test_failed_reprojections_vote_under_the_largest_thresholds():
     d_re.valid[2, 2] = p_re.valid[2, 2] = False
     mask = inconsistency_mask(constant_depth(4, 4), d_re, p_re, GcThresholds(HUGE, HUGE))
     assert mask[2, 2] and mask.sum() == 1
+
+
+@pytest.mark.parametrize("dtype, tiny", [(np.float64, 5e-324), (np.float32, 1.4e-45)])
+@pytest.mark.parametrize("far", [20.0, 15.0])
+def test_a_relative_depth_difference_that_overflows_votes_inconsistent(dtype, tiny, far):
+    # The source camera sits 10 units behind the reference, on its axis.
+    # The reference sees a plane at depth 5, except at its principal point
+    # (4, 4), whose valid depth is the dtype's smallest subnormal.  That
+    # pixel's reprojection succeeds, so its RDD |d'' - d| / d overflows
+    # float64 (5e-324), or is about 4e45 (1.4e-45): the float64 divide
+    # raised "overflow encountered in divide" under -W error.  Now RDD is
+    # inf (or that finite value) with no RuntimeWarning and no NaN; the
+    # pixel votes inconsistent, as in the nested-loop oracle and the
+    # paper's composition, and fuses no point.  A source plane at 15 is
+    # the reference's own plane, so (4, 4) is the only vote and every
+    # fused point lies on the plane (z = 5); at 20 every pixel votes and
+    # none fuses.
+    K = np.array([[8.0, 0.0, 4.0], [0.0, 8.0, 4.0], [0.0, 0.0, 1.0]])
+    behind = np.eye(4)
+    behind[2, 3] = 10.0
+    ref, src = Camera(K=K, E=np.eye(4)), Camera(K=K, E=behind)
+    values = np.full((9, 9), 5.0, dtype)
+    values[4, 4] = tiny
+    d_ref, d_src = DepthMap.from_values(values), DepthMap.from_values(np.full((9, 9), far, dtype))
+    assert d_ref.valid.all() and d_ref.values[4, 4] > 0
+    rdd, failed = np.empty((9, 9)), np.empty((9, 9), bool)
+    for rows, _, _, band_rdd, band_failed, _ in reproject._checks(d_ref, ref, d_src, src):
+        rdd[rows], failed[rows] = band_rdd, band_failed
+    assert not failed.any() and not np.isnan(rdd).any()
+    assert rdd[4, 4] == np.inf if dtype == np.float64 else 1e45 < rdd[4, 4] < np.inf
+    thr = GcThresholds(1.0, 0.01)
+    (pen,) = stage_penalties(d_ref, ref, [(d_src, src)], [thr])
+    votes = np.full((9, 9), far == 20.0)
+    votes[4, 4] = True
+    assert np.array_equal(pen.counts, votes)
+    assert np.array_equal(pen.values, per_pixel_penalty(d_ref, ref, [(d_src, src)], thr).values)
+    assert np.array_equal(pen.values, naive_penalty(d_ref, ref, [(d_src, src)], thr.d_pixel, thr.d_depth))
+    conf = np.ones((9, 9))
+    cloud = fuse([(d_ref, conf, ref), (d_src, conf, src)], FusionParams(consistency_threshold=1))
+    assert np.isfinite(cloud.points).all()
+    assert np.array_equal(cloud.points[:, 2], np.full(len(cloud), 5.0)) and (len(cloud) > 0) == (far == 15.0)
 
 
 def test_stage_penalties_requires_a_stage():
