@@ -8,17 +8,17 @@ named in front of the reader's message, "<path>: <message>", whether
 it is rejected when opened or, for a loss input, as it is scored.
 Every command accepts --threads (default 1); only eval-pc uses it, and
 its output is byte-identical for any thread count.  gc-penalty, fuse
-and warp read every camera and depth through views.Scene, the one scene
-reader, which checks the scene (warp: its two views) before any depth
-map is read or file written.  gc-penalty checks each reference's sources
-up front (Scene.source_views), then runs the references in order on the
-calling thread (threads were GIL-bound), writing each one's PFMs and
-summary entry before it checks the next; it holds the scene's two depth
-frames, so its memory does not grow with the view count.  fuse runs its
-references in order on one thread too, with every reference's depth
-loaded first.  eval-pc checks --max-dist before it reads either
-cloud, then reads each one's points through formats.open_ply and hands
-them to the search as read.
+and warp open a scene with views.Scene(root), which checks every view;
+gc-penalty and fuse then check their references' sources through
+Scene.source_views (fuse: the sources that are references too), all
+before any depth map is read or file written.  gc-penalty runs the
+references in order on the calling thread (threads were GIL-bound),
+writing each one's PFMs and summary entry before the next; it holds
+the scene's two depth frames, so its memory does not grow with the
+view count.  fuse runs its references in order on one thread too, with
+every reference's depth and confidence loaded first.  eval-pc checks
+--max-dist before it reads either cloud, then reads each one's points
+through formats.open_ply and hands them to the search as read.
 """
 
 import argparse
@@ -44,7 +44,7 @@ from .penalty import (
     stage_penalties,
 )
 from .reproject import _WARP, _chain, _pair_errors
-from .views import Scene, _read_image, _reading, rank_sources, save_pairing
+from .views import Scene, _reading, rank_sources, save_pairing
 
 __all__ = ["main"]
 
@@ -256,12 +256,14 @@ def _open_loss_stage(files, vol_path, gt_path, pen_path):
 
 
 def _cmd_fuse(args) -> int:
+    # gc-penalty's checks of the sources that are references too, before any depth is read.
     scene = Scene(args.scene)
     order = sorted(scene.pairings)
-    index = {view: i for i, view in enumerate(order)}
+    pairs = [[order.index(s) for s in scene.source_views(v).ids if s in scene.pairings] for v in order]
+    if [] in pairs:
+        raise ValueError(f"view {order[pairs.index([])]} has no source views among the references in pair.txt")
     depths = [scene.depth(v) for v in order]
     views = [(d, scene.confidence(v, d), scene.cams[v]) for v, d in zip(order, depths)]
-    pairs = [[index[s] for s in scene.sources(v) if s in index] for v in order]
     params = FusionParams(
         mode=args.mode,
         disparity_threshold=args.disp_thresh,
@@ -318,7 +320,8 @@ def _cmd_eval_depth(args) -> int:
     check("ground truth", args.gt, gt.shape)
     valid = pred.valid & gt.valid
     if args.mask:
-        mask = _read_image(args.mask)
+        with _reading(args.mask), formats.open_pfm(Path(args.mask)) as pfm:
+            mask = pfm.image()
         check("mask", args.mask, mask.shape)
         valid = valid & (mask.astype(np.float64) > 0)
     m = depth_metrics(pred, gt, valid)
@@ -332,7 +335,7 @@ def _cmd_eval_depth(args) -> int:
 
 
 def _cmd_warp(args) -> int:
-    scene = Scene(args.scene, (args.ref, args.src))
+    scene = Scene(args.scene)
     d_ref, cams = scene.depth(args.ref), scene.cams
     x, y, d, ok = outs = tuple(np.empty(d_ref.shape, dtype=dtype) for dtype in _WARP)
     errors = np.empty((2,) + d_ref.shape)

@@ -10,10 +10,10 @@ view id (each listed once) and one "n id1 score1 id2 score2 ...", split
 by formats._text_lines and formats._fields; blank lines are skipped, and
 a non-blank line after the last pairing is an error.
 
-Scene(root, views=None) is the one reader of a scene directory, whose
-layout (docs/FORMATS.md, "Scene directories") synth writes.  Opening it
-reads pair.txt (load_pairing), the cameras (formats.read_cam) and the
-depth headers (formats.open_pfm); a file a reader rejects is named in
+Scene(root) is the one reader of a scene directory, whose layout
+(docs/FORMATS.md, "Scene directories") synth writes.  Opening it reads
+pair.txt (load_pairing) and every view's camera (formats.read_cam) and
+depth header (formats.open_pfm); a file a reader rejects is named in
 front of the reader's message, "<path>: <message>" (_reading).
 """
 
@@ -189,34 +189,24 @@ def _reading(path):
         raise _NamedError(f"{path}: {exc}") from None
 
 
-def _read_image(path):
-    """The image in a PFM file, read band by band (_PfmFile.image), named as _reading names it."""
-    with _reading(path), open_pfm(Path(path)) as pfm:
-        return pfm.image()
-
-
 class Scene:
-    """A scene directory, checked when opened: pair.txt, then the cameras and depth headers of `views`.
+    """A scene directory, checked when opened: pair.txt, then the camera and depth header of every view it names.
 
-    views defaults to every view pair.txt names; one it does not name, or
-    a missing camera or depth file, is a missing input (FileNotFoundError).
-    A header whose shape and payload size check out leaves no payload byte
-    that can fail to decode, so a depth is read band by band only when
-    asked for.  cam.txt is read with no newline translation, as pair.txt.
-    pairings maps each reference to its ViewPairing, cams and shapes each
-    checked view to its Camera and depth shape.
+    A missing camera or depth file, or a view pair.txt does not name, is a
+    missing input (FileNotFoundError).  A header whose shape and payload
+    size check out leaves no payload byte that can fail to decode, so a
+    depth is read band by band only when asked for.  cam.txt is read with
+    no newline translation, as pair.txt.  pairings maps each reference to
+    its ViewPairing, cams and shapes each view to its Camera and depth shape.
     """
 
-    def __init__(self, root, views=None):
+    def __init__(self, root):
         self.root = Path(root)
         pair_path = self.root / "pair.txt"
         with _reading(pair_path):
             self.pairings = {p.reference: p for p in load_pairing(pair_path)}
-        named = set(self.pairings) | {s for p in self.pairings.values() for s, _ in p.ranked_sources}
-        ids = sorted(named if views is None else set(views))
+        ids = sorted(set(self.pairings) | {s for p in self.pairings.values() for s, _ in p.ranked_sources})
         for view in ids:
-            if view not in named:
-                raise FileNotFoundError(f"view {view} not present in scene {root}")
             for path in self._files(self.root, view)[:2]:
                 if not path.exists():
                     raise FileNotFoundError(str(path))
@@ -235,42 +225,48 @@ class Scene:
         return (root / "cams" / f"{view:08d}_cam.txt", root / "depths" / f"{view:08d}.pfm",
                 root / "confidence" / f"{view:08d}.pfm")
 
-    def sources(self, ref, m=0):
-        """The ids of reference ref's top m sources (all for 0), in pair.txt's order."""
-        if ref not in self.pairings:
-            raise FileNotFoundError(f"view {ref} not present in {self.root / 'pair.txt'}")
-        return self.pairings[ref].top(m or len(self.pairings[ref].ranked_sources))
+    def _shape(self, view):
+        """view's checked depth shape; a view pair.txt does not name is a missing input."""
+        if view not in self.shapes:
+            raise FileNotFoundError(f"view {view} not present in scene {self.root}")
+        return self.shapes[view]
 
     def depth(self, view, frame=None):
-        """A checked view's depth map, read band by band into frame, a (values, valid) pair, or fresh arrays.
+        """A view's depth map, read band by band into frame, a (values, valid) pair, or fresh arrays.
 
         A file whose header lost its checked shape is rejected before a byte is read into frame.
         """
-        path, shape = self._files(self.root, view)[1], self.shapes[view]
+        path, shape = self._files(self.root, view)[1], self._shape(view)
         with _reading(path), open_pfm(path) as pfm:
             if pfm.shape != shape:
                 raise ValueError(f"depth shape {pfm.shape} is not the {shape} it had when the scene was checked")
             return pfm.depth(frame)
 
     def confidence(self, view, depth) -> np.ndarray:
-        """A view's confidence map at its file's float32 (4 B/px, not 8); without a file, depth's validity."""
-        path = self._files(self.root, view)[2]
-        return _read_image(path) if path.exists() else depth.valid.astype(np.float32)
+        """A view's confidence map at its file's float32 (4 B/px, not 8), of its depth shape; else depth's validity."""
+        path, shape = self._files(self.root, view)[2], self._shape(view)
+        if not path.exists():
+            return depth.valid.astype(np.float32)
+        with _reading(path), open_pfm(path) as pfm:
+            if pfm.shape != shape:
+                raise ValueError(f"view {view} confidence shape {pfm.shape} does not match its depth shape {shape}")
+            return pfm.image()
 
     def reference(self, ref):
-        """Checked view ref's depth map, read into the scene's reference frame, which the next reference() overwrites."""
+        """View ref's depth map, read into the scene's reference frame, which the next reference() overwrites."""
         return self._read(0, ref)
 
     def source_views(self, ref, m=0):
         """Reference ref's top m sources (all for 0) as stage_penalties reads them: a lazy sequence of (DepthMap, Camera).
 
-        Checked now, before any depth is read: ref has a source in pair.txt,
-        and each source's depth has ref's shape (ref and its sources must be
-        among the views the scene checked).  Item i reads source ids[i]'s
-        depth into the scene's source frame, which the next item read
-        overwrites; ids lists the sources in pair.txt's order.
+        Checked now, before any depth is read: ref is a reference in pair.txt
+        (a missing input if not) with a source, and each source's depth has
+        ref's shape.  Item i reads source ids[i]'s depth into the scene's source
+        frame, which the next item read overwrites; ids is in pair.txt's order.
         """
-        ids = self.sources(ref, m)
+        if ref not in self.pairings:
+            raise FileNotFoundError(f"view {ref} not present in {self.root / 'pair.txt'}")
+        ids = [s for s, _ in self.pairings[ref].ranked_sources][:m or None]
         if not ids:
             raise ValueError(f"view {ref} has no source views in pair.txt")
         for s in ids:
@@ -280,10 +276,11 @@ class Scene:
         return _SourceViews(self, ids)
 
     def _read(self, k, view):
-        """A checked view's depth map, read into frame k (0: the reference's, 1: the source's), remade for another shape."""
-        if self._frames[k] is None or self._frames[k][0].shape != self.shapes[view]:
+        """A view's depth map, read into frame k (0: the reference's, 1: the source's), remade for another shape."""
+        shape = self._shape(view)
+        if self._frames[k] is None or self._frames[k][0].shape != shape:
             self._frames[k] = None  # the old frame goes before the new one is made
-            self._frames[k] = (np.empty(self.shapes[view], np.float32), np.empty(self.shapes[view], bool))
+            self._frames[k] = (np.empty(shape, np.float32), np.empty(shape, bool))
         return self.depth(view, self._frames[k])
 
 
@@ -298,5 +295,4 @@ class _SourceViews(Sequence):
         return len(self.ids)
 
     def __getitem__(self, i):
-        view = self.ids[i]
-        return self._scene._read(1, view), self._scene.cams[view]
+        return self._scene._read(1, self.ids[i]), self._scene.cams[self.ids[i]]

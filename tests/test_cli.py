@@ -589,15 +589,22 @@ def test_only_fuse_reads_confidence_maps(plane_scene, tmp_path, capsys):
                    "--out", str(tmp_path / "warp"))[0] == 0
 
 
-def test_warp_reads_only_its_two_views(plane_scene, tmp_path, capsys):
-    # A garbage depth PFM of a third view stops the commands that read
-    # every view (gc-penalty) but not warp, which reads --ref and --src.
-    (plane_scene / "depths" / "00000002.pfm").write_bytes(b"not a pfm")
-    assert run_cli(capsys, "gc-penalty", "--scene", str(plane_scene), "--out", str(tmp_path / "pen"))[0] == 3
-    code, out, _ = run_cli(capsys, "warp", "--scene", str(plane_scene), "--ref", "0", "--src", "1",
-                           "--out", str(tmp_path / "warp"))
-    assert code == 0
-    assert read_json(out)["valid_pixels"] > 0
+@pytest.mark.parametrize("command", ["gc-penalty", "fuse", "warp"])
+def test_a_garbage_depth_of_a_third_view_stops_every_scene_command(plane_scene, tmp_path, capsys, command):
+    # gc-penalty, fuse and warp open the whole scene: a garbage depth PFM
+    # of view 2 stops warp --ref 0 --src 1 too, named as the other two
+    # name it, before any output is made.
+    path = plane_scene / "depths" / "00000002.pfm"
+    path.write_bytes(b"not a pfm")
+    with pytest.raises(ValueError) as rejected:
+        _depth_of(path.read_bytes())
+    argv = {"gc-penalty": [], "fuse": ["--num-consistent", "2"], "warp": ["--ref", "0", "--src", "1"]}[command]
+    out = tmp_path / "out"
+    target = out / "cloud.ply" if command == "fuse" else out
+    code, stdout, err = run_cli(capsys, command, "--scene", str(plane_scene), "--out", str(target), *argv)
+    assert (code, stdout) == (3, "")
+    assert err == f"mvsgeo: error: {path}: {rejected.value}\n"
+    assert not out.exists()
 
 
 def test_warp_view_missing_from_the_scene_exits_2(plane_scene, tmp_path, capsys):
@@ -1042,6 +1049,58 @@ def test_fuse_and_warp_check_the_scene_before_reading_a_depth(plane_scene, tmp_p
     assert not out.exists()
 
 
+def _pfm_of_shape(path, shape):
+    path.write_bytes(formats.write_pfm(formats.PfmImage(np.ones(shape, dtype=np.float32))))
+
+
+@pytest.mark.parametrize("case", ["reference with no reference source", "mis-shaped reference",
+                                  "mis-shaped source-only view"])
+def test_fuse_checks_the_sources_as_gc_penalty_does(plane_scene, tmp_path, capsys, monkeypatch, case):
+    # fuse checks each reference against its sources by gc-penalty's
+    # checks (Scene.source_views), before any depth is read, and names the
+    # faulty view by its id.  Reference 3's one source, view 1, is no
+    # reference, so fuse would check 3 against nothing; fusion.fuse named
+    # it "view 2", its list index.  A view of another shape was found only
+    # as fusion.fuse compared the loaded maps, naming no file or view; a
+    # source-only view's shape was not checked at all.
+    pair, depths = plane_scene / "pair.txt", plane_scene / "depths"
+    if case == "reference with no reference source":
+        pair.write_text("3\n0\n2 1 1.0 2 1.0\n2\n2 0 1.0 1 1.0\n3\n1 1 1.0\n")
+        message = "view 3 has no source views among the references in pair.txt"
+    elif case == "mis-shaped reference":
+        _pfm_of_shape(depths / "00000002.pfm", (20, 24))
+        message = "view 2 depth shape (20, 24) does not match reference view 0 (40, 48)"
+    else:
+        pair.write_text("3\n0\n2 1 1.0 2 1.0\n2\n2 0 1.0 1 1.0\n3\n2 0 1.0 1 1.0\n")
+        _pfm_of_shape(depths / "00000001.pfm", (20, 24))
+        message = "view 1 depth shape (20, 24) does not match reference view 0 (40, 48)"
+    depth, reads = formats._PfmFile.depth, []
+
+    def reading(pfm, *args):
+        reads.append(pfm)
+        return depth(pfm, *args)
+
+    monkeypatch.setattr(formats._PfmFile, "depth", reading)
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "fuse", "--scene", str(plane_scene), "--out", str(out / "cloud.ply"),
+                                "--num-consistent", "1")
+    assert (code, stdout, err, reads) == (3, "", f"mvsgeo: error: {message}\n", [])
+    assert not out.exists()
+
+
+def test_fuse_checks_a_confidence_map_against_its_views_depth(plane_scene, tmp_path, capsys):
+    # A 4 x 4 confidence map of a 40 x 48 view is exit 3 naming the file
+    # and the view; fusion.fuse's in-memory check named neither.
+    path = plane_scene / "confidence" / "00000002.pfm"
+    _pfm_of_shape(path, (4, 4))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "fuse", "--scene", str(plane_scene), "--out", str(out / "cloud.ply"),
+                                "--num-consistent", "1")
+    assert (code, stdout) == (3, "")
+    assert err == f"mvsgeo: error: {path}: view 2 confidence shape (4, 4) does not match its depth shape (40, 48)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, out, argv", [
     ("gc-penalty", "pen", []), ("fuse", "cloud.ply", ["--num-consistent", "2"]),
     ("warp", "warp", ["--ref", "0", "--src", "1"]),
@@ -1150,6 +1209,7 @@ def _reader_inputs(scene, tmp_path):
     d0, d1 = (scene / "depths" / f"{v:08d}.pfm" for v in (0, 1))
     files = {
         "pair.txt": scene / "pair.txt", "cam 2": scene / "cams" / "00000002_cam.txt", "depth 1": d1,
+        "depth 2": scene / "depths" / "00000002.pfm",
         "confidence 3": scene / "confidence" / "00000003.pfm",
         "pred.pfm": tmp_path / "pred.pfm", "gt.pfm": tmp_path / "gt.pfm", "mask.pfm": tmp_path / "mask.pfm",
         "pred.ply": tmp_path / "pred.ply", "gt.ply": tmp_path / "gt.ply",
@@ -1205,6 +1265,7 @@ READERS = {
     ("fuse", "depth 1", "3-channel"),
     ("fuse", "confidence 3", "truncated"),
     ("warp", "depth 1", "truncated"),
+    ("warp", "cam 2", "garbage"),
     ("loss", "volume", "garbage"),
     ("loss", "loss gt", "truncated"),
     ("loss", "penalty", "garbage"),
@@ -1257,6 +1318,7 @@ def test_a_loss_pfm_cut_short_after_it_is_opened_is_named(plane_scene, tmp_path,
 
 
 @pytest.mark.parametrize("command, name", [
+    ("warp", "cam 2"), ("warp", "depth 2"),
     ("loss", "volume"), ("loss", "loss gt"), ("loss", "penalty"),
     ("eval-pc", "pred.ply"), ("eval-pc", "gt.ply"),
     ("eval-depth", "pred.pfm"), ("eval-depth", "gt.pfm"), ("eval-depth", "mask.pfm"),

@@ -6,6 +6,7 @@ penalty and fusion functions.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_a_library_caller_gets_the_clis_bytes_through_scene(scene, tmp_path, cap
     for ref in sorted(opened.pairings):
         d_ref, sources = opened.reference(ref), opened.source_views(ref)
         entry = summary["views"][str(ref)]
-        assert sources.ids == entry["sources"] == opened.sources(ref)
+        assert sources.ids == entry["sources"] == [s for s, _ in opened.pairings[ref].ranked_sources]
         penalties = stage_penalties(d_ref, opened.cams[ref], sources, stages, range_mode)
         for k, (penalty, doc) in enumerate(zip(penalties, entry["stages"], strict=True)):
             name = f"penalty_{ref:08d}_stage{k}.pfm"
@@ -62,7 +63,7 @@ def test_a_library_caller_gets_the_clis_bytes_through_scene(scene, tmp_path, cap
     order = sorted(opened.pairings)
     depths = [opened.depth(v) for v in order]
     views = [(d, opened.confidence(v, d), opened.cams[v]) for v, d in zip(order, depths)]
-    pairs = [[order.index(s) for s in opened.sources(v)] for v in order]
+    pairs = [[order.index(s) for s in opened.source_views(v).ids] for v in order]
     cloud = fuse(views, FusionParams(consistency_threshold=2), pairs=pairs)
     assert formats.write_ply(cloud) == ply.read_bytes()
 
@@ -87,8 +88,15 @@ def test_scene_holds_two_depth_frames(scene):
     assert opened.depth(2).values is not d_ref.values
 
 
-def test_a_scene_opened_on_some_views_checks_only_those(scene):
-    opened = Scene(scene, (0, 1))
-    assert sorted(opened.cams) == sorted(opened.shapes) == [0, 1]
-    with pytest.raises(FileNotFoundError, match="view 7 not present in scene"):
-        Scene(scene, (0, 7))
+def test_a_view_the_scene_does_not_name_is_a_missing_input(scene):
+    # A scene opens every view pair.txt names; asking for another is a
+    # missing input, named by view (a reference by pair.txt), not a bare
+    # KeyError.
+    opened = Scene(scene)
+    assert sorted(opened.cams) == sorted(opened.shapes) == [0, 1, 2, 3, 4]
+    d0 = opened.depth(0)
+    for read in (opened.depth, opened.reference, lambda view: opened.confidence(view, d0)):
+        with pytest.raises(FileNotFoundError, match=f"^view 7 not present in scene {re.escape(str(scene))}$"):
+            read(7)
+    with pytest.raises(FileNotFoundError, match="^view 7 not present in .*pair.txt$"):
+        opened.source_views(7)
