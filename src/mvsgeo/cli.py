@@ -8,10 +8,10 @@ named in front of the reader's message, "<path>: <message>", whether
 it is rejected when opened or, for a loss input, as it is scored.
 Every command accepts --threads (default 1); only eval-pc uses it, and
 its output is byte-identical for any thread count.  gc-penalty, fuse
-and warp open a scene with views.Scene(root), which checks every view;
-gc-penalty and fuse then check their references' sources through
-Scene.source_views (fuse: the sources that are references too), all
-before any depth map is read or file written.  gc-penalty runs the
+and warp open a scene with views.Scene(root), which checks every view
+and their one depth shape; gc-penalty and fuse then check that their
+references have sources (Scene.source_views; fuse: among the
+references), all before any depth map is read or file written.  gc-penalty runs the
 references in order on the calling thread (threads were GIL-bound),
 writing each one's PFMs and summary entry before the next; it holds
 the scene's two depth frames, so its memory does not grow with the
@@ -256,7 +256,7 @@ def _open_loss_stage(files, vol_path, gt_path, pen_path):
 
 
 def _cmd_fuse(args) -> int:
-    # gc-penalty's checks of the sources that are references too, before any depth is read.
+    # gc-penalty's check that each reference has sources, among the references, before any depth is read.
     scene = Scene(args.scene)
     order = sorted(scene.pairings)
     pairs = [[order.index(s) for s in scene.source_views(v).ids if s in scene.pairings] for v in order]
@@ -378,9 +378,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", help="emit a synthetic scene directory")
     p.add_argument("--out", required=True)
     p.add_argument("--kind", default="plane", choices=synth.PRESET_SCENES)
-    p.add_argument("--width", type=int, default=160)
-    p.add_argument("--height", type=int, default=128)
-    p.add_argument("--views", type=int, default=5)
+    p.add_argument("--width", type=_count_type(1), default=160)
+    p.add_argument("--height", type=_count_type(1), default=128)
+    p.add_argument("--views", type=_count_type(2), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-std", type=float, default=0.0,
                    help="additive Gaussian depth noise for degradation tests")
@@ -417,7 +417,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--disp-thresh", type=float, default=1.0)
     p.add_argument("--depth-thresh", type=float, default=0.01)
     p.add_argument("--prob-thresh", type=float, default=0.5)
-    p.add_argument("--num-consistent", type=int, default=3)
+    p.add_argument("--num-consistent", type=_count_type(1), default=3)
     p.add_argument("--average", choices=("mean", "median"), default="mean")
     p.add_argument("--ascii", action="store_true", help="write ASCII PLY instead of binary")
     add_threads(p, used=False)

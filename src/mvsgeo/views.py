@@ -12,9 +12,9 @@ a non-blank line after the last pairing is an error.
 
 Scene(root) is the one reader of a scene directory, whose layout
 (docs/FORMATS.md, "Scene directories") synth writes.  Opening it reads
-pair.txt (load_pairing) and every view's camera (formats.read_cam) and
-depth header (formats.open_pfm); a file a reader rejects is named in
-front of the reader's message, "<path>: <message>" (_reading).
+pair.txt (load_pairing), every view's camera (formats.read_cam) and depth
+header (formats.open_pfm), and checks each depth has the first's shape; a
+rejected file is named in front of the message, "<path>: <message>" (_reading).
 """
 
 import contextlib
@@ -193,11 +193,11 @@ class Scene:
     """A scene directory, checked when opened: pair.txt, then the camera and depth header of every view it names.
 
     A missing camera or depth file, or a view pair.txt does not name, is a
-    missing input (FileNotFoundError).  A header whose shape and payload
-    size check out leaves no payload byte that can fail to decode, so a
-    depth is read band by band only when asked for.  cam.txt is read with
-    no newline translation, as pair.txt.  pairings maps each reference to
-    its ViewPairing, cams and shapes each view to its Camera and depth shape.
+    missing input (FileNotFoundError).  Each depth has the first view's shape,
+    shape.  A header whose shape and payload size check out leaves no payload
+    byte that can fail to decode, so a depth is read band by band only when
+    asked for.  cam.txt is read with no newline translation, as pair.txt.
+    pairings maps each reference to its ViewPairing, cams each view to its Camera.
     """
 
     def __init__(self, root):
@@ -210,13 +210,15 @@ class Scene:
             for path in self._files(self.root, view)[:2]:
                 if not path.exists():
                     raise FileNotFoundError(str(path))
-        self.cams, self.shapes = {}, {}
+        self.cams, self.shape = {}, None
         for view in ids:
             cam_path, depth_path, _ = self._files(self.root, view)
             with _reading(cam_path), open(cam_path, newline="") as text:
                 self.cams[view] = read_cam(text.read())
             with _reading(depth_path), open_pfm(depth_path) as pfm:
-                self.shapes[view] = pfm.depth_shape
+                self.shape = self.shape or pfm.depth_shape
+                if pfm.depth_shape != self.shape:
+                    raise ValueError(f"view {view} depth shape {pfm.shape} does not match view {ids[0]} {self.shape}")
         self._frames = [None, None]  # the reference's and the source's (values, valid)
 
     @staticmethod
@@ -226,10 +228,10 @@ class Scene:
                 root / "confidence" / f"{view:08d}.pfm")
 
     def _shape(self, view):
-        """view's checked depth shape; a view pair.txt does not name is a missing input."""
-        if view not in self.shapes:
+        """The scene's depth shape, for a view pair.txt names; another view is a missing input."""
+        if view not in self.cams:
             raise FileNotFoundError(f"view {view} not present in scene {self.root}")
-        return self.shapes[view]
+        return self.shape
 
     def depth(self, view, frame=None):
         """A view's depth map, read band by band into frame, a (values, valid) pair, or fresh arrays.
@@ -260,26 +262,21 @@ class Scene:
         """Reference ref's top m sources (all for 0) as stage_penalties reads them: a lazy sequence of (DepthMap, Camera).
 
         Checked now, before any depth is read: ref is a reference in pair.txt
-        (a missing input if not) with a source, and each source's depth has
-        ref's shape.  Item i reads source ids[i]'s depth into the scene's source
-        frame, which the next item read overwrites; ids is in pair.txt's order.
+        (a missing input if not) with a source.  Item i reads source ids[i]'s
+        depth into the scene's source frame, which the next item read
+        overwrites; ids is in pair.txt's order.
         """
         if ref not in self.pairings:
             raise FileNotFoundError(f"view {ref} not present in {self.root / 'pair.txt'}")
         ids = [s for s, _ in self.pairings[ref].ranked_sources][:m or None]
         if not ids:
             raise ValueError(f"view {ref} has no source views in pair.txt")
-        for s in ids:
-            if self.shapes[s] != self.shapes[ref]:
-                raise ValueError(f"view {s} depth shape {self.shapes[s]} does not match "
-                                 f"reference view {ref} {self.shapes[ref]}")
         return _SourceViews(self, ids)
 
     def _read(self, k, view):
-        """A view's depth map, read into frame k (0: the reference's, 1: the source's), remade for another shape."""
+        """A view's depth map, read into frame k (0: the reference's, 1: the source's), made at its first read."""
         shape = self._shape(view)
-        if self._frames[k] is None or self._frames[k][0].shape != shape:
-            self._frames[k] = None  # the old frame goes before the new one is made
+        if self._frames[k] is None:
             self._frames[k] = (np.empty(shape, np.float32), np.empty(shape, bool))
         return self.depth(view, self._frames[k])
 

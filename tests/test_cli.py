@@ -414,8 +414,9 @@ def test_gc_penalty_rejects_the_scene_before_writing(plane_scene, tmp_path, caps
     else:
         _two_view_pairs(plane_scene, "1 3 1.0")
         small = np.full((20, 24), 600.0, dtype=np.float32)
-        (plane_scene / "depths" / "00000003.pfm").write_bytes(formats.write_pfm(formats.PfmImage(small)))
-        message = "does not match reference"
+        path = plane_scene / "depths" / "00000003.pfm"
+        path.write_bytes(formats.write_pfm(formats.PfmImage(small)))
+        message = f"{path}: view 3 depth shape (20, 24) does not match view 0 (40, 48)\n"
     out_dir = tmp_path / "pen"
     for threads in ("1", "3"):
         code, out, err = run_cli(capsys, "gc-penalty", "--scene", str(plane_scene), "--out", str(out_dir),
@@ -425,27 +426,25 @@ def test_gc_penalty_rejects_the_scene_before_writing(plane_scene, tmp_path, caps
         assert list(out_dir.glob("*.pfm")) == [] and not (out_dir / "summary.json").exists()
 
 
-def test_gc_penalty_checks_the_shapes_of_the_sources_it_uses(plane_scene, tmp_path, capsys):
+def test_gc_penalty_checks_the_shape_of_a_source_it_does_not_use(plane_scene, tmp_path, capsys):
     # Reference 0's second source, view 3, has a depth file of another
     # shape.  With --num-sources 1 view 3 is named in pair.txt but not
-    # used: only its header is read, the run succeeds and lists source 1
-    # alone.  With every source the run exits 3, naming both views and
-    # their shapes, and a reference with no source exits 3 naming it; both
-    # before any file is written.
+    # used; the scene has one depth shape all the same, so the run exits 3
+    # at open, naming view 3's file, as with every source.  A reference
+    # with no source exits 3 naming it.  No file is written.
     (plane_scene / "pair.txt").write_text("1\n0\n2 1 1.0 3 0.5\n")
     small = np.full((20, 24), 600.0, dtype=np.float32)
-    (plane_scene / "depths" / "00000003.pfm").write_bytes(formats.write_pfm(formats.PfmImage(small)))
+    path = plane_scene / "depths" / "00000003.pfm"
+    path.write_bytes(formats.write_pfm(formats.PfmImage(small)))
     argv = ["gc-penalty", "--scene", str(plane_scene), "--d-pixel", "1.0", "--d-depth", "0.01"]
-    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "m1"), "--num-sources", "1")
-    assert (code, err) == (0, "")
-    assert read_json(out)["views"]["0"]["sources"] == [1]
-    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "all"))
-    assert (code, out) == (3, "")
-    assert err == "mvsgeo: error: view 3 depth shape (20, 24) does not match reference view 0 (40, 48)\n"
-    (plane_scene / "pair.txt").write_text("2\n0\n2 1 1.0 3 0.5\n1\n0\n")
+    for out, m in (("m1", ["--num-sources", "1"]), ("all", [])):
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(tmp_path / out), *m)
+        assert (code, stdout) == (3, "")
+        assert err == f"mvsgeo: error: {path}: view 3 depth shape (20, 24) does not match view 0 (40, 48)\n"
+    (plane_scene / "pair.txt").write_text("2\n0\n1 1 1.0\n1\n0\n")
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "none"), "--num-sources", "1")
     assert (code, out, err) == (3, "", "mvsgeo: error: view 1 has no source views in pair.txt\n")
-    assert not (tmp_path / "all").exists() and not (tmp_path / "none").exists()
+    assert not any((tmp_path / out).exists() for out in ("m1", "all", "none"))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
@@ -938,12 +937,24 @@ def test_unknown_flag_exits_1(capsys):
     ["gc-penalty", "--scene", "s", "--out", "o", "--threads", "0"],
     ["eval-pc", "--pred", "a.ply", "--gt", "b.ply", "--max-dist", "1", "--threads", "-1"],
     ["gc-penalty", "--scene", "s", "--out", "o", "--num-sources", "-1"],
+    ["synth", "--views", "1"],
+    ["synth", "--views", "0"],
+    ["synth", "--views", "-2"],
+    ["synth", "--width", "0"],
+    ["synth", "--height", "-1"],
+    ["fuse", "--scene", "s", "--num-consistent", "0"],
 ])
-def test_bad_counts_exit_1(argv, capsys):
+def test_bad_counts_exit_1(argv, tmp_path, capsys):
+    # A count is checked as the command line is parsed, before anything is
+    # read or written: synth makes no --out.
+    out = tmp_path / "out"
+    if argv[0] in ("synth", "fuse"):
+        argv = [*argv, "--out", str(out)]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
     assert "must be >=" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_command_exits_1(capsys):
@@ -1056,24 +1067,24 @@ def _pfm_of_shape(path, shape):
 @pytest.mark.parametrize("case", ["reference with no reference source", "mis-shaped reference",
                                   "mis-shaped source-only view"])
 def test_fuse_checks_the_sources_as_gc_penalty_does(plane_scene, tmp_path, capsys, monkeypatch, case):
-    # fuse checks each reference against its sources by gc-penalty's
-    # checks (Scene.source_views), before any depth is read, and names the
-    # faulty view by its id.  Reference 3's one source, view 1, is no
-    # reference, so fuse would check 3 against nothing; fusion.fuse named
-    # it "view 2", its list index.  A view of another shape was found only
-    # as fusion.fuse compared the loaded maps, naming no file or view; a
-    # source-only view's shape was not checked at all.
+    # fuse checks each reference for sources by gc-penalty's check
+    # (Scene.source_views), before any depth is read, and names the faulty
+    # view by its id.  Reference 3's one source, view 1, is no reference,
+    # so fuse would check 3 against nothing; fusion.fuse named it "view 2",
+    # its list index.  A view of another shape, a source-only one too, is
+    # rejected as the scene is opened, by its file; it was found only as
+    # fusion.fuse compared the loaded maps, naming no file or view.
     pair, depths = plane_scene / "pair.txt", plane_scene / "depths"
     if case == "reference with no reference source":
         pair.write_text("3\n0\n2 1 1.0 2 1.0\n2\n2 0 1.0 1 1.0\n3\n1 1 1.0\n")
         message = "view 3 has no source views among the references in pair.txt"
     elif case == "mis-shaped reference":
         _pfm_of_shape(depths / "00000002.pfm", (20, 24))
-        message = "view 2 depth shape (20, 24) does not match reference view 0 (40, 48)"
+        message = f"{depths / '00000002.pfm'}: view 2 depth shape (20, 24) does not match view 0 (40, 48)"
     else:
         pair.write_text("3\n0\n2 1 1.0 2 1.0\n2\n2 0 1.0 1 1.0\n3\n2 0 1.0 1 1.0\n")
         _pfm_of_shape(depths / "00000001.pfm", (20, 24))
-        message = "view 1 depth shape (20, 24) does not match reference view 0 (40, 48)"
+        message = f"{depths / '00000001.pfm'}: view 1 depth shape (20, 24) does not match view 0 (40, 48)"
     depth, reads = formats._PfmFile.depth, []
 
     def reading(pfm, *args):
@@ -1086,6 +1097,65 @@ def test_fuse_checks_the_sources_as_gc_penalty_does(plane_scene, tmp_path, capsy
                                 "--num-consistent", "1")
     assert (code, stdout, err, reads) == (3, "", f"mvsgeo: error: {message}\n", [])
     assert not out.exists()
+
+
+_SCENE_ARGV = {"gc-penalty": [], "fuse": ["--num-consistent", "1"], "warp": ["--ref", "0", "--src", "1"]}
+
+
+def _scene_verdict(capsys, command, scene, out):
+    """A scene command's (exit code, stdout, stderr) on scene, its output under the directory out."""
+    target = out / "cloud.ply" if command == "fuse" else out
+    return run_cli(capsys, command, "--scene", str(scene), "--out", str(target), *_SCENE_ARGV[command])
+
+
+def test_a_scene_of_two_depth_shapes_stops_every_scene_command_at_open(tmp_path, capsys, monkeypatch):
+    # Views 0 and 1 check each other at 48 x 64, views 2 and 3 at 24 x 32,
+    # with no confidence maps, so no pair compares two shapes.  The scene
+    # still has two: each command stops as the scene is opened, with one
+    # message naming the first depth file of another shape, before any
+    # depth payload is read or output made.
+    scene = tmp_path / "scene"
+    assert main(["synth", "--out", str(scene), "--kind", "two-planes", "--width", "64", "--height", "48",
+                 "--views", "4"]) == 0
+    capsys.readouterr()
+    (scene / "pair.txt").write_text("4\n0\n1 1 1.0\n1\n1 0 1.0\n2\n1 3 1.0\n3\n1 2 1.0\n")
+    for view in (2, 3):
+        path = scene / "depths" / f"{view:08d}.pfm"
+        path.write_bytes(formats.write_pfm(formats.PfmImage(formats.read_pfm(path.read_bytes()).data[::2, ::2])))
+    shutil.rmtree(scene / "confidence")
+    depth, reads = formats._PfmFile.depth, []
+
+    def reading(pfm, *args):
+        reads.append(pfm)
+        return depth(pfm, *args)
+
+    monkeypatch.setattr(formats._PfmFile, "depth", reading)
+    message = (f"mvsgeo: error: {scene / 'depths' / '00000002.pfm'}: "
+               "view 2 depth shape (24, 32) does not match view 0 (48, 64)\n")
+    for command in _SCENE_ARGV:
+        assert _scene_verdict(capsys, command, scene, tmp_path / command) == (3, "", message)
+        assert not (tmp_path / command).exists()
+    assert reads == []
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(view=st.integers(0, 3),
+       shape=st.tuples(st.integers(1, 14), st.integers(1, 18)).filter(lambda shape: shape != (12, 16)))
+def test_one_scene_one_verdict(tmp_path_factory, capsys, view, shape):
+    # Any view of a 4-view 16 x 12 scene rewritten at any other depth
+    # shape: gc-penalty, fuse and warp give one exit code and one message,
+    # naming the first view whose shape is not view 0's (view 1 when view
+    # 0 is the one rewritten), and make no output.
+    scene = tmp_path_factory.mktemp("scene")
+    assert main(["synth", "--out", str(scene), "--width", "16", "--height", "12", "--views", "4"]) == 0
+    capsys.readouterr()
+    _pfm_of_shape(scene / "depths" / f"{view:08d}.pfm", shape)
+    out = tmp_path_factory.mktemp("out")
+    verdicts = {_scene_verdict(capsys, command, scene, out / command) for command in _SCENE_ARGV}
+    first, shapes = (1, ((12, 16), shape)) if view == 0 else (view, (shape, (12, 16)))
+    message = f"view {first} depth shape {shapes[0]} does not match view 0 {shapes[1]}"
+    assert verdicts == {(3, "", f"mvsgeo: error: {scene / 'depths' / f'{first:08d}.pfm'}: {message}\n")}
+    assert list(out.iterdir()) == []
 
 
 def test_fuse_checks_a_confidence_map_against_its_views_depth(plane_scene, tmp_path, capsys):

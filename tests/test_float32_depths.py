@@ -141,7 +141,7 @@ def test_a_loaded_scene_holds_five_bytes_per_pixel_and_view(tmp_path):
                      "--width", str(w), "--height", str(h), "--views", str(views)]) == 0
     def load():
         opened = Scene(scene)
-        return opened, {v: opened.depth(v) for v in opened.shapes}
+        return opened, {v: opened.depth(v) for v in opened.cams}
 
     load()  # first-call allocations (imports, caches)
     tracemalloc.start()

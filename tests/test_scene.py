@@ -93,7 +93,7 @@ def test_a_view_the_scene_does_not_name_is_a_missing_input(scene):
     # missing input, named by view (a reference by pair.txt), not a bare
     # KeyError.
     opened = Scene(scene)
-    assert sorted(opened.cams) == sorted(opened.shapes) == [0, 1, 2, 3, 4]
+    assert sorted(opened.cams) == [0, 1, 2, 3, 4] and opened.shape == (48, 64)
     d0 = opened.depth(0)
     for read in (opened.depth, opened.reference, lambda view: opened.confidence(view, d0)):
         with pytest.raises(FileNotFoundError, match=f"^view 7 not present in scene {re.escape(str(scene))}$"):
