@@ -12,13 +12,13 @@ and warp open a scene with views.Scene(root), which checks every view
 and their one depth shape; gc-penalty and fuse then check that their
 references have sources (Scene.source_views; fuse: among the
 references), all before any depth map is read or file written.  gc-penalty runs the
-references in order on the calling thread (threads were GIL-bound),
-writing each one's PFMs and summary entry before the next; it holds
-the scene's two depth frames, so its memory does not grow with the
-view count.  fuse runs its references in order on one thread too, with
-every reference's depth and confidence loaded first.  eval-pc checks
---max-dist before it reads either cloud, then reads each one's points
-through formats.open_ply and hands them to the search as read.
+references in order on the calling thread (threads were GIL-bound), writing
+each one's PFMs and summary entry before the next; it reads each reference
+and its sources into two depth frames of Scene.shape that it makes, so its
+memory does not grow with the view count.  fuse runs its references in order
+on one thread too, with every reference's depth and confidence loaded first.
+eval-pc checks --max-dist before it reads either cloud, then reads each
+one's points through formats.open_ply and hands them to the search as read.
 """
 
 import argparse
@@ -170,21 +170,24 @@ def _cmd_synth(args) -> int:
 def _cmd_gc_penalty(args) -> int:
     if len(args.d_pixel) != len(args.d_depth):
         raise ValueError("--d-pixel and --d-depth need the same number of stages")
+    if args.ref and len(set(args.ref)) < len(args.ref):
+        raise ValueError(f"--ref names view {next(v for v in args.ref if args.ref.count(v) > 1)} more than once")
     # Every check that can reject the scene runs here, before any file is
     # written; the depths are read only as the references are checked.
     scene = Scene(args.scene)
-    jobs = [(ref_id, scene.source_views(ref_id, args.num_sources)) for ref_id in args.ref or sorted(scene.pairings)]
+    frames = [(np.empty(scene.shape, np.float32), np.empty(scene.shape, bool)) for _ in range(2)]  # ref, source
+    jobs = [(v, scene.source_views(v, args.num_sources, frames[1])) for v in args.ref or sorted(scene.pairings)]
     stages = [GcThresholds(dp, dd) for dp, dd in zip(args.d_pixel, args.d_depth)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary = {"range_mode": args.range, "stages": [
         {"d_pixel": t.d_pixel, "d_depth": t.d_depth} for t in stages], "views": {}}
 
-    # A reference in flight is the scene's two depth frames and its
-    # per-stage vote counts; each stage's levels are derived only as the
-    # stage is written, and the maps go before the next reference.
+    # A reference in flight is the two depth frames and its per-stage vote
+    # counts; each stage's levels are derived only as the stage is written,
+    # and the maps go before the next reference.
     for ref_id, sources in jobs:
-        d_ref = scene.reference(ref_id)
+        d_ref = scene.depth(ref_id, frames[0])
         penalties = stage_penalties(d_ref, scene.cams[ref_id], sources, stages, args.range)
         view_doc = {"sources": sources.ids, "stages": []}
         valid = d_ref.valid

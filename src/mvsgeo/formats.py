@@ -318,13 +318,16 @@ class _PfmFile(_OpenedFile):
     def depth(self, frame=None) -> DepthMap:
         """The file's depth map, as depth_from_pfm(read_pfm(its bytes)) makes it, read band by band.
 
-        frame is the (values, valid) pair of float32 and bool arrays of
-        depth_shape that the map is read into (see DepthMap._of_bands), or
-        None for fresh ones.  No bytes object, flipped copy or masked copy
-        of the frame is made.
+        frame is the (values, valid) pair of writable float32 and bool
+        arrays of depth_shape that the map is read into (DepthMap._of_bands),
+        or None for fresh ones; another is a ValueError before any read.  No
+        bytes object, flipped copy or masked copy of the frame is made.
         """
         shape = self.depth_shape
-        values, valid = frame if frame is not None else (np.empty(shape, np.float32), np.empty(shape, bool))
+        values, valid = frame = frame if frame is not None else (np.empty(shape, np.float32), np.empty(shape, bool))
+        if not all(isinstance(a, np.ndarray) and (a.dtype, a.shape, a.flags.writeable) == (dtype, shape, True)
+                   for a, dtype in zip(frame, (np.float32, bool))):
+            raise ValueError(f"a depth frame is a writable float32 and bool array pair of shape {shape}")
         return DepthMap._of_bands(self._band, values, valid)
 
     def image(self) -> np.ndarray:

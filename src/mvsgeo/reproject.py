@@ -283,8 +283,8 @@ def _bands(shape, floats=0, bools=0, pixels=None):
     coordinates.  f and b are lists of `floats` float64 and `bools` bool
     buffers cut to the band (contiguous).  The buffers are allocated once
     per call and every band reuses them.  One array per buffer, not one
-    block for all: measured on `fuse --threads 2` over 320 x 256 x 8
-    views, one block per pair peaked 3-5 MB higher.
+    block for all: measured on fuse over 320 x 256 x 8 views, one block
+    per pair peaked 3-5 MB higher.
     """
     h, w = shape
     packed = pixels is not None

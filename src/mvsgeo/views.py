@@ -12,9 +12,10 @@ a non-blank line after the last pairing is an error.
 
 Scene(root) is the one reader of a scene directory, whose layout
 (docs/FORMATS.md, "Scene directories") synth writes.  Opening it reads
-pair.txt (load_pairing), every view's camera (formats.read_cam) and depth
-header (formats.open_pfm), and checks each depth has the first's shape; a
-rejected file is named in front of the message, "<path>: <message>" (_reading).
+pair.txt (load_pairing), which pairs a reference, every view's camera
+(formats.read_cam) and depth header (formats.open_pfm), and checks each
+depth has the first's shape; a rejected file is named in front of the
+message, "<path>: <message>" (_reading).
 """
 
 import contextlib
@@ -52,7 +53,7 @@ class ViewPairing:
         if self.reference in ids:
             raise ValueError("reference listed among its own sources")
 
-    def top(self, m: int) -> list[int]:
+    def top(self, m: int | None) -> list[int]:
         return [i for i, _ in self.ranked_sources[:m]]
 
 
@@ -192,11 +193,11 @@ def _reading(path):
 class Scene:
     """A scene directory, checked when opened: pair.txt, then the camera and depth header of every view it names.
 
-    A missing camera or depth file, or a view pair.txt does not name, is a
-    missing input (FileNotFoundError).  Each depth has the first view's shape,
-    shape.  A header whose shape and payload size check out leaves no payload
-    byte that can fail to decode, so a depth is read band by band only when
-    asked for.  cam.txt is read with no newline translation, as pair.txt.
+    A missing camera or depth file, or a view pair.txt does not name, is a missing
+    input (FileNotFoundError).  pair.txt pairs a reference, and each depth has the
+    first view's shape, shape.  A header whose shape and payload size check out
+    leaves no payload byte that can fail to decode, so a depth is read band by band
+    only when asked for.  cam.txt is read with no newline translation, as pair.txt.
     pairings maps each reference to its ViewPairing, cams each view to its Camera.
     """
 
@@ -205,6 +206,8 @@ class Scene:
         pair_path = self.root / "pair.txt"
         with _reading(pair_path):
             self.pairings = {p.reference: p for p in load_pairing(pair_path)}
+            if not self.pairings:
+                raise ValueError("no pairing: a scene needs a reference view")
         ids = sorted(set(self.pairings) | {s for p in self.pairings.values() for s, _ in p.ranked_sources})
         for view in ids:
             for path in self._files(self.root, view)[:2]:
@@ -219,7 +222,6 @@ class Scene:
                 self.shape = self.shape or pfm.depth_shape
                 if pfm.depth_shape != self.shape:
                     raise ValueError(f"view {view} depth shape {pfm.shape} does not match view {ids[0]} {self.shape}")
-        self._frames = [None, None]  # the reference's and the source's (values, valid)
 
     @staticmethod
     def _files(root, view):
@@ -236,7 +238,7 @@ class Scene:
     def depth(self, view, frame=None):
         """A view's depth map, read band by band into frame, a (values, valid) pair, or fresh arrays.
 
-        A file whose header lost its checked shape is rejected before a byte is read into frame.
+        A bad frame, or a file whose header lost its checked shape, is rejected before a byte is read into frame.
         """
         path, shape = self._files(self.root, view)[1], self._shape(view)
         with _reading(path), open_pfm(path) as pfm:
@@ -254,42 +256,32 @@ class Scene:
                 raise ValueError(f"view {view} confidence shape {pfm.shape} does not match its depth shape {shape}")
             return pfm.image()
 
-    def reference(self, ref):
-        """View ref's depth map, read into the scene's reference frame, which the next reference() overwrites."""
-        return self._read(0, ref)
-
-    def source_views(self, ref, m=0):
+    def source_views(self, ref, m=0, frame=None):
         """Reference ref's top m sources (all for 0) as stage_penalties reads them: a lazy sequence of (DepthMap, Camera).
 
         Checked now, before any depth is read: ref is a reference in pair.txt
-        (a missing input if not) with a source.  Item i reads source ids[i]'s
-        depth into the scene's source frame, which the next item read
-        overwrites; ids is in pair.txt's order.
+        (a missing input if not) with a source.  Item i is depth(ids[i],
+        frame), so each item read into frame overwrites the one before, and
+        its camera; ids is in pair.txt's order.
         """
         if ref not in self.pairings:
             raise FileNotFoundError(f"view {ref} not present in {self.root / 'pair.txt'}")
-        ids = [s for s, _ in self.pairings[ref].ranked_sources][:m or None]
+        ids = self.pairings[ref].top(m or None)
         if not ids:
             raise ValueError(f"view {ref} has no source views in pair.txt")
-        return _SourceViews(self, ids)
-
-    def _read(self, k, view):
-        """A view's depth map, read into frame k (0: the reference's, 1: the source's), made at its first read."""
-        shape = self._shape(view)
-        if self._frames[k] is None:
-            self._frames[k] = (np.empty(shape, np.float32), np.empty(shape, bool))
-        return self.depth(view, self._frames[k])
+        return _SourceViews(self, ids, frame)
 
 
 @dataclass
 class _SourceViews(Sequence):
-    """Scene.source_views: item i is source ids[i]'s depth, read into the scene's source frame, and its camera."""
+    """Scene.source_views: item i is source ids[i]'s depth, read into frame (fresh arrays if None), and its camera."""
 
     _scene: Scene
     ids: list
+    frame: tuple | None
 
     def __len__(self):
         return len(self.ids)
 
     def __getitem__(self, i):
-        return self._scene._read(1, self.ids[i]), self._scene.cams[self.ids[i]]
+        return self._scene.depth(self.ids[i], self.frame), self._scene.cams[self.ids[i]]

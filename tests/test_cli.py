@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import sys
 import warnings
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mvsgeo import formats, reproject, synth
+from mvsgeo import formats, reproject, synth, views
 from mvsgeo.cli import main
 from mvsgeo.loss import ProbabilityVolume, StageWeights, total_loss
 from mvsgeo.views import parse_pair_text
@@ -151,6 +152,20 @@ def test_gc_penalty_stage_count_mismatch(plane_scene, tmp_path, capsys):
                            "--d-depth", "0.01")
     assert code == 3
     assert "same number of stages" in err
+
+
+def test_gc_penalty_rejects_a_repeated_ref_before_the_scene_is_opened(plane_scene, tmp_path, capsys, monkeypatch):
+    # Each reference is checked and written once: a repeated --ref, which
+    # read view 1 and its sources twice and wrote its PFMs twice, is exit 3
+    # before pair.txt is read or --out made.
+    opened = []
+    monkeypatch.setattr(views, "load_pairing", opened.append)
+    out = tmp_path / "x"
+    for refs in (["1", "1"], ["0", "2", "0"]):
+        code, stdout, err = run_cli(capsys, "gc-penalty", "--scene", str(plane_scene), "--out", str(out), "--ref", *refs)
+        assert (code, stdout) == (3, "")
+        assert err == f"mvsgeo: error: --ref names view {refs[0]} more than once\n"
+    assert opened == [] and not out.exists()
 
 
 def test_gc_penalty_one_corrupted_view_of_eight(tmp_path, capsys):
@@ -1136,6 +1151,26 @@ def test_a_scene_of_two_depth_shapes_stops_every_scene_command_at_open(tmp_path,
         assert _scene_verdict(capsys, command, scene, tmp_path / command) == (3, "", message)
         assert not (tmp_path / command).exists()
     assert reads == []
+
+
+def test_a_scene_with_no_pairing_stops_every_scene_command_at_open(tmp_path, capsys, monkeypatch):
+    # A pair.txt of count 0 pairs no reference, so the scene has no depth
+    # shape to make frames of.  Scene(root) rejects it, naming pair.txt,
+    # before any cam.txt is read; gc-penalty (which wrote an empty
+    # summary.json), fuse and warp all exit 3 with its message.
+    scene = tmp_path / "scene"
+    assert main(["synth", "--out", str(scene), "--width", "16", "--height", "12", "--views", "3"]) == 0
+    capsys.readouterr()
+    (scene / "pair.txt").write_text("0\n")
+    cams = []
+    monkeypatch.setattr(views, "read_cam", cams.append)
+    error = f"{scene / 'pair.txt'}: no pairing: a scene needs a reference view"
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        views.Scene(scene)
+    for command in _SCENE_ARGV:
+        assert _scene_verdict(capsys, command, scene, tmp_path / command) == (3, "", f"mvsgeo: error: {error}\n")
+        assert not (tmp_path / command).exists()
+    assert cams == []
 
 
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
