@@ -17,8 +17,10 @@ each one's PFMs and summary entry before the next; it reads each reference
 and its sources into two depth frames of Scene.shape that it makes, so its
 memory does not grow with the view count.  fuse runs its references in order
 on one thread too, with every reference's depth and confidence loaded first.
-eval-pc checks --max-dist before it reads either cloud, then reads each
-one's points through formats.open_ply and hands them to the search as read.
+loss, eval-pc and eval-depth open every input and check its header (eval-depth
+each shape against the prediction's) before any payload byte is read; eval-pc
+checks --max-dist first, then hands each cloud's points (formats.open_ply) to
+the search as read.  warp rejects --src equal to --ref before the scene is opened.
 """
 
 import argparse
@@ -43,7 +45,7 @@ from .penalty import (
     penalty_histogram,
     stage_penalties,
 )
-from .reproject import _WARP, _chain, _pair_errors
+from .reproject import _WARP, _checks
 from .views import Scene, _reading, rank_sources, save_pairing
 
 __all__ = ["main"]
@@ -84,18 +86,6 @@ class _NamedBands:
 
     def close(self):
         self._pfm.close()
-
-
-def _read_depth(path):
-    """The depth map in a 1-channel PFM file, read band by band (_PfmFile.depth), named as _reading names it."""
-    with _reading(path), formats.open_pfm(Path(path)) as pfm:
-        return pfm.depth()
-
-
-def _read_points(path):
-    """The float64 points of the PLY cloud at path, read through formats.open_ply, named as _reading names it."""
-    with _reading(path), formats.open_ply(Path(path)) as ply:
-        return ply.points()
 
 
 def _emit_json(doc: dict, out: str | None = None) -> None:
@@ -293,8 +283,18 @@ def _cmd_eval_pc(args) -> int:
     # the library, is rejected here too.
     if not 0 <= args.max_dist < math.inf:
         raise ValueError(f"--max-dist must be finite and non-negative, got {args.max_dist}")
-    # No PointCloud: its finiteness pass would repeat open_ply's.
-    pred, gt = _read_points(args.pred), _read_points(args.gt)
+    # Both headers are checked before either cloud's points are read.  No
+    # PointCloud: its finiteness pass would repeat open_ply's.
+    with contextlib.ExitStack() as files:
+        clouds = []
+        for path in (args.pred, args.gt):
+            with _reading(path):
+                clouds.append((path, files.enter_context(formats.open_ply(Path(path)))))
+        points = []
+        for path, ply in clouds:
+            with _reading(path):
+                points.append(ply.points())
+    pred, gt = points
     m = evaluate_point_clouds(pred, gt, args.max_dist, workers=args.threads)
     _emit_json(
         {
@@ -311,22 +311,26 @@ def _cmd_eval_pc(args) -> int:
 
 
 def _cmd_eval_depth(args) -> int:
-    pred = _read_depth(args.pred)
-
-    # Each input must match the prediction's frame before any arithmetic;
-    # a 3-channel mask, (H, W, 3), fails too.
-    def check(role, path, shape):
-        if shape != pred.shape:
-            raise ValueError(f"{role} {path} has shape {shape}, the prediction {args.pred} needs {pred.shape}")
-
-    gt = _read_depth(args.gt)
-    check("ground truth", args.gt, gt.shape)
+    inputs = [("prediction", args.pred), ("ground truth", args.gt)] + [("mask", args.mask)] * bool(args.mask)
+    with contextlib.ExitStack() as files:
+        # Each input must match the prediction's frame before any payload
+        # is read; a 3-channel mask, (H, W, 3), fails too.
+        pfms = []
+        for role, path in inputs:
+            with _reading(path):
+                pfm = files.enter_context(formats.open_pfm(Path(path)))
+                shape = pfm.shape if role == "mask" else pfm.depth_shape
+            if pfms and shape != pfms[0].shape:
+                raise ValueError(f"{role} {path} has shape {shape}, the prediction {args.pred} needs {pfms[0].shape}")
+            pfms.append(pfm)
+        maps = []
+        for (role, path), pfm in zip(inputs, pfms):
+            with _reading(path):
+                maps.append(pfm.image() if role == "mask" else pfm.depth())
+    pred, gt, *mask = maps
     valid = pred.valid & gt.valid
-    if args.mask:
-        with _reading(args.mask), formats.open_pfm(Path(args.mask)) as pfm:
-            mask = pfm.image()
-        check("mask", args.mask, mask.shape)
-        valid = valid & (mask.astype(np.float64) > 0)
+    if mask:
+        valid = valid & (mask[0].astype(np.float64) > 0)
     m = depth_metrics(pred, gt, valid)
     _emit_json({"epe": m.epe, "e1": m.e1, "e3": m.e3, "n_valid": int(valid.sum())}, args.out)
     return 0
@@ -338,12 +342,14 @@ def _cmd_eval_depth(args) -> int:
 
 
 def _cmd_warp(args) -> int:
+    if args.src == args.ref:  # as pair.txt, which lists no reference among its own sources
+        raise ValueError(f"--src names the reference view {args.ref}: a view is not its own source")
     scene = Scene(args.scene)
     d_ref, cams = scene.depth(args.ref), scene.cams
     x, y, d, ok = outs = tuple(np.empty(d_ref.shape, dtype=dtype) for dtype in _WARP)
     errors = np.empty((2,) + d_ref.shape)
-    for sel, band, _, back, failed in _chain(d_ref, cams[args.ref], scene.depth(args.src), cams[args.src], outs):
-        _pair_errors(*band[:3], *back[:3], failed, errors[:, sel])
+    for sel, _, pde, rdd, *_ in _checks(d_ref, cams[args.ref], scene.depth(args.src), cams[args.src], outs):
+        errors[0, sel], errors[1, sel] = pde, rdd
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tag = f"{args.ref:08d}_{args.src:08d}"
@@ -416,9 +422,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fuse", help="fuse scene depth maps into a point cloud")
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("fusibile", "dynamic"), default="fusibile")
-    p.add_argument("--disp-thresh", type=float, default=1.0)
-    p.add_argument("--depth-thresh", type=float, default=0.01)
+    p.add_argument("--mode", choices=("fusibile", "dynamic"), default="fusibile",
+                   help="fusibile: one threshold pair; dynamic: a fixed table of 0.25 px and 0.0025 relative "
+                        "depth per required view (default: fusibile)")
+    p.add_argument("--disp-thresh", type=float, default=1.0,
+                   help="fusibile displacement threshold, px (default: 1.0); checked but not used by --mode dynamic")
+    p.add_argument("--depth-thresh", type=float, default=0.01,
+                   help="fusibile relative depth threshold (default: 0.01); checked but not used by --mode dynamic")
     p.add_argument("--prob-thresh", type=float, default=0.5)
     p.add_argument("--num-consistent", type=_count_type(1), default=3)
     p.add_argument("--average", choices=("mean", "median"), default="mean")

@@ -166,7 +166,8 @@ def _fill_pair(d_ref: DepthMap, ref_cam: Camera, d_src: DepthMap, src_cam: Camer
     before the next pair allocates its band buffers.
     """
     hs, ws = d_src.shape
-    for sel, (x, y, landed), pde, rdd, failed, spare in _checks(d_ref, ref_cam, d_src, src_cam, dres, pixels):
+    back_out = (None, None, dres, None)  # of the back warp, only the depth is kept
+    for sel, (x, y, landed), pde, rdd, failed, spare in _checks(d_ref, ref_cam, d_src, src_cam, back_out, pixels):
         # failed and spare serve as the bits' scratch.
         _set_pass_bits(pde, rdd, table, bits[sel], failed, spare)
         # Bounds test in float: a landing pixel far outside the image may

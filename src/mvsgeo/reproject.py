@@ -7,40 +7,39 @@ the reference view.  Comparing the result against the original reference
 depth is the basis of every consistency check in this package.
 
 Each step is a vectorized numpy pass over one band at a time, and there
-is one walker and one chain.  _bands(shape, floats, bools, pixels) is the
-package's only band loop.  It walks bands of two kinds.  Without pixels
-a band is whole rows of the frame, and the pixel grid is its column and
-row vectors, broadcast over the band: gc-penalty, fbr, `warp` and the
-loss walk these.  With pixels, ascending flat indices of the frame
-pixels to check, a band is a chunk of at most max(_BAND_PIXELS, W) of
-them, with each pixel's x and y: fusion walks only the reference pixels
-that can still fuse.  Each band comes with band-sized float64 and bool
-buffers (256 KB per float64 buffer at _BAND_PIXELS), allocated once per
-call and reused by every band.  _chain(d_ref, ref, d_src, src, back_out,
-pixels) is the only composition of the forward-backward reprojection:
-per pair it builds both warp transforms and the source's corner-validity
-map once, then per band writes the forward warp, the sample and the back
-warp through ufunc `out=` arguments into the band buffers and, where the
-caller passes outputs (full frames, or one entry per pixel), straight
-into their band slices.  fbr walks _chain, and
-_checks(d_ref, ref, d_src, src, dres, pixels) is the one pair-check walk:
-it walks _chain and applies _pair_errors to each band, for the penalty's
-votes (penalty._add_pair_votes) and fusion's pass bits
-(fusion._fill_pair); `warp` walks _chain into its four frames and applies
-_pair_errors per band.  forward_project and inconsistency_mask walk
-_depth_bands (_bands that also yields each band's reference depths as
-float64 and their validity), remap and the loss walk _bands.  The
-chain's own buffers are allocated once per pair, so the working set
-stays in L2 and no band pays for fresh pages or heap trimming.  The
-forward warp's broadcast multiplies of a row band's pixel grid still use
-numpy's own iteration buffer (at most 8192 elements), and each scaled
-grid vector is a row- or column-sized array of its own (see _scaled).
+is one walker and one pair walk.  _bands(shape, floats, bools, pixels)
+is the package's only band loop.  It walks bands of two kinds.  Without
+pixels a band is whole rows of the frame, and the pixel grid is its
+column and row vectors, broadcast over the band: gc-penalty, fbr, `warp`
+and the loss walk these.  With pixels, ascending flat indices of the
+frame pixels to check, a band is a chunk of at most max(_BAND_PIXELS, W)
+of them, with each pixel's x and y: fusion walks only the reference
+pixels that can still fuse.  Each band comes with band-sized float64 and
+bool buffers (256 KB per float64 buffer at _BAND_PIXELS), allocated once
+per call and reused by every band.  _checks(d_ref, ref, d_src, src,
+back_out, pixels) is the only composition of the forward-backward
+reprojection and the one pair-check walk: per pair it builds both warp
+transforms and the source's corner-validity map once, then per band
+writes the forward warp, the sample and the back warp through ufunc
+`out=` arguments into the band buffers and, where the caller passes
+outputs (full frames, or one entry per pixel), straight into their band
+slices, and applies _pair_errors.  The penalty's votes
+(penalty._add_pair_votes), fusion's pass bits (fusion._fill_pair), fbr
+and `warp` all walk it; fbr discards the errors.  forward_project and
+inconsistency_mask walk _depth_bands (_bands that also yields each
+band's reference depths as float64 and their validity), remap and the
+loss walk _bands.  The walk's own buffers are allocated once per pair,
+so the working set stays in L2 and no band pays for fresh pages or heap
+trimming.  The forward warp's broadcast multiplies of a row band's
+pixel grid still use numpy's own iteration buffer (at most 8192
+elements), and each scaled grid vector is a row- or column-sized array
+of its own (see _scaled).
 
-The views that _bands, _chain and _checks yield are overwritten by the
-next band and must not outlive their pair: a view still bound when the
-next pair starts (a loop variable, say) keeps that pair's buffers alive
-while the next pair allocates its own, and measured so, `fuse` peaked
-about 2 MB higher.
+The views that _bands and _checks yield are overwritten by the next
+band and must not outlive their pair: a view still bound when the next
+pair starts (a loop variable, say) keeps that pair's buffers alive while
+the next pair allocates its own, and measured so, `fuse` peaked about 2
+MB higher.
 
 The sampler reads one corner-validity map per source map and call: a
 flat bool per pixel telling whether the bilinear cell with that upper-left
@@ -51,7 +50,7 @@ np.take from the flat depths at the corner's offset (right +1, lower +W).
 Depths stay at their file's precision: a DepthMap keeps float32 or
 float64 values as given, so a PFM's depths hold 4 bytes per pixel (5 with
 the mask, against 9 widened to float64), and each kernel widens one band
-at a time into band scratch.  _chain widens the reference band once
+at a time into band scratch.  _checks widens the reference band once
 (_depth_bands, into a buffer allocated only for a float32 map or a
 chunk of pixels), and the forward warp and _pair_errors read that copy;
 _sample gathers each bilinear corner of a float32 map into a float32
@@ -80,7 +79,7 @@ buffer held before never leak.
 _pair_errors is the one pair check: displacement sqrt(dx**2 + dy**2) and
 relative depth difference, inf where `ok` is false (invalid reference
 pixel, behind a camera, off the source, invalid corner), applied per band
-of a _chain walk (_checks, `warp`) or of fbr's frames (inconsistency_mask).
+of the one pair walk (_checks) or of fbr's frames (inconsistency_mask).
 Its divide |d'' - d| / d is unmasked, as _apply_warp's are: a failed
 pixel's quotient is overwritten, and an overflow (a valid float64 depth
 of 5e-324) gives inf, which votes and passes no fusion row.
@@ -432,7 +431,9 @@ def _pair_errors(xs, ys, depth, x_back, y_back, d_back, failed, out):
     coordinates, per pixel or a broadcast row band's grid vectors (_bands).
     Written into out = (pde, rdd) and returned; inf where `failed` (the
     reprojection is not ok).  out may be (x_back, y_back) themselves: each
-    is read before it is written (fusion reuses them so).
+    is read before it is written (_checks, the one pair walk, reuses its
+    back warp's x and y scratch so; inconsistency_mask applies it to fbr's
+    frames).
     """
     pde, rdd = out
     np.square(np.subtract(x_back, xs, out=pde), out=pde)
@@ -446,23 +447,27 @@ def _pair_errors(xs, ys, depth, x_back, y_back, d_back, failed, out):
     return pde, rdd
 
 
-def _chain(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, back_out, pixels=None):
-    """Forward-backward reprojection of one pair, walked band by band.
+def _checks(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, back_out=(None,) * 4, pixels=None):
+    """The pair check of one pair, walked band by band: the forward-backward reprojection, then _pair_errors.
 
     Per pair both warp transforms and the source's corner-validity map are
     built once.  The bands are _depth_bands(d_ref, ..., pixels): whole
     rows, or chunks of the reference pixels `pixels` (ascending flat
-    indices).  Per band it yields (sel, band, (x, y, landed), back,
-    failed): band = (xs, ys, depth, valid) are the reference pixels'
-    coordinates, depths as float64 (widened or gathered once per band) and
-    validity, then the forward landing in the source view, the back warp
-    back = (x, y, depth, ok) in the reference view and failed = ~ok.
-    back_out holds four output arrays or None each, full frames (or one
-    entry per pixel of `pixels`); the back warp is written into the given
-    arrays' slices `sel` and into band scratch elsewhere.  Every yielded
-    array that is not a given output is band scratch (or a view of the
-    reference map), overwritten by the next band and dead once the pair is
-    walked.
+    indices).  Per band the forward warp, the bilinear sample and the back
+    warp (x, y, depth, ok) run into band buffers, then _pair_errors on the
+    reference depths widened once for the forward warp.  back_out holds
+    four output arrays or None each, full frames (or one entry per pixel
+    of `pixels`); the back warp is written into the given arrays' slices
+    `sel` and into band scratch elsewhere.
+
+    Per band it yields (sel, (x, y, landed), pde, rdd, failed, spare):
+    the band's slice (rows, or entries of `pixels`), the forward landing
+    in the source view, PDE and RDD (inf where failed), failed = ~ok of
+    the back warp, and spare, a bool band buffer free for the caller.
+    PDE and RDD are written over the back warp's x and y scratch, dead
+    once read (or over free scratch when back_out gives x and y), so no
+    band array is added.  Every yielded array is band scratch, overwritten
+    by the next band and dead once the pair is walked.
     """
     forward, back = warp_transform(ref, src), warp_transform(src, ref)
     corners = _corners(d_src)
@@ -474,26 +479,8 @@ def _chain(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, back_out,
         # f[4:7] and b[3] are free once the sample is done.
         out = tuple(spare if a is None else a[sel] for a, spare in zip(back_out, (*f[4:7], b[3])))
         _apply_warp(back, x, y, s, sampled, out, f[3], failed)
-        yield sel, band, (x, y, landed), out, failed
-
-
-def _checks(d_ref: DepthMap, ref: Camera, d_src: DepthMap, src: Camera, dres=None, pixels=None):
-    """The pair check of one pair, walked band by band: _chain, then _pair_errors per band.
-
-    Per band it yields (sel, (x, y, landed), pde, rdd, failed, spare):
-    the band's slice (rows, or entries of `pixels`), the forward landing
-    in the source view, PDE and RDD (inf where failed), failed = ~ok of
-    the back warp, and spare, a bool band buffer (the back warp's ok) free
-    for the caller.  PDE and RDD are written over the back warp's x and y,
-    band scratch dead once read, so no band array is added; they read the
-    reference depths _chain widened for the forward warp.  The back warp's
-    depth goes into dres[sel] when dres (a full frame, or one entry per
-    pixel of `pixels`) is given.  Every yielded array is band scratch,
-    overwritten by the next band.
-    """
-    for sel, band, landing, back, failed in _chain(d_ref, ref, d_src, src, (None, None, dres, None), pixels):
-        pde, rdd = _pair_errors(*band[:3], *back[:3], failed, back[:2])
-        yield sel, landing, pde, rdd, failed, back[3]
+        pde, rdd = _pair_errors(*band[:3], *out[:3], failed, f[4:6])
+        yield sel, (x, y, landed), pde, rdd, failed, b[3]
 
 
 def forward_project(d_ref: DepthMap, ref: Camera, src: Camera) -> tuple[CoordinateGrid, DepthMap]:
@@ -535,12 +522,12 @@ def fbr(d_ref: DepthMap, ref: Camera, d_src_gt: DepthMap, src: Camera) -> tuple[
     Three steps: forward-warp the reference depths into the source view,
     sample the source depth map at the landing coordinates, then
     back-project the sampled depths through the source camera and
-    reproject into the reference view (_chain, run band by band).
-    Returns the reprojected depth map (values in the reference camera
-    frame) and the reprojected pixel coordinates.  Invalidity propagates
-    through every step.
+    reproject into the reference view (_checks, walked band by band; the
+    errors it computes per band are discarded).  Returns the reprojected
+    depth map (values in the reference camera frame) and the reprojected
+    pixel coordinates.  Invalidity propagates through every step.
     """
     outs = x2, y2, d2, ok = tuple(np.empty(d_ref.shape, dtype=dtype) for dtype in _WARP)
-    for _ in _chain(d_ref, ref, d_src_gt, src, outs):
+    for _ in _checks(d_ref, ref, d_src_gt, src, outs):
         pass
     return _wrap(DepthMap, values=d2, valid=ok), _wrap(CoordinateGrid, x=x2, y=y2, valid=ok)

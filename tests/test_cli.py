@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shutil
 import sys
@@ -121,13 +122,14 @@ def test_gc_penalty_multi_stage_and_threads(plane_scene, tmp_path, capsys):
 def test_gc_penalty_reprojects_each_pair_once(plane_scene, tmp_path, capsys, monkeypatch):
     # Three stages share one forward-backward reprojection and one
     # displacement/depth-difference pass per (reference, source) pair: one
-    # walk of the reprojection chain per pair, whose bands every stage
+    # walk of the pair check per pair, whose bands every stage
     # votes from; only the threshold comparisons repeat per stage, and the
     # public one-stage inconsistency_mask is not called at all.
     import mvsgeo.penalty
 
-    counts = {"_chain": 0, "inconsistency_mask": 0}
-    for module, name in ((reproject, "_chain"), (mvsgeo.penalty, "inconsistency_mask")):
+    # penalty imports _checks by name, so the hook goes on its binding.
+    counts = {"_checks": 0, "inconsistency_mask": 0}
+    for module, name in ((mvsgeo.penalty, "_checks"), (mvsgeo.penalty, "inconsistency_mask")):
         original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -143,7 +145,7 @@ def test_gc_penalty_reprojects_each_pair_once(plane_scene, tmp_path, capsys, mon
     refs = len(doc["views"])
     pairs = sum(len(view["sources"]) for view in doc["views"].values())
     assert refs == 4 and pairs == refs * 3
-    assert counts == {"_chain": pairs, "inconsistency_mask": 0}
+    assert counts == {"_checks": pairs, "inconsistency_mask": 0}
 
 
 def test_gc_penalty_stage_count_mismatch(plane_scene, tmp_path, capsys):
@@ -668,6 +670,22 @@ def test_eval_depth_rejects_a_mismatched_input_by_name(plane_scene, tmp_path, ca
     assert out == "" and not (tmp_path / "out.json").exists()
     assert f"{role} {bad} has shape {data.shape}, the prediction {d0} needs (40, 48)" in err
     assert "broadcast" not in err
+
+
+def test_warp_rejects_a_view_as_its_own_source_before_the_scene_is_opened(plane_scene, tmp_path, capsys,
+                                                                         monkeypatch):
+    # pair.txt lists no reference among its own sources, so no other
+    # command checks a view against itself: `warp --src` equal to --ref is
+    # exit 3 before pair.txt is read or --out made, as a repeated
+    # gc-penalty --ref is.
+    opened = []
+    monkeypatch.setattr(views, "load_pairing", opened.append)
+    out = tmp_path / "warp"
+    code, stdout, err = run_cli(capsys, "warp", "--scene", str(plane_scene), "--ref", "2", "--src", "2",
+                                "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert err == "mvsgeo: error: --src names the reference view 2: a view is not its own source\n"
+    assert opened == [] and not out.exists()
 
 
 def test_warp_cli(plane_scene, tmp_path, capsys):
@@ -1340,6 +1358,57 @@ def _reader_inputs(scene, tmp_path):
                        "--mask", str(files["mask.pfm"])],
     }
     return argv, files
+
+
+def _of_shape(shape):
+    return lambda data: formats.write_pfm(formats.PfmImage(np.ones(shape, dtype=np.float32)))
+
+
+# An eval input rejected from its header: command, file, how it is broken
+# (None: removed), exit code and the stderr line.
+EVAL_HEADER_FAULTS = {
+    "depth gt (6, 8)": ("eval-depth", "gt.pfm", _of_shape((6, 8)), 3,
+                        "error: ground truth {path} has shape (6, 8), the prediction {pred} needs (40, 48)"),
+    "depth gt 3-channel": ("eval-depth", "gt.pfm", _of_shape((40, 48, 3)), 3, "error: {path}: depth maps are single-channel PFMs"),
+    "depth gt truncated": ("eval-depth", "gt.pfm", lambda data: data[:-4], 3, "error: {path}: truncated PFM payload"),
+    "depth mask (40, 48, 3)": ("eval-depth", "mask.pfm", _of_shape((40, 48, 3)), 3,
+                               "error: mask {path} has shape (40, 48, 3), the prediction {pred} needs (40, 48)"),
+    "depth mask missing": ("eval-depth", "mask.pfm", None, 2, "missing input: {path}\n"),
+    "pc gt garbage": ("eval-pc", "gt.ply", lambda data: b"garbage\n", 3, "error: {path}: bad PLY magic"),
+    "pc gt truncated": ("eval-pc", "gt.ply", lambda data: data[:-4], 3, "error: {path}: PLY payload size mismatch"),
+    "pc gt missing": ("eval-pc", "gt.ply", None, 2, "missing input: {path}\n"),
+}
+
+
+@pytest.mark.parametrize("case", EVAL_HEADER_FAULTS.values(), ids=EVAL_HEADER_FAULTS.keys())
+def test_eval_commands_check_every_header_before_reading_a_payload(plane_scene, tmp_path, capsys, monkeypatch,
+                                                                   case):
+    # eval-depth and eval-pc open every input and check its header (and a
+    # depth's shape against the prediction's) before any payload byte is
+    # read, as loss and Scene do: a fault in the last input is found with
+    # no byte of the first read (payloads are read with preadv), the
+    # message unchanged.
+    command, name, breaks, code, message = case
+    argv, files = _reader_inputs(plane_scene, tmp_path)
+    payload = []
+    preadv = os.preadv
+
+    def counted(*args):
+        payload.append(preadv(*args))
+        return payload[-1]
+
+    monkeypatch.setattr(os, "preadv", counted)
+    assert run_cli(capsys, command, *argv[command])[0] == 0
+    assert sum(payload) > 0  # the rule is not vacuous: an intact run reads its payloads so
+    payload.clear()
+    path = files[name]
+    if breaks is None:
+        path.unlink()
+    else:
+        path.write_bytes(breaks(path.read_bytes()))
+    code_, out, err = run_cli(capsys, command, *argv[command])
+    assert (code_, out, payload) == (code, "", [])
+    assert err.startswith("mvsgeo: " + message.format(path=path, pred=files["pred.pfm"]))
 
 
 def _depth_of(data):

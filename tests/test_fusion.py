@@ -524,16 +524,16 @@ def test_each_pair_walks_the_pixels_eligible_when_its_reference_is_drawn(monkeyp
     views = holey_views(7, w=32, h=24, n=6)
     index = {id(view[0].valid): r for r, view in enumerate(views)}
     drawn, walked, after = {}, [], []
-    eligible_pixels, chain, consume = mvsgeo.fusion._eligible_pixels, reproject._chain, mvsgeo.fusion._consume_pass
+    eligible_pixels, checks, consume = mvsgeo.fusion._eligible_pixels, mvsgeo.fusion._checks, mvsgeo.fusion._consume_pass
 
     def recording_draw(consumed, valid, conf, prob_threshold):
         pixels = eligible_pixels(consumed, valid, conf, prob_threshold)
         drawn[index[id(valid)]] = pixels
         return pixels
 
-    def recording_chain(d_ref, ref, d_src, src, back_out, pixels=None):
+    def recording_checks(d_ref, ref, d_src, src, back_out, pixels=None):
         walked.append((index[id(d_ref.valid)], pixels.copy()))
-        return chain(d_ref, ref, d_src, src, back_out, pixels)
+        return checks(d_ref, ref, d_src, src, back_out, pixels)
 
     def recording_consume(*args):
         result = consume(*args)
@@ -541,7 +541,7 @@ def test_each_pair_walks_the_pixels_eligible_when_its_reference_is_drawn(monkeyp
         return result
 
     monkeypatch.setattr(mvsgeo.fusion, "_eligible_pixels", recording_draw)
-    monkeypatch.setattr(reproject, "_chain", recording_chain)
+    monkeypatch.setattr(mvsgeo.fusion, "_checks", recording_checks)  # fusion imports the name
     monkeypatch.setattr(mvsgeo.fusion, "_consume_pass", recording_consume)
     prob = 0.3
     fuse(views, FusionParams(prob_threshold=prob, consistency_threshold=2))
