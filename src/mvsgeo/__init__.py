@@ -1,14 +1,14 @@
 """Multi-view stereo geometric consistency toolkit.
 
-Core pieces: pinhole projection primitives, forward-backward reprojection
-of depth maps, multi-view inconsistency penalties, penalty-weighted
-classification loss, plane-sweep hypothesis generation, depth-map fusion
-into point clouds, point-cloud and depth metrics, analytic synthetic
-scenes, the scene directory reader (Scene), and readers/writers for the
-ecosystem file formats.
+Core pieces: the pinhole camera and its warp matrix, forward-backward
+reprojection of depth maps, multi-view inconsistency penalties,
+penalty-weighted classification loss, plane-sweep hypothesis generation,
+depth-map fusion into point clouds, point-cloud and depth metrics,
+analytic synthetic scenes, the scene directory reader (Scene), and
+readers/writers for the ecosystem file formats.
 """
 
-from .camera import Camera, Pixel, back_project, pixel_grid, project, warp_transform
+from .camera import Camera, pixel_grid, warp_transform
 from .fusion import DEFAULT_DYNAMIC_TABLE, FusionParams, PointCloud, fuse
 from .hypotheses import (
     DIR_TEST,

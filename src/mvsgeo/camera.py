@@ -1,4 +1,7 @@
-"""Pinhole camera model and projection primitives.
+"""Pinhole camera model and the composite warp matrix between two views.
+
+Projection runs on whole frames, through warp_transform (reproject walks
+it band by band); the module has no per-point projection function.
 
 Conventions (these differ between tools, so they are spelled out):
 
@@ -21,15 +24,7 @@ import numpy as np
 # "behind camera / at infinity" instead of dividing through.
 W_EPS = 1e-12
 
-__all__ = ["Camera", "Pixel", "W_EPS", "back_project", "project", "warp_transform", "pixel_grid"]
-
-
-@dataclass(frozen=True)
-class Pixel:
-    """Continuous image position, x = column, y = row."""
-
-    x: float
-    y: float
+__all__ = ["Camera", "W_EPS", "warp_transform", "pixel_grid"]
 
 
 @dataclass(frozen=True)
@@ -102,37 +97,12 @@ def _inv(mat: np.ndarray) -> np.ndarray:
         raise ValueError("singular camera matrix") from exc
 
 
-def back_project(pixel: Pixel, depth: float, cam: Camera) -> np.ndarray:
-    """Lift a pixel at a given camera-frame depth to a world-space 3D point."""
-    if not depth > 0:
-        raise ValueError("depth must be > 0")
-    ray = _inv(cam.K) @ np.array([pixel.x, pixel.y, 1.0])
-    cam_pt = np.append(depth * ray, 1.0)
-    world = _inv(cam.E) @ cam_pt
-    return world[:3] / world[3]
-
-
-def project(point: np.ndarray, cam: Camera) -> tuple[Pixel | None, float]:
-    """Project a world point into the image; returns (pixel, camera-frame depth).
-
-    depth <= 0 means the point lies behind the camera; the pixel is still
-    returned and the caller decides how to treat it.  If |depth| is below
-    W_EPS the homogeneous divide is degenerate and the pixel is None.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    cam_pt = cam.E @ np.append(point, 1.0)
-    uvw = cam.K @ cam_pt[:3]
-    depth = float(uvw[2])
-    if abs(depth) < W_EPS:
-        return None, depth
-    return Pixel(float(uvw[0] / depth), float(uvw[1] / depth)), depth
-
-
 def warp_transform(ref: Camera, src: Camera) -> np.ndarray:
     """Composite 4x4 mapping reference (x*d, y*d, d, 1) to source (x'*d', y'*d', d', 1).
 
-    One matrix multiplication equals project(back_project(.)) applied
-    pixel-wise; forward warping uses it on whole depth maps at once.  Both
+    One matrix multiplication equals the per-pixel chain of tests/oracles.py
+    (back-project through K and E of ref, project through those of src);
+    forward warping uses it on whole depth maps at once.  Both
     projections end in the row (0, 0, 0, 1), so the composite does too; it
     is set exactly, which lets the warp skip the homogeneous divide.
     """

@@ -6,10 +6,12 @@ error.  A missing input prints "missing input: <path>" (or names the
 view that the scene lacks); an input file that a reader rejects is
 named in front of the reader's message, "<path>: <message>", whether
 it is rejected when opened or, for a loss input, as it is scored.
-Every command accepts --threads (default 1); only eval-pc uses it, and
-its output is byte-identical for any thread count.  gc-penalty, fuse
-and warp open a scene with views.Scene(root), which checks every view
-and their one depth shape; gc-penalty and fuse then check that their
+gc-penalty, loss, fuse and eval-pc accept --threads (default 1); only
+eval-pc uses it, and its output is byte-identical for any thread count.
+gc-penalty, fuse and loss ignore it until the benchmark, which passes it
+to them, stops doing so; synth, warp and eval-depth do not take it.
+gc-penalty, fuse and warp open a scene with views.Scene(root), which
+checks every view and their one depth shape; gc-penalty and fuse then check that their
 references have sources (Scene.source_views; fuse: among the
 references), all before any depth map is read or file written.  gc-penalty runs the
 references in order on the calling thread (threads were GIL-bound), writing
@@ -380,8 +382,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_threads(p, used=True):
-        text = ("worker threads (default: 1)" if used
-                else "accepted for a uniform command line; has no effect on this command")
+        text = "worker threads (default: 1)" if used else "accepted with no effect on this command"
         p.add_argument("--threads", type=_count_type(1), default=1, help=text)
 
     p = sub.add_parser("synth", help="emit a synthetic scene directory")
@@ -393,7 +394,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-std", type=float, default=0.0,
                    help="additive Gaussian depth noise for degradation tests")
-    add_threads(p, used=False)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("gc-penalty", help="per-pixel geometric consistency penalty maps")
@@ -426,9 +426,9 @@ def _build_parser() -> _Parser:
                    help="fusibile: one threshold pair; dynamic: a fixed table of 0.25 px and 0.0025 relative "
                         "depth per required view (default: fusibile)")
     p.add_argument("--disp-thresh", type=float, default=1.0,
-                   help="fusibile displacement threshold, px (default: 1.0); checked but not used by --mode dynamic")
+                   help="fusibile displacement threshold, px (default: 1.0); --mode dynamic neither checks nor uses it")
     p.add_argument("--depth-thresh", type=float, default=0.01,
-                   help="fusibile relative depth threshold (default: 0.01); checked but not used by --mode dynamic")
+                   help="fusibile relative depth threshold (default: 0.01); --mode dynamic neither checks nor uses it")
     p.add_argument("--prob-thresh", type=float, default=0.5)
     p.add_argument("--num-consistent", type=_count_type(1), default=3)
     p.add_argument("--average", choices=("mean", "median"), default="mean")
@@ -449,7 +449,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--gt", required=True)
     p.add_argument("--mask", default=None)
     p.add_argument("--out", default=None)
-    add_threads(p, used=False)
     p.set_defaults(func=_cmd_eval_depth)
 
     p = sub.add_parser("warp", help="forward-backward reprojection of one view pair")
@@ -457,7 +456,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--ref", type=int, required=True)
     p.add_argument("--src", type=int, required=True)
     p.add_argument("--out", required=True)
-    add_threads(p, used=False)
     p.set_defaults(func=_cmd_warp)
 
     return parser

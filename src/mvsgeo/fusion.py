@@ -84,7 +84,9 @@ class FusionParams:
             raise ValueError("consistency_threshold must be an integer view count") from None
         if self.consistency_threshold < 1:
             raise ValueError("consistency_threshold must be >= 1")
-        if not (0 < self.disparity_threshold < np.inf and 0 < self.depth_threshold < np.inf):
+        # Dynamic mode takes its thresholds from DEFAULT_DYNAMIC_TABLE and reads neither of these.
+        fixed = (self.disparity_threshold, self.depth_threshold)
+        if self.mode == "fusibile" and not all(0 < t < np.inf for t in fixed):
             raise ValueError("geometric thresholds must be finite and positive")
 
 

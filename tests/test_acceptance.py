@@ -298,7 +298,7 @@ def test_criterion_10_end_to_end_pipeline(tmp_path, capsys):
     start = time.monotonic()
     rc_synth = cli_main(["synth", "--out", str(scene), "--kind", "plane",
                          "--width", "320", "--height", "256", "--views", "5",
-                         "--seed", "10", "--threads", "1"])
+                         "--seed", "10"])
     capsys.readouterr()
     rc_pen = cli_main(["gc-penalty", "--scene", str(scene), "--out", str(pen_dir),
                        "--d-pixel", "1.0", "--d-depth", "0.01", "--threads", "1"])

@@ -549,6 +549,21 @@ def test_fuse_threads_bit_identical(plane_scene, tmp_path, capsys):
     assert paths[0] == paths[1]
 
 
+def test_fuse_checks_the_threshold_pair_only_in_the_mode_that_reads_it(plane_scene, tmp_path, capsys):
+    # Dynamic mode takes its thresholds from its table: a pair it would
+    # reject in fusibile mode leaves its PLY byte for byte the default one.
+    def fuse(name, mode, *extra):
+        return run_cli(capsys, "fuse", "--scene", str(plane_scene), "--out", str(tmp_path / name),
+                       "--mode", mode, "--num-consistent", "2", *extra)[0]
+
+    bad = ("--disp-thresh", "-1", "--depth-thresh", "0")
+    assert fuse("default.ply", "dynamic") == 0
+    assert fuse("bad.ply", "dynamic", *bad) == 0
+    assert (tmp_path / "bad.ply").read_bytes() == (tmp_path / "default.ply").read_bytes()
+    assert fuse("fusibile.ply", "fusibile", *bad) == 3
+    assert not (tmp_path / "fusibile.ply").exists()
+
+
 def test_fuse_ascii_output(plane_scene, tmp_path, capsys):
     p = tmp_path / "cloud_ascii.ply"
     code, _, _ = run_cli(capsys, "fuse", "--scene", str(plane_scene), "--out", str(p),
@@ -964,6 +979,21 @@ def test_unknown_flag_exits_1(capsys):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "usage" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth"],
+    ["warp", "--scene", "s", "--ref", "0", "--src", "1"],
+    ["eval-depth", "--pred", "a.pfm", "--gt", "b.pfm"],
+])
+def test_threads_is_a_usage_error_where_it_was_never_used(argv, tmp_path, capsys):
+    # Only gc-penalty, loss, fuse and eval-pc take --threads.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out), "--threads", "1"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

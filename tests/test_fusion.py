@@ -15,6 +15,7 @@ from mvsgeo.fusion import (
 from mvsgeo.reproject import DepthMap
 
 from conftest import BAND_SCENES, band_sizes
+from oracles import ld_back_project
 
 
 def scene_views(kind="plane", w=80, h=64, n=5, seed=1, conf=None):
@@ -46,6 +47,7 @@ def test_params_validation():
         for field in ("disparity_threshold", "depth_threshold"):
             with pytest.raises(ValueError, match="finite and positive"):
                 FusionParams(**{field: bad})
+            FusionParams(mode="dynamic", **{field: bad})  # which reads neither
     with pytest.raises(ValueError):
         FusionParams(average="mode")
     # The required view count is an integer: a fractional count would be
@@ -421,8 +423,6 @@ def test_one_forward_warp_per_pair(monkeypatch):
 
 
 def test_colors_sampled_from_images(rng):
-    from mvsgeo.camera import Pixel, back_project
-
     spec, views = scene_views("plane", w=40, h=32, conf=1.0)
     imgs = [rng.integers(0, 256, size=(32, 40, 3), dtype=np.uint8) for _ in range(5)]
     views = [(d, c, cam, img) for (d, c, cam), img in zip(views, imgs)]
@@ -432,7 +432,8 @@ def test_colors_sampled_from_images(rng):
     # color sampled from image 0 at that pixel
     i, j = 16, 20
     d0 = views[0][0]
-    expected = back_project(Pixel(float(j), float(i)), d0.values[i, j], views[0][2])
+    cam = views[0][2]
+    expected = ld_back_project(float(j), float(i), d0.values[i, j], cam.K, cam.E).astype(np.float64)
     dist = np.linalg.norm(cloud.points - expected, axis=1)
     k = int(dist.argmin())
     assert dist[k] < 1e-3

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvsgeo import reproject, synth
-from mvsgeo.camera import Camera, Pixel, back_project, pixel_grid, project, warp_transform
+from mvsgeo.camera import Camera, pixel_grid, warp_transform
 from mvsgeo.penalty import (
     STAGE_DEPTH_THRESHOLDS,
     STAGE_PIXEL_THRESHOLDS,
@@ -15,7 +15,7 @@ from mvsgeo.penalty import (
 from mvsgeo.reproject import CoordinateGrid, DepthMap, fbr, forward_project, remap
 
 from conftest import BAND_SCENES, band_sizes, random_camera
-from oracles import homogeneous_warp, naive_penalty
+from oracles import homogeneous_warp, ld_back_project, ld_project, naive_penalty
 from truth import fixed_point_mask, identity_grid, render_occlusion_truth
 
 
@@ -139,7 +139,7 @@ def test_forward_project_behind_camera_invalidated():
 
 def test_forward_project_matches_primitive_loop(rng):
     # Tilted-plane scene, two cameras: vectorized warp against the
-    # per-pixel project(back_project(.)) loop.
+    # per-pixel extended-precision back-project and project loop.
     spec = synth.make_scene("tilted-plane", 40, 32, 2, seed=7)
     d0, _ = synth.render_depth(spec, 0)
     ref, src = spec.cameras
@@ -148,12 +148,12 @@ def test_forward_project_matches_primitive_loop(rng):
         for j in range(0, 40, 3):
             if not d0.valid[i, j]:
                 continue
-            point = back_project(Pixel(float(j), float(i)), d0.values[i, j], ref)
-            pix, depth = project(point, src)
+            point = ld_back_project(float(j), float(i), d0.values[i, j], ref.K, ref.E)
+            px, py, depth = ld_project(point, src.K, src.E)
             assert coords.valid[i, j] == (depth > 1e-12)
             if depth > 1e-12:
-                assert coords.x[i, j] == pytest.approx(pix.x, abs=1e-7)
-                assert coords.y[i, j] == pytest.approx(pix.y, abs=1e-7)
+                assert coords.x[i, j] == pytest.approx(px, abs=1e-7)
+                assert coords.y[i, j] == pytest.approx(py, abs=1e-7)
                 assert warped.values[i, j] == pytest.approx(depth, rel=1e-9)
 
 
